@@ -110,7 +110,7 @@ void RuntimeAblationPart(int iters, const std::vector<double>& densities,
   std::printf("bus egress bytes measured per iteration (framing included).\n\n");
 
   const CompressionAblationPoint raw =
-      RunCompressionAblation(PsCompressionPolicy::kNone, /*topk_density=*/0.25, iters);
+      RunCompressionAblation(PlanCodecPolicy::kNone, /*topk_density=*/0.25, iters);
   const double raw_gain = raw.first_loss - raw.final_loss;
   record->Append("raw_bytes_per_iter", raw.wire_bytes_per_iter);
   record->Append("raw_final_loss", raw.final_loss);
@@ -118,7 +118,7 @@ void RuntimeAblationPart(int iters, const std::vector<double>& densities,
   TextTable table({"codec", "density", "B/iter", "reduction", "final loss", "matched"});
   table.AddRow({"raw", "-", TextTable::Num(raw.wire_bytes_per_iter, 0), "1.00x",
                 TextTable::Num(raw.final_loss, 4), "yes"});
-  auto add_point = [&](const char* name, PsCompressionPolicy policy, double density) {
+  auto add_point = [&](const char* name, PlanCodecPolicy policy, double density) {
     const CompressionAblationPoint point =
         RunCompressionAblation(policy, density, iters);
     const double reduction = raw.wire_bytes_per_iter / point.wire_bytes_per_iter;
@@ -128,19 +128,19 @@ void RuntimeAblationPart(int iters, const std::vector<double>& densities,
     record->Append(std::string(name) + "_reduction", reduction);
     char reduction_label[32];
     std::snprintf(reduction_label, sizeof(reduction_label), "%.2fx", reduction);
-    table.AddRow({name, policy == PsCompressionPolicy::kTopK
+    table.AddRow({name, policy == PlanCodecPolicy::kTopK
                             ? TextTable::Num(density, 2)
                             : std::string("-"),
                   TextTable::Num(point.wire_bytes_per_iter, 0), reduction_label,
                   TextTable::Num(point.final_loss, 4), matched ? "yes" : "NO"});
   };
-  add_point("fp16", PsCompressionPolicy::kFp16, 0.25);
-  add_point("int8", PsCompressionPolicy::kInt8, 0.25);
+  add_point("fp16", PlanCodecPolicy::kFp16, 0.25);
+  add_point("int8", PlanCodecPolicy::kInt8, 0.25);
   for (double density : densities) {
     char name[32];
     std::snprintf(name, sizeof(name), "topk%02d",
                   static_cast<int>(std::lround(density * 100)));
-    add_point(name, PsCompressionPolicy::kTopK, density);
+    add_point(name, PlanCodecPolicy::kTopK, density);
   }
   std::printf("%s\n", table.ToString().c_str());
 }

@@ -31,7 +31,7 @@ struct Curve {
   std::vector<double> test_error;
 };
 
-Curve RunOne(const RunConfig& config, FcSyncPolicy policy,
+Curve RunOne(const RunConfig& config, PlanPolicy policy,
              const SyntheticDataset& dataset) {
   NetworkFactory factory = [&config] {
     Rng rng(20170711);
@@ -85,8 +85,8 @@ void Run(const BenchArgs& args) {
   std::printf("quantization with residual (Poseidon-1bit). %s configuration.\n\n",
               full ? "Full 32x32" : "Reduced 16x16 (use --full for paper-size)");
 
-  const Curve exact = RunOne(config, FcSyncPolicy::kHybrid, dataset);
-  const Curve onebit = RunOne(config, FcSyncPolicy::kOneBit, dataset);
+  const Curve exact = RunOne(config, PlanPolicy::kHybrid, dataset);
+  const Curve onebit = RunOne(config, PlanPolicy::kOneBit, dataset);
 
   TextTable table({"iter", "loss exact", "loss 1bit", "test-err exact", "test-err 1bit"});
   for (size_t i = 0; i < exact.loss.size(); ++i) {

@@ -67,7 +67,7 @@ void ConvergencePart(const BenchArgs& args) {
     options.num_servers = workers;
     options.batch_per_worker = total_batch / workers;
     options.sgd = {.learning_rate = 0.01f, .momentum = 0.9f};
-    options.fc_policy = FcSyncPolicy::kHybrid;
+    options.fc_policy = PlanPolicy::kHybrid;
     options.kv_pair_bytes = 4096;
     PoseidonTrainer trainer(factory, options);
     std::vector<double> per_epoch;

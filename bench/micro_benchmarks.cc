@@ -19,7 +19,6 @@
 #include "src/models/zoo.h"
 #include "src/nn/builders.h"
 #include "src/planner/comm_planner.h"
-#include "src/planner/plan_cache.h"
 #include "src/poseidon/trainer.h"
 #include "src/sim/fabric.h"
 #include "src/sim/simulator.h"
@@ -177,7 +176,7 @@ struct WirePathCounters {
   double model_floats = 0.0;  // total trainable floats, from the model itself
 };
 
-WirePathCounters RunWirePath(FcSyncPolicy policy, int workers, int hidden_layers,
+WirePathCounters RunWirePath(PlanPolicy policy, int workers, int hidden_layers,
                              bool batch, int iters) {
   DatasetConfig data;
   data.num_classes = 3;
@@ -225,7 +224,7 @@ WirePathCounters RunWirePath(FcSyncPolicy policy, int workers, int hidden_layers
   return counters;
 }
 
-void WirePathBench(benchmark::State& state, FcSyncPolicy policy, int hidden_layers) {
+void WirePathBench(benchmark::State& state, PlanPolicy policy, int hidden_layers) {
   const bool batch = state.range(0) != 0;
   const int workers = 2;
   WirePathCounters counters;
@@ -236,7 +235,7 @@ void WirePathBench(benchmark::State& state, FcSyncPolicy policy, int hidden_laye
   state.counters["copies/iter"] = counters.copies_per_iter;
   state.counters["msgs/iter"] = counters.msgs_per_iter;
   state.counters["logical/iter"] = counters.logical_per_iter;
-  if (policy == FcSyncPolicy::kDense) {
+  if (policy == PlanPolicy::kDense) {
     // Pre-refactor model (see comment above), anchored on the model's own
     // parameter count T so the ratio is a real measurement: the old path
     // staged (4W+1)T floats per iteration; the measured counter should be
@@ -250,17 +249,17 @@ void WirePathBench(benchmark::State& state, FcSyncPolicy policy, int hidden_laye
 
 // 20-layer MLP on the PS path: the batcher's headline case.
 void BM_WirePathPs20Layer(benchmark::State& state) {
-  WirePathBench(state, FcSyncPolicy::kDense, /*hidden_layers=*/18);
+  WirePathBench(state, PlanPolicy::kDense, /*hidden_layers=*/18);
 }
 BENCHMARK(BM_WirePathPs20Layer)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
 
 void BM_WirePathSfb(benchmark::State& state) {
-  WirePathBench(state, FcSyncPolicy::kSfb, /*hidden_layers=*/2);
+  WirePathBench(state, PlanPolicy::kSfb, /*hidden_layers=*/2);
 }
 BENCHMARK(BM_WirePathSfb)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
 
 void BM_WirePathOneBit(benchmark::State& state) {
-  WirePathBench(state, FcSyncPolicy::kOneBit, /*hidden_layers=*/2);
+  WirePathBench(state, PlanPolicy::kOneBit, /*hidden_layers=*/2);
 }
 BENCHMARK(BM_WirePathOneBit)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
 
@@ -397,7 +396,7 @@ void RecordRoofline(BenchRecord* record) {
               record->Series("mem_bw_gbps").front());
 }
 
-void RecordWirePath(const char* prefix, FcSyncPolicy policy, int hidden_layers,
+void RecordWirePath(const char* prefix, PlanPolicy policy, int hidden_layers,
                     BenchRecord* record) {
   const int workers = 2;
   const WirePathCounters counters =
@@ -406,7 +405,7 @@ void RecordWirePath(const char* prefix, FcSyncPolicy policy, int hidden_layers,
   record->Append(p + "_floats_per_iter", counters.floats_per_iter);
   record->Append(p + "_copies_per_iter", counters.copies_per_iter);
   record->Append(p + "_msgs_per_iter", counters.msgs_per_iter);
-  if (policy == FcSyncPolicy::kDense) {
+  if (policy == PlanPolicy::kDense) {
     // Same pre-refactor copy model as BM_WirePathPs20Layer above.
     const double before = (4.0 * workers + 1.0) * counters.model_floats;
     record->Append(p + "_copy_reduction", before / counters.floats_per_iter);
@@ -429,7 +428,7 @@ bool RecordCompressionAblation(BenchRecord* record) {
   const int iters = 16;
   const double density = 0.25;
   const CompressionAblationPoint raw =
-      RunCompressionAblation(PsCompressionPolicy::kNone, density, iters);
+      RunCompressionAblation(PlanCodecPolicy::kNone, density, iters);
   record->Append("ext_compression_raw_bytes_per_iter", raw.wire_bytes_per_iter);
   record->Append("ext_compression_raw_final_loss", raw.final_loss);
   const double raw_gain = raw.first_loss - raw.final_loss;
@@ -437,10 +436,10 @@ bool RecordCompressionAblation(BenchRecord* record) {
   double best_matched = 0.0;
   const struct {
     const char* name;
-    PsCompressionPolicy policy;
-  } codecs[] = {{"fp16", PsCompressionPolicy::kFp16},
-                {"int8", PsCompressionPolicy::kInt8},
-                {"topk", PsCompressionPolicy::kTopK}};
+    PlanCodecPolicy policy;
+  } codecs[] = {{"fp16", PlanCodecPolicy::kFp16},
+                {"int8", PlanCodecPolicy::kInt8},
+                {"topk", PlanCodecPolicy::kTopK}};
   for (const auto& codec : codecs) {
     const CompressionAblationPoint point =
         RunCompressionAblation(codec.policy, density, iters);
@@ -473,10 +472,6 @@ bool RecordCompressionAblation(BenchRecord* record) {
 //
 // CommPlanner cost trajectory (docs/PLANNER.md). Recorded series:
 //   planner_cold_search_us      full joint search, vgg19 @ 16 nodes
-//   planner_cached_lookup_us    the same request through a warm PlanCache
-//   planner_cache_speedup       cold / cached — the memoization headline;
-//                               the acceptance bar (and the CI gate in
-//                               tools/check_bench_json.py) is >= 100x
 //   planner_default_bytes_per_iter   paper-default predicted wire bytes
 //   planner_planned_bytes_per_iter   joint-plan predicted wire bytes
 //   planner_bytes_ratio              default / planned, >= 1: the joint
@@ -489,7 +484,6 @@ bool RecordPlanner(BenchRecord* record) {
                                              /*max_shards=*/8);
 
   double cold_us = 0.0;
-  double cached_us = 0.0;
   for (int rep = 0; rep < 3; ++rep) {
     const double cold_ns = NsPerCall([&] {
       CommPlan plan = PlanComm(joint);
@@ -497,18 +491,7 @@ bool RecordPlanner(BenchRecord* record) {
     });
     record->Append("planner_cold_search_us", cold_ns / 1e3);
     cold_us = cold_ns / 1e3;
-
-    PlanCache cache;
-    auto warm = cache.GetOrPlan(joint);  // prime: one miss, then all hits
-    benchmark::DoNotOptimize(warm.get());
-    const double cached_ns = NsPerCall([&] {
-      benchmark::DoNotOptimize(cache.GetOrPlan(joint).get());
-    });
-    record->Append("planner_cached_lookup_us", cached_ns / 1e3);
-    cached_us = cached_ns / 1e3;
   }
-  const double speedup = cold_us / cached_us;
-  record->Append("planner_cache_speedup", speedup);
 
   const CommPlan planned = PlanComm(JointAutoRequest(model, nodes, /*nic_gbps=*/0.0,
                                                      /*max_shards=*/8));
@@ -518,15 +501,10 @@ bool RecordPlanner(BenchRecord* record) {
   record->Append("planner_planned_bytes_per_iter", planned.predicted_wire_bytes);
   record->Append("planner_bytes_ratio", ratio);
 
-  std::printf("planner: cold search %.1f us, cached lookup %.3f us (%.0fx), "
+  std::printf("planner: cold search %.1f us, "
               "planned %.1f MB/iter vs default %.1f MB/iter (%.2fx)\n",
-              cold_us, cached_us, speedup, planned.predicted_wire_bytes / 1e6,
+              cold_us, planned.predicted_wire_bytes / 1e6,
               fallback.predicted_wire_bytes / 1e6, ratio);
-  if (speedup < 100.0) {
-    std::fprintf(stderr,
-                 "FAIL: plan-cache speedup %.0fx is below the 100x floor\n", speedup);
-    return false;
-  }
   if (ratio < 1.0) {
     std::fprintf(stderr,
                  "FAIL: joint plan predicts %.2fx the default's wire bytes; the "
@@ -576,16 +554,16 @@ bool SelfCheckAndRecord(BenchRecord* record) {
   RecordRoofline(record);
 
   // Wire-path staging-copy counts per training iteration, per scheme.
-  RecordWirePath("wire_ps", FcSyncPolicy::kDense, /*hidden_layers=*/18, record);
-  RecordWirePath("wire_sfb", FcSyncPolicy::kSfb, /*hidden_layers=*/2, record);
-  RecordWirePath("wire_onebit", FcSyncPolicy::kOneBit, /*hidden_layers=*/2, record);
+  RecordWirePath("wire_ps", PlanPolicy::kDense, /*hidden_layers=*/18, record);
+  RecordWirePath("wire_sfb", PlanPolicy::kSfb, /*hidden_layers=*/2, record);
+  RecordWirePath("wire_onebit", PlanPolicy::kOneBit, /*hidden_layers=*/2, record);
 
   // Compressed-PS bytes-vs-loss trajectory and its 2x matched-loss gate.
   if (!RecordCompressionAblation(record)) {
     return false;
   }
 
-  // CommPlanner search cost, cache speedup, and the bytes-never-worse gate.
+  // CommPlanner search cost and the bytes-never-worse gate.
   if (!RecordPlanner(record)) {
     return false;
   }

@@ -12,7 +12,6 @@
 #include "src/models/model_spec.h"
 #include "src/planner/comm_plan.h"
 #include "src/planner/comm_planner.h"
-#include "src/planner/plan_cache.h"
 #include "src/transport/bus.h"
 
 namespace poseidon {
@@ -72,17 +71,17 @@ void PlanPart(const BenchArgs& args, const std::vector<int>& workers) {
       model.name = "fc" + std::to_string(shape.m) + "x" + std::to_string(shape.n);
       model.default_batch = static_cast<int>(shape.k);
       model.layers = {FcLayer("fc", shape.m, shape.n)};
-      const auto plan = PlanCache::Global().GetOrPlan(
-          JointAutoRequest(model, p, /*nic_gbps=*/0.0, /*max_shards=*/8));
-      const PlanLayerChoice& choice = plan->layers.front();
+      const CommPlan plan =
+          PlanComm(JointAutoRequest(model, p, /*nic_gbps=*/0.0, /*max_shards=*/8));
+      const PlanLayerChoice& choice = plan.layers.front();
       std::string label = PlannedSchemeName(choice.scheme);
       if (choice.compression != GradCompression::kNone) {
         label += std::string("+") + GradCompressionName(choice.compression);
       }
       table.AddRow({std::to_string(shape.m) + "x" + std::to_string(shape.n),
                     std::to_string(shape.k), std::to_string(p), label,
-                    std::to_string(plan->ps_shards),
-                    TextTable::Num(plan->predicted_wire_bytes / 1e6, 2)});
+                    std::to_string(plan.ps_shards),
+                    TextTable::Num(plan.predicted_wire_bytes / 1e6, 2)});
     }
   }
   std::printf("%s\n", table.ToString().c_str());

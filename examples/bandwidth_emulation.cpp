@@ -14,7 +14,7 @@
 
 namespace {
 
-double TrainTimed(poseidon::FcSyncPolicy policy, double egress_bytes_per_sec, int iters) {
+double TrainTimed(poseidon::PlanPolicy policy, double egress_bytes_per_sec, int iters) {
   using namespace poseidon;
   DatasetConfig data;
   data.num_classes = 4;
@@ -56,8 +56,8 @@ int main(int argc, char** argv) {
   const int iters = 10;
   std::printf("Emulated egress limit: %.0f MB/s per node, 2 workers, FC-heavy MLP\n\n",
               mb_per_s);
-  const double dense = TrainTimed(poseidon::FcSyncPolicy::kDense, rate, iters);
-  const double sfb = TrainTimed(poseidon::FcSyncPolicy::kSfb, rate, iters);
+  const double dense = TrainTimed(poseidon::PlanPolicy::kDense, rate, iters);
+  const double sfb = TrainTimed(poseidon::PlanPolicy::kSfb, rate, iters);
   std::printf("  dense PS : %.1f ms/iteration\n", 1e3 * dense);
   std::printf("  SFB      : %.1f ms/iteration\n", 1e3 * sfb);
   std::printf("\nSFB is %.1fx faster under this bandwidth (the HybComm rationale).\n",

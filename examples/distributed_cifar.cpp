@@ -38,7 +38,7 @@ int main(int argc, char** argv) {
   options.num_servers = 4;
   options.batch_per_worker = 8;
   options.sgd = {.learning_rate = 0.01f, .momentum = 0.9f, .weight_decay = 1e-4f};
-  options.fc_policy = FcSyncPolicy::kHybrid;
+  options.fc_policy = PlanPolicy::kHybrid;
   options.kv_pair_bytes = 64 * 1024;  // finer pairs -> better shard balance
 
   PoseidonTrainer trainer(factory, options);

@@ -37,7 +37,7 @@ int main() {
   options.num_servers = 2;
   options.batch_per_worker = 16;
   options.sgd = {.learning_rate = 0.05f, .momentum = 0.9f};
-  options.fc_policy = FcSyncPolicy::kHybrid;  // Algorithm 1 per layer
+  options.fc_policy = PlanPolicy::kHybrid;  // Algorithm 1 per layer
 
   PoseidonTrainer trainer(factory, options);
 
@@ -50,7 +50,7 @@ int main() {
       continue;
     }
     std::printf("  %-8s %-5s -> %s\n", info.name.c_str(), LayerTypeName(info.type),
-                RuntimeSchemeName(trainer.schemes()[static_cast<size_t>(l)]));
+                PlannedSchemeName(trainer.plan()->layers[static_cast<size_t>(l)].scheme));
   }
 
   // 4. Train (Algorithm 2 runs inside: forward, per-layer backward + sync

@@ -211,8 +211,8 @@ class ProtocolSim {
         }
       }
 
-      // Fixed-policy compression of the dense-PS path (mirrors the runtime's
-      // ResolveCompression): every PS layer clearing the size gate runs the
+      // Fixed-policy compression of the dense-PS path (mirrors the planner's
+      // paper-mode codec pass): every PS layer clearing the size gate runs the
       // configured codec, or its per-layer BestCompression pick under auto.
       // The hybrid-collective chooser above resolved it jointly with the
       // scheme instead.

@@ -4,8 +4,8 @@
 /// batching, top-k density) and the predicted cost breakdown they were chosen
 /// under. A CommPlan is a pure value — once built it never changes, so it can
 /// be shared by pointer between the trainer, the protocol simulator and the
-/// bench harnesses, memoized in the PlanCache, and round-tripped through JSON
-/// for `--plan=fixed:<path>` runs and the committed golden fixture.
+/// bench harnesses, and round-tripped through JSON for `--plan=fixed:<path>`
+/// runs and the committed golden fixture.
 ///
 /// See docs/PLANNER.md for the search space and the determinism contract.
 #ifndef POSEIDON_SRC_PLANNER_COMM_PLAN_H_
@@ -47,7 +47,7 @@ struct PlanLayerChoice {
 /// An immutable communication plan. `hash` is an FNV-1a digest over every
 /// decision field (signature, globals, per-layer assignments, predicted
 /// totals), so two plans are interchangeable iff their hashes match;
-/// `signature` is the canonical request signature the PlanCache keyed on,
+/// `signature` is the canonical signature of the request the plan answers,
 /// kept for debugging and for the JSON dump.
 struct CommPlan {
   std::string model;

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
-#include <cstring>
 
 #include "src/common/logging.h"
 #include "src/common/units.h"
@@ -12,7 +11,7 @@
 namespace poseidon {
 namespace {
 
-// ------------------------------------------------------------------ digest --
+// --------------------------------------------------------------- signature --
 
 uint64_t SplitMix64(uint64_t x) {
   x += 0x9e3779b97f4a7c15ULL;
@@ -31,117 +30,6 @@ uint64_t MixString(uint64_t h, const std::string& s) {
   }
   return Mix(Mix(h, f), s.size());
 }
-
-uint64_t MixDouble(uint64_t h, double v) {
-  uint64_t bits = 0;
-  std::memcpy(&bits, &v, sizeof(bits));
-  return Mix(h, bits);
-}
-
-// The cache-key digest runs on every PlanCache hit, so it is the whole cost
-// of a warm lookup (the planner_cache_speedup series gates it at >= 100x
-// under the cold search). A serial mix chain over every field is latency-
-// bound (~5 cycles per field back to back), so the request is first
-// serialized — plain stores, fully pipelined — into a reused thread-local
-// word buffer, then hashed with four independent rotate-multiply lanes whose
-// chains overlap; the dependent path shrinks to ~n/4 mixes. The encoding is
-// injective (strings are length-prefixed, fields appear in a fixed schema
-// order), and SplitMix64 finalizes each lane so low-entropy patterns still
-// avalanche across the 128-bit key.
-struct KeyWords {
-  uint64_t* base;
-  uint64_t* p;
-
-  /// `max_words` must bound the number of Put() calls; writes are unchecked
-  /// cursor stores so the serialization loop stays branch-free.
-  explicit KeyWords(size_t max_words) : base(Buffer(max_words)), p(base) {}
-
-  static uint64_t* Buffer(size_t max_words) {
-    static thread_local std::vector<uint64_t> buffer;
-    if (buffer.size() < max_words) {
-      buffer.resize(max_words);
-    }
-    return buffer.data();
-  }
-
-  void Put(uint64_t v) { *p++ = v; }
-
-  void PutDouble(double v) {
-    uint64_t bits = 0;
-    std::memcpy(&bits, &v, sizeof(bits));
-    Put(bits);
-  }
-
-  /// The final 1..8 bytes of a string, folded into one word with fixed-size
-  /// (hence inlined) loads — a variable-length memcpy here is an out-of-line
-  /// call that dominates the whole digest. The 4..7 case reads two
-  /// overlapping 32-bit words; together with the length prefix the encoding
-  /// stays injective (the overlap is decodable once the length is known).
-  static uint64_t TailWord(const char* p, size_t n) {
-    if (n >= 4) {
-      uint32_t head = 0;
-      uint32_t tail = 0;
-      std::memcpy(&head, p, 4);
-      std::memcpy(&tail, p + n - 4, 4);
-      return static_cast<uint64_t>(head) | (static_cast<uint64_t>(tail) << 32);
-    }
-    const unsigned char* u = reinterpret_cast<const unsigned char*>(p);
-    return static_cast<uint64_t>(u[0]) | (static_cast<uint64_t>(u[n >> 1]) << 8) |
-           (static_cast<uint64_t>(u[n - 1]) << 16);
-  }
-
-  void PutString(const std::string& s) {
-    const size_t n = s.size();
-    Put(n);
-    if (n == 0) {
-      return;
-    }
-    const char* c = s.data();
-    if (n <= 8) {
-      Put(TailWord(c, n));
-      return;
-    }
-    size_t i = 0;
-    uint64_t w = 0;
-    for (; i + 8 <= n; i += 8) {
-      std::memcpy(&w, c + i, 8);
-      Put(w);
-    }
-    if (i < n) {
-      Put(TailWord(c + i, n - i));
-    }
-  }
-
-  static uint64_t FastMix(uint64_t h, uint64_t v) {
-    h = (h ^ v) * 0x9e3779b97f4a7c15ULL;
-    return (h << 26) | (h >> 38);
-  }
-
-  PlanKey Finish(uint64_t seed_a, uint64_t seed_b) const {
-    uint64_t h0 = SplitMix64(seed_a);
-    uint64_t h1 = SplitMix64(seed_a + 0x632be59bd9b4e019ULL);
-    uint64_t h2 = SplitMix64(seed_b);
-    uint64_t h3 = SplitMix64(seed_b + 0x632be59bd9b4e019ULL);
-    const uint64_t* w = base;
-    const size_t n = static_cast<size_t>(p - base);
-    size_t i = 0;
-    for (; i + 4 <= n; i += 4) {
-      h0 = FastMix(h0, w[i]);
-      h1 = FastMix(h1, w[i + 1]);
-      h2 = FastMix(h2, w[i + 2]);
-      h3 = FastMix(h3, w[i + 3]);
-    }
-    for (; i < n; ++i) {
-      h0 = FastMix(h0, w[i]);
-    }
-    h0 = FastMix(h0, n);
-    // Both halves fold in all four lanes, through different paths.
-    PlanKey key;
-    key.hi = SplitMix64(SplitMix64(SplitMix64(h0 ^ h1) ^ h2) ^ h3);
-    key.lo = SplitMix64(SplitMix64(SplitMix64(h3 + h1) ^ h2) + h0);
-    return key;
-  }
-};
 
 std::string Fmt(double v) {
   char buf[64];
@@ -403,8 +291,7 @@ CandidateCost BestForLayer(const LayerSpec& layer, const PlanRequest& r,
 
 // ------------------------------------------------------------- paper mode --
 
-/// The legacy per-layer scheme pass (ResolveSchemes semantics) at shard
-/// count `shards`: float-basis choosers, collective policies gated on
+/// The pre-planner per-layer scheme pass at shard count `shards`: float-basis choosers, collective policies gated on
 /// multi-worker, conv layers pinned to the PS under the paper policies.
 std::vector<PlannedScheme> PaperSchemes(const PlanRequest& r, int shards) {
   const bool multi = r.num_workers > 1;
@@ -585,52 +472,6 @@ const char* PlanCodecPolicyName(PlanCodecPolicy policy) {
   return "?";
 }
 
-PlanKey PlanRequestKey(const PlanRequest& r) {
-  // Word-count bound for the unchecked serializer: every string costs
-  // 1 length word + ceil(size/8) payload words.
-  size_t bound = 32 + r.pinned_schemes.size();
-  bound += 2 + r.model_name.size() / 8 + r.transport.size() / 8;
-  for (const LayerSpec& layer : r.layers) {
-    bound += 6 + layer.name.size() / 8;
-  }
-  KeyWords d(bound);
-  d.PutString(r.model_name);
-  d.Put(r.layers.size());
-  for (const LayerSpec& layer : r.layers) {
-    d.PutString(layer.name);
-    d.Put(static_cast<uint64_t>(layer.type));
-    d.Put(static_cast<uint64_t>(layer.params));
-    d.Put(static_cast<uint64_t>(layer.fc_m));
-    d.Put(static_cast<uint64_t>(layer.fc_n));
-  }
-  d.Put(static_cast<uint64_t>(r.num_workers));
-  d.Put(static_cast<uint64_t>(r.num_servers));
-  d.Put(static_cast<uint64_t>(r.batch_per_worker));
-  d.Put(static_cast<uint64_t>(r.kv_pair_bytes));
-  d.PutDouble(r.nic_gbps);
-  d.PutDouble(r.latency_s);
-  d.PutDouble(r.transport_efficiency);
-  d.PutDouble(r.cpu_flops);
-  d.PutString(r.transport);
-  d.Put(static_cast<uint64_t>(r.ps_shards_pinned));
-  d.Put(static_cast<uint64_t>(r.max_shards));
-  d.Put(static_cast<uint64_t>(r.paper_eval_shards));
-  d.Put(static_cast<uint64_t>(r.staleness));
-  d.Put(static_cast<uint64_t>(r.max_staleness));
-  d.Put((r.batch_egress ? 2ULL : 0ULL) | (r.allow_batching ? 1ULL : 0ULL));
-  d.Put(static_cast<uint64_t>(r.batch_max_messages));
-  d.Put(r.pinned_schemes.size());
-  for (PlannedScheme scheme : r.pinned_schemes) {
-    d.Put(static_cast<uint64_t>(scheme));
-  }
-  d.Put(static_cast<uint64_t>(r.policy));
-  d.Put(static_cast<uint64_t>(r.codec));
-  d.PutDouble(r.topk_density);
-  d.Put(static_cast<uint64_t>(r.compression_min_floats));
-  d.Put(r.joint ? 1 : 0);
-  return d.Finish(0x706f736569646f6eULL, 0x636f6d6d706c616eULL);  // "poseidon commplan"
-}
-
 std::string PlanRequestSignature(const PlanRequest& r) {
   uint64_t layer_digest = 1469598103934665603ULL;
   for (const LayerSpec& layer : r.layers) {
@@ -665,12 +506,6 @@ std::string PlanRequestSignature(const PlanRequest& r) {
   s += std::string("|batch=") + (r.batch_egress ? "1" : "0");
   s += std::string("|allowbatch=") + (r.allow_batching ? "1" : "0");
   s += "|bmax=" + std::to_string(r.batch_max_messages);
-  if (!r.pinned_schemes.empty()) {
-    s += "|pins=";
-    for (PlannedScheme scheme : r.pinned_schemes) {
-      s += std::to_string(static_cast<int>(scheme));
-    }
-  }
   s += std::string("|pol=") + PlanPolicyName(r.policy);
   s += std::string("|codec=") + PlanCodecPolicyName(r.codec);
   s += "|dens=" + Fmt(r.topk_density);
@@ -699,14 +534,9 @@ CommPlan PlanComm(const PlanRequest& r) {
 
   const size_t num_layers = r.layers.size();
   if (!r.joint) {
-    // Paper mode: the legacy sequential decisions, reproduced exactly.
-    const bool pinned_schemes = !r.pinned_schemes.empty();
-    if (pinned_schemes) {
-      CHECK_EQ(r.pinned_schemes.size(), num_layers);
-    }
+    // Paper mode: the pre-planner sequential decisions, reproduced exactly.
     const int s0 = r.ps_shards_pinned > 0 ? r.ps_shards_pinned : r.paper_eval_shards;
-    const std::vector<PlannedScheme> schemes0 =
-        pinned_schemes ? r.pinned_schemes : PaperSchemes(r, s0);
+    const std::vector<PlannedScheme> schemes0 = PaperSchemes(r, s0);
     int best_s = r.ps_shards_pinned > 0 ? r.ps_shards_pinned : 1;
     if (r.ps_shards_pinned == 0) {
       for (size_t l = 0; l < num_layers; ++l) {
@@ -718,7 +548,7 @@ CommPlan PlanComm(const PlanRequest& r) {
       }
     }
     const std::vector<PlannedScheme> schemes =
-        (pinned_schemes || best_s == s0) ? schemes0 : PaperSchemes(r, best_s);
+        best_s == s0 ? schemes0 : PaperSchemes(r, best_s);
     plan.ps_shards = best_s;
     for (size_t l = 0; l < num_layers; ++l) {
       const LayerSpec& layer = r.layers[l];

@@ -6,13 +6,13 @@
 ///
 /// Two search modes share one entry point (PlanComm):
 ///
-///  * paper mode (`joint = false`): reproduces the legacy sequential
+///  * paper mode (`joint = false`): reproduces the pre-planner sequential
 ///    decisions bit for bit — per-layer scheme on the float basis
 ///    (BestScheme / BestSchemeExtended), then the shard count
-///    (BestPsShardCount, max over PS layers), then the codec given the
-///    scheme (ResolveCompression semantics). The runtime's
-///    ResolveSchemesSharded / ResolveCompression are thin wrappers over
-///    this mode, so pre-planner trajectories are unchanged.
+///    (BestPsShardCount, max over PS layers, with the schemes re-resolved
+///    at the chosen count), then the codec given the scheme. The trainer's
+///    paper mode is one such request, so pre-planner trajectories are
+///    unchanged.
 ///  * joint mode (`joint = true`): per-layer argmin over the full
 ///    (scheme, codec) menu at every candidate shard count, on the byte
 ///    basis (nic_gbps == 0) or the time basis (nic_gbps > 0, adding
@@ -22,8 +22,7 @@
 ///    exhaustive-equivalent at a fraction of the evaluations.
 ///
 /// The search is pure closed-form arithmetic — no RNG, no clocks — so the
-/// same request always yields a bitwise-identical plan (the PlanCache
-/// memoization contract).
+/// same request always yields a bitwise-identical plan.
 #ifndef POSEIDON_SRC_PLANNER_COMM_PLANNER_H_
 #define POSEIDON_SRC_PLANNER_COMM_PLANNER_H_
 
@@ -37,10 +36,9 @@
 
 namespace poseidon {
 
-/// Scheme-policy constraint on the search (mirrors the runtime's
-/// FcSyncPolicy, redeclared here so the planner does not depend on
-/// src/poseidon; runtime_scheme.cc maps between the two). kAuto opens the
-/// full menu — what `--plan=auto` and the replanner use.
+/// Scheme-policy constraint on the search; also the trainer's paper-mode
+/// `fc_policy`. kAuto opens the full menu — what `--plan=auto` and the
+/// replanner use.
 enum class PlanPolicy {
   kAuto,              // full menu: PS (x codecs), SFB, ring, tree
   kDense,             // PS for every parameter layer
@@ -54,15 +52,14 @@ enum class PlanPolicy {
 
 const char* PlanPolicyName(PlanPolicy policy);
 
-/// Codec-policy constraint (mirrors PsCompressionPolicy): which wire codecs
-/// the PS candidates may use. kAuto opens all of them.
+/// Codec-policy constraint: which wire codecs the PS candidates may use
+/// (the trainer's `ps_compression`). kAuto opens all of them.
 enum class PlanCodecPolicy { kNone, kFp16, kInt8, kTopK, kAuto };
 
 const char* PlanCodecPolicyName(PlanCodecPolicy policy);
 
-/// Everything the plan depends on. Two requests with equal PlanRequestKey
-/// digests get the same cached plan, so every field that can change the
-/// answer must feed the key (PlanRequestKey / PlanRequestSignature).
+/// Everything the plan depends on. Every field that can change the answer
+/// must feed PlanRequestSignature (and through it the plan hash).
 struct PlanRequest {
   // --- model spec ---
   std::string model_name;
@@ -90,9 +87,9 @@ struct PlanRequest {
   /// Search ceiling for the shard dimension when not pinned.
   int max_shards = 1;
   /// Shard count the paper-mode scheme pass evaluates at when the shard
-  /// dimension is being searched (the legacy resolver costed schemes at the
-  /// coordinator's configured count before picking shards; keeping it in the
-  /// request keeps the wrapper bitwise-faithful).
+  /// dimension is being searched (the pre-planner flow costed schemes at the
+  /// configured count before picking shards; the schemes are then
+  /// re-resolved at the chosen count).
   int paper_eval_shards = 1;
   /// Baseline staleness (pinned in paper mode and on the byte basis).
   int staleness = 0;
@@ -107,11 +104,6 @@ struct PlanRequest {
   int batch_max_messages = 16;
 
   // --- policy constraints ---
-  /// Non-empty (paper mode only): per-layer schemes are pinned to these
-  /// (size must match `layers`) and the scheme pass is skipped. This is how
-  /// the ResolveCompression wrapper asks "codecs for *these* schemes" without
-  /// re-deriving them.
-  std::vector<PlannedScheme> pinned_schemes;
   PlanPolicy policy = PlanPolicy::kAuto;
   PlanCodecPolicy codec = PlanCodecPolicy::kNone;
   double topk_density = 0.01;
@@ -121,27 +113,8 @@ struct PlanRequest {
   bool joint = false;
 };
 
-/// 128-bit request digest: the PlanCache key. Cheap to compute (a few mixes
-/// per layer, no string assembly) so a cache hit costs a map lookup, not a
-/// re-serialization.
-struct PlanKey {
-  uint64_t hi = 0;
-  uint64_t lo = 0;
-  bool operator==(const PlanKey& other) const {
-    return hi == other.hi && lo == other.lo;
-  }
-};
-
-struct PlanKeyHash {
-  size_t operator()(const PlanKey& key) const {
-    return static_cast<size_t>(key.hi ^ (key.lo * 0x9e3779b97f4a7c15ULL));
-  }
-};
-
-PlanKey PlanRequestKey(const PlanRequest& request);
-
 /// Canonical human-readable signature (stored in CommPlan::signature; see
-/// docs/PLANNER.md "Cache key derivation" for the format).
+/// docs/PLANNER.md "Request signature" for the format).
 std::string PlanRequestSignature(const PlanRequest& request);
 
 /// Cold search: runs the configured mode and returns the finished plan

@@ -8,10 +8,8 @@
 
 namespace poseidon {
 
-Replanner::Replanner(PlanRequest base, ReplanOptions options, PlanCache* cache)
-    : base_(std::move(base)), options_(options), cache_(cache),
-      reference_gbps_(base_.nic_gbps) {
-  CHECK(cache_ != nullptr);
+Replanner::Replanner(PlanRequest base, ReplanOptions options)
+    : base_(std::move(base)), options_(options), reference_gbps_(base_.nic_gbps) {
   CHECK_GT(options_.hysteresis, 0.0);
 }
 
@@ -50,7 +48,7 @@ ReplanDecision Replanner::Observe(const ObservedLinkStats& window) {
   decision.replan = true;
   base_.nic_gbps = decision.observed_gbps;
   reference_gbps_ = decision.observed_gbps;
-  decision.plan = cache_->GetOrPlan(base_);
+  decision.plan = std::make_shared<const CommPlan>(PlanComm(base_));
   return decision;
 }
 

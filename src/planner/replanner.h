@@ -3,8 +3,8 @@
 /// (MessageBus::SnapshotLinkStatsDelta) into plan swaps. The Replanner owns a
 /// base PlanRequest; each observation window it derives the busiest-node
 /// egress bandwidth, compares it against the bandwidth the current plan was
-/// costed at, and when the divergence exceeds a hysteresis threshold re-keys
-/// the request at the observed bandwidth through the PlanCache. The caller
+/// costed at, and when the divergence exceeds a hysteresis threshold re-plans
+/// the request at the observed bandwidth with PlanComm. The caller
 /// (Trainer) applies the returned plan only at an iteration boundary, so
 /// trajectories stay deterministic given the same swap schedule.
 ///
@@ -17,7 +17,6 @@
 
 #include "src/planner/comm_plan.h"
 #include "src/planner/comm_planner.h"
-#include "src/planner/plan_cache.h"
 #include "src/transport/bus.h"
 
 namespace poseidon {
@@ -37,16 +36,16 @@ struct ReplanDecision {
   bool replan = false;
   double observed_gbps = 0.0;  ///< busiest-node egress bandwidth, 0 if idle
   double divergence = 0.0;     ///< |observed / reference - 1|
-  /// The re-keyed plan when `replan`; nullptr otherwise.
+  /// The re-planned plan when `replan`; nullptr otherwise.
   std::shared_ptr<const CommPlan> plan;
 };
 
 class Replanner {
  public:
-  /// `base` is re-keyed (only nic_gbps changes) on every re-plan. When
+  /// `base` is re-planned (only nic_gbps changes) on every re-plan. When
   /// `base.nic_gbps` is 0 (byte-basis plan, no bandwidth assumption), the
   /// first non-idle window calibrates the reference without re-planning.
-  Replanner(PlanRequest base, ReplanOptions options, PlanCache* cache);
+  Replanner(PlanRequest base, ReplanOptions options);
 
   /// Feeds one windowed snapshot; deterministic given the same sequence of
   /// windows (no internal clocks or RNG).
@@ -62,8 +61,7 @@ class Replanner {
  private:
   PlanRequest base_;
   ReplanOptions options_;
-  PlanCache* cache_;        // not owned
-  double reference_gbps_;   // bandwidth the current plan is costed at
+  double reference_gbps_;  // bandwidth the current plan is costed at
 };
 
 }  // namespace poseidon

@@ -5,28 +5,20 @@
 namespace poseidon {
 
 ClientLibrary::ClientLibrary(int worker, const Coordinator& coordinator,
-                             const std::vector<RuntimeScheme>& schemes, Network* net,
-                             MessageBus* bus, const SgdConfig& sgd, int num_threads,
-                             const std::vector<GradCompression>& compression,
-                             double topk_density)
-    : worker_(worker), schemes_(schemes), local_optimizer_(sgd), pool_(num_threads) {
+                             const CommPlan& plan, Network* net, MessageBus* bus,
+                             const SgdConfig& sgd, int num_threads)
+    : worker_(worker), local_optimizer_(sgd), pool_(num_threads) {
   CHECK_NOTNULL(net);
-  CHECK_EQ(static_cast<int>(schemes.size()), net->num_layers());
-  CHECK(compression.empty() || compression.size() == schemes.size());
-  syncers_.reserve(schemes.size());
+  CHECK_EQ(static_cast<int>(plan.layers.size()), net->num_layers());
+  syncers_.reserve(plan.layers.size());
   for (int l = 0; l < net->num_layers(); ++l) {
-    const GradCompression layer_compression =
-        compression.empty() ? GradCompression::kNone
-                            : compression[static_cast<size_t>(l)];
-    syncers_.push_back(std::make_unique<Syncer>(worker, l, schemes[static_cast<size_t>(l)],
-                                                coordinator, bus, &net->layer(l),
-                                                &local_optimizer_, layer_compression,
-                                                topk_density));
-    if (schemes[static_cast<size_t>(l)] != RuntimeScheme::kNone) {
+    syncers_.push_back(std::make_unique<Syncer>(worker, l, plan, coordinator, bus,
+                                                &net->layer(l), &local_optimizer_));
+    if (syncers_.back()->scheme() != PlannedScheme::kNone) {
       ++num_sync_layers_;
     }
   }
-  completion_.assign(schemes.size(), false);
+  completion_.assign(plan.layers.size(), false);
 }
 
 void ClientLibrary::StartIteration(int64_t iter) {
@@ -37,7 +29,7 @@ void ClientLibrary::StartIteration(int64_t iter) {
 }
 
 void ClientLibrary::ScheduleSync(int l) {
-  if (schemes_[static_cast<size_t>(l)] == RuntimeScheme::kNone) {
+  if (syncers_[static_cast<size_t>(l)]->scheme() == PlannedScheme::kNone) {
     return;
   }
   const int64_t iter = iter_;

@@ -22,8 +22,8 @@
 #include "src/common/thread_pool.h"
 #include "src/nn/network.h"
 #include "src/nn/sgd.h"
+#include "src/planner/comm_plan.h"
 #include "src/poseidon/coordinator.h"
-#include "src/poseidon/runtime_scheme.h"
 #include "src/poseidon/syncer.h"
 #include "src/transport/bus.h"
 
@@ -31,13 +31,10 @@ namespace poseidon {
 
 class ClientLibrary {
  public:
-  /// `compression` is the per-layer wire-compression plan
-  /// (ResolveCompression); empty means every layer pushes raw fp32.
-  ClientLibrary(int worker, const Coordinator& coordinator,
-                const std::vector<RuntimeScheme>& schemes, Network* net, MessageBus* bus,
-                const SgdConfig& sgd, int num_threads,
-                const std::vector<GradCompression>& compression = {},
-                double topk_density = 0.01);
+  /// One syncer per layer of `net`, each running `plan`'s assignment for it
+  /// (plan.layers must be parallel to the network's layers).
+  ClientLibrary(int worker, const Coordinator& coordinator, const CommPlan& plan,
+                Network* net, MessageBus* bus, const SgdConfig& sgd, int num_threads);
 
   ClientLibrary(const ClientLibrary&) = delete;
   ClientLibrary& operator=(const ClientLibrary&) = delete;
@@ -57,7 +54,6 @@ class ClientLibrary {
 
  private:
   const int worker_;
-  const std::vector<RuntimeScheme> schemes_;
   SgdOptimizer local_optimizer_;  // applies SFB updates on this replica
   std::vector<std::unique_ptr<Syncer>> syncers_;
   ThreadPool pool_;

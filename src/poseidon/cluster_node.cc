@@ -22,6 +22,11 @@ ClusterNode::ClusterNode(ClusterNodeConfig config) : config_(std::move(config)) 
          "loss shim (SocketTransportOptions::shim) for socket chaos";
   CHECK(!t.crash.active() && !t.failure_detection.enabled)
       << "crash/recovery plans are in-process-trainer features";
+  CHECK(t.plan_mode == TrainerPlanMode::kPaper)
+      << "multi-process clusters run the paper-mode plan";
+  CHECK(t.ps_compression == PlanCodecPolicy::kNone)
+      << "compressed pushes cannot cross processes: the wire format rejects "
+         "fp16/int8/top-k codec ids";
   CHECK_GT(config_.iterations, 0);
   CHECK_EQ(config_.process, config_.transport.self);
 }
@@ -49,7 +54,7 @@ Status ClusterNode::Run() {
   cluster.batch_per_worker = t.batch_per_worker;
   cluster.kv_pair_bytes = t.kv_pair_bytes;
   coordinator_ = std::make_unique<Coordinator>(*init_net_, cluster);
-  schemes_ = ResolveSchemes(*coordinator_, t.fc_policy);
+  plan_ = ResolveTrainerPlan(t, *init_net_);
 
   bus_ = std::make_unique<MessageBus>(num_nodes);
   if (t.batch_egress) {
@@ -77,12 +82,12 @@ Status ClusterNode::Run() {
   // beat its destination mailbox.
   for (int s : local_servers_) {
     servers_.push_back(std::make_unique<KvServer>(
-        s, /*first_iter=*/0, *coordinator_, schemes_, *init_net_, bus_.get(), t.sgd));
+        s, /*first_iter=*/0, *coordinator_, *plan_, *init_net_, bus_.get(), t.sgd));
   }
   for (int w : local_workers_) {
     worker_nets_.push_back(workloads::TinyMlpFactory(config_.hidden_layers)());
     clients_.push_back(std::make_unique<ClientLibrary>(
-        w, *coordinator_, schemes_, worker_nets_.back().get(), bus_.get(), t.sgd,
+        w, *coordinator_, *plan_, worker_nets_.back().get(), bus_.get(), t.sgd,
         t.syncer_threads));
   }
   for (auto& server : servers_) {

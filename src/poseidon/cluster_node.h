@@ -36,7 +36,9 @@ struct ClusterNodeConfig {
   /// Cluster shape + hyperparameters. Fault injection, crash plans and
   /// failure detection are in-process-trainer features and must be off;
   /// `shards_per_server` must be explicit (>= 1) — auto-sharding would
-  /// require every process to agree on the resolved count.
+  /// require every process to agree on the resolved count. The plan must be
+  /// paper mode without compression: the wire format carries no fp16, int8
+  /// or top-k frames between processes.
   TrainerOptions trainer;
   /// Hidden layers of the canonical TinyMlp workload (workloads.h).
   int hidden_layers = 2;
@@ -85,7 +87,7 @@ class ClusterNode {
   std::shared_ptr<SocketTransport> transport_;
   std::unique_ptr<ClusterControl> control_;
   std::unique_ptr<Coordinator> coordinator_;
-  std::vector<RuntimeScheme> schemes_;
+  std::shared_ptr<const CommPlan> plan_;
 
   std::vector<int> local_workers_;               // worker ids hosted here
   std::vector<int> local_servers_;               // server ids hosted here

@@ -21,26 +21,24 @@ int64_t SteadyNowNs() {
 }  // namespace
 
 KvShard::KvShard(int server_id, int shard_id, int64_t first_iter,
-                 const Coordinator& coordinator, const std::vector<RuntimeScheme>& schemes,
-                 Network& init_net, MessageBus* bus, const SgdConfig& sgd,
-                 const std::vector<GradCompression>& compression)
+                 const Coordinator& coordinator, const CommPlan& plan, Network& init_net,
+                 MessageBus* bus, const SgdConfig& sgd)
     : server_(server_id),
       shard_(shard_id),
       staleness_(coordinator.cluster().staleness),
       coordinator_(coordinator),
-      schemes_(schemes),
-      compression_(compression),
+      layers_(plan.layers),
       bus_(bus),
       optimizer_(sgd) {
-  CHECK(compression_.empty() ||
-        compression_.size() == static_cast<size_t>(coordinator.num_layers()));
+  CHECK_EQ(layers_.size(), static_cast<size_t>(coordinator.num_layers()));
   CHECK_NOTNULL(bus);
   CHECK_LT(shard_id, kMaxShardsPerServer);
   ssp_stall_hist_ = MetricsRegistry::Default().GetHistogram("kv.ssp_stall_ns");
   mailbox_ = bus_->Register(coordinator_.cluster().ShardAddress(server_, shard_));
 
   for (int l = 0; l < coordinator_.num_layers(); ++l) {
-    if (schemes_[static_cast<size_t>(l)] == RuntimeScheme::kPsDense) {
+    const PlannedScheme scheme = layers_[static_cast<size_t>(l)].scheme;
+    if (scheme == PlannedScheme::kPS) {
       std::vector<KvPairInfo> owned = coordinator_.PairsOnShard(l, server_, shard_);
       if (owned.empty()) {
         continue;
@@ -64,7 +62,7 @@ KvShard::KvShard(int server_id, int shard_id, int64_t first_iter,
       }
       state.applied_clock = first_iter - 1;
       dense_layers_[l] = std::move(state);
-    } else if (schemes_[static_cast<size_t>(l)] == RuntimeScheme::kOneBit &&
+    } else if (scheme == PlannedScheme::kOneBit &&
                coordinator_.OneBitOwnerServer(l) == server_ &&
                coordinator_.OneBitOwnerShard(l) == shard_) {
       const LayerInfo& info = coordinator_.layer(l);
@@ -119,10 +117,7 @@ void KvShard::ServiceLoop() {
 }
 
 GradCompression KvShard::layer_compression(int layer) const {
-  if (compression_.empty()) {
-    return GradCompression::kNone;
-  }
-  return compression_[static_cast<size_t>(layer)];
+  return layers_[static_cast<size_t>(layer)].compression;
 }
 
 WireCodec KvShard::ExpectedPushCodec(GradCompression compression) {
@@ -478,15 +473,14 @@ void KvShard::ReleaseOneBitReads(int layer) {
 }
 
 KvServer::KvServer(int server_id, int64_t first_iter, const Coordinator& coordinator,
-                   const std::vector<RuntimeScheme>& schemes, Network& init_net,
-                   MessageBus* bus, const SgdConfig& sgd,
-                   const std::vector<GradCompression>& compression)
+                   const CommPlan& plan, Network& init_net, MessageBus* bus,
+                   const SgdConfig& sgd)
     : id_(server_id) {
   const int shards = coordinator.cluster().shards_per_server;
   shards_.reserve(static_cast<size_t>(shards));
   for (int s = 0; s < shards; ++s) {
     shards_.push_back(std::make_unique<KvShard>(server_id, s, first_iter, coordinator,
-                                                schemes, init_net, bus, sgd, compression));
+                                                plan, init_net, bus, sgd));
   }
 }
 

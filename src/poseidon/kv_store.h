@@ -48,10 +48,10 @@
 #include <vector>
 
 #include "src/nn/network.h"
+#include "src/planner/comm_plan.h"
 #include "src/stats/metrics.h"
 #include "src/nn/sgd.h"
 #include "src/poseidon/coordinator.h"
-#include "src/poseidon/runtime_scheme.h"
 #include "src/transport/bus.h"
 #include "src/transport/codec.h"
 #include "src/transport/payload.h"
@@ -67,13 +67,11 @@ class KvShard {
   /// `init_net` supplies initial parameter values (every worker starts from
   /// the same replica). `first_iter` is the clock of the first training
   /// iteration this run will execute (non-zero after a checkpoint restore);
-  /// the SSP clock starts at `first_iter - 1`.
-  /// `compression` is the per-layer wire-compression plan
-  /// (ResolveCompression); empty means every layer pushes raw fp32.
+  /// the SSP clock starts at `first_iter - 1`. `plan` assigns each layer
+  /// its scheme and push codec (plan.layers is parallel to the coordinator's
+  /// layers).
   KvShard(int server_id, int shard_id, int64_t first_iter, const Coordinator& coordinator,
-          const std::vector<RuntimeScheme>& schemes, Network& init_net, MessageBus* bus,
-          const SgdConfig& sgd,
-          const std::vector<GradCompression>& compression = {});
+          const CommPlan& plan, Network& init_net, MessageBus* bus, const SgdConfig& sgd);
   ~KvShard();
 
   KvShard(const KvShard&) = delete;
@@ -164,7 +162,7 @@ class KvShard {
   };
 
   void ServiceLoop();
-  /// The layer's wire-compression mode (kNone when no plan was supplied).
+  /// The layer's wire-compression mode under the plan.
   GradCompression layer_compression(int layer) const;
   /// The push codec `layer_compression` implies.
   static WireCodec ExpectedPushCodec(GradCompression compression);
@@ -187,8 +185,7 @@ class KvShard {
   const int shard_;
   const int staleness_;
   const Coordinator& coordinator_;
-  const std::vector<RuntimeScheme> schemes_;
-  const std::vector<GradCompression> compression_;
+  const std::vector<PlanLayerChoice> layers_;  ///< the plan's per-layer assignments
   MessageBus* bus_;
   SgdOptimizer optimizer_;
   std::shared_ptr<MessageBus::Mailbox> mailbox_;
@@ -214,9 +211,7 @@ class KvShard {
 class KvServer {
  public:
   KvServer(int server_id, int64_t first_iter, const Coordinator& coordinator,
-           const std::vector<RuntimeScheme>& schemes, Network& init_net, MessageBus* bus,
-           const SgdConfig& sgd,
-           const std::vector<GradCompression>& compression = {});
+           const CommPlan& plan, Network& init_net, MessageBus* bus, const SgdConfig& sgd);
 
   KvServer(const KvServer&) = delete;
   KvServer& operator=(const KvServer&) = delete;

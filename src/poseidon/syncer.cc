@@ -10,16 +10,16 @@
 
 namespace poseidon {
 
-Syncer::Syncer(int worker, int layer_index, RuntimeScheme scheme,
+Syncer::Syncer(int worker, int layer_index, const CommPlan& plan,
                const Coordinator& coordinator, MessageBus* bus, Layer* layer,
-               SgdOptimizer* local_optimizer, GradCompression compression,
-               double topk_density)
+               SgdOptimizer* local_optimizer)
     : worker_(worker),
       layer_index_(layer_index),
-      scheme_(scheme),
-      compression_(scheme == RuntimeScheme::kPsDense ? compression
-                                                     : GradCompression::kNone),
-      topk_density_(topk_density),
+      scheme_(plan.layers[static_cast<size_t>(layer_index)].scheme),
+      compression_(scheme_ == PlannedScheme::kPS
+                       ? plan.layers[static_cast<size_t>(layer_index)].compression
+                       : GradCompression::kNone),
+      topk_density_(plan.topk_density),
       coordinator_(coordinator),
       bus_(bus),
       layer_(layer),
@@ -38,7 +38,7 @@ Syncer::Syncer(int worker, int layer_index, RuntimeScheme scheme,
     quant_ = Payload::Allocate(view_.size());
   }
   mailbox_ = bus_->Register(Address{worker_, kSyncerPortBase + layer_index_});
-  if (scheme_ == RuntimeScheme::kPsDense) {
+  if (scheme_ == PlannedScheme::kPS) {
     const int num_servers = coordinator_.cluster().num_servers;
     const int num_shards = coordinator_.cluster().shards_per_server;
     for (int s = 0; s < num_servers; ++s) {
@@ -53,16 +53,15 @@ Syncer::Syncer(int worker, int layer_index, RuntimeScheme scheme,
       }
     }
   }
-  if (scheme_ == RuntimeScheme::kSfb || scheme_ == RuntimeScheme::kOneBit) {
+  if (scheme_ == PlannedScheme::kSFB || scheme_ == PlannedScheme::kOneBit) {
     CHECK_NOTNULL(fc_) << layer->name() << ": SFB/1-bit requires an FC layer";
   }
-  if (scheme_ == RuntimeScheme::kSfb) {
+  if (scheme_ == PlannedScheme::kSFB) {
     CHECK_NOTNULL(local_optimizer_);
   }
-  if (scheme_ == RuntimeScheme::kRingAllreduce || scheme_ == RuntimeScheme::kTreeAllreduce) {
-    const CollectiveAlgo algo = scheme_ == RuntimeScheme::kRingAllreduce
-                                    ? CollectiveAlgo::kRing
-                                    : CollectiveAlgo::kTree;
+  if (scheme_ == PlannedScheme::kRing || scheme_ == PlannedScheme::kTree) {
+    const CollectiveAlgo algo =
+        scheme_ == PlannedScheme::kRing ? CollectiveAlgo::kRing : CollectiveAlgo::kTree;
     collective_ = std::make_unique<CollectiveSyncer>(worker_, layer_index_, algo,
                                                      coordinator_, bus_, layer_,
                                                      local_optimizer_);
@@ -72,9 +71,9 @@ Syncer::Syncer(int worker, int layer_index, RuntimeScheme scheme,
 void Syncer::MoveOut() {
   TraceSpan span("sync.move_out", "syncer", layer_index_);
   switch (scheme_) {
-    case RuntimeScheme::kNone:
+    case PlannedScheme::kNone:
       break;
-    case RuntimeScheme::kPsDense:
+    case PlannedScheme::kPS:
       // Stage straight into the wire slab; downstream the same slab is
       // referenced by every push chunk. Reuse is safe only while no receiver
       // holds a view (always true under BSP once the reply arrived; under
@@ -85,7 +84,7 @@ void Syncer::MoveOut() {
       view_.GatherGradSlice(0, staged_.data(), staged_.size());
       WireCopyStats::Add(staged_.size());
       break;
-    case RuntimeScheme::kSfb: {
+    case PlannedScheme::kSFB: {
       std::vector<ParamBlock> params = layer_->Params();
       CHECK_EQ(params.size(), 2u);  // weight, bias
       const Tensor& bias_grad = *params[1].grad;
@@ -93,15 +92,15 @@ void Syncer::MoveOut() {
                                                 bias_grad.data(), bias_grad.size());
       break;
     }
-    case RuntimeScheme::kOneBit: {
+    case PlannedScheme::kOneBit: {
       std::vector<ParamBlock> params = layer_->Params();
       const Tensor& bias_grad = *params[1].grad;
       onebit_frame_ = OneBitCodec::Encode(fc_->weight_grad(), &quantizer_,
                                           bias_grad.data(), bias_grad.size());
       break;
     }
-    case RuntimeScheme::kRingAllreduce:
-    case RuntimeScheme::kTreeAllreduce:
+    case PlannedScheme::kRing:
+    case PlannedScheme::kTree:
       collective_->MoveOut();
       break;
   }
@@ -110,19 +109,19 @@ void Syncer::MoveOut() {
 void Syncer::Send(int64_t iter) {
   TraceSpan span("sync.send", "syncer", layer_index_);
   switch (scheme_) {
-    case RuntimeScheme::kNone:
+    case PlannedScheme::kNone:
       break;
-    case RuntimeScheme::kPsDense:
+    case PlannedScheme::kPS:
       SendPs(iter);
       break;
-    case RuntimeScheme::kSfb:
+    case PlannedScheme::kSFB:
       SendSfb(iter);
       break;
-    case RuntimeScheme::kOneBit:
+    case PlannedScheme::kOneBit:
       SendOneBit(iter);
       break;
-    case RuntimeScheme::kRingAllreduce:
-    case RuntimeScheme::kTreeAllreduce:
+    case PlannedScheme::kRing:
+    case PlannedScheme::kTree:
       collective_->Send(iter);
       break;
   }
@@ -236,19 +235,19 @@ void Syncer::SendOneBit(int64_t iter) {
 void Syncer::Receive(int64_t iter) {
   TraceSpan span("sync.receive", "syncer", layer_index_);
   switch (scheme_) {
-    case RuntimeScheme::kNone:
+    case PlannedScheme::kNone:
       break;
-    case RuntimeScheme::kPsDense:
+    case PlannedScheme::kPS:
       ReceivePs();
       break;
-    case RuntimeScheme::kSfb:
+    case PlannedScheme::kSFB:
       ReceiveSfb(iter);
       break;
-    case RuntimeScheme::kOneBit:
+    case PlannedScheme::kOneBit:
       ReceiveOneBit();
       break;
-    case RuntimeScheme::kRingAllreduce:
-    case RuntimeScheme::kTreeAllreduce:
+    case PlannedScheme::kRing:
+    case PlannedScheme::kTree:
       collective_->Receive(iter);
       break;
   }

@@ -22,10 +22,10 @@
 
 #include "src/nn/layers.h"
 #include "src/nn/sgd.h"
+#include "src/planner/comm_plan.h"
 #include "src/poseidon/collective_syncer.h"
 #include "src/poseidon/coordinator.h"
 #include "src/poseidon/flat_params.h"
-#include "src/poseidon/runtime_scheme.h"
 #include "src/tensor/onebit.h"
 #include "src/transport/bus.h"
 #include "src/transport/codec.h"
@@ -35,19 +35,17 @@ namespace poseidon {
 
 class Syncer {
  public:
-  /// `local_optimizer` applies SFB updates on the worker (shared across this
-  /// worker's syncers; may be null for PS-only layers). `compression` selects
-  /// the wire codec for the PS path (ResolveCompression); non-PS schemes
-  /// ignore it. `topk_density` sizes the top-k selection per pair.
-  Syncer(int worker, int layer_index, RuntimeScheme scheme, const Coordinator& coordinator,
-         MessageBus* bus, Layer* layer, SgdOptimizer* local_optimizer,
-         GradCompression compression = GradCompression::kNone,
-         double topk_density = 0.01);
+  /// The layer's scheme and PS wire codec come from `plan.layers[layer_index]`
+  /// (non-PS schemes ignore the codec); `plan.topk_density` sizes the top-k
+  /// selection per pair. `local_optimizer` applies SFB updates on the worker
+  /// (shared across this worker's syncers; may be null for PS-only layers).
+  Syncer(int worker, int layer_index, const CommPlan& plan, const Coordinator& coordinator,
+         MessageBus* bus, Layer* layer, SgdOptimizer* local_optimizer);
 
   Syncer(const Syncer&) = delete;
   Syncer& operator=(const Syncer&) = delete;
 
-  RuntimeScheme scheme() const { return scheme_; }
+  PlannedScheme scheme() const { return scheme_; }
   GradCompression compression() const { return compression_; }
 
   /// Move(GPU2CPU): stages gradients (or extracts sufficient factors) out of
@@ -73,7 +71,7 @@ class Syncer {
 
   const int worker_;
   const int layer_index_;
-  const RuntimeScheme scheme_;
+  const PlannedScheme scheme_;
   const GradCompression compression_;
   const double topk_density_;
   const Coordinator& coordinator_;

@@ -5,11 +5,71 @@
 #include <utility>
 
 #include "src/common/logging.h"
-#include "src/planner/plan_cache.h"
 #include "src/stats/stopwatch.h"
 #include "src/stats/trace.h"
 
 namespace poseidon {
+namespace {
+
+/// The one PlanRequest the options describe for `net`'s layers: the joint
+/// search under kAuto, the paper's sequential decisions otherwise.
+PlanRequest PlanRequestFor(const TrainerOptions& options, Network& net) {
+  PlanRequest req;
+  req.model_name = options.model_name;
+  req.layers.reserve(static_cast<size_t>(net.num_layers()));
+  for (int l = 0; l < net.num_layers(); ++l) {
+    Layer& layer = net.layer(l);
+    LayerSpec spec;
+    spec.name = layer.name();
+    spec.type = layer.type();
+    spec.params = layer.num_params();
+    spec.fc_m = layer.fc_m();
+    spec.fc_n = layer.fc_n();
+    req.layers.push_back(std::move(spec));
+  }
+  req.num_workers = options.num_workers;
+  req.num_servers = options.num_servers;
+  req.batch_per_worker = options.batch_per_worker;
+  req.kv_pair_bytes = options.kv_pair_bytes;
+  req.staleness = options.staleness;
+  req.max_staleness = options.staleness;
+  req.topk_density = options.topk_density;
+  req.compression_min_floats = options.compression_min_floats;
+  req.batch_max_messages = options.batch_options.max_batch_messages;
+  req.batch_egress = options.batch_egress;
+  if (options.plan_mode == TrainerPlanMode::kAuto) {
+    // Joint search over everything the options left open; a non-zero
+    // shards_per_server stays a hard pin.
+    req.ps_shards_pinned = options.shards_per_server;
+    req.max_shards = kMaxAutoShards;
+    req.allow_batching = true;
+    req.policy = PlanPolicy::kAuto;
+    req.codec = PlanCodecPolicy::kAuto;
+    req.joint = true;
+  } else {
+    // Paper mode. shards_per_server = 0 searches [1, kMaxAutoShards] with the
+    // scheme pass costed at one shard; PlanComm re-resolves the schemes at
+    // the chosen count.
+    req.ps_shards_pinned = options.shards_per_server;
+    req.max_shards = options.shards_per_server == 0 ? kMaxAutoShards : 1;
+    req.paper_eval_shards = std::max(1, options.shards_per_server);
+    req.policy = options.fc_policy;
+    req.codec = options.ps_compression;
+    req.joint = false;
+  }
+  return req;
+}
+
+}  // namespace
+
+std::shared_ptr<const CommPlan> ResolveTrainerPlan(const TrainerOptions& options,
+                                                   Network& net) {
+  if (options.plan_mode == TrainerPlanMode::kFixed) {
+    CHECK(options.fixed_plan != nullptr) << "plan_mode = kFixed needs a fixed_plan";
+    return options.fixed_plan;
+  }
+  return std::make_shared<const CommPlan>(PlanComm(PlanRequestFor(options, net)));
+}
 
 PoseidonTrainer::PoseidonTrainer(NetworkFactory factory, TrainerOptions options)
     : options_(options), factory_(std::move(factory)) {
@@ -52,62 +112,7 @@ PoseidonTrainer::PoseidonTrainer(NetworkFactory factory, TrainerOptions options)
 
   CHECK_GE(options_.shards_per_server, 0);
   CHECK_GE(options_.staleness, 0);
-  ClusterInfo cluster;
-  cluster.num_workers = options_.num_workers;
-  cluster.num_servers = options_.num_servers;
-  cluster.shards_per_server = std::max(1, options_.shards_per_server);
-  cluster.server_node_base = options_.server_node_base;
-  cluster.staleness = options_.staleness;
-  cluster.batch_per_worker = options_.batch_per_worker;
-  cluster.kv_pair_bytes = options_.kv_pair_bytes;
-  coordinator_ = std::make_unique<Coordinator>(*init_net_, cluster);
-  switch (options_.plan_mode) {
-    case TrainerPlanMode::kPaper: {
-      if (options_.shards_per_server == 0) {
-        // Auto-sharding: let the multi-shard cost rows size the shard pool,
-        // then repartition the KV pairs over the chosen endpoint space.
-        const SyncPlan plan =
-            ResolveSchemesSharded(*coordinator_, options_.fc_policy, kMaxAutoShards);
-        cluster.shards_per_server = plan.ps_shards;
-        coordinator_ = std::make_unique<Coordinator>(*init_net_, cluster);
-      }
-      schemes_ = ResolveSchemes(*coordinator_, options_.fc_policy);
-      compression_ = ResolveCompression(*coordinator_, schemes_,
-                                        options_.ps_compression, options_.topk_density,
-                                        options_.compression_min_floats);
-      // Record the equivalent plan so plan() always answers (the wrappers
-      // above went through the same paper-mode search, so this is a hit).
-      plan_ = PlanCache::Global().GetOrPlan(BuildPlanRequest());
-      break;
-    }
-    case TrainerPlanMode::kAuto:
-      plan_ = PlanCache::Global().GetOrPlan(BuildPlanRequest());
-      cluster.shards_per_server = plan_->ps_shards;
-      coordinator_ = std::make_unique<Coordinator>(*init_net_, cluster);
-      ApplyPlanSchemes();
-      break;
-    case TrainerPlanMode::kFixed:
-      CHECK(options_.fixed_plan != nullptr) << "plan_mode = kFixed needs a fixed_plan";
-      plan_ = options_.fixed_plan;
-      cluster.shards_per_server = plan_->ps_shards;
-      coordinator_ = std::make_unique<Coordinator>(*init_net_, cluster);
-      ApplyPlanSchemes();
-      break;
-  }
-
-  for (int s = 0; s < options_.num_servers; ++s) {
-    servers_.push_back(std::make_unique<KvServer>(s, next_iter_, *coordinator_, schemes_,
-                                                  *init_net_, bus_.get(), options_.sgd,
-                                                  compression_));
-  }
-  for (int w = 0; w < options_.num_workers; ++w) {
-    clients_.push_back(std::make_unique<ClientLibrary>(
-        w, *coordinator_, schemes_, worker_nets_[static_cast<size_t>(w)].get(), bus_.get(),
-        options_.sgd, options_.syncer_threads, compression_, options_.topk_density));
-  }
-  for (auto& server : servers_) {
-    server->Start();
-  }
+  InstallPlan(ResolveTrainerPlan(options_, *init_net_));
 
   if (options_.plan_feedback) {
     CHECK(options_.plan_mode == TrainerPlanMode::kAuto)
@@ -115,8 +120,8 @@ PoseidonTrainer::PoseidonTrainer(NetworkFactory factory, TrainerOptions options)
     CHECK(!options_.crash.active() && !options_.failure_detection.enabled)
         << "plan swaps and failure recovery cannot compose";
     bus_->EnableLinkStats();
-    replanner_ = std::make_unique<Replanner>(
-        BuildPlanRequest(), options_.replan_options, &PlanCache::Global());
+    replanner_ = std::make_unique<Replanner>(PlanRequestFor(options_, *init_net_),
+                                             options_.replan_options);
   }
 
   if (options_.failure_detection.enabled) {
@@ -131,69 +136,44 @@ PoseidonTrainer::PoseidonTrainer(NetworkFactory factory, TrainerOptions options)
   }
 }
 
-PlanRequest PoseidonTrainer::BuildPlanRequest() const {
-  const ClusterInfo& cluster = coordinator_->cluster();
-  PlanRequest req;
-  req.model_name = options_.model_name;
-  req.layers.reserve(static_cast<size_t>(coordinator_->num_layers()));
-  for (int l = 0; l < coordinator_->num_layers(); ++l) {
-    const LayerInfo& info = coordinator_->layer(l);
-    LayerSpec spec;
-    spec.name = info.name;
-    spec.type = info.type;
-    spec.params = info.total_floats;
-    spec.fc_m = info.fc_m;
-    spec.fc_n = info.fc_n;
-    req.layers.push_back(std::move(spec));
-  }
-  req.num_workers = options_.num_workers;
-  req.num_servers = options_.num_servers;
-  req.batch_per_worker = options_.batch_per_worker;
-  req.kv_pair_bytes = options_.kv_pair_bytes;
-  req.staleness = options_.staleness;
-  req.max_staleness = options_.staleness;
-  req.topk_density = options_.topk_density;
-  req.compression_min_floats = options_.compression_min_floats;
-  req.batch_max_messages = options_.batch_options.max_batch_messages;
-  if (options_.plan_mode == TrainerPlanMode::kAuto) {
-    // Joint search over everything the options left open; a non-zero
-    // shards_per_server stays a hard pin.
-    req.ps_shards_pinned = options_.shards_per_server;
-    req.max_shards = kMaxAutoShards;
-    req.batch_egress = options_.batch_egress;
-    req.allow_batching = true;
-    req.policy = PlanPolicy::kAuto;
-    req.codec = PlanCodecPolicy::kAuto;
-    req.joint = true;
-  } else {
-    // Paper mode: express the resolved legacy decisions (the coordinator
-    // already carries the final shard count) as a plan.
-    req.ps_shards_pinned = std::max(1, cluster.shards_per_server);
-    req.paper_eval_shards = std::max(1, cluster.shards_per_server);
-    req.batch_egress = options_.batch_egress;
-    req.policy = PlanPolicyFromFcPolicy(options_.fc_policy);
-    req.codec = PlanCodecPolicyFromCompression(options_.ps_compression);
-    req.joint = false;
-  }
-  return req;
-}
-
-void PoseidonTrainer::ApplyPlanSchemes() {
-  CHECK_EQ(plan_->layers.size(), static_cast<size_t>(coordinator_->num_layers()))
+void PoseidonTrainer::InstallPlan(std::shared_ptr<const CommPlan> plan) {
+  plan_ = std::move(plan);
+  CHECK_EQ(plan_->layers.size(), static_cast<size_t>(init_net_->num_layers()))
       << "plan does not match the model (layer count)";
-  schemes_.clear();
-  compression_.clear();
-  for (int l = 0; l < coordinator_->num_layers(); ++l) {
-    const PlanLayerChoice& choice = plan_->layers[static_cast<size_t>(l)];
-    CHECK(choice.layer == coordinator_->layer(l).name)
-        << "plan layer " << l << " is '" << choice.layer << "', model has '"
-        << coordinator_->layer(l).name << "'";
-    schemes_.push_back(RuntimeSchemeFromPlanned(choice.scheme));
-    compression_.push_back(choice.compression);
+  for (int l = 0; l < init_net_->num_layers(); ++l) {
+    const std::string& name = plan_->layers[static_cast<size_t>(l)].layer;
+    CHECK(name == init_net_->layer(l).name())
+        << "plan layer " << l << " is '" << name << "', model has '"
+        << init_net_->layer(l).name() << "'";
   }
+  ClusterInfo cluster;
+  cluster.num_workers = options_.num_workers;
+  cluster.num_servers = options_.num_servers;
+  cluster.shards_per_server = plan_->ps_shards;
+  cluster.server_node_base = options_.server_node_base;
+  cluster.staleness = plan_->staleness;
+  cluster.batch_per_worker = options_.batch_per_worker;
+  cluster.kv_pair_bytes = options_.kv_pair_bytes;
+  coordinator_ = std::make_unique<Coordinator>(*init_net_, cluster);
   if (plan_->batch_egress && !options_.batch_egress) {
     bus_->EnableBatching(options_.batch_options);
   }
+  for (int s = 0; s < options_.num_servers; ++s) {
+    servers_.push_back(std::make_unique<KvServer>(s, next_iter_, *coordinator_, *plan_,
+                                                  *init_net_, bus_.get(), options_.sgd));
+  }
+  for (int w = 0; w < options_.num_workers; ++w) {
+    clients_.push_back(MakeClient(w));
+  }
+  for (auto& server : servers_) {
+    server->Start();
+  }
+}
+
+std::unique_ptr<ClientLibrary> PoseidonTrainer::MakeClient(int w) {
+  return std::make_unique<ClientLibrary>(w, *coordinator_, *plan_,
+                                         worker_nets_[static_cast<size_t>(w)].get(),
+                                         bus_.get(), options_.sgd, options_.syncer_threads);
 }
 
 void PoseidonTrainer::AdoptPlan(std::shared_ptr<const CommPlan> new_plan) {
@@ -202,13 +182,11 @@ void PoseidonTrainer::AdoptPlan(std::shared_ptr<const CommPlan> new_plan) {
   if (plan_ != nullptr && new_plan->hash == plan_->hash) {
     return;  // already running this plan
   }
-  CHECK_EQ(options_.staleness, 0)
+  CHECK_EQ(coordinator_->cluster().staleness, 0)
       << "plan swaps need BSP: replicas must be identical at the boundary";
   CHECK_EQ(new_plan->staleness, 0);
   CHECK(!options_.crash.active() && detector_ == nullptr)
       << "plan swaps and failure recovery cannot compose";
-  CHECK_EQ(new_plan->layers.size(), static_cast<size_t>(coordinator_->num_layers()))
-      << "plan does not match the model (layer count)";
 
   // Quiesce the old communication stack. Workers are parked between Train()
   // windows, so nothing is in flight beyond the shards' run loops.
@@ -258,26 +236,7 @@ void PoseidonTrainer::AdoptPlan(std::shared_ptr<const CommPlan> new_plan) {
     }
   }
 
-  ClusterInfo cluster = coordinator_->cluster();
-  cluster.shards_per_server = new_plan->ps_shards;
-  coordinator_ = std::make_unique<Coordinator>(*init_net_, cluster);
-  plan_ = std::move(new_plan);
-  ApplyPlanSchemes();
-
-  for (int s = 0; s < options_.num_servers; ++s) {
-    servers_.push_back(std::make_unique<KvServer>(s, next_iter_, *coordinator_, schemes_,
-                                                  *init_net_, bus_.get(), options_.sgd,
-                                                  compression_));
-  }
-  for (int w = 0; w < options_.num_workers; ++w) {
-    clients_.push_back(std::make_unique<ClientLibrary>(
-        w, *coordinator_, schemes_, worker_nets_[static_cast<size_t>(w)].get(),
-        bus_.get(), options_.sgd, options_.syncer_threads, compression_,
-        options_.topk_density));
-  }
-  for (auto& server : servers_) {
-    server->Start();
-  }
+  InstallPlan(std::move(new_plan));
 }
 
 void PoseidonTrainer::MaybeReplan() {
@@ -437,9 +396,7 @@ void PoseidonTrainer::RecoverWorker(int w) {
 
   // 3. Re-register with the shards: a fresh client library recreates every
   // syncer mailbox at the same addresses (sequence streams just continue).
-  clients_[static_cast<size_t>(w)] = std::make_unique<ClientLibrary>(
-      w, *coordinator_, schemes_, worker_nets_[static_cast<size_t>(w)].get(), bus_.get(),
-      options_.sgd, options_.syncer_threads, compression_, options_.topk_density);
+  clients_[static_cast<size_t>(w)] = MakeClient(w);
 
   // 4. Rejoin the cluster and replay from the checkpoint cursor. The replay
   // re-pushes the in-flight clock; shard reconciliation applies each

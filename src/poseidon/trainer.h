@@ -29,8 +29,8 @@
 #include "src/poseidon/coordinator.h"
 #include "src/poseidon/failure_detector.h"
 #include "src/poseidon/kv_store.h"
-#include "src/poseidon/runtime_scheme.h"
 #include "src/planner/comm_plan.h"
+#include "src/planner/comm_planner.h"
 #include "src/planner/replanner.h"
 #include "src/transport/bus.h"
 
@@ -55,17 +55,20 @@ struct CrashPlan {
   bool active() const { return worker >= 0 && iter >= 0; }
 };
 
-/// How the trainer picks its communication configuration.
+/// How the trainer picks its communication plan. Every mode ends in one
+/// CommPlan, and the runtime reads nothing else.
 enum class TrainerPlanMode {
-  /// The paper's sequential decisions (fc_policy + ps_compression +
-  /// shards_per_server), resolved through the planner's paper mode — bitwise
-  /// identical to the pre-planner trainer.
+  /// One paper-mode PlanComm over fc_policy + ps_compression +
+  /// shards_per_server: per-layer scheme first, then the shard count, then
+  /// the codec, bitwise identical to the pre-planner trainer.
   kPaper,
   /// Joint CommPlanner search over scheme x shards x codec x batching; the
   /// resulting plan supersedes fc_policy / ps_compression / shards_per_server
   /// / batch_egress.
   kAuto,
-  /// Adopt a caller-provided CommPlan verbatim (e.g. --plan=fixed:<path>).
+  /// Adopt a caller-provided CommPlan verbatim (e.g. --plan=fixed:<path>):
+  /// schemes, codecs, shard count, staleness, batching and top-k density all
+  /// come from the plan.
   kFixed,
 };
 
@@ -79,26 +82,34 @@ struct TrainerOptions {
   int server_node_base = 0;
   /// Key-range KV shards hosted per server node, each with its own mailbox
   /// and apply thread. 0 = auto: let the multi-shard cost rows pick (up to
-  /// kMaxAutoShards) from the model's largest PS layer.
+  /// kMaxAutoShards) from the model's largest PS layer. Ignored under kFixed.
   int shards_per_server = 1;
   /// SSP staleness bound: workers may run up to this many iterations ahead
   /// of the slowest worker's applied updates. 0 = the paper's BSP (bitwise
   /// identical to the pre-SSP runtime). With staleness > 0 worker replicas
   /// legitimately diverge while training (each reads a different snapshot),
-  /// so per-iteration replica-identity invariants only hold at 0.
+  /// so per-iteration replica-identity invariants only hold at 0. Under
+  /// kFixed the plan's bound is in force instead.
   int staleness = 0;
   int batch_per_worker = 16;
   SgdConfig sgd;
-  FcSyncPolicy fc_policy = FcSyncPolicy::kHybrid;
-  /// Wire compression for PS-path layers (ResolveCompression): raw fp32 by
-  /// default; fp16/int8/top-k push with error feedback, binary16 replies.
-  /// Quantized trajectories are deterministic (seeded per layer x clock) but
-  /// not bitwise equal to kNone runs.
-  PsCompressionPolicy ps_compression = PsCompressionPolicy::kNone;
+  /// Paper-mode scheme policy. Under the paper's policies conv layers always
+  /// use the parameter server and only FC layers vary; the collective
+  /// policies apply to every parameter layer. (kAuto, the joint search's
+  /// menu, resolves like kHybridCollective here; plan_mode = kAuto is the
+  /// joint search.)
+  PlanPolicy fc_policy = PlanPolicy::kHybrid;
+  /// Paper-mode wire compression for PS-path layers: raw fp32 by default;
+  /// fp16/int8/top-k push with error feedback, binary16 replies; kAuto picks
+  /// the cheapest byte row per layer. Quantized trajectories are
+  /// deterministic (seeded per layer x clock) but not bitwise equal to kNone
+  /// runs.
+  PlanCodecPolicy ps_compression = PlanCodecPolicy::kNone;
   /// Fraction of each pair's elements the top-k codec keeps, in (0, 1].
+  /// Under kFixed the plan's density is in force instead.
   double topk_density = 0.01;
   /// Layers below this many floats stay raw under any compression policy
-  /// (tests and benches with tiny models lower it; see ResolveCompression).
+  /// (tests and benches with tiny models lower it).
   int64_t compression_min_floats = kCompressionMinFloats;
   int64_t kv_pair_bytes = 2 * 1024 * 1024;
   int syncer_threads = 2;     // client-library pool size per worker
@@ -132,14 +143,13 @@ struct TrainerOptions {
   /// Test-injected crash (requires failure_detection.enabled and recovery
   /// checkpoints, or training will hang waiting for the dead worker).
   CrashPlan crash;
-  /// Communication-plan source (see TrainerPlanMode). kPaper routes through
-  /// the planner's paper mode and stays bitwise identical to the legacy flow.
+  /// Communication-plan source (see TrainerPlanMode).
   TrainerPlanMode plan_mode = TrainerPlanMode::kPaper;
   /// The plan to adopt when plan_mode = kFixed (layer names must match the
-  /// model; shards/staleness/batching come from the plan).
+  /// model; shards/staleness/batching/top-k density come from the plan).
   std::shared_ptr<const CommPlan> fixed_plan;
-  /// Labels the plan request (plan cache keys hash the layer specs, so the
-  /// name is cosmetic).
+  /// Labels the plan request. Cosmetic: the planner's choices depend only on
+  /// the layer specs and the cluster shape.
   std::string model_name = "trainer";
   /// Bandwidth-feedback re-planning (kAuto only): sample windowed link-stats
   /// deltas after each Train() window and re-plan when the observed bandwidth
@@ -152,6 +162,13 @@ struct TrainerOptions {
 
 /// Upper bound for shards_per_server = 0 (auto) selection.
 inline constexpr int kMaxAutoShards = 8;
+
+/// The plan `options` ask for on `net`'s layers: options.fixed_plan under
+/// kFixed, otherwise one PlanComm call. PoseidonTrainer and ClusterNode both
+/// run off this, so an in-process run and a multi-process cluster built from
+/// the same options execute the same plan.
+std::shared_ptr<const CommPlan> ResolveTrainerPlan(const TrainerOptions& options,
+                                                   Network& net);
 
 struct IterationStats {
   int64_t iter = 0;
@@ -206,9 +223,6 @@ class PoseidonTrainer {
 
   Network& worker_net(int w);
   const Coordinator& coordinator() const { return *coordinator_; }
-  const std::vector<RuntimeScheme>& schemes() const { return schemes_; }
-  /// The resolved per-layer wire-compression plan (parallel to schemes()).
-  const std::vector<GradCompression>& compression() const { return compression_; }
   MessageBus& bus() { return *bus_; }
   /// The failure detector (null unless failure_detection.enabled).
   const FailureDetector* failure_detector() const { return detector_.get(); }
@@ -220,8 +234,8 @@ class PoseidonTrainer {
   int shards_per_server() const;
   const KvServer& server(int s) const { return *servers_[static_cast<size_t>(s)]; }
 
-  /// The communication plan in force (never null; paper mode's legacy
-  /// decisions are expressed as a plan too).
+  /// The communication plan in force (never null): per-layer schemes and
+  /// codecs, shard count, staleness, batching and top-k density.
   std::shared_ptr<const CommPlan> plan() const { return plan_; }
   /// Swaps the communication stack onto `new_plan` at an iteration boundary
   /// (call between Train() windows only; CHECKs staleness = 0 and no crash
@@ -246,12 +260,12 @@ class PoseidonTrainer {
   void MaybeCheckpoint(int w, int64_t next_iter);
   std::string CheckpointPath(int w) const;
 
-  /// Builds the paper-mode or joint-auto PlanRequest for the current model
-  /// and cluster shape.
-  PlanRequest BuildPlanRequest() const;
-  /// Applies plan-driven knobs (schemes, compression, batching) after the
-  /// coordinator exists.
-  void ApplyPlanSchemes();
+  /// Makes `plan` the plan in force: checks it against the model, rebuilds
+  /// the coordinator at its shard count and staleness, turns on batching if
+  /// it asks for it, and builds + starts the KV servers and client libraries.
+  void InstallPlan(std::shared_ptr<const CommPlan> plan);
+  /// A fresh client library for worker `w` running *plan_.
+  std::unique_ptr<ClientLibrary> MakeClient(int w);
   /// Feedback hook run after each Train() window.
   void MaybeReplan();
 
@@ -261,8 +275,6 @@ class PoseidonTrainer {
   std::vector<std::unique_ptr<Network>> worker_nets_;
   std::unique_ptr<Network> init_net_;
   std::unique_ptr<Coordinator> coordinator_;
-  std::vector<RuntimeScheme> schemes_;
-  std::vector<GradCompression> compression_;
   std::vector<std::unique_ptr<KvServer>> servers_;
   std::vector<std::unique_ptr<ClientLibrary>> clients_;
   std::shared_ptr<const CommPlan> plan_;

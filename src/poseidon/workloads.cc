@@ -27,7 +27,7 @@ NetworkFactory TinyMlpFactory(int hidden_layers) {
 }
 
 TrainerOptions SmallTrainerOptions(int workers, int servers, int shards,
-                                   int staleness, FcSyncPolicy policy) {
+                                   int staleness, PlanPolicy policy) {
   TrainerOptions options;
   options.num_workers = workers;
   options.num_servers = servers;

@@ -32,7 +32,7 @@ NetworkFactory TinyMlpFactory(int hidden_layers = 2);
 /// override fields freely after construction.
 TrainerOptions SmallTrainerOptions(int workers = 4, int servers = 2,
                                    int shards = 2, int staleness = 0,
-                                   FcSyncPolicy policy = FcSyncPolicy::kDense);
+                                   PlanPolicy policy = PlanPolicy::kDense);
 
 }  // namespace workloads
 }  // namespace poseidon

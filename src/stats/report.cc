@@ -9,7 +9,6 @@
 #include "src/common/table.h"
 #include "src/nn/builders.h"
 #include "src/planner/comm_planner.h"
-#include "src/planner/plan_cache.h"
 #include "src/poseidon/trainer.h"
 
 namespace poseidon {
@@ -49,8 +48,8 @@ std::vector<SweepResult> RunScalingSweep(const ModelSpec& model,
 std::shared_ptr<const CommPlan> PlanForBench(const BenchArgs& args, const ModelSpec& model,
                                              int nodes, double gbps) {
   if (args.AutoPlan()) {
-    return PlanCache::Global().GetOrPlan(
-        JointAutoRequest(model, nodes, gbps, kMaxAutoShards));
+    return std::make_shared<const CommPlan>(
+        PlanComm(JointAutoRequest(model, nodes, gbps, kMaxAutoShards)));
   }
   if (args.FixedPlan()) {
     StatusOr<CommPlan> loaded = CommPlan::LoadFromFile(args.FixedPlanPath());
@@ -183,7 +182,7 @@ std::string FormatLossAblation(const std::string& title, const ModelSpec& model,
   return out.str();
 }
 
-CompressionAblationPoint RunCompressionAblation(PsCompressionPolicy policy,
+CompressionAblationPoint RunCompressionAblation(PlanCodecPolicy policy,
                                                 double topk_density, int iters) {
   DatasetConfig data;
   data.num_classes = 3;
@@ -202,7 +201,7 @@ CompressionAblationPoint RunCompressionAblation(PsCompressionPolicy policy,
   options.num_workers = 2;
   options.num_servers = 2;
   options.batch_per_worker = 4;
-  options.fc_policy = FcSyncPolicy::kDense;  // every layer on the PS path
+  options.fc_policy = PlanPolicy::kDense;  // every layer on the PS path
   options.kv_pair_bytes = 1024;
   options.ps_compression = policy;
   options.topk_density = topk_density;

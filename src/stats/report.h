@@ -14,7 +14,7 @@
 #include "src/common/cli.h"
 #include "src/models/model_spec.h"
 #include "src/planner/comm_plan.h"
-#include "src/poseidon/runtime_scheme.h"
+#include "src/planner/comm_planner.h"
 
 namespace poseidon {
 
@@ -33,8 +33,8 @@ std::vector<SweepResult> RunScalingSweep(const ModelSpec& model,
 
 // The communication plan a bench's --plan flag selects at one sweep point:
 // nullptr under --plan=paper (the bench keeps its hand-picked systems);
-// the CommPlanner's memoized joint search for (model, nodes, gbps) under
-// --plan=auto (every sweep point hits the process-wide PlanCache); the
+// the CommPlanner's joint search for (model, nodes, gbps) under
+// --plan=auto (one PlanComm call per sweep point); the
 // CommPlan JSON dump under --plan=fixed:<path> (fatal if the file does not
 // load — a bench must never silently fall back to different settings).
 std::shared_ptr<const CommPlan> PlanForBench(const BenchArgs& args, const ModelSpec& model,
@@ -91,7 +91,7 @@ struct CompressionAblationPoint {
 // Trains a small seeded MLP for `iters` iterations under `policy` (the size
 // gate is lowered so every PS layer actually runs the codec; density applies
 // to the top-k codec only).
-CompressionAblationPoint RunCompressionAblation(PsCompressionPolicy policy,
+CompressionAblationPoint RunCompressionAblation(PlanCodecPolicy policy,
                                                 double topk_density, int iters);
 
 }  // namespace poseidon

@@ -74,7 +74,7 @@ TEST(ChaosPropertyTest, ShardedSspZeroBitwiseIdenticalUnderChaos) {
 TEST(ChaosPropertyTest, HybridPolicyBitwiseIdenticalUnderChaos) {
   // SFB broadcasts and PS pushes share the fabric; both must survive it.
   TrainerOptions base = SmallTrainerOptions(/*workers=*/3, /*servers=*/2, /*shards=*/2,
-                                            /*staleness=*/0, FcSyncPolicy::kHybrid);
+                                            /*staleness=*/0, PlanPolicy::kHybrid);
   const Trajectory clean = CaptureTrajectory(base, kIters);
   for (uint64_t seed : ChaosSeeds(3)) {
     SCOPED_TRACE(SeedTrace(seed));

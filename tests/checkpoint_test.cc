@@ -92,7 +92,7 @@ TEST(CheckpointTest, TrainerResumeContinuesSampleStream) {
   options.num_servers = 2;
   options.batch_per_worker = 8;
   options.sgd = {.learning_rate = 0.05f};  // no momentum: resume is then exact
-  options.fc_policy = FcSyncPolicy::kHybrid;
+  options.fc_policy = PlanPolicy::kHybrid;
 
   const std::string path = TempPath("resume.ckpt");
   std::vector<float> continuous;

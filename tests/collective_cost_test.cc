@@ -4,8 +4,8 @@
 //    the layer size M*N (the winner can flip at most once along each axis),
 //  * BestSchemeExtended never returns a scheme whose modeled cost is
 //    strictly higher than any admissible alternative,
-//  * ResolveSchemes hands ResNet-style conv layers to a collective scheme
-//    under a high-worker-count cluster (the acceptance scenario).
+//  * the paper-mode plan hands ResNet-style conv layers to a collective
+//    scheme under a high-worker-count cluster (the acceptance scenario).
 #include <gtest/gtest.h>
 
 #include <vector>
@@ -14,7 +14,7 @@
 #include "src/models/comm_cost.h"
 #include "src/models/zoo.h"
 #include "src/nn/builders.h"
-#include "src/poseidon/runtime_scheme.h"
+#include "src/poseidon/trainer.h"
 
 namespace poseidon {
 namespace {
@@ -152,16 +152,15 @@ TEST(CollectiveCostTest, ResNetResolvesToCollectiveUnderManyWorkers) {
   std::unique_ptr<Network> net =
       BuildSmallResNet(/*channels=*/2, /*image_hw=*/8, /*classes=*/8, /*width=*/8,
                        /*blocks=*/2, rng);
-  ClusterInfo cluster;
-  cluster.num_workers = 32;
-  cluster.num_servers = 32;
-  cluster.batch_per_worker = 32;
-  Coordinator coordinator(*net, cluster);
-  const std::vector<RuntimeScheme> schemes =
-      ResolveSchemes(coordinator, FcSyncPolicy::kHybridCollective);
+  TrainerOptions options;
+  options.num_workers = 32;
+  options.num_servers = 32;
+  options.batch_per_worker = 32;
+  options.fc_policy = PlanPolicy::kHybridCollective;
+  const std::shared_ptr<const CommPlan> plan = ResolveTrainerPlan(options, *net);
   int collective_layers = 0;
-  for (RuntimeScheme scheme : schemes) {
-    if (scheme == RuntimeScheme::kRingAllreduce || scheme == RuntimeScheme::kTreeAllreduce) {
+  for (const PlanLayerChoice& choice : plan->layers) {
+    if (choice.scheme == PlannedScheme::kRing || choice.scheme == PlannedScheme::kTree) {
       ++collective_layers;
     }
   }

@@ -48,7 +48,7 @@ std::vector<float> AllParams(Network& net) {
   return out;
 }
 
-std::vector<float> TrainOnce(FcSyncPolicy policy, int workers, int iterations,
+std::vector<float> TrainOnce(PlanPolicy policy, int workers, int iterations,
                              double* first_loss = nullptr, double* last_loss = nullptr) {
   SyntheticDataset dataset(SmallData());
   TrainerOptions options;
@@ -75,7 +75,7 @@ std::vector<float> TrainOnce(FcSyncPolicy policy, int workers, int iterations,
 }
 
 class CollectiveRuntimeTest
-    : public ::testing::TestWithParam<std::pair<FcSyncPolicy, int>> {};
+    : public ::testing::TestWithParam<std::pair<PlanPolicy, int>> {};
 
 TEST_P(CollectiveRuntimeTest, LearnsWithIdenticalReplicasDeterministically) {
   const auto [policy, workers] = GetParam();
@@ -89,21 +89,21 @@ TEST_P(CollectiveRuntimeTest, LearnsWithIdenticalReplicasDeterministically) {
 
 INSTANTIATE_TEST_SUITE_P(
     Policies, CollectiveRuntimeTest,
-    ::testing::Values(std::make_pair(FcSyncPolicy::kRingAllreduce, 2),
-                      std::make_pair(FcSyncPolicy::kRingAllreduce, 4),
-                      std::make_pair(FcSyncPolicy::kRingAllreduce, 5),
-                      std::make_pair(FcSyncPolicy::kTreeAllreduce, 2),
-                      std::make_pair(FcSyncPolicy::kTreeAllreduce, 4),
-                      std::make_pair(FcSyncPolicy::kTreeAllreduce, 7),
-                      std::make_pair(FcSyncPolicy::kHybridCollective, 4)));
+    ::testing::Values(std::make_pair(PlanPolicy::kRingAllreduce, 2),
+                      std::make_pair(PlanPolicy::kRingAllreduce, 4),
+                      std::make_pair(PlanPolicy::kRingAllreduce, 5),
+                      std::make_pair(PlanPolicy::kTreeAllreduce, 2),
+                      std::make_pair(PlanPolicy::kTreeAllreduce, 4),
+                      std::make_pair(PlanPolicy::kTreeAllreduce, 7),
+                      std::make_pair(PlanPolicy::kHybridCollective, 4)));
 
 TEST(CollectiveRuntimeTest, TrajectoryMatchesDensePsUpToReassociation) {
   // Ring/tree average the same per-worker gradients as the PS, only in a
   // different association order, so after a few iterations the parameter
   // vectors must agree to float-accumulation tolerance.
   const int iters = 10;
-  const std::vector<float> dense = TrainOnce(FcSyncPolicy::kDense, 4, iters);
-  for (FcSyncPolicy policy : {FcSyncPolicy::kRingAllreduce, FcSyncPolicy::kTreeAllreduce}) {
+  const std::vector<float> dense = TrainOnce(PlanPolicy::kDense, 4, iters);
+  for (PlanPolicy policy : {PlanPolicy::kRingAllreduce, PlanPolicy::kTreeAllreduce}) {
     const std::vector<float> collective = TrainOnce(policy, 4, iters);
     ASSERT_EQ(dense.size(), collective.size());
     double max_abs = 0.0;
@@ -115,11 +115,11 @@ TEST(CollectiveRuntimeTest, TrajectoryMatchesDensePsUpToReassociation) {
 }
 
 TEST(CollectiveRuntimeTest, SingleWorkerFallsBackToPs) {
-  // ResolveSchemes degrades a world-of-one collective to the PS, so training
+  // The paper plan degrades a world-of-one collective to the PS, so training
   // still applies updates.
   double first = 0.0;
   double last = 0.0;
-  TrainOnce(FcSyncPolicy::kRingAllreduce, /*workers=*/1, /*iterations=*/12, &first, &last);
+  TrainOnce(PlanPolicy::kRingAllreduce, /*workers=*/1, /*iterations=*/12, &first, &last);
   EXPECT_LT(last, first);
 }
 

@@ -13,7 +13,6 @@
 #include <vector>
 
 #include "src/models/comm_cost.h"
-#include "src/poseidon/runtime_scheme.h"
 #include "src/poseidon/trainer.h"
 #include "src/simd/vec.h"
 #include "tests/testing/harness.h"
@@ -23,7 +22,7 @@ namespace {
 
 // The tiny MLP's layers sit far below kCompressionMinFloats, so trainer
 // tests drop the gate to exercise the codecs on every PS layer.
-TrainerOptions CompressedOptions(PsCompressionPolicy policy, double density = 0.25) {
+TrainerOptions CompressedOptions(PlanCodecPolicy policy, double density = 0.25) {
   TrainerOptions options = testing::SmallTrainerOptions();
   options.ps_compression = policy;
   options.topk_density = density;
@@ -41,21 +40,21 @@ int64_t TotalRejectedPushes(PoseidonTrainer& trainer, int num_servers) {
 
 TEST(CompressionTrainerTest, EveryCodecConvergesWithoutDrops) {
   const SyntheticDataset dataset = testing::TinyDataset();
-  for (PsCompressionPolicy policy :
-       {PsCompressionPolicy::kFp16, PsCompressionPolicy::kInt8,
-        PsCompressionPolicy::kTopK}) {
-    SCOPED_TRACE(PsCompressionPolicyName(policy));
+  for (PlanCodecPolicy policy :
+       {PlanCodecPolicy::kFp16, PlanCodecPolicy::kInt8,
+        PlanCodecPolicy::kTopK}) {
+    SCOPED_TRACE(PlanCodecPolicyName(policy));
     TrainerOptions options = CompressedOptions(policy);
     PoseidonTrainer trainer(testing::TinyMlpFactory(), options);
 
     // The plan actually compresses: every PS layer runs the policy's codec.
     int compressed_layers = 0;
-    for (size_t l = 0; l < trainer.compression().size(); ++l) {
-      if (trainer.schemes()[l] == RuntimeScheme::kPsDense) {
-        EXPECT_NE(trainer.compression()[l], GradCompression::kNone);
+    for (const PlanLayerChoice& choice : trainer.plan()->layers) {
+      if (choice.scheme == PlannedScheme::kPS) {
+        EXPECT_NE(choice.compression, GradCompression::kNone);
         ++compressed_layers;
       } else {
-        EXPECT_EQ(trainer.compression()[l], GradCompression::kNone);
+        EXPECT_EQ(choice.compression, GradCompression::kNone);
       }
     }
     ASSERT_GT(compressed_layers, 0);
@@ -70,10 +69,10 @@ TEST(CompressionTrainerTest, EveryCodecConvergesWithoutDrops) {
 }
 
 TEST(CompressionTrainerTest, QuantizedTrajectoryIsBitwiseReproducible) {
-  for (PsCompressionPolicy policy :
-       {PsCompressionPolicy::kFp16, PsCompressionPolicy::kInt8,
-        PsCompressionPolicy::kTopK}) {
-    SCOPED_TRACE(PsCompressionPolicyName(policy));
+  for (PlanCodecPolicy policy :
+       {PlanCodecPolicy::kFp16, PlanCodecPolicy::kInt8,
+        PlanCodecPolicy::kTopK}) {
+    SCOPED_TRACE(PlanCodecPolicyName(policy));
     const TrainerOptions options = CompressedOptions(policy);
     const testing::Trajectory first = testing::CaptureTrajectory(options, 8);
     const testing::Trajectory second = testing::CaptureTrajectory(options, 8);
@@ -84,7 +83,7 @@ TEST(CompressionTrainerTest, QuantizedTrajectoryIsBitwiseReproducible) {
 }
 
 TEST(CompressionTrainerTest, QuantizedTrajectoryIsDispatchInvariant) {
-  const TrainerOptions options = CompressedOptions(PsCompressionPolicy::kInt8);
+  const TrainerOptions options = CompressedOptions(PlanCodecPolicy::kInt8);
   testing::Trajectory scalar_run, vector_run;
   {
     simd::ScopedLevel pinned(simd::Level::kScalar);
@@ -98,7 +97,7 @@ TEST(CompressionTrainerTest, QuantizedTrajectoryIsDispatchInvariant) {
       << "int8 trajectory differs between scalar and "
       << simd::LevelName(simd::BestLevel()) << " dispatch";
 
-  const TrainerOptions fp16 = CompressedOptions(PsCompressionPolicy::kFp16);
+  const TrainerOptions fp16 = CompressedOptions(PlanCodecPolicy::kFp16);
   {
     simd::ScopedLevel pinned(simd::Level::kScalar);
     scalar_run = testing::CaptureTrajectory(fp16, 6);
@@ -115,11 +114,11 @@ TEST(CompressionTrainerTest, QuantizedTrajectoryIsDispatchInvariant) {
 TEST(CompressionTrainerTest, SizeGateKeepsSmallLayersRaw) {
   // At the default gate the tiny MLP compresses nothing: the plan resolves
   // to kNone everywhere and training is the plain raw-fp32 runtime.
-  TrainerOptions options = CompressedOptions(PsCompressionPolicy::kAuto);
+  TrainerOptions options = CompressedOptions(PlanCodecPolicy::kAuto);
   options.compression_min_floats = kCompressionMinFloats;
   PoseidonTrainer trainer(testing::TinyMlpFactory(), options);
-  for (GradCompression compression : trainer.compression()) {
-    EXPECT_EQ(compression, GradCompression::kNone);
+  for (const PlanLayerChoice& choice : trainer.plan()->layers) {
+    EXPECT_EQ(choice.compression, GradCompression::kNone);
   }
 }
 
@@ -131,12 +130,12 @@ TEST(CompressionTrainerTest, AutoPolicyPicksTopKForPsLayers) {
   EXPECT_EQ(BestCompression(1 << 20, 0.05), GradCompression::kTopK);
   EXPECT_EQ(BestCompression(1024, 0.05), GradCompression::kNone) << "below the gate";
 
-  TrainerOptions options = CompressedOptions(PsCompressionPolicy::kAuto, 0.05);
+  TrainerOptions options = CompressedOptions(PlanCodecPolicy::kAuto, 0.05);
   PoseidonTrainer trainer(testing::TinyMlpFactory(), options);
   int topk_layers = 0;
-  for (size_t l = 0; l < trainer.compression().size(); ++l) {
-    if (trainer.schemes()[l] == RuntimeScheme::kPsDense) {
-      EXPECT_EQ(trainer.compression()[l], GradCompression::kTopK);
+  for (const PlanLayerChoice& choice : trainer.plan()->layers) {
+    if (choice.scheme == PlannedScheme::kPS) {
+      EXPECT_EQ(choice.compression, GradCompression::kTopK);
       ++topk_layers;
     }
   }
@@ -146,7 +145,7 @@ TEST(CompressionTrainerTest, AutoPolicyPicksTopKForPsLayers) {
 TEST(CompressionTrainerTest, SspRunsUnderCompression) {
   // Staleness > 0 exercises the snapshot-free binary16 reply path (the frame
   // is a fresh snapshot either way) and the SSP release gate together.
-  TrainerOptions options = CompressedOptions(PsCompressionPolicy::kFp16);
+  TrainerOptions options = CompressedOptions(PlanCodecPolicy::kFp16);
   options.staleness = 1;
   PoseidonTrainer trainer(testing::TinyMlpFactory(), options);
   const std::vector<IterationStats> stats = trainer.Train(testing::TinyDataset(), 10);

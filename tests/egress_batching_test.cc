@@ -21,7 +21,7 @@ struct RunResult {
   int64_t logical_messages = 0;
 };
 
-RunResult TrainRun(FcSyncPolicy policy, int workers, int servers, int shards, bool batch) {
+RunResult TrainRun(PlanPolicy policy, int workers, int servers, int shards, bool batch) {
   const SyntheticDataset dataset = testing::TinyDataset();
   TrainerOptions options =
       testing::SmallTrainerOptions(workers, servers, shards, /*staleness=*/0, policy);
@@ -44,10 +44,10 @@ RunResult TrainRun(FcSyncPolicy policy, int workers, int servers, int shards, bo
   return result;
 }
 
-class EgressBatchingTest : public ::testing::TestWithParam<FcSyncPolicy> {};
+class EgressBatchingTest : public ::testing::TestWithParam<PlanPolicy> {};
 
 TEST_P(EgressBatchingTest, TrajectoryBitwiseIdenticalWithBatching) {
-  const FcSyncPolicy policy = GetParam();
+  const PlanPolicy policy = GetParam();
   const RunResult plain = TrainRun(policy, 3, 2, 2, /*batch=*/false);
   const RunResult batched = TrainRun(policy, 3, 2, 2, /*batch=*/true);
 
@@ -61,21 +61,21 @@ TEST_P(EgressBatchingTest, TrajectoryBitwiseIdenticalWithBatching) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Policies, EgressBatchingTest,
-                         ::testing::Values(FcSyncPolicy::kDense, FcSyncPolicy::kHybrid,
-                                           FcSyncPolicy::kOneBit,
-                                           FcSyncPolicy::kRingAllreduce,
-                                           FcSyncPolicy::kTreeAllreduce),
-                         [](const ::testing::TestParamInfo<FcSyncPolicy>& info) {
+                         ::testing::Values(PlanPolicy::kDense, PlanPolicy::kHybrid,
+                                           PlanPolicy::kOneBit,
+                                           PlanPolicy::kRingAllreduce,
+                                           PlanPolicy::kTreeAllreduce),
+                         [](const ::testing::TestParamInfo<PlanPolicy>& info) {
                            switch (info.param) {
-                             case FcSyncPolicy::kDense:
+                             case PlanPolicy::kDense:
                                return std::string("Dense");
-                             case FcSyncPolicy::kHybrid:
+                             case PlanPolicy::kHybrid:
                                return std::string("Hybrid");
-                             case FcSyncPolicy::kOneBit:
+                             case PlanPolicy::kOneBit:
                                return std::string("OneBit");
-                             case FcSyncPolicy::kRingAllreduce:
+                             case PlanPolicy::kRingAllreduce:
                                return std::string("Ring");
-                             case FcSyncPolicy::kTreeAllreduce:
+                             case PlanPolicy::kTreeAllreduce:
                                return std::string("Tree");
                              default:
                                return std::string("Other");
@@ -85,8 +85,8 @@ INSTANTIATE_TEST_SUITE_P(Policies, EgressBatchingTest,
 TEST(EgressBatchingTest, ManyLayerModelBatchesPushes) {
   // A deeper model gives the batcher same-destination pushes to merge: the
   // wire message count must drop measurably, with an identical trajectory.
-  const RunResult plain = TrainRun(FcSyncPolicy::kDense, 2, 2, 1, /*batch=*/false);
-  const RunResult batched = TrainRun(FcSyncPolicy::kDense, 2, 2, 1, /*batch=*/true);
+  const RunResult plain = TrainRun(PlanPolicy::kDense, 2, 2, 1, /*batch=*/false);
+  const RunResult batched = TrainRun(PlanPolicy::kDense, 2, 2, 1, /*batch=*/true);
   EXPECT_EQ(plain.params, batched.params);
   EXPECT_LT(batched.wire_messages, plain.wire_messages)
       << "no frames were merged on a multi-layer PS run";

@@ -43,7 +43,7 @@ NetworkFactory ConvFactory(uint64_t seed = 777) {
   };
 }
 
-TrainerOptions Options(int workers, FcSyncPolicy policy, int servers = 0) {
+TrainerOptions Options(int workers, PlanPolicy policy, int servers = 0) {
   TrainerOptions options;
   options.num_workers = workers;
   options.num_servers = servers == 0 ? workers : servers;
@@ -76,7 +76,7 @@ double MaxDiff(const std::vector<float>& a, const std::vector<float>& b) {
 
 TEST(IntegrationTest, ReplicasStayBitwiseIdenticalUnderBsp) {
   SyntheticDataset dataset(TinyData());
-  PoseidonTrainer trainer(MlpFactory(), Options(3, FcSyncPolicy::kHybrid));
+  PoseidonTrainer trainer(MlpFactory(), Options(3, PlanPolicy::kHybrid));
   trainer.Train(dataset, 10);
   const std::vector<float> w0 = AllParams(trainer.worker_net(0));
   for (int w = 1; w < 3; ++w) {
@@ -90,8 +90,8 @@ TEST(IntegrationTest, SfbBitwiseEqualsDensePs) {
   // on the wire, never the algorithm. With reductions in fixed worker order
   // the trajectories are bitwise identical.
   SyntheticDataset dataset(TinyData());
-  PoseidonTrainer dense(MlpFactory(), Options(2, FcSyncPolicy::kDense));
-  PoseidonTrainer sfb(MlpFactory(), Options(2, FcSyncPolicy::kSfb));
+  PoseidonTrainer dense(MlpFactory(), Options(2, PlanPolicy::kDense));
+  PoseidonTrainer sfb(MlpFactory(), Options(2, PlanPolicy::kSfb));
   dense.Train(dataset, 8);
   sfb.Train(dataset, 8);
   EXPECT_EQ(MaxDiff(AllParams(dense.worker_net(0)), AllParams(sfb.worker_net(0))), 0.0);
@@ -99,8 +99,8 @@ TEST(IntegrationTest, SfbBitwiseEqualsDensePs) {
 
 TEST(IntegrationTest, HybridEqualsDensePs) {
   SyntheticDataset dataset(TinyData());
-  PoseidonTrainer dense(ConvFactory(), Options(2, FcSyncPolicy::kDense));
-  PoseidonTrainer hybrid(ConvFactory(), Options(2, FcSyncPolicy::kHybrid));
+  PoseidonTrainer dense(ConvFactory(), Options(2, PlanPolicy::kDense));
+  PoseidonTrainer hybrid(ConvFactory(), Options(2, PlanPolicy::kHybrid));
   dense.Train(dataset, 6);
   hybrid.Train(dataset, 6);
   EXPECT_EQ(MaxDiff(AllParams(dense.worker_net(0)), AllParams(hybrid.worker_net(0))), 0.0);
@@ -114,7 +114,7 @@ TEST(IntegrationTest, DistributedMatchesSingleNodeLargeBatch) {
   SyntheticDataset dataset(TinyData());
   const int iters = 10;
 
-  PoseidonTrainer distributed(MlpFactory(), Options(4, FcSyncPolicy::kHybrid));
+  PoseidonTrainer distributed(MlpFactory(), Options(4, PlanPolicy::kHybrid));
   distributed.Train(dataset, iters);
 
   auto reference = MlpFactory()();
@@ -128,8 +128,8 @@ TEST(IntegrationTest, DistributedMatchesSingleNodeLargeBatch) {
 
 TEST(IntegrationTest, DeterministicAcrossRuns) {
   SyntheticDataset dataset(TinyData());
-  PoseidonTrainer a(ConvFactory(), Options(3, FcSyncPolicy::kHybrid));
-  PoseidonTrainer b(ConvFactory(), Options(3, FcSyncPolicy::kHybrid));
+  PoseidonTrainer a(ConvFactory(), Options(3, PlanPolicy::kHybrid));
+  PoseidonTrainer b(ConvFactory(), Options(3, PlanPolicy::kHybrid));
   a.Train(dataset, 5);
   b.Train(dataset, 5);
   EXPECT_EQ(MaxDiff(AllParams(a.worker_net(0)), AllParams(b.worker_net(0))), 0.0);
@@ -137,7 +137,7 @@ TEST(IntegrationTest, DeterministicAcrossRuns) {
 
 TEST(IntegrationTest, FewerServersThanWorkers) {
   SyntheticDataset dataset(TinyData());
-  PoseidonTrainer trainer(MlpFactory(), Options(4, FcSyncPolicy::kDense, /*servers=*/2));
+  PoseidonTrainer trainer(MlpFactory(), Options(4, PlanPolicy::kDense, /*servers=*/2));
   const auto stats = trainer.Train(dataset, 8);
   EXPECT_LT(stats.back().mean_loss, stats.front().mean_loss);
   const std::vector<float> w0 = AllParams(trainer.worker_net(0));
@@ -148,7 +148,7 @@ TEST(IntegrationTest, TrainingReducesLossAndGeneralizes) {
   DatasetConfig config = TinyData();
   config.noise_stddev = 0.3f;
   SyntheticDataset dataset(config);
-  PoseidonTrainer trainer(MlpFactory(), Options(2, FcSyncPolicy::kHybrid));
+  PoseidonTrainer trainer(MlpFactory(), Options(2, PlanPolicy::kHybrid));
   const auto stats = trainer.Train(dataset, 60);
   EXPECT_LT(stats.back().mean_loss, 0.5 * stats.front().mean_loss);
   EXPECT_GT(trainer.EvaluateTest(dataset).accuracy, 0.8);
@@ -159,8 +159,8 @@ TEST(IntegrationTest, OneBitQuantizationDegradesButLearns) {
   // exact schemes on the same iteration budget.
   SyntheticDataset dataset(TinyData());
   const int iters = 40;
-  PoseidonTrainer exact(MlpFactory(), Options(4, FcSyncPolicy::kHybrid));
-  PoseidonTrainer onebit(MlpFactory(), Options(4, FcSyncPolicy::kOneBit));
+  PoseidonTrainer exact(MlpFactory(), Options(4, PlanPolicy::kHybrid));
+  PoseidonTrainer onebit(MlpFactory(), Options(4, PlanPolicy::kOneBit));
   const auto exact_stats = exact.Train(dataset, iters);
   const auto onebit_stats = onebit.Train(dataset, iters);
 
@@ -181,10 +181,10 @@ TEST(IntegrationTest, TrafficFollowsSchemeChoice) {
     return BuildMlp(/*input_dim=*/64, /*hidden_dim=*/256, /*hidden_layers=*/1,
                     /*classes=*/4, rng);
   };
-  TrainerOptions dense_opts = Options(4, FcSyncPolicy::kDense);
+  TrainerOptions dense_opts = Options(4, PlanPolicy::kDense);
   dense_opts.batch_per_worker = 4;  // tiny K: SFs are much smaller than MN
   TrainerOptions sfb_opts = dense_opts;
-  sfb_opts.fc_policy = FcSyncPolicy::kSfb;
+  sfb_opts.fc_policy = PlanPolicy::kSfb;
 
   int64_t dense_bytes = 0;
   int64_t sfb_bytes = 0;
@@ -207,7 +207,7 @@ TEST(IntegrationTest, TrafficFollowsSchemeChoice) {
 
 TEST(IntegrationTest, TrainCanBeResumed) {
   SyntheticDataset dataset(TinyData());
-  PoseidonTrainer trainer(MlpFactory(), Options(2, FcSyncPolicy::kHybrid));
+  PoseidonTrainer trainer(MlpFactory(), Options(2, PlanPolicy::kHybrid));
   const auto first = trainer.Train(dataset, 5);
   const auto second = trainer.Train(dataset, 5);
   EXPECT_EQ(second.front().iter, 5);

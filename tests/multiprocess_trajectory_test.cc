@@ -36,7 +36,7 @@ constexpr int kIterations = 6;
 // make additional assertions about what the cluster reported.
 std::string LaunchAndExpectOracle(std::vector<std::string> args, int workers,
                                   int servers, int shards, int staleness,
-                                  FcSyncPolicy policy) {
+                                  PlanPolicy policy) {
   const std::string dir = MakeTempDir("mp_trajectory");
   args.push_back("--workers=" + std::to_string(workers));
   args.push_back("--servers=" + std::to_string(servers));
@@ -85,7 +85,7 @@ std::string LaunchAndExpectOracle(std::vector<std::string> args, int workers,
 TEST(MultiprocessTrajectoryTest, TcpBspClusterMatchesInProcessBitwise) {
   LaunchAndExpectOracle({"--transport=tcp", "--policy=dense"},
                         /*workers=*/2, /*servers=*/2, /*shards=*/2,
-                        /*staleness=*/0, FcSyncPolicy::kDense);
+                        /*staleness=*/0, PlanPolicy::kDense);
 }
 
 TEST(MultiprocessTrajectoryTest, ShardedSspS0ClusterMatchesInProcess) {
@@ -93,19 +93,19 @@ TEST(MultiprocessTrajectoryTest, ShardedSspS0ClusterMatchesInProcess) {
   // space is striped over four shards per server and crosses real sockets.
   LaunchAndExpectOracle({"--transport=tcp", "--policy=dense"},
                         /*workers=*/2, /*servers=*/2, /*shards=*/4,
-                        /*staleness=*/0, FcSyncPolicy::kDense);
+                        /*staleness=*/0, PlanPolicy::kDense);
 }
 
 TEST(MultiprocessTrajectoryTest, UnixColocatedClusterMatchesInProcess) {
   LaunchAndExpectOracle({"--transport=unix", "--policy=dense", "--colocate"},
                         /*workers=*/2, /*servers=*/2, /*shards=*/2,
-                        /*staleness=*/0, FcSyncPolicy::kDense);
+                        /*staleness=*/0, PlanPolicy::kDense);
 }
 
 TEST(MultiprocessTrajectoryTest, BatchedEgressClusterMatchesInProcess) {
   LaunchAndExpectOracle({"--transport=tcp", "--policy=dense", "--batch-egress"},
                         /*workers=*/2, /*servers=*/2, /*shards=*/2,
-                        /*staleness=*/0, FcSyncPolicy::kDense);
+                        /*staleness=*/0, PlanPolicy::kDense);
 }
 
 TEST(MultiprocessTrajectoryTest, LossySocketsPreserveTheTrajectory) {
@@ -117,7 +117,7 @@ TEST(MultiprocessTrajectoryTest, LossySocketsPreserveTheTrajectory) {
       {"--transport=tcp", "--policy=dense", "--shim-seed=11",
        "--shim-drop=0.05", "--shim-dup=0.05", "--shim-delay=0.1"},
       /*workers=*/2, /*servers=*/2, /*shards=*/2,
-      /*staleness=*/0, FcSyncPolicy::kDense);
+      /*staleness=*/0, PlanPolicy::kDense);
   EXPECT_NE(log.find("shim: faults{"), std::string::npos)
       << "no process reported shim counters — the lossy run proved nothing:\n"
       << log;

@@ -5,6 +5,8 @@
 //   * kPaper trains bitwise identically to a kFixed run adopting the very
 //     plan paper mode resolved — the plan object is a faithful encoding of
 //     the legacy configuration, not an approximation of it;
+//   * a kFixed run takes the plan's global knobs (top-k density, staleness)
+//     over the options it was handed;
 //   * AdoptPlan between Train() windows changes how gradients move, never
 //     their values, so a fixed swap schedule reproduces bitwise;
 //   * plan_feedback that never fires (huge hysteresis) is bitwise identical
@@ -35,7 +37,8 @@ TEST(PlanTrainerTest, PaperModeRecordsAPlan) {
   const auto plan = trainer.plan();
   ASSERT_NE(plan, nullptr);
   EXPECT_EQ(plan->ps_shards, trainer.shards_per_server());
-  EXPECT_EQ(plan->layers.size(), trainer.schemes().size());
+  EXPECT_EQ(plan->layers.size(),
+            static_cast<size_t>(trainer.coordinator().num_layers()));
   EXPECT_EQ(plan->hash, plan->ComputeHash());
 }
 
@@ -57,6 +60,45 @@ TEST(PlanTrainerTest, FixedPlanCoincidingWithPaperIsBitwiseIdentical) {
 
   EXPECT_TRUE(adopted == baseline)
       << "adopting paper mode's own plan changed the trajectory";
+}
+
+// The top-k density sizes every push, so a fixed run moves exactly the bytes
+// of the run that produced its plan only if the plan's density is the one in
+// force; the staleness bound is the one the shards enforce.
+TEST(PlanTrainerTest, FixedPlanGlobalKnobsAreInForce) {
+  const SyntheticDataset dataset = TinyDataset();
+  auto bytes_moved = [&](PoseidonTrainer& trainer) {
+    trainer.Train(dataset, 5);
+    trainer.bus().FlushEgress();
+    int64_t total = 0;
+    for (int64_t bytes : trainer.bus().TxBytes()) {
+      total += bytes;
+    }
+    return total;
+  };
+
+  TrainerOptions source = SmallTrainerOptions();
+  source.ps_compression = PlanCodecPolicy::kTopK;
+  source.topk_density = 0.5;
+  source.compression_min_floats = 1;
+  PoseidonTrainer planned(TinyMlpFactory(), source);
+  ASSERT_EQ(planned.plan()->topk_density, 0.5);
+  const int64_t expected = bytes_moved(planned);
+
+  TrainerOptions fixed = SmallTrainerOptions();  // density 0.01, BSP
+  fixed.plan_mode = TrainerPlanMode::kFixed;
+  fixed.fixed_plan = planned.plan();
+  PoseidonTrainer adopted(TinyMlpFactory(), fixed);
+  EXPECT_EQ(bytes_moved(adopted), expected)
+      << "the fixed plan's top-k density is not the one in force";
+
+  source.staleness = 1;
+  PoseidonTrainer ssp(TinyMlpFactory(), source);
+  ASSERT_EQ(ssp.plan()->staleness, 1);
+  fixed.fixed_plan = ssp.plan();
+  PoseidonTrainer adopted_ssp(TinyMlpFactory(), fixed);
+  EXPECT_EQ(adopted_ssp.coordinator().cluster().staleness, 1)
+      << "the fixed plan's staleness bound is not the one in force";
 }
 
 TEST(PlanTrainerTest, AutoPlanIsDeterministicAndTrains) {

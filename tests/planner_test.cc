@@ -1,5 +1,5 @@
 // CommPlanner test suite: the joint search against a brute-force oracle, the
-// PlanCache determinism contract, the JSON round trip behind
+// request signature and search determinism, the JSON round trip behind
 // --plan=fixed:<path>, the committed golden plan dump, the windowed
 // link-stats delta snapshots, and the bandwidth-feedback Replanner.
 //
@@ -21,7 +21,6 @@
 #include "src/models/zoo.h"
 #include "src/planner/comm_plan.h"
 #include "src/planner/comm_planner.h"
-#include "src/planner/plan_cache.h"
 #include "src/planner/replanner.h"
 #include "src/transport/bus.h"
 
@@ -186,56 +185,28 @@ TEST(PlannerOracleTest, PaperModePinsTheHandPickedConfiguration) {
   }
 }
 
-// ------------------------------------------------------------------ cache --
+// ------------------------------------------------------------- signature --
 
-TEST(PlanCacheTest, ColdAndCachedPlansAreBitwiseIdentical) {
-  const ModelSpec model = ModelByName("googlenet").value();
-  const PlanRequest request = JointAutoRequest(model, 8, 10.0, 8);
-
-  PlanCache cache;
-  EXPECT_EQ(cache.Lookup(request), nullptr);
-  const auto cold = cache.GetOrPlan(request);
-  ASSERT_NE(cold, nullptr);
-  EXPECT_EQ(cache.misses(), 1);
-
-  const auto warm = cache.GetOrPlan(request);
-  EXPECT_EQ(warm.get(), cold.get()) << "a hit must hand back the memoized object";
-  EXPECT_EQ(cache.hits(), 1);
-  EXPECT_EQ(cache.size(), 1u);
-
-  // The memoized plan is bitwise what a fresh search computes.
-  const CommPlan fresh = PlanComm(request);
-  EXPECT_EQ(fresh.hash, cold->hash);
-  EXPECT_EQ(fresh.ToJson(), cold->ToJson());
-}
-
-TEST(PlanCacheTest, DistinctRequestsGetDistinctKeys) {
+TEST(PlanRequestTest, DistinctRequestsGetDistinctSignatures) {
   const ModelSpec model = ModelByName("vgg19").value();
   const PlanRequest base = JointAutoRequest(model, 8, 10.0, 8);
 
   PlanRequest other = base;
   other.nic_gbps = 20.0;
-  EXPECT_FALSE(PlanRequestKey(base) == PlanRequestKey(other));
   EXPECT_NE(PlanRequestSignature(base), PlanRequestSignature(other));
 
   other = base;
   other.num_workers = other.num_servers = 16;
-  EXPECT_FALSE(PlanRequestKey(base) == PlanRequestKey(other));
+  EXPECT_NE(PlanRequestSignature(base), PlanRequestSignature(other));
 
-  other = base;
-  other.pinned_schemes.assign(base.layers.size(), PlannedScheme::kPS);
-  EXPECT_FALSE(PlanRequestKey(base) == PlanRequestKey(other))
-      << "pinned schemes must feed the digest";
-
-  PlanCache cache;
-  cache.GetOrPlan(base);
   other = base;
   other.max_shards = 4;
-  cache.GetOrPlan(other);
-  EXPECT_EQ(cache.size(), 2u);
+  EXPECT_NE(PlanRequestSignature(base), PlanRequestSignature(other));
+  EXPECT_NE(PlanComm(base).hash, PlanComm(other).hash)
+      << "the signature feeds the plan hash";
 }
 
-TEST(PlanCacheTest, RepeatedSearchesAreDeterministic) {
+TEST(PlanRequestTest, RepeatedSearchesAreDeterministic) {
   const ModelSpec model = ModelByName("resnet-152").value();
   const PlanRequest request = JointAutoRequest(model, 16, 40.0, 8);
   const std::string first = PlanComm(request).ToJson();
@@ -383,10 +354,9 @@ int64_t BytesForGbps(double gbps) { return static_cast<int64_t>(gbps * 1e9 / 8.0
 
 TEST(ReplannerTest, StaysPutInsideHysteresisAndReplansOutside) {
   const ModelSpec model = ModelByName("vgg19").value();
-  PlanCache cache;
   ReplanOptions options;
   options.hysteresis = 0.3;
-  Replanner replanner(JointAutoRequest(model, 8, /*nic_gbps=*/10.0, 8), options, &cache);
+  Replanner replanner(JointAutoRequest(model, 8, /*nic_gbps=*/10.0, 8), options);
 
   // 20% off: inside hysteresis, no replan.
   ReplanDecision decision = replanner.Observe(SyntheticWindow(1.0, BytesForGbps(12.0)));
@@ -408,9 +378,7 @@ TEST(ReplannerTest, StaysPutInsideHysteresisAndReplansOutside) {
 
 TEST(ReplannerTest, ByteBasisPlanCalibratesOnFirstLiveWindow) {
   const ModelSpec model = ModelByName("googlenet").value();
-  PlanCache cache;
-  Replanner replanner(JointAutoRequest(model, 4, /*nic_gbps=*/0.0, 8), ReplanOptions{},
-                      &cache);
+  Replanner replanner(JointAutoRequest(model, 4, /*nic_gbps=*/0.0, 8), ReplanOptions{});
   const ReplanDecision first = replanner.Observe(SyntheticWindow(1.0, BytesForGbps(5.0)));
   EXPECT_FALSE(first.replan) << "calibration must not replan";
   EXPECT_NEAR(replanner.reference_gbps(), 5.0, 1e-9);
@@ -422,8 +390,7 @@ TEST(ReplannerTest, ByteBasisPlanCalibratesOnFirstLiveWindow) {
 
 TEST(ReplannerTest, IdleAndDegenerateWindowsAreIgnored) {
   const ModelSpec model = ModelByName("vgg19").value();
-  PlanCache cache;
-  Replanner replanner(JointAutoRequest(model, 8, 10.0, 8), ReplanOptions{}, &cache);
+  Replanner replanner(JointAutoRequest(model, 8, 10.0, 8), ReplanOptions{});
   EXPECT_FALSE(replanner.Observe(ObservedLinkStats{}).replan);
   // A window shorter than min_window_s is a clock tick, not evidence.
   EXPECT_FALSE(replanner.Observe(SyntheticWindow(1e-9, BytesForGbps(100.0))).replan);
@@ -434,8 +401,7 @@ TEST(ReplannerTest, DeterministicGivenTheSameWindowSequence) {
   const ModelSpec model = ModelByName("vgg19").value();
   const std::vector<double> schedule = {10.0, 9.0, 3.0, 3.1, 40.0, 39.0};
   auto run = [&] {
-    PlanCache cache;
-    Replanner replanner(JointAutoRequest(model, 8, 10.0, 8), ReplanOptions{}, &cache);
+      Replanner replanner(JointAutoRequest(model, 8, 10.0, 8), ReplanOptions{});
     std::vector<uint64_t> hashes;
     for (double gbps : schedule) {
       const ReplanDecision d = replanner.Observe(SyntheticWindow(1.0, BytesForGbps(gbps)));

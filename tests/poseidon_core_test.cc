@@ -9,7 +9,7 @@
 #include "src/nn/layers.h"
 #include "src/poseidon/coordinator.h"
 #include "src/poseidon/flat_params.h"
-#include "src/poseidon/runtime_scheme.h"
+#include "src/poseidon/trainer.h"
 #include "tests/testing/harness.h"
 
 namespace poseidon {
@@ -91,26 +91,39 @@ TEST(CoordinatorTest, BestSchemeByNameAndUnknownName) {
   EXPECT_FALSE(coordinator.BestScheme("nope").ok());
 }
 
-TEST(RuntimeSchemeTest, ResolvesPolicies) {
+TEST(PaperPlanTest, ResolvesPolicies) {
   Rng rng(6);
   auto net = BuildCifarQuick(3, 16, 10, rng);
   Coordinator coordinator(*net, SmallClusterInfo(4, 4, 8));
+  auto schemes = [&](PlanPolicy policy) {
+    TrainerOptions options;
+    options.num_workers = 4;
+    options.num_servers = 4;
+    options.batch_per_worker = 8;
+    options.fc_policy = policy;
+    const std::shared_ptr<const CommPlan> plan = ResolveTrainerPlan(options, *net);
+    std::vector<PlannedScheme> out;
+    for (const PlanLayerChoice& choice : plan->layers) {
+      out.push_back(choice.scheme);
+    }
+    return out;
+  };
 
-  const auto dense = ResolveSchemes(coordinator, FcSyncPolicy::kDense);
-  const auto sfb = ResolveSchemes(coordinator, FcSyncPolicy::kSfb);
-  const auto onebit = ResolveSchemes(coordinator, FcSyncPolicy::kOneBit);
+  const auto dense = schemes(PlanPolicy::kDense);
+  const auto sfb = schemes(PlanPolicy::kSfb);
+  const auto onebit = schemes(PlanPolicy::kOneBit);
   for (int l = 0; l < coordinator.num_layers(); ++l) {
     const LayerInfo& info = coordinator.layer(l);
     if (info.total_floats == 0) {
-      EXPECT_EQ(dense[l], RuntimeScheme::kNone);
-      EXPECT_EQ(sfb[l], RuntimeScheme::kNone);
+      EXPECT_EQ(dense[l], PlannedScheme::kNone);
+      EXPECT_EQ(sfb[l], PlannedScheme::kNone);
     } else if (info.type == LayerType::kFC) {
-      EXPECT_EQ(dense[l], RuntimeScheme::kPsDense);
-      EXPECT_EQ(sfb[l], RuntimeScheme::kSfb);
-      EXPECT_EQ(onebit[l], RuntimeScheme::kOneBit);
+      EXPECT_EQ(dense[l], PlannedScheme::kPS);
+      EXPECT_EQ(sfb[l], PlannedScheme::kSFB);
+      EXPECT_EQ(onebit[l], PlannedScheme::kOneBit);
     } else {
-      EXPECT_EQ(dense[l], RuntimeScheme::kPsDense);
-      EXPECT_EQ(sfb[l], RuntimeScheme::kPsDense);  // conv never broadcasts
+      EXPECT_EQ(dense[l], PlannedScheme::kPS);
+      EXPECT_EQ(sfb[l], PlannedScheme::kPS);  // conv never broadcasts
     }
   }
 }

@@ -12,7 +12,6 @@
 #include "src/common/rng.h"
 #include "src/nn/builders.h"
 #include "src/poseidon/coordinator.h"
-#include "src/poseidon/runtime_scheme.h"
 #include "src/poseidon/trainer.h"
 
 namespace poseidon {
@@ -141,7 +140,7 @@ std::vector<float> AllParams(Network& net) {
   return out;
 }
 
-std::vector<float> TrainWithShards(int shards, FcSyncPolicy policy, int staleness = 0) {
+std::vector<float> TrainWithShards(int shards, PlanPolicy policy, int staleness = 0) {
   DatasetConfig data;
   data.num_classes = 3;
   data.channels = 1;
@@ -182,45 +181,48 @@ TEST(ShardedKvStoreTest, StripedLayersReassembleBitwise) {
   // The acceptance criterion: under BSP (s = 0) the shard count must not
   // perturb a single bit of the trajectory — 1 shard (the seed's PS path),
   // 2 and 4 shards must produce identical parameters.
-  const std::vector<float> one = TrainWithShards(1, FcSyncPolicy::kDense);
-  EXPECT_EQ(one, TrainWithShards(2, FcSyncPolicy::kDense));
-  EXPECT_EQ(one, TrainWithShards(4, FcSyncPolicy::kDense));
+  const std::vector<float> one = TrainWithShards(1, PlanPolicy::kDense);
+  EXPECT_EQ(one, TrainWithShards(2, PlanPolicy::kDense));
+  EXPECT_EQ(one, TrainWithShards(4, PlanPolicy::kDense));
 }
 
 TEST(ShardedKvStoreTest, OneBitLayersFollowTheirOwnerShard) {
   // 1-bit layers route whole to one owner endpoint; sharding must relocate
   // them without corrupting training (the trajectory is shard-invariant
   // there too: a single endpoint applies the same worker-ordered math).
-  const std::vector<float> one = TrainWithShards(1, FcSyncPolicy::kOneBit);
-  EXPECT_EQ(one, TrainWithShards(3, FcSyncPolicy::kOneBit));
+  const std::vector<float> one = TrainWithShards(1, PlanPolicy::kOneBit);
+  EXPECT_EQ(one, TrainWithShards(3, PlanPolicy::kOneBit));
+}
+
+TrainerOptions AutoShardOptions(int workers, int servers) {
+  TrainerOptions options;
+  options.num_workers = workers;
+  options.num_servers = servers;
+  options.shards_per_server = 0;  // auto
+  options.batch_per_worker = 8;
+  options.fc_policy = PlanPolicy::kDense;
+  return options;
 }
 
 TEST(ShardedKvStoreTest, AutoShardCountFollowsCostModel) {
   Rng rng(24);
   auto net = BuildMlp(64, 20, 2, 3, rng);
-  ClusterInfo cluster = ShardedCluster(3, 2, 1);
-  Coordinator coordinator(*net, cluster);
-  const SyncPlan plan =
-      ResolveSchemesSharded(coordinator, FcSyncPolicy::kDense, kMaxAutoShards);
-  ASSERT_GE(plan.ps_shards, 1);
-  ASSERT_LE(plan.ps_shards, kMaxAutoShards);
+  const TrainerOptions options = AutoShardOptions(3, 2);
+  const std::shared_ptr<const CommPlan> plan = ResolveTrainerPlan(options, *net);
+  ASSERT_GE(plan->ps_shards, 1);
+  ASSERT_LE(plan->ps_shards, kMaxAutoShards);
   // P1 = 3 > 2: the sharded colocated row is strictly decreasing in the
   // shard count, so the recommendation saturates at the cap.
-  EXPECT_EQ(plan.ps_shards, kMaxAutoShards);
+  EXPECT_EQ(plan->ps_shards, kMaxAutoShards);
 
   // shards_per_server = 0 asks the trainer to adopt exactly that plan.
   NetworkFactory factory = [] {
     Rng rng_inner(13);
     return BuildMlp(64, 20, 2, 3, rng_inner);
   };
-  TrainerOptions options;
-  options.num_workers = 3;
-  options.num_servers = 2;
-  options.shards_per_server = 0;  // auto
-  options.batch_per_worker = 8;
-  options.fc_policy = FcSyncPolicy::kDense;
   PoseidonTrainer trainer(factory, options);
-  EXPECT_EQ(trainer.shards_per_server(), plan.ps_shards);
+  EXPECT_EQ(trainer.shards_per_server(), plan->ps_shards);
+  EXPECT_EQ(trainer.plan()->ps_shards, plan->ps_shards);
 }
 
 TEST(ShardedKvStoreTest, TwoWorkersNeverAutoShard) {
@@ -228,10 +230,7 @@ TEST(ShardedKvStoreTest, TwoWorkersNeverAutoShard) {
   // of traffic; the row is flat in S and auto-sharding must stay at 1.
   Rng rng(25);
   auto net = BuildMlp(64, 20, 1, 3, rng);
-  Coordinator coordinator(*net, ShardedCluster(2, 2, 1));
-  const SyncPlan plan =
-      ResolveSchemesSharded(coordinator, FcSyncPolicy::kDense, kMaxAutoShards);
-  EXPECT_EQ(plan.ps_shards, 1);
+  EXPECT_EQ(ResolveTrainerPlan(AutoShardOptions(2, 2), *net)->ps_shards, 1);
 }
 
 }  // namespace

@@ -275,7 +275,7 @@ TEST(SimdKernelTest, QuantKernelsMatchScalarBitwise) {
 // the same losses and final weights with vectorization on and off.
 TEST(SimdTrajectoryTest, TrainerTrajectoryIsDispatchInvariant) {
   TrainerOptions options = testing::SmallTrainerOptions();
-  options.fc_policy = FcSyncPolicy::kOneBit;
+  options.fc_policy = PlanPolicy::kOneBit;
   testing::Trajectory scalar_run, auto_run;
   {
     simd::ScopedLevel pinned(simd::Level::kScalar);

@@ -11,7 +11,8 @@
 //     members run as threads but talk exclusively over sockets
 //     (tests/testing/socket_cluster.h) must follow a bitwise-identical
 //     parameter trajectory to the in-process CaptureTrajectory oracle, for
-//     BSP and for sharded SSP s=0, clean and under socket weather.
+//     BSP and for sharded SSP s=0, clean and under socket weather; and a
+//     cluster member refuses plans its sockets cannot carry.
 //
 // True fork/exec clusters are covered by tests/multiprocess_trajectory_test.cc
 // through tools/poseidon_launch.
@@ -24,6 +25,7 @@
 #include <string>
 #include <vector>
 
+#include "src/poseidon/cluster_node.h"
 #include "src/transport/bus.h"
 #include "src/transport/codec.h"
 #include "src/transport/wire_format.h"
@@ -299,6 +301,22 @@ TEST(SocketClusterConformanceTest, SocketWeatherNeverChangesTheTrajectory) {
         << "no weather was injected — the lossy run proved nothing";
     EXPECT_GE(run.shim.retransmits, run.shim.drops);
   }
+}
+
+// The wire format decodes no codec id past the sufficient-factor frame, so
+// fp16/int8/top-k pushes would be rejected on the far side; and only the
+// paper plan is resolved identically by every process. A member must refuse
+// both at construction instead of ignoring them.
+TEST(ClusterNodeDeathTest, RejectsPlansSocketsCannotCarry) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  ClusterNodeConfig config;
+  config.trainer = testing::SmallTrainerOptions(2, 2, 1);
+  config.trainer.ps_compression = PlanCodecPolicy::kFp16;
+  EXPECT_DEATH(ClusterNode{config}, "compressed pushes cannot cross processes");
+
+  config.trainer.ps_compression = PlanCodecPolicy::kNone;
+  config.trainer.plan_mode = TrainerPlanMode::kAuto;
+  EXPECT_DEATH(ClusterNode{config}, "paper-mode plan");
 }
 
 }  // namespace

@@ -27,7 +27,7 @@ SyntheticDataset MakeDataset() { return TinyDataset(); }
 NetworkFactory MlpFactory() { return TinyMlpFactory(/*hidden_layers=*/2); }
 
 TrainerOptions SspOptions(int staleness, int shards = 2,
-                          FcSyncPolicy policy = FcSyncPolicy::kDense) {
+                          PlanPolicy policy = PlanPolicy::kDense) {
   return testing::SmallTrainerOptions(/*workers=*/4, /*servers=*/2, shards, staleness,
                                       policy);
 }
@@ -76,7 +76,7 @@ TEST(SspTest, BoundHoldsAcrossRepeatedTrainCalls) {
 
 TEST(SspTest, BoundHoldsForOneBitLayers) {
   const SyntheticDataset dataset = MakeDataset();
-  TrainerOptions options = SspOptions(/*staleness=*/2, /*shards=*/2, FcSyncPolicy::kOneBit);
+  TrainerOptions options = SspOptions(/*staleness=*/2, /*shards=*/2, PlanPolicy::kOneBit);
   PoseidonTrainer trainer(MlpFactory(), options);
   const auto stats = trainer.Train(dataset, 12);
   EXPECT_LT(stats.back().mean_loss, stats.front().mean_loss);

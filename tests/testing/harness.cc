@@ -18,7 +18,7 @@ NetworkFactory TinyMlpFactory(int hidden_layers) {
 }
 
 TrainerOptions SmallTrainerOptions(int workers, int servers, int shards, int staleness,
-                                   FcSyncPolicy policy) {
+                                   PlanPolicy policy) {
   return workloads::SmallTrainerOptions(workers, servers, shards, staleness, policy);
 }
 

@@ -47,7 +47,7 @@ NetworkFactory TinyMlpFactory(int hidden_layers = 2);
 /// syncer threads. Tests override fields freely after construction.
 TrainerOptions SmallTrainerOptions(int workers = 4, int servers = 2, int shards = 2,
                                    int staleness = 0,
-                                   FcSyncPolicy policy = FcSyncPolicy::kDense);
+                                   PlanPolicy policy = PlanPolicy::kDense);
 
 /// The canonical coordinator-level cluster description (no live runtime).
 ClusterInfo SmallClusterInfo(int workers, int servers, int batch,

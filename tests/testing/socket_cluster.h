@@ -21,7 +21,7 @@ struct SocketClusterOptions {
   int servers = 2;
   int shards = 2;
   int staleness = 0;
-  FcSyncPolicy policy = FcSyncPolicy::kDense;
+  PlanPolicy policy = PlanPolicy::kDense;
   int iterations = 6;
   int hidden_layers = 2;
   /// AF_UNIX instead of TCP loopback.

@@ -17,7 +17,7 @@ namespace {
 struct SweepCase {
   int workers;
   int servers;
-  FcSyncPolicy policy;
+  PlanPolicy policy;
   int64_t kv_bytes;
   int threads;
   int shards = 1;  // KV shard endpoints per server (0 = auto)
@@ -27,25 +27,28 @@ std::string CaseName(const ::testing::TestParamInfo<SweepCase>& info) {
   const SweepCase& c = info.param;
   std::string policy;
   switch (c.policy) {
-    case FcSyncPolicy::kDense:
+    case PlanPolicy::kAuto:
+      policy = "Auto";
+      break;
+    case PlanPolicy::kDense:
       policy = "Dense";
       break;
-    case FcSyncPolicy::kSfb:
+    case PlanPolicy::kSfb:
       policy = "Sfb";
       break;
-    case FcSyncPolicy::kHybrid:
+    case PlanPolicy::kHybrid:
       policy = "Hybrid";
       break;
-    case FcSyncPolicy::kOneBit:
+    case PlanPolicy::kOneBit:
       policy = "OneBit";
       break;
-    case FcSyncPolicy::kRingAllreduce:
+    case PlanPolicy::kRingAllreduce:
       policy = "Ring";
       break;
-    case FcSyncPolicy::kTreeAllreduce:
+    case PlanPolicy::kTreeAllreduce:
       policy = "Tree";
       break;
-    case FcSyncPolicy::kHybridCollective:
+    case PlanPolicy::kHybridCollective:
       policy = "Hybrid3";
       break;
   }
@@ -112,28 +115,28 @@ TEST_P(TrainerSweepTest, ConvergesConsistentlyAndDeterministically) {
 INSTANTIATE_TEST_SUITE_P(
     Shapes, TrainerSweepTest,
     ::testing::Values(
-        SweepCase{1, 1, FcSyncPolicy::kDense, 2048, 1},
-        SweepCase{2, 1, FcSyncPolicy::kDense, 2048, 2},
-        SweepCase{2, 2, FcSyncPolicy::kSfb, 2048, 2},
-        SweepCase{3, 2, FcSyncPolicy::kHybrid, 512, 2},
-        SweepCase{4, 4, FcSyncPolicy::kHybrid, 128, 3},
-        SweepCase{4, 2, FcSyncPolicy::kOneBit, 2048, 2},
-        SweepCase{2, 4, FcSyncPolicy::kDense, 256, 1},   // more servers than workers
-        SweepCase{5, 3, FcSyncPolicy::kHybrid, 1024, 4},
-        SweepCase{2, 2, FcSyncPolicy::kOneBit, 64, 1},
-        SweepCase{8, 8, FcSyncPolicy::kHybrid, 2048, 2},
-        SweepCase{1, 1, FcSyncPolicy::kRingAllreduce, 2048, 1},  // degenerate world -> PS
-        SweepCase{2, 2, FcSyncPolicy::kRingAllreduce, 2048, 2},
-        SweepCase{5, 2, FcSyncPolicy::kRingAllreduce, 1024, 3},
-        SweepCase{3, 3, FcSyncPolicy::kTreeAllreduce, 2048, 2},
-        SweepCase{8, 4, FcSyncPolicy::kTreeAllreduce, 512, 2},
-        SweepCase{4, 4, FcSyncPolicy::kHybridCollective, 1024, 3},
-        SweepCase{8, 8, FcSyncPolicy::kHybridCollective, 2048, 2},
-        SweepCase{3, 2, FcSyncPolicy::kDense, 512, 2, /*shards=*/3},
-        SweepCase{4, 4, FcSyncPolicy::kHybrid, 128, 3, /*shards=*/2},
-        SweepCase{4, 2, FcSyncPolicy::kOneBit, 2048, 2, /*shards=*/4},
-        SweepCase{5, 3, FcSyncPolicy::kHybrid, 1024, 4, /*shards=*/0},  // auto
-        SweepCase{2, 4, FcSyncPolicy::kDense, 256, 1, /*shards=*/8}),
+        SweepCase{1, 1, PlanPolicy::kDense, 2048, 1},
+        SweepCase{2, 1, PlanPolicy::kDense, 2048, 2},
+        SweepCase{2, 2, PlanPolicy::kSfb, 2048, 2},
+        SweepCase{3, 2, PlanPolicy::kHybrid, 512, 2},
+        SweepCase{4, 4, PlanPolicy::kHybrid, 128, 3},
+        SweepCase{4, 2, PlanPolicy::kOneBit, 2048, 2},
+        SweepCase{2, 4, PlanPolicy::kDense, 256, 1},   // more servers than workers
+        SweepCase{5, 3, PlanPolicy::kHybrid, 1024, 4},
+        SweepCase{2, 2, PlanPolicy::kOneBit, 64, 1},
+        SweepCase{8, 8, PlanPolicy::kHybrid, 2048, 2},
+        SweepCase{1, 1, PlanPolicy::kRingAllreduce, 2048, 1},  // degenerate world -> PS
+        SweepCase{2, 2, PlanPolicy::kRingAllreduce, 2048, 2},
+        SweepCase{5, 2, PlanPolicy::kRingAllreduce, 1024, 3},
+        SweepCase{3, 3, PlanPolicy::kTreeAllreduce, 2048, 2},
+        SweepCase{8, 4, PlanPolicy::kTreeAllreduce, 512, 2},
+        SweepCase{4, 4, PlanPolicy::kHybridCollective, 1024, 3},
+        SweepCase{8, 8, PlanPolicy::kHybridCollective, 2048, 2},
+        SweepCase{3, 2, PlanPolicy::kDense, 512, 2, /*shards=*/3},
+        SweepCase{4, 4, PlanPolicy::kHybrid, 128, 3, /*shards=*/2},
+        SweepCase{4, 2, PlanPolicy::kOneBit, 2048, 2, /*shards=*/4},
+        SweepCase{5, 3, PlanPolicy::kHybrid, 1024, 4, /*shards=*/0},  // auto
+        SweepCase{2, 4, PlanPolicy::kDense, 256, 1, /*shards=*/8}),
     CaseName);
 
 }  // namespace

@@ -56,8 +56,6 @@ MICRO_REQUIRED = {
     # lookup cost, and the predicted-bytes comparison against the paper
     # default. The speedup and ratio floors are gated below.
     "planner_cold_search_us": 0.0,
-    "planner_cached_lookup_us": 0.0,
-    "planner_cache_speedup": 0.0,
     "planner_default_bytes_per_iter": 0.0,
     "planner_planned_bytes_per_iter": 0.0,
     "planner_bytes_ratio": 0.0,
@@ -71,12 +69,6 @@ MICRO_REQUIRED = {
 COMPRESSION_MIN_REDUCTION = 2.0
 
 OVERHEAD_BUDGET = 0.02
-
-# Minimum cold-search / cached-lookup ratio for the plan cache. Memoization
-# only earns its keep if a warm lookup is orders of magnitude cheaper than
-# re-running the joint search; under 100x means the cache is re-hashing or
-# re-copying something expensive on the hit path.
-PLANNER_MIN_CACHE_SPEEDUP = 100.0
 
 # The joint search must never predict more wire bytes than the hand-picked
 # paper default it replaces (ratio = default / planned).
@@ -135,10 +127,6 @@ def check_file(path):
             ok = fail(path, f"best loss-matched compression reduction "
                             f"{max(reduction):.2f}x is below the "
                             f"{COMPRESSION_MIN_REDUCTION}x floor")
-        speedup = series.get("planner_cache_speedup") or []
-        if speedup and max(speedup) < PLANNER_MIN_CACHE_SPEEDUP:
-            ok = fail(path, f"plan-cache speedup {max(speedup):.0f}x is below "
-                            f"the {PLANNER_MIN_CACHE_SPEEDUP:.0f}x floor")
         bytes_ratio = series.get("planner_bytes_ratio") or []
         if bytes_ratio and max(bytes_ratio) < PLANNER_MIN_BYTES_RATIO:
             ok = fail(path, f"joint plan predicts more wire bytes than the "

@@ -158,11 +158,11 @@ LaunchArgs Parse(int argc, char** argv) {
   return args;
 }
 
-FcSyncPolicy ParsePolicy(const std::string& name) {
-  if (name == "dense") return FcSyncPolicy::kDense;
-  if (name == "sfb") return FcSyncPolicy::kSfb;
-  if (name == "hybrid") return FcSyncPolicy::kHybrid;
-  if (name == "onebit") return FcSyncPolicy::kOneBit;
+PlanPolicy ParsePolicy(const std::string& name) {
+  if (name == "dense") return PlanPolicy::kDense;
+  if (name == "sfb") return PlanPolicy::kSfb;
+  if (name == "hybrid") return PlanPolicy::kHybrid;
+  if (name == "onebit") return PlanPolicy::kOneBit;
   std::fprintf(stderr, "unknown --policy=%s\n", name.c_str());
   std::exit(2);
 }
