@@ -333,6 +333,10 @@ double NsPerCall(Fn&& fn) {
 // limited kernel can reach. Emitted series:
 //   onebit_roundtrip_floats_per_s_{scalar,simd}   codec round trip
 //   ring_reduce_floats_per_s_{scalar,simd}        collective accumulate loop
+//   gemm_trans_b_{conv,fc}_floats_per_s_{scalar,simd}
+//                                                 GemmTransB multiply-add terms
+//                                                 (m*k*n) per second on a conv
+//                                                 and an FC forward shape
 //   mem_bw_gbps                                   large-buffer copy bandwidth
 // When the host has no SIMD backend (meta simd_available = 0) the _simd
 // series repeat the scalar numbers so the required-series contract holds;
@@ -352,9 +356,33 @@ void RecordRoofline(BenchRecord* record) {
   std::vector<float> reduce_dst(static_cast<size_t>(reduce_n), 0.5f);
   std::vector<float> reduce_src(static_cast<size_t>(reduce_n), 0.25f);
 
+  // GemmTransB shapes as m x k x n: CIFAR conv2 forward (batch 16, column
+  // lanes) and a VGG fc forward at batch 8 (row lanes).
+  struct GemmShape {
+    const char* name;
+    int64_t m, k, n;
+  };
+  const GemmShape gemm_shapes[] = {{"conv", 4096, 800, 32}, {"fc", 8, 1024, 2048}};
+
   for (const bool use_simd : {false, true}) {
     const simd::ScopedLevel pinned(use_simd ? best : simd::Level::kScalar);
     const char* suffix = use_simd ? "simd" : "scalar";
+    for (const GemmShape& shape : gemm_shapes) {
+      Tensor a = Tensor::RandomUniform({shape.m, shape.k}, -1.0f, 1.0f, rng);
+      Tensor b = Tensor::RandomUniform({shape.n, shape.k}, -1.0f, 1.0f, rng);
+      Tensor out({shape.m, shape.n});
+      const double terms = static_cast<double>(shape.m * shape.k * shape.n);
+      for (int rep = 0; rep < 3; ++rep) {
+        const double gemm_ns = NsPerCall([&] {
+          GemmTransB(a, b, &out);
+          benchmark::DoNotOptimize(out.data());
+          benchmark::ClobberMemory();
+        });
+        record->Append(std::string("gemm_trans_b_") + shape.name + "_floats_per_s_" +
+                           suffix,
+                       1e9 * terms / gemm_ns);
+      }
+    }
     OneBitQuantizer quantizer;
     for (int rep = 0; rep < 3; ++rep) {
       const double onebit_ns = NsPerCall([&] {
@@ -394,6 +422,14 @@ void RecordRoofline(BenchRecord* record) {
               "(%.1fx), mem_bw %.1f Gb/s\n",
               simd::LevelName(best), vec / 1e6, scalar / 1e6, vec / scalar,
               record->Series("mem_bw_gbps").front());
+  for (const GemmShape& shape : gemm_shapes) {
+    const std::string series = std::string("gemm_trans_b_") + shape.name + "_floats_per_s_";
+    const double gemm_scalar = record->Series(series + "scalar").front();
+    const double gemm_vec = record->Series(series + "simd").front();
+    std::printf("roofline: gemm_trans_b %s %s %.0fM terms/s vs scalar %.0fM (%.1fx)\n",
+                shape.name, simd::LevelName(best), gemm_vec / 1e6, gemm_scalar / 1e6,
+                gemm_vec / gemm_scalar);
+  }
 }
 
 void RecordWirePath(const char* prefix, PlanPolicy policy, int hidden_layers,

@@ -333,23 +333,27 @@ void Syncer::ReceiveSfb(int64_t iter) {
 
   // Reconstruct the aggregate weight gradient in worker order (identical FP
   // operation order on every replica keeps parameters bitwise in sync).
-  // Each worker's gradient is materialized separately and then added, which
-  // matches the KV store's reduction of pre-summed dense pushes bit for bit
-  // — so switching a layer between PS and SFB never changes the trajectory.
+  // Each worker's U V^T element is summed in full before it is added to the
+  // aggregate (agg = agg + dot), which matches the KV store's reduction of
+  // pre-summed dense pushes bit for bit — so switching a layer between PS
+  // and SFB never changes the trajectory.
   std::vector<ParamBlock> params = layer_->Params();
   Tensor& weight = *params[0].value;
   Tensor& bias = *params[1].value;
-  Tensor agg = Tensor::Zeros(weight.shape());
-  Tensor scratch = Tensor::Zeros(weight.shape());
+  if (sf_agg_.SameShape(weight)) {
+    sf_agg_.SetZero();
+  } else {
+    sf_agg_ = Tensor::Zeros(weight.shape());
+  }
   std::vector<float> bias_agg(static_cast<size_t>(bias.size()), 0.0f);
   for (int w = 0; w < num_workers; ++w) {
     const PayloadView& frame = frames[static_cast<size_t>(w)];
     CHECK(frame.valid());
-    const Status reconstructed = SufficientFactorCodec::DecodeReconstruct(frame, &scratch);
-    CHECK(reconstructed.ok()) << reconstructed.ToString();
-    Axpy(1.0f, scratch, &agg);
     StatusOr<SufficientFactorCodec::Frame> parsed = SufficientFactorCodec::Parse(frame);
     CHECK(parsed.ok()) << parsed.status().ToString();
+    const Status reconstructed =
+        SufficientFactorCodec::AccumulateReconstruct(*parsed, &sf_agg_);
+    CHECK(reconstructed.ok()) << reconstructed.ToString();
     CHECK_EQ(parsed->bias.size(), static_cast<int64_t>(bias_agg.size()));
     const float* b = parsed->bias.data();
     for (size_t i = 0; i < bias_agg.size(); ++i) {
@@ -357,12 +361,12 @@ void Syncer::ReceiveSfb(int64_t iter) {
     }
   }
   const float inv = 1.0f / static_cast<float>(num_workers);
-  Scale(inv, &agg);
+  Scale(inv, &sf_agg_);
   for (float& b : bias_agg) {
     b *= inv;
   }
   const std::string key = "l" + std::to_string(layer_index_);
-  local_optimizer_->Step(key + ".w", agg, &weight);
+  local_optimizer_->Step(key + ".w", sf_agg_, &weight);
   local_optimizer_->StepSlice(key + ".b", bias_agg.data(), bias.data(), bias.size());
 }
 

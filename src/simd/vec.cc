@@ -176,5 +176,10 @@ int64_t CountAbsGreater(const float* src, int64_t n, float threshold) {
   return Active()->count_abs_greater(src, n, threshold);
 }
 
+void GemmTransB(const float* a, const float* b, int64_t m, int64_t n, int64_t k,
+                bool accumulate, float* out) {
+  Active()->gemm_trans_b(a, b, m, n, k, accumulate, out);
+}
+
 }  // namespace simd
 }  // namespace poseidon

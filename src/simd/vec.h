@@ -9,12 +9,13 @@
 ///   * Every kernel processes elements in fixed 8-wide blocks with a scalar
 ///     tail, and every operation inside a block is elementwise (or, for the
 ///     1-bit column statistics, strictly sequential down the rows of each
-///     column). No kernel ever reassociates a floating-point reduction, so
-///     the lane width never changes a result.
+///     column, or for GemmTransB strictly sequential along each output's
+///     dot product). No kernel ever reassociates a floating-point reduction,
+///     so the lane width never changes a result.
 ///   * Backends never emit fused multiply-adds: vector code uses explicit
-///     mul-then-add intrinsics, and the scalar reference translation unit is
-///     compiled with -ffp-contract=off (see CMakeLists.txt), so AVX2/NEON
-///     and scalar round identically.
+///     mul-then-add intrinsics, and the whole project is compiled with
+///     -ffp-contract=off (see CMakeLists.txt), so AVX2/NEON and scalar round
+///     identically.
 ///   * The 1-bit encoder's per-column sums use blended accumulation
 ///     (`sum += pos ? q : 0.0`) in *every* backend, including the scalar
 ///     reference. Adding a (+0.0) no-op term to a running sum that can never
@@ -174,6 +175,17 @@ float MaxAbs(const float* src, int64_t n);
 /// counts). The top-k codec's threshold-selection pass.
 int64_t CountAbsGreater(const float* src, int64_t n, float threshold);
 
+/// Matrix product against a transposed right operand, the conv/FC forward
+/// and sufficient-factor reconstruction kernel: a is [m, k], b is [n, k] and
+/// out is [m, n], all row-major, and for every (i, j)
+///   dot = +0.0f;  for p in 0..k-1: dot = dot + a[i,p] * b[j,p]
+///   out[i,j] = accumulate ? out[i,j] + dot : dot
+/// with a separate mul and add per term. Each output element's sum stays
+/// serial in p; vector backends put independent output elements in the
+/// lanes (columns j, or rows i when m is 8 or 16), never split one sum.
+void GemmTransB(const float* a, const float* b, int64_t m, int64_t n, int64_t k,
+                bool accumulate, float* out);
+
 // ---------------------------------------------------------- backend table ---
 
 /// One backend's kernel implementations. Exposed so tests can drive a
@@ -197,6 +209,8 @@ struct Kernels {
   void (*int8_decode)(const int8_t*, int64_t, float, float*);
   float (*max_abs)(const float*, int64_t);
   int64_t (*count_abs_greater)(const float*, int64_t, float);
+  void (*gemm_trans_b)(const float*, const float*, int64_t, int64_t, int64_t, bool,
+                       float*);
 };
 
 /// The scalar reference backend (always available).

@@ -1,7 +1,7 @@
 // AVX2 backend: fixed 8-lane blocks, scalar tails, no FMA anywhere (vector
 // code composes explicit mul/add intrinsics; AVX2 does not imply FMA, and
-// this TU is additionally compiled with -ffp-contract=off), so every result
-// is bit-identical to the scalar reference in vec_scalar.cc.
+// the project is additionally compiled with -ffp-contract=off), so every
+// result is bit-identical to the scalar reference in vec_scalar.cc.
 //
 // Functions carry __attribute__((target("avx2"))) instead of the TU being
 // built with -mavx2: the rest of the file (dispatch glue, tails) stays
@@ -13,7 +13,9 @@
 
 #include <immintrin.h>
 
+#include <algorithm>
 #include <cmath>
+#include <vector>
 
 #include "src/simd/bitpack.h"
 #include "src/simd/quant.h"
@@ -399,6 +401,205 @@ POSEIDON_AVX2 int64_t Avx2CountAbsGreater(const float* src, int64_t n,
   return count;
 }
 
+// GemmTransB. Every output element keeps the scalar reference's serial sum
+// (+0.0, then acc + a*b for p = 0..k-1, mul and add separate); speed comes
+// from giving each lane its own output element, so the lane axis is chosen
+// by shape: rows i when m is 8 or 16 (FC forward at small batch, where
+// transposing the [m, k] operand is cheap), else columns j (conv forward and
+// SF reconstruction, large m). Each lays its transposed operand out in a
+// per-thread panel that is grown once and reused, so steady-state calls do
+// not allocate.
+float* GemmPanel(int64_t floats) {
+  thread_local std::vector<float> panel;
+  if (panel.size() < static_cast<size_t>(floats)) {
+    panel.resize(static_cast<size_t>(floats));
+  }
+  return panel.data();
+}
+
+// Column lanes: one kRows x 8*kVecs output tile at `out`, rows of `a`
+// starting at `a`. `panel` holds the tile's b rows as [k, 8*kVecs]; with
+// kRows = 4 the rows share each panel load, and the 4*kVecs independent
+// accumulators hide the add latency.
+template <int kRows, int kVecs>
+POSEIDON_AVX2 void Avx2GemmColumnTile(const float* a, const float* panel, int64_t n,
+                                      int64_t k, bool accumulate, float* out) {
+  constexpr int64_t kWidth = 8 * kVecs;
+  __m256 acc[kRows][kVecs];
+#pragma GCC unroll 4
+  for (int r = 0; r < kRows; ++r) {
+#pragma GCC unroll 2
+    for (int v = 0; v < kVecs; ++v) {
+      acc[r][v] = _mm256_setzero_ps();
+    }
+  }
+  for (int64_t p = 0; p < k; ++p) {
+    __m256 bv[kVecs];
+#pragma GCC unroll 2
+    for (int v = 0; v < kVecs; ++v) {
+      bv[v] = _mm256_loadu_ps(panel + p * kWidth + 8 * v);
+    }
+#pragma GCC unroll 4
+    for (int r = 0; r < kRows; ++r) {
+      const __m256 av = _mm256_broadcast_ss(a + r * k + p);
+#pragma GCC unroll 2
+      for (int v = 0; v < kVecs; ++v) {
+        acc[r][v] = _mm256_add_ps(acc[r][v], _mm256_mul_ps(av, bv[v]));
+      }
+    }
+  }
+#pragma GCC unroll 4
+  for (int r = 0; r < kRows; ++r) {
+#pragma GCC unroll 2
+    for (int v = 0; v < kVecs; ++v) {
+      float* o = out + r * n + 8 * v;
+      _mm256_storeu_ps(o, accumulate ? _mm256_add_ps(_mm256_loadu_ps(o), acc[r][v])
+                                     : acc[r][v]);
+    }
+  }
+}
+
+// Output columns [g0, g1) of kRows rows, from a panel packed as 16-column
+// blocks (the last may be 8 wide), block j0 at panel + (j0 - g0) * k.
+template <int kRows>
+POSEIDON_AVX2 void Avx2GemmColumnTiles(const float* a, const float* panel, int64_t g0,
+                                       int64_t g1, int64_t n, int64_t k,
+                                       bool accumulate, float* out) {
+  for (int64_t j0 = g0; j0 < g1; j0 += 16) {
+    const float* block = panel + (j0 - g0) * k;
+    if (j0 + 16 <= g1) {
+      Avx2GemmColumnTile<kRows, 2>(a, block, n, k, accumulate, out + j0);
+    } else {
+      Avx2GemmColumnTile<kRows, 1>(a, block, n, k, accumulate, out + j0);
+    }
+  }
+}
+
+// Writes one output column j of an m = 8 * kVecs row-lane result.
+template <int kVecs>
+POSEIDON_AVX2 inline void Avx2StoreRowLanes(const __m256 (&lanes)[kVecs], int64_t n,
+                                            int64_t j, bool accumulate, float* out) {
+  alignas(32) float buf[8 * kVecs];
+#pragma GCC unroll 2
+  for (int v = 0; v < kVecs; ++v) {
+    _mm256_store_ps(buf + 8 * v, lanes[v]);
+  }
+  for (int64_t i = 0; i < 8 * kVecs; ++i) {
+    float* o = out + i * n + j;
+    *o = accumulate ? *o + buf[i] : buf[i];
+  }
+}
+
+// Row lanes for m == 8 * kVecs: `panel` holds a^T as [k, m], and 8 / kVecs
+// output columns share each panel load.
+template <int kVecs>
+POSEIDON_AVX2 void Avx2GemmRowLanes(const float* a, const float* b, int64_t n,
+                                    int64_t k, bool accumulate, float* out) {
+  constexpr int64_t kM = 8 * kVecs;
+  constexpr int kCols = 8 / kVecs;
+  float* panel = GemmPanel(kM * k);
+  for (int64_t i = 0; i < kM; ++i) {
+    for (int64_t p = 0; p < k; ++p) {
+      panel[p * kM + i] = a[i * k + p];
+    }
+  }
+  int64_t j = 0;
+  for (; j + kCols <= n; j += kCols) {
+    __m256 acc[kCols][kVecs];
+#pragma GCC unroll 8
+    for (int c = 0; c < kCols; ++c) {
+#pragma GCC unroll 2
+      for (int v = 0; v < kVecs; ++v) {
+        acc[c][v] = _mm256_setzero_ps();
+      }
+    }
+    const float* b_cols = b + j * k;
+    for (int64_t p = 0; p < k; ++p) {
+      __m256 at[kVecs];
+#pragma GCC unroll 2
+      for (int v = 0; v < kVecs; ++v) {
+        at[v] = _mm256_loadu_ps(panel + p * kM + 8 * v);
+      }
+#pragma GCC unroll 8
+      for (int c = 0; c < kCols; ++c) {
+        const __m256 bv = _mm256_broadcast_ss(b_cols + c * k + p);
+#pragma GCC unroll 2
+        for (int v = 0; v < kVecs; ++v) {
+          acc[c][v] = _mm256_add_ps(acc[c][v], _mm256_mul_ps(at[v], bv));
+        }
+      }
+    }
+#pragma GCC unroll 8
+    for (int c = 0; c < kCols; ++c) {
+      Avx2StoreRowLanes<kVecs>(acc[c], n, j + c, accumulate, out);
+    }
+  }
+  for (; j < n; ++j) {
+    __m256 acc[kVecs];
+#pragma GCC unroll 2
+    for (int v = 0; v < kVecs; ++v) {
+      acc[v] = _mm256_setzero_ps();
+    }
+    const float* b_row = b + j * k;
+    for (int64_t p = 0; p < k; ++p) {
+      const __m256 bv = _mm256_broadcast_ss(b_row + p);
+#pragma GCC unroll 2
+      for (int v = 0; v < kVecs; ++v) {
+        acc[v] = _mm256_add_ps(
+            acc[v], _mm256_mul_ps(_mm256_loadu_ps(panel + p * kM + 8 * v), bv));
+      }
+    }
+    Avx2StoreRowLanes<kVecs>(acc, n, j, accumulate, out);
+  }
+}
+
+POSEIDON_AVX2 void Avx2GemmTransB(const float* a, const float* b, int64_t m, int64_t n,
+                                  int64_t k, bool accumulate, float* out) {
+  if (m == 8) {
+    Avx2GemmRowLanes<1>(a, b, n, k, accumulate, out);
+    return;
+  }
+  if (m == 16) {
+    Avx2GemmRowLanes<2>(a, b, n, k, accumulate, out);
+    return;
+  }
+  // Column lanes over the 8-aligned columns, in groups whose packed b panel
+  // fits in ~256 KB of L2. Each group sweeps the rows four at a time, so a
+  // row of `a` and of `out` is read and written contiguously.
+  constexpr int64_t kPanelFloats = 64 * 1024;
+  const int64_t n_vec = n / 8 * 8;
+  const int64_t group = std::max<int64_t>(16, kPanelFloats / std::max<int64_t>(k, 1) / 16 * 16);
+  float* panel = GemmPanel(std::min(group, n_vec) * k);
+  for (int64_t g0 = 0; g0 < n_vec; g0 += group) {
+    const int64_t g1 = std::min(n_vec, g0 + group);
+    for (int64_t j0 = g0; j0 < g1; j0 += 16) {
+      const int64_t width = std::min<int64_t>(16, g1 - j0);
+      float* block = panel + (j0 - g0) * k;
+      for (int64_t c = 0; c < width; ++c) {
+        const float* b_row = b + (j0 + c) * k;
+        for (int64_t p = 0; p < k; ++p) {
+          block[p * width + c] = b_row[p];
+        }
+      }
+    }
+    int64_t i = 0;
+    for (; i + 4 <= m; i += 4) {
+      Avx2GemmColumnTiles<4>(a + i * k, panel, g0, g1, n, k, accumulate, out + i * n);
+    }
+    for (; i < m; ++i) {
+      Avx2GemmColumnTiles<1>(a + i * k, panel, g0, g1, n, k, accumulate, out + i * n);
+    }
+  }
+  // Columns past the last 8-block: the scalar reference, one row at a time
+  // (with m = 1 its output row stride never matters).
+  if (n_vec < n) {
+    for (int64_t i = 0; i < m; ++i) {
+      ScalarKernels()->gemm_trans_b(a + i * k, b + n_vec * k, 1, n - n_vec, k, accumulate,
+                                    out + i * n + n_vec);
+    }
+  }
+}
+
 #undef POSEIDON_AVX2
 
 const Kernels kAvx2Kernels = {
@@ -409,7 +610,7 @@ const Kernels kAvx2Kernels = {
     Avx2Fp16EncodeSr,       Avx2Fp16EncodeRn,
     Avx2Fp16Decode,         Avx2Int8EncodeSr,
     Avx2Int8Decode,         Avx2MaxAbs,
-    Avx2CountAbsGreater,
+    Avx2CountAbsGreater,    Avx2GemmTransB,
 };
 
 }  // namespace

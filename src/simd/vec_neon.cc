@@ -1,8 +1,8 @@
 // NEON (AArch64) backend: the same fixed 8-wide blocks as AVX2, built from
 // two 4-lane halves. Never uses vmla/fmla (those fuse the multiply-add and
 // round once); every multiply-add is an explicit vmul + vadd so results are
-// bit-identical to the scalar reference. This TU is compiled with
-// -ffp-contract=off so its scalar tail expressions cannot contract either
+// bit-identical to the scalar reference. The project is compiled with
+// -ffp-contract=off so scalar tail expressions cannot contract either
 // (AArch64 scalar code otherwise fuses to fmadd freely).
 #include "src/simd/vec.h"
 
@@ -387,6 +387,13 @@ int64_t NeonCountAbsGreater(const float* src, int64_t n, float threshold) {
   return count;
 }
 
+// No NEON GemmTransB yet: the entry runs the scalar reference, which is
+// trivially bit-exact. A vector version needs an AArch64 host to verify it.
+void NeonGemmTransB(const float* a, const float* b, int64_t m, int64_t n, int64_t k,
+                    bool accumulate, float* out) {
+  ScalarKernels()->gemm_trans_b(a, b, m, n, k, accumulate, out);
+}
+
 const Kernels kNeonKernels = {
     Level::kNeon,           NeonReduceAdd,
     NeonScale,              NeonAxpy,
@@ -395,7 +402,7 @@ const Kernels kNeonKernels = {
     NeonFp16EncodeSr,       NeonFp16EncodeRn,
     NeonFp16Decode,         NeonInt8EncodeSr,
     NeonInt8Decode,         NeonMaxAbs,
-    NeonCountAbsGreater,
+    NeonCountAbsGreater,    NeonGemmTransB,
 };
 
 }  // namespace

@@ -1,8 +1,9 @@
 // The scalar reference backend. This translation unit defines the semantics
 // every vector backend must reproduce bit-for-bit; CMake compiles it with
-// -fno-tree-vectorize -ffp-contract=off so it stays an honest scalar
-// baseline (no autovectorization inflating the roofline denominator, no
-// fused multiply-adds changing rounding on FMA-capable ISAs).
+// -fno-tree-vectorize (on top of the project-wide -ffp-contract=off) so it
+// stays an honest scalar baseline (no autovectorization inflating the
+// roofline denominator, no fused multiply-adds changing rounding on
+// FMA-capable ISAs).
 #include <cmath>
 
 #include "src/simd/bitpack.h"
@@ -154,6 +155,22 @@ int64_t ScalarCountAbsGreater(const float* src, int64_t n, float threshold) {
   return count;
 }
 
+void ScalarGemmTransB(const float* a, const float* b, int64_t m, int64_t n, int64_t k,
+                      bool accumulate, float* out) {
+  for (int64_t i = 0; i < m; ++i) {
+    const float* a_row = a + i * k;
+    float* o_row = out + i * n;
+    for (int64_t j = 0; j < n; ++j) {
+      const float* b_row = b + j * k;
+      float acc = 0.0f;
+      for (int64_t p = 0; p < k; ++p) {
+        acc += a_row[p] * b_row[p];
+      }
+      o_row[j] = accumulate ? o_row[j] + acc : acc;
+    }
+  }
+}
+
 const Kernels kScalarKernels = {
     Level::kScalar,          ScalarReduceAdd,
     ScalarScale,             ScalarAxpy,
@@ -162,7 +179,7 @@ const Kernels kScalarKernels = {
     ScalarFp16EncodeSr,      ScalarFp16EncodeRn,
     ScalarFp16Decode,        ScalarInt8EncodeSr,
     ScalarInt8Decode,        ScalarMaxAbs,
-    ScalarCountAbsGreater,
+    ScalarCountAbsGreater,   ScalarGemmTransB,
 };
 
 }  // namespace

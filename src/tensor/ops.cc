@@ -89,21 +89,7 @@ void GemmTransB(const Tensor& a, const Tensor& b, Tensor* out) {
   const int64_t n = b.dim(0);
   CHECK_EQ(out->dim(0), m);
   CHECK_EQ(out->dim(1), n);
-  const float* ad = a.data();
-  const float* bd = b.data();
-  float* od = out->data();
-  for (int64_t i = 0; i < m; ++i) {
-    const float* a_row = ad + i * k;
-    float* o_row = od + i * n;
-    for (int64_t j = 0; j < n; ++j) {
-      const float* b_row = bd + j * k;
-      float acc = 0.0f;
-      for (int64_t p = 0; p < k; ++p) {
-        acc += a_row[p] * b_row[p];
-      }
-      o_row[j] = acc;
-    }
-  }
+  simd::GemmTransB(a.data(), b.data(), m, n, k, /*accumulate=*/false, out->data());
 }
 
 void Axpy(float alpha, const Tensor& x, Tensor* y) {

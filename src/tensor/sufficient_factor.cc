@@ -1,5 +1,6 @@
 #include "src/tensor/sufficient_factor.h"
 
+#include "src/simd/vec.h"
 #include "src/tensor/ops.h"
 
 namespace poseidon {
@@ -41,22 +42,8 @@ void ReconstructGradient(const SufficientFactors& factors, Tensor* out) {
 void AccumulateGradient(const SufficientFactors& factors, Tensor* out) {
   CHECK_EQ(out->dim(0), factors.rows());
   CHECK_EQ(out->dim(1), factors.cols());
-  const int64_t m = factors.rows();
-  const int64_t n = factors.cols();
-  const int64_t k = factors.rank();
-  for (int64_t i = 0; i < m; ++i) {
-    float* out_row = out->data() + i * n;
-    for (int64_t s = 0; s < k; ++s) {
-      const float u_is = factors.u.At(i, s);
-      if (u_is == 0.0f) {
-        continue;
-      }
-      const float* v_col = factors.v.data();
-      for (int64_t j = 0; j < n; ++j) {
-        out_row[j] += u_is * v_col[j * k + s];
-      }
-    }
-  }
+  simd::GemmTransB(factors.u.data(), factors.v.data(), factors.rows(), factors.cols(),
+                   factors.rank(), /*accumulate=*/true, out->data());
 }
 
 }  // namespace poseidon

@@ -40,7 +40,9 @@ SufficientFactors MakeSufficientFactors(const Tensor& errors_km, const Tensor& i
 void ReconstructGradient(const SufficientFactors& factors, Tensor* out);
 
 // Accumulates U V^T into `out` without zeroing, for aggregating factors
-// received from multiple peers.
+// received from multiple peers: each element's dot product is summed in full
+// and then added (out = out + dot), the same bits as ReconstructGradient
+// followed by Axpy(1.0f, ...).
 void AccumulateGradient(const SufficientFactors& factors, Tensor* out);
 
 }  // namespace poseidon

@@ -324,37 +324,38 @@ StatusOr<int64_t> SufficientFactorCodec::Validate(const PayloadView& frame) cons
   return parsed->m * parsed->n;
 }
 
-Status SufficientFactorCodec::DecodeReconstruct(const PayloadView& frame, Tensor* out) {
+namespace {
+
+// U V^T of a parsed frame into `out`, read straight from the slab through
+// the dispatched GemmTransB — the kernel ReconstructGradient runs, so the
+// bits match it on unserialized factors.
+Status ReconstructInto(const SufficientFactorCodec::Frame& f, bool accumulate,
+                       Tensor* out) {
   TraceSpan span("codec.decode.sf", "codec");
   CHECK_NOTNULL(out);
-  StatusOr<Frame> parsed = Parse(frame);
-  if (!parsed.ok()) {
-    return parsed.status();
-  }
-  const Frame& f = *parsed;
   if (out->ndim() != 2 || out->dim(0) != f.m || out->dim(1) != f.n) {
     return InvalidArgumentError("sufficient_factor reconstruction target is " +
                                 out->ShapeString() + ", frame is " + std::to_string(f.m) +
                                 "x" + std::to_string(f.n));
   }
-  // U V^T with GemmTransB's exact loop order, reading straight from the
-  // slab: bitwise identical to ReconstructGradient on unserialized factors.
   const float* u = f.u.size() > 0 ? f.u.data() : nullptr;
   const float* v = f.v.size() > 0 ? f.v.data() : nullptr;
-  float* od = out->data();
-  for (int64_t i = 0; i < f.m; ++i) {
-    const float* u_row = u + i * f.k;
-    float* o_row = od + i * f.n;
-    for (int64_t j = 0; j < f.n; ++j) {
-      const float* v_row = v + j * f.k;
-      float acc = 0.0f;
-      for (int64_t p = 0; p < f.k; ++p) {
-        acc += u_row[p] * v_row[p];
-      }
-      o_row[j] = acc;
-    }
-  }
+  simd::GemmTransB(u, v, f.m, f.n, f.k, accumulate, out->data());
   return Status::Ok();
+}
+
+}  // namespace
+
+Status SufficientFactorCodec::DecodeReconstruct(const PayloadView& frame, Tensor* out) {
+  StatusOr<Frame> parsed = Parse(frame);
+  if (!parsed.ok()) {
+    return parsed.status();
+  }
+  return ReconstructInto(*parsed, /*accumulate=*/false, out);
+}
+
+Status SufficientFactorCodec::AccumulateReconstruct(const Frame& frame, Tensor* out) {
+  return ReconstructInto(frame, /*accumulate=*/true, out);
 }
 
 Status SufficientFactorCodec::Decode(const PayloadView& frame, Tensor* dense,

@@ -170,10 +170,15 @@ class SufficientFactorCodec : public Codec {
   /// Validated zero-copy access to a frame's regions.
   static StatusOr<Frame> Parse(const PayloadView& frame);
 
-  /// Overwrites `out` ([m, n]) with U V^T straight from the frame, using
-  /// the same loop order as ReconstructGradient (GemmTransB) so the result
-  /// is bitwise identical.
+  /// Overwrites `out` ([m, n]) with U V^T straight from the frame, through
+  /// the same kernel as ReconstructGradient (GemmTransB) so the result is
+  /// bitwise identical.
   static Status DecodeReconstruct(const PayloadView& frame, Tensor* out);
+
+  /// Adds a parsed frame's U V^T into `out` ([m, n]) element by element,
+  /// out = out + dot. On a zeroed `out` this is the same bits as
+  /// DecodeReconstruct followed by Axpy(1.0f, ...), since 1.0f * x == x.
+  static Status AccumulateReconstruct(const Frame& frame, Tensor* out);
 };
 
 /// IEEE binary16 frames with the encoder's reduced range (subnormal halves

@@ -3,11 +3,14 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 
 #include "src/common/rng.h"
+#include "src/simd/vec.h"
 #include "src/tensor/onebit.h"
 #include "src/tensor/ops.h"
 #include "src/tensor/sufficient_factor.h"
+#include "src/transport/codec.h"
 
 namespace poseidon {
 namespace {
@@ -46,6 +49,52 @@ TEST(SufficientFactorTest, AccumulateAddsWithoutZeroing) {
   AccumulateGradient(factors, &twice);
   for (int64_t i = 0; i < once.size(); ++i) {
     EXPECT_FLOAT_EQ(twice[i], 2.0f * once[i]);
+  }
+}
+
+bool SameBits(const Tensor& a, const Tensor& b) {
+  return a.SameShape(b) &&
+         std::memcmp(a.data(), b.data(), static_cast<size_t>(a.size()) * sizeof(float)) == 0;
+}
+
+// The SF wire path reconstructs through the same GemmTransB kernel as
+// ReconstructGradient, so decoding an encoded frame gives the same bits — on
+// every backend and on both lane axes (m = 8 or 16 puts rows in the lanes,
+// other m columns; the rest are ragged tails). The syncer's fused aggregate
+// (AccumulateReconstruct into a zeroed tensor, frame after frame) gives the
+// bits of separate reconstructions summed with Axpy(1.0f, ...).
+TEST(SufficientFactorTest, FrameReconstructionIsBitwiseReconstructGradient) {
+  Rng rng(17);
+  struct Shape {
+    int64_t m, n, k;
+  };
+  for (simd::Level level : simd::SupportedLevels()) {
+    const simd::ScopedLevel pinned(level);
+    for (const Shape& s : {Shape{8, 40, 8}, Shape{16, 33, 5}, Shape{37, 70, 8},
+                           Shape{6, 20, 6}}) {
+      SCOPED_TRACE(std::string(simd::LevelName(level)) + " " + std::to_string(s.m) +
+                   "x" + std::to_string(s.n) + " rank " + std::to_string(s.k));
+      Tensor separate = Tensor::Zeros({s.m, s.n});
+      Tensor fused = Tensor::Zeros({s.m, s.n});
+      for (int worker = 0; worker < 2; ++worker) {
+        const SufficientFactors factors =
+            MakeSufficientFactors(Tensor::RandomUniform({s.k, s.m}, -1.0f, 1.0f, rng),
+                                  Tensor::RandomUniform({s.k, s.n}, -1.0f, 1.0f, rng));
+        Tensor want({s.m, s.n});
+        ReconstructGradient(factors, &want);
+        const Payload frame = SufficientFactorCodec::Encode(factors, nullptr, 0);
+        Tensor got({s.m, s.n});
+        ASSERT_TRUE(SufficientFactorCodec::DecodeReconstruct(frame.View(), &got).ok());
+        EXPECT_TRUE(SameBits(want, got));
+
+        Axpy(1.0f, want, &separate);
+        StatusOr<SufficientFactorCodec::Frame> parsed =
+            SufficientFactorCodec::Parse(frame.View());
+        ASSERT_TRUE(parsed.ok());
+        ASSERT_TRUE(SufficientFactorCodec::AccumulateReconstruct(*parsed, &fused).ok());
+      }
+      EXPECT_TRUE(SameBits(separate, fused));
+    }
   }
 }
 

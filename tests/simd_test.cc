@@ -1,12 +1,14 @@
 // Cross-ISA property suite for the SIMD kernel layer (src/simd): every
 // backend the host can run must produce bitwise-identical results to the
 // scalar reference — on every length (vector blocks plus 0..15-element
-// tails), on unaligned inputs, and through a full training run. This is the
+// tails), on every GemmTransB shape class, on unaligned inputs, and through
+// a full training run. This is the
 // determinism contract of docs/PERFORMANCE.md, enforced rather than assumed.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstring>
+#include <limits>
 #include <random>
 #include <vector>
 
@@ -267,6 +269,121 @@ TEST(SimdKernelTest, QuantKernelsMatchScalarBitwise) {
                 vec->count_abs_greater(x.data(), n, 0.0f))
           << "count_abs_greater at zero threshold";
     }
+  }
+}
+
+// ------------------------------------------------------------ GemmTransB --
+
+// The pre-kernel poseidon::GemmTransB loop, verbatim: the float graph every
+// backend's GemmTransB must reproduce (out[i,j] = dot of a row i and b row j,
+// summed serially from +0.0).
+void LegacyGemmTransB(const float* ad, const float* bd, int64_t m, int64_t n,
+                      int64_t k, float* od) {
+  for (int64_t i = 0; i < m; ++i) {
+    const float* a_row = ad + i * k;
+    float* o_row = od + i * n;
+    for (int64_t j = 0; j < n; ++j) {
+      const float* b_row = bd + j * k;
+      float acc = 0.0f;
+      for (int64_t p = 0; p < k; ++p) {
+        acc += a_row[p] * b_row[p];
+      }
+      o_row[j] = acc;
+    }
+  }
+}
+
+// FuzzFloats plus a sprinkling of +-inf, so products and sums also hit
+// inf * 0 and inf - inf (both produce the default NaN on every backend).
+std::vector<float> FuzzGemmFloats(std::mt19937* gen, size_t n) {
+  std::vector<float> out = FuzzFloats(gen, n);
+  std::uniform_int_distribution<int> kind(0, 63);
+  for (float& x : out) {
+    const int pick = kind(*gen);
+    if (pick == 0) {
+      x = std::numeric_limits<float>::infinity();
+    } else if (pick == 1) {
+      x = -std::numeric_limits<float>::infinity();
+    }
+  }
+  return out;
+}
+
+// One GemmTransB shape, checked on every backend in both modes: the scalar
+// reference against the legacy loop, each vector backend against scalar
+// (memcmp), and accumulate mode against `out + dot` on a non-zero target.
+// `offset` shifts all three operands off any vector alignment.
+void CheckGemmTransB(std::mt19937* gen, int64_t m, int64_t n, int64_t k,
+                     int64_t offset, bool special_values) {
+  SCOPED_TRACE("m=" + std::to_string(m) + " n=" + std::to_string(n) + " k=" +
+               std::to_string(k) + " offset=" + std::to_string(offset) +
+               (special_values ? " with inf" : ""));
+  const size_t off = static_cast<size_t>(offset);
+  auto fill = [&](int64_t count) {
+    const size_t total = static_cast<size_t>(count) + off;
+    return special_values ? FuzzGemmFloats(gen, total) : FuzzFloats(gen, total);
+  };
+  const std::vector<float> a = fill(m * k);
+  const std::vector<float> b = fill(n * k);
+  const std::vector<float> base = FuzzFloats(gen, static_cast<size_t>(m * n) + off);
+
+  std::vector<float> legacy = base;
+  LegacyGemmTransB(a.data() + off, b.data() + off, m, n, k, legacy.data() + off);
+  std::vector<float> legacy_acc = base;
+  for (size_t i = off; i < legacy_acc.size(); ++i) {
+    legacy_acc[i] = legacy_acc[i] + 1.0f * legacy[i];
+  }
+
+  for (simd::Level level : simd::SupportedLevels()) {
+    const simd::Kernels* kernels = simd::KernelsFor(level);
+    ASSERT_NE(kernels, nullptr);
+    std::vector<float> got = base;
+    kernels->gemm_trans_b(a.data() + off, b.data() + off, m, n, k,
+                          /*accumulate=*/false, got.data() + off);
+    EXPECT_TRUE(BitwiseEqual(got, legacy)) << simd::LevelName(level) << " overwrite";
+    got = base;
+    kernels->gemm_trans_b(a.data() + off, b.data() + off, m, n, k,
+                          /*accumulate=*/true, got.data() + off);
+    EXPECT_TRUE(BitwiseEqual(got, legacy_acc)) << simd::LevelName(level) << " accumulate";
+  }
+}
+
+// Every small shape (each lane axis plus every row/column tail), all the
+// k values around the 8-lane width.
+TEST(SimdGemmTransBTest, SmallShapesMatchLegacyLoopBitwise) {
+  std::mt19937 gen(20261017);
+  for (int64_t m = 1; m <= 19; ++m) {
+    for (int64_t n = 1; n <= 19; ++n) {
+      for (int64_t k : {1, 2, 7, 8, 9, 33}) {
+        const int64_t offset = (m + n + k) % 4;
+        CheckGemmTransB(&gen, m, n, k, offset, /*special_values=*/false);
+      }
+    }
+  }
+}
+
+TEST(SimdGemmTransBTest, SpecialValuesAndUnalignedOperandsMatchBitwise) {
+  std::mt19937 gen(31);
+  for (int64_t offset : {1, 3, 5, 7}) {
+    for (int64_t m : {3, 8, 16, 21}) {
+      for (int64_t n : {5, 8, 16, 27}) {
+        CheckGemmTransB(&gen, m, n, /*k=*/33, offset, /*special_values=*/true);
+      }
+    }
+  }
+}
+
+// The exact shapes the end-to-end benchmark runs, as m x k x n: CIFAR conv1
+// and conv2 forward, VGG fc forward at batch 8, VGG fc SF reconstruction,
+// and the socket MLP's ragged batch-6 layer.
+TEST(SimdGemmTransBTest, BenchmarkShapesMatchLegacyLoopBitwise) {
+  std::mt19937 gen(11);
+  struct Shape {
+    int64_t m, k, n;
+  };
+  for (const Shape& s : {Shape{16384, 75, 32}, Shape{4096, 800, 32},
+                         Shape{8, 1024, 2048}, Shape{2048, 8, 1024}, Shape{6, 64, 20}}) {
+    CheckGemmTransB(&gen, s.m, s.n, s.k, /*offset=*/0, /*special_values=*/false);
   }
 }
 

@@ -39,6 +39,10 @@ MICRO_REQUIRED = {
     "onebit_roundtrip_floats_per_s_simd": 0.0,
     "ring_reduce_floats_per_s_scalar": 0.0,
     "ring_reduce_floats_per_s_simd": 0.0,
+    "gemm_trans_b_conv_floats_per_s_scalar": 0.0,
+    "gemm_trans_b_conv_floats_per_s_simd": 0.0,
+    "gemm_trans_b_fc_floats_per_s_scalar": 0.0,
+    "gemm_trans_b_fc_floats_per_s_simd": 0.0,
     "mem_bw_gbps": 0.0,
     # Compressed-PS bytes-vs-loss trajectory (docs/COMPRESSION.md): measured
     # bus egress per codec on a seeded training run, plus the headline
@@ -80,6 +84,14 @@ PLANNER_MIN_BYTES_RATIO = 1.0
 # vector path quietly fell off (dispatch regression, scalar fallback, a
 # de-vectorized kernel) even if every series is still present.
 ONEBIT_SIMD_MIN_RATIO = 4.0
+
+# The same floor for GemmTransB (conv and FC forward, SF reconstruction) on
+# each recorded shape: the conv shape runs the column-lane path, the FC shape
+# the row-lane path, so each gate catches one of them falling back to the
+# serial scalar dot product. Both ratios come from one process, so host
+# drift cancels out.
+GEMM_TRANS_B_SHAPES = ("conv", "fc")
+GEMM_TRANS_B_SIMD_MIN_RATIO = 4.0
 
 
 def fail(path, message):
@@ -149,6 +161,17 @@ def check_file(path):
         elif not simd_available:
             print(f"{path}: note: no SIMD backend on this host; "
                   f"skipping the onebit speedup gate")
+        for shape in GEMM_TRANS_B_SHAPES:
+            gemm_scalar = series.get(f"gemm_trans_b_{shape}_floats_per_s_scalar") or []
+            gemm_simd = series.get(f"gemm_trans_b_{shape}_floats_per_s_simd") or []
+            if simd_available and gemm_scalar and gemm_simd:
+                ratio = max(gemm_simd) / max(gemm_scalar)
+                if ratio < GEMM_TRANS_B_SIMD_MIN_RATIO:
+                    ok = fail(path, f"gemm_trans_b {shape} simd/scalar speedup "
+                                    f"{ratio:.2f}x is below the "
+                                    f"{GEMM_TRANS_B_SIMD_MIN_RATIO}x floor "
+                                    f"(simd {max(gemm_simd):.3g}, "
+                                    f"scalar {max(gemm_scalar):.3g})")
 
     if ok:
         print(f"{path}: ok ({bench}: {len(series)} series)")
