@@ -47,7 +47,9 @@ class Layer {
 
   // Given d(loss)/d(out), accumulates parameter gradients (overwriting; the
   // trainer aggregates across workers, not across calls) and computes
-  // d(loss)/d(in).
+  // d(loss)/d(in). A null `grad_in` skips only the input-gradient work (the
+  // network's first layer, whose input gradient nobody reads); the parameter
+  // gradients come out bit for bit the same.
   virtual void Backward(const Tensor& grad_out, Tensor* grad_in) = 0;
 
   // Parameter views; empty for stateless layers.

@@ -18,6 +18,26 @@ Tensor FlattenBatch(const Tensor& in) {
   return in.Reshaped({k, features});
 }
 
+// Reallocates `t` only when its shape changes. Callers overwrite every
+// element, so contents left from an earlier call never leak into a result.
+void EnsureShape(Tensor* t, const std::vector<int64_t>& shape) {
+  if (t->shape() != shape) {
+    *t = Tensor(shape);
+  }
+}
+
+// The kernel taps [lo, hi) of a window starting at `origin` (which may be
+// negative, in the padding) that land inside [0, extent).
+struct TapRange {
+  int64_t lo;
+  int64_t hi;
+};
+
+TapRange InsideTaps(int64_t origin, int64_t kernel, int64_t extent) {
+  const int64_t lo = std::clamp<int64_t>(-origin, 0, kernel);
+  return {lo, std::clamp<int64_t>(extent - origin, lo, kernel)};
+}
+
 }  // namespace
 
 // ------------------------------------------------------------------- FC ----
@@ -49,6 +69,9 @@ void FullyConnectedLayer::Backward(const Tensor& grad_out, Tensor* grad_in) {
   // dW[M,N] = dY^T[M,K] * X[K,N]
   GemmTransA(grad_out, last_input_, &weight_grad_);
   SumRows(grad_out, &bias_grad_);
+  if (grad_in == nullptr) {
+    return;
+  }
   // dX[K,N] = dY[K,M] * W[M,N], delivered in the caller's original shape so
   // conv/pool layers below see their 4-D layout.
   Tensor grad_flat({grad_out.dim(0), n_});
@@ -84,29 +107,38 @@ Conv2dLayer::Conv2dLayer(std::string name, int64_t in_c, int64_t out_c, int64_t 
   CHECK_GE(pad_, 0);
 }
 
+// Row (img, y, x) of `cols` holds the patch under output pixel (y, x), laid
+// out (c, ky, kx) with zeros for taps in the padding. Each kernel row is one
+// contiguous run of the input row.
 void Conv2dLayer::Im2Col(const Tensor& in, Tensor* cols) const {
   const int64_t k = in.dim(0);
   const int64_t h = in.dim(2);
   const int64_t w = in.dim(3);
   const int64_t oh = OutDim(h);
   const int64_t ow = OutDim(w);
-  const int64_t patch = in_c_ * kernel_ * kernel_;
-  *cols = Tensor({k * oh * ow, patch});
-  float* col_data = cols->data();
-  for (int64_t img = 0; img < k; ++img) {
+  EnsureShape(cols, {k * oh * ow, in_c_ * kernel_ * kernel_});
+  const float* image = in.data();
+  float* dst = cols->data();
+  for (int64_t img = 0; img < k; ++img, image += in_c_ * h * w) {
     for (int64_t y = 0; y < oh; ++y) {
+      const int64_t y0 = y * stride_ - pad_;
+      const TapRange rows = InsideTaps(y0, kernel_, h);
       for (int64_t x = 0; x < ow; ++x) {
-        float* row = col_data + ((img * oh + y) * ow + x) * patch;
-        int64_t idx = 0;
+        const int64_t x0 = x * stride_ - pad_;
+        const TapRange taps = InsideTaps(x0, kernel_, w);
         for (int64_t c = 0; c < in_c_; ++c) {
-          for (int64_t ky = 0; ky < kernel_; ++ky) {
-            const int64_t sy = y * stride_ + ky - pad_;
-            for (int64_t kx = 0; kx < kernel_; ++kx) {
-              const int64_t sx = x * stride_ + kx - pad_;
-              row[idx++] = (sy >= 0 && sy < h && sx >= 0 && sx < w)
-                               ? in.At4(img, c, sy, sx)
-                               : 0.0f;
+          const float* plane = image + c * h * w;
+          for (int64_t ky = 0; ky < kernel_; ++ky, dst += kernel_) {
+            if (ky < rows.lo || ky >= rows.hi) {
+              std::fill(dst, dst + kernel_, 0.0f);
+              continue;
             }
+            const int64_t offset = (y0 + ky) * w + x0;
+            std::fill(dst, dst + taps.lo, 0.0f);
+            for (int64_t kx = taps.lo; kx < taps.hi; ++kx) {
+              dst[kx] = plane[offset + kx];
+            }
+            std::fill(dst + taps.hi, dst + kernel_, 0.0f);
           }
         }
       }
@@ -114,29 +146,31 @@ void Conv2dLayer::Im2Col(const Tensor& in, Tensor* cols) const {
   }
 }
 
+// The adjoint of Im2Col. Every input pixel sums its contributions in
+// (img, y, x, c, ky, kx) order, the order the float sums are pinned to.
 void Conv2dLayer::Col2Im(const Tensor& cols, Tensor* grad_in) const {
   const int64_t k = last_in_shape_[0];
   const int64_t h = last_in_shape_[2];
   const int64_t w = last_in_shape_[3];
   const int64_t oh = OutDim(h);
   const int64_t ow = OutDim(w);
-  const int64_t patch = in_c_ * kernel_ * kernel_;
   *grad_in = Tensor(last_in_shape_);
-  const float* col_data = cols.data();
-  for (int64_t img = 0; img < k; ++img) {
+  const float* src = cols.data();
+  float* image = grad_in->data();
+  for (int64_t img = 0; img < k; ++img, image += in_c_ * h * w) {
     for (int64_t y = 0; y < oh; ++y) {
+      const int64_t y0 = y * stride_ - pad_;
+      const TapRange rows = InsideTaps(y0, kernel_, h);
       for (int64_t x = 0; x < ow; ++x) {
-        const float* row = col_data + ((img * oh + y) * ow + x) * patch;
-        int64_t idx = 0;
-        for (int64_t c = 0; c < in_c_; ++c) {
-          for (int64_t ky = 0; ky < kernel_; ++ky) {
-            const int64_t sy = y * stride_ + ky - pad_;
-            for (int64_t kx = 0; kx < kernel_; ++kx) {
-              const int64_t sx = x * stride_ + kx - pad_;
-              if (sy >= 0 && sy < h && sx >= 0 && sx < w) {
-                grad_in->At4(img, c, sy, sx) += row[idx];
-              }
-              ++idx;
+        const int64_t x0 = x * stride_ - pad_;
+        const TapRange taps = InsideTaps(x0, kernel_, w);
+        for (int64_t c = 0; c < in_c_; ++c, src += kernel_ * kernel_) {
+          float* plane = image + c * h * w;
+          for (int64_t ky = rows.lo; ky < rows.hi; ++ky) {
+            const int64_t offset = (y0 + ky) * w + x0;
+            const float* row = src + ky * kernel_;
+            for (int64_t kx = taps.lo; kx < taps.hi; ++kx) {
+              plane[offset + kx] += row[kx];
             }
           }
         }
@@ -154,20 +188,22 @@ void Conv2dLayer::Forward(const Tensor& in, Tensor* out) {
   const int64_t ow = OutDim(in.dim(3));
   CHECK_GT(oh, 0);
   CHECK_GT(ow, 0);
+  const int64_t pixels = oh * ow;
 
   Im2Col(in, &last_cols_);
   // [K*OH*OW, patch] x [patch, out_c] -> [K*OH*OW, out_c]
-  Tensor result({k * oh * ow, out_c_});
-  GemmTransB(last_cols_, weight_, &result);
+  EnsureShape(&result_, {k * pixels, out_c_});
+  GemmTransB(last_cols_, weight_, &result_);
 
+  // Transpose each image's [pixel, out_c] block to NCHW and add the bias.
   *out = Tensor({k, out_c_, oh, ow});
+  const float* bias = bias_.data();
+  float* dst = out->data();
   for (int64_t img = 0; img < k; ++img) {
-    for (int64_t y = 0; y < oh; ++y) {
-      for (int64_t x = 0; x < ow; ++x) {
-        const float* row = result.data() + ((img * oh + y) * ow + x) * out_c_;
-        for (int64_t c = 0; c < out_c_; ++c) {
-          out->At4(img, c, y, x) = row[c] + bias_[c];
-        }
+    const float* block = result_.data() + img * pixels * out_c_;
+    for (int64_t c = 0; c < out_c_; ++c, dst += pixels) {
+      for (int64_t pix = 0; pix < pixels; ++pix) {
+        dst[pix] = block[pix * out_c_ + c] + bias[c];
       }
     }
   }
@@ -175,30 +211,36 @@ void Conv2dLayer::Forward(const Tensor& in, Tensor* out) {
 
 void Conv2dLayer::Backward(const Tensor& grad_out, Tensor* grad_in) {
   CHECK_EQ(grad_out.ndim(), 4);
+  CHECK_EQ(grad_out.dim(1), out_c_);
   const int64_t k = grad_out.dim(0);
-  const int64_t oh = grad_out.dim(2);
-  const int64_t ow = grad_out.dim(3);
+  const int64_t pixels = grad_out.dim(2) * grad_out.dim(3);
 
-  // Rearrange dY to [K*OH*OW, out_c] to match the im2col layout.
-  Tensor dy({k * oh * ow, out_c_});
+  // Rearrange dY to [K*OH*OW, out_c] to match the im2col layout. Each bias
+  // gradient sums image-major, then pixel-major.
+  EnsureShape(&dy_, {k * pixels, out_c_});
   bias_grad_.SetZero();
+  float* bias_grad = bias_grad_.data();
+  const float* src = grad_out.data();
   for (int64_t img = 0; img < k; ++img) {
-    for (int64_t c = 0; c < out_c_; ++c) {
-      for (int64_t y = 0; y < oh; ++y) {
-        for (int64_t x = 0; x < ow; ++x) {
-          const float g = grad_out.At4(img, c, y, x);
-          dy.At((img * oh + y) * ow + x, c) = g;
-          bias_grad_[c] += g;
-        }
+    float* block = dy_.data() + img * pixels * out_c_;
+    for (int64_t c = 0; c < out_c_; ++c, src += pixels) {
+      float sum = bias_grad[c];
+      for (int64_t pix = 0; pix < pixels; ++pix) {
+        block[pix * out_c_ + c] = src[pix];
+        sum += src[pix];
       }
+      bias_grad[c] = sum;
     }
   }
   // dW[out_c, patch] = dY^T x cols
-  GemmTransA(dy, last_cols_, &weight_grad_);
+  GemmTransA(dy_, last_cols_, &weight_grad_);
+  if (grad_in == nullptr) {
+    return;
+  }
   // dCols = dY x W
-  Tensor dcols({k * oh * ow, in_c_ * kernel_ * kernel_});
-  Gemm(dy, weight_, &dcols);
-  Col2Im(dcols, grad_in);
+  EnsureShape(&dcols_, {k * pixels, in_c_ * kernel_ * kernel_});
+  Gemm(dy_, weight_, &dcols_);
+  Col2Im(dcols_, grad_in);
 }
 
 std::vector<ParamBlock> Conv2dLayer::Params() {
@@ -225,6 +267,9 @@ void ReluLayer::Forward(const Tensor& in, Tensor* out) {
 
 void ReluLayer::Backward(const Tensor& grad_out, Tensor* grad_in) {
   CHECK(grad_out.SameShape(mask_));
+  if (grad_in == nullptr) {
+    return;
+  }
   *grad_in = grad_out;
   float* gd = grad_in->data();
   const float* md = mask_.data();
@@ -240,44 +285,46 @@ void MaxPool2Layer::Forward(const Tensor& in, Tensor* out) {
   CHECK_EQ(in.dim(2) % 2, 0) << name() << ": spatial dims must be even";
   CHECK_EQ(in.dim(3) % 2, 0);
   last_in_shape_ = in.shape();
-  const int64_t k = in.dim(0);
-  const int64_t c = in.dim(1);
-  const int64_t oh = in.dim(2) / 2;
-  const int64_t ow = in.dim(3) / 2;
-  *out = Tensor({k, c, oh, ow});
-  argmax_ = Tensor({k, c, oh, ow});
-  for (int64_t img = 0; img < k; ++img) {
-    for (int64_t ch = 0; ch < c; ++ch) {
-      for (int64_t y = 0; y < oh; ++y) {
-        for (int64_t x = 0; x < ow; ++x) {
-          float best = -3.4e38f;
-          int64_t best_idx = 0;
-          for (int64_t dy = 0; dy < 2; ++dy) {
-            for (int64_t dx = 0; dx < 2; ++dx) {
-              const int64_t sy = 2 * y + dy;
-              const int64_t sx = 2 * x + dx;
-              const float v = in.At4(img, ch, sy, sx);
-              if (v > best) {
-                best = v;
-                best_idx = ((img * c + ch) * in.dim(2) + sy) * in.dim(3) + sx;
-              }
-            }
-          }
-          out->At4(img, ch, y, x) = best;
-          argmax_.At4(img, ch, y, x) = static_cast<float>(best_idx);
+  const int64_t planes = in.dim(0) * in.dim(1);
+  const int64_t h = in.dim(2);
+  const int64_t w = in.dim(3);
+  *out = Tensor({in.dim(0), in.dim(1), h / 2, w / 2});
+  argmax_.resize(static_cast<size_t>(out->size()));
+  const float* src = in.data();
+  float* dst = out->data();
+  int64_t* arg = argmax_.data();
+  // `top` walks the windows' top rows across all planes at once: h is even,
+  // so no window straddles two planes.
+  for (int64_t top = 0; top < planes * h; top += 2) {
+    // Window taps in (dy, dx) order; the first strict maximum wins. A window
+    // with nothing above -3.4e38 (all -inf or NaN) pools to -3.4e38 and
+    // routes its gradient to flat index 0.
+    for (int64_t left = top * w; left < (top + 1) * w; left += 2) {
+      float best = -3.4e38f;
+      int64_t best_idx = 0;
+      for (const int64_t idx : {left, left + 1, left + w, left + w + 1}) {
+        if (src[idx] > best) {
+          best = src[idx];
+          best_idx = idx;
         }
       }
+      *dst++ = best;
+      *arg++ = best_idx;
     }
   }
 }
 
 void MaxPool2Layer::Backward(const Tensor& grad_out, Tensor* grad_in) {
-  CHECK(grad_out.SameShape(argmax_));
+  CHECK_EQ(grad_out.ndim(), 4);
+  CHECK_EQ(grad_out.size(), static_cast<int64_t>(argmax_.size()));
+  if (grad_in == nullptr) {
+    return;
+  }
   *grad_in = Tensor(last_in_shape_);
+  float* gi = grad_in->data();
   const float* gd = grad_out.data();
-  const float* am = argmax_.data();
-  for (int64_t i = 0; i < grad_out.size(); ++i) {
-    (*grad_in)[static_cast<int64_t>(am[i])] += gd[i];
+  for (size_t i = 0; i < argmax_.size(); ++i) {
+    gi[argmax_[i]] += gd[i];
   }
 }
 
@@ -305,10 +352,14 @@ void ResidualBlock::Forward(const Tensor& in, Tensor* out) {
 
 void ResidualBlock::Backward(const Tensor& grad_out, Tensor* grad_in) {
   Tensor current = grad_out;
-  for (auto it = inner_.rbegin(); it != inner_.rend(); ++it) {
+  for (size_t i = inner_.size(); i-- > 0;) {
     Tensor next;
-    (*it)->Backward(current, &next);
+    // Only the first inner layer's input gradient is the block's own.
+    inner_[i]->Backward(current, i == 0 && grad_in == nullptr ? nullptr : &next);
     current = std::move(next);
+  }
+  if (grad_in == nullptr) {
+    return;
   }
   *grad_in = std::move(current);
   Axpy(1.0f, grad_out, grad_in);  // gradient through the skip connection

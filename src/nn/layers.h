@@ -49,7 +49,9 @@ class FullyConnectedLayer : public Layer {
 };
 
 // Direct 2-D convolution in NCHW via im2col + GEMM. Square kernels, square
-// stride, symmetric zero padding.
+// stride, symmetric zero padding. The im2col, GEMM-result and gradient
+// scratch buffers persist across calls and regrow only when the batch shape
+// changes.
 class Conv2dLayer : public Layer {
  public:
   Conv2dLayer(std::string name, int64_t in_c, int64_t out_c, int64_t kernel, int64_t stride,
@@ -74,6 +76,9 @@ class Conv2dLayer : public Layer {
   Tensor weight_grad_;
   Tensor bias_grad_;
   Tensor last_cols_;    // [K * OH * OW, in_c * k * k]
+  Tensor result_;       // [K * OH * OW, out_c], forward GEMM output
+  Tensor dy_;           // [K * OH * OW, out_c], dY in the im2col layout
+  Tensor dcols_;        // [K * OH * OW, in_c * k * k], dY x W
   std::vector<int64_t> last_in_shape_;
 };
 
@@ -97,7 +102,7 @@ class MaxPool2Layer : public Layer {
   void Backward(const Tensor& grad_out, Tensor* grad_in) override;
 
  private:
-  Tensor argmax_;  // flat input index of each pooled maximum
+  std::vector<int64_t> argmax_;  // flat input index of each pooled maximum
   std::vector<int64_t> last_in_shape_;
 };
 

@@ -77,7 +77,8 @@ void Network::BackwardThrough(int l) {
   CHECK_EQ(l, next_backward_) << "backward must proceed top-down, layer by layer";
   CHECK_GE(l, 0);
   Tensor grad_in;
-  layers_[static_cast<size_t>(l)]->Backward(grad_cursor_, &grad_in);
+  // Nothing reads the gradient wrt the network input, so layer 0 skips it.
+  layers_[static_cast<size_t>(l)]->Backward(grad_cursor_, l == 0 ? nullptr : &grad_in);
   grad_cursor_ = std::move(grad_in);
   --next_backward_;
 }

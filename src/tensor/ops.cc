@@ -9,8 +9,9 @@ namespace poseidon {
 namespace {
 
 // Cache-blocked inner kernel: C[m,n] += A[m,k] * B[k,n], raw pointers,
-// row-major. The i-k-j loop order streams B rows and accumulates into C rows,
-// which vectorizes well without intrinsics.
+// row-major. The i-k-j loop order streams B rows into C rows through the
+// bitwise-pinned simd::Axpy, skipping zero A terms: backward operands come
+// out of ReLU and max-pool, so most of them are zero.
 void GemmAccumulate(const float* a, const float* b, float* c, int64_t m, int64_t k, int64_t n) {
   constexpr int64_t kBlock = 64;
   for (int64_t i0 = 0; i0 < m; i0 += kBlock) {
@@ -24,10 +25,7 @@ void GemmAccumulate(const float* a, const float* b, float* c, int64_t m, int64_t
           if (a_ip == 0.0f) {
             continue;
           }
-          const float* b_row = b + p * n;
-          for (int64_t j = 0; j < n; ++j) {
-            c_row[j] += a_ip * b_row[j];
-          }
+          simd::Axpy(c_row, a_ip, b + p * n, n);
         }
       }
     }
@@ -72,10 +70,7 @@ void GemmTransA(const Tensor& a, const Tensor& b, Tensor* out) {
       if (a_pi == 0.0f) {
         continue;
       }
-      float* o_row = od + i * n;
-      for (int64_t j = 0; j < n; ++j) {
-        o_row[j] += a_pi * b_row[j];
-      }
+      simd::Axpy(od + i * n, a_pi, b_row, n);
     }
   }
 }

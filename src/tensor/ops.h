@@ -9,10 +9,14 @@
 
 namespace poseidon {
 
-// out = a * b. a is [m,k], b is [k,n], out is [m,n] (overwritten).
+// out = a * b. a is [m,k], b is [k,n], out is [m,n] (overwritten). Each
+// nonzero a[i,p] adds a[i,p] * b[p,:] into out[i,:] through the dispatched
+// simd::Axpy, in ascending p; zero terms are skipped, so an inf or NaN in b
+// never meets a zero in a.
 void Gemm(const Tensor& a, const Tensor& b, Tensor* out);
 
-// out = a^T * b. a is [k,m], b is [k,n], out is [m,n] (overwritten).
+// out = a^T * b. a is [k,m], b is [k,n], out is [m,n] (overwritten). One
+// rank-1 update per p, each nonzero a[p,i] through simd::Axpy as in Gemm.
 void GemmTransA(const Tensor& a, const Tensor& b, Tensor* out);
 
 // out = a * b^T. a is [m,k], b is [n,k], out is [m,n] (overwritten). Runs the

@@ -1,10 +1,17 @@
 // Tests for the NN library: numerical gradient checks for every layer type,
-// loss-head correctness, dataset determinism and the data-parallel partition
-// property, optimizer semantics, and a single-node convergence smoke test.
+// bitwise equality of the conv, pool and FC layers with their per-element
+// reference, loss-head correctness, dataset determinism and the data-parallel
+// partition property, optimizer semantics, and a single-node convergence
+// smoke test.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <functional>
+#include <limits>
 #include <memory>
+#include <string>
+#include <vector>
 
 #include "src/common/rng.h"
 #include "src/nn/builders.h"
@@ -111,6 +118,416 @@ TEST(GradCheckTest, ResidualBlockGradients) {
                               /*blocks=*/2, rng);
   const Batch batch = SmallBatch(3, 2, 8, 3, 13);
   CheckGradients(*net, batch.images, batch.labels, 2e-2);
+}
+
+// ------------------------------------------------ per-element reference ----
+// The conv, pool and FC layer code as it stood before the layers moved to
+// raw-pointer loops and reused buffers: every element through At4/At, fresh
+// buffers on every call, pool indices stored as floats. The layers must
+// match it bit for bit (the GEMMs themselves are pinned in simd_test).
+
+struct ConvGeometry {
+  int64_t in_c;
+  int64_t out_c;
+  int64_t kernel;
+  int64_t stride;
+  int64_t pad;
+  int64_t OutDim(int64_t in_hw) const { return (in_hw + 2 * pad - kernel) / stride + 1; }
+};
+
+Tensor ReferenceIm2Col(const ConvGeometry& g, const Tensor& in) {
+  const int64_t k = in.dim(0);
+  const int64_t h = in.dim(2);
+  const int64_t w = in.dim(3);
+  const int64_t oh = g.OutDim(h);
+  const int64_t ow = g.OutDim(w);
+  const int64_t patch = g.in_c * g.kernel * g.kernel;
+  Tensor cols({k * oh * ow, patch});
+  float* col_data = cols.data();
+  for (int64_t img = 0; img < k; ++img) {
+    for (int64_t y = 0; y < oh; ++y) {
+      for (int64_t x = 0; x < ow; ++x) {
+        float* row = col_data + ((img * oh + y) * ow + x) * patch;
+        int64_t idx = 0;
+        for (int64_t c = 0; c < g.in_c; ++c) {
+          for (int64_t ky = 0; ky < g.kernel; ++ky) {
+            const int64_t sy = y * g.stride + ky - g.pad;
+            for (int64_t kx = 0; kx < g.kernel; ++kx) {
+              const int64_t sx = x * g.stride + kx - g.pad;
+              row[idx++] = (sy >= 0 && sy < h && sx >= 0 && sx < w)
+                               ? in.At4(img, c, sy, sx)
+                               : 0.0f;
+            }
+          }
+        }
+      }
+    }
+  }
+  return cols;
+}
+
+Tensor ReferenceCol2Im(const ConvGeometry& g, const Tensor& cols,
+                       const std::vector<int64_t>& in_shape) {
+  const int64_t k = in_shape[0];
+  const int64_t h = in_shape[2];
+  const int64_t w = in_shape[3];
+  const int64_t oh = g.OutDim(h);
+  const int64_t ow = g.OutDim(w);
+  const int64_t patch = g.in_c * g.kernel * g.kernel;
+  Tensor grad_in(in_shape);
+  const float* col_data = cols.data();
+  for (int64_t img = 0; img < k; ++img) {
+    for (int64_t y = 0; y < oh; ++y) {
+      for (int64_t x = 0; x < ow; ++x) {
+        const float* row = col_data + ((img * oh + y) * ow + x) * patch;
+        int64_t idx = 0;
+        for (int64_t c = 0; c < g.in_c; ++c) {
+          for (int64_t ky = 0; ky < g.kernel; ++ky) {
+            const int64_t sy = y * g.stride + ky - g.pad;
+            for (int64_t kx = 0; kx < g.kernel; ++kx) {
+              const int64_t sx = x * g.stride + kx - g.pad;
+              if (sy >= 0 && sy < h && sx >= 0 && sx < w) {
+                grad_in.At4(img, c, sy, sx) += row[idx];
+              }
+              ++idx;
+            }
+          }
+        }
+      }
+    }
+  }
+  return grad_in;
+}
+
+Tensor ReferenceConvForward(const ConvGeometry& g, const Tensor& in, const Tensor& weight,
+                            const Tensor& bias) {
+  const int64_t k = in.dim(0);
+  const int64_t oh = g.OutDim(in.dim(2));
+  const int64_t ow = g.OutDim(in.dim(3));
+  const Tensor cols = ReferenceIm2Col(g, in);
+  Tensor result({k * oh * ow, g.out_c});
+  GemmTransB(cols, weight, &result);
+  Tensor out({k, g.out_c, oh, ow});
+  for (int64_t img = 0; img < k; ++img) {
+    for (int64_t y = 0; y < oh; ++y) {
+      for (int64_t x = 0; x < ow; ++x) {
+        const float* row = result.data() + ((img * oh + y) * ow + x) * g.out_c;
+        for (int64_t c = 0; c < g.out_c; ++c) {
+          out.At4(img, c, y, x) = row[c] + bias[c];
+        }
+      }
+    }
+  }
+  return out;
+}
+
+struct Gradients {
+  Tensor weight;
+  Tensor bias;
+  Tensor input;
+};
+
+Gradients ReferenceConvBackward(const ConvGeometry& g, const Tensor& in, const Tensor& weight,
+                                const Tensor& grad_out) {
+  const int64_t k = grad_out.dim(0);
+  const int64_t oh = grad_out.dim(2);
+  const int64_t ow = grad_out.dim(3);
+  const Tensor cols = ReferenceIm2Col(g, in);
+  Gradients grads{Tensor(weight.shape()), Tensor({g.out_c}), Tensor()};
+  Tensor dy({k * oh * ow, g.out_c});
+  for (int64_t img = 0; img < k; ++img) {
+    for (int64_t c = 0; c < g.out_c; ++c) {
+      for (int64_t y = 0; y < oh; ++y) {
+        for (int64_t x = 0; x < ow; ++x) {
+          const float v = grad_out.At4(img, c, y, x);
+          dy.At((img * oh + y) * ow + x, c) = v;
+          grads.bias[c] += v;
+        }
+      }
+    }
+  }
+  GemmTransA(dy, cols, &grads.weight);
+  Tensor dcols({k * oh * ow, g.in_c * g.kernel * g.kernel});
+  Gemm(dy, weight, &dcols);
+  grads.input = ReferenceCol2Im(g, dcols, in.shape());
+  return grads;
+}
+
+void ReferenceMaxPool(const Tensor& in, const Tensor& grad_out, Tensor* out, Tensor* grad_in) {
+  const int64_t k = in.dim(0);
+  const int64_t c = in.dim(1);
+  const int64_t oh = in.dim(2) / 2;
+  const int64_t ow = in.dim(3) / 2;
+  *out = Tensor({k, c, oh, ow});
+  Tensor argmax({k, c, oh, ow});
+  for (int64_t img = 0; img < k; ++img) {
+    for (int64_t ch = 0; ch < c; ++ch) {
+      for (int64_t y = 0; y < oh; ++y) {
+        for (int64_t x = 0; x < ow; ++x) {
+          float best = -3.4e38f;
+          int64_t best_idx = 0;
+          for (int64_t dy = 0; dy < 2; ++dy) {
+            for (int64_t dx = 0; dx < 2; ++dx) {
+              const int64_t sy = 2 * y + dy;
+              const int64_t sx = 2 * x + dx;
+              const float v = in.At4(img, ch, sy, sx);
+              if (v > best) {
+                best = v;
+                best_idx = ((img * c + ch) * in.dim(2) + sy) * in.dim(3) + sx;
+              }
+            }
+          }
+          out->At4(img, ch, y, x) = best;
+          argmax.At4(img, ch, y, x) = static_cast<float>(best_idx);
+        }
+      }
+    }
+  }
+  *grad_in = Tensor(in.shape());
+  const float* gd = grad_out.data();
+  const float* am = argmax.data();
+  for (int64_t i = 0; i < grad_out.size(); ++i) {
+    (*grad_in)[static_cast<int64_t>(am[i])] += gd[i];
+  }
+}
+
+Gradients ReferenceFcBackward(const Tensor& in, const Tensor& weight, const Tensor& grad_out) {
+  const Tensor x = in.Reshaped({in.dim(0), in.size() / in.dim(0)});
+  Gradients grads{Tensor(weight.shape()), Tensor({weight.dim(0)}), Tensor()};
+  GemmTransA(grad_out, x, &grads.weight);
+  SumRows(grad_out, &grads.bias);
+  Tensor grad_flat({grad_out.dim(0), weight.dim(1)});
+  Gemm(grad_out, weight, &grad_flat);
+  grads.input = grad_flat.Reshaped(in.shape());
+  return grads;
+}
+
+::testing::AssertionResult SameBits(const Tensor& got, const Tensor& want) {
+  if (!got.SameShape(want)) {
+    return ::testing::AssertionFailure()
+           << "shape " << got.ShapeString() << " vs " << want.ShapeString();
+  }
+  if (std::memcmp(got.data(), want.data(), sizeof(float) * static_cast<size_t>(got.size())) !=
+      0) {
+    return ::testing::AssertionFailure() << "bits differ";
+  }
+  return ::testing::AssertionSuccess();
+}
+
+// Uniform values in [-2, 2) with a `zero_frac` share of signed zeros and,
+// with `specials`, a few +-inf and NaN. The NaN is the hardware default NaN
+// (inf - inf at run time), the same bits every inf * 0 inside the layers
+// produces, so NaN payloads cannot make equal results compare unequal.
+Tensor FuzzTensor(std::vector<int64_t> shape, double zero_frac, bool specials, Rng& rng) {
+  volatile float inf = std::numeric_limits<float>::infinity();
+  const float nan = inf - inf;
+  Tensor t(std::move(shape));
+  for (int64_t i = 0; i < t.size(); ++i) {
+    const double pick = rng.NextDouble();
+    float v = rng.NextUniform(-2.0f, 2.0f);
+    if (pick < zero_frac) {
+      v = pick < zero_frac / 2 ? 0.0f : -0.0f;
+    } else if (specials && pick > 0.97) {
+      v = pick > 0.99 ? nan : (pick > 0.98 ? inf : -inf);
+    }
+    t[i] = v;
+  }
+  return t;
+}
+
+// Every kernel/stride/pad/channel combination, with H != W, and the batch
+// size changing between calls so the reused buffers shrink and regrow.
+TEST(LayerBitwiseTest, ConvMatchesPerElementReference) {
+  uint64_t seed = 100;
+  for (int64_t kernel : {1, 3, 5}) {
+    for (int64_t stride : {1, 2}) {
+      for (int64_t pad : {0, 1, 2}) {
+        for (int64_t in_c : {1, 3}) {
+          const ConvGeometry g{in_c, 4, kernel, stride, pad};
+          Rng rng(++seed);
+          Conv2dLayer conv("conv", g.in_c, g.out_c, kernel, stride, pad, rng);
+          Tensor& weight = *conv.Params()[0].value;
+          Tensor& bias = *conv.Params()[1].value;
+          bias = FuzzTensor({g.out_c}, 0.0, false, rng);
+          for (int64_t batch : {3, 1, 3}) {
+            for (bool specials : {false, true}) {
+              SCOPED_TRACE("kernel=" + std::to_string(kernel) + " stride=" +
+                           std::to_string(stride) + " pad=" + std::to_string(pad) +
+                           " in_c=" + std::to_string(in_c) + " batch=" +
+                           std::to_string(batch) + (specials ? " specials" : ""));
+              const Tensor in = FuzzTensor({batch, in_c, 7, 10}, 0.1, specials, rng);
+              Tensor out;
+              conv.Forward(in, &out);
+              EXPECT_TRUE(SameBits(out, ReferenceConvForward(g, in, weight, bias)));
+
+              // ReLU and pooling leave most of a real dY at zero.
+              const Tensor grad_out = FuzzTensor(out.shape(), 0.75, specials, rng);
+              Tensor grad_in;
+              conv.Backward(grad_out, &grad_in);
+              const Gradients want = ReferenceConvBackward(g, in, weight, grad_out);
+              EXPECT_TRUE(SameBits(*conv.Params()[0].grad, want.weight));
+              EXPECT_TRUE(SameBits(*conv.Params()[1].grad, want.bias));
+              EXPECT_TRUE(SameBits(grad_in, want.input));
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
+// Values from a five-element set, so windows tie (including +0 against -0),
+// plus NaN taps and windows of -inf, which pool to -3.4e38 and route their
+// gradient to flat index 0.
+TEST(LayerBitwiseTest, MaxPoolMatchesPerElementReference) {
+  Rng rng(7);
+  MaxPool2Layer pool("pool");
+  volatile float inf = std::numeric_limits<float>::infinity();
+  const float levels[] = {-1.0f, -0.0f, 0.0f, 1.0f, 2.0f};
+  for (int64_t batch : {3, 1, 3}) {
+    for (bool specials : {false, true}) {
+      SCOPED_TRACE("batch=" + std::to_string(batch) + (specials ? " specials" : ""));
+      Tensor in({batch, 3, 4, 6});
+      for (int64_t i = 0; i < in.size(); ++i) {
+        in[i] = levels[rng.NextBounded(5)];
+      }
+      if (specials) {
+        in.At4(0, 1, 0, 2) = inf - inf;
+        for (int64_t y : {2, 3}) {
+          for (int64_t x : {4, 5}) {
+            in.At4(batch - 1, 2, y, x) = -inf;
+            in.At4(0, 0, y, x) = inf - inf;
+          }
+        }
+      }
+      Tensor out;
+      pool.Forward(in, &out);
+      const Tensor grad_out = FuzzTensor(out.shape(), 0.25, specials, rng);
+      Tensor grad_in;
+      pool.Backward(grad_out, &grad_in);
+      Tensor want_out;
+      Tensor want_grad_in;
+      ReferenceMaxPool(in, grad_out, &want_out, &want_grad_in);
+      EXPECT_TRUE(SameBits(out, want_out));
+      EXPECT_TRUE(SameBits(grad_in, want_grad_in));
+    }
+  }
+}
+
+TEST(LayerBitwiseTest, FcMatchesPerElementReference) {
+  Rng rng(8);
+  FullyConnectedLayer fc("fc", 5, 2 * 2 * 3, rng);
+  for (int64_t batch : {3, 1, 3}) {
+    for (bool specials : {false, true}) {
+      SCOPED_TRACE("batch=" + std::to_string(batch) + (specials ? " specials" : ""));
+      const Tensor in = FuzzTensor({batch, 2, 2, 3}, 0.1, false, rng);
+      Tensor out;
+      fc.Forward(in, &out);
+      const Tensor grad_out = FuzzTensor(out.shape(), 0.5, specials, rng);
+      Tensor grad_in;
+      fc.Backward(grad_out, &grad_in);
+      const Gradients want = ReferenceFcBackward(in, fc.weight(), grad_out);
+      EXPECT_TRUE(SameBits(fc.weight_grad(), want.weight));
+      EXPECT_TRUE(SameBits(*fc.Params()[1].grad, want.bias));
+      EXPECT_TRUE(SameBits(grad_in, want.input));
+    }
+  }
+}
+
+// Pool indices used to be stored as floats, which cannot hold every integer
+// above 2^24: the odd index 2^24 + 1 rounded to 2^24, and the gradient went
+// to the wrong input element.
+TEST(MaxPoolTest, ArgmaxAbove2To24RoutesGradientExactly) {
+  const int64_t target = (int64_t{1} << 24) + 1;
+  const int64_t width = (int64_t{1} << 23) + 2;  // two rows: 2^24 + 4 elements
+  Tensor in({1, 1, 2, width});
+  in[target] = 1.0f;  // bottom-right tap of its window
+  MaxPool2Layer pool("pool");
+  Tensor out;
+  pool.Forward(in, &out);
+  const int64_t window = (target - width) / 2;
+  EXPECT_EQ(out[window], 1.0f);
+  const Tensor grad_out = Tensor::Full(out.shape(), 1.0f);
+  Tensor grad_in;
+  pool.Backward(grad_out, &grad_in);
+  EXPECT_EQ(grad_in[target], 1.0f);
+  EXPECT_EQ(grad_in[target - 1], 0.0f);
+}
+
+// Forward, loss and a backward pass that hands every layer, layer 0 included,
+// a real grad_in: what Network::Backward computed before layer 0 skipped
+// its input gradient.
+void BackwardWithInputGradient(Network& net, const Tensor& batch, const std::vector<int>& labels) {
+  std::vector<Tensor> acts = {batch};
+  for (int l = 0; l < net.num_layers(); ++l) {
+    Tensor next;
+    net.layer(l).Forward(acts.back(), &next);
+    acts.push_back(std::move(next));
+  }
+  Tensor grad;
+  SoftmaxCrossEntropy(acts.back(), labels, &grad);
+  for (int l = net.num_layers() - 1; l >= 0; --l) {
+    Tensor grad_in;
+    net.layer(l).Backward(grad, &grad_in);
+    ASSERT_TRUE(grad_in.SameShape(acts[static_cast<size_t>(l)]));
+    grad = std::move(grad_in);
+  }
+}
+
+void ExpectSameGradientsWithoutInputGradient(
+    const std::function<std::unique_ptr<Network>(Rng&)>& build, const Batch& batch) {
+  Rng rng_a(9);
+  Rng rng_b(9);
+  auto skipped = build(rng_a);
+  auto full = build(rng_b);
+  skipped->Forward(batch.images, batch.labels);
+  skipped->Backward();
+  BackwardWithInputGradient(*full, batch.images, batch.labels);
+  const auto want = full->LayerParams();
+  const auto got = skipped->LayerParams();
+  ASSERT_EQ(got.size(), want.size());
+  for (size_t l = 0; l < got.size(); ++l) {
+    ASSERT_EQ(got[l].size(), want[l].size());
+    for (size_t p = 0; p < got[l].size(); ++p) {
+      EXPECT_TRUE(SameBits(*got[l][p].grad, *want[l][p].grad)) << got[l][p].name;
+    }
+  }
+}
+
+TEST(NetworkTest, LayerZeroSkipsInputGradientWithSameParamGradients) {
+  const Batch batch = SmallBatch(3, 2, 8, 3, 17);
+  {
+    SCOPED_TRACE("fc first");
+    ExpectSameGradientsWithoutInputGradient(
+        [](Rng& rng) { return BuildMlp(2 * 8 * 8, 16, 2, 3, rng); }, batch);
+  }
+  {
+    SCOPED_TRACE("conv first");
+    ExpectSameGradientsWithoutInputGradient(
+        [](Rng& rng) {
+          auto net = std::make_unique<Network>();
+          net->Add(std::make_unique<Conv2dLayer>("c1", 2, 4, 3, 1, 1, rng));
+          net->Add(std::make_unique<ReluLayer>("r1"));
+          net->Add(std::make_unique<MaxPool2Layer>("p1"));
+          net->Add(std::make_unique<FullyConnectedLayer>("fc", 3, 4 * 4 * 4, rng));
+          return net;
+        },
+        batch);
+  }
+  {
+    SCOPED_TRACE("residual first");
+    ExpectSameGradientsWithoutInputGradient(
+        [](Rng& rng) {
+          std::vector<std::unique_ptr<Layer>> inner;
+          inner.push_back(std::make_unique<Conv2dLayer>("b.c", 2, 2, 3, 1, 1, rng));
+          inner.push_back(std::make_unique<ReluLayer>("b.r"));
+          auto net = std::make_unique<Network>();
+          net->Add(std::make_unique<ResidualBlock>("b", std::move(inner)));
+          net->Add(std::make_unique<FullyConnectedLayer>("fc", 3, 2 * 8 * 8, rng));
+          return net;
+        },
+        batch);
+  }
 }
 
 TEST(SoftmaxTest, UniformLogitsGiveLogC) {

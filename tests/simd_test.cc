@@ -1,19 +1,23 @@
 // Cross-ISA property suite for the SIMD kernel layer (src/simd): every
 // backend the host can run must produce bitwise-identical results to the
 // scalar reference — on every length (vector blocks plus 0..15-element
-// tails), on every GemmTransB shape class, on unaligned inputs, and through
-// a full training run. This is the
-// determinism contract of docs/PERFORMANCE.md, enforced rather than assumed.
+// tails), on every GemmTransB shape class, on unaligned inputs, through the
+// backward GEMMs that run on simd::Axpy, and through a full training run.
+// This is the determinism contract of docs/PERFORMANCE.md, enforced rather
+// than assumed.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <limits>
 #include <random>
+#include <string>
 #include <vector>
 
 #include "src/simd/vec.h"
 #include "src/tensor/onebit.h"
+#include "src/tensor/ops.h"
 #include "tests/testing/harness.h"
 
 namespace poseidon {
@@ -384,6 +388,190 @@ TEST(SimdGemmTransBTest, BenchmarkShapesMatchLegacyLoopBitwise) {
   for (const Shape& s : {Shape{16384, 75, 32}, Shape{4096, 800, 32},
                          Shape{8, 1024, 2048}, Shape{2048, 8, 1024}, Shape{6, 64, 20}}) {
     CheckGemmTransB(&gen, s.m, s.n, s.k, /*offset=*/0, /*special_values=*/false);
+  }
+}
+
+// The backward GEMMs' loops as they stood before the inner j loop became a
+// simd::Axpy call: Gemm's cache-blocked i-p-j accumulation and GemmTransA's
+// rank-1 update per p, both skipping zero a terms.
+void LegacyGemm(const float* a, const float* b, float* c, int64_t m, int64_t k, int64_t n) {
+  std::fill(c, c + m * n, 0.0f);
+  constexpr int64_t kBlock = 64;
+  for (int64_t i0 = 0; i0 < m; i0 += kBlock) {
+    const int64_t i1 = std::min(i0 + kBlock, m);
+    for (int64_t p0 = 0; p0 < k; p0 += kBlock) {
+      const int64_t p1 = std::min(p0 + kBlock, k);
+      for (int64_t i = i0; i < i1; ++i) {
+        float* c_row = c + i * n;
+        for (int64_t p = p0; p < p1; ++p) {
+          const float a_ip = a[i * k + p];
+          if (a_ip == 0.0f) {
+            continue;
+          }
+          const float* b_row = b + p * n;
+          for (int64_t j = 0; j < n; ++j) {
+            c_row[j] += a_ip * b_row[j];
+          }
+        }
+      }
+    }
+  }
+}
+
+void LegacyGemmTransA(const float* ad, const float* bd, float* od, int64_t k, int64_t m,
+                      int64_t n) {
+  std::fill(od, od + m * n, 0.0f);
+  for (int64_t p = 0; p < k; ++p) {
+    const float* a_row = ad + p * m;
+    const float* b_row = bd + p * n;
+    for (int64_t i = 0; i < m; ++i) {
+      const float a_pi = a_row[i];
+      if (a_pi == 0.0f) {
+        continue;
+      }
+      float* o_row = od + i * n;
+      for (int64_t j = 0; j < n; ++j) {
+        o_row[j] += a_pi * b_row[j];
+      }
+    }
+  }
+}
+
+// FuzzFloats (signed zeros, denormals) with a `zero_frac` share of extra
+// signed zeros: the sparsity ReLU and max-pool leave in a backward operand.
+Tensor FuzzSparseTensor(std::mt19937* gen, int64_t rows, int64_t cols, double zero_frac) {
+  const std::vector<float> values = FuzzFloats(gen, static_cast<size_t>(rows * cols));
+  std::uniform_real_distribution<double> pick(0.0, 1.0);
+  Tensor t({rows, cols});
+  for (int64_t i = 0; i < t.size(); ++i) {
+    const double u = pick(*gen);
+    t.data()[i] = u < zero_frac ? (u < zero_frac / 2 ? 0.0f : -0.0f) : values[i];
+  }
+  return t;
+}
+
+bool BitwiseEqual(const Tensor& got, const std::vector<float>& want) {
+  return BitwiseEqual(std::vector<float>(got.data(), got.data() + got.size()), want);
+}
+
+// Gemm (a is [m, k]) and GemmTransA (a is [k, m]) against b [k, n], on every
+// level, memcmp'd against the legacy loops.
+void CheckBackwardGemms(const Tensor& a_mk, const Tensor& a_km, const Tensor& b) {
+  const int64_t m = a_mk.dim(0);
+  const int64_t k = a_mk.dim(1);
+  const int64_t n = b.dim(1);
+  std::vector<float> want_gemm(static_cast<size_t>(m * n));
+  std::vector<float> want_trans_a(static_cast<size_t>(m * n));
+  LegacyGemm(a_mk.data(), b.data(), want_gemm.data(), m, k, n);
+  LegacyGemmTransA(a_km.data(), b.data(), want_trans_a.data(), k, m, n);
+  for (simd::Level level : simd::SupportedLevels()) {
+    simd::ScopedLevel pinned(level);
+    Tensor out = Tensor::Full({m, n}, 7.0f);  // stale contents must not leak in
+    Gemm(a_mk, b, &out);
+    EXPECT_TRUE(BitwiseEqual(out, want_gemm)) << simd::LevelName(level) << " Gemm";
+    out.Fill(7.0f);
+    GemmTransA(a_km, b, &out);
+    EXPECT_TRUE(BitwiseEqual(out, want_trans_a)) << simd::LevelName(level) << " GemmTransA";
+  }
+}
+
+void CheckBackwardGemms(std::mt19937* gen, int64_t m, int64_t k, int64_t n, double zero_frac,
+                        bool special_values) {
+  SCOPED_TRACE("m=" + std::to_string(m) + " k=" + std::to_string(k) + " n=" +
+               std::to_string(n) + " zeros=" + std::to_string(zero_frac) +
+               (special_values ? " with inf" : ""));
+  const Tensor a_mk = FuzzSparseTensor(gen, m, k, zero_frac);
+  const Tensor a_km = FuzzSparseTensor(gen, k, m, zero_frac);
+  Tensor b({k, n});
+  const std::vector<float> values =
+      special_values ? FuzzGemmFloats(gen, static_cast<size_t>(k * n))
+                     : FuzzFloats(gen, static_cast<size_t>(k * n));
+  std::copy(values.begin(), values.end(), b.data());
+  CheckBackwardGemms(a_mk, a_km, b);
+}
+
+// Every width from 1 to 19 (each 8-lane tail), the conv patch widths 75 and
+// 800, dense and 80% sparse.
+TEST(SimdBackwardGemmTest, WidthsAndSparsityMatchLegacyLoopBitwise) {
+  std::mt19937 gen(77);
+  std::vector<int64_t> widths;
+  for (int64_t n = 1; n <= 19; ++n) {
+    widths.push_back(n);
+  }
+  widths.push_back(75);
+  widths.push_back(800);
+  for (int64_t n : widths) {
+    for (double zero_frac : {0.0, 0.8}) {
+      CheckBackwardGemms(&gen, /*m=*/5, /*k=*/7, n, zero_frac, /*special_values=*/false);
+      CheckBackwardGemms(&gen, /*m=*/70, /*k=*/9, n, zero_frac, /*special_values=*/true);
+    }
+  }
+}
+
+// A zero a term is skipped, never multiplied: the columns of a that are all
+// (signed) zero meet rows of b that are all inf or NaN, and no NaN may come
+// out.
+TEST(SimdBackwardGemmTest, ZeroTermsSkipInfAndNaN) {
+  std::mt19937 gen(5);
+  volatile float inf = std::numeric_limits<float>::infinity();
+  const float nan = inf - inf;  // the hardware default NaN
+  const int64_t m = 6;
+  const int64_t k = 9;
+  const int64_t n = 19;
+  Tensor a_mk = FuzzSparseTensor(&gen, m, k, 0.3);
+  Tensor a_km = FuzzSparseTensor(&gen, k, m, 0.3);
+  Tensor b = FuzzSparseTensor(&gen, k, n, 0.3);
+  for (int64_t p : {0, 4, 8}) {
+    for (int64_t i = 0; i < m; ++i) {
+      a_mk.At(i, p) = i % 2 == 0 ? 0.0f : -0.0f;
+      a_km.At(p, i) = i % 2 == 0 ? -0.0f : 0.0f;
+    }
+    for (int64_t j = 0; j < n; ++j) {
+      b.At(p, j) = j % 3 == 0 ? nan : (j % 3 == 1 ? inf : -inf);
+    }
+  }
+  CheckBackwardGemms(a_mk, a_km, b);
+  for (simd::Level level : simd::SupportedLevels()) {
+    simd::ScopedLevel pinned(level);
+    Tensor out({m, n});
+    Gemm(a_mk, b, &out);
+    for (int64_t i = 0; i < out.size(); ++i) {
+      ASSERT_FALSE(std::isnan(out[i])) << simd::LevelName(level) << " Gemm [" << i << "]";
+    }
+    GemmTransA(a_km, b, &out);
+    for (int64_t i = 0; i < out.size(); ++i) {
+      ASSERT_FALSE(std::isnan(out[i])) << simd::LevelName(level) << " GemmTransA [" << i << "]";
+    }
+  }
+}
+
+// The CIFAR-quick conv backward shapes at batch 16, as m x k x n: Gemm runs
+// dY [pixels, out_c] x W [out_c, patch]; GemmTransA the same operands
+// transposed, dY^T x cols. dY is 80% zeros, as after ReLU and max-pool.
+TEST(SimdBackwardGemmTest, CifarConvShapesMatchLegacyLoopBitwise) {
+  std::mt19937 gen(16);
+  struct Shape {
+    int64_t m, k, n;
+  };
+  for (const Shape& s : {Shape{16384, 32, 75}, Shape{4096, 32, 800}, Shape{1024, 64, 800}}) {
+    SCOPED_TRACE("pixels=" + std::to_string(s.m) + " out_c=" + std::to_string(s.k) +
+                 " patch=" + std::to_string(s.n));
+    const Tensor dy = FuzzSparseTensor(&gen, s.m, s.k, 0.8);
+    const Tensor w = FuzzSparseTensor(&gen, s.k, s.n, 0.0);
+    const Tensor cols = FuzzSparseTensor(&gen, s.m, s.n, 0.1);
+    std::vector<float> want_dcols(static_cast<size_t>(s.m * s.n));
+    std::vector<float> want_dw(static_cast<size_t>(s.k * s.n));
+    LegacyGemm(dy.data(), w.data(), want_dcols.data(), s.m, s.k, s.n);
+    LegacyGemmTransA(dy.data(), cols.data(), want_dw.data(), s.m, s.k, s.n);
+    for (simd::Level level : simd::SupportedLevels()) {
+      simd::ScopedLevel pinned(level);
+      Tensor dcols({s.m, s.n});
+      Gemm(dy, w, &dcols);
+      EXPECT_TRUE(BitwiseEqual(dcols, want_dcols)) << simd::LevelName(level) << " Gemm";
+      Tensor dw({s.k, s.n});
+      GemmTransA(dy, cols, &dw);
+      EXPECT_TRUE(BitwiseEqual(dw, want_dw)) << simd::LevelName(level) << " GemmTransA";
+    }
   }
 }
 
