@@ -3,9 +3,18 @@
 // savings, and the per-node traffic properties of Adam vs Poseidon.
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <cstdlib>
+#include <fstream>
+#include <memory>
+#include <sstream>
+#include <string>
+#include <vector>
+
 #include "src/cluster/protocol_sim.h"
 #include "src/cluster/system_config.h"
 #include "src/models/zoo.h"
+#include "src/planner/comm_planner.h"
 
 namespace poseidon {
 namespace {
@@ -241,6 +250,136 @@ TEST(ProtocolSimTest, CompressedRunsStayDeterministic) {
       RunProtocolSimulation(model, system, Cluster(8, 10.0), Engine::kCaffe);
   EXPECT_DOUBLE_EQ(a.iter_time_s, b.iter_time_s);
   EXPECT_EQ(a.tx_gbits_per_iter, b.tx_gbits_per_iter);
+}
+
+// ----------------------------------------------------------------- golden --
+
+std::string Fmt17(double v) {
+  char buf[64];
+  std::snprintf(buf, sizeof(buf), "%.17g", v);
+  return buf;
+}
+
+// Run-length form of a series: equal neighbours fold into "value*count".
+std::string RunLength(const std::vector<std::string>& values) {
+  std::string out;
+  for (size_t i = 0; i < values.size();) {
+    size_t j = i;
+    while (j < values.size() && values[j] == values[i]) {
+      ++j;
+    }
+    out += (out.empty() ? "" : ",") + values[i];
+    if (j - i > 1) {
+      out += "*" + std::to_string(j - i);
+    }
+    i = j;
+  }
+  return out;
+}
+
+std::string Series(const std::vector<double>& values) {
+  std::vector<std::string> cells;
+  for (double v : values) {
+    cells.push_back(Fmt17(v));
+  }
+  return RunLength(cells);
+}
+
+// Every named system, plus the knob variants the benches sweep (shards,
+// staleness, codecs, egress batching, the auto-codec hybrid-collective
+// chooser). A "Planned" run per point is appended by the caller.
+std::vector<SystemConfig> GoldenSystems() {
+  std::vector<SystemConfig> systems = {
+      CaffePlusPs(),         CaffePlusWfbp(),         PoseidonSystem(),
+      TfNative(),            TfPlusWfbp(),            AdamSystem(),
+      OneBitSystem(),        SfbOnlySystem(),         RingAllreduceSystem(),
+      TreeAllreduceSystem(), HybridCollectiveSystem()};
+  SystemConfig hybrid_auto = HybridCollectiveSystem();
+  hybrid_auto.name += "-auto";
+  hybrid_auto.auto_ps_compression = true;
+  systems.push_back(hybrid_auto);
+  SystemConfig hybrid_sharded = HybridCollectiveSystem();
+  hybrid_sharded.name += "-s4";
+  hybrid_sharded.shards_per_server = 4;
+  systems.push_back(hybrid_sharded);
+  for (int s : {2, 4}) {
+    systems.push_back(ShardedPsSystem(s));
+    systems.push_back(ShardedPsSystem(s, /*staleness=*/s));
+    systems.push_back(SspPoseidonSystem(s));
+  }
+  systems.push_back(CompressedPsSystem(GradCompression::kFp16));
+  systems.push_back(CompressedPsSystem(GradCompression::kInt8));
+  systems.push_back(CompressedPsSystem(GradCompression::kTopK, 0.01));
+  systems.push_back(CompressedPsSystem(GradCompression::kNone, 0.01,
+                                       /*auto_per_layer=*/true));
+  SystemConfig ring_batched = RingAllreduceSystem();
+  ring_batched.name += "-be";
+  ring_batched.batch_egress = true;
+  systems.push_back(ring_batched);
+  return systems;
+}
+
+std::string GoldenLine(const ModelSpec& model, Engine engine, const SimResult& r) {
+  std::vector<std::string> schemes;
+  for (const LayerSpec& layer : model.layers) {
+    schemes.push_back(r.layer_schemes.at(layer.name));
+  }
+  std::ostringstream line;
+  line << "{\"system\": \"" << r.system << "\", \"model\": \"" << r.model
+       << "\", \"engine\": \"" << EngineName(engine) << "\", \"nodes\": " << r.num_nodes
+       << ", \"iter_time_s\": " << Fmt17(r.iter_time_s) << ", \"tx_gbits\": \""
+       << Series(r.tx_gbits_per_iter) << "\", \"rx_gbits\": \"" << Series(r.rx_gbits_per_iter)
+       << "\", \"wire_msgs\": \"" << Series(r.wire_msgs_per_iter)
+       << "\", \"logical_msgs\": \"" << Series(r.logical_msgs_per_iter)
+       << "\", \"schemes\": \"" << RunLength(schemes) << "\"}";
+  return line.str();
+}
+
+// The committed simulator fixture: every named system on four zoo models at
+// 1/2/8/16 nodes (10 GbE) under both engines must reproduce
+// tests/golden/sim_dump.json byte for byte — iteration time, per-node
+// traffic and message counts, and the per-layer scheme labels, all at %.17g.
+// A deliberate model change regenerates it with POSEIDON_REGEN_GOLDEN=1.
+TEST(SimGoldenTest, CommittedSimDumpIsReproduced) {
+  const char* dir = std::getenv("POSEIDON_GOLDEN_DIR");
+  ASSERT_NE(dir, nullptr) << "POSEIDON_GOLDEN_DIR not set (ctest sets it)";
+  const std::string path = std::string(dir) + "/sim_dump.json";
+
+  std::string dump = "[\n";
+  bool first = true;
+  for (const char* name : {"cifar-quick", "vgg19", "vgg19-22k", "googlenet"}) {
+    const ModelSpec model = ModelByName(name).value();
+    for (int nodes : {1, 2, 8, 16}) {
+      std::vector<SystemConfig> systems = GoldenSystems();
+      systems.push_back(PlannedSystem(std::make_shared<const CommPlan>(
+          PlanComm(JointAutoRequest(model, nodes, /*nic_gbps=*/10.0, /*max_shards=*/8)))));
+      for (Engine engine : {Engine::kCaffe, Engine::kTensorFlow}) {
+        for (const SystemConfig& system : systems) {
+          const SimResult result =
+              RunProtocolSimulation(model, system, Cluster(nodes, 10.0), engine);
+          dump += (first ? "  " : ",\n  ") + GoldenLine(model, engine, result);
+          first = false;
+        }
+      }
+    }
+  }
+  dump += "\n]\n";
+
+  if (const char* regen = std::getenv("POSEIDON_REGEN_GOLDEN");
+      regen != nullptr && regen[0] == '1') {
+    std::ofstream out(path, std::ios::binary);
+    out << dump;
+    ASSERT_TRUE(out.good()) << path;
+    GTEST_SKIP() << "regenerated " << path;
+  }
+  std::ifstream in(path, std::ios::binary);
+  ASSERT_TRUE(in.good()) << path
+                         << " missing; run with POSEIDON_REGEN_GOLDEN=1 to create it";
+  std::ostringstream buffer;
+  buffer << in.rdbuf();
+  EXPECT_EQ(buffer.str(), dump)
+      << "simulator output drifted from the committed golden; if the model "
+         "changed intentionally, regenerate with POSEIDON_REGEN_GOLDEN=1";
 }
 
 }  // namespace
