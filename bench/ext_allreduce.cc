@@ -27,6 +27,7 @@
 #include "src/common/table.h"
 #include "src/models/comm_cost.h"
 #include "src/models/zoo.h"
+#include "src/planner/comm_planner.h"
 #include "src/stats/report.h"
 
 namespace poseidon {
@@ -97,15 +98,17 @@ void CostTablePart(const std::vector<int>& workers) {
                    "SFB row");
       }
 
-      const CommScheme best =
-          BestSchemeExtended(row.layer, row.batch_k, /*num_workers=*/p, /*num_servers=*/p);
+      const PlannedScheme best =
+          PlanComm(LayerRequest(row.layer, row.batch_k, p, PlanPolicy::kHybridCollective))
+              .layers.front()
+              .scheme;
       table.AddRow({row.label, std::to_string(row.batch_k), std::to_string(p),
                     TextTable::Num(PsColocatedFloats(q) / 1e6, 2),
                     row.layer.type == LayerType::kFC
                         ? TextTable::Num(SfbWorkerFloats(q) / 1e6, 2)
                         : std::string("-"),
                     TextTable::Num(ring / 1e6, 2), TextTable::Num(tree / 1e6, 2),
-                    CommSchemeName(best)});
+                    PlannedSchemeName(best)});
     }
   }
   std::printf("%s\n", table.ToString().c_str());
@@ -118,7 +121,7 @@ void SimSweepPart(const BenchArgs& args, const std::vector<int>& nodes,
       RingAllreduceSystem(), TreeAllreduceSystem(), HybridCollectiveSystem(),
   };
   for (SystemConfig& system : systems) {
-    system.batch_egress = batch_egress;
+    system.request.batch_egress = batch_egress;
     if (batch_egress) {
       system.name += "-be";
     }

@@ -1,11 +1,12 @@
 // Extension experiment: low-precision + top-k sparse wire codecs on the PS
-// path, chosen per layer by the byte-basis HybComm chooser
+// path, chosen per layer by the CommPlanner's byte-basis joint search
 // (docs/COMPRESSION.md).
 //
 // Part 1 extends Table 1 with the compressed-PS byte rows and self-verifies
 // every printed value against the closed-form per-direction costs (to 1e-6):
 //   PS bytes = floats/2 * (PushBytesPerFloat + PullBytesPerFloat),
-// then shows what BestSchemeExtendedCompressed picks for each layer class.
+// then shows what the joint search over the hybrid-collective menu (PS at
+// every codec, SFB, ring, tree) picks for each layer class.
 // Expected shape: big conv layers leave raw PS for a compressed PS row (the
 // quantized round trip undercuts even ring allreduce); layers under the
 // 64K-float gate stay raw.
@@ -31,6 +32,7 @@
 #include "src/common/table.h"
 #include "src/models/comm_cost.h"
 #include "src/models/zoo.h"
+#include "src/planner/comm_planner.h"
 #include "src/stats/bench_record.h"
 #include "src/stats/report.h"
 
@@ -53,7 +55,7 @@ void CostTablePart(const std::vector<int>& workers, double density) {
   std::printf("PS row split per direction (push codec + binary16 pull), top-k "
               "density %.2f.\n",
               density);
-  std::printf("best = BestSchemeExtendedCompressed choice on the byte basis.\n\n");
+  std::printf("best = CommPlanner joint choice on the byte basis.\n\n");
 
   const std::vector<CostRow> rows = {
       {"fc 4096x4096", FcLayer("fc7", 4096, 4096)},
@@ -78,11 +80,11 @@ void CostTablePart(const std::vector<int>& workers, double density) {
 
       std::vector<std::string> cells = {row.label, std::to_string(p)};
       const double raw_floats =
-          SchemeWireBytes(CommScheme::kPS, GradCompression::kNone, q, density) / 4.0;
+          SchemeWireBytes(PlannedScheme::kPS, GradCompression::kNone, q, density) / 4.0;
       for (GradCompression codec :
            {GradCompression::kNone, GradCompression::kFp16, GradCompression::kInt8,
             GradCompression::kTopK}) {
-        const double bytes = SchemeWireBytes(CommScheme::kPS, codec, q, density);
+        const double bytes = SchemeWireBytes(PlannedScheme::kPS, codec, q, density);
         // Self-verify against the closed form: the float row splits exactly
         // in half per direction, each half at its direction's byte cost.
         CheckClose(bytes,
@@ -91,9 +93,13 @@ void CostTablePart(const std::vector<int>& workers, double density) {
                    "per-direction byte row");
         cells.push_back(TextTable::Num(bytes / 1e6, 2));
       }
-      const SchemeChoice best = BestSchemeExtendedCompressed(
-          row.layer, batch_k, p, p, /*ps_shards=*/1, density);
-      std::string best_label = CommSchemeName(best.scheme);
+      PlanRequest request =
+          LayerRequest(row.layer, batch_k, p, PlanPolicy::kHybridCollective);
+      request.codec = PlanCodecPolicy::kAuto;
+      request.topk_density = density;
+      request.joint = true;
+      const PlanLayerChoice best = PlanComm(request).layers.front();
+      std::string best_label = PlannedSchemeName(best.scheme);
       if (best.compression != GradCompression::kNone) {
         best_label += std::string("+") + GradCompressionName(best.compression);
       }
@@ -149,11 +155,10 @@ void SimSweepPart(const BenchArgs& args, const std::vector<int>& nodes,
                   const std::vector<double>& bandwidths) {
   std::vector<SystemConfig> systems = {
       CaffePlusWfbp(),
-      CompressedPsSystem(GradCompression::kFp16),
-      CompressedPsSystem(GradCompression::kInt8),
-      CompressedPsSystem(GradCompression::kTopK, /*topk_density=*/0.01),
-      CompressedPsSystem(GradCompression::kNone, /*topk_density=*/0.01,
-                         /*auto_per_layer=*/true),
+      CompressedPsSystem(PlanCodecPolicy::kFp16),
+      CompressedPsSystem(PlanCodecPolicy::kInt8),
+      CompressedPsSystem(PlanCodecPolicy::kTopK, /*topk_density=*/0.01),
+      CompressedPsSystem(PlanCodecPolicy::kAuto, /*topk_density=*/0.01),
   };
   const ModelSpec model = ModelByName("vgg19").value();
   for (double gbps : bandwidths) {

@@ -28,7 +28,7 @@ void Run(const BenchArgs& args) {
       cluster.nic_gbps = gbps;
       cluster.gpus_per_node = gpus;
       SystemConfig system = PoseidonSystem();
-      system.batch_egress = args.batch_egress;  // --batch-egress ablation knob
+      system.request.batch_egress = args.batch_egress;  // --batch-egress ablation knob
       const SimResult result =
           RunProtocolSimulation(model, system, cluster, Engine::kCaffe);
       table.AddRow({model.name, std::to_string(nodes), std::to_string(gpus),

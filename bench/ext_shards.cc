@@ -6,8 +6,8 @@
 //   colocated worker + busiest endpoint: 2*M*N*(P1 + P2*S - 2)/(P2*S).
 // Expected shape: the colocated row falls toward the pure-worker 2MN floor
 // as S grows — sharding relieves the serve-path serialization, not the NIC —
-// so BestPsShardCount saturates at the cap for P1 > 2 and stays at 1 for
-// P1 <= 2 where no served share exists to spread.
+// so the planner's paper-mode shard pick (S*) saturates at the cap for
+// P1 > 2 and stays at 1 for P1 <= 2 where no served share exists to spread.
 //
 // Part 2 sweeps the protocol simulator over shard count x staleness x
 // bandwidth on VGG19 (PS-heavy FC layers). Expected shape: more shards
@@ -29,6 +29,7 @@
 #include "src/common/table.h"
 #include "src/models/comm_cost.h"
 #include "src/models/zoo.h"
+#include "src/planner/comm_planner.h"
 #include "src/stats/bench_record.h"
 #include "src/stats/report.h"
 #include "src/transport/socket_bench.h"
@@ -63,7 +64,7 @@ struct CostRow {
 void CostTablePart(const std::vector<int>& workers, const std::vector<int>& shards) {
   std::printf("Multi-shard PS rows: per-endpoint floats (millions) per iteration,\n");
   std::printf("P colocated worker+server nodes, S key-range shards per server.\n");
-  std::printf("S* = BestPsShardCount cap 8; best = three-way HybComm choice at S.\n\n");
+  std::printf("S* = planner shard pick, cap 8; best = three-way HybComm choice at S.\n\n");
 
   const std::vector<CostRow> rows = {
       {"fc 4096x4096", FcLayer("fc7", 4096, 4096), 32},
@@ -100,12 +101,18 @@ void CostTablePart(const std::vector<int>& workers, const std::vector<int>& shar
         CheckClose(PsShardedColocatedFloats(q1), PsColocatedFloats(q1),
                    "S=1 colocated row");
 
-        const int best_s = BestPsShardCount(q, /*max_shards=*/8);
-        const CommScheme best = BestSchemeExtended(row.layer, row.batch_k, p, p, s);
+        PlanRequest shard_search = LayerRequest(row.layer, row.batch_k, p, PlanPolicy::kDense);
+        shard_search.ps_shards_pinned = 0;
+        shard_search.max_shards = 8;
+        const int best_s = PlanComm(shard_search).ps_shards;
+        PlanRequest at_s =
+            LayerRequest(row.layer, row.batch_k, p, PlanPolicy::kHybridCollective);
+        at_s.ps_shards_pinned = s;
+        const PlannedScheme best = PlanComm(at_s).layers.front().scheme;
         table.AddRow({row.label, std::to_string(row.batch_k), std::to_string(p),
                       std::to_string(s), TextTable::Num(srv / 1e6, 2),
                       TextTable::Num(both / 1e6, 2), std::to_string(best_s),
-                      CommSchemeName(best)});
+                      PlannedSchemeName(best)});
       }
     }
   }
@@ -126,7 +133,7 @@ void SimSweepPart(const BenchArgs& args, const std::vector<int>& nodes,
   }
   systems.push_back(PoseidonSystem());
   for (SystemConfig& system : systems) {
-    system.batch_egress = batch_egress;
+    system.request.batch_egress = batch_egress;
     if (batch_egress) {
       system.name += "-be";
     }

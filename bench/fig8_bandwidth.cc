@@ -35,12 +35,12 @@ void Run(const BenchArgs& args, double measured_gbps) {
   const int shards = args.FirstShardOr(1);
   SystemConfig ps = CaffePlusWfbp();
   SystemConfig poseidon_sys = PoseidonSystem();
-  ps.shards_per_server = shards;
-  poseidon_sys.shards_per_server = shards;
+  ps.request.ps_shards_pinned = shards;
+  poseidon_sys.request.ps_shards_pinned = shards;
   // --batch-egress: same-destination wire messages share one frame (the
   // transport's egress batcher, modeled); ablation table printed below.
-  ps.batch_egress = args.batch_egress;
-  poseidon_sys.batch_egress = args.batch_egress;
+  ps.request.batch_egress = args.batch_egress;
+  poseidon_sys.request.batch_egress = args.batch_egress;
   if (shards > 1) {
     ps.name += "-s" + std::to_string(shards);
     poseidon_sys.name += "-s" + std::to_string(shards);

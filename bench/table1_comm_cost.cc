@@ -33,17 +33,16 @@ void PrintCostRow(TextTable* table, const CommCostQuery& q) {
       TextTable::Num(AdamWorkerFloats(q) / 1e6, 2),
       TextTable::Num(AdamColocatedMaxFloats(q) / 1e6, 2),
       // Algorithm 1's comparison, against the PS row as actually sharded.
-      CommSchemeName(SfbWins(q) ? CommScheme::kSFB : CommScheme::kPS),
+      PlannedSchemeName(SfbWins(q) ? PlannedScheme::kSFB : PlannedScheme::kPS),
   });
 }
 
 // --plan companion to the float-cost table. Under auto, each of the table's
 // (layer, K, P) shapes runs through the CommPlanner's joint search as a
-// one-layer model (byte basis, memoized in the process plan cache) and the
-// planner's scheme+codec+shards pick is printed next to Algorithm 1's
-// float-basis "best" column. Under fixed:<path>, the dumped plan's per-layer
-// table is printed instead — the table then documents what a planned run
-// would actually put on the wire.
+// one-layer model (byte basis) and the planner's scheme+codec+shards pick is
+// printed next to Algorithm 1's float-basis "best" column. Under
+// fixed:<path>, the dumped plan's per-layer table is printed instead — the
+// table then documents what a planned run would actually put on the wire.
 void PlanPart(const BenchArgs& args, const std::vector<int>& workers) {
   if (args.FixedPlan()) {
     StatusOr<CommPlan> loaded = CommPlan::LoadFromFile(args.FixedPlanPath());

@@ -41,7 +41,7 @@ int main(int argc, char** argv) {
   double ps_total = 0.0;
   double chosen_total = 0.0;
   for (const LayerSpec& layer : model.layers) {
-    const CommScheme scheme = BestScheme(layer, batch, nodes, nodes);
+    const PlannedScheme scheme = BestScheme(layer, batch, nodes, nodes);
     double ps_mb = 0.0;
     double sfb_mb = 0.0;
     if (layer.type == LayerType::kFC && nodes > 1) {
@@ -53,10 +53,10 @@ int main(int argc, char** argv) {
       sfb_mb = ps_mb;  // not applicable; PS is used
     }
     ps_total += ps_mb;
-    chosen_total += scheme == CommScheme::kSFB ? sfb_mb : ps_mb;
+    chosen_total += scheme == PlannedScheme::kSFB ? sfb_mb : ps_mb;
     table.AddRow({layer.name, LayerTypeName(layer.type), std::to_string(layer.params),
                   TextTable::Num(ps_mb, 1), TextTable::Num(sfb_mb, 1),
-                  CommSchemeName(scheme)});
+                  PlannedSchemeName(scheme)});
   }
   std::printf("%s\n", table.ToString().c_str());
   std::printf("Per-node traffic per iteration: pure PS %.0f MB -> HybComm %.0f MB (%.1fx less)\n\n",

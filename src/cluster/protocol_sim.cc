@@ -16,63 +16,12 @@
 namespace poseidon {
 namespace {
 
-// Effective label for what a layer's synchronization does in a given system.
-enum class WireScheme { kPsDense, kSfb, kAdamSf, kOneBit, kRing, kTree };
-
-const char* WireSchemeName(WireScheme scheme) {
-  switch (scheme) {
-    case WireScheme::kPsDense:
-      return "PS";
-    case WireScheme::kSfb:
-      return "SFB";
-    case WireScheme::kAdamSf:
-      return "SF->PS";
-    case WireScheme::kOneBit:
-      return "1bit";
-    case WireScheme::kRing:
-      return "Ring";
-    case WireScheme::kTree:
-      return "Tree";
-  }
-  return "?";
-}
-
-WireScheme WireFromCommScheme(CommScheme scheme) {
-  switch (scheme) {
-    case CommScheme::kPS:
-      return WireScheme::kPsDense;
-    case CommScheme::kSFB:
-      return WireScheme::kSfb;
-    case CommScheme::kRing:
-      return WireScheme::kRing;
-    case CommScheme::kTree:
-      return WireScheme::kTree;
-  }
-  return WireScheme::kPsDense;
-}
-
-WireScheme WireFromPlannedScheme(PlannedScheme scheme) {
-  switch (scheme) {
-    case PlannedScheme::kNone:
-    case PlannedScheme::kPS:
-      return WireScheme::kPsDense;
-    case PlannedScheme::kSFB:
-      return WireScheme::kSfb;
-    case PlannedScheme::kOneBit:
-      return WireScheme::kOneBit;
-    case PlannedScheme::kRing:
-      return WireScheme::kRing;
-    case PlannedScheme::kTree:
-      return WireScheme::kTree;
-  }
-  return WireScheme::kPsDense;
-}
-
 // Static per-layer wire plan, precomputed before the simulation starts
 // (HybComm's point: the model and cluster are known upfront, so the best
 // scheme is decidable before any byte moves).
 struct LayerWire {
-  WireScheme scheme = WireScheme::kPsDense;
+  PlannedScheme scheme = PlannedScheme::kPS;
+  bool adam = false;  // Adam's SF push replaces this PS layer's gradient push
   // Wire codec of the dense-PS path (docs/COMPRESSION.md): rescales
   // push/pull bytes by the per-direction byte rows and charges the encode /
   // decode CPU passes through quant_cpu_s, like the 1-bit row.
@@ -94,10 +43,11 @@ struct LayerWire {
 
 class ProtocolSim {
  public:
-  ProtocolSim(const ModelSpec& model, const SystemConfig& system, const ClusterSpec& cluster,
-              Engine engine, int batch, const SimOptions& options)
+  ProtocolSim(const ModelSpec& model, const SystemConfig& system, const CommPlan& plan,
+              const ClusterSpec& cluster, Engine engine, int batch, const SimOptions& options)
       : model_(model),
         system_(system),
+        plan_(plan),
         cluster_(cluster),
         engine_(engine),
         batch_(batch),
@@ -108,8 +58,8 @@ class ProtocolSim {
         timings_(MakeComputeTimings(model, engine, batch)) {
     CHECK_GT(num_nodes_, 0);
     CHECK_GT(num_layers_, 0);
-    CHECK_GT(system.shards_per_server, 0);
-    CHECK_GE(system.staleness, 0);
+    CHECK_GT(plan.ps_shards, 0);
+    CHECK_GE(plan.staleness, 0);
     CHECK_GE(system.loss_rate, 0.0);
     CHECK_LT(system.loss_rate, 1.0) << "a link that loses everything never delivers";
     FabricConfig fabric_config;
@@ -143,94 +93,35 @@ class ProtocolSim {
       wire.apply_cpu_s =
           2.0 * static_cast<double>(layer.params) / p / cluster_.cpu_flops;
 
-      // Pick the scheme for this layer under the configured system. The
-      // collective modes apply to every parameter layer; the paper's FC
-      // schemes only to FC layers.
-      wire.scheme = WireScheme::kPsDense;
+      // The plan already made the per-layer call; this simulator just prices
+      // it. p == 1 degenerates to the raw dense PS, like the runtime.
+      const PlanLayerChoice& choice = plan_.layers[l];
       GradCompression compression = GradCompression::kNone;
-      // A CommPlan overrides the policy switches: the planner already made
-      // the per-layer call, this simulator just prices it. Layers the plan
-      // does not name (or marks stateless) fall through to the policies.
-      bool planned = false;
-      if (system_.plan != nullptr) {
-        const PlanLayerChoice* choice = system_.plan->Find(layer.name);
-        if (choice != nullptr && choice->scheme != PlannedScheme::kNone) {
-          planned = true;
-          if (p > 1) {
-            wire.scheme = WireFromPlannedScheme(choice->scheme);
-            compression = choice->compression;
-          }
-          // p == 1 degenerates to the raw dense PS, like the runtime.
-        }
+      if (p > 1 && choice.scheme != PlannedScheme::kNone) {
+        wire.scheme = choice.scheme;
+        compression = choice.compression;
       }
-      if (!planned && p > 1) {
-        switch (system_.fc_scheme) {
-          case FcScheme::kRing:
-            wire.scheme = WireScheme::kRing;
-            break;
-          case FcScheme::kTree:
-            wire.scheme = WireScheme::kTree;
-            break;
-          case FcScheme::kHybridCollective:
-            if (system_.auto_ps_compression) {
-              // Compression joins the scheme menu: the chooser minimizes
-              // wire bytes over (PS, codec) and the raw-float alternatives.
-              const SchemeChoice choice = BestSchemeExtendedCompressed(
-                  layer, batch_, p, p, system_.shards_per_server,
-                  system_.topk_density);
-              wire.scheme = WireFromCommScheme(choice.scheme);
-              compression = choice.compression;
-            } else {
-              wire.scheme = WireFromCommScheme(BestSchemeExtended(
-                  layer, batch_, p, p, system_.shards_per_server));
-            }
-            break;
-          case FcScheme::kDense:
-            break;
-          case FcScheme::kSfb:
-            if (layer.type == LayerType::kFC) {
-              wire.scheme = WireScheme::kSfb;
-            }
-            break;
-          case FcScheme::kAdam:
-            if (layer.type == LayerType::kFC) {
-              wire.scheme = WireScheme::kAdamSf;
-            }
-            break;
-          case FcScheme::kOneBit:
-            if (layer.type == LayerType::kFC) {
-              wire.scheme = WireScheme::kOneBit;
-            }
-            break;
-          case FcScheme::kHybrid:
-            if (layer.type == LayerType::kFC &&
-                BestScheme(layer, batch_, p, p) == CommScheme::kSFB) {
-              wire.scheme = WireScheme::kSfb;
-            }
-            break;
-        }
-      }
-
-      // Fixed-policy compression of the dense-PS path (mirrors the planner's
-      // paper-mode codec pass): every PS layer clearing the size gate runs the
-      // configured codec, or its per-layer BestCompression pick under auto.
-      // The hybrid-collective chooser above resolved it jointly with the
-      // scheme instead.
-      if (!planned && p > 1 && wire.scheme == WireScheme::kPsDense &&
-          system_.fc_scheme != FcScheme::kHybridCollective) {
-        if (system_.auto_ps_compression) {
-          compression = BestCompression(layer.params, system_.topk_density,
-                                        system_.compression_min_floats);
-        } else if (layer.params >= system_.compression_min_floats) {
-          compression = system_.ps_compression;
-        }
-      }
+      wire.adam = system_.adam && p > 1 && wire.scheme == PlannedScheme::kPS &&
+                  layer.type == LayerType::kFC;
 
       const int64_t m = layer.fc_m;
       const int64_t n = layer.fc_n;
       const int64_t k_eff = static_cast<int64_t>(batch_) * cluster_.gpus_per_node;
       switch (wire.scheme) {
-        case WireScheme::kPsDense: {
+        case PlannedScheme::kNone:
+        case PlannedScheme::kPS: {
+          if (wire.adam) {
+            // Each worker's SFs go to the owning server, which reconstructs
+            // the update and sends the dense matrices back.
+            wire.sharded = false;
+            wire.sf_msg_bytes =
+                static_cast<double>(k_eff) * static_cast<double>(m + n) * 4.0;
+            wire.recon_flops_per_sf = 2.0 * static_cast<double>(m) *
+                                      static_cast<double>(n) * static_cast<double>(k_eff);
+            wire.push_bytes = wire.sf_msg_bytes;
+            wire.pull_bytes = wire.dense_bytes;
+            break;
+          }
           wire.sharded = system_.sharding == ShardingMode::kKvPairs;
           wire.compression = compression;
           // Per-direction byte rows (docs/COST_MODEL.md): the raw fp32 base
@@ -238,13 +129,13 @@ class ProtocolSim {
           // round-to-nearest replies) bytes per float.
           const double base = wire.sharded ? wire.dense_bytes / p : wire.dense_bytes;
           wire.push_bytes =
-              base * PushBytesPerFloat(compression, system_.topk_density) / 4.0;
+              base * PushBytesPerFloat(compression, plan_.topk_density) / 4.0;
           wire.pull_bytes = base * PullBytesPerFloat(compression) / 4.0;
           if (wire.sharded) {
             // Key-range shards apply their slices on independent threads, so
             // the per-server apply latency divides by the shard count; the
             // bytes on the wire do not change.
-            wire.apply_cpu_s /= system_.shards_per_server;
+            wire.apply_cpu_s /= plan_.ps_shards;
           }
           if (compression != GradCompression::kNone) {
             // One encode pass over the gradient before each push, and the
@@ -255,19 +146,12 @@ class ProtocolSim {
           }
           break;
         }
-        case WireScheme::kSfb:
+        case PlannedScheme::kSFB:
           wire.sf_msg_bytes = static_cast<double>(k_eff) * static_cast<double>(m + n) * 4.0;
           wire.recon_flops_per_sf = 2.0 * static_cast<double>(m) * static_cast<double>(n) *
                                     static_cast<double>(k_eff);
           break;
-        case WireScheme::kAdamSf:
-          wire.sharded = false;
-          wire.sf_msg_bytes = static_cast<double>(k_eff) * static_cast<double>(m + n) * 4.0;
-          wire.recon_flops_per_sf = 2.0 * static_cast<double>(m) * static_cast<double>(n) *
-                                    static_cast<double>(k_eff);
-          wire.pull_bytes = wire.dense_bytes;
-          break;
-        case WireScheme::kOneBit: {
+        case PlannedScheme::kOneBit: {
           // 1 bit per element plus two fp32 levels per column.
           const double compressed =
               static_cast<double>(m) * static_cast<double>(n) / 8.0 +
@@ -275,14 +159,14 @@ class ProtocolSim {
           wire.sharded = system_.sharding == ShardingMode::kKvPairs;
           wire.push_bytes = wire.sharded ? compressed / p : compressed;
           wire.pull_bytes = wire.push_bytes;
-          // No shards_per_server division: the runtime pins a 1-bit layer
+          // No shard-count division: the runtime pins a 1-bit layer
           // wholly to one owner shard endpoint (its encoding is not
           // sliceable), so the per-layer apply stays serialized.
           wire.quant_cpu_s =
               2.0 * static_cast<double>(m) * static_cast<double>(n) / cluster_.cpu_flops;
           break;
         }
-        case WireScheme::kRing:
+        case PlannedScheme::kRing:
           // One ring hop moves a 1/p chunk; each of the p-1 reduce-scatter
           // receives folds one chunk on the CPU, and the final averaged
           // gradient is applied locally on every node (replicated updates).
@@ -291,7 +175,7 @@ class ProtocolSim {
               static_cast<double>(layer.params) / p / cluster_.cpu_flops;
           wire.local_apply_s = 2.0 * static_cast<double>(layer.params) / cluster_.cpu_flops;
           break;
-        case WireScheme::kTree:
+        case PlannedScheme::kTree:
           // Reduce and broadcast messages both carry the dense tensor; each
           // child contribution is one full-tensor add at its parent.
           wire.push_bytes = wire.dense_bytes;
@@ -392,7 +276,7 @@ class ProtocolSim {
       // BSP blocks until the previous iteration's sync landed; SSP tolerates
       // a bounded clock gap (the worker reads values at most `staleness`
       // iterations behind its own clock).
-      if (node.iter > 0 && node.synced_through[layer] < node.iter - 1 - system_.staleness) {
+      if (node.iter > 0 && node.synced_through[layer] < node.iter - 1 - plan_.staleness) {
         return;  // blocked on this layer's synchronization; stall
       }
       if (op == 0 && !node.iter_marked) {
@@ -423,8 +307,8 @@ class ProtocolSim {
       // Frame groups of long-finished iterations can never match again
       // (keys embed the iteration); prune them so the map stays bounded.
       const int64_t done_iter =
-          static_cast<int64_t>(node.iter) - system_.staleness - 2;
-      if (system_.batch_egress && done_iter > 0) {
+          static_cast<int64_t>(node.iter) - plan_.staleness - 2;
+      if (plan_.batch_egress && done_iter > 0) {
         const int64_t cutoff =
             done_iter * 4096 * num_nodes_ * num_nodes_;
         for (auto it = frame_groups_.begin(); it != frame_groups_.end();) {
@@ -500,8 +384,9 @@ class ProtocolSim {
       // TensorFlow issues parameter fetches only at the iteration boundary:
       // send pull requests for every layer now.
       for (int l = 0; l < num_layers_; ++l) {
-        if (wires_[l].scheme != WireScheme::kPsDense &&
-            wires_[l].scheme != WireScheme::kOneBit) {
+        const LayerWire& wire = wires_[l];
+        if (wire.adam ||
+            (wire.scheme != PlannedScheme::kPS && wire.scheme != PlannedScheme::kOneBit)) {
           continue;
         }
         SendPullRequests(n, l, iter);
@@ -512,17 +397,8 @@ class ProtocolSim {
 
   // ------------------------------------------------------- sync pipelines --
   double DeviceCopyBytes(const LayerWire& wire) const {
-    switch (wire.scheme) {
-      case WireScheme::kPsDense:
-      case WireScheme::kOneBit:
-      case WireScheme::kRing:
-      case WireScheme::kTree:
-        return wire.dense_bytes;
-      case WireScheme::kSfb:
-      case WireScheme::kAdamSf:
-        return wire.sf_msg_bytes;
-    }
-    return 0.0;
+    return wire.scheme == PlannedScheme::kSFB || wire.adam ? wire.sf_msg_bytes
+                                                           : wire.dense_bytes;
   }
 
   // Reserves the node's copy engine and invokes `done` when the transfer
@@ -565,7 +441,7 @@ class ProtocolSim {
       return;
     }
     double framed = payload_bytes;
-    if (system_.batch_egress) {
+    if (plan_.batch_egress) {
       static const EgressBatchOptions kModeledBatch;  // the real defaults
       const int64_t key =
           ((static_cast<int64_t>(iter) * 4096 + frame_tag) * num_nodes_ + src) *
@@ -631,8 +507,9 @@ class ProtocolSim {
   void StartSend(int n, int layer, int iter) {
     const LayerWire& wire = wires_[layer];
     switch (wire.scheme) {
-      case WireScheme::kPsDense:
-      case WireScheme::kOneBit:
+      case PlannedScheme::kNone:
+      case PlannedScheme::kPS:
+      case PlannedScheme::kOneBit:
         if (wire.sharded) {
           for (int s = 0; s < num_nodes_; ++s) {
             WireSend(n, s, wire.push_bytes, iter,
@@ -645,7 +522,7 @@ class ProtocolSim {
                    });
         }
         break;
-      case WireScheme::kSfb:
+      case PlannedScheme::kSFB:
         for (int peer = 0; peer < num_nodes_; ++peer) {
           if (peer == n) {
             OnSfArrived(peer, layer, iter, /*local=*/true);
@@ -656,13 +533,7 @@ class ProtocolSim {
           });
         }
         break;
-      case WireScheme::kAdamSf:
-        WireSend(n, wire.owner, wire.sf_msg_bytes, iter,
-                 [this, layer, iter, owner = wire.owner] {
-                   OnPushArrived(layer, iter, owner);
-                 });
-        break;
-      case WireScheme::kRing: {
+      case PlannedScheme::kRing: {
         // The node's staged gradient exists now: join the ring by sending
         // hop 0 downstream, then drain any hops that arrived early.
         LayerSyncState& state = sync_[iter][layer];
@@ -676,7 +547,7 @@ class ProtocolSim {
         DrainRingHops(layer, iter, n);
         break;
       }
-      case WireScheme::kTree: {
+      case PlannedScheme::kTree: {
         LayerSyncState& state = sync_[iter][layer];
         state.collective_started[n] = true;
         MaybeTreeReduceDone(layer, iter, n);
@@ -804,7 +675,7 @@ class ProtocolSim {
       // whole-layer passes the unsharded 1-bit row charges.
       apply_s += wire.quant_cpu_s * 2.0;
     }
-    if (wire.scheme == WireScheme::kAdamSf) {
+    if (wire.adam) {
       // Reconstruct P workers' SF outer products on the server.
       apply_s += num_nodes_ * wire.recon_flops_per_sf / cluster_.recon_flops;
     }
@@ -1001,7 +872,7 @@ class ProtocolSim {
     for (int l = 0; l < num_layers_; ++l) {
       // Compressed PS layers report as e.g. "PS+int8" so plan assertions and
       // bench tables can see the codec choice alongside the scheme.
-      std::string scheme = WireSchemeName(wires_[l].scheme);
+      std::string scheme = wires_[l].adam ? "SF->PS" : PlannedSchemeName(wires_[l].scheme);
       if (wires_[l].compression != GradCompression::kNone) {
         scheme += std::string("+") + GradCompressionName(wires_[l].compression);
       }
@@ -1017,7 +888,7 @@ class ProtocolSim {
       const double outage =
           system_.detect_timeout_s + system_.restart_s + result.iter_time_s;
       const double absorbed =
-          std::min(outage, static_cast<double>(system_.staleness) * result.iter_time_s);
+          std::min(outage, static_cast<double>(plan_.staleness) * result.iter_time_s);
       result.recovery_stall_s = outage - absorbed;
     }
     return result;
@@ -1025,6 +896,7 @@ class ProtocolSim {
 
   const ModelSpec& model_;
   const SystemConfig& system_;
+  const CommPlan& plan_;
   const ClusterSpec& cluster_;
   const Engine engine_;
   const int batch_;
@@ -1062,7 +934,25 @@ class ProtocolSim {
 SimResult RunProtocolSimulation(const ModelSpec& model, const SystemConfig& system,
                                 const ClusterSpec& cluster, Engine engine, int batch_per_node,
                                 const SimOptions& options) {
-  ProtocolSim sim(model, system, cluster, engine, batch_per_node, options);
+  std::shared_ptr<const CommPlan> plan = system.plan;
+  if (plan == nullptr) {
+    PlanRequest request = system.request;
+    request.model_name = model.name;
+    request.layers = model.layers;
+    request.num_workers = cluster.num_nodes;
+    request.num_servers = cluster.num_nodes;
+    request.batch_per_worker = batch_per_node;
+    plan = std::make_shared<const CommPlan>(PlanComm(request));
+  }
+  CHECK_EQ(plan->layers.size(), model.layers.size())
+      << "plan for '" << plan->model << "' does not match model '" << model.name
+      << "' (layer count)";
+  for (size_t l = 0; l < model.layers.size(); ++l) {
+    CHECK(plan->layers[l].layer == model.layers[l].name)
+        << "plan layer " << l << " is '" << plan->layers[l].layer << "', model '"
+        << model.name << "' has '" << model.layers[l].name << "'";
+  }
+  ProtocolSim sim(model, system, *plan, cluster, engine, batch_per_node, options);
   return sim.Run();
 }
 

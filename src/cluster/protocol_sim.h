@@ -1,11 +1,11 @@
 // Discrete-event simulation of one distributed training run.
 //
 // ProtocolSimulation instantiates P symmetric nodes (each a worker plus a
-// colocated KV-store server hosting `shards_per_server` key-range shard
+// colocated KV-store server hosting the plan's `ps_shards` key-range shard
 // endpoints), a network fabric, and per-node GPU / copy-engine / CPU
 // timelines, then executes `warmup + measure` iterations of the chosen
-// SystemConfig under its consistency model (BSP, or SSP when
-// `staleness > 0`). It reports steady-state iteration time, throughput
+// SystemConfig's CommPlan under its consistency model (BSP, or SSP when the
+// plan's `staleness > 0`). It reports steady-state iteration time, throughput
 // speedup vs the single-node compute-only baseline, the GPU busy/stall
 // breakdown (Fig 7) and per-node traffic (Fig 10).
 //
@@ -32,7 +32,6 @@
 #include "src/cluster/cluster_spec.h"
 #include "src/cluster/compute_model.h"
 #include "src/cluster/system_config.h"
-#include "src/models/comm_cost.h"
 #include "src/models/model_spec.h"
 
 namespace poseidon {
@@ -59,14 +58,14 @@ struct SimResult {
   std::vector<double> tx_gbits_per_iter;
   std::vector<double> rx_gbits_per_iter;
 
-  // Per-node wire frames per iteration. With SystemConfig::batch_egress a
+  // Per-node wire frames per iteration. With the plan's batch_egress a
   // node's same-destination messages within one iteration share a frame, so
   // wire_msgs < logical_msgs; without batching the two are equal.
   std::vector<double> wire_msgs_per_iter;
   std::vector<double> logical_msgs_per_iter;
 
   // layer name -> scheme actually used ("PS", "SFB", "SF->PS" for Adam,
-  // "1bit").
+  // "1bit", "Ring", "Tree"; compressed PS layers as e.g. "PS+int8").
   std::map<std::string, std::string> layer_schemes;
 
   // ---- fault model outputs (SystemConfig loss/recovery knobs).
@@ -79,7 +78,10 @@ struct SimResult {
   double recovery_stall_s = 0.0;
 };
 
-// Runs one configuration to completion. Deterministic.
+// Runs one configuration to completion. Deterministic. Without a fixed
+// `system.plan`, plans `system.request` completed with the model, node count
+// and batch; a fixed plan must name the model's layers in order (fatal
+// otherwise).
 SimResult RunProtocolSimulation(const ModelSpec& model, const SystemConfig& system,
                                 const ClusterSpec& cluster, Engine engine, int batch_per_node,
                                 const SimOptions& options = SimOptions());

@@ -1,116 +1,74 @@
 #include "src/cluster/system_config.h"
 
 #include <string>
+#include <utility>
 
 namespace poseidon {
+namespace {
+
+SystemConfig MakeSystem(std::string name, OverlapMode overlap, PlanPolicy policy) {
+  SystemConfig config;
+  config.name = std::move(name);
+  config.overlap = overlap;
+  config.request.policy = policy;
+  return config;
+}
+
+}  // namespace
 
 SystemConfig CaffePlusPs() {
-  SystemConfig config;
-  config.name = "Caffe+PS";
-  config.overlap = OverlapMode::kNone;
-  config.sharding = ShardingMode::kKvPairs;
-  config.fc_scheme = FcScheme::kDense;
+  SystemConfig config = MakeSystem("Caffe+PS", OverlapMode::kNone, PlanPolicy::kDense);
   config.blocking_memcpy = true;
   return config;
 }
 
 SystemConfig CaffePlusWfbp() {
-  SystemConfig config;
-  config.name = "Caffe+WFBP";
-  config.overlap = OverlapMode::kWfbp;
-  config.sharding = ShardingMode::kKvPairs;
-  config.fc_scheme = FcScheme::kDense;
-  return config;
+  return MakeSystem("Caffe+WFBP", OverlapMode::kWfbp, PlanPolicy::kDense);
 }
 
 SystemConfig PoseidonSystem() {
-  SystemConfig config;
-  config.name = "Poseidon";
-  config.overlap = OverlapMode::kWfbp;
-  config.sharding = ShardingMode::kKvPairs;
-  config.fc_scheme = FcScheme::kHybrid;
-  return config;
+  return MakeSystem("Poseidon", OverlapMode::kWfbp, PlanPolicy::kHybrid);
 }
 
 SystemConfig TfNative() {
-  SystemConfig config;
-  config.name = "TF";
-  config.overlap = OverlapMode::kTfFetch;
+  SystemConfig config = MakeSystem("TF", OverlapMode::kTfFetch, PlanPolicy::kDense);
   config.sharding = ShardingMode::kPerTensor;
-  config.fc_scheme = FcScheme::kDense;
   config.transport_efficiency = 0.3;  // gRPC goodput, r0.10 era
   return config;
 }
 
-SystemConfig TfPlusWfbp() {
-  SystemConfig config;
-  config.name = "TF+WFBP";
-  config.overlap = OverlapMode::kWfbp;
-  config.sharding = ShardingMode::kKvPairs;
-  config.fc_scheme = FcScheme::kDense;
-  return config;
-}
+SystemConfig TfPlusWfbp() { return MakeSystem("TF+WFBP", OverlapMode::kWfbp, PlanPolicy::kDense); }
 
 SystemConfig AdamSystem() {
-  SystemConfig config;
-  config.name = "Adam";
-  config.overlap = OverlapMode::kWfbp;
-  config.sharding = ShardingMode::kKvPairs;
-  config.fc_scheme = FcScheme::kAdam;
+  SystemConfig config = MakeSystem("Adam", OverlapMode::kWfbp, PlanPolicy::kDense);
+  config.adam = true;
   return config;
 }
 
 SystemConfig OneBitSystem() {
-  SystemConfig config;
-  config.name = "CNTK-1bit";
-  config.overlap = OverlapMode::kWfbp;
-  config.sharding = ShardingMode::kKvPairs;
-  config.fc_scheme = FcScheme::kOneBit;
-  return config;
+  return MakeSystem("CNTK-1bit", OverlapMode::kWfbp, PlanPolicy::kOneBit);
 }
 
-SystemConfig SfbOnlySystem() {
-  SystemConfig config;
-  config.name = "SFB";
-  config.overlap = OverlapMode::kWfbp;
-  config.sharding = ShardingMode::kKvPairs;
-  config.fc_scheme = FcScheme::kSfb;
-  return config;
-}
+SystemConfig SfbOnlySystem() { return MakeSystem("SFB", OverlapMode::kWfbp, PlanPolicy::kSfb); }
 
 SystemConfig RingAllreduceSystem() {
-  SystemConfig config;
-  config.name = "Ring";
-  config.overlap = OverlapMode::kWfbp;
-  config.sharding = ShardingMode::kKvPairs;
-  config.fc_scheme = FcScheme::kRing;
-  return config;
+  return MakeSystem("Ring", OverlapMode::kWfbp, PlanPolicy::kRingAllreduce);
 }
 
 SystemConfig TreeAllreduceSystem() {
-  SystemConfig config;
-  config.name = "Tree";
-  config.overlap = OverlapMode::kWfbp;
-  config.sharding = ShardingMode::kKvPairs;
-  config.fc_scheme = FcScheme::kTree;
-  return config;
+  return MakeSystem("Tree", OverlapMode::kWfbp, PlanPolicy::kTreeAllreduce);
 }
 
 SystemConfig HybridCollectiveSystem() {
-  SystemConfig config;
-  config.name = "Poseidon++";
-  config.overlap = OverlapMode::kWfbp;
-  config.sharding = ShardingMode::kKvPairs;
-  config.fc_scheme = FcScheme::kHybridCollective;
-  return config;
+  return MakeSystem("Poseidon++", OverlapMode::kWfbp, PlanPolicy::kHybridCollective);
 }
 
 SystemConfig ShardedPsSystem(int shards, int staleness) {
   SystemConfig config = CaffePlusWfbp();
   config.name = "PS-s" + std::to_string(shards) +
                 (staleness > 0 ? "-ssp" + std::to_string(staleness) : "");
-  config.shards_per_server = shards;
-  config.staleness = staleness;
+  config.request.ps_shards_pinned = shards;
+  config.request.staleness = staleness;
   return config;
 }
 
@@ -118,29 +76,22 @@ SystemConfig SspPoseidonSystem(int staleness, int shards) {
   SystemConfig config = PoseidonSystem();
   config.name = "Poseidon-ssp" + std::to_string(staleness) +
                 (shards > 1 ? "-s" + std::to_string(shards) : "");
-  config.shards_per_server = shards;
-  config.staleness = staleness;
+  config.request.ps_shards_pinned = shards;
+  config.request.staleness = staleness;
   return config;
 }
 
-SystemConfig CompressedPsSystem(GradCompression compression, double topk_density,
-                                bool auto_per_layer) {
+SystemConfig CompressedPsSystem(PlanCodecPolicy codec, double topk_density) {
   SystemConfig config = CaffePlusWfbp();
-  config.name = std::string("PS-") +
-                (auto_per_layer ? "auto" : GradCompressionName(compression));
-  config.ps_compression = compression;
-  config.auto_ps_compression = auto_per_layer;
-  config.topk_density = topk_density;
+  config.name = std::string("PS-") + PlanCodecPolicyName(codec);
+  config.request.codec = codec;
+  config.request.topk_density = topk_density;
   return config;
 }
 
 SystemConfig PlannedSystem(std::shared_ptr<const CommPlan> plan) {
   SystemConfig config = PoseidonSystem();
   config.name = "Planned";
-  config.shards_per_server = plan->ps_shards;
-  config.staleness = plan->staleness;
-  config.batch_egress = plan->batch_egress;
-  config.topk_density = plan->topk_density;
   config.plan = std::move(plan);
   return config;
 }

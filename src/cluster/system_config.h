@@ -1,12 +1,14 @@
 // The distributed-training systems compared in the evaluation, expressed as
-// combinations of three orthogonal mechanisms:
+// one communication plan plus the mechanisms only the simulator models:
 //   * overlap    — when layer synchronization may run relative to compute
 //                  (§3.1: none / WFBP / TF's fetch-at-iteration-start),
 //   * sharding   — how parameters map to PS shards (Poseidon's 2 MB KV pairs
 //                  vs TensorFlow's one-server-per-tensor),
-//   * scheme     — what bytes move for FC layers (dense PS, SFB, Adam's
-//                  SF-push + matrix-pull, CNTK's 1-bit quantization,
-//                  or HybComm's per-layer best choice).
+//   * the plan   — what bytes move per layer (dense PS, SFB, CNTK's 1-bit
+//                  quantization, collectives, compressed PS, or HybComm's
+//                  per-layer choice), from a CommPlanner request or a fixed
+//                  CommPlan; Project Adam's SF-push + matrix-pull is the one
+//                  scheme only the simulator knows.
 #ifndef POSEIDON_SRC_CLUSTER_SYSTEM_CONFIG_H_
 #define POSEIDON_SRC_CLUSTER_SYSTEM_CONFIG_H_
 
@@ -14,8 +16,8 @@
 #include <memory>
 #include <string>
 
-#include "src/models/comm_cost.h"
 #include "src/planner/comm_plan.h"
+#include "src/planner/comm_planner.h"
 
 namespace poseidon {
 
@@ -30,25 +32,14 @@ enum class ShardingMode {
   kPerTensor,  // each layer owned by one server (TensorFlow's partitioning)
 };
 
-enum class FcScheme {
-  kDense,    // full gradient matrices through the PS
-  kSfb,      // sufficient factor broadcasting among peers
-  kAdam,     // SFs pushed to the owning server, dense matrices pulled back
-  kOneBit,   // 1-bit quantized gradients through the PS
-  kHybrid,   // per-layer BestScheme choice between kDense and kSfb
-  // Collective extensions: unlike the FC-only schemes above, these apply to
-  // every parameter layer (conv included) — allreduce needs no gradient
-  // factorization.
-  kRing,              // ring allreduce for all layers
-  kTree,              // binary-tree reduce-broadcast for all layers
-  kHybridCollective,  // three-way BestSchemeExtended per layer
-};
-
 struct SystemConfig {
   std::string name;
   OverlapMode overlap = OverlapMode::kWfbp;
   ShardingMode sharding = ShardingMode::kKvPairs;
-  FcScheme fc_scheme = FcScheme::kDense;
+  // Project Adam: FC layers the plan sends through the PS push their
+  // sufficient factors to the layer's owning server instead, which
+  // reconstructs the update and sends dense matrices back ("SF->PS").
+  bool adam = false;
   // Vanilla-PS behaviour: DRAM<->GPU staging copies block the GPU instead of
   // running on the async copy engine (explains Caffe+PS's single-node
   // overhead, §5.1).
@@ -64,21 +55,6 @@ struct SystemConfig {
   // workers contributed (the slowest worker's update is dropped for the
   // iteration); SFB receivers likewise proceed one peer short.
   bool drop_stragglers = false;
-  // Key-range KV shard endpoints per server node. Each shard applies updates
-  // on its own thread, so the server-side apply path parallelizes by this
-  // factor; NIC traffic is unchanged (the same bytes spread over more
-  // endpoints).
-  int shards_per_server = 1;
-  // SSP staleness bound: a worker may start iteration t once iteration
-  // t - 1 - staleness of every layer is synchronized, instead of t - 1
-  // (BSP). Hides stragglers and sync-tail latency at the cost of stale
-  // gradients; 0 reproduces BSP timing exactly.
-  int staleness = 0;
-  // Per-destination egress batching (the transport's batcher, modeled): a
-  // node's same-destination messages within one iteration share one wire
-  // frame, cutting per-message framing overhead and the message count the
-  // simulation reports. Payload bytes and protocol timing are unchanged.
-  bool batch_egress = false;
   // ---- fault model (mirrors the live transport's fault fabric; see
   // docs/FAULT_TOLERANCE.md). The modeled link layer is reliable: a lost
   // message is retransmitted, so loss costs time and bytes, never data.
@@ -95,24 +71,19 @@ struct SystemConfig {
   // (SimResult::recovery_stall_s).
   double detect_timeout_s = 0.0;
   double restart_s = 0.0;
-  // ---- wire compression of the PS path (mirrors the runtime's
-  // TrainerOptions::ps_compression; see docs/COMPRESSION.md). A fixed codec
-  // rescales every dense-PS layer clearing `compression_min_floats` by the
-  // per-direction byte rows (PushBytesPerFloat / PullBytesPerFloat);
-  // `auto_ps_compression` instead resolves each layer through
-  // BestCompression — and, under kHybridCollective, routes the scheme choice
-  // through BestSchemeExtendedCompressed so compressed PS competes with SFB
-  // and the collectives on the byte basis. Quantized pushes also charge the
-  // encoder's CPU pass (same aux engine as the 1-bit row).
-  GradCompression ps_compression = GradCompression::kNone;
-  bool auto_ps_compression = false;
-  double topk_density = 0.01;
-  int64_t compression_min_floats = kCompressionMinFloats;
-  // ---- CommPlanner integration. When set, per-layer schemes and codecs come
-  // from the plan's assignments (looked up by layer name) instead of the
-  // fc_scheme/compression policy switches above; shards/staleness/batching
-  // were copied from the plan by PlannedSystem(). Layers the plan does not
-  // name fall back to the policy switches.
+  // ---- The communication decision. `request` carries the CommPlanner's
+  // policy fields (policy, codec, ps_shards_pinned, staleness, batch_egress,
+  // topk_density, compression_min_floats, joint); RunProtocolSimulation
+  // completes it with the model, node count and batch and prices PlanComm's
+  // answer (the factories below set `request.policy`). A set `plan` is
+  // priced as is instead, and must match the model.
+  // The plan supplies every per-layer scheme and codec plus the shard count
+  // (key-range endpoints per server, dividing the server apply path), the
+  // SSP staleness bound (a worker may start iteration t once iteration
+  // t - 1 - staleness of every layer is synchronized) and egress batching
+  // (a node's same-destination messages within one iteration share a wire
+  // frame: fewer frames and framing bytes, same payload and timing).
+  PlanRequest request;
   std::shared_ptr<const CommPlan> plan;
 };
 
@@ -133,15 +104,11 @@ SystemConfig HybridCollectiveSystem(); // Poseidon++ three-way HybComm
 SystemConfig ShardedPsSystem(int shards, int staleness = 0);
 // Poseidon (WFBP + HybComm) running under an SSP bound.
 SystemConfig SspPoseidonSystem(int staleness, int shards = 1);
-// Dense-PS WFBP with the PS path compressed by `compression` (kAuto per
-// layer when `auto_per_layer`); topk density as configured.
-SystemConfig CompressedPsSystem(GradCompression compression,
-                                double topk_density = 0.01,
-                                bool auto_per_layer = false);
-// WFBP system driven by a CommPlan: per-layer schemes/codecs from the plan's
-// assignments, shard count / staleness / egress batching / top-k density from
-// its global knobs. This is what `--plan=auto` and `--plan=fixed:<path>`
-// simulate.
+// Dense-PS WFBP with the PS path compressed under `codec` (a fixed codec on
+// every layer clearing the size gate, or the per-layer pick under kAuto).
+SystemConfig CompressedPsSystem(PlanCodecPolicy codec, double topk_density = 0.01);
+// WFBP system priced off a fixed CommPlan. This is what `--plan=auto` and
+// `--plan=fixed:<path>` simulate.
 SystemConfig PlannedSystem(std::shared_ptr<const CommPlan> plan);
 
 }  // namespace poseidon

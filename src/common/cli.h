@@ -59,8 +59,8 @@ struct BenchArgs {
   // --plan=paper|auto|fixed:<path.json>: how the planner-aware benches pick
   // their communication configuration. "paper" (default) keeps the bench's
   // hand-picked paper-mode settings; "auto" runs the CommPlanner's joint
-  // search per sweep point (memoized in the plan cache); "fixed:<path>"
-  // adopts a CommPlan JSON dump verbatim (CommPlan::LoadFromFile).
+  // search per sweep point; "fixed:<path>" adopts a CommPlan JSON dump
+  // verbatim (CommPlan::LoadFromFile) and prices only the model it names.
   std::string plan = "paper";
   // Telemetry sinks (empty = off); see InitBenchTelemetry/FinishBenchTelemetry.
   std::string json_out;

@@ -18,16 +18,20 @@ void ValidateQuery(const CommCostQuery& q) {
 
 }  // namespace
 
-const char* CommSchemeName(CommScheme scheme) {
+const char* PlannedSchemeName(PlannedScheme scheme) {
   switch (scheme) {
-    case CommScheme::kPS:
+    case PlannedScheme::kNone:
+      return "none";
+    case PlannedScheme::kPS:
       return "PS";
-    case CommScheme::kSFB:
+    case PlannedScheme::kSFB:
       return "SFB";
-    case CommScheme::kRing:
+    case PlannedScheme::kRing:
       return "Ring";
-    case CommScheme::kTree:
+    case PlannedScheme::kTree:
       return "Tree";
+    case PlannedScheme::kOneBit:
+      return "1bit";
   }
   return "?";
 }
@@ -90,24 +94,6 @@ double PsShardedColocatedFloats(const CommCostQuery& q) {
          (q.num_workers + endpoints - 2.0) / endpoints;
 }
 
-int BestPsShardCount(const CommCostQuery& q, int max_shards) {
-  ValidateQuery(q);
-  CHECK_GT(max_shards, 0);
-  CommCostQuery candidate = q;
-  candidate.num_shards = 1;
-  int best = 1;
-  double best_floats = PsShardedColocatedFloats(candidate);
-  for (int s = 2; s <= max_shards; ++s) {
-    candidate.num_shards = s;
-    const double floats = PsShardedColocatedFloats(candidate);
-    if (floats < best_floats) {  // strict: ties keep the smaller shard count
-      best = s;
-      best_floats = floats;
-    }
-  }
-  return best;
-}
-
 double RingAllreduceWorkerFloats(const CommCostQuery& q) {
   ValidateQuery(q);
   return RingAllreduceNodeFloats(q.m * q.n, q.num_workers);
@@ -118,15 +104,18 @@ double TreeAllreduceWorkerFloats(const CommCostQuery& q) {
   return TreeAllreduceMaxNodeFloats(q.m * q.n, q.num_workers);
 }
 
-double SchemeWorkerFloats(CommScheme scheme, const CommCostQuery& q) {
+double SchemeWorkerFloats(PlannedScheme scheme, const CommCostQuery& q) {
   switch (scheme) {
-    case CommScheme::kPS:
+    case PlannedScheme::kNone:
+      return 0.0;
+    case PlannedScheme::kPS:
+    case PlannedScheme::kOneBit:
       return PsShardedColocatedFloats(q);  // == PsColocatedFloats at 1 shard
-    case CommScheme::kSFB:
+    case PlannedScheme::kSFB:
       return SfbWorkerFloats(q);
-    case CommScheme::kRing:
+    case PlannedScheme::kRing:
       return RingAllreduceWorkerFloats(q);
-    case CommScheme::kTree:
+    case PlannedScheme::kTree:
       return TreeAllreduceWorkerFloats(q);
   }
   return 0.0;
@@ -138,13 +127,13 @@ bool SfbWins(const CommCostQuery& q) {
   return SfbWorkerFloats(q) <= PsShardedColocatedFloats(q);
 }
 
-CommScheme BestScheme(const LayerSpec& layer, int64_t batch_k, int num_workers,
-                      int num_servers) {
+PlannedScheme BestScheme(const LayerSpec& layer, int64_t batch_k, int num_workers,
+                         int num_servers) {
   if (layer.type != LayerType::kFC) {
-    return CommScheme::kPS;  // CONV gradients are indecomposable and sparse
+    return PlannedScheme::kPS;  // CONV gradients are indecomposable and sparse
   }
   if (num_workers <= 1) {
-    return CommScheme::kPS;  // no peers to broadcast to
+    return PlannedScheme::kPS;  // no peers to broadcast to
   }
   CommCostQuery q;
   q.m = layer.fc_m;
@@ -152,7 +141,7 @@ CommScheme BestScheme(const LayerSpec& layer, int64_t batch_k, int num_workers,
   q.batch_k = batch_k;
   q.num_workers = num_workers;
   q.num_servers = num_servers;
-  return SfbWins(q) ? CommScheme::kSFB : CommScheme::kPS;
+  return SfbWins(q) ? PlannedScheme::kSFB : PlannedScheme::kPS;
 }
 
 const char* GradCompressionName(GradCompression compression) {
@@ -190,119 +179,21 @@ double PullBytesPerFloat(GradCompression compression) {
   return compression == GradCompression::kNone ? 4.0 : 2.0;
 }
 
-double SchemeWireBytes(CommScheme scheme, GradCompression compression,
+double SchemeWireBytes(PlannedScheme scheme, GradCompression compression,
                        const CommCostQuery& q, double topk_density) {
   const double floats = SchemeWorkerFloats(scheme, q);
-  if (scheme != CommScheme::kPS) {
-    return floats * 4.0;  // collectives and SFB move raw fp32
-  }
   // Every PS push has a matching pull of the same element count, so the
   // float row splits exactly in half per direction; each half pays its
   // direction's byte cost.
-  const double per_direction = floats / 2.0;
-  return per_direction * (PushBytesPerFloat(compression, topk_density) +
-                          PullBytesPerFloat(compression));
-}
-
-GradCompression BestCompression(int64_t layer_floats, double topk_density,
-                                int64_t min_floats) {
-  if (layer_floats < min_floats) {
-    return GradCompression::kNone;
+  switch (scheme) {
+    case PlannedScheme::kPS:
+      return floats / 2.0 * (PushBytesPerFloat(compression, topk_density) +
+                             PullBytesPerFloat(compression));
+    case PlannedScheme::kOneBit:
+      return floats / 2.0 * (0.125 + 0.125);
+    default:
+      return floats * 4.0;  // collectives and SFB move raw fp32
   }
-  GradCompression best = GradCompression::kNone;
-  double best_bytes = PushBytesPerFloat(best, topk_density) + PullBytesPerFloat(best);
-  const GradCompression candidates[] = {GradCompression::kFp16, GradCompression::kInt8,
-                                        GradCompression::kTopK};
-  for (GradCompression candidate : candidates) {
-    if (candidate == GradCompression::kTopK && topk_density <= 0.0) {
-      continue;
-    }
-    const double bytes =
-        PushBytesPerFloat(candidate, topk_density) + PullBytesPerFloat(candidate);
-    if (bytes < best_bytes) {
-      best = candidate;
-      best_bytes = bytes;
-    }
-  }
-  return best;
-}
-
-SchemeChoice BestSchemeExtendedCompressed(const LayerSpec& layer, int64_t batch_k,
-                                          int num_workers, int num_servers,
-                                          int ps_shards, double topk_density) {
-  SchemeChoice choice;
-  CommCostQuery q;
-  q.m = layer.type == LayerType::kFC ? layer.fc_m : layer.params;
-  q.n = layer.type == LayerType::kFC ? layer.fc_n : 1;
-  q.batch_k = batch_k;
-  q.num_workers = num_workers;
-  q.num_servers = num_servers;
-  q.num_shards = ps_shards;
-  if (q.m <= 0 || q.n <= 0) {
-    return choice;  // stateless layer; nothing to synchronize
-  }
-  if (num_workers <= 1) {
-    choice.bytes = SchemeWireBytes(choice.scheme, choice.compression, q, topk_density);
-    return choice;
-  }
-
-  choice.bytes = SchemeWireBytes(CommScheme::kPS, GradCompression::kNone, q, topk_density);
-  auto consider = [&](CommScheme scheme, GradCompression compression) {
-    const double bytes = SchemeWireBytes(scheme, compression, q, topk_density);
-    if (bytes < choice.bytes) {  // strict: ties keep the earlier candidate
-      choice.scheme = scheme;
-      choice.compression = compression;
-      choice.bytes = bytes;
-    }
-  };
-  if (q.m * q.n >= kCompressionMinFloats) {
-    consider(CommScheme::kPS, GradCompression::kFp16);
-    consider(CommScheme::kPS, GradCompression::kInt8);
-    if (topk_density > 0.0) {
-      consider(CommScheme::kPS, GradCompression::kTopK);
-    }
-  }
-  if (layer.type == LayerType::kFC) {
-    consider(CommScheme::kSFB, GradCompression::kNone);
-  }
-  consider(CommScheme::kRing, GradCompression::kNone);
-  consider(CommScheme::kTree, GradCompression::kNone);
-  return choice;
-}
-
-CommScheme BestSchemeExtended(const LayerSpec& layer, int64_t batch_k, int num_workers,
-                              int num_servers, int ps_shards) {
-  if (num_workers <= 1) {
-    return CommScheme::kPS;
-  }
-  CommCostQuery q;
-  // Conv layers have no (M, N) factorization; model their dense parameter
-  // tensor as M = params, N = 1 so the PS/ring/tree rows (which only use
-  // M*N) stay exact. SFB is excluded for them below.
-  q.m = layer.type == LayerType::kFC ? layer.fc_m : layer.params;
-  q.n = layer.type == LayerType::kFC ? layer.fc_n : 1;
-  q.batch_k = batch_k;
-  q.num_workers = num_workers;
-  q.num_servers = num_servers;
-  q.num_shards = ps_shards;
-  if (q.m <= 0 || q.n <= 0) {
-    return CommScheme::kPS;  // stateless layer; nothing to synchronize
-  }
-
-  CommScheme best = CommScheme::kPS;
-  double best_floats = SchemeWorkerFloats(best, q);
-  const CommScheme candidates[] = {CommScheme::kSFB, CommScheme::kRing, CommScheme::kTree};
-  for (CommScheme candidate : candidates) {
-    if (candidate == CommScheme::kSFB && layer.type != LayerType::kFC) {
-      continue;  // conv gradients are indecomposable
-    }
-    const double floats = SchemeWorkerFloats(candidate, q);
-    if (floats < best_floats) {
-      best = candidate;
-      best_floats = floats;
-    }
-  }
-  return best;
 }
 
 }  // namespace poseidon

@@ -143,24 +143,6 @@ class JsonScanner {
 
 }  // namespace
 
-const char* PlannedSchemeName(PlannedScheme scheme) {
-  switch (scheme) {
-    case PlannedScheme::kNone:
-      return "none";
-    case PlannedScheme::kPS:
-      return "PS";
-    case PlannedScheme::kSFB:
-      return "SFB";
-    case PlannedScheme::kRing:
-      return "Ring";
-    case PlannedScheme::kTree:
-      return "Tree";
-    case PlannedScheme::kOneBit:
-      return "1bit";
-  }
-  return "?";
-}
-
 uint64_t CommPlan::ComputeHash() const {
   uint64_t h = kFnvOffset;
   h = FnvString(h, model);

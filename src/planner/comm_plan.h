@@ -20,21 +20,6 @@
 
 namespace poseidon {
 
-/// The planner's scheme vocabulary: CommScheme plus the no-op for stateless
-/// layers and the legacy 1-bit PS path (reachable only by pinning the 1-bit
-/// policy — the planner never volunteers it, the quantized codecs superseded
-/// it).
-enum class PlannedScheme {
-  kNone,    // stateless layer, nothing to synchronize
-  kPS,      // sharded parameter server (optionally compressed)
-  kSFB,     // sufficient factor broadcasting
-  kRing,    // ring allreduce
-  kTree,    // binary-tree reduce + broadcast
-  kOneBit,  // 1-bit quantized push to a single owner shard
-};
-
-const char* PlannedSchemeName(PlannedScheme scheme);
-
 /// One layer's assignment: what moves on the wire and what the cost model
 /// predicted it costs (per-worker payload bytes per iteration).
 struct PlanLayerChoice {

@@ -43,6 +43,8 @@ std::string Fmt(double v) {
 /// (mirrors the coordinator's total_floats == 0 rule).
 bool Stateless(const LayerSpec& layer) { return layer.params <= 0; }
 
+/// Conv layers have no (M, N) factorization: M = params, N = 1 keeps the
+/// PS/ring/tree rows, which use only M*N, exact (SFB is FC-only).
 CommCostQuery QueryFor(const LayerSpec& layer, const PlanRequest& r, int shards) {
   CommCostQuery q;
   q.m = layer.type == LayerType::kFC ? layer.fc_m : layer.params;
@@ -52,14 +54,6 @@ CommCostQuery QueryFor(const LayerSpec& layer, const PlanRequest& r, int shards)
   q.num_servers = r.num_servers;
   q.num_shards = shards;
   return q;
-}
-
-/// Approximate 1-bit PS row (per-worker wire bytes): 1 bit per element each
-/// direction. Reachable only under the pinned kOneBit policy — the quantized
-/// codecs superseded 1-bit, so it never enters the auto menu and the level
-/// words are not worth modeling.
-double OneBitWireBytes(const CommCostQuery& q) {
-  return PsShardedColocatedFloats(q) / 2.0 * (0.125 + 0.125);
 }
 
 /// Rough per-worker wire-message count for the framing/batching model (not
@@ -130,41 +124,19 @@ CandidateCost EvalCandidate(PlannedScheme scheme, GradCompression codec,
   CandidateCost c;
   c.scheme = scheme;
   c.codec = codec;
-  const CommCostQuery q = QueryFor(layer, r, shards);
-  if (scheme == PlannedScheme::kOneBit) {
-    c.payload_bytes = OneBitWireBytes(q);
+  c.payload_bytes = SchemeWireBytes(scheme, codec, QueryFor(layer, r, shards), r.topk_density);
+  if (scheme == PlannedScheme::kOneBit ||
+      (scheme == PlannedScheme::kPS && codec != GradCompression::kNone)) {
     c.encode_floats = static_cast<double>(layer.params);
-  } else {
-    CommScheme comm = CommScheme::kPS;
-    switch (scheme) {
-      case PlannedScheme::kPS:
-        comm = CommScheme::kPS;
-        break;
-      case PlannedScheme::kSFB:
-        comm = CommScheme::kSFB;
-        break;
-      case PlannedScheme::kRing:
-        comm = CommScheme::kRing;
-        break;
-      case PlannedScheme::kTree:
-        comm = CommScheme::kTree;
-        break;
-      default:
-        break;
-    }
-    c.payload_bytes = SchemeWireBytes(comm, codec, q, r.topk_density);
-    if (scheme == PlannedScheme::kPS && codec != GradCompression::kNone) {
-      c.encode_floats = static_cast<double>(layer.params);
-    }
   }
   c.msgs = MessagesFor(scheme, layer, r, shards);
   c.cost = Objective(c, basis);
   return c;
 }
 
-/// Wire codecs the PS candidate may use for `layer`, in the canonical menu
-/// order of BestSchemeExtendedCompressed (raw first; a fixed-codec policy is
-/// a mandate, so it yields the single eligible candidate).
+/// Wire codecs the PS candidate may use for `layer`, in canonical menu order
+/// (raw first; a fixed-codec policy is a mandate, so it yields the single
+/// eligible candidate).
 std::vector<GradCompression> PsCodecMenu(const LayerSpec& layer, const PlanRequest& r) {
   const bool eligible = layer.params >= r.compression_min_floats;
   switch (r.codec) {
@@ -259,6 +231,17 @@ LayerMenu MenuFor(const LayerSpec& layer, const PlanRequest& r) {
   return menu;
 }
 
+/// The shard-independent tail of `menu`, evaluated once per layer.
+std::vector<CandidateCost> TailCosts(const LayerSpec& layer, const PlanRequest& r,
+                                     const LayerMenu& menu, const CostBasis& basis) {
+  std::vector<CandidateCost> tail;
+  for (PlannedScheme scheme : menu.tail) {
+    tail.push_back(
+        EvalCandidate(scheme, GradCompression::kNone, layer, r, /*shards=*/1, basis));
+  }
+  return tail;
+}
+
 /// Folds the layer's full menu at shard count `shards`, replacing only on
 /// strict improvement so ties keep the earlier (paper-preferred) candidate.
 /// `tail_costs` are the precomputed shard-independent candidates.
@@ -291,10 +274,15 @@ CandidateCost BestForLayer(const LayerSpec& layer, const PlanRequest& r,
 
 // ------------------------------------------------------------- paper mode --
 
-/// The pre-planner per-layer scheme pass at shard count `shards`: float-basis choosers, collective policies gated on
-/// multi-worker, conv layers pinned to the PS under the paper policies.
-std::vector<PlannedScheme> PaperSchemes(const PlanRequest& r, int shards) {
+/// Paper mode's per-layer scheme pass at shard count `shards`: the pinned
+/// policies, Algorithm 1's BestScheme under kHybrid, and under
+/// kHybridCollective (and kAuto) the joint fold over the raw rows — PS, SFB
+/// for FC layers, ring, tree — on the byte basis.
+std::vector<PlannedScheme> PaperSchemes(const PlanRequest& r, int shards,
+                                        const CostBasis& basis) {
   const bool multi = r.num_workers > 1;
+  PlanRequest raw = r;
+  raw.codec = PlanCodecPolicy::kNone;  // the scheme is picked before the codec
   std::vector<PlannedScheme> schemes;
   schemes.reserve(r.layers.size());
   for (const LayerSpec& layer : r.layers) {
@@ -313,21 +301,10 @@ std::vector<PlannedScheme> PaperSchemes(const PlanRequest& r, int shards) {
       continue;
     }
     if (policy == PlanPolicy::kHybridCollective) {
-      switch (BestSchemeExtended(layer, r.batch_per_worker, r.num_workers, r.num_servers,
-                                 shards)) {
-        case CommScheme::kPS:
-          schemes.push_back(PlannedScheme::kPS);
-          break;
-        case CommScheme::kSFB:
-          schemes.push_back(PlannedScheme::kSFB);
-          break;
-        case CommScheme::kRing:
-          schemes.push_back(PlannedScheme::kRing);
-          break;
-        case CommScheme::kTree:
-          schemes.push_back(PlannedScheme::kTree);
-          break;
-      }
+      const LayerMenu menu = MenuFor(layer, raw);
+      schemes.push_back(
+          BestForLayer(layer, raw, menu, TailCosts(layer, raw, menu, basis), shards, basis)
+              .scheme);
       continue;
     }
     if (layer.type != LayerType::kFC) {
@@ -335,17 +312,12 @@ std::vector<PlannedScheme> PaperSchemes(const PlanRequest& r, int shards) {
       continue;
     }
     switch (policy) {
-      case PlanPolicy::kDense:
-        schemes.push_back(PlannedScheme::kPS);
-        break;
       case PlanPolicy::kSfb:
         schemes.push_back(PlannedScheme::kSFB);
         break;
       case PlanPolicy::kHybrid:
-        schemes.push_back(BestScheme(layer, r.batch_per_worker, r.num_workers,
-                                     r.num_servers) == CommScheme::kSFB
-                              ? PlannedScheme::kSFB
-                              : PlannedScheme::kPS);
+        schemes.push_back(
+            BestScheme(layer, r.batch_per_worker, r.num_workers, r.num_servers));
         break;
       case PlanPolicy::kOneBit:
         schemes.push_back(PlannedScheme::kOneBit);
@@ -358,23 +330,50 @@ std::vector<PlannedScheme> PaperSchemes(const PlanRequest& r, int shards) {
   return schemes;
 }
 
+/// Paper mode's shard count when it is searched: for every PS layer, the
+/// fewest shards in [1, max_shards] minimizing its raw PS row (ties keep
+/// fewer shards), maxed over the layers.
+int PaperShards(const PlanRequest& r, const std::vector<PlannedScheme>& schemes,
+                const CostBasis& basis) {
+  int best_s = 1;
+  for (size_t l = 0; l < r.layers.size(); ++l) {
+    if (schemes[l] != PlannedScheme::kPS) {
+      continue;
+    }
+    int layer_s = 1;
+    double layer_cost = 0.0;
+    for (int s = 1; s <= r.max_shards; ++s) {
+      const double cost =
+          EvalCandidate(PlannedScheme::kPS, GradCompression::kNone, r.layers[l], r, s, basis)
+              .cost;
+      if (s == 1 || cost < layer_cost) {
+        layer_s = s;
+        layer_cost = cost;
+      }
+    }
+    best_s = std::max(best_s, layer_s);
+  }
+  return best_s;
+}
+
+/// Paper mode's codec for a PS layer: the first cheapest entry of the
+/// layer's codec menu by push + pull bytes per element — the PS row's
+/// argmin with the row's size factor divided out, so the pick stays defined
+/// in a one-worker, one-server world where that factor is zero.
 GradCompression PaperCodec(const LayerSpec& layer, const PlanRequest& r) {
-  if (layer.params < r.compression_min_floats) {
-    return GradCompression::kNone;
+  GradCompression best = GradCompression::kNone;
+  double best_bytes = 0.0;
+  bool have = false;
+  for (GradCompression codec : PsCodecMenu(layer, r)) {
+    const double bytes =
+        PushBytesPerFloat(codec, r.topk_density) + PullBytesPerFloat(codec);
+    if (!have || bytes < best_bytes) {
+      best = codec;
+      best_bytes = bytes;
+      have = true;
+    }
   }
-  switch (r.codec) {
-    case PlanCodecPolicy::kNone:
-      return GradCompression::kNone;
-    case PlanCodecPolicy::kFp16:
-      return GradCompression::kFp16;
-    case PlanCodecPolicy::kInt8:
-      return GradCompression::kInt8;
-    case PlanCodecPolicy::kTopK:
-      return GradCompression::kTopK;
-    case PlanCodecPolicy::kAuto:
-      return BestCompression(layer.params, r.topk_density, r.compression_min_floats);
-  }
-  return GradCompression::kNone;
+  return best;
 }
 
 // -------------------------------------------------------------- assembly --
@@ -536,19 +535,11 @@ CommPlan PlanComm(const PlanRequest& r) {
   if (!r.joint) {
     // Paper mode: the pre-planner sequential decisions, reproduced exactly.
     const int s0 = r.ps_shards_pinned > 0 ? r.ps_shards_pinned : r.paper_eval_shards;
-    const std::vector<PlannedScheme> schemes0 = PaperSchemes(r, s0);
-    int best_s = r.ps_shards_pinned > 0 ? r.ps_shards_pinned : 1;
-    if (r.ps_shards_pinned == 0) {
-      for (size_t l = 0; l < num_layers; ++l) {
-        if (schemes0[l] != PlannedScheme::kPS) {
-          continue;
-        }
-        const CommCostQuery q = QueryFor(r.layers[l], r, 1);
-        best_s = std::max(best_s, BestPsShardCount(q, r.max_shards));
-      }
-    }
+    const std::vector<PlannedScheme> schemes0 = PaperSchemes(r, s0, basis);
+    const int best_s =
+        r.ps_shards_pinned > 0 ? r.ps_shards_pinned : PaperShards(r, schemes0, basis);
     const std::vector<PlannedScheme> schemes =
-        best_s == s0 ? schemes0 : PaperSchemes(r, best_s);
+        best_s == s0 ? schemes0 : PaperSchemes(r, best_s, basis);
     plan.ps_shards = best_s;
     for (size_t l = 0; l < num_layers; ++l) {
       const LayerSpec& layer = r.layers[l];
@@ -574,10 +565,7 @@ CommPlan PlanComm(const PlanRequest& r) {
     menus.reserve(num_layers);
     for (size_t l = 0; l < num_layers; ++l) {
       menus.push_back(MenuFor(r.layers[l], r));
-      for (PlannedScheme scheme : menus[l].tail) {
-        tails[l].push_back(EvalCandidate(scheme, GradCompression::kNone, r.layers[l], r,
-                                         /*shards=*/1, basis));
-      }
+      tails[l] = TailCosts(r.layers[l], r, menus[l], basis);
     }
     const int s_lo = r.ps_shards_pinned > 0 ? r.ps_shards_pinned : 1;
     const int s_hi = r.ps_shards_pinned > 0 ? r.ps_shards_pinned : r.max_shards;
@@ -636,6 +624,19 @@ PlanRequest JointAutoRequest(const ModelSpec& model, int num_nodes, double nic_g
   req.topk_density = topk_density;
   req.compression_min_floats = compression_min_floats;
   req.joint = true;
+  return req;
+}
+
+PlanRequest LayerRequest(const LayerSpec& layer, int64_t batch_k, int num_nodes,
+                         PlanPolicy policy) {
+  PlanRequest req;
+  req.model_name = layer.name;
+  req.layers = {layer};
+  req.num_workers = num_nodes;
+  req.num_servers = num_nodes;
+  req.batch_per_worker = static_cast<int>(batch_k);
+  req.ps_shards_pinned = 1;
+  req.policy = policy;
   return req;
 }
 

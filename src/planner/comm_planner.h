@@ -6,13 +6,15 @@
 ///
 /// Two search modes share one entry point (PlanComm):
 ///
-///  * paper mode (`joint = false`): reproduces the pre-planner sequential
-///    decisions bit for bit — per-layer scheme on the float basis
-///    (BestScheme / BestSchemeExtended), then the shard count
-///    (BestPsShardCount, max over PS layers, with the schemes re-resolved
-///    at the chosen count), then the codec given the scheme. The trainer's
-///    paper mode is one such request, so pre-planner trajectories are
-///    unchanged.
+///  * paper mode (`joint = false`): the paper's sequential decisions —
+///    per-layer scheme first (the pinned policy, Algorithm 1's BestScheme,
+///    or under kHybridCollective the fold over the raw PS/SFB/ring/tree
+///    rows), then the shard count (each PS layer's cheapest raw PS row over
+///    [1, max_shards], max over layers, with the schemes re-resolved at the
+///    chosen count), then the codec given the scheme (the cheapest entry of
+///    the layer's codec menu). Every fold runs over the same candidate rows
+///    as the joint search. The trainer's paper mode and every simulator
+///    system are such requests.
 ///  * joint mode (`joint = true`): per-layer argmin over the full
 ///    (scheme, codec) menu at every candidate shard count, on the byte
 ///    basis (nic_gbps == 0) or the time basis (nic_gbps > 0, adding
@@ -47,7 +49,7 @@ enum class PlanPolicy {
   kOneBit,            // 1-bit PS for FC layers
   kRingAllreduce,     // ring for every parameter layer
   kTreeAllreduce,     // tree for every parameter layer
-  kHybridCollective,  // three-way BestSchemeExtended per layer
+  kHybridCollective,  // three-way fold over the raw PS/SFB/ring/tree rows
 };
 
 const char* PlanPolicyName(PlanPolicy policy);
@@ -127,6 +129,13 @@ CommPlan PlanComm(const PlanRequest& request);
 PlanRequest JointAutoRequest(const ModelSpec& model, int num_nodes, double nic_gbps,
                              int max_shards, double topk_density = 0.01,
                              int64_t compression_min_floats = kCompressionMinFloats);
+
+/// Paper-mode request for a single layer on a symmetric cluster (every node
+/// a worker + colocated server) under `policy`, one pinned shard, raw fp32:
+/// how the cost-table benches ask what the planner picks for one layer
+/// shape (adjust the pinned shards, codec or mode before calling PlanComm).
+PlanRequest LayerRequest(const LayerSpec& layer, int64_t batch_k, int num_nodes,
+                         PlanPolicy policy);
 
 /// The pre-planner hand-picked default for the same shape: paper mode,
 /// Algorithm-1 hybrid policy, one shard, raw fp32 — the baseline the

@@ -80,7 +80,7 @@ StatusOr<int64_t> Coordinator::Query(const std::string& property) const {
   return NotFoundError("unknown property: " + property);
 }
 
-CommScheme Coordinator::BestScheme(int l) const {
+PlannedScheme Coordinator::BestScheme(int l) const {
   const LayerInfo& info = layer(l);
   LayerSpec spec;
   spec.name = info.name;
@@ -91,19 +91,7 @@ CommScheme Coordinator::BestScheme(int l) const {
                               cluster_.num_servers);
 }
 
-CommScheme Coordinator::BestSchemeExtended(int l) const {
-  const LayerInfo& info = layer(l);
-  LayerSpec spec;
-  spec.name = info.name;
-  spec.type = info.type;
-  spec.fc_m = info.fc_m;
-  spec.fc_n = info.fc_n;
-  spec.params = info.total_floats;
-  return poseidon::BestSchemeExtended(spec, cluster_.batch_per_worker, cluster_.num_workers,
-                                      cluster_.num_servers, cluster_.shards_per_server);
-}
-
-StatusOr<CommScheme> Coordinator::BestScheme(const std::string& layer_name) const {
+StatusOr<PlannedScheme> Coordinator::BestScheme(const std::string& layer_name) const {
   for (int l = 0; l < num_layers(); ++l) {
     if (layers_[static_cast<size_t>(l)].name == layer_name) {
       return BestScheme(l);

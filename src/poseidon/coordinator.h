@@ -102,13 +102,8 @@ class Coordinator {
 
   /// Table 2 / Algorithm 1 "BestScheme": the communication method for layer
   /// `l` given the current model and cluster shape.
-  CommScheme BestScheme(int l) const;
-  StatusOr<CommScheme> BestScheme(const std::string& layer_name) const;
-
-  /// The three-way HybComm extension: PS vs SFB vs ring/tree allreduce, by
-  /// minimum modeled per-node floats (see comm_cost.h BestSchemeExtended).
-  /// The PS candidate is costed at the cluster's configured shard count.
-  CommScheme BestSchemeExtended(int l) const;
+  PlannedScheme BestScheme(int l) const;
+  StatusOr<PlannedScheme> BestScheme(const std::string& layer_name) const;
 
   /// KV pairs of layer `l` owned by `server` (all of its shards).
   std::vector<KvPairInfo> PairsOnServer(int l, int server) const;

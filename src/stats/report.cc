@@ -1,9 +1,11 @@
 #include "src/stats/report.h"
 
 #include <algorithm>
+#include <cstdio>
 #include <map>
 #include <set>
 #include <sstream>
+#include <utility>
 
 #include "src/common/logging.h"
 #include "src/common/table.h"
@@ -68,12 +70,18 @@ std::vector<SweepResult> RunPlannedScalingSweep(const BenchArgs& args, const Mod
     return RunScalingSweep(model, paper_systems, node_counts, gbps, engine);
   }
   // The plan depends on the cluster shape, so each node count gets its own
-  // (memoized) plan; a fixed plan is simply the same file at every point.
+  // plan; a fixed plan is simply the same file at every point, and prices
+  // only the model it was made for.
   std::vector<SweepResult> results;
   for (int nodes : node_counts) {
+    std::shared_ptr<const CommPlan> plan = PlanForBench(args, model, nodes, gbps);
+    if (plan->model != model.name) {
+      std::printf("Skipping %s: --plan=%s is a plan for %s\n", model.name.c_str(),
+                  args.plan.c_str(), plan->model.c_str());
+      break;
+    }
     const auto point =
-        RunScalingSweep(model, {PlannedSystem(PlanForBench(args, model, nodes, gbps))},
-                        {nodes}, gbps, engine);
+        RunScalingSweep(model, {PlannedSystem(std::move(plan))}, {nodes}, gbps, engine);
     results.insert(results.end(), point.begin(), point.end());
   }
   return results;
@@ -82,7 +90,7 @@ std::vector<SweepResult> RunPlannedScalingSweep(const BenchArgs& args, const Mod
 std::string FormatPlanSummary(const BenchArgs& args, const ModelSpec& model, int nodes,
                               double gbps) {
   const std::shared_ptr<const CommPlan> plan = PlanForBench(args, model, nodes, gbps);
-  if (plan == nullptr) {
+  if (plan == nullptr || plan->model != model.name) {
     return std::string();
   }
   std::ostringstream out;
@@ -94,6 +102,9 @@ std::string FormatPlanSummary(const BenchArgs& args, const ModelSpec& model, int
 
 std::string FormatSpeedupTable(const std::string& title,
                                const std::vector<SweepResult>& results) {
+  if (results.empty()) {
+    return std::string();  // e.g. a sweep that skipped a foreign fixed plan
+  }
   // Preserve first-appearance order of systems and node counts.
   std::vector<std::string> systems;
   std::vector<int> nodes;
@@ -136,9 +147,9 @@ std::string FormatBatchAblation(const std::string& title, const ModelSpec& model
     ClusterSpec cluster;
     cluster.num_nodes = nodes;
     cluster.nic_gbps = gbps;
-    system.batch_egress = false;
+    system.request.batch_egress = false;
     const SimResult plain = RunProtocolSimulation(model, system, cluster, engine);
-    system.batch_egress = true;
+    system.request.batch_egress = true;
     const SimResult batched = RunProtocolSimulation(model, system, cluster, engine);
 
     const double plain_msgs = Mean(plain.wire_msgs_per_iter);

@@ -44,20 +44,22 @@ std::shared_ptr<const CommPlan> PlanForBench(const BenchArgs& args, const ModelS
 // under auto/fixed the hand-picked `paper_systems` are replaced by one
 // "Planned" system per sweep point (PlannedSystem over PlanForBench), so the
 // planner's joint choice is what gets priced instead of the per-bench flag
-// stacks.
+// stacks. A fixed plan made for another model prices nothing: the sweep
+// prints one line naming both models and returns no results.
 std::vector<SweepResult> RunPlannedScalingSweep(const BenchArgs& args, const ModelSpec& model,
                                                 const std::vector<SystemConfig>& paper_systems,
                                                 const std::vector<int>& node_counts,
                                                 double gbps, Engine engine);
 
 // Per-layer dump of the plan driving a planned sweep at its largest
-// configuration (empty string under --plan=paper), so planned tables are
-// self-describing in the bench output.
+// configuration (empty string under --plan=paper and for a fixed plan made
+// for another model), so planned tables are self-describing in the bench
+// output.
 std::string FormatPlanSummary(const BenchArgs& args, const ModelSpec& model, int nodes,
                               double gbps);
 
 // Renders a figure-style speedup table: one row per node count, one column
-// per system (plus the linear ideal).
+// per system (plus the linear ideal); empty when there are no results.
 std::string FormatSpeedupTable(const std::string& title,
                                const std::vector<SweepResult>& results);
 

@@ -402,11 +402,13 @@ void SocketTransport::FlusherLoop(int peer_index) {
         iov.push_back({record.data(), record.size()});
         batch_bytes += static_cast<int64_t>(record.size());
       }
-      if (WriteAll(peer.fd, std::move(iov))) {
-        records_sent_.fetch_add(static_cast<int64_t>(out.size()),
-                                std::memory_order_relaxed);
-        bytes_sent_.fetch_add(batch_bytes, std::memory_order_relaxed);
-      } else {
+      // Count before writing: the receiver may deliver a record (and its
+      // reader look at these counters) before WriteAll returns.
+      records_sent_.fetch_add(static_cast<int64_t>(out.size()), std::memory_order_relaxed);
+      bytes_sent_.fetch_add(batch_bytes, std::memory_order_relaxed);
+      if (!WriteAll(peer.fd, std::move(iov))) {
+        records_sent_.fetch_sub(static_cast<int64_t>(out.size()), std::memory_order_relaxed);
+        bytes_sent_.fetch_sub(batch_bytes, std::memory_order_relaxed);
         LOG(Warning) << "transport: write to process " << peer_index
                      << " failed (" << std::strerror(errno) << "); egress to it is dead";
         lock.lock();
@@ -520,8 +522,10 @@ bool SocketTransport::DrainIngress(Ingress& in) {
       break;  // incomplete: wait for more bytes
     }
     const uint16_t src = static_cast<uint16_t>(h[6] | (h[7] << 8));
-    HandleRecord(h[5], src, h + kSocketRecordHeaderBytes, len);
+    // Count before delivering: once HandleRecord hands the message to a
+    // mailbox, its reader may already look at this counter.
     records_received_.fetch_add(1, std::memory_order_relaxed);
+    HandleRecord(h[5], src, h + kSocketRecordHeaderBytes, len);
     at += kSocketRecordHeaderBytes + len;
   }
   if (at > 0) {

@@ -2,8 +2,9 @@
 // the three-way HybComm chooser:
 //  * the ring row's crossover against PS and SFB is monotone in P1 and in
 //    the layer size M*N (the winner can flip at most once along each axis),
-//  * BestSchemeExtended never returns a scheme whose modeled cost is
-//    strictly higher than any admissible alternative,
+//  * the planner's hybrid-collective fold (paper mode on floats, joint mode
+//    on bytes with codecs in the menu) never picks a scheme whose modeled
+//    cost is strictly higher than any admissible alternative,
 //  * the paper-mode plan hands ResNet-style conv layers to a collective
 //    scheme under a high-worker-count cluster (the acceptance scenario).
 #include <gtest/gtest.h>
@@ -14,6 +15,7 @@
 #include "src/models/comm_cost.h"
 #include "src/models/zoo.h"
 #include "src/nn/builders.h"
+#include "src/planner/comm_planner.h"
 #include "src/poseidon/trainer.h"
 
 namespace poseidon {
@@ -27,6 +29,21 @@ CommCostQuery MakeQuery(int64_t m, int64_t n, int64_t k, int p) {
   q.num_workers = p;
   q.num_servers = p;
   return q;
+}
+
+// The planner's pick for a single layer under the hybrid-collective policy:
+// paper mode (float basis, raw rows) by default, or the joint byte-basis
+// search with every codec in the PS menu.
+PlanLayerChoice HybridCollectiveChoice(const LayerSpec& layer, int64_t batch_k, int p,
+                                       bool joint_compressed = false,
+                                       double topk_density = 0.01) {
+  PlanRequest request = LayerRequest(layer, batch_k, p, PlanPolicy::kHybridCollective);
+  if (joint_compressed) {
+    request.codec = PlanCodecPolicy::kAuto;
+    request.topk_density = topk_density;
+    request.joint = true;
+  }
+  return PlanComm(request).layers.front();
 }
 
 TEST(CollectiveCostTest, RingRowFormula) {
@@ -107,9 +124,9 @@ TEST(CollectiveCostTest, RingVsSfbCrossoverMonotoneInLayerSize) {
   }
 }
 
-// The chooser is optimal by construction; verify against brute force over a
-// grid of FC and conv layers.
-TEST(CollectiveCostTest, BestSchemeExtendedNeverDominated) {
+// The paper-mode hybrid-collective fold is optimal by construction; verify
+// against brute force over a grid of FC and conv layers.
+TEST(CollectiveCostTest, HybridCollectivePlanNeverDominated) {
   for (int p : {1, 2, 3, 5, 8, 16, 64}) {
     for (int64_t m : {16, 1000, 4096}) {
       for (int64_t n : {16, 1024, 25088}) {
@@ -121,21 +138,21 @@ TEST(CollectiveCostTest, BestSchemeExtendedNeverDominated) {
             layer.fc_m = type == LayerType::kFC ? m : 0;
             layer.fc_n = type == LayerType::kFC ? n : 0;
             layer.params = m * n;
-            const CommScheme best = BestSchemeExtended(layer, k, p, p);
+            const PlannedScheme best = HybridCollectiveChoice(layer, k, p).scheme;
             if (p == 1) {
-              EXPECT_EQ(best, CommScheme::kPS);
+              EXPECT_EQ(best, PlannedScheme::kPS);
               continue;
             }
             CommCostQuery q = MakeQuery(type == LayerType::kFC ? m : m * n,
                                         type == LayerType::kFC ? n : 1, k, p);
             const double best_cost = SchemeWorkerFloats(best, q);
-            for (CommScheme alt : {CommScheme::kPS, CommScheme::kSFB, CommScheme::kRing,
-                                   CommScheme::kTree}) {
-              if (alt == CommScheme::kSFB && type != LayerType::kFC) {
+            for (PlannedScheme alt : {PlannedScheme::kPS, PlannedScheme::kSFB,
+                                      PlannedScheme::kRing, PlannedScheme::kTree}) {
+              if (alt == PlannedScheme::kSFB && type != LayerType::kFC) {
                 continue;  // not admissible for conv
               }
               EXPECT_LE(best_cost, SchemeWorkerFloats(alt, q))
-                  << CommSchemeName(best) << " dominated by " << CommSchemeName(alt)
+                  << PlannedSchemeName(best) << " dominated by " << PlannedSchemeName(alt)
                   << " at P=" << p << " m=" << m << " n=" << n << " k=" << k;
             }
           }
@@ -170,21 +187,21 @@ TEST(CollectiveCostTest, ResNetResolvesToCollectiveUnderManyWorkers) {
 // Same property on the spec-level zoo model (the full ResNet-152): the
 // three-way chooser must move its conv bulk off the PS at scale.
 TEST(CollectiveCostTest, ResNet152SpecPrefersCollectiveConv) {
-  const ModelSpec model = MakeResNet152();
+  PlanRequest request = PaperDefaultRequest(MakeResNet152(), /*num_nodes=*/32);
+  request.batch_per_worker = 32;
+  request.policy = PlanPolicy::kHybridCollective;
   int collective_layers = 0;
-  for (const LayerSpec& layer : model.layers) {
-    const CommScheme best = BestSchemeExtended(layer, /*batch_k=*/32, /*num_workers=*/32,
-                                               /*num_servers=*/32);
-    if (best == CommScheme::kRing || best == CommScheme::kTree) {
+  for (const PlanLayerChoice& choice : PlanComm(request).layers) {
+    if (choice.scheme == PlannedScheme::kRing || choice.scheme == PlannedScheme::kTree) {
       ++collective_layers;
     }
   }
   EXPECT_GT(collective_layers, 0);
 }
 
-// The compressed chooser is optimal on the byte basis by construction;
-// verify against brute force over every admissible (scheme, codec) pair.
-TEST(CollectiveCostTest, BestSchemeExtendedCompressedNeverDominated) {
+// The joint byte-basis search is optimal by construction; verify against
+// brute force over every admissible (scheme, codec) pair.
+TEST(CollectiveCostTest, JointCompressedPlanNeverDominated) {
   const double density = 0.05;
   for (int p : {2, 3, 8, 32}) {
     for (int64_t m : {16, 1000, 4096}) {
@@ -196,29 +213,29 @@ TEST(CollectiveCostTest, BestSchemeExtendedCompressedNeverDominated) {
           layer.fc_m = type == LayerType::kFC ? m : 0;
           layer.fc_n = type == LayerType::kFC ? n : 0;
           layer.params = m * n;
-          const SchemeChoice choice =
-              BestSchemeExtendedCompressed(layer, /*batch_k=*/32, p, p,
-                                           /*ps_shards=*/1, density);
+          const PlanLayerChoice choice =
+              HybridCollectiveChoice(layer, /*batch_k=*/32, p, /*joint_compressed=*/true,
+                                     density);
           CommCostQuery q = MakeQuery(type == LayerType::kFC ? m : m * n,
                                       type == LayerType::kFC ? n : 1, 32, p);
-          EXPECT_DOUBLE_EQ(choice.bytes,
+          EXPECT_DOUBLE_EQ(choice.predicted_bytes,
                            SchemeWireBytes(choice.scheme, choice.compression, q, density));
-          for (CommScheme alt : {CommScheme::kPS, CommScheme::kSFB, CommScheme::kRing,
-                                 CommScheme::kTree}) {
-            if (alt == CommScheme::kSFB && type != LayerType::kFC) {
+          for (PlannedScheme alt : {PlannedScheme::kPS, PlannedScheme::kSFB,
+                                    PlannedScheme::kRing, PlannedScheme::kTree}) {
+            if (alt == PlannedScheme::kSFB && type != LayerType::kFC) {
               continue;  // not admissible for conv
             }
             for (GradCompression codec :
                  {GradCompression::kNone, GradCompression::kFp16, GradCompression::kInt8,
                   GradCompression::kTopK}) {
               if (codec != GradCompression::kNone &&
-                  (alt != CommScheme::kPS || m * n < kCompressionMinFloats)) {
+                  (alt != PlannedScheme::kPS || m * n < kCompressionMinFloats)) {
                 continue;  // only the PS path compresses, above the size gate
               }
-              EXPECT_LE(choice.bytes, SchemeWireBytes(alt, codec, q, density))
-                  << CommSchemeName(choice.scheme) << "+"
+              EXPECT_LE(choice.predicted_bytes, SchemeWireBytes(alt, codec, q, density))
+                  << PlannedSchemeName(choice.scheme) << "+"
                   << GradCompressionName(choice.compression) << " dominated by "
-                  << CommSchemeName(alt) << "+" << GradCompressionName(codec)
+                  << PlannedSchemeName(alt) << "+" << GradCompressionName(codec)
                   << " at P=" << p << " m=" << m << " n=" << n;
             }
           }
@@ -236,10 +253,10 @@ TEST(CollectiveCostTest, CompressedChooserMovesLargeConvOntoCompressedPs) {
   const ModelSpec model = MakeResNet152();
   int compressed_ps = 0;
   for (const LayerSpec& layer : model.layers) {
-    const SchemeChoice choice = BestSchemeExtendedCompressed(
-        layer, /*batch_k=*/32, /*num_workers=*/32, /*num_servers=*/32);
+    const PlanLayerChoice choice =
+        HybridCollectiveChoice(layer, /*batch_k=*/32, /*p=*/32, /*joint_compressed=*/true);
     if (choice.compression != GradCompression::kNone) {
-      EXPECT_EQ(choice.scheme, CommScheme::kPS) << layer.name;
+      EXPECT_EQ(choice.scheme, PlannedScheme::kPS) << layer.name;
       EXPECT_GE(layer.params, kCompressionMinFloats) << layer.name;
       ++compressed_ps;
     }
@@ -256,15 +273,14 @@ TEST(CollectiveCostTest, CompressedChooserBreaksTiesTowardEarlierCandidate) {
   layer.name = "conv";
   layer.type = LayerType::kConv;
   layer.params = int64_t{1} << 20;
-  const SchemeChoice choice = BestSchemeExtendedCompressed(
-      layer, /*batch_k=*/32, /*num_workers=*/32, /*num_servers=*/32,
-      /*ps_shards=*/1, tie_density);
+  const PlanLayerChoice choice = HybridCollectiveChoice(
+      layer, /*batch_k=*/32, /*p=*/32, /*joint_compressed=*/true, tie_density);
   EXPECT_EQ(choice.compression, GradCompression::kInt8);
 
   // And a single worker never compresses: there is no wire to save.
-  const SchemeChoice solo = BestSchemeExtendedCompressed(
-      layer, /*batch_k=*/32, /*num_workers=*/1, /*num_servers=*/1);
-  EXPECT_EQ(solo.scheme, CommScheme::kPS);
+  const PlanLayerChoice solo =
+      HybridCollectiveChoice(layer, /*batch_k=*/32, /*p=*/1, /*joint_compressed=*/true);
+  EXPECT_EQ(solo.scheme, PlannedScheme::kPS);
   EXPECT_EQ(solo.compression, GradCompression::kNone);
 }
 

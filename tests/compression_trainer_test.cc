@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "src/models/comm_cost.h"
+#include "src/planner/comm_planner.h"
 #include "src/poseidon/trainer.h"
 #include "src/simd/vec.h"
 #include "tests/testing/harness.h"
@@ -126,9 +127,19 @@ TEST(CompressionTrainerTest, AutoPolicyPicksTopKForPsLayers) {
   // At density 0.25 top-k costs 8 * 0.25 = 2 push bytes/float, tying fp16's
   // 2 but losing to int8's ~1.016; auto must therefore resolve int8. At
   // density 0.05 top-k (0.4 B/float) wins.
-  EXPECT_EQ(BestCompression(1 << 20, 0.25), GradCompression::kInt8);
-  EXPECT_EQ(BestCompression(1 << 20, 0.05), GradCompression::kTopK);
-  EXPECT_EQ(BestCompression(1024, 0.05), GradCompression::kNone) << "below the gate";
+  auto paper_codec = [](int64_t params, double density) {
+    LayerSpec layer;
+    layer.name = "conv";
+    layer.params = params;
+    PlanRequest request = LayerRequest(layer, /*batch_k=*/4, /*num_nodes=*/2,
+                                       PlanPolicy::kDense);
+    request.codec = PlanCodecPolicy::kAuto;
+    request.topk_density = density;
+    return PlanComm(request).layers.front().compression;
+  };
+  EXPECT_EQ(paper_codec(1 << 20, 0.25), GradCompression::kInt8);
+  EXPECT_EQ(paper_codec(1 << 20, 0.05), GradCompression::kTopK);
+  EXPECT_EQ(paper_codec(1024, 0.05), GradCompression::kNone) << "below the gate";
 
   TrainerOptions options = CompressedOptions(PlanCodecPolicy::kAuto, 0.05);
   PoseidonTrainer trainer(testing::TinyMlpFactory(), options);

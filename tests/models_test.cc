@@ -114,26 +114,26 @@ TEST(CommCostTest, AdamCosts) {
 
 TEST(CommCostTest, ConvAlwaysPs) {
   LayerSpec conv = ConvLayer("c", 64, 64, 3, 28);
-  EXPECT_EQ(BestScheme(conv, 32, 8, 8), CommScheme::kPS);
+  EXPECT_EQ(BestScheme(conv, 32, 8, 8), PlannedScheme::kPS);
 }
 
 TEST(CommCostTest, SingleWorkerAlwaysPs) {
   LayerSpec fc = FcLayer("fc", 4096, 4096);
-  EXPECT_EQ(BestScheme(fc, 32, 1, 1), CommScheme::kPS);
+  EXPECT_EQ(BestScheme(fc, 32, 1, 1), PlannedScheme::kPS);
 }
 
 TEST(CommCostTest, GoogLeNetClassifierFlipsWithScale) {
   // §5.2: GoogLeNet's thin 1000x1024 FC with batch 128 reduces to PS at 16
   // nodes, but SFB still wins on few nodes.
   LayerSpec fc = FcLayer("loss3", 1000, 1024);
-  EXPECT_EQ(BestScheme(fc, 128, 16, 16), CommScheme::kPS);
-  EXPECT_EQ(BestScheme(fc, 128, 2, 2), CommScheme::kSFB);
+  EXPECT_EQ(BestScheme(fc, 128, 16, 16), PlannedScheme::kPS);
+  EXPECT_EQ(BestScheme(fc, 128, 2, 2), PlannedScheme::kSFB);
 }
 
 TEST(CommCostTest, BigSoftmaxPrefersSfbEvenAtScale) {
   // VGG19-22K's 21841x4096 classifier at K=32 stays SFB through 32 nodes.
   LayerSpec fc = FcLayer("fc8_22k", 21841, 4096);
-  EXPECT_EQ(BestScheme(fc, 32, 32, 32), CommScheme::kSFB);
+  EXPECT_EQ(BestScheme(fc, 32, 32, 32), PlannedScheme::kSFB);
 }
 
 // Property sweep: the BestScheme decision must agree with comparing the two
@@ -156,7 +156,7 @@ TEST_P(BestSchemeSweep, MatchesCostComparison) {
   q.batch_k = param.k;
   q.num_workers = param.p;
   q.num_servers = param.p;
-  const bool sfb = BestScheme(fc, param.k, param.p, param.p) == CommScheme::kSFB;
+  const bool sfb = BestScheme(fc, param.k, param.p, param.p) == PlannedScheme::kSFB;
   EXPECT_EQ(sfb, SfbWorkerFloats(q) <= PsColocatedFloats(q));
 }
 

@@ -47,25 +47,10 @@ double OracleBytes(PlannedScheme scheme, GradCompression codec, const LayerSpec&
   q.num_workers = r.num_workers;
   q.num_servers = r.num_servers;
   q.num_shards = shards;
-  CommScheme comm = CommScheme::kPS;
-  switch (scheme) {
-    case PlannedScheme::kPS:
-      comm = CommScheme::kPS;
-      break;
-    case PlannedScheme::kSFB:
-      comm = CommScheme::kSFB;
-      break;
-    case PlannedScheme::kRing:
-      comm = CommScheme::kRing;
-      break;
-    case PlannedScheme::kTree:
-      comm = CommScheme::kTree;
-      break;
-    default:
-      ADD_FAILURE() << "oracle asked for scheme " << static_cast<int>(scheme);
-      break;
+  if (scheme == PlannedScheme::kNone || scheme == PlannedScheme::kOneBit) {
+    ADD_FAILURE() << "oracle asked for scheme " << PlannedSchemeName(scheme);
   }
-  return SchemeWireBytes(comm, codec, q, r.topk_density);
+  return SchemeWireBytes(scheme, codec, q, r.topk_density);
 }
 
 // Exhaustive per-layer argmin on the byte basis at one shard count, in the

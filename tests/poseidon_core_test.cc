@@ -70,7 +70,7 @@ TEST(CoordinatorTest, BestSchemeUsesAlgorithm1) {
   Coordinator multi(*net, SmallClusterInfo(8, 8, 8));
   bool any_sfb = false;
   for (int l = 0; l < multi.num_layers(); ++l) {
-    if (multi.layer(l).type == LayerType::kFC && multi.BestScheme(l) == CommScheme::kSFB) {
+    if (multi.layer(l).type == LayerType::kFC && multi.BestScheme(l) == PlannedScheme::kSFB) {
       any_sfb = true;
     }
   }
@@ -79,7 +79,7 @@ TEST(CoordinatorTest, BestSchemeUsesAlgorithm1) {
   // Single worker: everything through the PS.
   Coordinator single(*net, SmallClusterInfo(1, 1, 8));
   for (int l = 0; l < single.num_layers(); ++l) {
-    EXPECT_EQ(single.BestScheme(l), CommScheme::kPS);
+    EXPECT_EQ(single.BestScheme(l), PlannedScheme::kPS);
   }
 }
 

@@ -192,11 +192,11 @@ TEST(ProtocolSimTest, CompressedPsCutsWireTraffic) {
   const SimResult raw =
       RunProtocolSimulation(model, CaffePlusWfbp(), cluster, Engine::kCaffe);
   const SimResult fp16 = RunProtocolSimulation(
-      model, CompressedPsSystem(GradCompression::kFp16), cluster, Engine::kCaffe);
+      model, CompressedPsSystem(PlanCodecPolicy::kFp16), cluster, Engine::kCaffe);
   const SimResult int8 = RunProtocolSimulation(
-      model, CompressedPsSystem(GradCompression::kInt8), cluster, Engine::kCaffe);
+      model, CompressedPsSystem(PlanCodecPolicy::kInt8), cluster, Engine::kCaffe);
   const SimResult topk = RunProtocolSimulation(
-      model, CompressedPsSystem(GradCompression::kTopK, 0.01), cluster, Engine::kCaffe);
+      model, CompressedPsSystem(PlanCodecPolicy::kTopK, 0.01), cluster, Engine::kCaffe);
 
   EXPECT_LT(TotalTxGbits(fp16), 0.6 * TotalTxGbits(raw));
   EXPECT_LT(TotalTxGbits(int8), TotalTxGbits(fp16));
@@ -216,7 +216,7 @@ TEST(ProtocolSimTest, CompressedPsCutsWireTraffic) {
   const SimResult raw_slow =
       RunProtocolSimulation(model, CaffePlusWfbp(), starved, Engine::kCaffe);
   const SimResult fp16_slow = RunProtocolSimulation(
-      model, CompressedPsSystem(GradCompression::kFp16), starved, Engine::kCaffe);
+      model, CompressedPsSystem(PlanCodecPolicy::kFp16), starved, Engine::kCaffe);
   EXPECT_LT(fp16_slow.iter_time_s, 0.7 * raw_slow.iter_time_s);
 }
 
@@ -225,8 +225,11 @@ TEST(ProtocolSimTest, AutoCompressionJoinsHybridCollectiveChooser) {
   const ClusterSpec cluster = Cluster(16, 10.0);
   const SimResult plain = RunProtocolSimulation(model, HybridCollectiveSystem(), cluster,
                                                 Engine::kCaffe);
+  // Compression joins the hybrid-collective menu: the joint byte-basis fold
+  // prices (PS, codec) against the raw-float alternatives.
   SystemConfig compressed = HybridCollectiveSystem();
-  compressed.auto_ps_compression = true;
+  compressed.request.codec = PlanCodecPolicy::kAuto;
+  compressed.request.joint = true;
   const SimResult mixed =
       RunProtocolSimulation(model, compressed, cluster, Engine::kCaffe);
 
@@ -243,13 +246,26 @@ TEST(ProtocolSimTest, AutoCompressionJoinsHybridCollectiveChooser) {
 
 TEST(ProtocolSimTest, CompressedRunsStayDeterministic) {
   const ModelSpec model = MakeVgg19();
-  const SystemConfig system = CompressedPsSystem(GradCompression::kInt8);
+  const SystemConfig system = CompressedPsSystem(PlanCodecPolicy::kInt8);
   const SimResult a =
       RunProtocolSimulation(model, system, Cluster(8, 10.0), Engine::kCaffe);
   const SimResult b =
       RunProtocolSimulation(model, system, Cluster(8, 10.0), Engine::kCaffe);
   EXPECT_DOUBLE_EQ(a.iter_time_s, b.iter_time_s);
   EXPECT_EQ(a.tx_gbits_per_iter, b.tx_gbits_per_iter);
+}
+
+// A fixed plan is priced as is, so it must be a plan for the simulated
+// model: one made for VGG19 cannot silently price GoogLeNet.
+TEST(ProtocolSimDeathTest, RejectsAFixedPlanForAnotherModel) {
+  const SystemConfig vgg_plan = PlannedSystem(std::make_shared<const CommPlan>(
+      PlanComm(JointAutoRequest(MakeVgg19(), 8, /*nic_gbps=*/10.0, /*max_shards=*/8))));
+  EXPECT_DEATH(RunProtocolSimulation(MakeGoogLeNet(), vgg_plan, Cluster(8, 10.0),
+                                     Engine::kCaffe),
+               "does not match model 'googlenet'");
+  EXPECT_EQ(RunProtocolSimulation(MakeVgg19(), vgg_plan, Cluster(8, 10.0), Engine::kCaffe)
+                .system,
+            "Planned");
 }
 
 // ----------------------------------------------------------------- golden --
@@ -296,25 +312,25 @@ std::vector<SystemConfig> GoldenSystems() {
       TreeAllreduceSystem(), HybridCollectiveSystem()};
   SystemConfig hybrid_auto = HybridCollectiveSystem();
   hybrid_auto.name += "-auto";
-  hybrid_auto.auto_ps_compression = true;
+  hybrid_auto.request.codec = PlanCodecPolicy::kAuto;
+  hybrid_auto.request.joint = true;
   systems.push_back(hybrid_auto);
   SystemConfig hybrid_sharded = HybridCollectiveSystem();
   hybrid_sharded.name += "-s4";
-  hybrid_sharded.shards_per_server = 4;
+  hybrid_sharded.request.ps_shards_pinned = 4;
   systems.push_back(hybrid_sharded);
   for (int s : {2, 4}) {
     systems.push_back(ShardedPsSystem(s));
     systems.push_back(ShardedPsSystem(s, /*staleness=*/s));
     systems.push_back(SspPoseidonSystem(s));
   }
-  systems.push_back(CompressedPsSystem(GradCompression::kFp16));
-  systems.push_back(CompressedPsSystem(GradCompression::kInt8));
-  systems.push_back(CompressedPsSystem(GradCompression::kTopK, 0.01));
-  systems.push_back(CompressedPsSystem(GradCompression::kNone, 0.01,
-                                       /*auto_per_layer=*/true));
+  systems.push_back(CompressedPsSystem(PlanCodecPolicy::kFp16));
+  systems.push_back(CompressedPsSystem(PlanCodecPolicy::kInt8));
+  systems.push_back(CompressedPsSystem(PlanCodecPolicy::kTopK, 0.01));
+  systems.push_back(CompressedPsSystem(PlanCodecPolicy::kAuto, 0.01));
   SystemConfig ring_batched = RingAllreduceSystem();
   ring_batched.name += "-be";
-  ring_batched.batch_egress = true;
+  ring_batched.request.batch_egress = true;
   systems.push_back(ring_batched);
   return systems;
 }

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <memory>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -34,14 +35,15 @@ SocketClusterRun RunSocketCluster(const SocketClusterOptions& options) {
   const std::string dir = MakeTempDir("socket_cluster");
 
   std::vector<SocketEndpoint> endpoints;
+  // Held until every member has run: the members bind inside Run.
+  std::vector<std::unique_ptr<ReservedTcpPort>> reserved;
   for (int p = 0; p < num_processes; ++p) {
     SocketEndpoint ep;
     if (options.unix_sockets) {
       ep.unix_path = MakeUnixSocketPath(dir, "member", p);
     } else {
-      StatusOr<int> port = PickFreeTcpPort();
-      CHECK(port.ok()) << port.status().ToString();
-      ep.port = *port;
+      reserved.push_back(std::make_unique<ReservedTcpPort>());
+      ep.port = reserved.back()->port();
     }
     endpoints.push_back(ep);
   }
@@ -77,10 +79,15 @@ SocketClusterRun RunSocketCluster(const SocketClusterOptions& options) {
   for (auto& thread : threads) {
     thread.join();
   }
+  // Report every failed member: one member's early failure surfaces at the
+  // controller only as a rendezvous timeout.
+  std::string failures;
   for (size_t p = 0; p < results.size(); ++p) {
-    CHECK(results[p].ok()) << "cluster member " << p << ": "
-                           << results[p].ToString();
+    if (!results[p].ok()) {
+      failures += " [member " + std::to_string(p) + ": " + results[p].ToString() + "]";
+    }
   }
+  CHECK(failures.empty()) << "cluster failed:" << failures;
 
   SocketClusterRun run;
   run.trajectory.mean_losses =

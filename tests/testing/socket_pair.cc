@@ -1,6 +1,8 @@
 #include "tests/testing/socket_pair.h"
 
 #include <chrono>
+#include <memory>
+#include <vector>
 
 #include "src/common/logging.h"
 #include "src/transport/cluster_launcher.h"
@@ -17,6 +19,7 @@ constexpr uint16_t kBarrierOpcode = 0x7FFF;
 
 SocketBusPair::SocketBusPair(bool unix_sockets, const FaultPlan& shim) {
   std::vector<SocketEndpoint> endpoints(2);
+  std::vector<std::unique_ptr<ReservedTcpPort>> reserved;  // held until Start
   if (unix_sockets) {
     dir_ = MakeTempDir("socket_pair");
     for (int p = 0; p < 2; ++p) {
@@ -25,9 +28,8 @@ SocketBusPair::SocketBusPair(bool unix_sockets, const FaultPlan& shim) {
     }
   } else {
     for (int p = 0; p < 2; ++p) {
-      StatusOr<int> port = PickFreeTcpPort();
-      CHECK(port.ok()) << port.status().ToString();
-      endpoints[static_cast<size_t>(p)].port = *port;
+      reserved.push_back(std::make_unique<ReservedTcpPort>());
+      endpoints[static_cast<size_t>(p)].port = reserved.back()->port();
     }
   }
   for (int p = 0; p < 2; ++p) {

@@ -57,9 +57,8 @@ MICRO_REQUIRED = {
     "ext_compression_int8_final_loss": 0.0,
     "ext_compression_topk_final_loss": 0.0,
     "ext_compression_best_matched_reduction": 0.0,
-    # CommPlanner trajectory (docs/PLANNER.md): joint-search cost, memoized
-    # lookup cost, and the predicted-bytes comparison against the paper
-    # default. The speedup and ratio floors are gated below.
+    # CommPlanner trajectory (docs/PLANNER.md): joint-search cost and the
+    # predicted-bytes comparison against the paper default. The speedup and ratio floors are gated below.
     "planner_cold_search_us": 0.0,
     "planner_default_bytes_per_iter": 0.0,
     "planner_planned_bytes_per_iter": 0.0,
