@@ -334,4 +334,24 @@ const PlanLayerChoice* CommPlan::Find(const std::string& layer_name) const {
   return nullptr;
 }
 
+KvCodecs KvWireCodecs(const PlanLayerChoice& choice) {
+  if (choice.scheme == PlannedScheme::kOneBit) {
+    return {WireCodec::kOneBit, WireCodec::kRawFloat};
+  }
+  if (choice.scheme != PlannedScheme::kPS) {
+    return {};
+  }
+  switch (choice.compression) {
+    case GradCompression::kNone:
+      return {};
+    case GradCompression::kFp16:
+      return {WireCodec::kFp16, WireCodec::kFp16};
+    case GradCompression::kInt8:
+      return {WireCodec::kInt8, WireCodec::kFp16};
+    case GradCompression::kTopK:
+      return {WireCodec::kTopK, WireCodec::kFp16};
+  }
+  return {};
+}
+
 }  // namespace poseidon

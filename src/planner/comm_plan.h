@@ -17,6 +17,7 @@
 
 #include "src/common/status.h"
 #include "src/models/comm_cost.h"
+#include "src/transport/codec.h"
 
 namespace poseidon {
 
@@ -28,6 +29,19 @@ struct PlanLayerChoice {
   GradCompression compression = GradCompression::kNone;
   double predicted_bytes = 0.0;
 };
+
+/// The wire codecs of a layer the KV store serves (scheme kPS or kOneBit):
+/// what its gradient pushes carry and what its parameter replies carry.
+struct KvCodecs {
+  WireCodec push = WireCodec::kRawFloat;
+  WireCodec reply = WireCodec::kRawFloat;
+};
+
+/// The one codec rule the syncer and the KV shard share. Pushes carry raw,
+/// fp16, int8 or top-k frames per the PS layer's compression, or 1-bit
+/// frames for a kOneBit layer; replies are binary16 round-to-nearest for the
+/// fp16, int8 and top-k layers and raw floats otherwise.
+KvCodecs KvWireCodecs(const PlanLayerChoice& choice);
 
 /// An immutable communication plan. `hash` is an FNV-1a digest over every
 /// decision field (signature, globals, per-layer assignments, predicted

@@ -56,7 +56,6 @@ class ClientLibrary {
   const int worker_;
   SgdOptimizer local_optimizer_;  // applies SFB updates on this replica
   std::vector<std::unique_ptr<Syncer>> syncers_;
-  ThreadPool pool_;
   int num_sync_layers_ = 0;
 
   std::mutex mutex_;
@@ -64,6 +63,10 @@ class ClientLibrary {
   std::vector<bool> completion_;  // the paper's binary vector C
   int completed_ = 0;
   int64_t iter_ = -1;
+  /// Declared last so it is destroyed first: its threads join before the
+  /// state their sync jobs touch goes away (a crashed worker's library is
+  /// destroyed with jobs still draining).
+  ThreadPool pool_;
 };
 
 }  // namespace poseidon

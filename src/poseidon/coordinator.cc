@@ -110,20 +110,28 @@ std::vector<KvPairInfo> Coordinator::PairsOnServer(int l, int server) const {
   return pairs;
 }
 
-std::vector<KvPairInfo> Coordinator::PairsOnShard(int l, int server, int shard) const {
+std::vector<KvPairInfo> Coordinator::PairsOnShard(int l, PlannedScheme scheme, int server,
+                                                  int shard) const {
   std::vector<KvPairInfo> pairs;
-  for (const KvPairInfo& pair : layer(l).pairs) {
-    if (pair.server == server && pair.shard == shard) {
-      pairs.push_back(pair);
+  if (scheme == PlannedScheme::kOneBit) {
+    const int owner_server = l % cluster_.num_servers;
+    const int owner_shard = (l / cluster_.num_servers) % cluster_.shards_per_server;
+    if (server == owner_server && shard == owner_shard) {
+      KvPairInfo whole;
+      whole.layer = l;
+      whole.length = layer(l).total_floats;
+      whole.server = owner_server;
+      whole.shard = owner_shard;
+      pairs.push_back(whole);
+    }
+  } else if (scheme == PlannedScheme::kPS) {
+    for (const KvPairInfo& pair : layer(l).pairs) {
+      if (pair.server == server && pair.shard == shard) {
+        pairs.push_back(pair);
+      }
     }
   }
   return pairs;
-}
-
-int Coordinator::OneBitOwnerServer(int l) const { return l % cluster_.num_servers; }
-
-int Coordinator::OneBitOwnerShard(int l) const {
-  return (l / cluster_.num_servers) % cluster_.shards_per_server;
 }
 
 std::vector<int64_t> Coordinator::ServerLoadFloats() const {

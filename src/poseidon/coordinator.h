@@ -108,14 +108,14 @@ class Coordinator {
   /// KV pairs of layer `l` owned by `server` (all of its shards).
   std::vector<KvPairInfo> PairsOnServer(int l, int server) const;
 
-  /// KV pairs of layer `l` owned by endpoint (`server`, `shard`).
-  std::vector<KvPairInfo> PairsOnShard(int l, int server, int shard) const;
-
-  /// 1-bit layers move whole (their encoding is not sliceable); layer `l`'s
-  /// owning endpoint is fixed by these two functions, which the worker-side
-  /// syncer and the serving shard must agree on.
-  int OneBitOwnerServer(int l) const;
-  int OneBitOwnerShard(int l) const;
+  /// The KV pairs of layer `l` that endpoint (`server`, `shard`) serves
+  /// when the layer runs `scheme` — the one placement rule the worker-side
+  /// syncer and the serving shard share. kPS layers use the partition plan's
+  /// pairs. A kOneBit layer moves whole (its encoding is not sliceable): one
+  /// whole-layer pair on server `l % num_servers`, shard
+  /// `(l / num_servers) % shards_per_server`. Other schemes have none.
+  std::vector<KvPairInfo> PairsOnShard(int l, PlannedScheme scheme, int server,
+                                       int shard) const;
 
   /// Total floats hosted by each server node, for balance checks (the
   /// paper's motivation for fine-grained pairs).

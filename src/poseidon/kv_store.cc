@@ -7,7 +7,6 @@
 #include "src/poseidon/flat_params.h"
 #include "src/simd/vec.h"
 #include "src/stats/trace.h"
-#include "src/tensor/ops.h"
 
 namespace poseidon {
 namespace {
@@ -27,55 +26,42 @@ KvShard::KvShard(int server_id, int shard_id, int64_t first_iter,
       shard_(shard_id),
       staleness_(coordinator.cluster().staleness),
       coordinator_(coordinator),
-      layers_(plan.layers),
       bus_(bus),
       optimizer_(sgd) {
-  CHECK_EQ(layers_.size(), static_cast<size_t>(coordinator.num_layers()));
-  CHECK_NOTNULL(bus);
+  CHECK_EQ(plan.layers.size(), static_cast<size_t>(coordinator.num_layers()));
   CHECK_LT(shard_id, kMaxShardsPerServer);
   ssp_stall_hist_ = MetricsRegistry::Default().GetHistogram("kv.ssp_stall_ns");
-  mailbox_ = bus_->Register(coordinator_.cluster().ShardAddress(server_, shard_));
+  if (bus_ != nullptr) {
+    mailbox_ = bus_->Register(coordinator_.cluster().ShardAddress(server_, shard_));
+  }
 
   for (int l = 0; l < coordinator_.num_layers(); ++l) {
-    const PlannedScheme scheme = layers_[static_cast<size_t>(l)].scheme;
-    if (scheme == PlannedScheme::kPS) {
-      std::vector<KvPairInfo> owned = coordinator_.PairsOnShard(l, server_, shard_);
-      if (owned.empty()) {
-        continue;
-      }
-      FlatParamView view(init_net.layer(l).Params());
-      DenseLayerState state;
-      state.pairs.reserve(owned.size());
-      int64_t total = 0;
-      for (const KvPairInfo& info : owned) {
-        total += info.length;
-      }
-      state.params = Payload::Allocate(total);
-      int64_t slab_offset = 0;
-      for (const KvPairInfo& info : owned) {
-        PairState pair;
-        pair.info = info;
-        pair.slab_offset = slab_offset;
-        view.GatherValueSlice(info.offset, state.params.data() + slab_offset, info.length);
-        slab_offset += info.length;
-        state.pairs.push_back(pair);
-      }
-      state.applied_clock = first_iter - 1;
-      dense_layers_[l] = std::move(state);
-    } else if (scheme == PlannedScheme::kOneBit &&
-               coordinator_.OneBitOwnerServer(l) == server_ &&
-               coordinator_.OneBitOwnerShard(l) == shard_) {
-      const LayerInfo& info = coordinator_.layer(l);
-      CHECK_GT(info.fc_m, 0) << "1-bit layers must be FC";
-      OneBitLayerState state;
-      FlatParamView view(init_net.layer(l).Params());
-      state.value = Payload::Allocate(view.size());
-      view.GatherValueSlice(0, state.value.data(), view.size());
-      state.rows = info.fc_m;
-      state.cols = info.fc_n;
-      state.applied_clock = first_iter - 1;
-      onebit_layers_[l] = std::move(state);
+    const PlanLayerChoice& choice = plan.layers[static_cast<size_t>(l)];
+    std::vector<KvPairInfo> owned =
+        coordinator_.PairsOnShard(l, choice.scheme, server_, shard_);
+    if (owned.empty()) {
+      continue;
     }
+    FlatParamView view(init_net.layer(l).Params());
+    LayerState state;
+    state.codecs = KvWireCodecs(choice);
+    state.pairs.reserve(owned.size());
+    int64_t total = 0;
+    for (const KvPairInfo& info : owned) {
+      total += info.length;
+    }
+    state.params = Payload::Allocate(total);
+    int64_t slab_offset = 0;
+    for (const KvPairInfo& info : owned) {
+      PairState pair;
+      pair.info = info;
+      pair.slab_offset = slab_offset;
+      view.GatherValueSlice(info.offset, state.params.data() + slab_offset, info.length);
+      slab_offset += info.length;
+      state.pairs.push_back(pair);
+    }
+    state.applied_clock = first_iter - 1;
+    layers_[l] = std::move(state);
   }
 }
 
@@ -87,6 +73,7 @@ KvShard::~KvShard() {
 
 void KvShard::Start() {
   CHECK(!thread_.joinable());
+  CHECK_NOTNULL(mailbox_.get()) << "a shard built without a bus has no service thread";
   thread_ = std::thread([this] { ServiceLoop(); });
 }
 
@@ -102,72 +89,60 @@ void KvShard::ServiceLoop() {
     if (!message.has_value() || message->type == MessageType::kShutdown) {
       return;
     }
-    switch (message->type) {
-      case MessageType::kGradPush:
-        HandleGradPush(*message);
-        break;
-      case MessageType::kOneBitPush:
-        HandleOneBitPush(*message);
-        break;
-      default:
-        LOG(Fatal) << "server " << server_ << " shard " << shard_
-                   << ": unexpected message type";
+    for (Message& reply : Handle(*message)) {
+      const Status status = bus_->Send(std::move(reply));
+      if (status.code() == StatusCode::kNotFound ||
+          status.code() == StatusCode::kUnavailable) {
+        // The worker's endpoint died between push and release (crash
+        // window). Its restarted incarnation will replay the push and earn a
+        // fresh reply.
+        ++replies_dropped_;
+        continue;
+      }
+      CHECK(status.ok()) << status.ToString();
     }
   }
 }
 
-GradCompression KvShard::layer_compression(int layer) const {
-  return layers_[static_cast<size_t>(layer)].compression;
-}
-
-WireCodec KvShard::ExpectedPushCodec(GradCompression compression) {
-  switch (compression) {
-    case GradCompression::kNone:
-      return WireCodec::kRawFloat;
-    case GradCompression::kFp16:
-      return WireCodec::kFp16;
-    case GradCompression::kInt8:
-      return WireCodec::kInt8;
-    case GradCompression::kTopK:
-      return WireCodec::kTopK;
+bool KvShard::WellFormed(const LayerState& state, const Message& message) {
+  if (message.codec != state.codecs.push || message.chunks.size() != state.pairs.size()) {
+    return false;
   }
-  return WireCodec::kRawFloat;
+  const Codec& codec = CodecRegistry::Get(state.codecs.push);
+  for (size_t p = 0; p < state.pairs.size(); ++p) {
+    const WireChunk& chunk = message.chunks[p];
+    const KvPairInfo& pair = state.pairs[p].info;
+    const StatusOr<int64_t> floats = codec.Validate(chunk.view);
+    if (chunk.offset != pair.offset || !floats.ok() || *floats != pair.length) {
+      return false;
+    }
+  }
+  return true;
 }
 
-void KvShard::HandleGradPush(const Message& message) {
+std::vector<Message> KvShard::Handle(const Message& message) {
+  if (message.type != MessageType::kGradPush && message.type != MessageType::kOneBitPush) {
+    LOG(Fatal) << "server " << server_ << " shard " << shard_
+               << ": unexpected message type";
+  }
   ++pushes_processed_;
-  auto it = dense_layers_.find(message.layer);
-  CHECK(it != dense_layers_.end()) << "server " << server_ << " shard " << shard_
-                                   << " owns no pairs of layer " << message.layer;
-  DenseLayerState& state = it->second;
-  const GradCompression compression = layer_compression(message.layer);
-  if (compression == GradCompression::kNone) {
-    CHECK(message.codec == WireCodec::kRawFloat);
-  } else {
-    // A compressed frame is sized by the sender, so treat it as wire input:
-    // a codec mismatch or a frame that fails validation (or expands to the
-    // wrong dense count) drops the push whole — no buffering, no reply —
-    // instead of crashing the server or poisoning the clock's aggregate.
-    const WireCodec expected = ExpectedPushCodec(compression);
-    const Codec& codec = CodecRegistry::Get(expected);
-    bool well_formed =
-        message.codec == expected && message.chunks.size() == state.pairs.size();
-    for (size_t p = 0; well_formed && p < state.pairs.size(); ++p) {
-      const WireChunk& chunk = message.chunks[p];
-      const StatusOr<int64_t> dense_count = codec.Validate(chunk.view);
-      well_formed = chunk.offset == state.pairs[p].info.offset && dense_count.ok() &&
-                    *dense_count == state.pairs[p].info.length;
-    }
-    if (!well_formed) {
-      ++rejected_pushes_;
-      LOG(Warning) << "server " << server_ << " shard " << shard_
-                   << ": dropping malformed " << WireCodecName(message.codec)
-                   << " push for layer " << message.layer << " from worker "
-                   << message.worker << " (expected " << WireCodecName(expected) << ")";
-      return;
-    }
+  auto it = layers_.find(message.layer);
+  CHECK(it != layers_.end()) << "server " << server_ << " shard " << shard_
+                             << " owns no pairs of layer " << message.layer;
+  LayerState& state = it->second;
+  std::vector<Message> replies;
+  // A push is sized by its sender, so treat it as wire input: a codec
+  // mismatch or a frame that fails validation (or expands to the wrong
+  // count) drops the push whole — no buffering, no reply — instead of
+  // crashing the server or poisoning the clock's aggregate.
+  if (!WellFormed(state, message)) {
+    ++rejected_pushes_;
+    LOG(Warning) << "server " << server_ << " shard " << shard_ << ": dropping malformed "
+                 << WireCodecName(message.codec) << " push for layer " << message.layer
+                 << " from worker " << message.worker << " (expected "
+                 << WireCodecName(state.codecs.push) << ")";
+    return replies;
   }
-  CHECK_EQ(message.chunks.size(), state.pairs.size());
   const int num_workers = coordinator_.cluster().num_workers;
   const int w = message.worker;
   const int64_t clock = message.iter;
@@ -189,19 +164,13 @@ void KvShard::HandleGradPush(const Message& message) {
     } else {
       max_push_lead_ = std::max(max_push_lead_, clock - state.applied_clock);
       // Buffer the sender's views zero-copy until this clock's aggregate is
-      // applied; the sender will not overwrite its staging slab while a view
-      // is live (see Syncer::MoveOut).
-      std::vector<PayloadView> contribution;
-      contribution.reserve(state.pairs.size());
-      for (size_t p = 0; p < state.pairs.size(); ++p) {
-        const WireChunk& chunk = message.chunks[p];
-        CHECK_EQ(chunk.offset, state.pairs[p].info.offset);
-        if (compression == GradCompression::kNone) {
-          CHECK_EQ(chunk.view.size(), state.pairs[p].info.length);
-        }
+      // applied; the sender will not overwrite its slab while a view is live
+      // (see Syncer::MoveOut).
+      std::vector<PayloadView>& contribution = per_worker[static_cast<size_t>(w)];
+      contribution.reserve(message.chunks.size());
+      for (const WireChunk& chunk : message.chunks) {
         contribution.push_back(chunk.view);
       }
-      per_worker[static_cast<size_t>(w)] = std::move(contribution);
       ++state.push_count[clock];
     }
   }
@@ -217,50 +186,53 @@ void KvShard::HandleGradPush(const Message& message) {
     if (next == state.push_count.end() || next->second != num_workers) {
       break;
     }
-    ApplyDense(message.layer, state.applied_clock + 1);
+    Apply(message.layer, &state, state.applied_clock + 1);
   }
-  ReleaseDenseReads(message.layer);
+  Release(message.layer, &state, &replies);
+  return replies;
 }
 
-void KvShard::ApplyDense(int layer, int64_t clock) {
+void KvShard::Apply(int layer, LayerState* state, int64_t clock) {
   TraceSpan apply_span("kv.apply", "server", layer);
   const int num_workers = coordinator_.cluster().num_workers;
-  DenseLayerState& state = dense_layers_[layer];
-  const GradCompression compression = layer_compression(layer);
-  const Codec* codec = compression == GradCompression::kNone
-                           ? nullptr
-                           : &CodecRegistry::Get(ExpectedPushCodec(compression));
-  const auto pending = state.pending.find(clock);
-  CHECK(pending != state.pending.end());
-  Tensor decoded;
-  for (size_t p = 0; p < state.pairs.size(); ++p) {
-    PairState& pair = state.pairs[p];
-    // Reduce in worker order for bit-deterministic results, reading each
-    // contribution straight from the sender's slab (compressed frames are
-    // expanded first; they were validated on arrival).
+  const bool raw = state->codecs.push == WireCodec::kRawFloat;
+  const Codec& codec = CodecRegistry::Get(state->codecs.push);
+  const auto pending = state->pending.find(clock);
+  CHECK(pending != state->pending.end());
+  Tensor dense;
+  std::vector<float> bias;
+  for (size_t p = 0; p < state->pairs.size(); ++p) {
+    PairState& pair = state->pairs[p];
+    // Reduce in worker order for bit-deterministic results. Raw frames are
+    // read straight from the sender's slab; any other frame (validated on
+    // arrival) decodes to its dense gradient then its bias trailer, the
+    // order of the pair's values — a 1-bit frame's weight then bias.
     std::vector<float> grad(static_cast<size_t>(pair.info.length), 0.0f);
     for (int w = 0; w < num_workers; ++w) {
-      const PayloadView& contribution = pending->second[static_cast<size_t>(w)][p];
-      if (codec == nullptr) {
-        CHECK_EQ(contribution.size(), static_cast<int64_t>(grad.size()));
-        simd::ReduceAdd(grad.data(), contribution.data(), pair.info.length);
-      } else {
-        const Status status = codec->Decode(contribution, &decoded, nullptr);
-        CHECK(status.ok()) << status.ToString();
-        CHECK_EQ(decoded.size(), pair.info.length);
-        simd::ReduceAdd(grad.data(), decoded.data(), pair.info.length);
+      const PayloadView& frame = pending->second[static_cast<size_t>(w)][p];
+      if (raw) {
+        simd::ReduceAdd(grad.data(), frame.data(), pair.info.length);
+        continue;
+      }
+      const Status status = codec.Decode(frame, &dense, &bias);
+      CHECK(status.ok()) << status.ToString();
+      CHECK_EQ(dense.size() + static_cast<int64_t>(bias.size()), pair.info.length);
+      simd::ReduceAdd(grad.data(), dense.data(), dense.size());
+      if (!bias.empty()) {
+        simd::ReduceAdd(grad.data() + dense.size(), bias.data(),
+                        static_cast<int64_t>(bias.size()));
       }
     }
     const float inv = 1.0f / static_cast<float>(num_workers);
     simd::Scale(grad.data(), inv, pair.info.length);
     const std::string key =
         "l" + std::to_string(layer) + ".c" + std::to_string(pair.info.chunk);
-    optimizer_.StepSlice(key, grad.data(), state.params.data() + pair.slab_offset,
+    optimizer_.StepSlice(key, grad.data(), state->params.data() + pair.slab_offset,
                          pair.info.length);
   }
-  state.pending.erase(pending);
-  state.push_count.erase(clock);
-  state.applied_clock = clock;
+  state->pending.erase(pending);
+  state->push_count.erase(clock);
+  state->applied_clock = clock;
   ++applies_;
 }
 
@@ -291,185 +263,59 @@ void KvShard::RecordSspStall(const WaitingRead& read) {
   }
 }
 
-void KvShard::SendReply(int layer, int worker, int64_t clock,
-                        std::vector<WireChunk> chunks, WireCodec codec) {
-  Message reply;
-  reply.type = MessageType::kParamReply;
-  reply.from = coordinator_.cluster().ShardAddress(server_, shard_);
-  reply.to = Address{worker, kSyncerPortBase + layer};
-  reply.layer = layer;
-  reply.iter = clock;
-  reply.codec = codec;
-  reply.chunks = std::move(chunks);
-  const Status status = bus_->Send(std::move(reply));
-  if (status.code() == StatusCode::kNotFound ||
-      status.code() == StatusCode::kUnavailable) {
-    // The worker's endpoint died between push and release (crash window).
-    // Its restarted incarnation will replay the push and earn a fresh reply.
-    ++replies_dropped_;
-    return;
-  }
-  CHECK(status.ok()) << status.ToString();
-}
-
-void KvShard::ReleaseDenseReads(int layer) {
-  DenseLayerState& state = dense_layers_[layer];
-  const GradCompression compression = layer_compression(layer);
+void KvShard::Release(int layer, LayerState* state, std::vector<Message>* replies) {
   // One shared payload for every read released in this pass: the freshest
-  // applied values. Under BSP the reply chunks alias the live parameter
+  // applied values. Under BSP raw reply chunks alias the live parameter
   // slab (no copy): the next apply needs every worker's next push, which
   // happens only after each worker consumed its reply. Under SSP a later
   // clock can be applied while a stale reader is still scattering, so the
-  // pass snapshots the slab instead. Compressed layers instead encode each
-  // pair into a fresh binary16 round-to-nearest frame (stateless, so no
+  // pass snapshots the slab instead. fp16 replies instead encode each pair
+  // into a fresh binary16 round-to-nearest frame (stateless, so no
   // residual; the frame is a snapshot either way, hence SSP-safe).
   std::vector<WireChunk> reply_chunks;
   std::vector<WaitingRead> still_waiting;
-  for (WaitingRead& read : state.waiting_reads) {
-    if (state.applied_clock < read.clock - staleness_) {
+  for (WaitingRead& read : state->waiting_reads) {
+    if (state->applied_clock < read.clock - staleness_) {
       read.deferred = true;
       still_waiting.push_back(read);
       continue;
     }
     if (reply_chunks.empty()) {
-      reply_chunks.reserve(state.pairs.size());
-      if (compression != GradCompression::kNone) {
-        for (const PairState& pair : state.pairs) {
-          Payload frame = Fp16Codec::EncodeRn(state.params.data() + pair.slab_offset,
+      reply_chunks.reserve(state->pairs.size());
+      if (state->codecs.reply == WireCodec::kFp16) {
+        for (const PairState& pair : state->pairs) {
+          Payload frame = Fp16Codec::EncodeRn(state->params.data() + pair.slab_offset,
                                               pair.info.length, nullptr, 0);
           reply_chunks.push_back({pair.info.offset, frame.View()});
         }
       } else {
-        Payload source = state.params;
+        Payload source = state->params;
         if (staleness_ > 0) {
-          source = Payload::Allocate(state.params.size());
-          std::copy(state.params.data(), state.params.data() + state.params.size(),
+          source = Payload::Allocate(state->params.size());
+          std::copy(state->params.data(), state->params.data() + state->params.size(),
                     source.data());
-          WireCopyStats::Add(state.params.size());
+          WireCopyStats::Add(state->params.size());
         }
-        for (const PairState& pair : state.pairs) {
+        for (const PairState& pair : state->pairs) {
           reply_chunks.push_back(
               {pair.info.offset, source.View(pair.slab_offset, pair.info.length)});
         }
       }
     }
     max_reply_gap_ = std::max(max_reply_gap_,
-                              std::max<int64_t>(0, read.clock - state.applied_clock));
+                              std::max<int64_t>(0, read.clock - state->applied_clock));
     RecordSspStall(read);
-    SendReply(layer, read.worker, read.clock, reply_chunks,
-              compression == GradCompression::kNone ? WireCodec::kRawFloat
-                                                    : WireCodec::kFp16);
+    Message reply;
+    reply.type = MessageType::kParamReply;
+    reply.from = coordinator_.cluster().ShardAddress(server_, shard_);
+    reply.to = Address{read.worker, kSyncerPortBase + layer};
+    reply.layer = layer;
+    reply.iter = read.clock;
+    reply.codec = state->codecs.reply;
+    reply.chunks = reply_chunks;
+    replies->push_back(std::move(reply));
   }
-  state.waiting_reads = std::move(still_waiting);
-}
-
-void KvShard::HandleOneBitPush(const Message& message) {
-  ++pushes_processed_;
-  auto it = onebit_layers_.find(message.layer);
-  CHECK(it != onebit_layers_.end());
-  OneBitLayerState& state = it->second;
-  CHECK(message.codec == WireCodec::kOneBit);
-  CHECK_EQ(message.chunks.size(), 1u);
-  const int num_workers = coordinator_.cluster().num_workers;
-  const int w = message.worker;
-  const int64_t clock = message.iter;
-
-  // Same reconciliation as the dense path (see HandleGradPush).
-  bool fresh = clock > state.applied_clock;
-  if (fresh) {
-    auto& frames = state.pending[clock];
-    if (frames.empty()) {
-      frames.resize(static_cast<size_t>(num_workers));
-    }
-    if (frames[static_cast<size_t>(w)].valid()) {
-      fresh = false;
-    } else {
-      max_push_lead_ = std::max(max_push_lead_, clock - state.applied_clock);
-      frames[static_cast<size_t>(w)] = message.chunks[0].view;
-      ++state.push_count[clock];
-    }
-  }
-  if (!fresh) {
-    ++reconciled_pushes_;
-  }
-  AddWaitingRead(&state.waiting_reads, w, clock);
-
-  while (true) {
-    auto next = state.push_count.find(state.applied_clock + 1);
-    if (next == state.push_count.end() || next->second != num_workers) {
-      break;
-    }
-    ApplyOneBit(message.layer, state.applied_clock + 1);
-  }
-  ReleaseOneBitReads(message.layer);
-}
-
-void KvShard::ApplyOneBit(int layer, int64_t clock) {
-  TraceSpan apply_span("kv.apply", "server", layer);
-  const int num_workers = coordinator_.cluster().num_workers;
-  OneBitLayerState& state = onebit_layers_[layer];
-  const int64_t weight_floats = state.rows * state.cols;
-  const auto pending = state.pending.find(clock);
-  CHECK(pending != state.pending.end());
-
-  // Decode and average the quantized weight gradients in worker order, then
-  // the dense bias gradients, straight from the buffered frames.
-  Tensor agg = Tensor::Zeros({state.rows, state.cols});
-  std::vector<float> bias_agg(static_cast<size_t>(state.rows), 0.0f);
-  Tensor dense;
-  for (int w = 0; w < num_workers; ++w) {
-    const PayloadView& frame = pending->second[static_cast<size_t>(w)];
-    CHECK(frame.valid());
-    const Status decoded = OneBitCodec::DecodeDense(frame, &dense);
-    CHECK(decoded.ok()) << decoded.ToString();
-    CHECK_EQ(dense.size(), weight_floats);
-    Axpy(1.0f, dense, &agg);
-    StatusOr<OneBitCodec::Frame> parsed = OneBitCodec::Parse(frame);
-    CHECK(parsed.ok()) << parsed.status().ToString();
-    CHECK_EQ(parsed->bias.size(), static_cast<int64_t>(bias_agg.size()));
-    simd::ReduceAdd(bias_agg.data(), parsed->bias.data(), state.rows);
-  }
-  const float inv = 1.0f / static_cast<float>(num_workers);
-  Scale(inv, &agg);
-  simd::Scale(bias_agg.data(), inv, state.rows);
-  const std::string key = "l" + std::to_string(layer);
-  optimizer_.StepSlice(key + ".w", agg.data(), state.value.data(), weight_floats);
-  optimizer_.StepSlice(key + ".b", bias_agg.data(), state.value.data() + weight_floats,
-                       state.rows);
-  state.pending.erase(pending);
-  state.push_count.erase(clock);
-  state.applied_clock = clock;
-  ++applies_;
-}
-
-void KvShard::ReleaseOneBitReads(int layer) {
-  OneBitLayerState& state = onebit_layers_[layer];
-  std::vector<WireChunk> reply_chunks;
-  std::vector<WaitingRead> still_waiting;
-  for (WaitingRead& read : state.waiting_reads) {
-    if (state.applied_clock < read.clock - staleness_) {
-      read.deferred = true;
-      still_waiting.push_back(read);
-      continue;
-    }
-    if (reply_chunks.empty()) {
-      // As on the dense path: alias the live slab under BSP, snapshot under
-      // SSP (a later apply may overlap a stale reader).
-      Payload source = state.value;
-      if (staleness_ > 0) {
-        source = Payload::Allocate(state.value.size());
-        std::copy(state.value.data(), state.value.data() + state.value.size(),
-                  source.data());
-        WireCopyStats::Add(state.value.size());
-      }
-      reply_chunks.push_back({0, source.View()});
-    }
-    max_reply_gap_ = std::max(max_reply_gap_,
-                              std::max<int64_t>(0, read.clock - state.applied_clock));
-    RecordSspStall(read);
-    SendReply(layer, read.worker, read.clock, reply_chunks);
-  }
-  state.waiting_reads = std::move(still_waiting);
+  state->waiting_reads = std::move(still_waiting);
 }
 
 KvServer::KvServer(int server_id, int64_t first_iter, const Coordinator& coordinator,

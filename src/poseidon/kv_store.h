@@ -10,6 +10,13 @@
 /// so a hot layer's serve path parallelizes across apply threads instead of
 /// serializing behind one service loop.
 ///
+/// Every layer a shard serves runs one path: push -> apply in clock order
+/// -> release replies. A 1-bit layer is a PS layer with one whole-layer
+/// pair on its owner endpoint and the 1-bit push codec; the pair placement
+/// (Coordinator::PairsOnShard) and the push/reply codecs (KvWireCodecs) are
+/// the rules the worker-side syncer shares. The path is the thread-free
+/// step KvShard::Handle; the service thread only pops, steps and sends.
+///
 /// Consistency is Stale Synchronous Parallel (SSP) with bound `s =
 /// ClusterInfo::staleness`:
 ///   * every gradient push carries its worker's clock (iteration);
@@ -58,10 +65,9 @@
 
 namespace poseidon {
 
-/// One key-range shard: a mailbox, an apply thread, and the master copy (and
-/// optimizer state) of every KV pair the coordinator assigned to
-/// (`server_id`, `shard_id`), plus whole-layer state for 1-bit layers this
-/// endpoint owns.
+/// One key-range shard: the master copy (and optimizer state) of every KV
+/// pair the coordinator places on (`server_id`, `shard_id`), the thread-free
+/// step that serves it (Handle), and the thread shell around that step.
 class KvShard {
  public:
   /// `init_net` supplies initial parameter values (every worker starts from
@@ -69,7 +75,8 @@ class KvShard {
   /// iteration this run will execute (non-zero after a checkpoint restore);
   /// the SSP clock starts at `first_iter - 1`. `plan` assigns each layer
   /// its scheme and push codec (plan.layers is parallel to the coordinator's
-  /// layers).
+  /// layers). A null `bus` builds a shard with no mailbox, driven only
+  /// through Handle.
   KvShard(int server_id, int shard_id, int64_t first_iter, const Coordinator& coordinator,
           const CommPlan& plan, Network& init_net, MessageBus* bus, const SgdConfig& sgd);
   ~KvShard();
@@ -77,10 +84,18 @@ class KvShard {
   KvShard(const KvShard&) = delete;
   KvShard& operator=(const KvShard&) = delete;
 
-  /// Spawns the shard's service thread (Receive/Apply/Release loop).
+  /// Spawns the shard's service thread: pop, Handle, send the replies.
   void Start();
   /// Joins after a kShutdown message has been delivered.
   void Join();
+
+  /// The shard's step, with no thread or mailbox: takes one gradient push
+  /// (kGradPush or kOneBitPush), buffers it, applies every clock it
+  /// completes in clock order, and returns the parameter replies it
+  /// releases. A push that fails validation is counted in rejected_pushes
+  /// and earns no reply. Not thread-safe: once Start ran, only the service
+  /// thread calls it.
+  std::vector<Message> Handle(const Message& message);
 
   int server() const { return server_; }
   int shard() const { return shard_; }
@@ -94,16 +109,14 @@ class KvShard {
   /// Pushes answered without contributing to an aggregate: replays of an
   /// already-applied clock, or duplicates of an already-buffered slot.
   int64_t reconciled_pushes() const { return reconciled_pushes_; }
-  /// Compressed pushes dropped whole for a codec mismatch or a malformed
-  /// frame (a bad frame must never crash the server or poison an aggregate).
+  /// Pushes dropped whole for a codec mismatch or a malformed frame (a bad
+  /// frame must never crash the server or poison an aggregate).
   int64_t rejected_pushes() const { return rejected_pushes_; }
   /// Replies that could not be delivered (receiver endpoint closed — the
   /// crash window between worker death and restart).
   int64_t replies_dropped() const { return replies_dropped_; }
-  /// Layers with state hosted on this shard (dense pairs or 1-bit owner).
-  int owned_layers() const {
-    return static_cast<int>(dense_layers_.size() + onebit_layers_.size());
-  }
+  /// Layers with pairs hosted on this shard.
+  int owned_layers() const { return static_cast<int>(layers_.size()); }
   /// Max over pushes of (push clock - applied clock at arrival): how far the
   /// fastest worker ran ahead of the global aggregate. SSP bounds this by
   /// staleness + 1. (Read after Join.)
@@ -134,65 +147,47 @@ class KvShard {
     int64_t enqueue_ns = 0;
     bool deferred = false;
   };
-  /// SSP bookkeeping for the dense pairs of one layer on this shard. The
-  /// master copies live in one refcounted slab, so a BSP parameter reply
-  /// can alias it zero-copy (the clock protocol guarantees every released
+  /// SSP bookkeeping for the pairs of one layer on this shard. The master
+  /// copies live in one refcounted slab, so a BSP raw parameter reply can
+  /// alias it zero-copy (the clock protocol guarantees every released
   /// reader finishes before the next apply can start; with staleness > 0
   /// later applies may overlap a reader, so replies snapshot instead).
-  struct DenseLayerState {
+  struct LayerState {
     std::vector<PairState> pairs;
+    KvCodecs codecs;
     Payload params;  ///< concatenated pair values, pair order
-    /// clock -> per-worker pending push chunks, one view per pair (in pair
-    /// order), referencing the sender's staging slab. Buffered zero-copy
-    /// until the clock's aggregate is applied.
+    /// clock -> per-worker pending push frames, one view per pair (in pair
+    /// order), referencing the sender's slab. Buffered zero-copy until the
+    /// clock's aggregate is applied.
     std::map<int64_t, std::vector<std::vector<PayloadView>>> pending;
-    std::map<int64_t, int> push_count;
-    int64_t applied_clock = -1;
-    std::vector<WaitingRead> waiting_reads;
-  };
-  struct OneBitLayerState {
-    Payload value;  ///< whole flattened layer (weight then bias)
-    int64_t rows = 0;
-    int64_t cols = 0;
-    /// clock -> per-worker pending 1-bit frames (views into sender slabs).
-    std::map<int64_t, std::vector<PayloadView>> pending;
     std::map<int64_t, int> push_count;
     int64_t applied_clock = -1;
     std::vector<WaitingRead> waiting_reads;
   };
 
   void ServiceLoop();
-  /// The layer's wire-compression mode under the plan.
-  GradCompression layer_compression(int layer) const;
-  /// The push codec `layer_compression` implies.
-  static WireCodec ExpectedPushCodec(GradCompression compression);
-  void HandleGradPush(const Message& message);
-  void HandleOneBitPush(const Message& message);
-  void ApplyDense(int layer, int64_t clock);
-  void ApplyOneBit(int layer, int64_t clock);
-  void ReleaseDenseReads(int layer);
-  void ReleaseOneBitReads(int layer);
+  /// Whether `message` carries the layer's push codec and one frame per
+  /// pair, each at the pair's offset and expanding to the pair's length.
+  static bool WellFormed(const LayerState& state, const Message& message);
+  void Apply(int layer, LayerState* state, int64_t clock);
+  /// Appends a reply for every waiting read the SSP gate now lets through.
+  void Release(int layer, LayerState* state, std::vector<Message>* replies);
   /// Queues (worker, clock) for release unless already pending (replayed
   /// pushes must never earn a second reply).
   static void AddWaitingRead(std::vector<WaitingRead>* reads, int worker, int64_t clock);
   /// Accounts a gated read's stall on release (metric + histogram + trace).
   void RecordSspStall(const WaitingRead& read);
-  /// Ships one parameter reply; tolerates a dead destination endpoint.
-  void SendReply(int layer, int worker, int64_t clock, std::vector<WireChunk> chunks,
-                 WireCodec codec = WireCodec::kRawFloat);
 
   const int server_;
   const int shard_;
   const int staleness_;
   const Coordinator& coordinator_;
-  const std::vector<PlanLayerChoice> layers_;  ///< the plan's per-layer assignments
   MessageBus* bus_;
   SgdOptimizer optimizer_;
   std::shared_ptr<MessageBus::Mailbox> mailbox_;
   std::thread thread_;
 
-  std::unordered_map<int, DenseLayerState> dense_layers_;
-  std::unordered_map<int, OneBitLayerState> onebit_layers_;
+  std::unordered_map<int, LayerState> layers_;
   int64_t pushes_processed_ = 0;
   int64_t applies_ = 0;
   int64_t reconciled_pushes_ = 0;

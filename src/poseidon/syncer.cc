@@ -19,6 +19,7 @@ Syncer::Syncer(int worker, int layer_index, const CommPlan& plan,
       compression_(scheme_ == PlannedScheme::kPS
                        ? plan.layers[static_cast<size_t>(layer_index)].compression
                        : GradCompression::kNone),
+      codecs_(KvWireCodecs(plan.layers[static_cast<size_t>(layer_index)])),
       topk_density_(plan.topk_density),
       coordinator_(coordinator),
       bus_(bus),
@@ -38,12 +39,13 @@ Syncer::Syncer(int worker, int layer_index, const CommPlan& plan,
     quant_ = Payload::Allocate(view_.size());
   }
   mailbox_ = bus_->Register(Address{worker_, kSyncerPortBase + layer_index_});
-  if (scheme_ == PlannedScheme::kPS) {
+  if (scheme_ == PlannedScheme::kPS || scheme_ == PlannedScheme::kOneBit) {
     const int num_servers = coordinator_.cluster().num_servers;
     const int num_shards = coordinator_.cluster().shards_per_server;
     for (int s = 0; s < num_servers; ++s) {
       for (int shard = 0; shard < num_shards; ++shard) {
-        std::vector<KvPairInfo> pairs = coordinator_.PairsOnShard(layer_index_, s, shard);
+        std::vector<KvPairInfo> pairs =
+            coordinator_.PairsOnShard(layer_index_, scheme_, s, shard);
         if (pairs.empty()) {
           continue;
         }
@@ -75,10 +77,13 @@ void Syncer::MoveOut() {
       break;
     case PlannedScheme::kPS:
       // Stage straight into the wire slab; downstream the same slab is
-      // referenced by every push chunk. Reuse is safe only while no receiver
-      // holds a view (always true under BSP once the reply arrived; under
-      // SSP a shard may still buffer last iteration's views).
-      if (!staged_.valid() || staged_.size() != view_.size() || staged_.use_count() > 1) {
+      // referenced by every raw push chunk. Under BSP every shard read of
+      // it happened before the replies that let this iteration start, so it
+      // is reused once no shard holds a view. Under SSP a reply can precede
+      // the apply that reads it, and a view count of one orders nothing
+      // (use_count is a relaxed load), so raw pushes stage into a fresh slab.
+      if (!staged_.valid() || staged_.size() != view_.size() || staged_.use_count() > 1 ||
+          (coordinator_.cluster().staleness > 0 && codecs_.push == WireCodec::kRawFloat)) {
         staged_ = Payload::Allocate(view_.size());
       }
       view_.GatherGradSlice(0, staged_.data(), staged_.size());
@@ -93,10 +98,12 @@ void Syncer::MoveOut() {
       break;
     }
     case PlannedScheme::kOneBit: {
+      // The layer's one whole-layer pair: weight then bias, the order of
+      // the shard's value slab.
       std::vector<ParamBlock> params = layer_->Params();
       const Tensor& bias_grad = *params[1].grad;
-      onebit_frame_ = OneBitCodec::Encode(fc_->weight_grad(), &quantizer_,
-                                          bias_grad.data(), bias_grad.size());
+      push_frames_.assign(1, OneBitCodec::Encode(fc_->weight_grad(), &quantizer_,
+                                                 bias_grad.data(), bias_grad.size()));
       break;
     }
     case PlannedScheme::kRing:
@@ -112,13 +119,11 @@ void Syncer::Send(int64_t iter) {
     case PlannedScheme::kNone:
       break;
     case PlannedScheme::kPS:
+    case PlannedScheme::kOneBit:
       SendPs(iter);
       break;
     case PlannedScheme::kSFB:
       SendSfb(iter);
-      break;
-    case PlannedScheme::kOneBit:
-      SendOneBit(iter);
       break;
     case PlannedScheme::kRing:
     case PlannedScheme::kTree:
@@ -128,7 +133,6 @@ void Syncer::Send(int64_t iter) {
 }
 
 void Syncer::SendPs(int64_t iter) {
-  WireCodec codec = WireCodec::kRawFloat;
   if (compression_ != GradCompression::kNone) {
     // Error feedback: quantize grad + residual, and let each pair's encoder
     // fold its slice's rounding error back into the residual. The hash seed
@@ -146,17 +150,14 @@ void Syncer::SendPs(int64_t iter) {
         float* r = residual_.data() + pair.offset;
         switch (compression_) {
           case GradCompression::kFp16:
-            codec = WireCodec::kFp16;
             push_frames_.push_back(
                 Fp16Codec::EncodeSr(q, pair.length, seed, pair.offset, r, nullptr, 0));
             break;
           case GradCompression::kInt8:
-            codec = WireCodec::kInt8;
             push_frames_.push_back(
                 Int8Codec::EncodeSr(q, pair.length, seed, pair.offset, r, nullptr, 0));
             break;
           case GradCompression::kTopK: {
-            codec = WireCodec::kTopK;
             const int64_t k = std::max<int64_t>(
                 1, std::min<int64_t>(pair.length,
                                      static_cast<int64_t>(topk_density_ *
@@ -173,16 +174,18 @@ void Syncer::SendPs(int64_t iter) {
   size_t frame = 0;
   for (const ShardDest& dest : pairs_by_shard_) {
     Message push;
-    push.type = MessageType::kGradPush;
+    // 1-bit pushes keep their own wire type; the shard serves both alike.
+    push.type = codecs_.push == WireCodec::kOneBit ? MessageType::kOneBitPush
+                                                   : MessageType::kGradPush;
     push.from = Address{worker_, kSyncerPortBase + layer_index_};
     push.to = dest.address;
     push.layer = layer_index_;
     push.worker = worker_;
     push.iter = iter;
-    push.codec = codec;
+    push.codec = codecs_.push;
     push.chunks.reserve(dest.pairs.size());
     for (const KvPairInfo& pair : dest.pairs) {
-      if (compression_ == GradCompression::kNone) {
+      if (codecs_.push == WireCodec::kRawFloat) {
         // Zero-copy: the chunk is a view into the staging slab.
         push.chunks.push_back({pair.offset, staged_.View(pair.offset, pair.length)});
       } else {
@@ -216,35 +219,17 @@ void Syncer::SendSfb(int64_t iter) {
   }
 }
 
-void Syncer::SendOneBit(int64_t iter) {
-  Message push;
-  push.type = MessageType::kOneBitPush;
-  push.from = Address{worker_, kSyncerPortBase + layer_index_};
-  push.to = coordinator_.cluster().ShardAddress(
-      coordinator_.OneBitOwnerServer(layer_index_),
-      coordinator_.OneBitOwnerShard(layer_index_));
-  push.layer = layer_index_;
-  push.worker = worker_;
-  push.iter = iter;
-  push.codec = WireCodec::kOneBit;
-  push.chunks.push_back({0, onebit_frame_.View()});
-  const Status status = bus_->Send(std::move(push));
-  CHECK(status.ok()) << status.ToString();
-}
-
 void Syncer::Receive(int64_t iter) {
   TraceSpan span("sync.receive", "syncer", layer_index_);
   switch (scheme_) {
     case PlannedScheme::kNone:
       break;
     case PlannedScheme::kPS:
+    case PlannedScheme::kOneBit:
       ReceivePs();
       break;
     case PlannedScheme::kSFB:
       ReceiveSfb(iter);
-      break;
-    case PlannedScheme::kOneBit:
-      ReceiveOneBit();
       break;
     case PlannedScheme::kRing:
     case PlannedScheme::kTree:
@@ -266,8 +251,8 @@ void Syncer::ReceivePs() {
       return;
     }
     CHECK(message->type == MessageType::kParamReply);
-    if (compression_ == GradCompression::kNone) {
-      CHECK(message->codec == WireCodec::kRawFloat);
+    CHECK(message->codec == codecs_.reply);
+    if (codecs_.reply == WireCodec::kRawFloat) {
       for (const WireChunk& chunk : message->chunks) {
         // Move(CPU2GPU): the one staging copy on the receive side.
         view_.ScatterValueSlice(chunk.offset, chunk.view.data(), chunk.view.size());
@@ -277,7 +262,6 @@ void Syncer::ReceivePs() {
     } else {
       // Compressed layers get binary16 round-to-nearest replies regardless
       // of the push codec (the reply is stateless; see docs/COMPRESSION.md).
-      CHECK(message->codec == WireCodec::kFp16);
       Tensor dense;
       for (const WireChunk& chunk : message->chunks) {
         const Status decoded = Fp16Codec::DecodeDense(chunk.view, &dense);
@@ -368,22 +352,6 @@ void Syncer::ReceiveSfb(int64_t iter) {
   const std::string key = "l" + std::to_string(layer_index_);
   local_optimizer_->Step(key + ".w", sf_agg_, &weight);
   local_optimizer_->StepSlice(key + ".b", bias_agg.data(), bias.data(), bias.size());
-}
-
-void Syncer::ReceiveOneBit() {
-  std::optional<Message> message = mailbox_->Pop();
-  if (!message.has_value()) {
-    LOG(Warning) << "worker " << worker_ << " layer " << layer_index_
-                 << ": syncer mailbox closed mid-iteration; abandoning sync";
-    return;
-  }
-  CHECK(message->type == MessageType::kParamReply);
-  CHECK(message->codec == WireCodec::kRawFloat);
-  CHECK_EQ(message->chunks.size(), 1u);
-  const PayloadView& values = message->chunks[0].view;
-  CHECK_EQ(values.size(), view_.size());
-  view_.ScatterValueSlice(0, values.data(), values.size());
-  WireCopyStats::Add(values.size());
 }
 
 }  // namespace poseidon

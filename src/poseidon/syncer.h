@@ -13,7 +13,8 @@
 /// On the PS path the layer's KV pairs are grouped by destination shard
 /// endpoint at construction; Send coalesces each endpoint's pairs into one
 /// kGradPush message (request coalescing), so a layer striped over E shard
-/// endpoints costs E messages per iteration, not one per pair.
+/// endpoints costs E messages per iteration, not one per pair. A 1-bit layer
+/// takes the same path with one whole-layer pair and one kOneBitPush.
 #ifndef POSEIDON_SRC_POSEIDON_SYNCER_H_
 #define POSEIDON_SRC_POSEIDON_SYNCER_H_
 
@@ -46,7 +47,6 @@ class Syncer {
   Syncer& operator=(const Syncer&) = delete;
 
   PlannedScheme scheme() const { return scheme_; }
-  GradCompression compression() const { return compression_; }
 
   /// Move(GPU2CPU): stages gradients (or extracts sufficient factors) out of
   /// the layer into send buffers.
@@ -62,17 +62,18 @@ class Syncer {
   void Receive(int64_t iter);
 
  private:
+  /// The KV-store path, shared by kPS and kOneBit layers: one push per
+  /// shard endpoint the layer's pairs live on, one reply per pair.
   void SendPs(int64_t iter);
   void SendSfb(int64_t iter);
-  void SendOneBit(int64_t iter);
   void ReceivePs();
   void ReceiveSfb(int64_t iter);
-  void ReceiveOneBit();
 
   const int worker_;
   const int layer_index_;
   const PlannedScheme scheme_;
   const GradCompression compression_;
+  const KvCodecs codecs_;  ///< push/reply codecs of a kPS or kOneBit layer
   const double topk_density_;
   const Coordinator& coordinator_;
   MessageBus* bus_;
@@ -99,15 +100,15 @@ class Syncer {
   /// Compressed-PS state: the layer-sized error-feedback residual (zeroed at
   /// construction, carried across iterations), the quantizer input scratch
   /// (gradient + residual), and the per-pair encoded frames of the most
-  /// recent Send — kept alive here because shards buffer views into them
-  /// until the clock's aggregate is applied.
+  /// recent Send (a 1-bit layer's one frame, from MoveOut) — kept alive
+  /// here because shards buffer views into them until the clock's aggregate
+  /// is applied.
   Payload residual_;
   Payload quant_;
   std::vector<Payload> push_frames_;
   std::unique_ptr<CollectiveSyncer> collective_;  // ring/tree path
   Payload sf_frame_;                              // SFB frame (factors + bias)
   Tensor sf_agg_;                                 // SFB weight-grad aggregate, reused
-  Payload onebit_frame_;                          // 1-bit frame (signs + levels + bias)
   OneBitQuantizer quantizer_;                     // persistent residual
   std::vector<Message> deferred_;                 // SFs from future iterations
 };

@@ -19,29 +19,24 @@
 
 namespace poseidon {
 
-StatusOr<int> PickFreeTcpPort() {
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (fd < 0) {
-    return InternalError(std::string("socket: ") + std::strerror(errno));
-  }
+ReservedTcpPort::ReservedTcpPort() {
+  // Close-on-exec: spawned cluster members must not inherit the holders.
+  fd_ = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
+  CHECK_GE(fd_, 0) << "socket: " << std::strerror(errno);
+  int one = 1;
+  CHECK_EQ(::setsockopt(fd_, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one)), 0);
   sockaddr_in addr{};
   addr.sin_family = AF_INET;
   addr.sin_port = 0;  // kernel picks
   ::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
-  if (::bind(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0) {
-    const std::string err = std::strerror(errno);
-    ::close(fd);
-    return InternalError("bind :0: " + err);
-  }
+  CHECK_EQ(::bind(fd_, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)), 0)
+      << "bind :0: " << std::strerror(errno);
   socklen_t len = sizeof(addr);
-  if (::getsockname(fd, reinterpret_cast<sockaddr*>(&addr), &len) != 0) {
-    const std::string err = std::strerror(errno);
-    ::close(fd);
-    return InternalError("getsockname: " + err);
-  }
-  ::close(fd);
-  return static_cast<int>(ntohs(addr.sin_port));
+  CHECK_EQ(::getsockname(fd_, reinterpret_cast<sockaddr*>(&addr), &len), 0);
+  port_ = ntohs(addr.sin_port);
 }
+
+ReservedTcpPort::~ReservedTcpPort() { ::close(fd_); }
 
 std::string MakeUnixSocketPath(const std::string& dir, const std::string& tag,
                                int index) {

@@ -41,11 +41,26 @@ namespace poseidon {
 
 // ---------------------------------------------------------------- processes
 
-/// Asks the kernel for a free TCP port on 127.0.0.1 (bind :0, read the
-/// assignment, close). The port is not reserved after return — the window
-/// until the cluster binds it is the usual test-harness race, acceptable on
-/// a CI box and re-rollable on failure.
-StatusOr<int> PickFreeTcpPort();
+/// A loopback TCP port held until the listener that will serve it binds.
+/// The holder socket is bound to 127.0.0.1 with SO_REUSEADDR and never
+/// listens, so a SocketTransport (which also binds with SO_REUSEADDR) can
+/// take the port — in this process or in a child — while every other bind
+/// and connect() autobind on the host stays off it. A port that was merely
+/// picked and closed could be taken by any outgoing connection before its
+/// owner bound it. Destroy once every listener is up (after rendezvous).
+class ReservedTcpPort {
+ public:
+  ReservedTcpPort();  // CHECK-fails when no loopback port can be bound
+  ~ReservedTcpPort();
+  ReservedTcpPort(const ReservedTcpPort&) = delete;
+  ReservedTcpPort& operator=(const ReservedTcpPort&) = delete;
+
+  int port() const { return port_; }
+
+ private:
+  int fd_ = -1;
+  int port_ = 0;
+};
 
 /// A collision-resistant AF_UNIX socket path under `dir` (pid + tag + index
 /// based). The path is unlinked if it already exists.

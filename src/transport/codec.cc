@@ -1,10 +1,9 @@
 #include "src/transport/codec.h"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <cstring>
-#include <map>
-#include <mutex>
 #include <string>
 
 #include "src/common/logging.h"
@@ -199,7 +198,7 @@ StatusOr<int64_t> OneBitCodec::Validate(const PayloadView& frame) const {
   if (!parsed.ok()) {
     return parsed.status();
   }
-  return parsed->rows * parsed->cols;
+  return parsed->rows * parsed->cols + parsed->bias_len;
 }
 
 Status OneBitCodec::DecodeDense(const PayloadView& frame, Tensor* out) {
@@ -321,7 +320,7 @@ StatusOr<int64_t> SufficientFactorCodec::Validate(const PayloadView& frame) cons
   if (!parsed.ok()) {
     return parsed.status();
   }
-  return parsed->m * parsed->n;
+  return parsed->m * parsed->n + parsed->bias_len;
 }
 
 namespace {
@@ -456,7 +455,7 @@ StatusOr<int64_t> Fp16Codec::Validate(const PayloadView& frame) const {
   if (!parsed.ok()) {
     return parsed.status();
   }
-  return parsed->n;
+  return parsed->n + parsed->bias_len;
 }
 
 Status Fp16Codec::DecodeDense(const PayloadView& frame, Tensor* out) {
@@ -591,7 +590,7 @@ StatusOr<int64_t> Int8Codec::Validate(const PayloadView& frame) const {
   if (!parsed.ok()) {
     return parsed.status();
   }
-  return parsed->n;
+  return parsed->n + parsed->bias_len;
 }
 
 Status Int8Codec::DecodeDense(const PayloadView& frame, Tensor* out) {
@@ -748,7 +747,7 @@ StatusOr<int64_t> TopKCodec::Validate(const PayloadView& frame) const {
   if (!parsed.ok()) {
     return parsed.status();
   }
-  return parsed->n;
+  return parsed->n + parsed->bias_len;
 }
 
 Status TopKCodec::DecodeDense(const PayloadView& frame, Tensor* out) {
@@ -851,56 +850,36 @@ Payload TopKCodec::Encode(const float* quant, int64_t n, int64_t k, float* resid
 
 namespace {
 
-std::mutex& RegistryMutex() {
-  static std::mutex mutex;
-  return mutex;
-}
-
-std::map<uint8_t, std::unique_ptr<Codec>>& RegistryMap() {
-  static std::map<uint8_t, std::unique_ptr<Codec>>* map = [] {
-    auto* m = new std::map<uint8_t, std::unique_ptr<Codec>>();
-    (*m)[static_cast<uint8_t>(WireCodec::kRawFloat)] = std::make_unique<RawFloatCodec>();
-    (*m)[static_cast<uint8_t>(WireCodec::kOneBit)] = std::make_unique<OneBitCodec>();
-    (*m)[static_cast<uint8_t>(WireCodec::kSufficientFactor)] =
-        std::make_unique<SufficientFactorCodec>();
-    (*m)[static_cast<uint8_t>(WireCodec::kFp16)] = std::make_unique<Fp16Codec>();
-    (*m)[static_cast<uint8_t>(WireCodec::kInt8)] = std::make_unique<Int8Codec>();
-    (*m)[static_cast<uint8_t>(WireCodec::kTopK)] = std::make_unique<TopKCodec>();
-    return m;
-  }();
-  return *map;
+// The fixed codec table, indexed by WireCodec id.
+const std::array<const Codec*, 6>& CodecTable() {
+  static const RawFloatCodec raw;
+  static const OneBitCodec onebit;
+  static const SufficientFactorCodec sufficient_factor;
+  static const Fp16Codec fp16;
+  static const Int8Codec int8;
+  static const TopKCodec topk;
+  static const std::array<const Codec*, 6> table = {&raw,  &onebit, &sufficient_factor,
+                                                    &fp16, &int8,   &topk};
+  return table;
 }
 
 }  // namespace
 
 const Codec& CodecRegistry::Get(WireCodec id) {
   const Codec* codec = Find(id);
-  CHECK_NOTNULL(codec) << "unregistered codec id " << static_cast<int>(id);
+  CHECK_NOTNULL(codec) << "unknown codec id " << static_cast<int>(id);
   return *codec;
 }
 
 const Codec* CodecRegistry::Find(WireCodec id) {
-  std::lock_guard<std::mutex> lock(RegistryMutex());
-  auto& map = RegistryMap();
-  auto it = map.find(static_cast<uint8_t>(id));
-  return it == map.end() ? nullptr : it->second.get();
-}
-
-void CodecRegistry::Register(std::unique_ptr<Codec> codec) {
-  CHECK_NOTNULL(codec.get());
-  std::lock_guard<std::mutex> lock(RegistryMutex());
-  auto& map = RegistryMap();
-  const uint8_t id = static_cast<uint8_t>(codec->id());
-  CHECK(map.find(id) == map.end()) << "codec id " << static_cast<int>(id)
-                                   << " already registered";
-  map[id] = std::move(codec);
+  const size_t index = static_cast<size_t>(id);
+  return index < CodecTable().size() ? CodecTable()[index] : nullptr;
 }
 
 std::vector<WireCodec> CodecRegistry::Ids() {
-  std::lock_guard<std::mutex> lock(RegistryMutex());
   std::vector<WireCodec> ids;
-  for (const auto& [id, codec] : RegistryMap()) {
-    ids.push_back(static_cast<WireCodec>(id));
+  for (const Codec* codec : CodecTable()) {
+    ids.push_back(codec->id());
   }
   return ids;
 }

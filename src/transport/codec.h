@@ -4,7 +4,7 @@
 /// int8, top-k sparse) is serialized into a Payload slab by exactly one
 /// Codec, and every receiver decodes through the same codec. No
 /// scheme-specific encode/decode logic lives in the syncers or the KV store;
-/// adding a compression is one codec class registered here.
+/// adding a compression is one codec class in the registry's table.
 ///
 /// Frame layout (in 4-byte float words; integers are bit-cast into words
 /// with memcpy, never read as floats):
@@ -36,7 +36,6 @@
 #define POSEIDON_SRC_TRANSPORT_CODEC_H_
 
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "src/common/status.h"
@@ -77,9 +76,9 @@ class Codec {
   virtual WireCodec id() const = 0;
   virtual const char* name() const = 0;
 
-  /// Validates framing without decoding. Returns the dense float count the
-  /// frame expands to (excluding any bias trailer), or InvalidArgument /
-  /// OutOfRange on malformed or truncated input.
+  /// Validates framing without decoding. Returns the float count the frame
+  /// expands to — the dense gradient, then any bias trailer — or
+  /// InvalidArgument / OutOfRange on malformed or truncated input.
   virtual StatusOr<int64_t> Validate(const PayloadView& frame) const = 0;
 
   /// Decodes the frame into a dense gradient tensor (shape from the frame;
@@ -306,20 +305,17 @@ class TopKCodec : public Codec {
   static Status DecodeDense(const PayloadView& frame, Tensor* out);
 };
 
-/// Process-wide codec registry. The six built-in codecs (the three paper
-/// representations plus the fp16/int8/top-k compressions) are always
-/// present; extensions register once at startup and are then addressable by
-/// id from any Message.
+/// Process-wide codec registry: a fixed table of the six codecs (the three
+/// paper representations plus the fp16/int8/top-k compressions), addressable
+/// by id from any Message.
 class CodecRegistry {
  public:
   /// The codec for `id`; CHECK-fails on an unknown id (use Find on wire
   /// input paths).
   static const Codec& Get(WireCodec id);
-  /// The codec for `id`, or nullptr when unregistered.
+  /// The codec for `id`, or nullptr for an unknown id.
   static const Codec* Find(WireCodec id);
-  /// Registers an extension codec; CHECK-fails on a duplicate id.
-  static void Register(std::unique_ptr<Codec> codec);
-  /// Ids currently registered, ascending.
+  /// Every codec id, ascending.
   static std::vector<WireCodec> Ids();
 };
 

@@ -43,6 +43,7 @@ StatusOr<SocketBandwidthResult> MeasureSocketBandwidth(
   }
 
   std::vector<SocketEndpoint> endpoints(2);
+  std::vector<std::unique_ptr<ReservedTcpPort>> reserved;  // until both listen
   std::string dir;
   if (options.unix_sockets) {
     char tmpl[] = "/tmp/poseidon_sockbench_XXXXXX";
@@ -56,11 +57,8 @@ StatusOr<SocketBandwidthResult> MeasureSocketBandwidth(
     }
   } else {
     for (int p = 0; p < 2; ++p) {
-      StatusOr<int> port = PickFreeTcpPort();
-      if (!port.ok()) {
-        return port.status();
-      }
-      endpoints[static_cast<size_t>(p)].port = *port;
+      reserved.push_back(std::make_unique<ReservedTcpPort>());
+      endpoints[static_cast<size_t>(p)].port = reserved.back()->port();
     }
   }
 
@@ -96,6 +94,7 @@ StatusOr<SocketBandwidthResult> MeasureSocketBandwidth(
       return started;
     }
   }
+  reserved.clear();
   for (int p = 0; p < 2; ++p) {
     const Status connected = transport[p]->ConnectAll();
     if (!connected.ok()) {

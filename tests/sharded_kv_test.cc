@@ -7,12 +7,21 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
+#include <cstring>
+#include <map>
+#include <optional>
+#include <utility>
 #include <vector>
 
 #include "src/common/rng.h"
 #include "src/nn/builders.h"
 #include "src/poseidon/coordinator.h"
+#include "src/poseidon/kv_store.h"
 #include "src/poseidon/trainer.h"
+#include "src/tensor/onebit.h"
+#include "src/transport/bus.h"
+#include "src/transport/codec.h"
 
 namespace poseidon {
 namespace {
@@ -53,7 +62,7 @@ TEST(ShardedPartitionTest, EveryKeyOwnedByExactlyOneShard) {
     for (int s = 0; s < servers; ++s) {
       size_t on_server = 0;
       for (int h = 0; h < shards; ++h) {
-        on_server += coordinator.PairsOnShard(l, s, h).size();
+        on_server += coordinator.PairsOnShard(l, PlannedScheme::kPS, s, h).size();
       }
       EXPECT_EQ(on_server, coordinator.PairsOnServer(l, s).size());
       across_shards += on_server;
@@ -231,6 +240,275 @@ TEST(ShardedKvStoreTest, TwoWorkersNeverAutoShard) {
   Rng rng(25);
   auto net = BuildMlp(64, 20, 1, 3, rng);
   EXPECT_EQ(ResolveTrainerPlan(AutoShardOptions(2, 2), *net)->ps_shards, 1);
+}
+
+TEST(ShardedPartitionTest, OneBitLayerIsOneWholePairOnItsOwner) {
+  // A 1-bit layer's encoding is not sliceable: the placement rule gives it
+  // one whole-layer pair on server l % S, shard (l / S) % shards, and no
+  // pair anywhere else.
+  Rng rng(27);
+  auto net = BuildMlp(64, 20, 2, 3, rng);
+  const int servers = 2;
+  const int shards = 3;
+  Coordinator coordinator(*net, ShardedCluster(3, servers, shards, /*kv_bytes=*/256));
+  for (int l = 0; l < coordinator.num_layers(); ++l) {
+    int found = 0;
+    for (int s = 0; s < servers; ++s) {
+      for (int h = 0; h < shards; ++h) {
+        const std::vector<KvPairInfo> pairs =
+            coordinator.PairsOnShard(l, PlannedScheme::kOneBit, s, h);
+        if (s != l % servers || h != (l / servers) % shards) {
+          EXPECT_TRUE(pairs.empty()) << "layer " << l << " on (" << s << ", " << h << ")";
+          continue;
+        }
+        ASSERT_EQ(pairs.size(), 1u);
+        EXPECT_EQ(pairs[0].layer, l);
+        EXPECT_EQ(pairs[0].offset, 0);
+        EXPECT_EQ(pairs[0].length, coordinator.layer(l).total_floats);
+        ++found;
+      }
+    }
+    EXPECT_EQ(found, 1);
+  }
+}
+
+// --------------------------------------------------------- KvShard step --
+
+// A two-layer plan over a BuildMlp(8, 6, 1, 3) net: fc1 on dense PS, relu1
+// unsynced, fc_out on 1-bit.
+constexpr int kDenseLayer = 0;
+constexpr int kOneBitLayer = 2;
+
+CommPlan DenseAndOneBitPlan(const Coordinator& coordinator) {
+  CommPlan plan;
+  for (int l = 0; l < coordinator.num_layers(); ++l) {
+    PlanLayerChoice choice;
+    choice.layer = coordinator.layer(l).name;
+    choice.scheme = l == kDenseLayer    ? PlannedScheme::kPS
+                    : l == kOneBitLayer ? PlannedScheme::kOneBit
+                                        : PlannedScheme::kNone;
+    plan.layers.push_back(choice);
+  }
+  return plan;
+}
+
+std::unique_ptr<Network> StepNet() {
+  Rng rng(28);
+  return BuildMlp(/*input_dim=*/8, /*hidden_dim=*/6, /*hidden_layers=*/1,
+                  /*classes=*/3, rng);
+}
+
+/// Worker `w`'s clock-`clock` push for `layer`, exactly as the syncer frames
+/// it: raw chunks per pair, or one 1-bit frame (weight then bias).
+Message StepPush(const Coordinator& coordinator, int layer, int w, int64_t clock,
+                 OneBitQuantizer* quantizer) {
+  const LayerInfo& info = coordinator.layer(layer);
+  Rng rng(1000 + 10 * static_cast<uint64_t>(w) + static_cast<uint64_t>(clock));
+  Message push;
+  push.from = Address{w, kSyncerPortBase + layer};
+  push.to = coordinator.cluster().ShardAddress(0, 0);
+  push.layer = layer;
+  push.worker = w;
+  push.iter = clock;
+  if (layer == kOneBitLayer) {
+    const Tensor grad = Tensor::RandomUniform({info.fc_m, info.fc_n}, -1.0f, 1.0f, rng);
+    const Tensor bias = Tensor::RandomUniform({info.fc_m}, -1.0f, 1.0f, rng);
+    push.type = MessageType::kOneBitPush;
+    push.codec = WireCodec::kOneBit;
+    push.chunks.push_back(
+        {0, OneBitCodec::Encode(grad, quantizer, bias.data(), bias.size()).View()});
+    return push;
+  }
+  const Tensor grad = Tensor::RandomUniform({info.total_floats}, -1.0f, 1.0f, rng);
+  Payload slab = RawFloatCodec::Encode(grad.data(), grad.size());
+  push.type = MessageType::kGradPush;
+  push.codec = WireCodec::kRawFloat;
+  for (const KvPairInfo& pair : info.pairs) {
+    push.chunks.push_back({pair.offset, slab.View(pair.offset, pair.length)});
+  }
+  return push;
+}
+
+std::vector<float> ReplyFloats(const Message& reply) {
+  std::vector<float> out;
+  for (const WireChunk& chunk : reply.chunks) {
+    out.insert(out.end(), chunk.view.data(), chunk.view.data() + chunk.view.size());
+  }
+  return out;
+}
+
+TEST(KvShardStepTest, EveryArrivalOrderAppliesOnceAndRepliesUnderTheGate) {
+  // KvShard::Handle with no thread and no mailbox: W = 2 workers, clocks
+  // 0-1, s in {0, 1}, every arrival order of the four pushes, plus one
+  // duplicate of a buffered slot (right after the first push) and one
+  // replay of an applied clock (at the end), on a dense and a 1-bit layer.
+  auto net = StepNet();
+  const int workers = 2;
+  for (int layer : {kDenseLayer, kOneBitLayer}) {
+    std::vector<float> final_params;
+    for (int staleness : {0, 1}) {
+      ClusterInfo cluster = ShardedCluster(workers, 1, 1, /*kv_bytes=*/64);
+      cluster.staleness = staleness;
+      Coordinator coordinator(*net, cluster);
+      if (layer == kDenseLayer) {
+        ASSERT_GT(coordinator.layer(layer).pairs.size(), 1u) << "dense layer must stripe";
+      }
+      const CommPlan plan = DenseAndOneBitPlan(coordinator);
+      // The pushes, framed once in clock order (the 1-bit quantizers carry
+      // their residuals per worker).
+      std::vector<OneBitQuantizer> quantizers(workers);
+      std::vector<Message> pushes;  // index = clock * workers + worker
+      for (int64_t clock = 0; clock < 2; ++clock) {
+        for (int w = 0; w < workers; ++w) {
+          pushes.push_back(StepPush(coordinator, layer, w, clock,
+                                    &quantizers[static_cast<size_t>(w)]));
+        }
+      }
+      std::vector<int> order = {0, 1, 2, 3};
+      do {
+        SCOPED_TRACE("layer " + std::to_string(layer) + " s=" + std::to_string(staleness) +
+                     " order " + std::to_string(order[0]) + std::to_string(order[1]) +
+                     std::to_string(order[2]) + std::to_string(order[3]));
+        KvShard shard(0, 0, /*first_iter=*/0, coordinator, plan, *net, /*bus=*/nullptr,
+                      SgdConfig{.learning_rate = 0.05f, .momentum = 0.9f});
+        std::vector<int> schedule = order;
+        schedule.insert(schedule.begin() + 1, order[0]);  // duplicate of a buffered slot
+        schedule.push_back(order[0]);                     // replay of an applied clock
+
+        // The reference model: the applied clock is the highest clock every
+        // worker delivered, with every clock below it; a delivery queues a
+        // read unless one is already pending for its (worker, clock); a read
+        // is answered exactly when applied >= clock - s.
+        std::vector<bool> delivered(pushes.size(), false);
+        std::vector<std::pair<int, int64_t>> pending;
+        std::map<std::pair<int, int64_t>, int> want;  // (worker, clock) -> replies
+        std::map<std::pair<int, int64_t>, int> got;
+        std::vector<float> last_reply;
+        for (size_t step = 0; step < schedule.size(); ++step) {
+          const Message& push = pushes[static_cast<size_t>(schedule[step])];
+          delivered[static_cast<size_t>(schedule[step])] = true;
+          int64_t applied = -1;
+          while (applied + 1 < 2 && delivered[static_cast<size_t>((applied + 1) * workers)] &&
+                 delivered[static_cast<size_t>((applied + 1) * workers + 1)]) {
+            ++applied;
+          }
+          const std::pair<int, int64_t> read = {push.worker, push.iter};
+          if (std::find(pending.begin(), pending.end(), read) == pending.end()) {
+            pending.push_back(read);
+          }
+          for (auto it = pending.begin(); it != pending.end();) {
+            if (applied >= it->second - staleness) {
+              ++want[*it];
+              it = pending.erase(it);
+            } else {
+              ++it;
+            }
+          }
+          for (const Message& reply : shard.Handle(push)) {
+            EXPECT_EQ(reply.type, MessageType::kParamReply);
+            EXPECT_EQ(reply.codec, WireCodec::kRawFloat);
+            EXPECT_EQ(reply.to.port, kSyncerPortBase + layer);
+            ++got[{reply.to.node, reply.iter}];
+            last_reply = ReplyFloats(reply);
+          }
+          EXPECT_EQ(got, want) << "after step " << step;
+        }
+        // Every push the schedule does not repeat earned exactly one reply.
+        for (int index : order) {
+          if (index != order[0]) {
+            const Message& push = pushes[static_cast<size_t>(index)];
+            EXPECT_EQ((got[{push.worker, push.iter}]), 1);
+          }
+        }
+        EXPECT_EQ(shard.applies(), 2) << "one apply per (layer, clock)";
+        EXPECT_EQ(shard.reconciled_pushes(), 2);
+        EXPECT_EQ(shard.rejected_pushes(), 0);
+        EXPECT_EQ(shard.pushes_processed(), static_cast<int64_t>(schedule.size()));
+        // The replay's reply carries the final parameters; it must be the
+        // same bytes for every order and staleness.
+        ASSERT_EQ(static_cast<int64_t>(last_reply.size()),
+                  coordinator.layer(layer).total_floats);
+        if (final_params.empty()) {
+          final_params = last_reply;
+        } else {
+          EXPECT_EQ(std::memcmp(final_params.data(), last_reply.data(),
+                                final_params.size() * sizeof(float)),
+                    0)
+              << "final parameters depend on the arrival order";
+        }
+      } while (std::next_permutation(order.begin(), order.end()));
+    }
+  }
+}
+
+TEST(KvShardServiceTest, MalformedOneBitPushesAreRejectedNotFatal) {
+  // A 1-bit push is wire input like any other: the wrong codec, a bad chunk
+  // count, a truncated frame or a frame without its bias trailer is counted
+  // in rejected_pushes, earns no reply, and the next well-formed clock still
+  // applies.
+  auto net = StepNet();
+  const int workers = 2;
+  Coordinator coordinator(*net, ShardedCluster(workers, 1, 1, /*kv_bytes=*/64));
+  const CommPlan plan = DenseAndOneBitPlan(coordinator);
+  MessageBus bus(coordinator.cluster().NumNodes());
+  std::vector<std::shared_ptr<MessageBus::Mailbox>> inbox;
+  for (int w = 0; w < workers; ++w) {
+    inbox.push_back(bus.Register(Address{w, kSyncerPortBase + kOneBitLayer}));
+  }
+  KvServer server(0, /*first_iter=*/0, coordinator, plan, *net, &bus,
+                  SgdConfig{.learning_rate = 0.05f, .momentum = 0.9f});
+  server.Start();
+
+  std::vector<OneBitQuantizer> quantizers(workers);
+  std::vector<Message> good;
+  for (int w = 0; w < workers; ++w) {
+    good.push_back(StepPush(coordinator, kOneBitLayer, w, /*clock=*/0,
+                            &quantizers[static_cast<size_t>(w)]));
+  }
+  const PayloadView frame = good[0].chunks[0].view;
+  std::vector<Message> bad;
+  Message wrong_codec = good[0];
+  wrong_codec.codec = WireCodec::kRawFloat;
+  bad.push_back(wrong_codec);
+  Message two_chunks = good[0];
+  two_chunks.chunks.push_back(two_chunks.chunks[0]);
+  bad.push_back(two_chunks);
+  Message truncated = good[0];
+  truncated.chunks[0].view = frame.Sub(0, frame.size() - 1);
+  bad.push_back(truncated);
+  Message no_bias = good[0];
+  const LayerInfo& info = coordinator.layer(kOneBitLayer);
+  OneBitQuantizer fresh;
+  no_bias.chunks[0].view =
+      OneBitCodec::Encode(Tensor::Zeros({info.fc_m, info.fc_n}), &fresh, nullptr, 0).View();
+  bad.push_back(no_bias);
+  // Worker 1's good push first, so a malformed worker-0 frame that got
+  // buffered would complete (and poison) the clock.
+  ASSERT_TRUE(bus.Send(good[1]).ok());
+  for (const Message& push : bad) {
+    ASSERT_TRUE(bus.Send(push).ok());
+  }
+  ASSERT_TRUE(bus.Send(good[0]).ok());
+
+  for (int w = 0; w < workers; ++w) {
+    const std::optional<Message> reply =
+        inbox[static_cast<size_t>(w)]->PopFor(std::chrono::milliseconds(10000));
+    ASSERT_TRUE(reply.has_value()) << "worker " << w << " got no reply";
+    EXPECT_EQ(reply->iter, 0);
+    EXPECT_EQ(ReplyFloats(*reply).size(), static_cast<size_t>(info.total_floats));
+  }
+  Message shutdown;
+  shutdown.type = MessageType::kShutdown;
+  shutdown.to = coordinator.cluster().ShardAddress(0, 0);
+  ASSERT_TRUE(bus.Send(shutdown).ok());
+  server.Join();
+  for (int w = 0; w < workers; ++w) {
+    EXPECT_FALSE(inbox[static_cast<size_t>(w)]->TryPop().has_value())
+        << "a malformed push earned a reply";
+  }
+  EXPECT_EQ(server.rejected_pushes(), static_cast<int64_t>(bad.size()));
+  EXPECT_EQ(server.applies(), 1);
+  EXPECT_EQ(server.reconciled_pushes(), 0);
 }
 
 }  // namespace

@@ -1,11 +1,5 @@
 #include "tests/testing/subprocess.h"
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <sys/socket.h>
-#include <unistd.h>
-
-#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -17,24 +11,6 @@
 
 namespace poseidon {
 namespace testing {
-
-ReservedTcpPort::ReservedTcpPort() {
-  fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
-  CHECK_GE(fd_, 0) << "socket: " << std::strerror(errno);
-  int one = 1;
-  CHECK_EQ(::setsockopt(fd_, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one)), 0);
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = 0;  // kernel picks
-  ::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
-  CHECK_EQ(::bind(fd_, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)), 0)
-      << "bind :0: " << std::strerror(errno);
-  socklen_t len = sizeof(addr);
-  CHECK_EQ(::getsockname(fd_, reinterpret_cast<sockaddr*>(&addr), &len), 0);
-  port_ = ntohs(addr.sin_port);
-}
-
-ReservedTcpPort::~ReservedTcpPort() { ::close(fd_); }
 
 std::string MakeTempDir(const std::string& tag) {
   const char* base = std::getenv("TEST_TMPDIR");

@@ -19,26 +19,6 @@ namespace testing {
 /// run. CHECK-fails when mkdtemp fails.
 std::string MakeTempDir(const std::string& tag);
 
-/// A loopback TCP port held until a SocketTransport listener binds it. The
-/// holder socket is bound with SO_REUSEADDR and never listens, so the
-/// transport (which also binds with SO_REUSEADDR) can take the port, while
-/// every other bind and connect() autobind on the host stays off it. A bare
-/// PickFreeTcpPort leaves that window open between pick and bind, and
-/// parallel socket suites collided in it. Destroy once the listener is up.
-class ReservedTcpPort {
- public:
-  ReservedTcpPort();  // CHECK-fails when no loopback port can be bound
-  ~ReservedTcpPort();
-  ReservedTcpPort(const ReservedTcpPort&) = delete;
-  ReservedTcpPort& operator=(const ReservedTcpPort&) = delete;
-
-  int port() const { return port_; }
-
- private:
-  int fd_ = -1;
-  int port_ = 0;
-};
-
 /// One poseidon_launch run.
 struct LaunchRun {
   int exit_code = -1;

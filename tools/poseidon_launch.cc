@@ -23,6 +23,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <memory>
 #include <set>
 #include <string>
 #include <vector>
@@ -247,14 +248,17 @@ int RunLauncher(const LaunchArgs& args, int argc, char** argv) {
   const int num_processes = num_nodes + 1;  // + the coordinator, process 0
 
   // Endpoint table: process 0 first, then one endpoint per node process.
+  // TCP ports stay reserved until process 0's run returns: its rendezvous
+  // completes only once every member has bound its listener, so no
+  // outgoing connection on the host can take a port before its owner.
   std::vector<std::string> endpoints;
+  std::vector<std::unique_ptr<ReservedTcpPort>> reserved;
   for (int p = 0; p < num_processes; ++p) {
     if (args.transport == "unix") {
       endpoints.push_back(MakeUnixSocketPath(args.out, "poseidon", p));
     } else {
-      StatusOr<int> port = PickFreeTcpPort();
-      CHECK(port.ok()) << port.status().ToString();
-      endpoints.push_back("127.0.0.1:" + std::to_string(*port));
+      reserved.push_back(std::make_unique<ReservedTcpPort>());
+      endpoints.push_back("127.0.0.1:" + std::to_string(reserved.back()->port()));
     }
   }
   std::vector<int> node_owner;
@@ -306,6 +310,7 @@ int RunLauncher(const LaunchArgs& args, int argc, char** argv) {
   self.endpoints = SplitCsv(endpoints_csv);
   self.node_owner = node_owner;
   const int zero_rc = RunNode(self);
+  reserved.clear();
 
   int rc = zero_rc;
   for (size_t i = 0; i < children.size(); ++i) {
