@@ -19,7 +19,7 @@ const char* CollectiveAlgoName(CollectiveAlgo algo) {
 }
 
 CollectiveComm::CollectiveComm(MessageBus* bus, int rank, int world, int tag)
-    : bus_(bus), rank_(rank), world_(world), tag_(tag) {
+    : bus_(bus), rank_(rank), world_(world), tag_(tag), children_(TreeChildren(rank, world)) {
   CHECK_NOTNULL(bus);
   CHECK_GE(rank, 0);
   CHECK_LT(rank, world);
@@ -48,30 +48,19 @@ void CollectiveComm::SendHop(int to, int step, int64_t offset, const float* data
   CHECK(status.ok()) << status.ToString();
 }
 
-Message CollectiveComm::NextMessage(int expected_step, int expected_sender) {
-  TraceSpan span("collective.recv_hop", "collective", expected_step);
-  std::optional<Message> message = mailbox_->Pop();
-  CHECK(message.has_value()) << "collective mailbox closed mid-operation";
-  CHECK(message->type == MessageType::kCollective)
-      << "rank " << rank_ << " tag " << tag_ << ": unexpected message type";
-  CHECK_EQ(message->iter, seq_) << "collective sequence mismatch (peer ran ahead?)";
-  CHECK_EQ(message->step, expected_step);
-  CHECK_EQ(message->worker, expected_sender);
-  CHECK(message->codec == WireCodec::kRawFloat);
-  CHECK_EQ(message->chunks.size(), 1u);
-  return std::move(*message);
-}
-
 void CollectiveComm::Start(CollectiveAlgo algo, int64_t seq, std::vector<float>* data) {
   CHECK(!pending_) << "previous collective not finished";
   CHECK_NOTNULL(data);
-  pending_ = true;
   algo_ = algo;
   seq_ = seq;
   data_ = data;
+  ring_step_ = 0;
+  child_sums_.assign(children_.size(), PayloadView());
+  children_reduced_ = 0;
   if (world_ == 1) {
     return;
   }
+  pending_ = true;
   switch (algo_) {
     case CollectiveAlgo::kRing: {
       // Step 0 of reduce-scatter: every rank sends its own chunk downstream.
@@ -82,8 +71,8 @@ void CollectiveComm::Start(CollectiveAlgo algo, int64_t seq, std::vector<float>*
     }
     case CollectiveAlgo::kTree:
       // Leaves push their contribution immediately; internal ranks must wait
-      // for their children, so their first send happens in Finish.
-      if (TreeChildren(rank_, world_).empty()) {
+      // for their children, so their first send happens in Handle.
+      if (children_.empty()) {
         SendHop(TreeParent(rank_), kTreeReduceStep, 0, data->data(),
                 static_cast<int64_t>(data->size()));
       }
@@ -91,105 +80,102 @@ void CollectiveComm::Start(CollectiveAlgo algo, int64_t seq, std::vector<float>*
   }
 }
 
-void CollectiveComm::FinishRing() {
-  std::vector<float>& data = *data_;
-  const int64_t total = static_cast<int64_t>(data.size());
-  const int last_step = 2 * world_ - 3;
-  for (int s = 0; s <= last_step; ++s) {
-    // The chunk arriving at step s is (rank - s - 1) mod world: reduce-scatter
-    // partial sums for s < world-1, fully reduced chunks afterwards.
-    const int chunk_index = ((rank_ - s - 1) % world_ + world_) % world_;
-    const ChunkRange range = CollectiveChunk(total, world_, chunk_index);
-    Message message = NextMessage(s, RingPrev(rank_, world_));
-    const WireChunk& payload = message.chunks[0];
-    CHECK_EQ(payload.offset, range.offset);
-    CHECK_EQ(payload.view.size(), range.length);
-    const float* incoming = payload.view.data();
-    float* local = data.data() + range.offset;
-    if (s < world_ - 1) {
-      // Reduce-scatter: fold the incoming partial sum with the local chunk.
-      // The accumulation for chunk c runs along the ring starting at rank c,
-      // so every rank observes the identical association order.
-      simd::ReduceAdd(local, incoming, range.length);
-    } else {
-      // All-gather: adopt the fully reduced chunk.
-      std::copy(incoming, incoming + range.length, local);
-      WireCopyStats::Add(range.length);
-    }
-    if (s < last_step) {
-      SendHop(RingNext(rank_, world_), s + 1, range.offset, local, range.length);
-    }
+bool CollectiveComm::Handle(const Message& message) {
+  TraceSpan span("collective.recv_hop", "collective", message.step);
+  CHECK(pending_) << "rank " << rank_ << " tag " << tag_ << ": hop with no collective in flight";
+  CHECK(message.type == MessageType::kCollective)
+      << "rank " << rank_ << " tag " << tag_ << ": unexpected message type";
+  CHECK_EQ(message.iter, seq_) << "collective sequence mismatch (peer ran ahead?)";
+  CHECK(message.codec == WireCodec::kRawFloat);
+  CHECK_EQ(message.chunks.size(), 1u);
+  const bool done =
+      algo_ == CollectiveAlgo::kRing ? HandleRing(message) : HandleTree(message);
+  if (done) {
+    pending_ = false;
+    data_ = nullptr;
   }
+  return done;
 }
 
-void CollectiveComm::FinishTree() {
+bool CollectiveComm::HandleRing(const Message& message) {
+  // The chunk arriving at step s is (rank - s - 1) mod world: reduce-scatter
+  // partial sums for s < world-1, fully reduced chunks afterwards.
+  const int s = ring_step_++;
+  CHECK_EQ(message.step, s);
+  CHECK_EQ(message.worker, RingPrev(rank_, world_));
+  const int chunk_index = ((rank_ - s - 1) % world_ + world_) % world_;
+  const ChunkRange range =
+      CollectiveChunk(static_cast<int64_t>(data_->size()), world_, chunk_index);
+  const WireChunk& payload = message.chunks[0];
+  CHECK_EQ(payload.offset, range.offset);
+  CHECK_EQ(payload.view.size(), range.length);
+  const float* incoming = payload.view.data();
+  float* local = data_->data() + range.offset;
+  if (s < world_ - 1) {
+    // Reduce-scatter: fold the incoming partial sum with the local chunk.
+    // The accumulation for chunk c runs along the ring starting at rank c,
+    // so every rank observes the identical association order.
+    simd::ReduceAdd(local, incoming, range.length);
+  } else {
+    // All-gather: adopt the fully reduced chunk.
+    std::copy(incoming, incoming + range.length, local);
+    WireCopyStats::Add(range.length);
+  }
+  if (s == 2 * world_ - 3) {
+    return true;
+  }
+  SendHop(RingNext(rank_, world_), s + 1, range.offset, local, range.length);
+  return false;
+}
+
+bool CollectiveComm::HandleTree(const Message& message) {
   std::vector<float>& data = *data_;
   const int64_t total = static_cast<int64_t>(data.size());
-  const std::vector<int> children = TreeChildren(rank_, world_);
-
-  // Reduce phase: fold children's subtree sums into the local buffer in
-  // child order (lower rank first), giving a deterministic association.
-  // Children are distinct senders, so their messages may arrive in either
-  // order; buffer by sender first.
-  if (!children.empty()) {
-    std::vector<PayloadView> arrived(children.size());
-    for (size_t pending = children.size(); pending > 0; --pending) {
-      std::optional<Message> message = mailbox_->Pop();
-      CHECK(message.has_value()) << "collective mailbox closed mid-operation";
-      CHECK(message->type == MessageType::kCollective);
-      CHECK_EQ(message->iter, seq_);
-      CHECK_EQ(message->step, kTreeReduceStep);
-      CHECK_EQ(message->chunks.size(), 1u);
-      const auto child_it = std::find(children.begin(), children.end(), message->worker);
-      CHECK(child_it != children.end())
-          << "rank " << rank_ << ": reduce message from non-child " << message->worker;
-      const size_t slot = static_cast<size_t>(child_it - children.begin());
-      CHECK(!arrived[slot].valid()) << "duplicate reduce message";
-      arrived[slot] = message->chunks[0].view;
+  const PayloadView& view = message.chunks[0].view;
+  CHECK_EQ(view.size(), total);
+  if (message.step == kTreeReduceStep) {
+    // Reduce phase. Children are distinct senders, so their subtree sums may
+    // arrive in either order: buffer by sender, then fold in child order
+    // (lower rank first), giving a deterministic association.
+    const auto child_it = std::find(children_.begin(), children_.end(), message.worker);
+    CHECK(child_it != children_.end())
+        << "rank " << rank_ << ": reduce message from non-child " << message.worker;
+    PayloadView& slot = child_sums_[static_cast<size_t>(child_it - children_.begin())];
+    CHECK(!slot.valid()) << "duplicate reduce message";
+    slot = view;
+    if (++children_reduced_ < children_.size()) {
+      return false;
     }
-    for (const PayloadView& view : arrived) {
-      CHECK(view.valid());
-      CHECK_EQ(view.size(), total);
-      simd::ReduceAdd(data.data(), view.data(), total);
+    for (PayloadView& sum : child_sums_) {
+      simd::ReduceAdd(data.data(), sum.data(), total);
+      sum = PayloadView();
     }
     if (rank_ != 0) {
       SendHop(TreeParent(rank_), kTreeReduceStep, 0, data.data(), total);
+      return false;
     }
-  }
-
-  // Broadcast phase: the root already holds the global sum; everyone else
-  // adopts the parent's copy, then forwards it downward.
-  if (rank_ != 0) {
-    Message message = NextMessage(kTreeBroadcastStep, TreeParent(rank_));
-    const PayloadView& view = message.chunks[0].view;
-    CHECK_EQ(view.size(), total);
+    // The root now holds the global sum.
+  } else {
+    // Broadcast phase: adopt the parent's copy of the global sum.
+    CHECK_EQ(message.step, kTreeBroadcastStep);
+    CHECK_EQ(message.worker, TreeParent(rank_));
+    CHECK_EQ(children_reduced_, children_.size()) << "broadcast before the subtree reduced";
     std::copy(view.data(), view.data() + total, data.begin());
     WireCopyStats::Add(total);
   }
-  for (int child : children) {
+  for (int child : children_) {
     SendHop(child, kTreeBroadcastStep, 0, data.data(), total);
   }
-}
-
-void CollectiveComm::Finish() {
-  CHECK(pending_) << "Finish without Start";
-  if (world_ > 1) {
-    switch (algo_) {
-      case CollectiveAlgo::kRing:
-        FinishRing();
-        break;
-      case CollectiveAlgo::kTree:
-        FinishTree();
-        break;
-    }
-  }
-  pending_ = false;
-  data_ = nullptr;
+  return true;
 }
 
 void CollectiveComm::Allreduce(CollectiveAlgo algo, int64_t seq, std::vector<float>* data) {
   Start(algo, seq, data);
-  Finish();
+  while (pending_) {
+    std::optional<Message> message = mailbox_->Pop();
+    CHECK(message.has_value()) << "collective mailbox closed mid-operation";
+    Handle(*message);
+  }
 }
 
 }  // namespace poseidon

@@ -9,9 +9,12 @@
 /// by a tag (the runtime uses the layer index, mirroring the per-layer syncer
 /// mailboxes). The protocol is split into a non-blocking Start — which
 /// injects this rank's first message, preserving the paper's wait-free Send
-/// semantics — and a blocking Finish that runs the remaining hops. On return
-/// from Finish every rank holds the bitwise-identical elementwise sum: ring
-/// chunks are folded in ring order starting at the chunk's index, tree
+/// semantics — and Handle, a single-threaded step that consumes one received
+/// hop, folds or adopts its chunk and sends the next hop. Handle never pops:
+/// the caller owns the wait (the worker's Syncer::Receive, or Allreduce here),
+/// so tests can step the ranks in any order from one thread. When the last
+/// hop is handled every rank holds the bitwise-identical elementwise sum:
+/// ring chunks are folded in ring order starting at the chunk's index, tree
 /// subtrees in child order, so no rank-dependent association order exists.
 ///
 /// Ordering relies only on per-sender FIFO delivery (which MessageBus
@@ -51,17 +54,28 @@ class CollectiveComm {
   CollectiveComm& operator=(const CollectiveComm&) = delete;
 
   /// Non-blocking kickoff of one allreduce over *data (kept by the caller,
-  /// unmodified until Finish): sends this rank's first ring chunk, or a
-  /// leaf's subtree contribution. `seq` tags the operation (the runtime uses
-  /// the iteration number) and is validated on every received hop.
+  /// unmodified until the operation completes): sends this rank's first ring
+  /// chunk, or a leaf's subtree contribution. `seq` tags the operation (the
+  /// runtime uses the iteration number) and is validated on every received
+  /// hop.
   void Start(CollectiveAlgo algo, int64_t seq, std::vector<float>* data);
 
-  /// Blocks until the allreduce finishes; *data then holds the elementwise
-  /// sum across all ranks, bitwise identical on every rank.
-  void Finish();
+  /// Consumes one hop of the operation in flight without blocking: checks
+  /// it, folds (reduce) or adopts (gather / broadcast) its chunk and sends
+  /// the next hop. Returns true when this hop completed the operation; *data
+  /// then holds the elementwise sum across all ranks, bitwise identical on
+  /// every rank.
+  bool Handle(const Message& message);
 
-  /// Blocking convenience: Start + Finish.
+  /// True from Start until the hop that completes the operation (never for
+  /// a world of one, which has nothing to wait for).
+  bool pending() const { return pending_; }
+
+  /// Blocking convenience: Start, then pop and Handle until complete.
   void Allreduce(CollectiveAlgo algo, int64_t seq, std::vector<float>* data);
+
+  /// The mailbox hops to this rank arrive in.
+  const std::shared_ptr<MessageBus::Mailbox>& mailbox() const { return mailbox_; }
 
   int rank() const { return rank_; }
   int world() const { return world_; }
@@ -72,10 +86,9 @@ class CollectiveComm {
 
  private:
   void SendHop(int to, int step, int64_t offset, const float* data, int64_t len);
-  /// Pops the next message, checking type, sequence and sender.
-  Message NextMessage(int expected_step, int expected_sender);
-  void FinishRing();
-  void FinishTree();
+  /// Handle's per-algorithm halves; each returns true on completion.
+  bool HandleRing(const Message& message);
+  bool HandleTree(const Message& message);
 
   MessageBus* bus_;
   const int rank_;
@@ -83,11 +96,16 @@ class CollectiveComm {
   const int tag_;
   std::shared_ptr<MessageBus::Mailbox> mailbox_;
 
-  /// In-flight operation state between Start and Finish.
+  const std::vector<int> children_;  // tree children, lower rank first
+
+  /// In-flight operation state between Start and completion.
   bool pending_ = false;
   CollectiveAlgo algo_ = CollectiveAlgo::kRing;
   int64_t seq_ = -1;
   std::vector<float>* data_ = nullptr;
+  int ring_step_ = 0;                     ///< the ring step expected next
+  std::vector<PayloadView> child_sums_;   ///< tree reduce hops, by child
+  size_t children_reduced_ = 0;
 
   int64_t messages_sent_ = 0;
   int64_t floats_sent_ = 0;

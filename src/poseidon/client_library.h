@@ -49,12 +49,9 @@ class ClientLibrary {
   /// Blocks until every scheduled sync of this iteration finished.
   void WaitAll();
 
-  Syncer& syncer(int l) { return *syncers_[static_cast<size_t>(l)]; }
-  int num_sync_layers() const { return num_sync_layers_; }
-
  private:
   const int worker_;
-  SgdOptimizer local_optimizer_;  // applies SFB updates on this replica
+  SgdOptimizer local_optimizer_;  // applies SFB and ring/tree updates on this replica
   std::vector<std::unique_ptr<Syncer>> syncers_;
   int num_sync_layers_ = 0;
 

@@ -1,12 +1,12 @@
 #include "src/poseidon/syncer.h"
 
 #include <algorithm>
+#include <string>
 #include <utility>
 
 #include "src/common/logging.h"
 #include "src/simd/vec.h"
 #include "src/stats/trace.h"
-#include "src/tensor/ops.h"
 
 namespace poseidon {
 
@@ -38,7 +38,6 @@ Syncer::Syncer(int worker, int layer_index, const CommPlan& plan,
     residual_ = Payload::Allocate(view_.size());
     quant_ = Payload::Allocate(view_.size());
   }
-  mailbox_ = bus_->Register(Address{worker_, kSyncerPortBase + layer_index_});
   if (scheme_ == PlannedScheme::kPS || scheme_ == PlannedScheme::kOneBit) {
     const int num_servers = coordinator_.cluster().num_servers;
     const int num_shards = coordinator_.cluster().shards_per_server;
@@ -58,15 +57,16 @@ Syncer::Syncer(int worker, int layer_index, const CommPlan& plan,
   if (scheme_ == PlannedScheme::kSFB || scheme_ == PlannedScheme::kOneBit) {
     CHECK_NOTNULL(fc_) << layer->name() << ": SFB/1-bit requires an FC layer";
   }
-  if (scheme_ == PlannedScheme::kSFB) {
-    CHECK_NOTNULL(local_optimizer_);
-  }
   if (scheme_ == PlannedScheme::kRing || scheme_ == PlannedScheme::kTree) {
-    const CollectiveAlgo algo =
-        scheme_ == PlannedScheme::kRing ? CollectiveAlgo::kRing : CollectiveAlgo::kTree;
-    collective_ = std::make_unique<CollectiveSyncer>(worker_, layer_index_, algo,
-                                                     coordinator_, bus_, layer_,
-                                                     local_optimizer_);
+    CHECK_GT(view_.size(), 0) << layer->name() << ": collective sync of a stateless layer";
+    comm_ = std::make_unique<CollectiveComm>(bus_, worker_, coordinator_.cluster().num_workers,
+                                             layer_index_);
+    mailbox_ = comm_->mailbox();
+  } else {
+    mailbox_ = bus_->Register(Address{worker_, kSyncerPortBase + layer_index_});
+  }
+  if (scheme_ == PlannedScheme::kSFB || comm_ != nullptr) {
+    CHECK_NOTNULL(local_optimizer_);
   }
 }
 
@@ -108,13 +108,17 @@ void Syncer::MoveOut() {
     }
     case PlannedScheme::kRing:
     case PlannedScheme::kTree:
-      collective_->MoveOut();
+      comm_grads_.resize(static_cast<size_t>(view_.size()));
+      view_.GatherGradSlice(0, &comm_grads_);
+      WireCopyStats::Add(view_.size());
       break;
   }
 }
 
 void Syncer::Send(int64_t iter) {
   TraceSpan span("sync.send", "syncer", layer_index_);
+  iter_ = iter;
+  received_ = 0;
   switch (scheme_) {
     case PlannedScheme::kNone:
       break;
@@ -123,11 +127,15 @@ void Syncer::Send(int64_t iter) {
       SendPs(iter);
       break;
     case PlannedScheme::kSFB:
+      sf_frames_.assign(static_cast<size_t>(coordinator_.cluster().num_workers), PayloadView());
+      sf_frames_[static_cast<size_t>(worker_)] = sf_frame_.View();
       SendSfb(iter);
       break;
     case PlannedScheme::kRing:
+      comm_->Start(CollectiveAlgo::kRing, iter, &comm_grads_);
+      break;
     case PlannedScheme::kTree:
-      collective_->Send(iter);
+      comm_->Start(CollectiveAlgo::kTree, iter, &comm_grads_);
       break;
   }
 }
@@ -219,139 +227,153 @@ void Syncer::SendSfb(int64_t iter) {
   }
 }
 
-void Syncer::Receive(int64_t iter) {
-  TraceSpan span("sync.receive", "syncer", layer_index_);
+bool Syncer::Handle(const Message& message) {
   switch (scheme_) {
     case PlannedScheme::kNone:
+      LOG(Fatal) << "layer " << layer_index_ << " has no synchronization to receive";
       break;
     case PlannedScheme::kPS:
-    case PlannedScheme::kOneBit:
-      ReceivePs();
+    case PlannedScheme::kOneBit: {
+      CHECK(message.type == MessageType::kParamReply);
+      CHECK(message.codec == codecs_.reply);
+      Tensor dense;
+      for (const WireChunk& chunk : message.chunks) {
+        if (codecs_.reply == WireCodec::kRawFloat) {
+          // Move(CPU2GPU): the one staging copy on the receive side.
+          view_.ScatterValueSlice(chunk.offset, chunk.view.data(), chunk.view.size());
+          WireCopyStats::Add(chunk.view.size());
+        } else {
+          // Compressed layers get binary16 round-to-nearest replies
+          // regardless of the push codec (the reply is stateless; see
+          // docs/COMPRESSION.md).
+          const Status decoded = Fp16Codec::DecodeDense(chunk.view, &dense);
+          CHECK(decoded.ok()) << decoded.ToString();
+          view_.ScatterValueSlice(chunk.offset, dense.data(), dense.size());
+        }
+        ++received_;
+      }
       break;
-    case PlannedScheme::kSFB:
-      ReceiveSfb(iter);
+    }
+    case PlannedScheme::kSFB: {
+      CHECK(message.type == MessageType::kSfBroadcast);
+      CHECK(message.codec == WireCodec::kSufficientFactor);
+      CHECK_EQ(message.chunks.size(), 1u);
+      if (message.iter != iter_) {
+        // A peer may run at most one iteration ahead under BSP.
+        CHECK_GT(message.iter, iter_) << "stale SF broadcast";
+        deferred_.push_back(message);
+        return false;
+      }
+      CHECK(message.worker >= 0 && message.worker < static_cast<int>(sf_frames_.size()))
+          << "SF broadcast from unknown worker " << message.worker;
+      PayloadView& frame = sf_frames_[static_cast<size_t>(message.worker)];
+      CHECK(!frame.valid()) << "duplicate SF broadcast from worker " << message.worker;
+      frame = message.chunks[0].view;
+      ++received_;
       break;
+    }
     case PlannedScheme::kRing:
     case PlannedScheme::kTree:
-      collective_->Receive(iter);
+      comm_->Handle(message);
       break;
   }
+  if (!Complete()) {
+    return false;
+  }
+  Apply();
+  return true;
 }
 
-void Syncer::ReceivePs() {
-  int received = 0;
-  while (received < total_pairs_) {
+void Syncer::Receive(int64_t iter) {
+  TraceSpan span("sync.receive", "syncer", layer_index_);
+  if (scheme_ == PlannedScheme::kNone) {
+    return;
+  }
+  CHECK_EQ(iter, iter_) << "Receive without its Send";
+  bool done = Complete();
+  if (done) {
+    Apply();  // a lone worker waits for no message
+  }
+  // SF broadcasts a peer sent ahead of an earlier Receive; Handle defers
+  // again whatever is still early.
+  std::vector<Message> early;
+  early.swap(deferred_);
+  for (const Message& message : early) {
+    done = Handle(message) || done;
+  }
+  while (!done) {
     std::optional<Message> message = mailbox_->Pop();
     if (!message.has_value()) {
       // Endpoint closed mid-iteration: this worker is being crash-simulated
       // (MessageBus::CloseEndpoints). Abandon the sync so the zombie job can
       // drain; the restarted incarnation replays this clock.
       LOG(Warning) << "worker " << worker_ << " layer " << layer_index_
-                   << ": syncer mailbox closed mid-iteration; abandoning sync";
+                   << ": mailbox closed mid-iteration; abandoning sync";
       return;
     }
-    CHECK(message->type == MessageType::kParamReply);
-    CHECK(message->codec == codecs_.reply);
-    if (codecs_.reply == WireCodec::kRawFloat) {
-      for (const WireChunk& chunk : message->chunks) {
-        // Move(CPU2GPU): the one staging copy on the receive side.
-        view_.ScatterValueSlice(chunk.offset, chunk.view.data(), chunk.view.size());
-        WireCopyStats::Add(chunk.view.size());
-        ++received;
-      }
-    } else {
-      // Compressed layers get binary16 round-to-nearest replies regardless
-      // of the push codec (the reply is stateless; see docs/COMPRESSION.md).
-      Tensor dense;
-      for (const WireChunk& chunk : message->chunks) {
-        const Status decoded = Fp16Codec::DecodeDense(chunk.view, &dense);
-        CHECK(decoded.ok()) << decoded.ToString();
-        view_.ScatterValueSlice(chunk.offset, dense.data(), dense.size());
-        ++received;
-      }
-    }
+    done = Handle(*message);
   }
 }
 
-void Syncer::ReceiveSfb(int64_t iter) {
-  const int num_workers = coordinator_.cluster().num_workers;
-  std::vector<PayloadView> frames(static_cast<size_t>(num_workers));
-  frames[static_cast<size_t>(worker_)] = sf_frame_.View();
-  int have = 1;
-
-  auto frame_of = [](const Message& message) {
-    CHECK(message.type == MessageType::kSfBroadcast);
-    CHECK(message.codec == WireCodec::kSufficientFactor);
-    CHECK_EQ(message.chunks.size(), 1u);
-    return message.chunks[0].view;
-  };
-
-  // First drain anything deferred from a previous Receive that belongs to
-  // this iteration (a peer may run at most one iteration ahead under BSP).
-  std::vector<Message> still_deferred;
-  for (Message& message : deferred_) {
-    if (message.iter == iter) {
-      frames[static_cast<size_t>(message.worker)] = frame_of(message);
-      ++have;
-    } else {
-      still_deferred.push_back(std::move(message));
-    }
+bool Syncer::Complete() const {
+  if (comm_ != nullptr) {
+    return !comm_->pending();
   }
-  deferred_ = std::move(still_deferred);
+  return received_ ==
+         (scheme_ == PlannedScheme::kSFB ? coordinator_.cluster().num_workers - 1 : total_pairs_);
+}
 
-  while (have < num_workers) {
-    std::optional<Message> message = mailbox_->Pop();
-    if (!message.has_value()) {
-      LOG(Warning) << "worker " << worker_ << " layer " << layer_index_
-                   << ": syncer mailbox closed mid-iteration; abandoning sync";
-      return;
-    }
-    if (message->iter != iter) {
-      CHECK_GT(message->iter, iter) << "stale SF broadcast";
-      deferred_.push_back(std::move(*message));
-      continue;
-    }
-    frames[static_cast<size_t>(message->worker)] = frame_of(*message);
-    ++have;
-  }
-
-  // Reconstruct the aggregate weight gradient in worker order (identical FP
-  // operation order on every replica keeps parameters bitwise in sync).
-  // Each worker's U V^T element is summed in full before it is added to the
-  // aggregate (agg = agg + dot), which matches the KV store's reduction of
-  // pre-summed dense pushes bit for bit — so switching a layer between PS
-  // and SFB never changes the trajectory.
+void Syncer::Apply() {
   std::vector<ParamBlock> params = layer_->Params();
-  Tensor& weight = *params[0].value;
-  Tensor& bias = *params[1].value;
-  if (sf_agg_.SameShape(weight)) {
-    sf_agg_.SetZero();
-  } else {
-    sf_agg_ = Tensor::Zeros(weight.shape());
-  }
-  std::vector<float> bias_agg(static_cast<size_t>(bias.size()), 0.0f);
-  for (int w = 0; w < num_workers; ++w) {
-    const PayloadView& frame = frames[static_cast<size_t>(w)];
-    CHECK(frame.valid());
-    StatusOr<SufficientFactorCodec::Frame> parsed = SufficientFactorCodec::Parse(frame);
-    CHECK(parsed.ok()) << parsed.status().ToString();
-    const Status reconstructed =
-        SufficientFactorCodec::AccumulateReconstruct(*parsed, &sf_agg_);
-    CHECK(reconstructed.ok()) << reconstructed.ToString();
-    CHECK_EQ(parsed->bias.size(), static_cast<int64_t>(bias_agg.size()));
-    const float* b = parsed->bias.data();
-    for (size_t i = 0; i < bias_agg.size(); ++i) {
-      bias_agg[i] += b[i];
+  std::vector<float*> sums;  // each parameter block's summed gradient
+  if (scheme_ == PlannedScheme::kSFB) {
+    // Reconstruct the aggregate weight gradient in worker order (identical
+    // FP operation order on every replica keeps parameters bitwise in
+    // sync). Each worker's U V^T element is summed in full before it is
+    // added to the aggregate (agg = agg + dot), which matches the KV
+    // store's reduction of pre-summed dense pushes bit for bit — so
+    // switching a layer between PS and SFB never changes the trajectory.
+    const Tensor& weight = *params[0].value;
+    if (sf_agg_.SameShape(weight)) {
+      sf_agg_.SetZero();
+    } else {
+      sf_agg_ = Tensor::Zeros(weight.shape());
     }
+    sf_bias_agg_.assign(static_cast<size_t>(params[1].value->size()), 0.0f);
+    for (const PayloadView& frame : sf_frames_) {
+      CHECK(frame.valid());
+      StatusOr<SufficientFactorCodec::Frame> parsed = SufficientFactorCodec::Parse(frame);
+      CHECK(parsed.ok()) << parsed.status().ToString();
+      const Status reconstructed =
+          SufficientFactorCodec::AccumulateReconstruct(*parsed, &sf_agg_);
+      CHECK(reconstructed.ok()) << reconstructed.ToString();
+      CHECK_EQ(parsed->bias.size(), static_cast<int64_t>(sf_bias_agg_.size()));
+      const float* b = parsed->bias.data();
+      for (size_t i = 0; i < sf_bias_agg_.size(); ++i) {
+        sf_bias_agg_[i] += b[i];
+      }
+    }
+    sf_frames_.clear();  // release the peers' frames
+    sums = {sf_agg_.data(), sf_bias_agg_.data()};
+  } else if (comm_ != nullptr) {
+    // The flat sum holds the blocks in declaration order, concatenated.
+    float* next = comm_grads_.data();
+    for (const ParamBlock& block : params) {
+      sums.push_back(next);
+      next += block.value->size();
+    }
+  } else {
+    return;  // PS / 1-bit replies were scattered as they arrived
   }
-  const float inv = 1.0f / static_cast<float>(num_workers);
-  Scale(inv, &sf_agg_);
-  for (float& b : bias_agg) {
-    b *= inv;
+  // Every replica averages the identical sum and steps it through an
+  // identical local optimizer, so replicas never diverge.
+  const float inv = 1.0f / static_cast<float>(coordinator_.cluster().num_workers);
+  for (size_t b = 0; b < params.size(); ++b) {
+    Tensor& value = *params[b].value;
+    simd::Scale(sums[b], inv, value.size());
+    local_optimizer_->StepSlice("l" + std::to_string(layer_index_) + ".p" + std::to_string(b),
+                                sums[b], value.data(), value.size());
   }
-  const std::string key = "l" + std::to_string(layer_index_);
-  local_optimizer_->Step(key + ".w", sf_agg_, &weight);
-  local_optimizer_->StepSlice(key + ".b", bias_agg.data(), bias.data(), bias.size());
 }
 
 }  // namespace poseidon

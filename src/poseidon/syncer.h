@@ -7,24 +7,27 @@
 ///             staging is a flatten/scatter pass);
 ///   Send    — non-blocking push of the layer's updates, using the scheme
 ///             the coordinator selected;
-///   Receive — blocks until fresh parameters (PS) or all peers' sufficient
-///             factors (SFB) have arrived, then applies them.
+///   Receive — blocks until the layer's synchronization completes, then
+///             moves the result in: a shell that pops the layer's mailbox
+///             and passes each message to Handle, the thread-free step.
 ///
 /// On the PS path the layer's KV pairs are grouped by destination shard
 /// endpoint at construction; Send coalesces each endpoint's pairs into one
 /// kGradPush message (request coalescing), so a layer striped over E shard
 /// endpoints costs E messages per iteration, not one per pair. A 1-bit layer
-/// takes the same path with one whole-layer pair and one kOneBitPush.
+/// takes the same path with one whole-layer pair and one kOneBitPush. SFB and
+/// ring/tree layers replicate the optimizer: every worker steps the
+/// bitwise-identical averaged sum through an identical local SGD.
 #ifndef POSEIDON_SRC_POSEIDON_SYNCER_H_
 #define POSEIDON_SRC_POSEIDON_SYNCER_H_
 
 #include <memory>
 #include <vector>
 
+#include "src/collective/collective.h"
 #include "src/nn/layers.h"
 #include "src/nn/sgd.h"
 #include "src/planner/comm_plan.h"
-#include "src/poseidon/collective_syncer.h"
 #include "src/poseidon/coordinator.h"
 #include "src/poseidon/flat_params.h"
 #include "src/tensor/onebit.h"
@@ -38,8 +41,9 @@ class Syncer {
  public:
   /// The layer's scheme and PS wire codec come from `plan.layers[layer_index]`
   /// (non-PS schemes ignore the codec); `plan.topk_density` sizes the top-k
-  /// selection per pair. `local_optimizer` applies SFB updates on the worker
-  /// (shared across this worker's syncers; may be null for PS-only layers).
+  /// selection per pair. `local_optimizer` applies SFB and ring/tree updates
+  /// on the worker (shared across this worker's syncers; may be null for
+  /// PS-only layers).
   Syncer(int worker, int layer_index, const CommPlan& plan, const Coordinator& coordinator,
          MessageBus* bus, Layer* layer, SgdOptimizer* local_optimizer);
 
@@ -52,13 +56,21 @@ class Syncer {
   /// the layer into send buffers.
   void MoveOut();
 
-  /// Non-blocking send of the staged updates for iteration `iter`.
+  /// Non-blocking send of the staged updates for iteration `iter`; opens the
+  /// iteration that Handle and Receive complete.
   void Send(int64_t iter);
 
-  /// Blocks until iteration `iter`'s synchronization completes, then
-  /// Move(CPU2GPU): writes fresh parameters back (PS/1-bit) or reconstructs +
-  /// applies the aggregate gradient locally (SFB). SF broadcasts from peers
-  /// running one iteration ahead are deferred, not lost.
+  /// Consumes one message addressed to this layer (a PS / 1-bit reply, an SF
+  /// broadcast, or a ring/tree hop) without blocking. Returns true when the
+  /// message completed the iteration opened by Send; the result is then
+  /// applied: fresh parameters scattered (PS/1-bit) or the averaged
+  /// aggregate stepped through the local optimizer (SFB, ring/tree). An SF
+  /// broadcast from a later iteration is deferred to the next Receive.
+  bool Handle(const Message& message);
+
+  /// Blocks until the iteration opened by Send(`iter`) completes: consumes
+  /// what an earlier Receive deferred, then pops and Handles until done. A
+  /// mailbox closed mid-iteration (a crash-simulated worker) abandons it.
   void Receive(int64_t iter);
 
  private:
@@ -66,8 +78,12 @@ class Syncer {
   /// shard endpoint the layer's pairs live on, one reply per pair.
   void SendPs(int64_t iter);
   void SendSfb(int64_t iter);
-  void ReceivePs();
-  void ReceiveSfb(int64_t iter);
+  /// True once the open iteration needs no further message.
+  bool Complete() const;
+  /// Moves the completed iteration's result into the layer. SFB and
+  /// ring/tree layers share one apply: scale each parameter block's summed
+  /// gradient by 1/W and step it through the local optimizer.
+  void Apply();
 
   const int worker_;
   const int layer_index_;
@@ -82,6 +98,8 @@ class Syncer {
   SgdOptimizer* local_optimizer_;
 
   FlatParamView view_;
+  /// The mailbox Receive pops: the collective's for ring/tree layers, the
+  /// syncer port otherwise.
   std::shared_ptr<MessageBus::Mailbox> mailbox_;
   /// One coalesced push per destination shard endpoint, fixed at
   /// construction.
@@ -106,11 +124,18 @@ class Syncer {
   Payload residual_;
   Payload quant_;
   std::vector<Payload> push_frames_;
-  std::unique_ptr<CollectiveSyncer> collective_;  // ring/tree path
-  Payload sf_frame_;                              // SFB frame (factors + bias)
-  Tensor sf_agg_;                                 // SFB weight-grad aggregate, reused
-  OneBitQuantizer quantizer_;                     // persistent residual
-  std::vector<Message> deferred_;                 // SFs from future iterations
+  std::unique_ptr<CollectiveComm> comm_;  // ring/tree path
+  std::vector<float> comm_grads_;         // ring/tree staging, summed in place
+  Payload sf_frame_;                      // SFB frame (factors + bias)
+  Tensor sf_agg_;                         // SFB weight-grad aggregate, reused
+  std::vector<float> sf_bias_agg_;        // SFB bias-grad aggregate, reused
+  OneBitQuantizer quantizer_;             // persistent residual
+
+  /// The iteration opened by Send and its progress.
+  int64_t iter_ = -1;
+  int received_ = 0;                    // PS / 1-bit pairs or peer SFs
+  std::vector<PayloadView> sf_frames_;  // SFB frames by worker
+  std::vector<Message> deferred_;       // SFs from future iterations
 };
 
 }  // namespace poseidon

@@ -112,7 +112,20 @@ PoseidonTrainer::PoseidonTrainer(NetworkFactory factory, TrainerOptions options)
 
   CHECK_GE(options_.shards_per_server, 0);
   CHECK_GE(options_.staleness, 0);
-  InstallPlan(ResolveTrainerPlan(options_, *init_net_));
+  std::shared_ptr<const CommPlan> plan = ResolveTrainerPlan(options_, *init_net_);
+  if (options_.failure_detection.enabled) {
+    // Recovery replays the in-flight clock through the KV shards, which
+    // reconcile duplicate pushes. Peer-to-peer layers (SFB, ring, tree) have
+    // nothing to reconcile: their peers' messages to the dead incarnation are
+    // lost, so a restart would hang or abort.
+    for (const PlanLayerChoice& layer : plan->layers) {
+      CHECK(layer.scheme == PlannedScheme::kNone || layer.scheme == PlannedScheme::kPS ||
+            layer.scheme == PlannedScheme::kOneBit)
+          << "failure recovery covers KV-path layers only, but layer '" << layer.layer
+          << "' is planned " << PlannedSchemeName(layer.scheme);
+    }
+  }
+  InstallPlan(std::move(plan));
 
   if (options_.plan_feedback) {
     CHECK(options_.plan_mode == TrainerPlanMode::kAuto)

@@ -213,6 +213,28 @@ TEST(RecoveryTest, RecoveryComposesWithTransportChaos) {
 
 // ------------------------------------------------------- failure detector --
 
+// Only the KV path reconciles a replayed clock, so the trainer refuses
+// failure recovery over peer-to-peer layers at construction instead of
+// failing after the restart.
+TEST(RecoveryTest, RejectsRingPlan) {
+  // A restarted worker would abort on its peers' next-iteration hops.
+  TrainerOptions options = RecoveryOptions();
+  options.crash = CrashPlan{/*worker=*/1, /*iter=*/5, /*layers_before_crash=*/2};
+  options.fc_policy = PlanPolicy::kRingAllreduce;
+  EXPECT_DEATH(PoseidonTrainer(TinyMlpFactory(), options),
+               "failure recovery covers KV-path layers only.*planned Ring");
+}
+
+TEST(RecoveryTest, RejectsSfbPlan) {
+  // A restarted worker would wait forever for the SFs its peers sent to the
+  // fenced mailbox.
+  TrainerOptions options = RecoveryOptions();
+  options.crash = CrashPlan{/*worker=*/1, /*iter=*/5, /*layers_before_crash=*/2};
+  options.fc_policy = PlanPolicy::kSfb;
+  EXPECT_DEATH(PoseidonTrainer(TinyMlpFactory(), options),
+               "failure recovery covers KV-path layers only.*planned SFB");
+}
+
 TEST(FailureDetectorTest, SuspectsSilentWorkerOncePerEpisode) {
   MessageBus bus(2);
   FailureDetectorOptions options;
