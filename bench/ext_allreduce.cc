@@ -99,7 +99,7 @@ void CostTablePart(const std::vector<int>& workers) {
       }
 
       const PlannedScheme best =
-          PlanComm(LayerRequest(row.layer, row.batch_k, p, PlanPolicy::kHybridCollective))
+          PlanComm(LayerRequest(row.layer, row.batch_k, p, PlanPolicy::kAuto))
               .layers.front()
               .scheme;
       table.AddRow({row.label, std::to_string(row.batch_k), std::to_string(p),

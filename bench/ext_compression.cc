@@ -94,7 +94,7 @@ void CostTablePart(const std::vector<int>& workers, double density) {
         cells.push_back(TextTable::Num(bytes / 1e6, 2));
       }
       PlanRequest request =
-          LayerRequest(row.layer, batch_k, p, PlanPolicy::kHybridCollective);
+          LayerRequest(row.layer, batch_k, p, PlanPolicy::kAuto);
       request.codec = PlanCodecPolicy::kAuto;
       request.topk_density = density;
       request.joint = true;

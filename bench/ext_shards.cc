@@ -106,7 +106,7 @@ void CostTablePart(const std::vector<int>& workers, const std::vector<int>& shar
         shard_search.max_shards = 8;
         const int best_s = PlanComm(shard_search).ps_shards;
         PlanRequest at_s =
-            LayerRequest(row.layer, row.batch_k, p, PlanPolicy::kHybridCollective);
+            LayerRequest(row.layer, row.batch_k, p, PlanPolicy::kAuto);
         at_s.ps_shards_pinned = s;
         const PlannedScheme best = PlanComm(at_s).layers.front().scheme;
         table.AddRow({row.label, std::to_string(row.batch_k), std::to_string(p),

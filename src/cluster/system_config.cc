@@ -60,7 +60,7 @@ SystemConfig TreeAllreduceSystem() {
 }
 
 SystemConfig HybridCollectiveSystem() {
-  return MakeSystem("Poseidon++", OverlapMode::kWfbp, PlanPolicy::kHybridCollective);
+  return MakeSystem("Poseidon++", OverlapMode::kWfbp, PlanPolicy::kAuto);
 }
 
 SystemConfig ShardedPsSystem(int shards, int staleness) {

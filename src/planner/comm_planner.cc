@@ -219,7 +219,6 @@ LayerMenu MenuFor(const LayerSpec& layer, const PlanRequest& r) {
       menu.tail = {PlannedScheme::kTree};
       break;
     case PlanPolicy::kAuto:
-    case PlanPolicy::kHybridCollective:
       menu.ps_codecs = PsCodecMenu(layer, r);
       if (fc) {
         menu.tail = {PlannedScheme::kSFB, PlannedScheme::kRing, PlannedScheme::kTree};
@@ -275,9 +274,9 @@ CandidateCost BestForLayer(const LayerSpec& layer, const PlanRequest& r,
 // ------------------------------------------------------------- paper mode --
 
 /// Paper mode's per-layer scheme pass at shard count `shards`: the pinned
-/// policies, Algorithm 1's BestScheme under kHybrid, and under
-/// kHybridCollective (and kAuto) the joint fold over the raw rows — PS, SFB
-/// for FC layers, ring, tree — on the byte basis.
+/// policies, Algorithm 1's BestScheme under kHybrid, and under kAuto the
+/// joint fold over the raw rows — PS, SFB for FC layers, ring, tree — on the
+/// byte basis.
 std::vector<PlannedScheme> PaperSchemes(const PlanRequest& r, int shards,
                                         const CostBasis& basis) {
   const bool multi = r.num_workers > 1;
@@ -290,17 +289,15 @@ std::vector<PlannedScheme> PaperSchemes(const PlanRequest& r, int shards,
       schemes.push_back(PlannedScheme::kNone);
       continue;
     }
-    const PlanPolicy policy =
-        r.policy == PlanPolicy::kAuto ? PlanPolicy::kHybridCollective : r.policy;
-    if (policy == PlanPolicy::kRingAllreduce) {
+    if (r.policy == PlanPolicy::kRingAllreduce) {
       schemes.push_back(multi ? PlannedScheme::kRing : PlannedScheme::kPS);
       continue;
     }
-    if (policy == PlanPolicy::kTreeAllreduce) {
+    if (r.policy == PlanPolicy::kTreeAllreduce) {
       schemes.push_back(multi ? PlannedScheme::kTree : PlannedScheme::kPS);
       continue;
     }
-    if (policy == PlanPolicy::kHybridCollective) {
+    if (r.policy == PlanPolicy::kAuto) {
       const LayerMenu menu = MenuFor(layer, raw);
       schemes.push_back(
           BestForLayer(layer, raw, menu, TailCosts(layer, raw, menu, basis), shards, basis)
@@ -311,7 +308,7 @@ std::vector<PlannedScheme> PaperSchemes(const PlanRequest& r, int shards,
       schemes.push_back(PlannedScheme::kPS);
       continue;
     }
-    switch (policy) {
+    switch (r.policy) {
       case PlanPolicy::kSfb:
         schemes.push_back(PlannedScheme::kSFB);
         break;
@@ -378,8 +375,8 @@ GradCompression PaperCodec(const LayerSpec& layer, const PlanRequest& r) {
 
 // -------------------------------------------------------------- assembly --
 
-/// Fills the plan's framing/batching model and (time basis) the staleness
-/// choice + predicted time from the finished per-layer assignments.
+/// Fills the plan's framing/batching model and (time basis) the predicted
+/// time from the finished per-layer assignments.
 void FinishPlan(const PlanRequest& r, const CostBasis& basis, CommPlan* plan) {
   double payload = 0.0;
   double msgs = 0.0;
@@ -422,11 +419,7 @@ void FinishPlan(const PlanRequest& r, const CostBasis& basis, CommPlan* plan) {
                           plan->predicted_msgs * basis.latency_s +
                           2.0 * encode_floats / basis.cpu_flops;
     // An SSP bound of s lets communication overlap the next s iterations, so
-    // the steady-state visible tail divides by s + 1 (docs/PLANNER.md); the
-    // ceiling is opt-in via max_staleness, and s = 0 keeps BSP.
-    if (r.joint && r.max_staleness > r.staleness && comm_s > 0.0) {
-      plan->staleness = r.max_staleness;
-    }
+    // the steady-state visible tail divides by s + 1 (docs/PLANNER.md).
     plan->predicted_time_s = comm_s / (1.0 + plan->staleness);
   }
 }
@@ -449,8 +442,6 @@ const char* PlanPolicyName(PlanPolicy policy) {
       return "ring";
     case PlanPolicy::kTreeAllreduce:
       return "tree";
-    case PlanPolicy::kHybridCollective:
-      return "hybrid-collective";
   }
   return "?";
 }
@@ -496,12 +487,9 @@ std::string PlanRequestSignature(const PlanRequest& r) {
   s += "|lat=" + Fmt(r.latency_s);
   s += "|eff=" + Fmt(r.transport_efficiency);
   s += "|cpu=" + Fmt(r.cpu_flops);
-  s += "|tr=" + r.transport;
   s += "|pin=" + std::to_string(r.ps_shards_pinned);
   s += "|maxsh=" + std::to_string(r.max_shards);
-  s += "|evalsh=" + std::to_string(r.paper_eval_shards);
   s += "|stale=" + std::to_string(r.staleness);
-  s += "|maxstale=" + std::to_string(r.max_staleness);
   s += std::string("|batch=") + (r.batch_egress ? "1" : "0");
   s += std::string("|allowbatch=") + (r.allow_batching ? "1" : "0");
   s += "|bmax=" + std::to_string(r.batch_max_messages);
@@ -520,7 +508,6 @@ CommPlan PlanComm(const PlanRequest& r) {
   CHECK_GE(r.ps_shards_pinned, 0);
   CHECK_GT(r.max_shards, 0);
   CHECK_GE(r.staleness, 0);
-  CHECK_GE(r.max_staleness, 0);
   if (r.codec == PlanCodecPolicy::kTopK || r.codec == PlanCodecPolicy::kAuto) {
     CHECK_GT(r.topk_density, 0.0);
     CHECK_LE(r.topk_density, 1.0);
@@ -534,7 +521,9 @@ CommPlan PlanComm(const PlanRequest& r) {
   const size_t num_layers = r.layers.size();
   if (!r.joint) {
     // Paper mode: the pre-planner sequential decisions, reproduced exactly.
-    const int s0 = r.ps_shards_pinned > 0 ? r.ps_shards_pinned : r.paper_eval_shards;
+    // A searched shard count costs the scheme pass at one shard first, then
+    // re-resolves the schemes at the chosen count.
+    const int s0 = r.ps_shards_pinned > 0 ? r.ps_shards_pinned : 1;
     const std::vector<PlannedScheme> schemes0 = PaperSchemes(r, s0, basis);
     const int best_s =
         r.ps_shards_pinned > 0 ? r.ps_shards_pinned : PaperShards(r, schemes0, basis);

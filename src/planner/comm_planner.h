@@ -1,18 +1,18 @@
 /// \file
 /// CommPlanner: cost-model-driven search over the joint per-layer
 /// communication space — scheme x KV shard count x wire codec x egress
-/// batching x SSP staleness — against the byte- and time-basis rows of
+/// batching — against the byte- and time-basis rows of
 /// src/models/comm_cost.h.
 ///
 /// Two search modes share one entry point (PlanComm):
 ///
 ///  * paper mode (`joint = false`): the paper's sequential decisions —
 ///    per-layer scheme first (the pinned policy, Algorithm 1's BestScheme,
-///    or under kHybridCollective the fold over the raw PS/SFB/ring/tree
-///    rows), then the shard count (each PS layer's cheapest raw PS row over
-///    [1, max_shards], max over layers, with the schemes re-resolved at the
-///    chosen count), then the codec given the scheme (the cheapest entry of
-///    the layer's codec menu). Every fold runs over the same candidate rows
+///    or under kAuto the fold over the raw PS/SFB/ring/tree rows), then the
+///    shard count (each PS layer's cheapest raw PS row over [1, max_shards],
+///    max over layers, with the schemes re-resolved at the chosen count),
+///    then the codec given the scheme (the cheapest entry of the layer's
+///    codec menu). Every fold runs over the same candidate rows
 ///    as the joint search. The trainer's paper mode and every simulator
 ///    system are such requests.
 ///  * joint mode (`joint = true`): per-layer argmin over the full
@@ -39,17 +39,16 @@
 namespace poseidon {
 
 /// Scheme-policy constraint on the search; also the trainer's paper-mode
-/// `fc_policy`. kAuto opens the full menu — what `--plan=auto` and the
-/// replanner use.
+/// `fc_policy`. kAuto opens the full menu — what `--plan=auto` uses; in
+/// paper mode it is the fold over the raw PS/SFB/ring/tree rows.
 enum class PlanPolicy {
-  kAuto,              // full menu: PS (x codecs), SFB, ring, tree
-  kDense,             // PS for every parameter layer
-  kSfb,               // SFB for FC layers, PS for the rest
-  kHybrid,            // Algorithm 1: PS vs SFB per FC layer
-  kOneBit,            // 1-bit PS for FC layers
-  kRingAllreduce,     // ring for every parameter layer
-  kTreeAllreduce,     // tree for every parameter layer
-  kHybridCollective,  // three-way fold over the raw PS/SFB/ring/tree rows
+  kAuto,           // full menu: PS (x codecs), SFB, ring, tree
+  kDense,          // PS for every parameter layer
+  kSfb,            // SFB for FC layers, PS for the rest
+  kHybrid,         // Algorithm 1: PS vs SFB per FC layer
+  kOneBit,         // 1-bit PS for FC layers
+  kRingAllreduce,  // ring for every parameter layer
+  kTreeAllreduce,  // tree for every parameter layer
 };
 
 const char* PlanPolicyName(PlanPolicy policy);
@@ -74,29 +73,21 @@ struct PlanRequest {
   int64_t kv_pair_bytes = 2 * 1024 * 1024;
   /// Per-node NIC bandwidth. 0 = unknown: plan on the byte basis
   /// (minimize payload). > 0: plan on the time basis (wire + latency +
-  /// encode CPU), which is what bandwidth-feedback re-planning varies.
+  /// encode CPU).
   double nic_gbps = 0.0;
   double latency_s = 40e-6;
   /// Fraction of line rate the transport sustains (ClusterSpec mirror).
   double transport_efficiency = 0.6;
   /// CPU rate charged for codec encode/decode passes on the time basis.
   double cpu_flops = 50e9;
-  std::string transport = "inproc";
 
   // --- knob gates ---
   /// > 0: the shard count is pinned (no search); PS rows are costed there.
   int ps_shards_pinned = 0;
   /// Search ceiling for the shard dimension when not pinned.
   int max_shards = 1;
-  /// Shard count the paper-mode scheme pass evaluates at when the shard
-  /// dimension is being searched (the pre-planner flow costed schemes at the
-  /// configured count before picking shards; the schemes are then
-  /// re-resolved at the chosen count).
-  int paper_eval_shards = 1;
-  /// Baseline staleness (pinned in paper mode and on the byte basis).
+  /// SSP staleness bound the plan carries (never searched).
   int staleness = 0;
-  /// Time-basis ceiling for the staleness dimension (>= staleness).
-  int max_staleness = 0;
   /// Baseline egress batching (pinned in paper mode).
   bool batch_egress = false;
   /// Joint mode may turn batching on when it reduces framing/latency.

@@ -32,7 +32,6 @@ PlanRequest PlanRequestFor(const TrainerOptions& options, Network& net) {
   req.batch_per_worker = options.batch_per_worker;
   req.kv_pair_bytes = options.kv_pair_bytes;
   req.staleness = options.staleness;
-  req.max_staleness = options.staleness;
   req.topk_density = options.topk_density;
   req.compression_min_floats = options.compression_min_floats;
   req.batch_max_messages = options.batch_options.max_batch_messages;
@@ -52,7 +51,6 @@ PlanRequest PlanRequestFor(const TrainerOptions& options, Network& net) {
     // the chosen count.
     req.ps_shards_pinned = options.shards_per_server;
     req.max_shards = options.shards_per_server == 0 ? kMaxAutoShards : 1;
-    req.paper_eval_shards = std::max(1, options.shards_per_server);
     req.policy = options.fc_policy;
     req.codec = options.ps_compression;
     req.joint = false;
@@ -126,16 +124,6 @@ PoseidonTrainer::PoseidonTrainer(NetworkFactory factory, TrainerOptions options)
     }
   }
   InstallPlan(std::move(plan));
-
-  if (options_.plan_feedback) {
-    CHECK(options_.plan_mode == TrainerPlanMode::kAuto)
-        << "bandwidth feedback re-plans the joint search; use plan_mode = kAuto";
-    CHECK(!options_.crash.active() && !options_.failure_detection.enabled)
-        << "plan swaps and failure recovery cannot compose";
-    bus_->EnableLinkStats();
-    replanner_ = std::make_unique<Replanner>(PlanRequestFor(options_, *init_net_),
-                                             options_.replan_options);
-  }
 
   if (options_.failure_detection.enabled) {
     detector_ = std::make_unique<FailureDetector>(
@@ -220,9 +208,17 @@ void PoseidonTrainer::AdoptPlan(std::shared_ptr<const CommPlan> new_plan) {
   clients_.clear();
   servers_.clear();
 
-  // Fresh fabric under the new plan's knobs.
-  const int num_nodes = std::max(options_.num_workers,
-                                 options_.server_node_base + options_.num_servers);
+  // Fresh fabric under the new plan's knobs. The caller's per-node egress
+  // limits and link accounting belong to the fabric, not the plan, so they
+  // carry over.
+  const int num_nodes = bus_->num_nodes();
+  std::vector<double> egress_limits(static_cast<size_t>(num_nodes), 0.0);
+  for (int n = 0; n < num_nodes; ++n) {
+    if (const auto limiter = bus_->egress_limiter(n); limiter != nullptr) {
+      egress_limits[static_cast<size_t>(n)] = limiter->bytes_per_sec();
+    }
+  }
+  const bool link_stats = bus_->link_stats_enabled();
   bus_ = std::make_unique<MessageBus>(num_nodes);
   if (options_.batch_egress) {
     bus_->EnableBatching(options_.batch_options);
@@ -230,7 +226,10 @@ void PoseidonTrainer::AdoptPlan(std::shared_ptr<const CommPlan> new_plan) {
   if (options_.enable_faults || options_.fault_plan.any()) {
     bus_->EnableFaultInjection(options_.fault_plan);
   }
-  if (replanner_ != nullptr) {
+  for (int n = 0; n < num_nodes; ++n) {
+    bus_->SetEgressLimit(n, egress_limits[static_cast<size_t>(n)]);
+  }
+  if (link_stats) {
     bus_->EnableLinkStats();
   }
 
@@ -250,21 +249,6 @@ void PoseidonTrainer::AdoptPlan(std::shared_ptr<const CommPlan> new_plan) {
   }
 
   InstallPlan(std::move(new_plan));
-}
-
-void PoseidonTrainer::MaybeReplan() {
-  const ObservedLinkStats window = bus_->SnapshotLinkStatsDelta();
-  const ReplanDecision decision = replanner_->Observe(window);
-  if (!decision.replan || decision.plan == nullptr ||
-      decision.plan->hash == plan_->hash) {
-    return;
-  }
-  LOG(Info) << "replanning at iteration " << next_iter_ << ": observed "
-            << decision.observed_gbps << " Gbps (divergence " << decision.divergence
-            << "), plan " << std::hex << plan_->hash << " -> " << decision.plan->hash
-            << std::dec;
-  ++replan_count_;
-  AdoptPlan(decision.plan);
 }
 
 PoseidonTrainer::~PoseidonTrainer() { Shutdown(); }
@@ -477,12 +461,6 @@ std::vector<IterationStats> PoseidonTrainer::Train(const SyntheticDataset& datas
     recovery_threads_.clear();
   }
   next_iter_ += iterations;
-  if (replanner_ != nullptr) {
-    // Bandwidth feedback fires only at this window boundary, never mid-
-    // iteration, so the swap schedule is a pure function of the observed
-    // windows (determinism contract, docs/PLANNER.md).
-    MaybeReplan();
-  }
 
   std::vector<IterationStats> stats(static_cast<size_t>(iterations));
   for (int i = 0; i < iterations; ++i) {

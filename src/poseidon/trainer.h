@@ -31,7 +31,6 @@
 #include "src/poseidon/kv_store.h"
 #include "src/planner/comm_plan.h"
 #include "src/planner/comm_planner.h"
-#include "src/planner/replanner.h"
 #include "src/transport/bus.h"
 
 namespace poseidon {
@@ -95,9 +94,9 @@ struct TrainerOptions {
   SgdConfig sgd;
   /// Paper-mode scheme policy. Under the paper's policies conv layers always
   /// use the parameter server and only FC layers vary; the collective
-  /// policies apply to every parameter layer. (kAuto, the joint search's
-  /// menu, resolves like kHybridCollective here; plan_mode = kAuto is the
-  /// joint search.)
+  /// policies apply to every parameter layer. (kAuto here is the paper-mode
+  /// fold over the raw PS/SFB/ring/tree rows; plan_mode = kAuto is the joint
+  /// search.)
   PlanPolicy fc_policy = PlanPolicy::kHybrid;
   /// Paper-mode wire compression for PS-path layers: raw fp32 by default;
   /// fp16/int8/top-k push with error feedback, binary16 replies; kAuto picks
@@ -151,13 +150,6 @@ struct TrainerOptions {
   /// Labels the plan request. Cosmetic: the planner's choices depend only on
   /// the layer specs and the cluster shape.
   std::string model_name = "trainer";
-  /// Bandwidth-feedback re-planning (kAuto only): sample windowed link-stats
-  /// deltas after each Train() window and re-plan when the observed bandwidth
-  /// diverges past replan_options.hysteresis. Plan swaps happen only between
-  /// windows, so trajectories stay deterministic given the same swap
-  /// schedule; disabled, runs are bitwise identical to plan_feedback = false.
-  bool plan_feedback = false;
-  ReplanOptions replan_options;
 };
 
 /// Upper bound for shards_per_server = 0 (auto) selection.
@@ -242,10 +234,9 @@ class PoseidonTrainer {
   /// machinery). Parameters carry over bitwise — a swap changes how gradients
   /// move, never their values — so two runs adopting the same plans at the
   /// same boundaries train bitwise identically. No-op when the plan's hash
-  /// already matches.
+  /// already matches. The bus is rebuilt, keeping its per-node egress limits
+  /// and link-stats switch.
   void AdoptPlan(std::shared_ptr<const CommPlan> new_plan);
-  /// Replan decisions taken so far (plan_feedback only).
-  int64_t replan_count() const { return replan_count_; }
 
  private:
   void Shutdown();
@@ -266,8 +257,6 @@ class PoseidonTrainer {
   void InstallPlan(std::shared_ptr<const CommPlan> plan);
   /// A fresh client library for worker `w` running *plan_.
   std::unique_ptr<ClientLibrary> MakeClient(int w);
-  /// Feedback hook run after each Train() window.
-  void MaybeReplan();
 
   TrainerOptions options_;
   NetworkFactory factory_;
@@ -278,8 +267,6 @@ class PoseidonTrainer {
   std::vector<std::unique_ptr<KvServer>> servers_;
   std::vector<std::unique_ptr<ClientLibrary>> clients_;
   std::shared_ptr<const CommPlan> plan_;
-  std::unique_ptr<Replanner> replanner_;
-  int64_t replan_count_ = 0;
   int64_t next_iter_ = 0;
   bool shut_down_ = false;
 

@@ -738,9 +738,6 @@ void MessageBus::EnableLinkStats() {
     cell = std::make_unique<LinkCell>();
   }
   link_stats_since_ = std::chrono::steady_clock::now();
-  link_delta_bytes_seen_.assign(n * n, 0);
-  link_delta_messages_seen_.assign(n * n, 0);
-  link_delta_since_ = link_stats_since_;
   link_stats_enabled_.store(true, std::memory_order_release);
 }
 
@@ -772,11 +769,9 @@ ObservedLinkStats MessageBus::SnapshotLinkStats() const {
   if (!link_stats_enabled()) {
     return snap;
   }
-  const double window_s =
-      std::chrono::duration_cast<std::chrono::duration<double>>(
-          std::chrono::steady_clock::now() - link_stats_since_)
-          .count();
-  snap.window_s = window_s;
+  snap.window_s = std::chrono::duration_cast<std::chrono::duration<double>>(
+                      std::chrono::steady_clock::now() - link_stats_since_)
+                      .count();
   const int n = num_nodes();
   for (int src = 0; src < n; ++src) {
     for (int dst = 0; dst < n; ++dst) {
@@ -794,50 +789,6 @@ ObservedLinkStats MessageBus::SnapshotLinkStats() const {
       link.bytes = bytes;
       link.messages = messages;
       link.delivery_latency_ns = cell.latency_ns.TakeSnapshot();
-      link.observed_gbps =
-          window_s > 0.0 ? static_cast<double>(bytes) * 8.0 / 1e9 / window_s : 0.0;
-      snap.links.push_back(std::move(link));
-    }
-  }
-  return snap;
-}
-
-ObservedLinkStats MessageBus::SnapshotLinkStatsDelta() {
-  ObservedLinkStats snap;
-  if (!link_stats_enabled()) {
-    return snap;
-  }
-  std::lock_guard<std::mutex> lock(link_delta_mutex_);
-  const auto now = std::chrono::steady_clock::now();
-  const double window_s =
-      std::chrono::duration_cast<std::chrono::duration<double>>(now -
-                                                                link_delta_since_)
-          .count();
-  link_delta_since_ = now;
-  snap.window_s = window_s;
-  const int n = num_nodes();
-  for (int src = 0; src < n; ++src) {
-    for (int dst = 0; dst < n; ++dst) {
-      const size_t idx =
-          static_cast<size_t>(src) * static_cast<size_t>(n) + static_cast<size_t>(dst);
-      const LinkCell& cell = *link_cells_[idx];
-      const int64_t bytes =
-          cell.bytes.load(std::memory_order_relaxed) - link_delta_bytes_seen_[idx];
-      const int64_t messages = cell.messages.load(std::memory_order_relaxed) -
-                               link_delta_messages_seen_[idx];
-      link_delta_bytes_seen_[idx] += bytes;
-      link_delta_messages_seen_[idx] += messages;
-      if (bytes == 0 && messages == 0) {
-        continue;
-      }
-      LinkStat link;
-      link.src = src;
-      link.dst = dst;
-      link.bytes = bytes;
-      link.messages = messages;
-      link.delivery_latency_ns = cell.latency_ns.TakeSnapshot();
-      link.observed_gbps =
-          window_s > 0.0 ? static_cast<double>(bytes) * 8.0 / 1e9 / window_s : 0.0;
       snap.links.push_back(std::move(link));
     }
   }

@@ -64,9 +64,6 @@ struct LinkStat {
   int64_t bytes = 0;
   int64_t messages = 0;
   Histogram::Snapshot delivery_latency_ns;
-  /// bytes * 8 over the observation window — the live per-link bandwidth
-  /// estimate the CommPlanner consumes.
-  double observed_gbps = 0.0;
 };
 
 /// Point-in-time per-link traffic matrix (links with no traffic omitted).
@@ -202,20 +199,9 @@ class MessageBus {
   bool link_stats_enabled() const {
     return link_stats_enabled_.load(std::memory_order_acquire);
   }
-  /// Snapshot of every link that carried traffic since EnableLinkStats.
-  /// Lifetime-cumulative: bytes/messages/observed_gbps average over the whole
-  /// time stats have been on.
+  /// Snapshot of every link that carried traffic since EnableLinkStats
+  /// (lifetime-cumulative).
   ObservedLinkStats SnapshotLinkStats() const;
-
-  /// Snapshot of traffic since the *previous* SnapshotLinkStatsDelta call
-  /// (since EnableLinkStats on the first call): `window_s`, per-link bytes,
-  /// messages and `observed_gbps` all cover just that window, which is what
-  /// the bandwidth-feedback Replanner wants — the current window's rate, not
-  /// a since-boot average that old traffic dominates. Delivery-latency
-  /// histograms remain cumulative (bucket deltas are not meaningful per
-  /// window). Callers taking deltas should use one sampling loop: concurrent
-  /// delta takers would split the traffic between them.
-  ObservedLinkStats SnapshotLinkStatsDelta();
 
   /// Cumulative egress bytes per node (approximate wire sizes, framing
   /// included; batch frames counted once).
@@ -332,14 +318,6 @@ class MessageBus {
   std::atomic<bool> link_stats_enabled_{false};
   std::vector<std::unique_ptr<LinkCell>> link_cells_;  // n*n, row-major by src
   std::chrono::steady_clock::time_point link_stats_since_;
-
-  // Delta-snapshot cursor: last-seen cumulative counters per link cell plus
-  // the previous delta timestamp, guarded by its own mutex so delta takers
-  // never contend with the hot RecordLinkTx path.
-  mutable std::mutex link_delta_mutex_;
-  std::vector<int64_t> link_delta_bytes_seen_;
-  std::vector<int64_t> link_delta_messages_seen_;
-  std::chrono::steady_clock::time_point link_delta_since_;
 
   // Frame carrier for cross-process destinations (set once by
   // AttachTransport, then immutable). The wire sequencer stamps every

@@ -37,7 +37,7 @@ CommCostQuery MakeQuery(int64_t m, int64_t n, int64_t k, int p) {
 PlanLayerChoice HybridCollectiveChoice(const LayerSpec& layer, int64_t batch_k, int p,
                                        bool joint_compressed = false,
                                        double topk_density = 0.01) {
-  PlanRequest request = LayerRequest(layer, batch_k, p, PlanPolicy::kHybridCollective);
+  PlanRequest request = LayerRequest(layer, batch_k, p, PlanPolicy::kAuto);
   if (joint_compressed) {
     request.codec = PlanCodecPolicy::kAuto;
     request.topk_density = topk_density;
@@ -173,7 +173,7 @@ TEST(CollectiveCostTest, ResNetResolvesToCollectiveUnderManyWorkers) {
   options.num_workers = 32;
   options.num_servers = 32;
   options.batch_per_worker = 32;
-  options.fc_policy = PlanPolicy::kHybridCollective;
+  options.fc_policy = PlanPolicy::kAuto;
   const std::shared_ptr<const CommPlan> plan = ResolveTrainerPlan(options, *net);
   int collective_layers = 0;
   for (const PlanLayerChoice& choice : plan->layers) {
@@ -189,7 +189,7 @@ TEST(CollectiveCostTest, ResNetResolvesToCollectiveUnderManyWorkers) {
 TEST(CollectiveCostTest, ResNet152SpecPrefersCollectiveConv) {
   PlanRequest request = PaperDefaultRequest(MakeResNet152(), /*num_nodes=*/32);
   request.batch_per_worker = 32;
-  request.policy = PlanPolicy::kHybridCollective;
+  request.policy = PlanPolicy::kAuto;
   int collective_layers = 0;
   for (const PlanLayerChoice& choice : PlanComm(request).layers) {
     if (choice.scheme == PlannedScheme::kRing || choice.scheme == PlannedScheme::kTree) {

@@ -95,7 +95,7 @@ INSTANTIATE_TEST_SUITE_P(
                       std::make_pair(PlanPolicy::kTreeAllreduce, 2),
                       std::make_pair(PlanPolicy::kTreeAllreduce, 4),
                       std::make_pair(PlanPolicy::kTreeAllreduce, 7),
-                      std::make_pair(PlanPolicy::kHybridCollective, 4)));
+                      std::make_pair(PlanPolicy::kAuto, 4)));
 
 TEST(CollectiveRuntimeTest, TrajectoryMatchesDensePsUpToReassociation) {
   // Ring/tree average the same per-worker gradients as the PS, only in a

@@ -164,7 +164,6 @@ TEST(LinkStatsTest, TrainingTrafficShowsUpPerLink) {
     EXPECT_NE(link.src, link.dst) << "local delivery must not be accounted";
     EXPECT_GT(link.bytes, 0);
     EXPECT_GT(link.messages, 0);
-    EXPECT_GE(link.observed_gbps, 0.0);
     total_bytes += link.bytes;
   }
   EXPECT_GT(total_bytes, 0);

@@ -1,5 +1,5 @@
-// Trainer-level CommPlan integration: plan modes, mid-training AdoptPlan
-// swaps, and bandwidth-feedback determinism.
+// Trainer-level CommPlan integration: plan modes and mid-training AdoptPlan
+// swaps.
 //
 // The load-bearing invariants:
 //   * kPaper trains bitwise identically to a kFixed run adopting the very
@@ -9,8 +9,8 @@
 //     over the options it was handed;
 //   * AdoptPlan between Train() windows changes how gradients move, never
 //     their values, so a fixed swap schedule reproduces bitwise;
-//   * plan_feedback that never fires (huge hysteresis) is bitwise identical
-//     to feedback off — observation alone must not perturb training.
+//   * AdoptPlan rebuilds the bus but keeps the fabric settings the caller
+//     made on it (egress limits, link accounting).
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -177,34 +177,37 @@ TEST(PlanTrainerTest, FixedSwapScheduleReproducesBitwise) {
   }
 }
 
-TEST(PlanTrainerTest, FeedbackThatNeverFiresIsBitwiseIdentical) {
-  TrainerOptions off = SmallTrainerOptions();
-  off.plan_mode = TrainerPlanMode::kAuto;
-
-  TrainerOptions on = off;
-  on.plan_feedback = true;
-  on.replan_options.hysteresis = 1e9;  // can never trip
-
+// A plan swap replaces the bus; a rate limit the caller set on the old one
+// must hold on the new one, or the swap silently lifts it.
+TEST(PlanTrainerTest, AdoptPlanKeepsEgressLimitsAndLinkStats) {
+  const TrainerOptions options = SmallTrainerOptions();
   const SyntheticDataset dataset = TinyDataset();
-  auto run = [&](const TrainerOptions& options) {
-    PoseidonTrainer trainer(TinyMlpFactory(), options);
-    Trajectory trajectory;
-    // Several windows so the feedback hook actually samples between them.
-    for (int window = 0; window < 4; ++window) {
-      for (const IterationStats& stats : trainer.Train(dataset, 2)) {
-        trajectory.mean_losses.push_back(stats.mean_loss);
-      }
-    }
-    EXPECT_EQ(trainer.replan_count(), 0);
-    trainer.bus().FlushEgress();
-    trajectory.final_params = AllParams(trainer.worker_net(0));
-    return trajectory;
-  };
+  constexpr double kRate = 64.0 * 1024 * 1024;
 
-  const Trajectory without = run(off);
-  const Trajectory with = run(on);
-  EXPECT_TRUE(with == without)
-      << "link-stats observation without a replan changed the trajectory";
+  TrainerOptions auto_options = options;
+  auto_options.plan_mode = TrainerPlanMode::kAuto;
+  std::shared_ptr<const CommPlan> joint_plan;
+  {
+    PoseidonTrainer probe(TinyMlpFactory(), auto_options);
+    joint_plan = probe.plan();
+  }
+
+  PoseidonTrainer trainer(TinyMlpFactory(), options);
+  ASSERT_NE(joint_plan->hash, trainer.plan()->hash) << "the swap would be a no-op";
+  trainer.bus().SetEgressLimit(0, kRate);
+  trainer.bus().EnableLinkStats();
+  trainer.Train(dataset, 2);
+
+  trainer.AdoptPlan(joint_plan);
+  ASSERT_EQ(trainer.plan()->hash, joint_plan->hash);
+  const std::shared_ptr<RateLimiter> limiter = trainer.bus().egress_limiter(0);
+  ASSERT_NE(limiter, nullptr) << "the plan swap lifted node 0's egress limit";
+  EXPECT_EQ(limiter->bytes_per_sec(), kRate);
+  EXPECT_EQ(trainer.bus().egress_limiter(1), nullptr);
+  EXPECT_TRUE(trainer.bus().link_stats_enabled());
+
+  trainer.Train(dataset, 2);
+  EXPECT_EQ(trainer.next_iter(), 4);
 }
 
 }  // namespace

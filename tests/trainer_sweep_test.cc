@@ -27,8 +27,8 @@ std::string CaseName(const ::testing::TestParamInfo<SweepCase>& info) {
   const SweepCase& c = info.param;
   std::string policy;
   switch (c.policy) {
-    case PlanPolicy::kAuto:
-      policy = "Auto";
+    case PlanPolicy::kAuto:  // paper mode: the three-way PS/SFB/collective fold
+      policy = "Hybrid3";
       break;
     case PlanPolicy::kDense:
       policy = "Dense";
@@ -47,9 +47,6 @@ std::string CaseName(const ::testing::TestParamInfo<SweepCase>& info) {
       break;
     case PlanPolicy::kTreeAllreduce:
       policy = "Tree";
-      break;
-    case PlanPolicy::kHybridCollective:
-      policy = "Hybrid3";
       break;
   }
   return "w" + std::to_string(c.workers) + "s" + std::to_string(c.servers) + policy + "kv" +
@@ -130,8 +127,8 @@ INSTANTIATE_TEST_SUITE_P(
         SweepCase{5, 2, PlanPolicy::kRingAllreduce, 1024, 3},
         SweepCase{3, 3, PlanPolicy::kTreeAllreduce, 2048, 2},
         SweepCase{8, 4, PlanPolicy::kTreeAllreduce, 512, 2},
-        SweepCase{4, 4, PlanPolicy::kHybridCollective, 1024, 3},
-        SweepCase{8, 8, PlanPolicy::kHybridCollective, 2048, 2},
+        SweepCase{4, 4, PlanPolicy::kAuto, 1024, 3},
+        SweepCase{8, 8, PlanPolicy::kAuto, 2048, 2},
         SweepCase{3, 2, PlanPolicy::kDense, 512, 2, /*shards=*/3},
         SweepCase{4, 4, PlanPolicy::kHybrid, 128, 3, /*shards=*/2},
         SweepCase{4, 2, PlanPolicy::kOneBit, 2048, 2, /*shards=*/4},

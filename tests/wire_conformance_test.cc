@@ -9,8 +9,13 @@
 // this test loudly instead of silently desynchronizing mixed-version
 // clusters. Regenerate deliberately with POSEIDON_REGEN_GOLDEN=1 (the test
 // still fails on a mismatch in the same run, so a regen is always visible).
+//
+// The same fixture seeds a mutational fuzzer over DecodeWireFrame and
+// MessageBus::DeliverWire: hostile bytes from a peer process must come back
+// as a non-OK Status, never as a crash or a sanitizer report.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -20,8 +25,10 @@
 #include <string>
 #include <vector>
 
+#include "src/common/rng.h"
 #include "src/tensor/onebit.h"
 #include "src/tensor/sufficient_factor.h"
+#include "src/transport/bus.h"
 #include "src/transport/codec.h"
 #include "src/transport/message.h"
 #include "src/transport/wire_format.h"
@@ -41,6 +48,15 @@ std::string HexEncode(const std::vector<uint8_t>& bytes) {
   for (uint8_t b : bytes) {
     out.push_back(kDigits[b >> 4]);
     out.push_back(kDigits[b & 0xF]);
+  }
+  return out;
+}
+
+std::vector<uint8_t> HexDecode(const std::string& hex) {
+  std::vector<uint8_t> out;
+  out.reserve(hex.size() / 2);
+  for (size_t i = 0; i + 1 < hex.size(); i += 2) {
+    out.push_back(static_cast<uint8_t>(std::stoi(hex.substr(i, 2), nullptr, 16)));
   }
   return out;
 }
@@ -353,6 +369,137 @@ TEST(WireConformanceTest, MalformedFramesReturnStatusNotCrash) {
   EXPECT_FALSE(
       DecodeWireFrame(padded.data(), static_cast<int64_t>(padded.size()), &decoded)
           .ok());
+}
+
+// ---------------------------------------------------------------- fuzzing --
+
+// One seeded mutation of `frame`: a bit flip, a byte overwrite, an aligned
+// 32-bit field set to 0 or 0xffffffff, a truncation, or an insertion.
+std::vector<uint8_t> Mutate(std::vector<uint8_t> frame, Rng* rng) {
+  const auto pick = [&](size_t bound) {
+    return static_cast<size_t>(rng->NextBounded(std::max<size_t>(bound, 1)));
+  };
+  switch (rng->NextBounded(5)) {
+    case 0:
+      if (!frame.empty()) {
+        frame[pick(frame.size())] ^= static_cast<uint8_t>(1u << rng->NextBounded(8));
+      }
+      break;
+    case 1:
+      if (!frame.empty()) {
+        frame[pick(frame.size())] = static_cast<uint8_t>(rng->Next());
+      }
+      break;
+    case 2:
+      if (frame.size() >= 4) {
+        const size_t at = pick(frame.size() / 4) * 4;
+        std::memset(frame.data() + at, rng->NextBounded(2) == 0 ? 0x00 : 0xff, 4);
+      }
+      break;
+    case 3:
+      frame.resize(pick(frame.size()));
+      break;
+    default: {
+      const size_t at = pick(frame.size() + 1);
+      std::vector<uint8_t> extra(1 + pick(16));
+      for (uint8_t& b : extra) {
+        b = static_cast<uint8_t>(rng->Next());
+      }
+      frame.insert(frame.begin() + static_cast<std::ptrdiff_t>(at), extra.begin(),
+                   extra.end());
+      break;
+    }
+  }
+  return frame;
+}
+
+// The bus side needs an attached transport; frames only ever arrive here.
+class IngressOnlyTransport : public Transport {
+ public:
+  const char* name() const override { return "fuzz"; }
+  bool IsLocal(int /*node*/) const override { return true; }
+  Status SendFrame(int /*src_node*/, int /*dst_node*/,
+                   std::vector<uint8_t> /*frame*/) override {
+    return InternalError("ingress-only transport");
+  }
+};
+
+// A bus like a receiving process's: the endpoints the fixture frames
+// address are registered and link accounting is on, so accepted frames run
+// the whole ingress path (reorder buffer, link stats, mailbox push).
+struct FuzzBus {
+  explicit FuzzBus(const std::vector<Address>& endpoints) : bus(4) {
+    bus.AttachTransport(std::make_shared<IngressOnlyTransport>());
+    bus.EnableLinkStats();
+    for (const Address& address : endpoints) {
+      mailboxes.push_back(bus.Register(address));
+    }
+  }
+  ~FuzzBus() { bus.CloseAll(); }
+
+  void Drain() {
+    for (auto& mailbox : mailboxes) {
+      while (mailbox->TryPop().has_value()) {
+      }
+    }
+  }
+
+  MessageBus bus;
+  std::vector<std::shared_ptr<MessageBus::Mailbox>> mailboxes;
+};
+
+TEST(WireFuzzTest, MutatedGoldenFramesAreRejectedOrDeliveredNeverCrash) {
+  std::vector<std::vector<uint8_t>> seeds;
+  std::vector<Address> endpoints;
+  for (const auto& [name, hex] : ReadGolden()) {
+    seeds.push_back(HexDecode(hex));
+    std::vector<Message> decoded;
+    ASSERT_TRUE(DecodeWireFrame(seeds.back().data(),
+                                static_cast<int64_t>(seeds.back().size()), &decoded)
+                    .ok())
+        << name;
+    for (const Message& m : decoded) {
+      if (std::find(endpoints.begin(), endpoints.end(), m.to) == endpoints.end()) {
+        endpoints.push_back(m.to);
+      }
+    }
+  }
+  ASSERT_EQ(seeds.size(), 4u) << "missing fixture " << GoldenPath();
+
+  // Mutations stack up to four deep; a fresh bus every round keeps the
+  // reorder buffer's parked gaps far below its overflow bound.
+  constexpr int kRounds = 32;
+  constexpr int kMutationsPerSeed = 500;
+  Rng rng(0x5eedf00d);
+  int64_t accepted = 0;
+  int64_t rejected = 0;
+  for (int round = 0; round < kRounds; ++round) {
+    FuzzBus fuzz(endpoints);
+    for (const std::vector<uint8_t>& seed : seeds) {
+      for (int i = 0; i < kMutationsPerSeed; ++i) {
+        std::vector<uint8_t> frame = seed;
+        const int depth = 1 + static_cast<int>(rng.NextBounded(4));
+        for (int d = 0; d < depth; ++d) {
+          frame = Mutate(std::move(frame), &rng);
+        }
+        const int64_t size = static_cast<int64_t>(frame.size());
+        std::vector<Message> decoded;
+        const bool decodes = DecodeWireFrame(frame.data(), size, &decoded).ok();
+        const bool delivered = fuzz.bus.DeliverWire(frame.data(), size).ok();
+        if (!decodes) {
+          EXPECT_FALSE(delivered) << "the bus accepted a frame the decoder rejects";
+        }
+        (delivered ? accepted : rejected) += 1;
+        fuzz.Drain();
+      }
+    }
+  }
+  // Both outcomes must be exercised, or the mutator is too weak (everything
+  // accepted) or too strong (nothing reaches past the header checks).
+  EXPECT_GT(accepted, 0);
+  EXPECT_GT(rejected, 0);
+  std::printf("wire fuzz: %lld accepted, %lld rejected\n",
+              static_cast<long long>(accepted), static_cast<long long>(rejected));
 }
 
 }  // namespace
