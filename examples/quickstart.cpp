@@ -54,7 +54,7 @@ int main() {
   }
 
   // 4. Train (Algorithm 2 runs inside: forward, per-layer backward + sync
-  //    on the client library's thread pool, BSP barrier).
+  //    on the client library's syncer loops, BSP barrier).
   std::printf("\nTraining 2 workers x batch 16:\n");
   const auto stats = trainer.Train(dataset, 50);
   for (size_t i = 0; i < stats.size(); i += 10) {

@@ -11,11 +11,12 @@
 /// injects this rank's first message, preserving the paper's wait-free Send
 /// semantics — and Handle, a single-threaded step that consumes one received
 /// hop, folds or adopts its chunk and sends the next hop. Handle never pops:
-/// the caller owns the wait (the worker's Syncer::Receive, or Allreduce here),
-/// so tests can step the ranks in any order from one thread. When the last
-/// hop is handled every rank holds the bitwise-identical elementwise sum:
-/// ring chunks are folded in ring order starting at the chunk's index, tree
-/// subtrees in child order, so no rank-dependent association order exists.
+/// the caller owns the wait (the client library's syncer loop, or Allreduce
+/// here), so tests can step the ranks in any order from one thread. When the
+/// last hop is handled every rank holds the bitwise-identical elementwise
+/// sum: ring chunks are folded in ring order starting at the chunk's index,
+/// tree subtrees in child order, so no rank-dependent association order
+/// exists.
 ///
 /// Ordering relies only on per-sender FIFO delivery (which MessageBus
 /// mailboxes provide): every ring message a rank consumes comes from its
@@ -47,7 +48,8 @@ inline constexpr int kTreeBroadcastStep = 1;
 
 class CollectiveComm {
  public:
-  /// Registers this rank's mailbox at {rank, kCollectivePortBase + tag}.
+  /// Registers this rank's mailbox at {rank, kCollectivePortBase + tag}, or
+  /// takes the one already bound there (a worker's syncer loop mailbox).
   CollectiveComm(MessageBus* bus, int rank, int world, int tag);
 
   CollectiveComm(const CollectiveComm&) = delete;
@@ -73,9 +75,6 @@ class CollectiveComm {
 
   /// Blocking convenience: Start, then pop and Handle until complete.
   void Allreduce(CollectiveAlgo algo, int64_t seq, std::vector<float>* data);
-
-  /// The mailbox hops to this rank arrive in.
-  const std::shared_ptr<MessageBus::Mailbox>& mailbox() const { return mailbox_; }
 
   int rank() const { return rank_; }
   int world() const { return world_; }

@@ -1,5 +1,6 @@
 /// \file
-/// Unbounded MPMC blocking queue used by the transport and thread pools.
+/// Unbounded MPMC blocking queue used by the transport and the runtime's
+/// service loops.
 ///
 /// Close() wakes all waiters; Pop() returns std::nullopt once the queue is
 /// closed and drained, which is the shutdown signal for consumer threads.

@@ -38,7 +38,7 @@ class SgdOptimizer {
 
  private:
   SgdConfig config_;
-  // Guards the velocity map's structure: syncer pool threads step different
+  // Guards the velocity map's structure: syncer loop threads step different
   // layers (distinct keys) concurrently, so only the insert needs
   // serializing — element references stay valid across rehashes, and each
   // key is stepped by at most one thread per iteration.

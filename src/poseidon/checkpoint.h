@@ -12,6 +12,7 @@
 #define POSEIDON_SRC_POSEIDON_CHECKPOINT_H_
 
 #include <cstdint>
+#include <cstdio>
 #include <string>
 
 #include "src/common/status.h"
@@ -19,7 +20,14 @@
 
 namespace poseidon {
 
-/// Writes all of `net`'s parameters and the iteration cursor to `path`.
+/// Opens `path` for binary writing as a new file: an existing file there is
+/// unlinked first, never truncated in place (see checkpoint.cc for why).
+/// Null when the file cannot be created. No reader of `path` may overlap
+/// the write: between the unlink and the close it is missing or partial.
+std::FILE* CreateFreshFile(const std::string& path);
+
+/// Writes all of `net`'s parameters and the iteration cursor to `path`
+/// (replacing any file there through CreateFreshFile).
 Status SaveCheckpoint(Network& net, int64_t next_iter, const std::string& path);
 
 /// Loads a checkpoint into `net` (names and shapes must match) and returns

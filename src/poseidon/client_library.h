@@ -1,14 +1,22 @@
 /// \file
 /// The client library (paper §4.1): plugged into a training program, it owns
-/// one syncer per layer, a CPU thread pool for syncer jobs, and the binary
+/// one syncer per layer, the CPU threads that run them, and the binary
 /// completion vector implementing the worker-side half of BSP.
+///
+/// Each thread is an event loop over one mailbox. Layer l belongs to thread
+/// l % num_threads, and every bus port of the layer (its syncer port and its
+/// collective port) is bound to that thread's mailbox. ScheduleSync only
+/// enqueues a local "layer ready" entry; the loop answers it with MoveOut +
+/// Send and passes every other message to its layer's Syncer::Handle. So all
+/// of an iteration's pushes, SF broadcasts and first hops are on the wire
+/// before the first reply is awaited, whatever the thread count.
 ///
 /// Usage inside a worker's training loop (paper Algorithm 2):
 ///   net.Forward(...);
 ///   client.StartIteration();
 ///   for (int l = L - 1; l >= 0; --l) {
 ///     net.BackwardThrough(l);
-///     client.ScheduleSync(l);   // wait-free: runs on the pool
+///     client.ScheduleSync(l);   // wait-free: enqueues layer l on its loop
 ///   }
 ///   client.WaitAll();           // sync_count == num param layers
 #ifndef POSEIDON_SRC_POSEIDON_CLIENT_LIBRARY_H_
@@ -17,9 +25,9 @@
 #include <condition_variable>
 #include <memory>
 #include <mutex>
+#include <thread>
 #include <vector>
 
-#include "src/common/thread_pool.h"
 #include "src/nn/network.h"
 #include "src/nn/sgd.h"
 #include "src/planner/comm_plan.h"
@@ -32,9 +40,12 @@ namespace poseidon {
 class ClientLibrary {
  public:
   /// One syncer per layer of `net`, each running `plan`'s assignment for it
-  /// (plan.layers must be parallel to the network's layers).
+  /// (plan.layers must be parallel to the network's layers), served by
+  /// `num_threads` syncer loops.
   ClientLibrary(int worker, const Coordinator& coordinator, const CommPlan& plan,
                 Network* net, MessageBus* bus, const SgdConfig& sgd, int num_threads);
+  /// Closes the loops' mailboxes and joins the loops once they drained.
+  ~ClientLibrary();
 
   ClientLibrary(const ClientLibrary&) = delete;
   ClientLibrary& operator=(const ClientLibrary&) = delete;
@@ -42,28 +53,30 @@ class ClientLibrary {
   /// Resets the completion vector for a new iteration.
   void StartIteration(int64_t iter);
 
-  /// Schedules layer `l`'s sync job (Move-out, Send, Receive, Move-in) on the
-  /// thread pool. No-op for stateless layers.
+  /// Hands layer `l`'s sync (Move-out, Send, then Receive and Move-in as its
+  /// messages arrive) to the layer's loop. No-op for stateless layers.
   void ScheduleSync(int l);
 
   /// Blocks until every scheduled sync of this iteration finished.
   void WaitAll();
 
  private:
+  /// One syncer loop: pops until its mailbox is closed and drained — by the
+  /// destructor, or by MessageBus::CloseEndpoints fencing a crashed worker.
+  void Loop(int thread);
+
   const int worker_;
   SgdOptimizer local_optimizer_;  // applies SFB and ring/tree updates on this replica
   std::vector<std::unique_ptr<Syncer>> syncers_;
   int num_sync_layers_ = 0;
+  std::vector<std::shared_ptr<MessageBus::Mailbox>> mailboxes_;  // one per loop
 
   std::mutex mutex_;
   std::condition_variable done_cv_;
   std::vector<bool> completion_;  // the paper's binary vector C
   int completed_ = 0;
   int64_t iter_ = -1;
-  /// Declared last so it is destroyed first: its threads join before the
-  /// state their sync jobs touch goes away (a crashed worker's library is
-  /// destroyed with jobs still draining).
-  ThreadPool pool_;
+  std::vector<std::thread> loops_;
 };
 
 }  // namespace poseidon

@@ -200,7 +200,9 @@ Status ClusterNode::WriteWorkerResults(int local) {
   }
   const int w = local_workers_[static_cast<size_t>(local)];
   const std::string base = config_.out_dir + "/worker_" + std::to_string(w);
-  FILE* f = std::fopen((base + "_losses.txt").c_str(), "w");
+  // Created fresh, like the checkpoint below: rewriting a previous run's
+  // file in place forces a flush on close (see CreateFreshFile).
+  FILE* f = CreateFreshFile(base + "_losses.txt");
   if (f == nullptr) {
     return InternalError("cannot write " + base + "_losses.txt");
   }

@@ -61,9 +61,6 @@ Syncer::Syncer(int worker, int layer_index, const CommPlan& plan,
     CHECK_GT(view_.size(), 0) << layer->name() << ": collective sync of a stateless layer";
     comm_ = std::make_unique<CollectiveComm>(bus_, worker_, coordinator_.cluster().num_workers,
                                              layer_index_);
-    mailbox_ = comm_->mailbox();
-  } else {
-    mailbox_ = bus_->Register(Address{worker_, kSyncerPortBase + layer_index_});
   }
   if (scheme_ == PlannedScheme::kSFB || comm_ != nullptr) {
     CHECK_NOTNULL(local_optimizer_);
@@ -115,29 +112,44 @@ void Syncer::MoveOut() {
   }
 }
 
-void Syncer::Send(int64_t iter) {
-  TraceSpan span("sync.send", "syncer", layer_index_);
-  iter_ = iter;
-  received_ = 0;
-  switch (scheme_) {
-    case PlannedScheme::kNone:
-      break;
-    case PlannedScheme::kPS:
-    case PlannedScheme::kOneBit:
-      SendPs(iter);
-      break;
-    case PlannedScheme::kSFB:
-      sf_frames_.assign(static_cast<size_t>(coordinator_.cluster().num_workers), PayloadView());
-      sf_frames_[static_cast<size_t>(worker_)] = sf_frame_.View();
-      SendSfb(iter);
-      break;
-    case PlannedScheme::kRing:
-      comm_->Start(CollectiveAlgo::kRing, iter, &comm_grads_);
-      break;
-    case PlannedScheme::kTree:
-      comm_->Start(CollectiveAlgo::kTree, iter, &comm_grads_);
-      break;
+bool Syncer::Send(int64_t iter) {
+  {
+    TraceSpan span("sync.send", "syncer", layer_index_);
+    iter_ = iter;
+    received_ = 0;
+    switch (scheme_) {
+      case PlannedScheme::kNone:
+        break;
+      case PlannedScheme::kPS:
+      case PlannedScheme::kOneBit:
+        SendPs(iter);
+        break;
+      case PlannedScheme::kSFB:
+        sf_frames_.assign(static_cast<size_t>(coordinator_.cluster().num_workers),
+                          PayloadView());
+        sf_frames_[static_cast<size_t>(worker_)] = sf_frame_.View();
+        SendSfb(iter);
+        break;
+      case PlannedScheme::kRing:
+        comm_->Start(CollectiveAlgo::kRing, iter, &comm_grads_);
+        break;
+      case PlannedScheme::kTree:
+        comm_->Start(CollectiveAlgo::kTree, iter, &comm_grads_);
+        break;
+    }
   }
+  bool done = Complete();
+  if (done) {
+    Apply();  // a lone worker waits for no message
+  }
+  // Messages a peer sent before this iteration opened here; Handle defers
+  // again whatever is still early.
+  std::vector<Message> early;
+  early.swap(deferred_);
+  for (const Message& message : early) {
+    done = Handle(message) || done;
+  }
+  return done;
 }
 
 void Syncer::SendPs(int64_t iter) {
@@ -228,6 +240,14 @@ void Syncer::SendSfb(int64_t iter) {
 }
 
 bool Syncer::Handle(const Message& message) {
+  TraceSpan span("sync.receive", "syncer", layer_index_);
+  if (message.iter > iter_) {
+    // A peer may run at most one iteration ahead under BSP: its SF broadcast
+    // or first hop waits for this layer's Send of that iteration. A reply
+    // never precedes its own push, so the PS path never defers.
+    deferred_.push_back(message);
+    return false;
+  }
   switch (scheme_) {
     case PlannedScheme::kNone:
       LOG(Fatal) << "layer " << layer_index_ << " has no synchronization to receive";
@@ -258,12 +278,7 @@ bool Syncer::Handle(const Message& message) {
       CHECK(message.type == MessageType::kSfBroadcast);
       CHECK(message.codec == WireCodec::kSufficientFactor);
       CHECK_EQ(message.chunks.size(), 1u);
-      if (message.iter != iter_) {
-        // A peer may run at most one iteration ahead under BSP.
-        CHECK_GT(message.iter, iter_) << "stale SF broadcast";
-        deferred_.push_back(message);
-        return false;
-      }
+      CHECK_EQ(message.iter, iter_) << "stale SF broadcast";
       CHECK(message.worker >= 0 && message.worker < static_cast<int>(sf_frames_.size()))
           << "SF broadcast from unknown worker " << message.worker;
       PayloadView& frame = sf_frames_[static_cast<size_t>(message.worker)];
@@ -282,37 +297,6 @@ bool Syncer::Handle(const Message& message) {
   }
   Apply();
   return true;
-}
-
-void Syncer::Receive(int64_t iter) {
-  TraceSpan span("sync.receive", "syncer", layer_index_);
-  if (scheme_ == PlannedScheme::kNone) {
-    return;
-  }
-  CHECK_EQ(iter, iter_) << "Receive without its Send";
-  bool done = Complete();
-  if (done) {
-    Apply();  // a lone worker waits for no message
-  }
-  // SF broadcasts a peer sent ahead of an earlier Receive; Handle defers
-  // again whatever is still early.
-  std::vector<Message> early;
-  early.swap(deferred_);
-  for (const Message& message : early) {
-    done = Handle(message) || done;
-  }
-  while (!done) {
-    std::optional<Message> message = mailbox_->Pop();
-    if (!message.has_value()) {
-      // Endpoint closed mid-iteration: this worker is being crash-simulated
-      // (MessageBus::CloseEndpoints). Abandon the sync so the zombie job can
-      // drain; the restarted incarnation replays this clock.
-      LOG(Warning) << "worker " << worker_ << " layer " << layer_index_
-                   << ": mailbox closed mid-iteration; abandoning sync";
-      return;
-    }
-    done = Handle(*message);
-  }
 }
 
 bool Syncer::Complete() const {

@@ -7,9 +7,10 @@
 ///             staging is a flatten/scatter pass);
 ///   Send    — non-blocking push of the layer's updates, using the scheme
 ///             the coordinator selected;
-///   Receive — blocks until the layer's synchronization completes, then
-///             moves the result in: a shell that pops the layer's mailbox
-///             and passes each message to Handle, the thread-free step.
+///   Receive — Handle, the thread-free step: consumes one message for the
+///             layer and, once the iteration completes, moves the result
+///             in. The syncer owns no mailbox and never blocks; the client
+///             library's loop pops and dispatches (see client_library.h).
 ///
 /// On the PS path the layer's KV pairs are grouped by destination shard
 /// endpoint at construction; Send coalesces each endpoint's pairs into one
@@ -57,21 +58,20 @@ class Syncer {
   void MoveOut();
 
   /// Non-blocking send of the staged updates for iteration `iter`; opens the
-  /// iteration that Handle and Receive complete.
-  void Send(int64_t iter);
+  /// iteration that Handle completes, then hands Handle the messages it
+  /// deferred because they arrived before this Send. Returns true when the
+  /// iteration is then complete (a lone worker waits for no message); its
+  /// result is applied as in Handle.
+  bool Send(int64_t iter);
 
   /// Consumes one message addressed to this layer (a PS / 1-bit reply, an SF
   /// broadcast, or a ring/tree hop) without blocking. Returns true when the
   /// message completed the iteration opened by Send; the result is then
   /// applied: fresh parameters scattered (PS/1-bit) or the averaged
-  /// aggregate stepped through the local optimizer (SFB, ring/tree). An SF
-  /// broadcast from a later iteration is deferred to the next Receive.
+  /// aggregate stepped through the local optimizer (SFB, ring/tree). A
+  /// message from an iteration Send has not opened yet (a peer one
+  /// iteration ahead) is deferred to that Send.
   bool Handle(const Message& message);
-
-  /// Blocks until the iteration opened by Send(`iter`) completes: consumes
-  /// what an earlier Receive deferred, then pops and Handles until done. A
-  /// mailbox closed mid-iteration (a crash-simulated worker) abandons it.
-  void Receive(int64_t iter);
 
  private:
   /// The KV-store path, shared by kPS and kOneBit layers: one push per
@@ -98,9 +98,6 @@ class Syncer {
   SgdOptimizer* local_optimizer_;
 
   FlatParamView view_;
-  /// The mailbox Receive pops: the collective's for ring/tree layers, the
-  /// syncer port otherwise.
-  std::shared_ptr<MessageBus::Mailbox> mailbox_;
   /// One coalesced push per destination shard endpoint, fixed at
   /// construction.
   struct ShardDest {
@@ -135,7 +132,7 @@ class Syncer {
   int64_t iter_ = -1;
   int received_ = 0;                    // PS / 1-bit pairs or peer SFs
   std::vector<PayloadView> sf_frames_;  // SFB frames by worker
-  std::vector<Message> deferred_;       // SFs from future iterations
+  std::vector<Message> deferred_;       // SFs and hops from later iterations
 };
 
 }  // namespace poseidon

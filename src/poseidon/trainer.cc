@@ -316,7 +316,7 @@ void PoseidonTrainer::RunWorkerLoop(int w, int64_t from_iter) {
     }
     const int64_t compute_ns = compute_watch.ElapsedNs();
     if (crash_now) {
-      // Simulated process death: in-flight sync jobs are orphaned, beats
+      // Simulated process death: in-flight syncs are orphaned, beats
       // cease, no WaitAll, no cleanup. The failure detector takes it from
       // here (OnWorkerSuspected -> RecoverWorker).
       crash_fired_.store(true, std::memory_order_release);
@@ -377,8 +377,8 @@ void PoseidonTrainer::RecoverWorker(int w) {
   TraceSpan recovery_span("recovery", "trainer", w);
   // 1. Fence the dead incarnation: close + unregister its data endpoints
   // (syncer + collective ports, NOT the coordinator's monitor mailbox — a
-  // colocated monitor survives the worker-process death) so orphaned sync
-  // jobs wake (their Receive abandons) and the old client library can
+  // colocated monitor survives the worker-process death) so the orphaned
+  // syncer loops find their mailboxes closed and the old client library can
   // drain. Replies the shards send into this window are dropped and
   // re-earned by the replay.
   bus_->CloseEndpoints(w, kSyncerPortBase, kMonitorPort);

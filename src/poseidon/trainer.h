@@ -111,7 +111,11 @@ struct TrainerOptions {
   /// (tests and benches with tiny models lower it).
   int64_t compression_min_floats = kCompressionMinFloats;
   int64_t kv_pair_bytes = 2 * 1024 * 1024;
-  int syncer_threads = 2;     // client-library pool size per worker
+  /// Syncer loops per worker's client library. Every layer's sync is in
+  /// flight at once whatever the count; it sets how many threads encode,
+  /// decode and apply in parallel (codec parallelism), not the in-flight
+  /// depth.
+  int syncer_threads = 2;
   /// When true, the bus coalesces same-destination wire messages from
   /// different layer syncers into batched frames (MessageBus egress
   /// batching). Grouping is timing-dependent but content-deterministic:

@@ -14,6 +14,7 @@ FaultCounters::FaultCounters() {
   global_deduped_ = registry.GetCounter("fault.deduped");
   global_reordered_ = registry.GetCounter("fault.reordered");
   global_dropped_replies_ = registry.GetCounter("fault.dropped_replies");
+  global_overflows_ = registry.GetCounter("fault.overflows");
 }
 
 std::string FormatFaultCounters(const FaultCountersSnapshot& snap) {
@@ -22,7 +23,7 @@ std::string FormatFaultCounters(const FaultCountersSnapshot& snap) {
       << " dups=" << snap.duplicates << " delays=" << snap.delays
       << " partition_holds=" << snap.partition_holds << " deduped=" << snap.deduped
       << " reordered=" << snap.reordered << " dropped_replies=" << snap.dropped_replies
-      << "}";
+      << " overflows=" << snap.overflows << "}";
   return out.str();
 }
 

@@ -32,6 +32,7 @@ struct FaultCountersSnapshot {
   int64_t deduped = 0;          ///< receiver-side duplicate suppressions
   int64_t reordered = 0;        ///< arrivals buffered because an earlier seq was missing
   int64_t dropped_replies = 0;  ///< sends to an endpoint that died (crash window)
+  int64_t overflows = 0;        ///< arrivals refused: their stream's holdback was full
 
   int64_t TotalInjected() const {
     return drops + duplicates + delays + partition_holds;
@@ -52,6 +53,7 @@ class FaultCounters {
   void AddDeduped() { Bump(deduped_, global_deduped_); }
   void AddReordered() { Bump(reordered_, global_reordered_); }
   void AddDroppedReply() { Bump(dropped_replies_, global_dropped_replies_); }
+  void AddOverflow() { Bump(overflows_, global_overflows_); }
 
   FaultCountersSnapshot Snapshot() const {
     FaultCountersSnapshot snap;
@@ -63,6 +65,7 @@ class FaultCounters {
     snap.deduped = deduped_.Value();
     snap.reordered = reordered_.Value();
     snap.dropped_replies = dropped_replies_.Value();
+    snap.overflows = overflows_.Value();
     return snap;
   }
 
@@ -80,6 +83,7 @@ class FaultCounters {
   Counter deduped_;
   Counter reordered_;
   Counter dropped_replies_;
+  Counter overflows_;
 
   // Cached handles into MetricsRegistry::Default() ("fault.*"), shared by
   // every FaultCounters instance in the process.
@@ -91,6 +95,7 @@ class FaultCounters {
   Counter* global_deduped_;
   Counter* global_reordered_;
   Counter* global_dropped_replies_;
+  Counter* global_overflows_;
 };
 
 /// One-line human-readable rendering for bench output and test failures.

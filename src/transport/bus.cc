@@ -67,6 +67,14 @@ std::shared_ptr<MessageBus::Mailbox> MessageBus::Register(const Address& address
   return it->second;
 }
 
+void MessageBus::Bind(const Address& address, std::shared_ptr<Mailbox> mailbox) {
+  CHECK_NOTNULL(mailbox.get());
+  std::lock_guard<std::mutex> lock(mutex_);
+  auto [it, inserted] = mailboxes_.try_emplace(address, mailbox);
+  CHECK(inserted || it->second == mailbox)
+      << "node " << address.node << " port " << address.port << " is bound to another mailbox";
+}
+
 Status MessageBus::Route(const Message& message, std::shared_ptr<Mailbox>* mailbox,
                          std::shared_ptr<RateLimiter>* limiter) const {
   std::lock_guard<std::mutex> lock(mutex_);
@@ -347,10 +355,11 @@ Status MessageBus::DeliverWire(const uint8_t* data, int64_t size) {
     // unrelated epochs, so the sender's stamp must never be compared here.
     m.send_ns = now_ns;
     std::vector<Message> released;
-    if (m.seq >= 0) {
-      wire_reorder_->Admit(std::move(m), &released);
-    } else {
-      released.push_back(std::move(m));
+    // A peer that opens a gap wider than the holdback is refused, not
+    // trusted: the rest of its frame is dropped with the offender.
+    status = wire_reorder_->Admit(std::move(m), &released);
+    if (!status.ok()) {
+      return status;
     }
     for (Message& ready : released) {
       std::shared_ptr<Mailbox> target;
@@ -457,7 +466,10 @@ void MessageBus::InjectOrCommit(std::shared_ptr<Mailbox> mailbox, Message messag
 void MessageBus::Commit(const std::shared_ptr<Mailbox>& mailbox, Message message) {
   const MessageType type = message.type;
   std::vector<Message> released;
-  reorder_->Admit(std::move(message), &released);
+  // The in-process fabric retransmits every drop, so a gap this wide is a
+  // bug in the fabric itself.
+  const Status admitted = reorder_->Admit(std::move(message), &released);
+  CHECK(admitted.ok()) << admitted.ToString();
   if (released.empty()) {
     return;
   }

@@ -107,6 +107,12 @@ class MessageBus {
   /// Creates (or returns) the mailbox for `address`. Thread-safe.
   std::shared_ptr<Mailbox> Register(const Address& address);
 
+  /// Routes `address` to `mailbox`, which other addresses may share: one
+  /// consumer then serves several endpoints from a single queue (a worker's
+  /// syncer loop owns every port of its layers). CHECK-fails if `address`
+  /// is already bound to another mailbox. Thread-safe.
+  void Bind(const Address& address, std::shared_ptr<Mailbox> mailbox);
+
   /// Routes `message` to its destination mailbox. Returns NotFound if the
   /// destination was never registered. Applies the sender's rate limit, if
   /// any, based on the message's wire size; the limiter wait never holds the
@@ -132,7 +138,9 @@ class MessageBus {
   /// messages pass through the wire reorder buffer (dedup + in-order
   /// release); `send_ns` is restamped here, on the receiver's clock, so
   /// delivery-latency stats never compare steady clocks of two processes.
-  /// Returns InvalidArgument/OutOfRange on malformed bytes. Thread-safe.
+  /// Returns InvalidArgument/OutOfRange on malformed bytes, and OutOfRange
+  /// (counted in WireCounters().overflows) for a message that would park
+  /// beyond its stream's reorder holdback. Thread-safe.
   Status DeliverWire(const uint8_t* data, int64_t size);
 
   /// Dedup/reorder counters of the wire ingress path (all zero until a
@@ -174,7 +182,8 @@ class MessageBus {
   bool AwaitPartitionHolds(int64_t n, int timeout_ms);
 
   /// Simulates the death of a node's endpoints: closes and unregisters every
-  /// mailbox at `node` with port in [min_port, max_port), so blocked
+  /// mailbox at `node` with port in [min_port, max_port) (a mailbox bound to
+  /// several addresses closes with any of them), so blocked
   /// receivers wake (Pop returns nullopt) and a restarted process can
   /// Register fresh mailboxes at the same addresses. In-flight messages to
   /// the closed endpoints are dropped and counted

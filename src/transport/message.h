@@ -68,6 +68,10 @@ enum class MessageType {
   kCollective,  ///< peer -> peer: one hop of a ring/tree collective
   kHeartbeat,   ///< worker -> failure detector: liveness beacon
   kShutdown,    ///< trainer -> server: stop serving
+  /// client library -> its own syncer loop: the layer's gradient is ready
+  /// to send. Local only: never routed by the bus, and the wire decoder
+  /// rejects its code.
+  kLayerReady,
 };
 
 /// Per-wire-message framing overhead (type, addresses, layer/worker/iter/

@@ -1,8 +1,7 @@
 #include "src/transport/sequencer.h"
 
+#include <string>
 #include <utility>
-
-#include "src/common/logging.h"
 
 namespace poseidon {
 
@@ -11,10 +10,10 @@ int64_t StreamSequencer::NextSeq(const Address& from, const Address& to) {
   return next_[StreamKey{from, to}]++;
 }
 
-void ReorderBuffer::Admit(Message message, std::vector<Message>* out) {
+Status ReorderBuffer::Admit(Message message, std::vector<Message>* out) {
   if (message.seq < 0) {
     out->push_back(std::move(message));  // unsequenced traffic passes through
-    return;
+    return Status::Ok();
   }
   std::lock_guard<std::mutex> lock(mutex_);
   StreamState& stream = streams_[StreamKey{message.from, message.to}];
@@ -22,18 +21,25 @@ void ReorderBuffer::Admit(Message message, std::vector<Message>* out) {
     if (counters_ != nullptr) {
       counters_->AddDeduped();
     }
-    return;  // duplicate: already released or already parked
+    return Status::Ok();  // duplicate: already released or already parked
   }
   if (message.seq > stream.next_expected) {
-    CHECK_LT(static_cast<int64_t>(stream.parked.size()), max_buffered_)
-        << "reorder buffer overflow on stream " << message.from.node << ":"
-        << message.from.port << " -> " << message.to.node << ":" << message.to.port
-        << " (next expected " << stream.next_expected << ", got " << message.seq << ")";
+    if (static_cast<int64_t>(stream.parked.size()) >= max_buffered_) {
+      if (counters_ != nullptr) {
+        counters_->AddOverflow();
+      }
+      return OutOfRangeError(
+          "reorder buffer overflow on stream " + std::to_string(message.from.node) + ":" +
+          std::to_string(message.from.port) + " -> " + std::to_string(message.to.node) + ":" +
+          std::to_string(message.to.port) + " (next expected " +
+          std::to_string(stream.next_expected) + ", got " + std::to_string(message.seq) +
+          ")");
+    }
     if (counters_ != nullptr) {
       counters_->AddReordered();
     }
     stream.parked.emplace(message.seq, std::move(message));
-    return;  // gap: wait for the missing seq (retransmit guarantees arrival)
+    return Status::Ok();  // gap: wait for the missing seq (retransmit guarantees arrival)
   }
   // In order: release it plus any parked run it unblocks.
   out->push_back(std::move(message));
@@ -44,6 +50,7 @@ void ReorderBuffer::Admit(Message message, std::vector<Message>* out) {
     it = stream.parked.erase(it);
     ++stream.next_expected;
   }
+  return Status::Ok();
 }
 
 int64_t ReorderBuffer::buffered() const {

@@ -29,6 +29,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "src/common/status.h"
 #include "src/stats/fault_counters.h"
 #include "src/transport/message.h"
 
@@ -73,12 +74,16 @@ class StreamSequencer {
 class ReorderBuffer {
  public:
   /// `max_buffered` bounds the per-stream holdback (a run further out of
-  /// order than this indicates a protocol bug, not network weather).
+  /// order than this is a protocol bug or a hostile peer, not network
+  /// weather).
   explicit ReorderBuffer(FaultCounters* counters, int max_buffered = 4096)
       : counters_(counters), max_buffered_(max_buffered) {}
 
-  /// Feeds one arrival; appends every releasable message to `out`.
-  void Admit(Message message, std::vector<Message>* out);
+  /// Feeds one arrival; appends every releasable message to `out`. An
+  /// arrival that would park beyond the stream's holdback bound is dropped,
+  /// counted (FaultCounters overflows) and reported as OutOfRange;
+  /// the stream keeps waiting for its missing sequence number.
+  Status Admit(Message message, std::vector<Message>* out);
 
   /// Messages currently parked across all streams (tests).
   int64_t buffered() const;

@@ -176,6 +176,9 @@ Status SocketTransport::DialPeer(int peer_index) {
   const int family = FillSockaddr(ep, &addr, &addr_len);
   const auto deadline = std::chrono::steady_clock::now() +
                         std::chrono::milliseconds(options_.connect_timeout_ms);
+  // A peer that has not bound yet is usually up within a millisecond or
+  // two: start the retry there and back off to 20 ms.
+  std::chrono::milliseconds backoff(1);
   while (true) {
     const int fd = socket(family, SOCK_STREAM, 0);
     if (fd < 0) {
@@ -198,7 +201,8 @@ Status SocketTransport::DialPeer(int peer_index) {
       errno = err;
       return ErrnoStatus("connect to process " + std::to_string(peer_index));
     }
-    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    std::this_thread::sleep_for(backoff);
+    backoff = std::min(2 * backoff, std::chrono::milliseconds(20));
   }
 }
 

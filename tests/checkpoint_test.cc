@@ -44,6 +44,45 @@ TEST(CheckpointTest, RoundTripIsBitwise) {
   EXPECT_EQ(AllParams(*restored), before);
 }
 
+std::string ReadFile(const std::string& path) {
+  std::string bytes;
+  std::FILE* f = std::fopen(path.c_str(), "rb");
+  if (f == nullptr) {
+    return bytes;
+  }
+  char buffer[4096];
+  size_t n = 0;
+  while ((n = std::fread(buffer, 1, sizeof(buffer), f)) > 0) {
+    bytes.append(buffer, n);
+  }
+  std::fclose(f);
+  return bytes;
+}
+
+TEST(CheckpointTest, OverwritingALongerCheckpointLeavesExactlyTheNewOne) {
+  // The file is replaced, not truncated in place: whatever the old file
+  // held past the new one's end must be gone.
+  Rng rng(5);
+  auto big = BuildMlp(32, 16, 3, 4, rng);
+  auto small = BuildMlp(8, 8, 1, 2, rng);
+  const std::string path = TempPath("overwrite.ckpt");
+  const std::string reference = TempPath("overwrite_reference.ckpt");
+  ASSERT_TRUE(SaveCheckpoint(*big, 7, path).ok());
+  const std::string old_bytes = ReadFile(path);
+  ASSERT_TRUE(SaveCheckpoint(*small, 3, path).ok());
+  ASSERT_TRUE(SaveCheckpoint(*small, 3, reference).ok());
+  const std::string new_bytes = ReadFile(path);
+  ASSERT_LT(new_bytes.size(), old_bytes.size());
+  EXPECT_EQ(new_bytes, ReadFile(reference));
+
+  Rng rng2(6);
+  auto restored = BuildMlp(8, 8, 1, 2, rng2);
+  const StatusOr<int64_t> iter = LoadCheckpoint(path, restored.get());
+  ASSERT_TRUE(iter.ok()) << iter.status().ToString();
+  EXPECT_EQ(*iter, 3);
+  EXPECT_EQ(AllParams(*restored), AllParams(*small));
+}
+
 TEST(CheckpointTest, MissingFileIsNotFound) {
   Rng rng(2);
   auto net = BuildMlp(8, 8, 1, 2, rng);

@@ -1,5 +1,4 @@
-// Tests for the common runtime: RNG, blocking queue, thread pool, tables,
-// units.
+// Tests for the common runtime: RNG, blocking queue, tables, units.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -9,7 +8,6 @@
 #include "src/common/blocking_queue.h"
 #include "src/common/rng.h"
 #include "src/common/table.h"
-#include "src/common/thread_pool.h"
 #include "src/common/units.h"
 
 namespace poseidon {
@@ -117,42 +115,6 @@ TEST(BlockingQueueTest, DrainsRemainingAfterClose) {
   EXPECT_EQ(queue.Pop().value(), 1);
   EXPECT_EQ(queue.Pop().value(), 2);
   EXPECT_FALSE(queue.Pop().has_value());
-}
-
-TEST(ThreadPoolTest, RunsAllTasks) {
-  ThreadPool pool(4);
-  std::atomic<int> counter{0};
-  for (int i = 0; i < 100; ++i) {
-    pool.Schedule([&] { counter.fetch_add(1); });
-  }
-  pool.Wait();
-  EXPECT_EQ(counter.load(), 100);
-}
-
-TEST(ThreadPoolTest, WaitBlocksUntilDone) {
-  ThreadPool pool(2);
-  std::atomic<int> done{0};
-  for (int i = 0; i < 8; ++i) {
-    pool.Schedule([&] {
-      std::this_thread::sleep_for(std::chrono::milliseconds(5));
-      done.fetch_add(1);
-    });
-  }
-  pool.Wait();
-  EXPECT_EQ(done.load(), 8);
-}
-
-TEST(ThreadPoolTest, TasksCanScheduleTasks) {
-  ThreadPool pool(2);
-  std::atomic<int> counter{0};
-  pool.Schedule([&] {
-    counter.fetch_add(1);
-    pool.Schedule([&] { counter.fetch_add(10); });
-  });
-  // Wait twice: first for the outer, then the nested task is also counted by
-  // pending bookkeeping, so one Wait covers both.
-  pool.Wait();
-  EXPECT_EQ(counter.load(), 11);
 }
 
 TEST(TextTableTest, AlignsColumns) {

@@ -1,6 +1,6 @@
 // Thread-free tests of the per-layer syncer step (Syncer::Handle): three
 // workers' syncers for one layer are driven from a single thread over an
-// in-process bus (no batching, no faults, no ClientLibrary pool), the test
+// in-process bus (no batching, no faults, no ClientLibrary loop), the test
 // choosing the delivery order with TryPop. Every order must leave the
 // layer's parameters bitwise equal across ranks, across orders, and to a
 // threaded ClientLibrary run of the same iterations.
@@ -56,7 +56,7 @@ void Forward(Network& net, const SyntheticDataset& data, int w, int64_t iter) {
 }
 
 /// kLayer's parameters on every rank after kIters iterations run by
-/// ClientLibrary thread pools, one training thread per worker.
+/// ClientLibrary syncer loops, one training thread per worker.
 std::vector<std::vector<float>> ThreadedRun(PlannedScheme scheme) {
   const SyntheticDataset data = TinyDataset();
   const NetworkFactory factory = TinyMlpFactory();
@@ -113,7 +113,8 @@ class StepCluster {
       syncers_.push_back(std::make_unique<Syncer>(w, kLayer, plan_, coordinator_, &bus_,
                                                   &nets_.back()->layer(kLayer),
                                                   optimizers_.back().get()));
-      // Register returns the mailbox the syncer registered.
+      // The test pops the layer's port itself (a collective registered its
+      // port already; Register returns that mailbox).
       mailboxes_.push_back(bus_.Register(
           Address{w, (collective ? kCollectivePortBase : kSyncerPortBase) + kLayer}));
     }
@@ -123,14 +124,16 @@ class StepCluster {
   MessageBus::Mailbox& mailbox(int w) { return *mailboxes_[static_cast<size_t>(w)]; }
 
   /// Worker w's compute for `iter`, then MoveOut and the non-blocking Send.
-  void Send(int w, int64_t iter) {
+  /// Returns Send's verdict: true when messages deferred before it already
+  /// completed the iteration.
+  bool Send(int w, int64_t iter) {
     Network& net = *nets_[static_cast<size_t>(w)];
     Forward(net, data_, w, iter);
     for (int l = net.num_layers() - 1; l >= 0; --l) {
       net.BackwardThrough(l);
     }
     syncer(w).MoveOut();
-    syncer(w).Send(iter);
+    return syncer(w).Send(iter);
   }
 
   /// Everything waiting in worker w's mailbox, in arrival order.
@@ -193,7 +196,7 @@ TEST(SyncerStepTest, SfbAnyArrivalOrderWithAPeerAhead) {
     }
     EXPECT_FALSE(cluster.syncer(2).Handle(at2[0]));
     EXPECT_TRUE(cluster.syncer(2).Handle(at2[1]));
-    cluster.Send(2, 1);
+    EXPECT_FALSE(cluster.Send(2, 1));
 
     for (int w : {0, 1}) {
       std::vector<Message> arrived = cluster.Drain(w);
@@ -204,7 +207,7 @@ TEST(SyncerStepTest, SfbAnyArrivalOrderWithAPeerAhead) {
         Message& message = arrived[static_cast<size_t>(i)];
         if (iter0_handled == 2) {
           // Iteration 0 already completed: the iteration-1 SF stays queued
-          // for the next Receive.
+          // until after the next Send.
           ASSERT_TRUE(cluster.mailbox(w).Push(std::move(message)));
           continue;
         }
@@ -215,12 +218,18 @@ TEST(SyncerStepTest, SfbAnyArrivalOrderWithAPeerAhead) {
       }
     }
 
-    // Iteration 1 through the blocking shell: every SF is already sent or
-    // deferred, so no Receive waits.
-    cluster.Send(0, 1);
-    cluster.Send(1, 1);
+    // Iteration 1: every SF is already sent or deferred, so what is queued
+    // completes each worker's iteration. Send hands a deferred SF to Handle
+    // itself; none of the three holds all of its peers' SFs by then.
+    EXPECT_FALSE(cluster.Send(0, 1));
+    EXPECT_FALSE(cluster.Send(1, 1));
     for (int w = 0; w < kWorkers; ++w) {
-      cluster.syncer(w).Receive(1);
+      bool done = false;
+      while (!done) {
+        std::optional<Message> message = cluster.mailbox(w).TryPop();
+        ASSERT_TRUE(message.has_value()) << "worker " << w << " is missing an SF";
+        done = cluster.syncer(w).Handle(*message);
+      }
       EXPECT_EQ(cluster.mailbox(w).size(), 0u);
     }
     ExpectAllEqual(cluster.Params(), threaded[0]);

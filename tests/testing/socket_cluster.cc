@@ -24,6 +24,7 @@ void Accumulate(const FaultCountersSnapshot& add, FaultCountersSnapshot* into) {
   into->deduped += add.deduped;
   into->reordered += add.reordered;
   into->dropped_replies += add.dropped_replies;
+  into->overflows += add.overflows;
 }
 
 }  // namespace

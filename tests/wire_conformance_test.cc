@@ -448,6 +448,41 @@ struct FuzzBus {
   std::vector<std::shared_ptr<MessageBus::Mailbox>> mailboxes;
 };
 
+TEST(WireIngressTest, ReorderOverflowIsRefusedAndCounted) {
+  // A peer that never sends seq 0 on a stream: seq 1..4096 park in the
+  // 4,096-entry holdback, seq 4097 overflows it. The bus must refuse that
+  // frame with a Status, count it, and keep serving the stream.
+  const Address from{0, kSyncerPortBase + 3};
+  const Address to{1, kServerPort};
+  FuzzBus ingress({to});
+  Message m = RawPush();
+  m.from = from;
+  m.to = to;
+  for (int64_t seq = 1; seq <= 4097; ++seq) {
+    m.seq = seq;
+    const std::vector<uint8_t> frame = EncodeMessageFrame(m);
+    const Status status =
+        ingress.bus.DeliverWire(frame.data(), static_cast<int64_t>(frame.size()));
+    if (seq < 4097) {
+      ASSERT_TRUE(status.ok()) << "seq " << seq << ": " << status.ToString();
+    } else {
+      EXPECT_EQ(status.code(), StatusCode::kOutOfRange) << status.ToString();
+    }
+  }
+  EXPECT_EQ(ingress.bus.WireCounters().overflows, 1);
+  EXPECT_EQ(ingress.bus.WireCounters().reordered, 4096);
+  EXPECT_EQ(ingress.mailboxes[0]->size(), 0u);
+
+  // The missing seq 0 still releases the parked run in order.
+  m.seq = 0;
+  const std::vector<uint8_t> frame = EncodeMessageFrame(m);
+  ASSERT_TRUE(ingress.bus.DeliverWire(frame.data(), static_cast<int64_t>(frame.size())).ok());
+  ASSERT_EQ(ingress.mailboxes[0]->size(), 4097u);
+  for (int64_t seq = 0; seq <= 4096; ++seq) {
+    EXPECT_EQ(ingress.mailboxes[0]->TryPop()->seq, seq);
+  }
+}
+
 TEST(WireFuzzTest, MutatedGoldenFramesAreRejectedOrDeliveredNeverCrash) {
   std::vector<std::vector<uint8_t>> seeds;
   std::vector<Address> endpoints;
@@ -466,15 +501,16 @@ TEST(WireFuzzTest, MutatedGoldenFramesAreRejectedOrDeliveredNeverCrash) {
   }
   ASSERT_EQ(seeds.size(), 4u) << "missing fixture " << GoldenPath();
 
-  // Mutations stack up to four deep; a fresh bus every round keeps the
-  // reorder buffer's parked gaps far below its overflow bound.
+  // Mutations stack up to four deep. One bus takes every frame: parked gaps
+  // accumulate across rounds, and a stream that overflowed its holdback
+  // would be refused like any other bad frame.
   constexpr int kRounds = 32;
   constexpr int kMutationsPerSeed = 500;
   Rng rng(0x5eedf00d);
   int64_t accepted = 0;
   int64_t rejected = 0;
+  FuzzBus fuzz(endpoints);
   for (int round = 0; round < kRounds; ++round) {
-    FuzzBus fuzz(endpoints);
     for (const std::vector<uint8_t>& seed : seeds) {
       for (int i = 0; i < kMutationsPerSeed; ++i) {
         std::vector<uint8_t> frame = seed;
