@@ -65,7 +65,7 @@ void CostTablePart(const std::vector<int>& workers, double density) {
   };
   const int64_t batch_k = 32;
 
-  TextTable table({"layer", "P", "PS.raw", "PS.fp16", "PS.int8", "PS.topk", "best"});
+  TextTable table({"layer", "P", "PS.raw", "PS.int8", "PS.topk", "best"});
   for (const CostRow& row : rows) {
     for (int p : workers) {
       if (p < 2) {
@@ -82,8 +82,7 @@ void CostTablePart(const std::vector<int>& workers, double density) {
       const double raw_floats =
           SchemeWireBytes(PlannedScheme::kPS, GradCompression::kNone, q, density) / 4.0;
       for (GradCompression codec :
-           {GradCompression::kNone, GradCompression::kFp16, GradCompression::kInt8,
-            GradCompression::kTopK}) {
+           {GradCompression::kNone, GradCompression::kInt8, GradCompression::kTopK}) {
         const double bytes = SchemeWireBytes(PlannedScheme::kPS, codec, q, density);
         // Self-verify against the closed form: the float row splits exactly
         // in half per direction, each half at its direction's byte cost.
@@ -140,7 +139,6 @@ void RuntimeAblationPart(int iters, const std::vector<double>& densities,
                   TextTable::Num(point.wire_bytes_per_iter, 0), reduction_label,
                   TextTable::Num(point.final_loss, 4), matched ? "yes" : "NO"});
   };
-  add_point("fp16", PlanCodecPolicy::kFp16, 0.25);
   add_point("int8", PlanCodecPolicy::kInt8, 0.25);
   for (double density : densities) {
     char name[32];
@@ -155,7 +153,6 @@ void SimSweepPart(const BenchArgs& args, const std::vector<int>& nodes,
                   const std::vector<double>& bandwidths) {
   std::vector<SystemConfig> systems = {
       CaffePlusWfbp(),
-      CompressedPsSystem(PlanCodecPolicy::kFp16),
       CompressedPsSystem(PlanCodecPolicy::kInt8),
       CompressedPsSystem(PlanCodecPolicy::kTopK, /*topk_density=*/0.01),
       CompressedPsSystem(PlanCodecPolicy::kAuto, /*topk_density=*/0.01),

@@ -452,8 +452,8 @@ void RecordWirePath(const char* prefix, PlanPolicy policy, int hidden_layers,
 //
 // Bytes-vs-final-loss point for each PS wire codec (docs/COMPRESSION.md),
 // measured on a real seeded training run through the bus. Recorded series:
-//   ext_compression_{raw,fp16,int8,topk}_bytes_per_iter   bus egress bytes
-//   ext_compression_{raw,fp16,int8,topk}_final_loss       after 16 iters
+//   ext_compression_{raw,int8,topk}_bytes_per_iter   bus egress bytes
+//   ext_compression_{raw,int8,topk}_final_loss       after 16 iters
 //   ext_compression_best_matched_reduction                see below
 // The headline number is the best byte reduction among codecs whose run is
 // "matched": it recovers at least 90% of the raw run's loss improvement.
@@ -473,9 +473,7 @@ bool RecordCompressionAblation(BenchRecord* record) {
   const struct {
     const char* name;
     PlanCodecPolicy policy;
-  } codecs[] = {{"fp16", PlanCodecPolicy::kFp16},
-                {"int8", PlanCodecPolicy::kInt8},
-                {"topk", PlanCodecPolicy::kTopK}};
+  } codecs[] = {{"int8", PlanCodecPolicy::kInt8}, {"topk", PlanCodecPolicy::kTopK}};
   for (const auto& codec : codecs) {
     const CompressionAblationPoint point =
         RunCompressionAblation(codec.policy, density, iters);

@@ -148,8 +148,6 @@ const char* GradCompressionName(GradCompression compression) {
   switch (compression) {
     case GradCompression::kNone:
       return "none";
-    case GradCompression::kFp16:
-      return "fp16";
     case GradCompression::kInt8:
       return "int8";
     case GradCompression::kTopK:
@@ -162,8 +160,6 @@ double PushBytesPerFloat(GradCompression compression, double topk_density) {
   switch (compression) {
     case GradCompression::kNone:
       return 4.0;
-    case GradCompression::kFp16:
-      return 2.0;
     case GradCompression::kInt8:
       // one byte per element plus a shared fp32 scale per chunk
       return 1.0 + 4.0 / static_cast<double>(simd::kInt8ChunkSize);

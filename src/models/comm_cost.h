@@ -115,11 +115,11 @@ bool SfbWins(const CommCostQuery& q);
 // already small), so compression rescales the PS rows and leaves the rest at
 // 4 bytes per float.
 
+// The values are explicit because CommPlan::ComputeHash folds them in.
 enum class GradCompression {
-  kNone,  // raw fp32 both directions
-  kFp16,  // binary16 push (stochastic rounding + residual), binary16 reply
-  kInt8,  // int8 push with per-256-chunk scales, binary16 reply
-  kTopK,  // top-k (index, value) push, binary16 reply
+  kNone = 0,  // raw fp32 both directions
+  kInt8 = 2,  // int8 push with per-256-chunk scales, binary16 reply
+  kTopK = 3,  // top-k (index, value) push, binary16 reply
 };
 
 const char* GradCompressionName(GradCompression compression);

@@ -55,7 +55,6 @@ void AppendEscaped(std::string* out, const std::string& s) {
 
 StatusOr<GradCompression> CompressionFromName(const std::string& name) {
   if (name == "none") return GradCompression::kNone;
-  if (name == "fp16") return GradCompression::kFp16;
   if (name == "int8") return GradCompression::kInt8;
   if (name == "topk") return GradCompression::kTopK;
   return InvalidArgumentError("unknown compression '" + name + "'");
@@ -344,8 +343,6 @@ KvCodecs KvWireCodecs(const PlanLayerChoice& choice) {
   switch (choice.compression) {
     case GradCompression::kNone:
       return {};
-    case GradCompression::kFp16:
-      return {WireCodec::kFp16, WireCodec::kFp16};
     case GradCompression::kInt8:
       return {WireCodec::kInt8, WireCodec::kFp16};
     case GradCompression::kTopK:

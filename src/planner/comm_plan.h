@@ -38,9 +38,9 @@ struct KvCodecs {
 };
 
 /// The one codec rule the syncer and the KV shard share. Pushes carry raw,
-/// fp16, int8 or top-k frames per the PS layer's compression, or 1-bit
-/// frames for a kOneBit layer; replies are binary16 round-to-nearest for the
-/// fp16, int8 and top-k layers and raw floats otherwise.
+/// int8 or top-k frames per the PS layer's compression, or 1-bit frames for
+/// a kOneBit layer; replies are binary16 round-to-nearest for the int8 and
+/// top-k layers and raw floats otherwise.
 KvCodecs KvWireCodecs(const PlanLayerChoice& choice);
 
 /// An immutable communication plan. `hash` is an FNV-1a digest over every

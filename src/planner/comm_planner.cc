@@ -142,8 +142,6 @@ std::vector<GradCompression> PsCodecMenu(const LayerSpec& layer, const PlanReque
   switch (r.codec) {
     case PlanCodecPolicy::kNone:
       return {GradCompression::kNone};
-    case PlanCodecPolicy::kFp16:
-      return {eligible ? GradCompression::kFp16 : GradCompression::kNone};
     case PlanCodecPolicy::kInt8:
       return {eligible ? GradCompression::kInt8 : GradCompression::kNone};
     case PlanCodecPolicy::kTopK:
@@ -151,7 +149,6 @@ std::vector<GradCompression> PsCodecMenu(const LayerSpec& layer, const PlanReque
     case PlanCodecPolicy::kAuto: {
       std::vector<GradCompression> menu = {GradCompression::kNone};
       if (eligible) {
-        menu.push_back(GradCompression::kFp16);
         menu.push_back(GradCompression::kInt8);
         if (r.topk_density > 0.0) {
           menu.push_back(GradCompression::kTopK);
@@ -450,8 +447,6 @@ const char* PlanCodecPolicyName(PlanCodecPolicy policy) {
   switch (policy) {
     case PlanCodecPolicy::kNone:
       return "none";
-    case PlanCodecPolicy::kFp16:
-      return "fp16";
     case PlanCodecPolicy::kInt8:
       return "int8";
     case PlanCodecPolicy::kTopK:

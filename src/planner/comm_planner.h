@@ -55,7 +55,7 @@ const char* PlanPolicyName(PlanPolicy policy);
 
 /// Codec-policy constraint: which wire codecs the PS candidates may use
 /// (the trainer's `ps_compression`). kAuto opens all of them.
-enum class PlanCodecPolicy { kNone, kFp16, kInt8, kTopK, kAuto };
+enum class PlanCodecPolicy { kNone, kInt8, kTopK, kAuto };
 
 const char* PlanCodecPolicyName(PlanCodecPolicy policy);
 

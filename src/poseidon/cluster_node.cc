@@ -26,7 +26,7 @@ ClusterNode::ClusterNode(ClusterNodeConfig config) : config_(std::move(config)) 
       << "multi-process clusters run the paper-mode plan";
   CHECK(t.ps_compression == PlanCodecPolicy::kNone)
       << "compressed pushes cannot cross processes: the wire format rejects "
-         "fp16/int8/top-k codec ids";
+         "the int8/top-k push and fp16 reply codec ids";
   CHECK_GT(config_.iterations, 0);
   CHECK_EQ(config_.process, config_.transport.self);
 }

@@ -37,8 +37,8 @@ struct ClusterNodeConfig {
   /// failure detection are in-process-trainer features and must be off;
   /// `shards_per_server` must be explicit (>= 1) — auto-sharding would
   /// require every process to agree on the resolved count. The plan must be
-  /// paper mode without compression: the wire format carries no fp16, int8
-  /// or top-k frames between processes.
+  /// paper mode without compression: the wire format carries no int8 or
+  /// top-k pushes and no fp16 replies between processes.
   TrainerOptions trainer;
   /// Hidden layers of the canonical TinyMlp workload (workloads.h).
   int hidden_layers = 2;

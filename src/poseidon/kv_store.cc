@@ -284,8 +284,8 @@ void KvShard::Release(int layer, LayerState* state, std::vector<Message>* replie
       reply_chunks.reserve(state->pairs.size());
       if (state->codecs.reply == WireCodec::kFp16) {
         for (const PairState& pair : state->pairs) {
-          Payload frame = Fp16Codec::EncodeRn(state->params.data() + pair.slab_offset,
-                                              pair.info.length, nullptr, 0);
+          Payload frame =
+              Fp16Codec::EncodeRn(state->params.data() + pair.slab_offset, pair.info.length);
           reply_chunks.push_back({pair.info.offset, frame.View()});
         }
       } else {

@@ -169,10 +169,6 @@ void Syncer::SendPs(int64_t iter) {
         const float* q = quant_.data() + pair.offset;
         float* r = residual_.data() + pair.offset;
         switch (compression_) {
-          case GradCompression::kFp16:
-            push_frames_.push_back(
-                Fp16Codec::EncodeSr(q, pair.length, seed, pair.offset, r, nullptr, 0));
-            break;
           case GradCompression::kInt8:
             push_frames_.push_back(
                 Int8Codec::EncodeSr(q, pair.length, seed, pair.offset, r, nullptr, 0));

@@ -99,7 +99,7 @@ struct TrainerOptions {
   /// search.)
   PlanPolicy fc_policy = PlanPolicy::kHybrid;
   /// Paper-mode wire compression for PS-path layers: raw fp32 by default;
-  /// fp16/int8/top-k push with error feedback, binary16 replies; kAuto picks
+  /// int8/top-k push with error feedback, binary16 replies; kAuto picks
   /// the cheapest byte row per layer. Quantized trajectories are
   /// deterministic (seeded per layer x clock) but not bitwise equal to kNone
   /// runs.

@@ -56,9 +56,8 @@ inline float BitsFloat(uint32_t u) {
 /// zero (the codec's error feedback re-injects them next clock), magnitudes
 /// at or above 2^16 — including inf/NaN bit patterns — clamp to the largest
 /// finite half (65504). `rnd13` in [0, 0x1FFF] is added below the half
-/// mantissa before truncation: 0 truncates, a uniform hash performs
-/// stochastic rounding, 0xFFF + (bit 13 of the magnitude) rounds to
-/// nearest-even. Branchless-equivalent order (clamp-SR-overflow, then the
+/// mantissa before truncation: 0 truncates, 0xFFF + (bit 13 of the
+/// magnitude) rounds to nearest-even. Branchless-equivalent order (clamp-SR-overflow, then the
 /// range overrides) — the vector backends mirror it exactly.
 inline uint16_t Fp16Pack(uint32_t u, uint32_t rnd13) {
   const uint32_t sign = (u >> 16) & 0x8000u;

@@ -148,11 +148,6 @@ void OneBitDecode(const uint32_t* bits, const float* pos_level,
   Active()->onebit_decode(bits, pos_level, neg_level, rows, cols, out);
 }
 
-void Fp16EncodeSr(const float* src, int64_t n, uint32_t seed, int64_t base_index,
-                  uint16_t* out) {
-  Active()->fp16_encode_sr(src, n, seed, base_index, out);
-}
-
 void Fp16EncodeRn(const float* src, int64_t n, uint16_t* out) {
   Active()->fp16_encode_rn(src, n, out);
 }

@@ -140,16 +140,9 @@ void OneBitDecode(const uint32_t* bits, const float* pos_level,
 // function of (data, seed, flat element index): independent of lane width,
 // of how a layer is sliced across shards, and of which backend runs.
 
-/// fp32 -> fp16 with deterministic stochastic rounding. Magnitudes below the
-/// smallest normal half flush to signed zero; values at or above 2^16 clamp
-/// to the largest finite half (65504). `base_index` is the flat layer offset
-/// of src[0].
-void Fp16EncodeSr(const float* src, int64_t n, uint32_t seed, int64_t base_index,
-                  uint16_t* out);
-
-/// fp32 -> fp16 with round-to-nearest-even (same reduced range as the SR
-/// variant). Used for the stateless parameter-reply direction, where there
-/// is no residual accumulator to absorb rounding noise.
+/// fp32 -> fp16 with round-to-nearest-even, for the parameter-reply
+/// direction. Magnitudes below the smallest normal half flush to signed
+/// zero; values at or above 2^16 clamp to the largest finite half (65504).
 void Fp16EncodeRn(const float* src, int64_t n, uint16_t* out);
 
 /// Exact fp16 -> fp32 for every 16-bit pattern (hostile frames included).
@@ -202,7 +195,6 @@ struct Kernels {
                                  const float*, const float*, float*);
   void (*onebit_decode)(const uint32_t*, const float*, const float*, int64_t,
                         int64_t, float*);
-  void (*fp16_encode_sr)(const float*, int64_t, uint32_t, int64_t, uint16_t*);
   void (*fp16_encode_rn)(const float*, int64_t, uint16_t*);
   void (*fp16_decode)(const uint16_t*, int64_t, float*);
   void (*int8_encode_sr)(const float*, int64_t, float, uint32_t, int64_t, int8_t*);

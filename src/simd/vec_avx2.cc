@@ -245,23 +245,6 @@ POSEIDON_AVX2 inline void StoreHalf8(uint16_t* out, __m256i r) {
                    _mm256_castsi256_si128(perm));
 }
 
-POSEIDON_AVX2 void Avx2Fp16EncodeSr(const float* src, int64_t n, uint32_t seed,
-                                    int64_t base_index, uint16_t* out) {
-  const __m256i vseed = _mm256_set1_epi32(static_cast<int>(seed));
-  const __m256i step = _mm256_set1_epi32(8);
-  __m256i idx = _mm256_add_epi32(
-      _mm256_set1_epi32(static_cast<int>(static_cast<uint32_t>(base_index))),
-      _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7));
-  int64_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    const __m256i rnd13 = _mm256_srli_epi32(MixBits8(idx, vseed), 19);
-    const __m256i u = _mm256_castps_si256(_mm256_loadu_ps(src + i));
-    StoreHalf8(out + i, Fp16Pack8(u, rnd13));
-    idx = _mm256_add_epi32(idx, step);
-  }
-  ScalarKernels()->fp16_encode_sr(src + i, n - i, seed, base_index + i, out + i);
-}
-
 POSEIDON_AVX2 void Avx2Fp16EncodeRn(const float* src, int64_t n, uint16_t* out) {
   int64_t i = 0;
   for (; i + 8 <= n; i += 8) {
@@ -607,10 +590,10 @@ const Kernels kAvx2Kernels = {
     Avx2Scale,              Avx2Axpy,
     Avx2SgdStep,            Avx2OneBitEncodeStats,
     Avx2OneBitResidualUpdate, Avx2OneBitDecode,
-    Avx2Fp16EncodeSr,       Avx2Fp16EncodeRn,
-    Avx2Fp16Decode,         Avx2Int8EncodeSr,
-    Avx2Int8Decode,         Avx2MaxAbs,
-    Avx2CountAbsGreater,    Avx2GemmTransB,
+    Avx2Fp16EncodeRn,       Avx2Fp16Decode,
+    Avx2Int8EncodeSr,       Avx2Int8Decode,
+    Avx2MaxAbs,             Avx2CountAbsGreater,
+    Avx2GemmTransB,
 };
 
 }  // namespace

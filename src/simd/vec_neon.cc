@@ -226,25 +226,6 @@ inline uint16x4_t Fp16Pack4(uint32x4_t u, uint32x4_t rnd13) {
   return vmovn_u32(vorrq_u32(sign, h));
 }
 
-void NeonFp16EncodeSr(const float* src, int64_t n, uint32_t seed,
-                      int64_t base_index, uint16_t* out) {
-  const uint32x4_t vseed = vdupq_n_u32(seed);
-  const uint32x4_t step = vdupq_n_u32(4);
-  const uint32x4_t ramp = {0u, 1u, 2u, 3u};
-  uint32x4_t idx = vaddq_u32(vdupq_n_u32(static_cast<uint32_t>(base_index)), ramp);
-  int64_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    for (int half = 0; half < 2; ++half) {
-      const int64_t f = i + 4 * half;
-      const uint32x4_t rnd13 = vshrq_n_u32(MixBits4(idx, vseed), 19);
-      const uint32x4_t u = vreinterpretq_u32_f32(vld1q_f32(src + f));
-      vst1_u16(out + f, Fp16Pack4(u, rnd13));
-      idx = vaddq_u32(idx, step);
-    }
-  }
-  ScalarKernels()->fp16_encode_sr(src + i, n - i, seed, base_index + i, out + i);
-}
-
 void NeonFp16EncodeRn(const float* src, int64_t n, uint16_t* out) {
   int64_t i = 0;
   for (; i + 8 <= n; i += 8) {
@@ -399,10 +380,10 @@ const Kernels kNeonKernels = {
     NeonScale,              NeonAxpy,
     NeonSgdStep,            NeonOneBitEncodeStats,
     NeonOneBitResidualUpdate, NeonOneBitDecode,
-    NeonFp16EncodeSr,       NeonFp16EncodeRn,
-    NeonFp16Decode,         NeonInt8EncodeSr,
-    NeonInt8Decode,         NeonMaxAbs,
-    NeonCountAbsGreater,    NeonGemmTransB,
+    NeonFp16EncodeRn,       NeonFp16Decode,
+    NeonInt8EncodeSr,       NeonInt8Decode,
+    NeonMaxAbs,             NeonCountAbsGreater,
+    NeonGemmTransB,
 };
 
 }  // namespace

@@ -91,15 +91,6 @@ void ScalarOneBitDecode(const uint32_t* bits, const float* pos_level,
   }
 }
 
-void ScalarFp16EncodeSr(const float* src, int64_t n, uint32_t seed,
-                        int64_t base_index, uint16_t* out) {
-  for (int64_t i = 0; i < n; ++i) {
-    const uint32_t rnd13 =
-        internal::MixBits(seed, static_cast<uint32_t>(base_index + i)) >> 19;
-    out[i] = internal::Fp16Pack(internal::FloatBits(src[i]), rnd13);
-  }
-}
-
 void ScalarFp16EncodeRn(const float* src, int64_t n, uint16_t* out) {
   for (int64_t i = 0; i < n; ++i) {
     const uint32_t u = internal::FloatBits(src[i]);
@@ -176,10 +167,10 @@ const Kernels kScalarKernels = {
     ScalarScale,             ScalarAxpy,
     ScalarSgdStep,           ScalarOneBitEncodeStats,
     ScalarOneBitResidualUpdate, ScalarOneBitDecode,
-    ScalarFp16EncodeSr,      ScalarFp16EncodeRn,
-    ScalarFp16Decode,        ScalarInt8EncodeSr,
-    ScalarInt8Decode,        ScalarMaxAbs,
-    ScalarCountAbsGreater,   ScalarGemmTransB,
+    ScalarFp16EncodeRn,      ScalarFp16Decode,
+    ScalarInt8EncodeSr,      ScalarInt8Decode,
+    ScalarMaxAbs,            ScalarCountAbsGreater,
+    ScalarGemmTransB,
 };
 
 }  // namespace

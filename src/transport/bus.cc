@@ -152,7 +152,7 @@ Status MessageBus::Send(Message message) {
     // time. send_ns is NOT stamped — it would be meaningless on the
     // receiver's clock; DeliverWire restamps at ingress.
     if (message.type != MessageType::kShutdown) {
-      message.seq = wire_sequencer_->NextSeq(message.from, message.to);
+      message.seq = sequencer_->NextSeq(message.from, message.to);
     }
     std::lock_guard<std::mutex> lock(mutex_);
     limiter = limiters_[static_cast<size_t>(src)];
@@ -319,9 +319,8 @@ void MessageBus::AttachTransport(std::shared_ptr<Transport> transport) {
   CHECK(injector_ == nullptr)
       << "in-process fault injection and a wire transport are mutually "
          "exclusive (use the transport's lossy shim for cross-process chaos)";
-  wire_sequencer_ = std::make_unique<StreamSequencer>();
   wire_counters_ = std::make_unique<FaultCounters>();
-  wire_reorder_ = std::make_unique<ReorderBuffer>(wire_counters_.get());
+  EnableSequencing(wire_counters_.get());
   transport_ = std::move(transport);
 }
 
@@ -354,35 +353,13 @@ Status MessageBus::DeliverWire(const uint8_t* data, int64_t size) {
     // this process's steady clock. Two processes' steady clocks have
     // unrelated epochs, so the sender's stamp must never be compared here.
     m.send_ns = now_ns;
-    std::vector<Message> released;
     // A peer that opens a gap wider than the holdback is refused, not
-    // trusted: the rest of its frame is dropped with the offender.
-    status = wire_reorder_->Admit(std::move(m), &released);
+    // trusted: the rest of its frame is dropped with the offender. An
+    // endpoint that died (or was never registered here) loses its messages
+    // exactly as on a dead socket.
+    status = Release(std::move(m), /*fallback=*/nullptr);
     if (!status.ok()) {
       return status;
-    }
-    for (Message& ready : released) {
-      std::shared_ptr<Mailbox> target;
-      {
-        std::lock_guard<std::mutex> lock(mutex_);
-        auto it = mailboxes_.find(ready.to);
-        if (it != mailboxes_.end()) {
-          target = it->second;
-        }
-      }
-      const MessageType type = ready.type;
-      if (target == nullptr) {
-        // The endpoint died (or was never registered here): the message is
-        // lost exactly as on a dead socket; count it so tests can see.
-        if (type != MessageType::kShutdown) {
-          wire_counters_->AddDroppedReply();
-        }
-        continue;
-      }
-      RecordLinkDelivery(ready);
-      if (!target->Push(std::move(ready)) && type != MessageType::kShutdown) {
-        wire_counters_->AddDroppedReply();
-      }
     }
   }
   return Status::Ok();
@@ -403,8 +380,7 @@ void MessageBus::EnableFaultInjection(const FaultPlan& plan) {
       << "in-process fault injection and a wire transport are mutually "
          "exclusive (use the transport's lossy shim for cross-process chaos)";
   injector_ = std::make_unique<FaultInjector>(plan);
-  sequencer_ = std::make_unique<StreamSequencer>();
-  reorder_ = std::make_unique<ReorderBuffer>(&injector_->counters());
+  EnableSequencing(&injector_->counters());
   pump_thread_ = std::thread([this] { PumpLoop(); });
 }
 
@@ -464,14 +440,25 @@ void MessageBus::InjectOrCommit(std::shared_ptr<Mailbox> mailbox, Message messag
 }
 
 void MessageBus::Commit(const std::shared_ptr<Mailbox>& mailbox, Message message) {
-  const MessageType type = message.type;
-  std::vector<Message> released;
-  // The in-process fabric retransmits every drop, so a gap this wide is a
-  // bug in the fabric itself.
-  const Status admitted = reorder_->Admit(std::move(message), &released);
+  // The in-process fabric retransmits every drop, so a gap wider than the
+  // holdback is a bug in the fabric itself.
+  const Status admitted = Release(std::move(message), mailbox);
   CHECK(admitted.ok()) << admitted.ToString();
-  if (released.empty()) {
-    return;
+}
+
+// ---------------------------------------------------------------- sequencing --
+
+void MessageBus::EnableSequencing(FaultCounters* counters) {
+  sequencer_ = std::make_unique<StreamSequencer>();
+  reorder_ = std::make_unique<ReorderBuffer>(counters);
+  sequencing_counters_ = counters;
+}
+
+Status MessageBus::Release(Message message, const std::shared_ptr<Mailbox>& fallback) {
+  std::vector<Message> released;
+  const Status admitted = reorder_->Admit(std::move(message), &released);
+  if (!admitted.ok() || released.empty()) {
+    return admitted;
   }
   // Deliver to the destination's *current* mailbox, looked up at release
   // time: between send (or parking in the reorder buffer) and now the
@@ -487,17 +474,25 @@ void MessageBus::Commit(const std::shared_ptr<Mailbox>& mailbox, Message message
     }
   }
   if (target == nullptr) {
-    target = mailbox;  // unregistered: the endpoint is gone; fall through
+    target = fallback;  // unregistered: the endpoint is gone
   }
   for (Message& ready : released) {
+    const MessageType type = ready.type;
+    if (target == nullptr) {
+      if (type != MessageType::kShutdown) {
+        sequencing_counters_->AddDroppedReply();
+      }
+      continue;
+    }
     RecordLinkDelivery(ready);
     if (!target->Push(std::move(ready)) && type != MessageType::kShutdown) {
       // The endpoint died between send and delivery (crash window): the
       // message is lost, as it would be on a real dead socket. Recovery
       // re-pushes; the shard reconciles.
-      injector_->counters().AddDroppedReply();
+      sequencing_counters_->AddDroppedReply();
     }
   }
+  return Status::Ok();
 }
 
 void MessageBus::SchedulePumped(TimedDelivery delivery) {

@@ -307,8 +307,16 @@ class MessageBus {
   /// the fault dice for this transmission attempt, and either schedules the
   /// message on the pump or commits it now.
   void InjectOrCommit(std::shared_ptr<Mailbox> mailbox, Message message, int attempt);
-  /// Final delivery: runs the reorder buffer and pushes the released run.
+  /// Final delivery behind the injector: Release, which must succeed.
   void Commit(const std::shared_ptr<Mailbox>& mailbox, Message message);
+  /// Builds the sequencer and reorder buffer for whichever of the fault
+  /// fabric and the transport is enabled, counting into `counters`.
+  void EnableSequencing(FaultCounters* counters);
+  /// Runs one arrival through the reorder buffer and pushes the run it
+  /// releases to the destination's current mailbox, or to `fallback` when
+  /// the address is unregistered (none: the run is counted as dropped).
+  /// Returns Admit's status.
+  Status Release(Message message, const std::shared_ptr<Mailbox>& fallback);
   void SchedulePumped(TimedDelivery delivery);
   void PumpLoop();
 
@@ -329,19 +337,21 @@ class MessageBus {
   std::chrono::steady_clock::time_point link_stats_since_;
 
   // Frame carrier for cross-process destinations (set once by
-  // AttachTransport, then immutable). The wire sequencer stamps every
-  // outbound remote data message; the wire reorder buffer restores
-  // exactly-once FIFO per stream on ingress (real sockets — and the lossy
-  // shim especially — can duplicate and reorder records).
+  // AttachTransport, then immutable; wire_counters_ backs WireCounters()).
   std::shared_ptr<Transport> transport_;
-  std::unique_ptr<StreamSequencer> wire_sequencer_;
   std::unique_ptr<FaultCounters> wire_counters_;
-  std::unique_ptr<ReorderBuffer> wire_reorder_;
 
   // Fault fabric (set once by EnableFaultInjection, then immutable pointers).
   std::unique_ptr<FaultInjector> injector_;
+
+  // Sequencing (set once by EnableSequencing, then immutable pointers): the
+  // sequencer stamps every remote data message at send, and the reorder
+  // buffer restores exactly-once FIFO per stream at delivery, whatever the
+  // fault fabric or a real socket (and the lossy shim especially) does to
+  // the individual transmissions. Counts go to the enabled mode's counters.
   std::unique_ptr<StreamSequencer> sequencer_;
   std::unique_ptr<ReorderBuffer> reorder_;
+  FaultCounters* sequencing_counters_ = nullptr;
   std::mutex pump_mutex_;
   std::condition_variable pump_cv_;   // wakes the pump
   std::condition_variable pump_idle_cv_;  // signals FlushFaults waiters

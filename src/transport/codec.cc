@@ -408,15 +408,6 @@ namespace {
 constexpr int64_t kFp16HeaderWords = 2;
 
 int64_t Fp16HalfWords(int64_t n) { return (n + 1) / 2; }
-
-// residual = quant - decode(frame), computed as quant + (-approx): Scale by
-// -1 is an exact sign flip and a + (-b) rounds identically to a - b, so the
-// residual is the bitwise error-feedback carry. `residual` holds the decoded
-// approximation on entry.
-void FinishResidual(const float* quant, int64_t n, float* residual) {
-  simd::Scale(residual, -1.0f, n);
-  simd::ReduceAdd(residual, quant, n);
-}
 }  // namespace
 
 uint16_t Fp16Codec::Frame::half(int64_t i) const {
@@ -493,59 +484,26 @@ Status Fp16Codec::Decode(const PayloadView& frame, Tensor* dense,
   return Status::Ok();
 }
 
-namespace {
-
-// Serializes already-packed halves plus the bias trailer into one frame.
-Payload Fp16Assemble(const std::vector<uint16_t>& halves, int64_t n, const float* bias,
-                     int64_t bias_len) {
-  const int64_t half_words = Fp16HalfWords(n);
-  Payload payload = Payload::Allocate(kFp16HeaderWords + half_words + bias_len);
-  float* words = payload.data();
-  StoreWord(words + 0, static_cast<uint32_t>(n));
-  StoreWord(words + 1, static_cast<uint32_t>(bias_len));
-  int64_t cursor = kFp16HeaderWords;
-  if (n & 1) {
-    // Zero the padding half in the last word so identical inputs always
-    // serialize to identical bytes (the conformance suite memcmps frames).
-    StoreWord(words + cursor + half_words - 1, 0);
-  }
-  std::memcpy(words + cursor, halves.data(), static_cast<size_t>(n) * sizeof(uint16_t));
-  cursor += half_words;
-  if (bias_len > 0) {
-    CHECK_NOTNULL(bias);
-    std::copy(bias, bias + bias_len, words + cursor);
-  }
-  WireCopyStats::Add(half_words + bias_len);
-  return payload;
-}
-
-}  // namespace
-
-Payload Fp16Codec::EncodeSr(const float* quant, int64_t n, uint32_t seed,
-                            int64_t base_index, float* residual, const float* bias,
-                            int64_t bias_len) {
-  TraceSpan span("codec.encode.fp16", "codec", n);
-  CHECK_NOTNULL(quant);
-  CHECK_GT(n, 0);
-  CHECK_GE(bias_len, 0);
-  std::vector<uint16_t> halves(static_cast<size_t>(n));
-  simd::Fp16EncodeSr(quant, n, seed, base_index, halves.data());
-  if (residual != nullptr) {
-    simd::Fp16Decode(halves.data(), n, residual);
-    FinishResidual(quant, n, residual);
-  }
-  return Fp16Assemble(halves, n, bias, bias_len);
-}
-
-Payload Fp16Codec::EncodeRn(const float* src, int64_t n, const float* bias,
-                            int64_t bias_len) {
+Payload Fp16Codec::EncodeRn(const float* src, int64_t n) {
   TraceSpan span("codec.encode.fp16", "codec", n);
   CHECK_NOTNULL(src);
   CHECK_GT(n, 0);
-  CHECK_GE(bias_len, 0);
   std::vector<uint16_t> halves(static_cast<size_t>(n));
   simd::Fp16EncodeRn(src, n, halves.data());
-  return Fp16Assemble(halves, n, bias, bias_len);
+  const int64_t half_words = Fp16HalfWords(n);
+  Payload payload = Payload::Allocate(kFp16HeaderWords + half_words);
+  float* words = payload.data();
+  StoreWord(words + 0, static_cast<uint32_t>(n));
+  StoreWord(words + 1, 0);  // bias_len: replies carry no bias trailer
+  if (n & 1) {
+    // Zero the padding half in the last word so identical inputs always
+    // serialize to identical bytes (the conformance suite memcmps frames).
+    StoreWord(words + kFp16HeaderWords + half_words - 1, 0);
+  }
+  std::memcpy(words + kFp16HeaderWords, halves.data(),
+              static_cast<size_t>(n) * sizeof(uint16_t));
+  WireCopyStats::Add(half_words);
+  return payload;
 }
 
 // ---------------------------------------------------------------------- int8
@@ -556,6 +514,15 @@ constexpr int64_t kInt8HeaderWords = 2;
 int64_t Int8Chunks(int64_t n) { return (n + simd::kInt8ChunkSize - 1) / simd::kInt8ChunkSize; }
 
 int64_t Int8PackedWords(int64_t n) { return (n + 3) / 4; }
+
+// residual = quant - decode(frame), computed as quant + (-approx): Scale by
+// -1 is an exact sign flip and a + (-b) rounds identically to a - b, so the
+// residual is the bitwise error-feedback carry. `residual` holds the decoded
+// approximation on entry.
+void FinishResidual(const float* quant, int64_t n, float* residual) {
+  simd::Scale(residual, -1.0f, n);
+  simd::ReduceAdd(residual, quant, n);
+}
 }  // namespace
 
 StatusOr<Int8Codec::Frame> Int8Codec::Parse(const PayloadView& frame) {

@@ -181,10 +181,8 @@ class SufficientFactorCodec : public Codec {
 };
 
 /// IEEE binary16 frames with the encoder's reduced range (subnormal halves
-/// flush to signed zero, magnitudes >= 2^16 clamp to 65504 — error feedback
-/// re-injects both next clock). Two encode modes: stochastic rounding with a
-/// carried residual for the gradient-push direction, and round-to-nearest
-/// (stateless) for the parameter-reply direction.
+/// flush to signed zero, magnitudes >= 2^16 clamp to 65504). The parameter
+/// replies of int8 and top-k layers use it, encoded round-to-nearest.
 class Fp16Codec : public Codec {
  public:
   /// Parsed frame: spans into the slab (bias may be empty). Halves are
@@ -205,19 +203,9 @@ class Fp16Codec : public Codec {
   Status Decode(const PayloadView& frame, Tensor* dense,
                 std::vector<float>* bias) const override;
 
-  /// Stochastically rounds `quant` (the gradient slice with the error
-  /// residual already added, n floats) into one frame. The rounding noise is
-  /// a pure function of (seed, base_index + i) — pass the slice's flat layer
-  /// offset as `base_index` so sharding never changes the bits. When
-  /// `residual` is non-null it is overwritten with quant - decode(frame),
-  /// the error-feedback carry.
-  static Payload EncodeSr(const float* quant, int64_t n, uint32_t seed,
-                          int64_t base_index, float* residual, const float* bias,
-                          int64_t bias_len);
-
-  /// Round-to-nearest-even encode for the stateless reply direction.
-  static Payload EncodeRn(const float* src, int64_t n, const float* bias,
-                          int64_t bias_len);
+  /// Round-to-nearest-even encode of n floats into one frame with no bias
+  /// trailer (bias_len 0).
+  static Payload EncodeRn(const float* src, int64_t n);
 
   /// Validated zero-copy access to a frame's regions.
   static StatusOr<Frame> Parse(const PayloadView& frame);
@@ -248,9 +236,12 @@ class Int8Codec : public Codec {
   Status Decode(const PayloadView& frame, Tensor* dense,
                 std::vector<float>* bias) const override;
 
-  /// Stochastically rounds `quant` (gradient + residual, n floats) into one
-  /// frame; same (seed, base_index) contract as Fp16Codec::EncodeSr. When
-  /// `residual` is non-null it is overwritten with quant - decode(frame).
+  /// Stochastically rounds `quant` (the gradient slice with the error
+  /// residual already added, n floats) into one frame. The rounding noise is
+  /// a pure function of (seed, base_index + i) — pass the slice's flat layer
+  /// offset as `base_index` so sharding never changes the bits. When
+  /// `residual` is non-null it is overwritten with quant - decode(frame),
+  /// the error-feedback carry.
   static Payload EncodeSr(const float* quant, int64_t n, uint32_t seed,
                           int64_t base_index, float* residual, const float* bias,
                           int64_t bias_len);

@@ -226,8 +226,7 @@ TEST(CollectiveCostTest, JointCompressedPlanNeverDominated) {
               continue;  // not admissible for conv
             }
             for (GradCompression codec :
-                 {GradCompression::kNone, GradCompression::kFp16, GradCompression::kInt8,
-                  GradCompression::kTopK}) {
+                 {GradCompression::kNone, GradCompression::kInt8, GradCompression::kTopK}) {
               if (codec != GradCompression::kNone &&
                   (alt != PlannedScheme::kPS || m * n < kCompressionMinFloats)) {
                 continue;  // only the PS path compresses, above the size gate

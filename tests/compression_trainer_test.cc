@@ -1,5 +1,5 @@
 // End-to-end tests of the compressed PS path: a real small-cluster training
-// run under each wire codec (fp16 / int8 / top-k with error feedback) must
+// run under each push codec (int8 / top-k with error feedback) must
 //   * converge — error feedback keeps the quantized trajectory close to the
 //     raw one, and nothing may be silently dropped along the way;
 //   * be bitwise reproducible — the per-(layer, clock) seeded rounding makes
@@ -42,8 +42,7 @@ int64_t TotalRejectedPushes(PoseidonTrainer& trainer, int num_servers) {
 TEST(CompressionTrainerTest, EveryCodecConvergesWithoutDrops) {
   const SyntheticDataset dataset = testing::TinyDataset();
   for (PlanCodecPolicy policy :
-       {PlanCodecPolicy::kFp16, PlanCodecPolicy::kInt8,
-        PlanCodecPolicy::kTopK}) {
+       {PlanCodecPolicy::kInt8, PlanCodecPolicy::kTopK}) {
     SCOPED_TRACE(PlanCodecPolicyName(policy));
     TrainerOptions options = CompressedOptions(policy);
     PoseidonTrainer trainer(testing::TinyMlpFactory(), options);
@@ -71,8 +70,7 @@ TEST(CompressionTrainerTest, EveryCodecConvergesWithoutDrops) {
 
 TEST(CompressionTrainerTest, QuantizedTrajectoryIsBitwiseReproducible) {
   for (PlanCodecPolicy policy :
-       {PlanCodecPolicy::kFp16, PlanCodecPolicy::kInt8,
-        PlanCodecPolicy::kTopK}) {
+       {PlanCodecPolicy::kInt8, PlanCodecPolicy::kTopK}) {
     SCOPED_TRACE(PlanCodecPolicyName(policy));
     const TrainerOptions options = CompressedOptions(policy);
     const testing::Trajectory first = testing::CaptureTrajectory(options, 8);
@@ -97,19 +95,6 @@ TEST(CompressionTrainerTest, QuantizedTrajectoryIsDispatchInvariant) {
   EXPECT_TRUE(scalar_run == vector_run)
       << "int8 trajectory differs between scalar and "
       << simd::LevelName(simd::BestLevel()) << " dispatch";
-
-  const TrainerOptions fp16 = CompressedOptions(PlanCodecPolicy::kFp16);
-  {
-    simd::ScopedLevel pinned(simd::Level::kScalar);
-    scalar_run = testing::CaptureTrajectory(fp16, 6);
-  }
-  {
-    simd::ScopedLevel pinned(simd::BestLevel());
-    vector_run = testing::CaptureTrajectory(fp16, 6);
-  }
-  EXPECT_TRUE(scalar_run == vector_run)
-      << "fp16 trajectory differs between scalar and "
-      << simd::LevelName(simd::BestLevel()) << " dispatch";
 }
 
 TEST(CompressionTrainerTest, SizeGateKeepsSmallLayersRaw) {
@@ -124,9 +109,9 @@ TEST(CompressionTrainerTest, SizeGateKeepsSmallLayersRaw) {
 }
 
 TEST(CompressionTrainerTest, AutoPolicyPicksTopKForPsLayers) {
-  // At density 0.25 top-k costs 8 * 0.25 = 2 push bytes/float, tying fp16's
-  // 2 but losing to int8's ~1.016; auto must therefore resolve int8. At
-  // density 0.05 top-k (0.4 B/float) wins.
+  // At density 0.25 top-k costs 8 * 0.25 = 2 push bytes/float, losing to
+  // int8's ~1.016; auto must therefore resolve int8. At density 0.05 top-k
+  // (0.4 B/float) wins.
   auto paper_codec = [](int64_t params, double density) {
     LayerSpec layer;
     layer.name = "conv";
@@ -156,7 +141,7 @@ TEST(CompressionTrainerTest, AutoPolicyPicksTopKForPsLayers) {
 TEST(CompressionTrainerTest, SspRunsUnderCompression) {
   // Staleness > 0 exercises the snapshot-free binary16 reply path (the frame
   // is a fresh snapshot either way) and the SSP release gate together.
-  TrainerOptions options = CompressedOptions(PlanCodecPolicy::kFp16);
+  TrainerOptions options = CompressedOptions(PlanCodecPolicy::kInt8);
   options.staleness = 1;
   PoseidonTrainer trainer(testing::TinyMlpFactory(), options);
   const std::vector<IterationStats> stats = trainer.Train(testing::TinyDataset(), 10);

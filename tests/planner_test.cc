@@ -52,7 +52,7 @@ double OracleBytes(PlannedScheme scheme, GradCompression codec, const LayerSpec&
 }
 
 // Exhaustive per-layer argmin on the byte basis at one shard count, in the
-// planner's canonical candidate order (PS raw, PS fp16, PS int8, PS topk,
+// planner's canonical candidate order (PS raw, PS int8, PS topk,
 // SFB, ring, tree) with strict-improvement folding, so ties land on the same
 // candidate the planner prefers.
 OracleChoice OracleBestForLayer(const LayerSpec& layer, const PlanRequest& r, int shards) {
@@ -71,7 +71,6 @@ OracleChoice OracleBestForLayer(const LayerSpec& layer, const PlanRequest& r, in
   fold(PlannedScheme::kPS, GradCompression::kNone);
   if (r.num_workers > 1) {
     if (layer.params >= r.compression_min_floats) {
-      fold(PlannedScheme::kPS, GradCompression::kFp16);
       fold(PlannedScheme::kPS, GradCompression::kInt8);
       fold(PlannedScheme::kPS, GradCompression::kTopK);
     }
@@ -217,6 +216,29 @@ TEST(PlanJsonTest, TamperedDumpIsRejected) {
   EXPECT_FALSE(CommPlan::FromJson(json).ok());
 }
 
+// fp16 is no longer a push codec: a dump written before it was pruned that
+// names it on a layer is refused by name, before the hash check.
+TEST(PlanJsonTest, StalePlanNamingFp16PushIsRejected) {
+  const ModelSpec model = ModelByName("vgg19").value();
+  std::string json = PlanComm(JointAutoRequest(model, 8, 10.0, 8)).ToJson();
+  const std::string key = "\"compression\": \"";
+  const size_t value = json.find(key);
+  ASSERT_NE(value, std::string::npos);
+  const size_t start = value + key.size();
+  json.replace(start, json.find('"', start) - start, "fp16");
+  const std::string path = ::testing::TempDir() + "/poseidon_plan_fp16.json";
+  {
+    std::ofstream out(path, std::ios::binary);
+    out << json;
+  }
+  const StatusOr<CommPlan> loaded = CommPlan::LoadFromFile(path);
+  std::remove(path.c_str());
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(loaded.status().message().find("unknown compression 'fp16'"), std::string::npos)
+      << loaded.status().ToString();
+}
+
 TEST(PlanJsonTest, FileRoundTripBacksFixedPlanRuns) {
   const ModelSpec model = ModelByName("vgg19").value();
   const CommPlan plan = PlanComm(JointAutoRequest(model, 8, 0.0, 8));
@@ -275,34 +297,6 @@ TEST(PlannerMenuTest, TimeBasisPicksTreeForSomeLayer) {
     tree_layers += choice.scheme == PlannedScheme::kTree ? 1 : 0;
   }
   EXPECT_GT(tree_layers, 0) << plan.Summary();
-}
-
-// fp16 as a push codec never wins a joint plan: it sends 2 B per float
-// against int8's 1 + 4/256 B, with the same reply and the same encode
-// charge, so int8 dominates it on both bases. This pins the sweep that
-// makes fp16 push a pruning candidate.
-TEST(PlannerMenuTest, JointSearchNeverPicksFp16Push) {
-  int plans = 0;
-  for (const ModelSpec& model : AllZooModels()) {
-    for (int nodes : {1, 2, 3, 4, 8, 16, 32, 64}) {
-      for (double gbps : {0.0, 1.0, 10.0, 25.0, 40.0, 100.0}) {
-        for (int max_shards : {1, 8}) {
-          for (int64_t min_floats : {int64_t{0}, kCompressionMinFloats}) {
-            const CommPlan plan = PlanComm(JointAutoRequest(
-                model, nodes, gbps, max_shards, /*topk_density=*/0.01, min_floats));
-            ++plans;
-            for (const PlanLayerChoice& choice : plan.layers) {
-              EXPECT_NE(choice.compression, GradCompression::kFp16)
-                  << model.name << " @ " << nodes << " nodes, " << gbps
-                  << " Gb/s, max_shards " << max_shards << ", min_floats "
-                  << min_floats << ": layer " << choice.layer;
-            }
-          }
-        }
-      }
-    }
-  }
-  EXPECT_EQ(plans, 1152);
 }
 
 }  // namespace

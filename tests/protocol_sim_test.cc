@@ -183,41 +183,37 @@ double TotalTxGbits(const SimResult& result) {
 }
 
 TEST(ProtocolSimTest, CompressedPsCutsWireTraffic) {
-  // The simulator's byte accounting must mirror the runtime codecs: fp16
-  // roughly halves PS traffic (small layers stay raw under the size gate,
-  // and frame headers don't shrink), int8 cuts deeper, top-k at 1% deeper
-  // still. Scheme labels expose the per-layer codec choice.
+  // The simulator's byte accounting must mirror the runtime codecs: int8
+  // cuts PS traffic well below 0.6x raw (small layers stay raw under the
+  // size gate, and frame headers don't shrink), top-k at 1% deeper still.
+  // Scheme labels expose the per-layer codec choice.
   const ModelSpec model = MakeVgg19();
   const ClusterSpec cluster = Cluster(8, 40.0);
   const SimResult raw =
       RunProtocolSimulation(model, CaffePlusWfbp(), cluster, Engine::kCaffe);
-  const SimResult fp16 = RunProtocolSimulation(
-      model, CompressedPsSystem(PlanCodecPolicy::kFp16), cluster, Engine::kCaffe);
   const SimResult int8 = RunProtocolSimulation(
       model, CompressedPsSystem(PlanCodecPolicy::kInt8), cluster, Engine::kCaffe);
   const SimResult topk = RunProtocolSimulation(
       model, CompressedPsSystem(PlanCodecPolicy::kTopK, 0.01), cluster, Engine::kCaffe);
 
-  EXPECT_LT(TotalTxGbits(fp16), 0.6 * TotalTxGbits(raw));
-  EXPECT_LT(TotalTxGbits(int8), TotalTxGbits(fp16));
+  EXPECT_LT(TotalTxGbits(int8), 0.6 * TotalTxGbits(raw));
   EXPECT_LT(TotalTxGbits(topk), TotalTxGbits(int8));
 
-  EXPECT_EQ(fp16.layer_schemes.at("fc6"), "PS+fp16");
   EXPECT_EQ(int8.layer_schemes.at("fc6"), "PS+int8");
   EXPECT_EQ(topk.layer_schemes.at("fc6"), "PS+topk");
   // conv1_1 (1728 params) sits under kCompressionMinFloats and stays raw.
-  EXPECT_EQ(fp16.layer_schemes.at("conv1_1"), "PS");
+  EXPECT_EQ(int8.layer_schemes.at("conv1_1"), "PS");
 
   // At 40 GbE WFBP already hides the wire, so compression must not hurt; on
   // a starved 5 GbE fabric (comm-bound) the byte savings must win end to end
   // despite the extra CPU quantization passes.
-  EXPECT_LE(fp16.iter_time_s, raw.iter_time_s + 1e-9);
+  EXPECT_LE(int8.iter_time_s, raw.iter_time_s + 1e-9);
   const ClusterSpec starved = Cluster(8, 5.0);
   const SimResult raw_slow =
       RunProtocolSimulation(model, CaffePlusWfbp(), starved, Engine::kCaffe);
-  const SimResult fp16_slow = RunProtocolSimulation(
-      model, CompressedPsSystem(PlanCodecPolicy::kFp16), starved, Engine::kCaffe);
-  EXPECT_LT(fp16_slow.iter_time_s, 0.7 * raw_slow.iter_time_s);
+  const SimResult int8_slow = RunProtocolSimulation(
+      model, CompressedPsSystem(PlanCodecPolicy::kInt8), starved, Engine::kCaffe);
+  EXPECT_LT(int8_slow.iter_time_s, 0.7 * raw_slow.iter_time_s);
 }
 
 TEST(ProtocolSimTest, AutoCompressionJoinsHybridCollectiveChooser) {
@@ -324,7 +320,6 @@ std::vector<SystemConfig> GoldenSystems() {
     systems.push_back(ShardedPsSystem(s, /*staleness=*/s));
     systems.push_back(SspPoseidonSystem(s));
   }
-  systems.push_back(CompressedPsSystem(PlanCodecPolicy::kFp16));
   systems.push_back(CompressedPsSystem(PlanCodecPolicy::kInt8));
   systems.push_back(CompressedPsSystem(PlanCodecPolicy::kTopK, 0.01));
   systems.push_back(CompressedPsSystem(PlanCodecPolicy::kAuto, 0.01));

@@ -304,14 +304,14 @@ TEST(SocketClusterConformanceTest, SocketWeatherNeverChangesTheTrajectory) {
 }
 
 // The wire format decodes no codec id past the sufficient-factor frame, so
-// fp16/int8/top-k pushes would be rejected on the far side; and only the
-// paper plan is resolved identically by every process. A member must refuse
-// both at construction instead of ignoring them.
+// int8/top-k pushes and their fp16 replies would be rejected on the far side;
+// and only the paper plan is resolved identically by every process. A member
+// must refuse both at construction instead of ignoring them.
 TEST(ClusterNodeDeathTest, RejectsPlansSocketsCannotCarry) {
   ::testing::FLAGS_gtest_death_test_style = "threadsafe";
   ClusterNodeConfig config;
   config.trainer = testing::SmallTrainerOptions(2, 2, 1);
-  config.trainer.ps_compression = PlanCodecPolicy::kFp16;
+  config.trainer.ps_compression = PlanCodecPolicy::kInt8;
   EXPECT_DEATH(ClusterNode{config}, "compressed pushes cannot cross processes");
 
   config.trainer.ps_compression = PlanCodecPolicy::kNone;

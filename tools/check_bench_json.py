@@ -49,11 +49,9 @@ MICRO_REQUIRED = {
     # bus egress per codec on a seeded training run, plus the headline
     # reduction gated below.
     "ext_compression_raw_bytes_per_iter": 0.0,
-    "ext_compression_fp16_bytes_per_iter": 0.0,
     "ext_compression_int8_bytes_per_iter": 0.0,
     "ext_compression_topk_bytes_per_iter": 0.0,
     "ext_compression_raw_final_loss": 0.0,
-    "ext_compression_fp16_final_loss": 0.0,
     "ext_compression_int8_final_loss": 0.0,
     "ext_compression_topk_final_loss": 0.0,
     "ext_compression_best_matched_reduction": 0.0,
