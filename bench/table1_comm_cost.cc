@@ -4,14 +4,15 @@
 // paper's §3.2 worked example (M=N=4096, K=32, P1=P2=8) and sweeps showing
 // where the crossover sits.
 #include <cstdio>
+#include <optional>
 
 #include "src/common/cli.h"
-#include "src/common/logging.h"
 #include "src/common/table.h"
 #include "src/models/comm_cost.h"
 #include "src/models/model_spec.h"
 #include "src/planner/comm_plan.h"
 #include "src/planner/comm_planner.h"
+#include "src/stats/report.h"
 #include "src/transport/bus.h"
 
 namespace poseidon {
@@ -41,14 +42,14 @@ void PrintCostRow(TextTable* table, const CommCostQuery& q) {
 // (layer, K, P) shapes runs through the CommPlanner's joint search as a
 // one-layer model (byte basis) and the planner's scheme+codec+shards pick is
 // printed next to Algorithm 1's float-basis "best" column. Under
-// fixed:<path>, the dumped plan's per-layer table is printed instead — the
-// table then documents what a planned run would actually put on the wire.
-void PlanPart(const BenchArgs& args, const std::vector<int>& workers) {
-  if (args.FixedPlan()) {
-    StatusOr<CommPlan> loaded = CommPlan::LoadFromFile(args.FixedPlanPath());
-    CHECK(loaded.ok()) << "--plan=" << args.plan << ": " << loaded.status().ToString();
+// fixed:<path>, the dumped plan's per-layer table (`fixed`, loaded before
+// any output) is printed instead — the table then documents what a planned
+// run would actually put on the wire.
+void PlanPart(const BenchArgs& args, const std::optional<CommPlan>& fixed,
+              const std::vector<int>& workers) {
+  if (fixed.has_value()) {
     std::printf("Fixed plan %s:\n%s\n", args.FixedPlanPath().c_str(),
-                loaded.value().Summary().c_str());
+                fixed->Summary().c_str());
     return;
   }
   if (!args.AutoPlan()) {
@@ -87,6 +88,11 @@ void PlanPart(const BenchArgs& args, const std::vector<int>& workers) {
 }
 
 void Run(const BenchArgs& args) {
+  // A --plan=fixed: file that does not load exits 2 before the table prints.
+  std::optional<CommPlan> fixed;
+  if (args.FixedPlan()) {
+    fixed = LoadFixedPlanOrExit(args);
+  }
   const int shards = args.FirstShardOr(1);
   std::printf("Table 1: communication cost model (millions of floats per iteration),\n");
   std::printf("PS rows at %d shard endpoint(s) per server.\n", shards);
@@ -108,7 +114,7 @@ void Run(const BenchArgs& args) {
   PrintCostRow(&table, {1000, 1024, 128, 16, 16, shards});
   std::printf("%s\n", table.ToString().c_str());
 
-  PlanPart(args, args.NodesOr({2, 4, 16, 32}));
+  PlanPart(args, fixed, args.NodesOr({2, 4, 16, 32}));
 
   if (args.batch_egress) {
     // Wire-message companion to the float-cost table: per iteration a

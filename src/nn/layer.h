@@ -52,6 +52,14 @@ class Layer {
   // gradients come out bit for bit the same.
   virtual void Backward(const Tensor& grad_out, Tensor* grad_in) = 0;
 
+  // Backward for a caller that never reads this call's weight gradient (an
+  // SFB layer: every peer rebuilds dW from the sufficient factors). A layer
+  // may then leave its weight gradient untouched; every other output comes
+  // out bit for bit as in Backward. The default runs the full Backward.
+  virtual void BackwardSkippingWeightGrad(const Tensor& grad_out, Tensor* grad_in) {
+    Backward(grad_out, grad_in);
+  }
+
   // Parameter views; empty for stateless layers.
   virtual std::vector<ParamBlock> Params() { return {}; }
 

@@ -63,11 +63,22 @@ void FullyConnectedLayer::Forward(const Tensor& in, Tensor* out) {
 }
 
 void FullyConnectedLayer::Backward(const Tensor& grad_out, Tensor* grad_in) {
+  BackwardImpl(grad_out, grad_in, /*weight_grad=*/true);
+}
+
+void FullyConnectedLayer::BackwardSkippingWeightGrad(const Tensor& grad_out, Tensor* grad_in) {
+  BackwardImpl(grad_out, grad_in, /*weight_grad=*/false);
+}
+
+void FullyConnectedLayer::BackwardImpl(const Tensor& grad_out, Tensor* grad_in,
+                                       bool weight_grad) {
   CHECK_EQ(grad_out.ndim(), 2);
   CHECK_EQ(grad_out.dim(1), m_);
   last_errors_ = grad_out;
-  // dW[M,N] = dY^T[M,K] * X[K,N]
-  GemmTransA(grad_out, last_input_, &weight_grad_);
+  if (weight_grad) {
+    // dW[M,N] = dY^T[M,K] * X[K,N]
+    GemmTransA(grad_out, last_input_, &weight_grad_);
+  }
   SumRows(grad_out, &bias_grad_);
   if (grad_in == nullptr) {
     return;

@@ -26,6 +26,9 @@ class FullyConnectedLayer : public Layer {
 
   void Forward(const Tensor& in, Tensor* out) override;
   void Backward(const Tensor& grad_out, Tensor* grad_in) override;
+  // Stores dY and computes the bias gradient and dX; skips only the
+  // dW = dY^T X GEMM.
+  void BackwardSkippingWeightGrad(const Tensor& grad_out, Tensor* grad_in) override;
   std::vector<ParamBlock> Params() override;
 
   // Sufficient factors of the last backward pass: the per-sample error and
@@ -37,6 +40,8 @@ class FullyConnectedLayer : public Layer {
   Tensor& weight_grad() { return weight_grad_; }
 
  private:
+  void BackwardImpl(const Tensor& grad_out, Tensor* grad_in, bool weight_grad);
+
   int64_t m_;
   int64_t n_;
   Tensor weight_;       // [M, N]

@@ -73,12 +73,18 @@ LossResult Network::Forward(const Tensor& batch, const std::vector<int>& labels)
   return result;
 }
 
-void Network::BackwardThrough(int l) {
+void Network::BackwardThrough(int l, bool weight_grad) {
   CHECK_EQ(l, next_backward_) << "backward must proceed top-down, layer by layer";
   CHECK_GE(l, 0);
   Tensor grad_in;
   // Nothing reads the gradient wrt the network input, so layer 0 skips it.
-  layers_[static_cast<size_t>(l)]->Backward(grad_cursor_, l == 0 ? nullptr : &grad_in);
+  Tensor* grad_in_or_null = l == 0 ? nullptr : &grad_in;
+  Layer& layer = *layers_[static_cast<size_t>(l)];
+  if (weight_grad) {
+    layer.Backward(grad_cursor_, grad_in_or_null);
+  } else {
+    layer.BackwardSkippingWeightGrad(grad_cursor_, grad_in_or_null);
+  }
   grad_cursor_ = std::move(grad_in);
   --next_backward_;
 }

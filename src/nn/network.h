@@ -41,8 +41,10 @@ class Network {
   LossResult Forward(const Tensor& batch, const std::vector<int>& labels);
 
   // Runs the backward pass for layer `l` only (top = num_layers()-1 first).
-  // Must be called in strictly descending order after Forward.
-  void BackwardThrough(int l);
+  // Must be called in strictly descending order after Forward. With
+  // `weight_grad` false the layer may skip its weight gradient (see
+  // Layer::BackwardSkippingWeightGrad).
+  void BackwardThrough(int l, bool weight_grad = true);
 
   // Convenience: full backward pass.
   void Backward();

@@ -351,4 +351,8 @@ KvCodecs KvWireCodecs(const PlanLayerChoice& choice) {
   return {};
 }
 
+bool NeedsWeightGrad(const PlanLayerChoice& choice) {
+  return choice.scheme != PlannedScheme::kSFB;
+}
+
 }  // namespace poseidon

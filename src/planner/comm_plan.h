@@ -43,6 +43,13 @@ struct KvCodecs {
 /// top-k layers and raw floats otherwise.
 KvCodecs KvWireCodecs(const PlanLayerChoice& choice);
 
+/// Whether a worker's backward pass must form the layer's dense weight
+/// gradient. An SFB layer's peers rebuild dW from its sufficient factors and
+/// nothing reads the worker's own; every other scheme ships, quantizes or
+/// reduces the dense gradient. Read per iteration from the plan in force by
+/// both WFBP loops.
+bool NeedsWeightGrad(const PlanLayerChoice& choice);
+
 /// An immutable communication plan. `hash` is an FNV-1a digest over every
 /// decision field (signature, globals, per-layer assignments, predicted
 /// totals), so two plans are interchangeable iff their hashes match;

@@ -15,7 +15,7 @@
 ///   net.Forward(...);
 ///   client.StartIteration();
 ///   for (int l = L - 1; l >= 0; --l) {
-///     net.BackwardThrough(l);
+///     net.BackwardThrough(l, NeedsWeightGrad(plan.layers[l]));  // no dW for SFB
 ///     client.ScheduleSync(l);   // wait-free: enqueues layer l on its loop
 ///   }
 ///   client.WaitAll();           // sync_count == num param layers

@@ -186,7 +186,7 @@ Status ClusterNode::RunWorker(int local) {
         result.accuracy;
     client.StartIteration(iter);
     for (int l = net.num_layers() - 1; l >= 0; --l) {
-      net.BackwardThrough(l);
+      net.BackwardThrough(l, NeedsWeightGrad(plan_->layers[static_cast<size_t>(l)]));
       client.ScheduleSync(l);  // wait-free backpropagation
     }
     client.WaitAll();  // BSP barrier: every layer synchronized

@@ -1,6 +1,7 @@
 #include "src/poseidon/coordinator.h"
 
 #include "src/common/logging.h"
+#include "src/simd/quant.h"
 
 namespace poseidon {
 
@@ -110,10 +111,10 @@ std::vector<KvPairInfo> Coordinator::PairsOnServer(int l, int server) const {
   return pairs;
 }
 
-std::vector<KvPairInfo> Coordinator::PairsOnShard(int l, PlannedScheme scheme, int server,
-                                                  int shard) const {
+std::vector<KvPairInfo> Coordinator::PairsOnShard(int l, const PlanLayerChoice& choice,
+                                                  int server, int shard) const {
   std::vector<KvPairInfo> pairs;
-  if (scheme == PlannedScheme::kOneBit) {
+  if (choice.scheme == PlannedScheme::kOneBit) {
     const int owner_server = l % cluster_.num_servers;
     const int owner_shard = (l / cluster_.num_servers) % cluster_.shards_per_server;
     if (server == owner_server && shard == owner_shard) {
@@ -124,14 +125,48 @@ std::vector<KvPairInfo> Coordinator::PairsOnShard(int l, PlannedScheme scheme, i
       whole.shard = owner_shard;
       pairs.push_back(whole);
     }
-  } else if (scheme == PlannedScheme::kPS) {
-    for (const KvPairInfo& pair : layer(l).pairs) {
+  } else if (choice.scheme == PlannedScheme::kPS) {
+    const bool striped = choice.compression != GradCompression::kNone;
+    for (const KvPairInfo& pair : striped ? CompressedStripes(l) : layer(l).pairs) {
       if (pair.server == server && pair.shard == shard) {
         pairs.push_back(pair);
       }
     }
   }
   return pairs;
+}
+
+std::vector<KvPairInfo> Coordinator::CompressedStripes(int l) const {
+  const LayerInfo& info = layer(l);
+  std::vector<KvPairInfo> stripes;
+  if (info.pairs.empty()) {
+    return stripes;
+  }
+  // Stripe bounds fall on int8 chunk boundaries of the whole layer, so a
+  // stripe's int8 scales are the whole-layer frame's; top-k selects
+  // layer-wide (Syncer::SendPs). The cut never changes a bit.
+  const int64_t chunk = simd::kInt8ChunkSize;
+  const int64_t chunks = (info.total_floats + chunk - 1) / chunk;
+  const int64_t pair_chunks = std::max<int64_t>(1, cluster_.kv_pair_bytes / 4 / chunk);
+  const int num_servers = cluster_.num_servers;
+  const int num_endpoints = num_servers * cluster_.shards_per_server;
+  const int64_t count = std::max(std::min<int64_t>(num_endpoints, chunks),
+                                 (chunks + pair_chunks - 1) / pair_chunks);
+  const int first = info.pairs[0].shard * num_servers + info.pairs[0].server;
+  for (int64_t i = 0; i < count; ++i) {
+    const int64_t begin = i * chunks / count * chunk;
+    const int64_t end = std::min(info.total_floats, (i + 1) * chunks / count * chunk);
+    const int endpoint = static_cast<int>((first + i) % num_endpoints);
+    KvPairInfo stripe;
+    stripe.layer = l;
+    stripe.chunk = static_cast<int>(i);
+    stripe.offset = begin;
+    stripe.length = end - begin;
+    stripe.server = endpoint % num_servers;
+    stripe.shard = endpoint / num_servers;
+    stripes.push_back(stripe);
+  }
+  return stripes;
 }
 
 std::vector<int64_t> Coordinator::ServerLoadFloats() const {

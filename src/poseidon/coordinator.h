@@ -10,7 +10,10 @@
 /// `shards_per_server > 1` every server node hosts that many independent
 /// key-range shards (own mailbox, own apply thread); the round-robin cursor
 /// runs over the flat `num_servers * shards_per_server` endpoint space, so a
-/// large layer stripes across every endpoint in the cluster.
+/// large layer stripes across every endpoint in the cluster. A compressed
+/// (int8 / top-k) PS layer is cut into chunk-aligned stripes instead, so even
+/// a layer smaller than one pair spreads its replies over every server NIC
+/// (PairsOnShard).
 #ifndef POSEIDON_SRC_POSEIDON_COORDINATOR_H_
 #define POSEIDON_SRC_POSEIDON_COORDINATOR_H_
 
@@ -23,6 +26,7 @@
 #include "src/models/comm_cost.h"
 #include "src/models/model_spec.h"
 #include "src/nn/network.h"
+#include "src/planner/comm_plan.h"
 #include "src/transport/message.h"
 
 namespace poseidon {
@@ -109,12 +113,21 @@ class Coordinator {
   std::vector<KvPairInfo> PairsOnServer(int l, int server) const;
 
   /// The KV pairs of layer `l` that endpoint (`server`, `shard`) serves
-  /// when the layer runs `scheme` — the one placement rule the worker-side
-  /// syncer and the serving shard share. kPS layers use the partition plan's
-  /// pairs. A kOneBit layer moves whole (its encoding is not sliceable): one
-  /// whole-layer pair on server `l % num_servers`, shard
-  /// `(l / num_servers) % shards_per_server`. Other schemes have none.
-  std::vector<KvPairInfo> PairsOnShard(int l, PlannedScheme scheme, int server,
+  /// when the layer runs `choice` — the one placement rule the worker-side
+  /// syncer and the serving shard share:
+  ///  - raw kPS layers use the partition plan's pairs;
+  ///  - int8 and top-k kPS layers are cut into stripes of whole 256-float
+  ///    int8 chunks (simd::kInt8ChunkSize), as even as chunks allow, over
+  ///    min(E, chunks) of the E = num_servers * shards_per_server endpoints —
+  ///    more stripes only where one would outgrow the kv_pair_bytes pair
+  ///    (rounded down to whole chunks, at least one). Stripe i lives on
+  ///    endpoint (g + i) % E, g being the endpoint of the layer's first
+  ///    partition pair, under the partition cursor's server-major mapping;
+  ///  - a kOneBit layer moves whole (its encoding is not sliceable): one
+  ///    whole-layer pair on server `l % num_servers`, shard
+  ///    `(l / num_servers) % shards_per_server`.
+  /// Other schemes have none.
+  std::vector<KvPairInfo> PairsOnShard(int l, const PlanLayerChoice& choice, int server,
                                        int shard) const;
 
   /// Total floats hosted by each server node, for balance checks (the
@@ -127,6 +140,10 @@ class Coordinator {
   std::vector<int64_t> ShardLoadFloats() const;
 
  private:
+  /// Every stripe of compressed kPS layer `l`, in offset order (see
+  /// PairsOnShard).
+  std::vector<KvPairInfo> CompressedStripes(int l) const;
+
   ClusterInfo cluster_;
   std::vector<LayerInfo> layers_;
 };

@@ -38,7 +38,7 @@ KvShard::KvShard(int server_id, int shard_id, int64_t first_iter,
   for (int l = 0; l < coordinator_.num_layers(); ++l) {
     const PlanLayerChoice& choice = plan.layers[static_cast<size_t>(l)];
     std::vector<KvPairInfo> owned =
-        coordinator_.PairsOnShard(l, choice.scheme, server_, shard_);
+        coordinator_.PairsOnShard(l, choice, server_, shard_);
     if (owned.empty()) {
       continue;
     }

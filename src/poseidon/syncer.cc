@@ -44,7 +44,8 @@ Syncer::Syncer(int worker, int layer_index, const CommPlan& plan,
     for (int s = 0; s < num_servers; ++s) {
       for (int shard = 0; shard < num_shards; ++shard) {
         std::vector<KvPairInfo> pairs =
-            coordinator_.PairsOnShard(layer_index_, scheme_, s, shard);
+            coordinator_.PairsOnShard(layer_index_, plan.layers[static_cast<size_t>(layer_index)],
+                                      s, shard);
         if (pairs.empty()) {
           continue;
         }
@@ -155,13 +156,22 @@ bool Syncer::Send(int64_t iter) {
 void Syncer::SendPs(int64_t iter) {
   if (compression_ != GradCompression::kNone) {
     // Error feedback: quantize grad + residual, and let each pair's encoder
-    // fold its slice's rounding error back into the residual. The hash seed
-    // is a pure function of (layer, clock) — identical on every worker — and
-    // each pair passes its flat layer offset as base_index, so the encoding
-    // never depends on how the layer is striped across shards.
+    // fold its slice's rounding error back into the residual. The encoding
+    // never depends on how the layer is striped across shards: the int8 hash
+    // seed is a pure function of (layer, clock) — identical on every worker —
+    // each pair passes its flat layer offset as base_index, and stripes start
+    // on int8 chunk boundaries; top-k selects over the whole layer, and each
+    // pair's frame carries the selected elements in its range (maybe none).
     simd::ReduceAdd(residual_.data(), staged_.data(), view_.size());
     std::swap(quant_, residual_);  // quant_ now holds grad + residual
     const uint32_t seed = QuantSeed(layer_index_, iter);
+    std::vector<int64_t> selected;
+    if (compression_ == GradCompression::kTopK) {
+      const int64_t n = view_.size();
+      const int64_t k = std::max<int64_t>(
+          1, std::min<int64_t>(n, static_cast<int64_t>(topk_density_ * static_cast<double>(n))));
+      selected = TopKCodec::Select(quant_.data(), n, k);
+    }
     push_frames_.clear();
     push_frames_.reserve(static_cast<size_t>(total_pairs_));
     for (const ShardDest& dest : pairs_by_shard_) {
@@ -174,11 +184,13 @@ void Syncer::SendPs(int64_t iter) {
                 Int8Codec::EncodeSr(q, pair.length, seed, pair.offset, r, nullptr, 0));
             break;
           case GradCompression::kTopK: {
-            const int64_t k = std::max<int64_t>(
-                1, std::min<int64_t>(pair.length,
-                                     static_cast<int64_t>(topk_density_ *
-                                                          static_cast<double>(pair.length))));
-            push_frames_.push_back(TopKCodec::Encode(q, pair.length, k, r, nullptr, 0));
+            const auto first =
+                std::lower_bound(selected.begin(), selected.end(), pair.offset);
+            const auto last =
+                std::lower_bound(first, selected.end(), pair.offset + pair.length);
+            push_frames_.push_back(TopKCodec::EncodeSelected(
+                q, pair.length, selected.data() + (first - selected.begin()), last - first,
+                pair.offset, r, nullptr, 0));
             break;
           }
           case GradCompression::kNone:

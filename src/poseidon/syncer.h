@@ -42,7 +42,7 @@ class Syncer {
  public:
   /// The layer's scheme and PS wire codec come from `plan.layers[layer_index]`
   /// (non-PS schemes ignore the codec); `plan.topk_density` sizes the top-k
-  /// selection per pair. `local_optimizer` applies SFB and ring/tree updates
+  /// selection over the whole layer. `local_optimizer` applies SFB and ring/tree updates
   /// on the worker (shared across this worker's syncers; may be null for
   /// PS-only layers).
   Syncer(int worker, int layer_index, const CommPlan& plan, const Coordinator& coordinator,

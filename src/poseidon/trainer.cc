@@ -285,6 +285,7 @@ void PoseidonTrainer::RunWorkerLoop(int w, int64_t from_iter) {
   const int64_t end_iter = window_.first_iter + window_.iterations;
   Network& net = *worker_nets_[static_cast<size_t>(w)];
   ClientLibrary& client = *clients_[static_cast<size_t>(w)];
+  const CommPlan& plan = *plan_;  // swapped only between windows
   for (int64_t iter = from_iter; iter < end_iter; ++iter) {
     TraceSpan iteration_span("iteration", "trainer", iter);
     const size_t i = static_cast<size_t>(iter - window_.first_iter);
@@ -309,7 +310,7 @@ void PoseidonTrainer::RunWorkerLoop(int w, int64_t from_iter) {
       }
       {
         TraceSpan backward_span("backward", "trainer", l);
-        net.BackwardThrough(l);
+        net.BackwardThrough(l, NeedsWeightGrad(plan.layers[static_cast<size_t>(l)]));
       }
       client.ScheduleSync(l);  // wait-free backpropagation
       ++backward_steps;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <cstdlib>
 #include <map>
 #include <set>
 #include <sstream>
@@ -54,12 +55,19 @@ std::shared_ptr<const CommPlan> PlanForBench(const BenchArgs& args, const ModelS
         PlanComm(JointAutoRequest(model, nodes, gbps, kMaxAutoShards)));
   }
   if (args.FixedPlan()) {
-    StatusOr<CommPlan> loaded = CommPlan::LoadFromFile(args.FixedPlanPath());
-    CHECK(loaded.ok()) << "--plan=" << args.plan << ": "
-                       << loaded.status().ToString();
-    return std::make_shared<const CommPlan>(std::move(loaded).value());
+    return std::make_shared<const CommPlan>(LoadFixedPlanOrExit(args));
   }
   return nullptr;
+}
+
+CommPlan LoadFixedPlanOrExit(const BenchArgs& args) {
+  StatusOr<CommPlan> loaded = CommPlan::LoadFromFile(args.FixedPlanPath());
+  if (!loaded.ok()) {
+    std::fprintf(stderr, "--plan=%s: %s\n", args.plan.c_str(),
+                 loaded.status().ToString().c_str());
+    std::exit(2);
+  }
+  return std::move(loaded).value();
 }
 
 std::vector<SweepResult> RunPlannedScalingSweep(const BenchArgs& args, const ModelSpec& model,

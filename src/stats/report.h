@@ -35,10 +35,15 @@ std::vector<SweepResult> RunScalingSweep(const ModelSpec& model,
 // nullptr under --plan=paper (the bench keeps its hand-picked systems);
 // the CommPlanner's joint search for (model, nodes, gbps) under
 // --plan=auto (one PlanComm call per sweep point); the
-// CommPlan JSON dump under --plan=fixed:<path> (fatal if the file does not
-// load — a bench must never silently fall back to different settings).
+// CommPlan JSON dump under --plan=fixed:<path> (LoadFixedPlanOrExit: a
+// bench must never silently fall back to different settings).
 std::shared_ptr<const CommPlan> PlanForBench(const BenchArgs& args, const ModelSpec& model,
                                              int nodes, double gbps);
+
+// The plan --plan=fixed:<path> names. A file that does not load (missing,
+// corrupt, or a stale plan) prints the --plan value and the load status to
+// stderr and exits 2, like every other CLI error.
+CommPlan LoadFixedPlanOrExit(const BenchArgs& args);
 
 // RunScalingSweep honoring --plan: under paper it is RunScalingSweep exactly;
 // under auto/fixed the hand-picked `paper_systems` are replaced by one

@@ -673,7 +673,7 @@ StatusOr<TopKCodec::Frame> TopKCodec::Parse(const PayloadView& frame) {
   StatusOr<int64_t> bias_len = HeaderDim("topk", frame, 2);
   if (!bias_len.ok()) return bias_len.status();
   if (*n < 1) return BadDim("topk", *n);
-  if (*k < 1 || *k > *n) return BadDim("topk", *k);
+  if (*k > *n) return BadDim("topk", *k);  // k = 0: a stripe with no selected element
   StatusOr<int64_t> pairs = CheckedMul("topk", 2, *k);
   if (!pairs.ok()) return pairs.status();
   const int64_t want = kTopKHeaderWords + *pairs + *bias_len;
@@ -755,17 +755,20 @@ Status TopKCodec::Decode(const PayloadView& frame, Tensor* dense,
 
 Payload TopKCodec::Encode(const float* quant, int64_t n, int64_t k, float* residual,
                           const float* bias, int64_t bias_len) {
+  const std::vector<int64_t> selected = Select(quant, n, k);
+  return EncodeSelected(quant, n, selected.data(), k, 0, residual, bias, bias_len);
+}
+
+std::vector<int64_t> TopKCodec::Select(const float* quant, int64_t n, int64_t k) {
   TraceSpan span("codec.encode.topk", "codec", n);
   CHECK_NOTNULL(quant);
   CHECK_GT(n, 0);
-  CHECK_GE(k, 1);
+  CHECK_GE(k, 0);
   CHECK_LE(k, n);
-  CHECK_GE(bias_len, 0);
-  // Deterministic selection: the threshold is the k-th largest magnitude
-  // (NaNs rank as zero so the order is total), elements strictly above it
-  // are always in, and ties at the threshold fill the remaining slots in
-  // index order. Independent of nth_element's internal permutation and of
-  // the simd backend.
+  std::vector<int64_t> selected;
+  if (k == 0) {
+    return selected;
+  }
   std::vector<float> mags(static_cast<size_t>(n));
   for (int64_t i = 0; i < n; ++i) {
     const float a = std::fabs(quant[i]);
@@ -775,6 +778,32 @@ Payload TopKCodec::Encode(const float* quant, int64_t n, int64_t k, float* resid
                    [](float a, float b) { return a > b; });
   const float threshold = mags[static_cast<size_t>(k - 1)];
   int64_t ties_left = k - simd::CountAbsGreater(quant, n, threshold);
+  selected.reserve(static_cast<size_t>(k));
+  for (int64_t i = 0; i < n && static_cast<int64_t>(selected.size()) < k; ++i) {
+    const float a = std::fabs(quant[i]);
+    const float mag = a == a ? a : 0.0f;
+    bool take = mag > threshold;
+    if (!take && mag == threshold && ties_left > 0) {
+      take = true;
+      --ties_left;
+    }
+    if (take) {
+      selected.push_back(i);
+    }
+  }
+  CHECK_EQ(static_cast<int64_t>(selected.size()), k);
+  return selected;
+}
+
+Payload TopKCodec::EncodeSelected(const float* quant, int64_t n, const int64_t* selected,
+                                  int64_t k, int64_t index_base, float* residual,
+                                  const float* bias, int64_t bias_len) {
+  TraceSpan span("codec.encode.topk", "codec", n);
+  CHECK_NOTNULL(quant);
+  CHECK_GT(n, 0);
+  CHECK_GE(k, 0);
+  CHECK_LE(k, n);
+  CHECK_GE(bias_len, 0);
   Payload payload = Payload::Allocate(kTopKHeaderWords + 2 * k + bias_len);
   float* words = payload.data();
   StoreWord(words + 0, static_cast<uint32_t>(n));
@@ -785,25 +814,16 @@ Payload TopKCodec::Encode(const float* quant, int64_t n, int64_t k, float* resid
   if (residual != nullptr) {
     std::copy(quant, quant + n, residual);
   }
-  int64_t taken = 0;
-  for (int64_t i = 0; i < n && taken < k; ++i) {
-    const float a = std::fabs(quant[i]);
-    const float mag = a == a ? a : 0.0f;
-    bool take = mag > threshold;
-    if (!take && mag == threshold && ties_left > 0) {
-      take = true;
-      --ties_left;
-    }
-    if (take) {
-      StoreWord(indices + taken, static_cast<uint32_t>(i));
-      values[taken] = quant[i];
-      if (residual != nullptr) {
-        residual[i] = 0.0f;  // the sent value is exact; nothing carries over
-      }
-      ++taken;
+  for (int64_t j = 0; j < k; ++j) {
+    const int64_t i = selected[j] - index_base;
+    CHECK(i >= 0 && i < n && (j == 0 || selected[j] > selected[j - 1]))
+        << "top-k selection out of order or out of range";
+    StoreWord(indices + j, static_cast<uint32_t>(i));
+    values[j] = quant[i];
+    if (residual != nullptr) {
+      residual[i] = 0.0f;  // the sent value is exact; nothing carries over
     }
   }
-  CHECK_EQ(taken, k);
   int64_t cursor = kTopKHeaderWords + 2 * k;
   if (bias_len > 0) {
     CHECK_NOTNULL(bias);

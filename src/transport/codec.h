@@ -282,11 +282,28 @@ class TopKCodec : public Codec {
                 std::vector<float>* bias) const override;
 
   /// Selects the k largest-magnitude elements of `quant` (gradient +
-  /// residual, n floats; 1 <= k <= n) and serializes them exactly. When
-  /// `residual` is non-null it is overwritten with quant everywhere except
-  /// the selected coordinates, which carry zero residual.
+  /// residual, n floats; 0 <= k <= n) and serializes them exactly: Select
+  /// then EncodeSelected over the whole slice.
   static Payload Encode(const float* quant, int64_t n, int64_t k, float* residual,
                         const float* bias, int64_t bias_len);
+
+  /// The indices of the k largest magnitudes of quant[0, n), ascending. The
+  /// threshold is the k-th largest magnitude (NaNs rank as zero, so the
+  /// order is total); elements strictly above it are always in, and ties at
+  /// it fill the remaining slots in index order. Independent of
+  /// nth_element's internal permutation and of the simd backend.
+  static std::vector<int64_t> Select(const float* quant, int64_t n, int64_t k);
+
+  /// Serializes the elements of one stripe quant[0, n) that `selected`
+  /// names as one frame of length n. `selected` holds k ascending layer
+  /// indices in [index_base, index_base + n), quant[0] being layer index
+  /// `index_base`; k may be 0. Lets one layer-wide Select be cut into
+  /// per-stripe frames with stripe-relative indices. When
+  /// `residual` is non-null it is overwritten with quant everywhere except
+  /// the selected coordinates, which carry zero residual.
+  static Payload EncodeSelected(const float* quant, int64_t n, const int64_t* selected,
+                                int64_t k, int64_t index_base, float* residual,
+                                const float* bias, int64_t bias_len);
 
   /// Validated zero-copy access to a frame's regions (including the
   /// strictly-increasing index scan).

@@ -40,7 +40,7 @@ TEST(ClientLibraryTest, OneSyncerThreadPushesEveryLayerBeforeAnyReply) {
     if (choice.scheme == PlannedScheme::kPS) {
       ps_layers.insert(l);
       for (int s = 0; s < kServers; ++s) {
-        expected_pushes += coordinator.PairsOnShard(l, PlannedScheme::kPS, s, 0).empty() ? 0 : 1;
+        expected_pushes += coordinator.PairsOnShard(l, choice, s, 0).empty() ? 0 : 1;
       }
     }
   }

@@ -310,6 +310,75 @@ TEST(CodecPropertyTest, TopKBreaksTiesInIndexOrder) {
   EXPECT_EQ(parsed->index(2), 3);
 }
 
+// A stripe of a layer-wide top-k selection may hold no selected element:
+// its frame has k = 0 and decodes to zeros plus its bias trailer.
+TEST(CodecPropertyTest, TopKFrameWithNoElementRoundTrips) {
+  const std::vector<float> quant = {0.25f, -0.5f, 0.75f, -1.0f, 0.125f};
+  const std::vector<float> bias = {2.0f, -3.0f};
+  std::vector<float> residual(quant.size(), 9.0f);
+  Payload frame = TopKCodec::Encode(quant.data(), 5, /*k=*/0, residual.data(), bias.data(), 2);
+  EXPECT_EQ(frame.size(), 3 + 2) << "header and bias, no (index, value) pairs";
+  EXPECT_EQ(residual, quant) << "nothing sent: the whole slice carries over";
+  Payload wire;
+  const PayloadView view = Transit(frame, &wire);
+  StatusOr<TopKCodec::Frame> parsed = TopKCodec::Parse(view);
+  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+  EXPECT_EQ(parsed->n, 5);
+  EXPECT_EQ(parsed->k, 0);
+  const StatusOr<int64_t> floats = CodecRegistry::Get(WireCodec::kTopK).Validate(view);
+  ASSERT_TRUE(floats.ok());
+  EXPECT_EQ(*floats, 5 + 2);
+  Tensor dense;
+  std::vector<float> decoded_bias;
+  ASSERT_TRUE(CodecRegistry::Get(WireCodec::kTopK).Decode(view, &dense, &decoded_bias).ok());
+  ASSERT_EQ(dense.size(), 5);
+  for (int64_t i = 0; i < 5; ++i) {
+    EXPECT_EQ(dense[i], 0.0f);
+  }
+  EXPECT_EQ(decoded_bias, bias);
+}
+
+// Cutting one layer-wide selection into per-stripe frames (what the syncer
+// sends for a striped top-k layer) sends exactly the whole-layer frame's
+// elements and leaves exactly its residual, wherever the cuts fall.
+TEST(CodecPropertyTest, TopKStripesOfOneSelectionMatchTheWholeFrame) {
+  Rng rng(803);
+  const int64_t n = 700;
+  const int64_t k = 37;
+  Tensor quant = Tensor::RandomUniform({n}, -2.0f, 2.0f, rng);
+  for (int64_t i = 0; i < n; i += 50) {
+    quant[i] = 1.5f;  // ties at the threshold straddle the cuts
+  }
+  std::vector<float> whole_residual(static_cast<size_t>(n));
+  Payload whole = TopKCodec::Encode(quant.data(), n, k, whole_residual.data(), nullptr, 0);
+  Tensor want;
+  ASSERT_TRUE(TopKCodec::DecodeDense(whole.View(), &want).ok());
+
+  const std::vector<int64_t> selected = TopKCodec::Select(quant.data(), n, k);
+  for (const std::vector<int64_t>& cuts :
+       {std::vector<int64_t>{0, 256, 512, n}, std::vector<int64_t>{0, 1, 2, 699, n}}) {
+    std::vector<float> residual(static_cast<size_t>(n), -1.0f);
+    std::vector<float> got(static_cast<size_t>(n), -1.0f);
+    int64_t sent = 0;
+    for (size_t c = 0; c + 1 < cuts.size(); ++c) {
+      const int64_t begin = cuts[c];
+      const int64_t length = cuts[c + 1] - begin;
+      const auto first = std::lower_bound(selected.begin(), selected.end(), begin);
+      const auto last = std::lower_bound(first, selected.end(), begin + length);
+      Payload stripe = TopKCodec::EncodeSelected(
+          quant.data() + begin, length, selected.data() + (first - selected.begin()),
+          last - first, begin, residual.data() + begin, nullptr, 0);
+      Tensor dense;
+      ASSERT_TRUE(TopKCodec::DecodeDense(stripe.View(), &dense).ok());
+      std::copy(dense.data(), dense.data() + length, got.data() + begin);
+      sent += last - first;
+    }
+    EXPECT_EQ(sent, k);
+    EXPECT_EQ(got, std::vector<float>(want.data(), want.data() + n));
+    EXPECT_EQ(residual, whole_residual);
+  }
+}
+
 TEST(CodecPropertyTest, TopKRejectsNonIncreasingIndices) {
   const std::vector<float> quant = {3.0f, 2.0f, 1.0f, 4.0f};
   Payload frame = TopKCodec::Encode(quant.data(), 4, 2, nullptr, nullptr, 0);

@@ -10,6 +10,8 @@
 // and the server-side rejection of malformed compressed frames.
 #include <gtest/gtest.h>
 
+#include <optional>
+#include <string>
 #include <vector>
 
 #include "src/models/comm_cost.h"
@@ -78,6 +80,33 @@ TEST(CompressionTrainerTest, QuantizedTrajectoryIsBitwiseReproducible) {
     EXPECT_TRUE(first == second)
         << "two identical compressed runs diverged — the stochastic rounding "
            "is not a pure function of (layer, clock, index)";
+  }
+}
+
+// How a compressed layer is cut into KV pairs and spread over shard
+// endpoints never changes a bit (docs/COMPRESSION.md): int8 stripes start on
+// the layer's 256-float chunk boundaries and top-k selects over the whole
+// layer. 256-byte pairs give every layer one stripe per chunk; 1 MB pairs
+// let the endpoint count (2, 4 or 8) set the stripe count.
+TEST(CompressionTrainerTest, CompressedTrajectoryIsShardInvariant) {
+  for (PlanCodecPolicy policy : {PlanCodecPolicy::kInt8, PlanCodecPolicy::kTopK}) {
+    SCOPED_TRACE(PlanCodecPolicyName(policy));
+    std::optional<testing::Trajectory> reference;
+    for (int64_t kv_pair_bytes : {int64_t{256}, int64_t{1} << 20}) {
+      for (int shards : {1, 2, 4}) {
+        SCOPED_TRACE("kv_pair_bytes=" + std::to_string(kv_pair_bytes) +
+                     " shards_per_server=" + std::to_string(shards));
+        TrainerOptions options = CompressedOptions(policy);
+        options.shards_per_server = shards;
+        options.kv_pair_bytes = kv_pair_bytes;
+        const testing::Trajectory run = testing::CaptureTrajectory(options, 6);
+        if (!reference.has_value()) {
+          reference = run;
+        } else {
+          EXPECT_TRUE(run == *reference) << "the trajectory depends on the striping";
+        }
+      }
+    }
   }
 }
 

@@ -580,6 +580,70 @@ TEST(FcLayerTest, SufficientFactorsMatchDenseGradient) {
   EXPECT_DOUBLE_EQ(MaxAbsDiff(recon, fc.weight_grad()), 0.0);
 }
 
+// An SFB layer's worker never reads its own dense weight gradient, so its
+// backward skips dW = dY^T X. Everything the SFB path does read — dX, the
+// bias gradient and the sufficient factors — must come out bit for bit as in
+// a full backward, and the skipped gradient must be left alone.
+TEST(FcLayerTest, SkippingTheWeightGradientLeavesEverythingElseBitEqual) {
+  Rng rng_full(12);
+  Rng rng_skip(12);
+  FullyConnectedLayer full("fc", 5, 2 * 2 * 3, rng_full);
+  FullyConnectedLayer skip("fc", 5, 2 * 2 * 3, rng_skip);
+  Rng data(13);
+  for (int64_t batch : {3, 1}) {
+    SCOPED_TRACE("batch=" + std::to_string(batch));
+    const Tensor in = FuzzTensor({batch, 2, 2, 3}, 0.1, false, data);
+    Tensor out_full;
+    Tensor out_skip;
+    full.Forward(in, &out_full);
+    skip.Forward(in, &out_skip);
+    ASSERT_TRUE(SameBits(out_skip, out_full));
+    const Tensor grad_out = FuzzTensor(out_full.shape(), 0.5, true, data);
+    skip.weight_grad().Fill(7.0f);
+    Tensor grad_in_full;
+    Tensor grad_in_skip;
+    full.Backward(grad_out, &grad_in_full);
+    skip.BackwardSkippingWeightGrad(grad_out, &grad_in_skip);
+
+    EXPECT_TRUE(SameBits(skip.weight_grad(), Tensor::Full(skip.weight_grad().shape(), 7.0f)))
+        << "the skipped weight gradient was written";
+    EXPECT_TRUE(SameBits(grad_in_skip, grad_in_full));
+    EXPECT_TRUE(SameBits(*skip.Params()[1].grad, *full.Params()[1].grad));
+    const SufficientFactors want = full.LastSufficientFactors();
+    const SufficientFactors got = skip.LastSufficientFactors();
+    EXPECT_TRUE(SameBits(got.u, want.u));
+    EXPECT_TRUE(SameBits(got.v, want.v));
+  }
+}
+
+TEST(NetworkTest, BackwardThroughCanSkipOneLayersWeightGradient) {
+  const Batch batch = SmallBatch(3, 2, 8, 3, 17);
+  Rng rng_full(9);
+  Rng rng_skip(9);
+  auto full = BuildMlp(2 * 8 * 8, 6, 2, 3, rng_full);
+  auto skip = BuildMlp(2 * 8 * 8, 6, 2, 3, rng_skip);
+  full->Forward(batch.images, batch.labels);
+  skip->Forward(batch.images, batch.labels);
+  const int top = skip->num_layers() - 1;
+  auto& top_fc = dynamic_cast<FullyConnectedLayer&>(skip->layer(top));
+  top_fc.weight_grad().Fill(7.0f);
+  for (int l = top; l >= 0; --l) {
+    full->BackwardThrough(l);
+    skip->BackwardThrough(l, /*weight_grad=*/l != top);
+  }
+  const auto want = full->LayerParams();
+  const auto got = skip->LayerParams();
+  for (size_t l = 0; l < got.size(); ++l) {
+    for (size_t p = 0; p < got[l].size(); ++p) {
+      if (static_cast<int>(l) == top && p == 0) {
+        EXPECT_TRUE(SameBits(*got[l][p].grad, Tensor::Full(got[l][p].grad->shape(), 7.0f)));
+        continue;
+      }
+      EXPECT_TRUE(SameBits(*got[l][p].grad, *want[l][p].grad)) << got[l][p].name;
+    }
+  }
+}
+
 TEST(DatasetTest, DeterministicBatches) {
   DatasetConfig config;
   config.seed = 21;

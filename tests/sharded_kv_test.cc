@@ -10,15 +10,20 @@
 #include <chrono>
 #include <cstring>
 #include <map>
+#include <memory>
 #include <optional>
+#include <string>
 #include <utility>
 #include <vector>
 
 #include "src/common/rng.h"
 #include "src/nn/builders.h"
+#include "src/nn/layers.h"
 #include "src/poseidon/coordinator.h"
 #include "src/poseidon/kv_store.h"
 #include "src/poseidon/trainer.h"
+#include "src/poseidon/workloads.h"
+#include "src/simd/quant.h"
 #include "src/tensor/onebit.h"
 #include "src/transport/bus.h"
 #include "src/transport/codec.h"
@@ -62,7 +67,7 @@ TEST(ShardedPartitionTest, EveryKeyOwnedByExactlyOneShard) {
     for (int s = 0; s < servers; ++s) {
       size_t on_server = 0;
       for (int h = 0; h < shards; ++h) {
-        on_server += coordinator.PairsOnShard(l, PlannedScheme::kPS, s, h).size();
+        on_server += coordinator.PairsOnShard(l, {"", PlannedScheme::kPS}, s, h).size();
       }
       EXPECT_EQ(on_server, coordinator.PairsOnServer(l, s).size());
       across_shards += on_server;
@@ -203,6 +208,76 @@ TEST(ShardedKvStoreTest, OneBitLayersFollowTheirOwnerShard) {
   EXPECT_EQ(one, TrainWithShards(3, PlanPolicy::kOneBit));
 }
 
+// The VGG-22K stand-in's joint auto plan in miniature — ring convs, one
+// top-k PS conv, SFB FCs — on 2 workers colocated with 2 one-shard servers.
+// Ring hops and SF broadcasts cost both nodes alike; the top-k conv's stripes
+// split its binary16 replies over both server NICs, so neither node sends
+// more than the other. A whole-layer pair would put every reply on one node.
+TEST(ShardedKvStoreTest, TopKLayerStripesBalanceNodeEgress) {
+  const SyntheticDataset dataset = workloads::TinyDataset();  // 8x8x1, 3 classes
+  NetworkFactory factory = [] {
+    Rng rng(31);
+    auto net = std::make_unique<Network>();
+    int64_t in_c = 1;
+    const int64_t widths[] = {8, 16, 32};  // 8x8 -> 4x4 -> 2x2 -> 1x1
+    for (int b = 0; b < 3; ++b) {
+      const std::string id = std::to_string(b + 1);
+      net->Add(std::make_unique<Conv2dLayer>("conv" + id, in_c, widths[b], 3, 1, 1, rng));
+      net->Add(std::make_unique<ReluLayer>("relu" + id));
+      net->Add(std::make_unique<MaxPool2Layer>("pool" + id));
+      in_c = widths[b];
+    }
+    net->Add(std::make_unique<FullyConnectedLayer>("fc6", 64, 32, rng));
+    net->Add(std::make_unique<ReluLayer>("relu6"));
+    net->Add(std::make_unique<FullyConnectedLayer>("fc7", 3, 64, rng));
+    return net;
+  };
+
+  auto plan = std::make_shared<CommPlan>();
+  plan->model = "vgg-mini";
+  auto init = factory();
+  for (int l = 0; l < init->num_layers(); ++l) {
+    PlanLayerChoice choice;
+    choice.layer = init->layer(l).name();
+    if (choice.layer == "conv3") {
+      choice.scheme = PlannedScheme::kPS;
+      choice.compression = GradCompression::kTopK;
+    } else if (choice.layer.rfind("conv", 0) == 0) {
+      choice.scheme = PlannedScheme::kRing;
+    } else if (choice.layer.rfind("fc", 0) == 0) {
+      choice.scheme = PlannedScheme::kSFB;
+    }
+    plan->layers.push_back(choice);
+  }
+  ASSERT_GE(init->layer(6).num_params(), 2 * simd::kInt8ChunkSize);
+  plan->hash = plan->ComputeHash();
+
+  TrainerOptions options;
+  options.num_workers = 2;
+  options.num_servers = 2;
+  options.shards_per_server = 1;
+  options.batch_per_worker = 6;
+  options.sgd = {.learning_rate = 0.05f, .momentum = 0.9f};
+  options.syncer_threads = 1;
+  options.plan_mode = TrainerPlanMode::kFixed;
+  options.fixed_plan = plan;
+  PoseidonTrainer trainer(factory, options);
+  ASSERT_EQ(trainer.bus().num_nodes(), 2) << "servers must be colocated with the workers";
+
+  trainer.Train(dataset, 2);
+  trainer.bus().FlushEgress();
+  const std::vector<int64_t> before = trainer.bus().TxBytes();
+  const int iterations = 4;
+  trainer.Train(dataset, iterations);
+  trainer.bus().FlushEgress();
+  const std::vector<int64_t> after = trainer.bus().TxBytes();
+  const double node0 = static_cast<double>(after[0] - before[0]) / iterations;
+  const double node1 = static_cast<double>(after[1] - before[1]) / iterations;
+  ASSERT_GT(node0, 0.0);
+  EXPECT_NEAR(node0, node1, 0.02 * std::max(node0, node1))
+      << "per-iteration tx: node 0 " << node0 << " B, node 1 " << node1 << " B";
+}
+
 TrainerOptions AutoShardOptions(int workers, int servers) {
   TrainerOptions options;
   options.num_workers = workers;
@@ -256,7 +331,7 @@ TEST(ShardedPartitionTest, OneBitLayerIsOneWholePairOnItsOwner) {
     for (int s = 0; s < servers; ++s) {
       for (int h = 0; h < shards; ++h) {
         const std::vector<KvPairInfo> pairs =
-            coordinator.PairsOnShard(l, PlannedScheme::kOneBit, s, h);
+            coordinator.PairsOnShard(l, {"", PlannedScheme::kOneBit}, s, h);
         if (s != l % servers || h != (l / servers) % shards) {
           EXPECT_TRUE(pairs.empty()) << "layer " << l << " on (" << s << ", " << h << ")";
           continue;
