@@ -11,7 +11,8 @@
 /// of an iteration's pushes, SF broadcasts and first hops are on the wire
 /// before the first reply is awaited, whatever the thread count.
 ///
-/// Usage inside a worker's training loop (paper Algorithm 2):
+/// Usage inside a worker's training loop (paper Algorithm 2; RunWorkerStep
+/// in trainer.h is the runtime's one copy of it):
 ///   net.Forward(...);
 ///   client.StartIteration();
 ///   for (int l = L - 1; l >= 0; --l) {

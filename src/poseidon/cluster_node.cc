@@ -1,6 +1,5 @@
 #include "src/poseidon/cluster_node.h"
 
-#include <algorithm>
 #include <cstdio>
 #include <thread>
 
@@ -35,28 +34,19 @@ ClusterNode::~ClusterNode() = default;
 
 Status ClusterNode::Run() {
   const TrainerOptions& t = config_.trainer;
-  const int num_nodes =
-      std::max(t.num_workers, t.server_node_base + t.num_servers);
-  if (static_cast<int>(config_.transport.node_owner.size()) != num_nodes) {
+  // Every process resolves the same plan and builds the same coordinator
+  // from it; replicas and the server master copies come from one
+  // deterministic factory.
+  init_net_ = workloads::TinyMlpFactory(config_.hidden_layers)();
+  plan_ = ResolveTrainerPlan(t, *init_net_);
+  coordinator_ = std::make_unique<Coordinator>(*init_net_, ClusterInfoFor(t, *plan_));
+  const ClusterInfo& cluster = coordinator_->cluster();
+  if (static_cast<int>(config_.transport.node_owner.size()) != cluster.NumNodes()) {
     return InvalidArgumentError("node_owner must map all " +
-                                std::to_string(num_nodes) + " bus nodes");
+                                std::to_string(cluster.NumNodes()) + " bus nodes");
   }
 
-  // Every process builds the same coordinator from the same shape; replicas
-  // and the server master copies come from one deterministic factory.
-  init_net_ = workloads::TinyMlpFactory(config_.hidden_layers)();
-  ClusterInfo cluster;
-  cluster.num_workers = t.num_workers;
-  cluster.num_servers = t.num_servers;
-  cluster.shards_per_server = t.shards_per_server;
-  cluster.server_node_base = t.server_node_base;
-  cluster.staleness = t.staleness;
-  cluster.batch_per_worker = t.batch_per_worker;
-  cluster.kv_pair_bytes = t.kv_pair_bytes;
-  coordinator_ = std::make_unique<Coordinator>(*init_net_, cluster);
-  plan_ = ResolveTrainerPlan(t, *init_net_);
-
-  bus_ = std::make_unique<MessageBus>(num_nodes);
+  bus_ = std::make_unique<MessageBus>(cluster.NumNodes());
   if (t.batch_egress) {
     bus_->EnableBatching(t.batch_options);
   }
@@ -67,39 +57,62 @@ Status ClusterNode::Run() {
       transport_.get(), static_cast<int>(config_.transport.processes.size()));
   bus_->AttachTransport(transport_);
   Status status = transport_->Start(bus_.get());
-  if (!status.ok()) return status;
+  if (status.ok()) {
+    // This process's slice of the node space. Every local mailbox is
+    // registered before Train announces readiness: no data frame flows until
+    // every process passed the rendezvous barrier, so no frame can beat its
+    // destination mailbox.
+    for (int s = 0; s < t.num_servers; ++s) {
+      if (transport_->IsLocal(cluster.ServerNode(s))) {
+        servers_.push_back(std::make_unique<KvServer>(
+            s, /*first_iter=*/0, *coordinator_, *plan_, *init_net_, bus_.get(), t.sgd));
+      }
+    }
+    for (int w = 0; w < t.num_workers; ++w) {
+      if (transport_->IsLocal(w)) {
+        local_workers_.push_back(w);
+        worker_nets_.push_back(workloads::TinyMlpFactory(config_.hidden_layers)());
+        clients_.push_back(std::make_unique<ClientLibrary>(
+            w, *coordinator_, *plan_, worker_nets_.back().get(), bus_.get(), t.sgd,
+            t.syncer_threads));
+      }
+    }
+    for (auto& server : servers_) {
+      server->Start();
+    }
+    status = Train();
+  }
 
-  // This process's slice of the node space.
-  for (int w = 0; w < t.num_workers; ++w) {
-    if (transport_->IsLocal(w)) local_workers_.push_back(w);
-  }
-  for (int s = 0; s < t.num_servers; ++s) {
-    if (transport_->IsLocal(cluster.ServerNode(s))) local_servers_.push_back(s);
-  }
-
-  // Register every local mailbox BEFORE announcing readiness: no data frame
-  // flows until every process passed the rendezvous barrier, so no frame can
-  // beat its destination mailbox.
-  for (int s : local_servers_) {
-    servers_.push_back(std::make_unique<KvServer>(
-        s, /*first_iter=*/0, *coordinator_, *plan_, *init_net_, bus_.get(), t.sgd));
-  }
-  for (int w : local_workers_) {
-    worker_nets_.push_back(workloads::TinyMlpFactory(config_.hidden_layers)());
-    clients_.push_back(std::make_unique<ClientLibrary>(
-        w, *coordinator_, *plan_, worker_nets_.back().get(), bus_.get(), t.sgd,
-        t.syncer_threads));
-  }
+  // The one teardown, whatever Train returned: stop the local shards, close
+  // the mailboxes, stop I/O.
   for (auto& server : servers_) {
-    server->Start();
+    server->Stop();
   }
+  bus_->CloseAll();
+  shim_counters_ = transport_->ShimCounters();
+  wire_counters_ = bus_->WireCounters();
+  transport_->Stop();
+  if (!status.ok()) {
+    return status;
+  }
+  if (config_.transport.shim.any()) {
+    LOG(Info) << "process " << config_.process << " shim: "
+              << FormatFaultCounters(shim_counters_);
+  }
+  LOG(Info) << "process " << config_.process << " clean exit; "
+            << "tx records=" << transport_->records_sent()
+            << " rx records=" << transport_->records_received();
+  return Status::Ok();
+}
 
-  status = transport_->ConnectAll();
+Status ClusterNode::Train() {
+  const TrainerOptions& t = config_.trainer;
+  Status status = transport_->ConnectAll();
   if (!status.ok()) return status;
   status = control_->Rendezvous(config_.rendezvous_timeout_ms);
   if (!status.ok()) return status;
   LOG(Info) << "process " << config_.process << " joined: "
-            << local_workers_.size() << " worker(s), " << local_servers_.size()
+            << local_workers_.size() << " worker(s), " << servers_.size()
             << " server(s) over " << transport_->name();
 
   losses_.assign(local_workers_.size(),
@@ -137,59 +150,18 @@ Status ClusterNode::Run() {
                                                         config_.shutdown_timeout_ms);
     if (!status.ok()) return status;
   }
-  status = control_->AwaitShutdown(config_.shutdown_timeout_ms);
-  if (!status.ok()) return status;
-
-  // Same teardown order as PoseidonTrainer::Shutdown, restricted to the
-  // local slice: poison each local shard, join, close mailboxes, stop I/O.
-  for (size_t i = 0; i < servers_.size(); ++i) {
-    for (int shard = 0; shard < servers_[i]->num_shards(); ++shard) {
-      Message shutdown;
-      shutdown.type = MessageType::kShutdown;
-      shutdown.from = Address{0, kSyncerPortBase};
-      shutdown.to = coordinator_->cluster().ShardAddress(local_servers_[i], shard);
-      const Status sent = bus_->Send(std::move(shutdown));
-      CHECK(sent.ok()) << sent.ToString();
-    }
-  }
-  for (auto& server : servers_) {
-    server->Join();
-  }
-  bus_->CloseAll();
-  shim_counters_ = transport_->ShimCounters();
-  wire_counters_ = bus_->WireCounters();
-  transport_->Stop();
-  if (config_.transport.shim.any()) {
-    LOG(Info) << "process " << config_.process << " shim: "
-              << FormatFaultCounters(shim_counters_);
-  }
-  LOG(Info) << "process " << config_.process << " clean exit; "
-            << "tx records=" << transport_->records_sent()
-            << " rx records=" << transport_->records_received();
-  return Status::Ok();
+  return control_->AwaitShutdown(config_.shutdown_timeout_ms);
 }
 
 Status ClusterNode::RunWorker(int local) {
-  // Bitwise-identical arithmetic to PoseidonTrainer::RunWorkerLoop: same
-  // batch schedule, same forward/backward order, same sync scheduling.
-  const TrainerOptions& t = config_.trainer;
   const int w = local_workers_[static_cast<size_t>(local)];
   const SyntheticDataset dataset = workloads::TinyDataset();
-  Network& net = *worker_nets_[static_cast<size_t>(local)];
-  ClientLibrary& client = *clients_[static_cast<size_t>(local)];
   for (int64_t iter = 0; iter < config_.iterations; ++iter) {
-    const Batch batch =
-        dataset.TrainBatch(iter, t.batch_per_worker, w, t.num_workers);
-    const LossResult result = net.Forward(batch.images, batch.labels);
-    losses_[static_cast<size_t>(local)][static_cast<size_t>(iter)] = result.loss;
-    accuracies_[static_cast<size_t>(local)][static_cast<size_t>(iter)] =
-        result.accuracy;
-    client.StartIteration(iter);
-    for (int l = net.num_layers() - 1; l >= 0; --l) {
-      net.BackwardThrough(l, NeedsWeightGrad(plan_->layers[static_cast<size_t>(l)]));
-      client.ScheduleSync(l);  // wait-free backpropagation
-    }
-    client.WaitAll();  // BSP barrier: every layer synchronized
+    const WorkerStep step =
+        RunWorkerStep(dataset, config_.trainer, w, iter, *worker_nets_[static_cast<size_t>(local)],
+                      *clients_[static_cast<size_t>(local)], *plan_);
+    losses_[static_cast<size_t>(local)][static_cast<size_t>(iter)] = step.result.loss;
+    accuracies_[static_cast<size_t>(local)][static_cast<size_t>(iter)] = step.result.accuracy;
   }
   return WriteWorkerResults(local);
 }

@@ -1,15 +1,19 @@
 /// \file
 /// The per-process runtime of a multi-process Poseidon cluster: one
 /// ClusterNode hosts this process's slice of the bus node space — any subset
-/// of worker replicas and KV servers — over a SocketTransport, and drives the
-/// exact worker-loop arithmetic of PoseidonTrainer::RunWorkerLoop.
+/// of worker replicas and KV servers — over a SocketTransport. Each local
+/// worker runs the trainer's own step (RunWorkerStep, trainer.h) once per
+/// iteration, so the cluster and PoseidonTrainer share one WFBP iteration,
+/// spans included; the local KV servers stop through KvServer::Stop, as the
+/// trainer's do.
 ///
 /// Every process constructs the full deterministic workload (dataset +
-/// replica factory, src/poseidon/workloads.h) and the full Coordinator from
-/// the shared cluster shape, then instantiates only the roles whose bus node
-/// it owns. Training math never sees the placement: the trajectory of a
-/// spawned N-process cluster is bitwise identical to the in-process trainer
-/// (tests/multiprocess_trajectory_test.cc holds this as an oracle).
+/// replica factory, src/poseidon/workloads.h), resolves the same plan and
+/// builds the full Coordinator from it (ClusterInfoFor), then instantiates
+/// only the roles whose bus node it owns. Training math never sees the
+/// placement: the trajectory of a spawned N-process cluster is bitwise
+/// identical to the in-process trainer (tests/multiprocess_trajectory_test.cc
+/// holds this as an oracle).
 ///
 /// Worker results are written to `out_dir`:
 ///   worker_<w>_losses.txt — one line per iteration, `<iter> <loss> <acc>`
@@ -67,7 +71,9 @@ class ClusterNode {
 
   /// Joins the cluster, trains, writes results, tears down. Non-OK on
   /// rendezvous/shutdown deadline or transport failure — the caller should
-  /// exit nonzero so the launcher kills the rest of the cluster.
+  /// exit nonzero so the launcher kills the rest of the cluster. Every
+  /// outcome runs the same teardown, so a failed Run still returns and the
+  /// member destructs.
   Status Run();
 
   /// Post-Run() snapshots (all-zero before Run completes): what the lossy
@@ -77,6 +83,10 @@ class ClusterNode {
   FaultCountersSnapshot wire_counters() const { return wire_counters_; }
 
  private:
+  /// Connects, passes the rendezvous, runs every local worker, then the
+  /// shutdown protocol; Run's bring-up precedes it and its teardown follows.
+  Status Train();
+  /// Local worker `w`'s iterations, one RunWorkerStep each, then its results.
   Status RunWorker(int w);
   Status WriteWorkerResults(int w);
 
@@ -90,7 +100,6 @@ class ClusterNode {
   std::shared_ptr<const CommPlan> plan_;
 
   std::vector<int> local_workers_;               // worker ids hosted here
-  std::vector<int> local_servers_;               // server ids hosted here
   std::vector<std::unique_ptr<Network>> worker_nets_;     // by local index
   std::vector<std::unique_ptr<ClientLibrary>> clients_;   // by local index
   std::vector<std::unique_ptr<KvServer>> servers_;        // by local index

@@ -101,16 +101,6 @@ StatusOr<PlannedScheme> Coordinator::BestScheme(const std::string& layer_name) c
   return NotFoundError("unknown layer: " + layer_name);
 }
 
-std::vector<KvPairInfo> Coordinator::PairsOnServer(int l, int server) const {
-  std::vector<KvPairInfo> pairs;
-  for (const KvPairInfo& pair : layer(l).pairs) {
-    if (pair.server == server) {
-      pairs.push_back(pair);
-    }
-  }
-  return pairs;
-}
-
 std::vector<KvPairInfo> Coordinator::PairsOnShard(int l, const PlanLayerChoice& choice,
                                                   int server, int shard) const {
   std::vector<KvPairInfo> pairs;
@@ -167,27 +157,6 @@ std::vector<KvPairInfo> Coordinator::CompressedStripes(int l) const {
     stripes.push_back(stripe);
   }
   return stripes;
-}
-
-std::vector<int64_t> Coordinator::ServerLoadFloats() const {
-  std::vector<int64_t> load(static_cast<size_t>(cluster_.num_servers), 0);
-  for (const LayerInfo& info : layers_) {
-    for (const KvPairInfo& pair : info.pairs) {
-      load[static_cast<size_t>(pair.server)] += pair.length;
-    }
-  }
-  return load;
-}
-
-std::vector<int64_t> Coordinator::ShardLoadFloats() const {
-  const int shards = cluster_.shards_per_server;
-  std::vector<int64_t> load(static_cast<size_t>(cluster_.num_servers * shards), 0);
-  for (const LayerInfo& info : layers_) {
-    for (const KvPairInfo& pair : info.pairs) {
-      load[static_cast<size_t>(pair.server * shards + pair.shard)] += pair.length;
-    }
-  }
-  return load;
 }
 
 }  // namespace poseidon

@@ -109,9 +109,6 @@ class Coordinator {
   PlannedScheme BestScheme(int l) const;
   StatusOr<PlannedScheme> BestScheme(const std::string& layer_name) const;
 
-  /// KV pairs of layer `l` owned by `server` (all of its shards).
-  std::vector<KvPairInfo> PairsOnServer(int l, int server) const;
-
   /// The KV pairs of layer `l` that endpoint (`server`, `shard`) serves
   /// when the layer runs `choice` — the one placement rule the worker-side
   /// syncer and the serving shard share:
@@ -129,15 +126,6 @@ class Coordinator {
   /// Other schemes have none.
   std::vector<KvPairInfo> PairsOnShard(int l, const PlanLayerChoice& choice, int server,
                                        int shard) const;
-
-  /// Total floats hosted by each server node, for balance checks (the
-  /// paper's motivation for fine-grained pairs).
-  std::vector<int64_t> ServerLoadFloats() const;
-
-  /// Total floats hosted by each shard endpoint, indexed
-  /// `server * shards_per_server + shard`. Striping should keep these as
-  /// balanced as the per-server loads.
-  std::vector<int64_t> ShardLoadFloats() const;
 
  private:
   /// Every stripe of compressed kPS layer `l`, in offset order (see

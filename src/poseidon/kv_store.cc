@@ -321,7 +321,7 @@ void KvShard::Release(int layer, LayerState* state, std::vector<Message>* replie
 KvServer::KvServer(int server_id, int64_t first_iter, const Coordinator& coordinator,
                    const CommPlan& plan, Network& init_net, MessageBus* bus,
                    const SgdConfig& sgd)
-    : id_(server_id) {
+    : id_(server_id), coordinator_(coordinator), bus_(bus) {
   const int shards = coordinator.cluster().shards_per_server;
   shards_.reserve(static_cast<size_t>(shards));
   for (int s = 0; s < shards; ++s) {
@@ -336,7 +336,15 @@ void KvServer::Start() {
   }
 }
 
-void KvServer::Join() {
+void KvServer::Stop() {
+  for (const auto& shard : shards_) {
+    Message shutdown;
+    shutdown.type = MessageType::kShutdown;
+    shutdown.from = Address{0, kSyncerPortBase};
+    shutdown.to = coordinator_.cluster().ShardAddress(id_, shard->shard());
+    const Status status = bus_->Send(std::move(shutdown));
+    CHECK(status.ok()) << status.ToString();
+  }
   for (auto& shard : shards_) {
     shard->Join();
   }

@@ -213,10 +213,11 @@ class KvServer {
 
   /// Spawns every shard's service thread.
   void Start();
-  /// Joins every shard (each after its kShutdown message).
-  void Join();
+  /// Stops every shard: sends each its kShutdown message, which it handles
+  /// after every message queued before it, then joins them all. Every
+  /// runtime's teardown goes through here.
+  void Stop();
 
-  int id() const { return id_; }
   int num_shards() const { return static_cast<int>(shards_.size()); }
   const KvShard& shard(int i) const { return *shards_[static_cast<size_t>(i)]; }
 
@@ -238,6 +239,8 @@ class KvServer {
 
  private:
   const int id_;
+  const Coordinator& coordinator_;
+  MessageBus* bus_;
   std::vector<std::unique_ptr<KvShard>> shards_;
 };
 

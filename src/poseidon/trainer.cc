@@ -69,6 +69,54 @@ std::shared_ptr<const CommPlan> ResolveTrainerPlan(const TrainerOptions& options
   return std::make_shared<const CommPlan>(PlanComm(PlanRequestFor(options, net)));
 }
 
+ClusterInfo ClusterInfoFor(const TrainerOptions& options, const CommPlan& plan) {
+  ClusterInfo cluster;
+  cluster.num_workers = options.num_workers;
+  cluster.num_servers = options.num_servers;
+  cluster.shards_per_server = plan.ps_shards;
+  cluster.server_node_base = options.server_node_base;
+  cluster.staleness = plan.staleness;
+  cluster.batch_per_worker = options.batch_per_worker;
+  cluster.kv_pair_bytes = options.kv_pair_bytes;
+  return cluster;
+}
+
+WorkerStep RunWorkerStep(const SyntheticDataset& dataset, const TrainerOptions& options, int w,
+                         int64_t iter, Network& net, ClientLibrary& client, const CommPlan& plan,
+                         int crash_after) {
+  TraceSpan iteration_span("iteration", "trainer", iter);
+  const Batch batch = dataset.TrainBatch(iter, options.batch_per_worker, w, options.num_workers);
+  WorkerStep step;
+  const Stopwatch watch;
+  {
+    TraceSpan forward_span("forward", "trainer", iter);
+    step.result = net.Forward(batch.images, batch.labels);
+  }
+  client.StartIteration(iter);
+  int backward_steps = 0;
+  for (int l = net.num_layers() - 1; l >= 0; --l) {
+    if (crash_after >= 0 && backward_steps >= crash_after) {
+      break;
+    }
+    {
+      TraceSpan backward_span("backward", "trainer", l);
+      net.BackwardThrough(l, NeedsWeightGrad(plan.layers[static_cast<size_t>(l)]));
+    }
+    client.ScheduleSync(l);  // wait-free backpropagation
+    ++backward_steps;
+  }
+  step.compute_ns = watch.ElapsedNs();
+  if (crash_after >= 0) {
+    return step;
+  }
+  {
+    TraceSpan wait_span("wait_all", "trainer", iter);
+    client.WaitAll();  // BSP barrier: every layer synchronized
+  }
+  step.wait_ns = watch.ElapsedNs() - step.compute_ns;
+  return step;
+}
+
 PoseidonTrainer::PoseidonTrainer(NetworkFactory factory, TrainerOptions options)
     : options_(options), factory_(std::move(factory)) {
   CHECK_GT(options_.num_workers, 0);
@@ -86,6 +134,7 @@ PoseidonTrainer::PoseidonTrainer(NetworkFactory factory, TrainerOptions options)
   if (options_.crash.active()) {
     CHECK(options_.failure_detection.enabled)
         << "a crash plan without failure detection deadlocks the cluster";
+    CHECK_GE(options_.crash.layers_before_crash, 0);
     CHECK_GT(options_.checkpoint_every, 0) << "recovery requires checkpoints";
     CHECK(!options_.checkpoint_dir.empty()) << "recovery requires a checkpoint dir";
   }
@@ -147,15 +196,7 @@ void PoseidonTrainer::InstallPlan(std::shared_ptr<const CommPlan> plan) {
         << "plan layer " << l << " is '" << name << "', model has '"
         << init_net_->layer(l).name() << "'";
   }
-  ClusterInfo cluster;
-  cluster.num_workers = options_.num_workers;
-  cluster.num_servers = options_.num_servers;
-  cluster.shards_per_server = plan_->ps_shards;
-  cluster.server_node_base = options_.server_node_base;
-  cluster.staleness = plan_->staleness;
-  cluster.batch_per_worker = options_.batch_per_worker;
-  cluster.kv_pair_bytes = options_.kv_pair_bytes;
-  coordinator_ = std::make_unique<Coordinator>(*init_net_, cluster);
+  coordinator_ = std::make_unique<Coordinator>(*init_net_, ClusterInfoFor(options_, *plan_));
   if (plan_->batch_egress && !options_.batch_egress) {
     bus_->EnableBatching(options_.batch_options);
   }
@@ -192,17 +233,7 @@ void PoseidonTrainer::AdoptPlan(std::shared_ptr<const CommPlan> new_plan) {
   // Quiesce the old communication stack. Workers are parked between Train()
   // windows, so nothing is in flight beyond the shards' run loops.
   for (auto& server : servers_) {
-    for (int shard = 0; shard < server->num_shards(); ++shard) {
-      Message shutdown;
-      shutdown.type = MessageType::kShutdown;
-      shutdown.from = Address{0, kSyncerPortBase};
-      shutdown.to = coordinator_->cluster().ShardAddress(server->id(), shard);
-      const Status status = bus_->Send(std::move(shutdown));
-      CHECK(status.ok()) << status.ToString();
-    }
-  }
-  for (auto& server : servers_) {
-    server->Join();
+    server->Stop();
   }
   bus_->CloseAll();
   clients_.clear();
@@ -265,57 +296,26 @@ void PoseidonTrainer::Shutdown() {
     detector_->Shutdown();
   }
   for (auto& server : servers_) {
-    for (int shard = 0; shard < server->num_shards(); ++shard) {
-      Message shutdown;
-      shutdown.type = MessageType::kShutdown;
-      shutdown.from = Address{0, kSyncerPortBase};
-      shutdown.to = coordinator_->cluster().ShardAddress(server->id(), shard);
-      const Status status = bus_->Send(std::move(shutdown));
-      CHECK(status.ok()) << status.ToString();
-    }
-  }
-  for (auto& server : servers_) {
-    server->Join();
+    server->Stop();
   }
   bus_->CloseAll();
 }
 
 void PoseidonTrainer::RunWorkerLoop(int w, int64_t from_iter) {
-  const int num_workers = options_.num_workers;
   const int64_t end_iter = window_.first_iter + window_.iterations;
   Network& net = *worker_nets_[static_cast<size_t>(w)];
   ClientLibrary& client = *clients_[static_cast<size_t>(w)];
   const CommPlan& plan = *plan_;  // swapped only between windows
   for (int64_t iter = from_iter; iter < end_iter; ++iter) {
-    TraceSpan iteration_span("iteration", "trainer", iter);
     const size_t i = static_cast<size_t>(iter - window_.first_iter);
-    const Batch batch =
-        window_.dataset->TrainBatch(iter, options_.batch_per_worker, w, num_workers);
-    Stopwatch compute_watch;
-    LossResult result;
-    {
-      TraceSpan forward_span("forward", "trainer", iter);
-      result = net.Forward(batch.images, batch.labels);
-    }
-    (*window_.losses)[static_cast<size_t>(w)][i] = result.loss;
-    (*window_.accuracies)[static_cast<size_t>(w)][i] = result.accuracy;
-    client.StartIteration(iter);
     const bool crash_now = options_.crash.active() && w == options_.crash.worker &&
                            iter == options_.crash.iter &&
                            !crash_fired_.load(std::memory_order_acquire);
-    int backward_steps = 0;
-    for (int l = net.num_layers() - 1; l >= 0; --l) {
-      if (crash_now && backward_steps >= options_.crash.layers_before_crash) {
-        break;
-      }
-      {
-        TraceSpan backward_span("backward", "trainer", l);
-        net.BackwardThrough(l, NeedsWeightGrad(plan.layers[static_cast<size_t>(l)]));
-      }
-      client.ScheduleSync(l);  // wait-free backpropagation
-      ++backward_steps;
-    }
-    const int64_t compute_ns = compute_watch.ElapsedNs();
+    const WorkerStep step =
+        RunWorkerStep(*window_.dataset, options_, w, iter, net, client, plan,
+                      crash_now ? options_.crash.layers_before_crash : -1);
+    (*window_.losses)[static_cast<size_t>(w)][i] = step.result.loss;
+    (*window_.accuracies)[static_cast<size_t>(w)][i] = step.result.accuracy;
     if (crash_now) {
       // Simulated process death: in-flight syncs are orphaned, beats
       // cease, no WaitAll, no cleanup. The failure detector takes it from
@@ -324,21 +324,16 @@ void PoseidonTrainer::RunWorkerLoop(int w, int64_t from_iter) {
       crashed_[static_cast<size_t>(w)]->store(true, std::memory_order_release);
       tickers_[static_cast<size_t>(w)]->Stop();
       LOG(Warning) << "worker " << w << " crashed at iteration " << iter << " after "
-                   << backward_steps << " backward steps";
+                   << std::min(options_.crash.layers_before_crash, net.num_layers())
+                   << " backward steps";
       return;
     }
-    Stopwatch wait_watch;
-    {
-      TraceSpan wait_span("wait_all", "trainer", iter);
-      client.WaitAll();  // BSP barrier: every layer synchronized
-    }
-    const int64_t wait_ns = wait_watch.ElapsedNs();
     (*window_.compute_ms)[static_cast<size_t>(w)][i] =
-        static_cast<double>(compute_ns) * 1e-6;
+        static_cast<double>(step.compute_ns) * 1e-6;
     (*window_.comm_wait_ms)[static_cast<size_t>(w)][i] =
-        static_cast<double>(wait_ns) * 1e-6;
-    compute_ns_total_.fetch_add(compute_ns, std::memory_order_relaxed);
-    comm_wait_ns_total_.fetch_add(wait_ns, std::memory_order_relaxed);
+        static_cast<double>(step.wait_ns) * 1e-6;
+    compute_ns_total_.fetch_add(step.compute_ns, std::memory_order_relaxed);
+    comm_wait_ns_total_.fetch_add(step.wait_ns, std::memory_order_relaxed);
     MaybeCheckpoint(w, iter + 1);
   }
 }

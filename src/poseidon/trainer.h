@@ -166,6 +166,28 @@ inline constexpr int kMaxAutoShards = 8;
 std::shared_ptr<const CommPlan> ResolveTrainerPlan(const TrainerOptions& options,
                                                    Network& net);
 
+/// The cluster shape a runtime builds its Coordinator from: the plan's shard
+/// count and staleness, everything else from `options`.
+ClusterInfo ClusterInfoFor(const TrainerOptions& options, const CommPlan& plan);
+
+/// What one worker step observed.
+struct WorkerStep {
+  LossResult result;       ///< the forward pass's loss and batch accuracy
+  int64_t compute_ns = 0;  ///< forward + backward wall time
+  int64_t wait_ns = 0;     ///< wall time blocked in WaitAll
+};
+
+/// One worker iteration of paper Algorithm 2, the step PoseidonTrainer and
+/// ClusterNode both run: worker `w`'s batch of `iter`, forward, then backward
+/// layer by layer, scheduling each layer's sync as its gradient lands
+/// (wait-free backpropagation), then the BSP barrier. Records the
+/// "iteration", "forward", "backward" and "wait_all" spans. `crash_after` >=
+/// 0 simulates the worker dying after that many backward steps: the step
+/// returns with its syncs in flight and never reaches WaitAll (wait_ns 0).
+WorkerStep RunWorkerStep(const SyntheticDataset& dataset, const TrainerOptions& options, int w,
+                         int64_t iter, Network& net, ClientLibrary& client, const CommPlan& plan,
+                         int crash_after = -1);
+
 struct IterationStats {
   int64_t iter = 0;
   double mean_loss = 0.0;      // across workers
@@ -245,7 +267,8 @@ class PoseidonTrainer {
  private:
   void Shutdown();
   /// One worker's training loop from `from_iter` through the end of the
-  /// Train() window (also the recovery replay path).
+  /// Train() window (also the recovery replay path): RunWorkerStep per
+  /// iteration, with the crash hook and recovery checkpoints around it.
   void RunWorkerLoop(int w, int64_t from_iter);
   /// Detector callback; spawns the recovery thread for a crashed worker.
   void OnWorkerSuspected(int w);

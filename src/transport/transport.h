@@ -5,14 +5,12 @@
 /// The bus owns everything protocol-shaped — routing, sequencing, batching,
 /// rate limits, link accounting, fault injection — and a Transport owns only
 /// the physical question "how does an encoded frame reach another process?".
-/// Two backends exist:
-///
-///   * InProcessTransport (this header): every node is local, so no frame is
-///     ever serialized. This is the bus's historical behaviour and stays the
-///     fast reference backend for the chaos/property suites.
-///   * SocketTransport (src/transport/socket_transport.h): nodes map onto OS
-///     processes; frames from docs/WIRE_FORMAT.md travel length-prefixed
-///     over TCP or Unix-domain stream sockets.
+/// A bus with no transport attached keeps every node in this process and
+/// never serializes a frame; that is how the in-process trainer and the
+/// chaos/property suites run. The one backend, SocketTransport
+/// (src/transport/socket_transport.h), maps nodes onto OS processes: frames
+/// from docs/WIRE_FORMAT.md travel length-prefixed over TCP or Unix-domain
+/// stream sockets.
 ///
 /// Contract: the bus calls SendFrame() with a fully encoded wire frame
 /// (src local, dst remote per IsLocal) after it has done its own accounting
@@ -39,7 +37,7 @@ class Transport {
   virtual ~Transport() = default;
 
   /// Backend name for logs, bench records and test parameterization
-  /// ("inproc", "tcp", "unix").
+  /// ("tcp", "unix").
   virtual const char* name() const = 0;
 
   /// True when `node`'s mailboxes live in this process, i.e. the bus should
@@ -56,22 +54,9 @@ class Transport {
                            std::vector<uint8_t> frame) = 0;
 
   /// Blocks until every frame accepted so far has left this process (written
-  /// to the socket, or no-op for in-process). Cross-process *delivery* is
-  /// not awaited — only the local egress is drained.
+  /// to the socket). Cross-process *delivery* is not awaited — only the
+  /// local egress is drained.
   virtual void Flush() {}
-};
-
-/// The degenerate backend: one process, every node local. Exists so code can
-/// be written against the Transport seam uniformly; the bus never actually
-/// calls SendFrame on it.
-class InProcessTransport : public Transport {
- public:
-  const char* name() const override { return "inproc"; }
-  bool IsLocal(int /*node*/) const override { return true; }
-  Status SendFrame(int /*src_node*/, int /*dst_node*/,
-                   std::vector<uint8_t> /*frame*/) override {
-    return InternalError("in-process transport has no wire");
-  }
 };
 
 }  // namespace poseidon

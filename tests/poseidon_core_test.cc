@@ -56,7 +56,7 @@ TEST(CoordinatorTest, KvPairsBalanceServerLoad) {
                       /*classes=*/10, rng);
   const int servers = 4;
   Coordinator coordinator(*net, SmallClusterInfo(4, servers, 8, /*kv_bytes=*/8192));
-  const std::vector<int64_t> load = coordinator.ServerLoadFloats();
+  const std::vector<int64_t> load = testing::RawPsShardLoadFloats(coordinator);
   const int64_t max = *std::max_element(load.begin(), load.end());
   const int64_t min = *std::min_element(load.begin(), load.end());
   EXPECT_LT(static_cast<double>(max) / static_cast<double>(min), 1.1);

@@ -27,6 +27,7 @@
 #include "src/tensor/onebit.h"
 #include "src/transport/bus.h"
 #include "src/transport/codec.h"
+#include "tests/testing/harness.h"
 
 namespace poseidon {
 namespace {
@@ -69,7 +70,9 @@ TEST(ShardedPartitionTest, EveryKeyOwnedByExactlyOneShard) {
       for (int h = 0; h < shards; ++h) {
         on_server += coordinator.PairsOnShard(l, {"", PlannedScheme::kPS}, s, h).size();
       }
-      EXPECT_EQ(on_server, coordinator.PairsOnServer(l, s).size());
+      EXPECT_EQ(on_server, static_cast<size_t>(std::count_if(
+                               info.pairs.begin(), info.pairs.end(),
+                               [s](const KvPairInfo& pair) { return pair.server == s; })));
       across_shards += on_server;
     }
     EXPECT_EQ(across_shards, info.pairs.size());
@@ -111,14 +114,19 @@ TEST(ShardedPartitionTest, StripingBalancesShardEndpoints) {
   const int servers = 2;
   const int shards = 4;
   Coordinator coordinator(*net, ShardedCluster(4, servers, shards, /*kv_bytes=*/8192));
-  const std::vector<int64_t> load = coordinator.ShardLoadFloats();
+  const std::vector<int64_t> load = testing::RawPsShardLoadFloats(coordinator);
   ASSERT_EQ(load.size(), static_cast<size_t>(servers * shards));
   const int64_t max = *std::max_element(load.begin(), load.end());
   const int64_t min = *std::min_element(load.begin(), load.end());
   EXPECT_GT(min, 0);
   EXPECT_LT(static_cast<double>(max) / static_cast<double>(min), 1.2);
-  // Shard loads must sum to the server loads they subdivide.
-  const std::vector<int64_t> server_load = coordinator.ServerLoadFloats();
+  // Shard loads must sum to the partition plan's server loads they subdivide.
+  std::vector<int64_t> server_load(static_cast<size_t>(servers), 0);
+  for (int l = 0; l < coordinator.num_layers(); ++l) {
+    for (const KvPairInfo& pair : coordinator.layer(l).pairs) {
+      server_load[static_cast<size_t>(pair.server)] += pair.length;
+    }
+  }
   for (int s = 0; s < servers; ++s) {
     int64_t sum = 0;
     for (int h = 0; h < shards; ++h) {
@@ -572,11 +580,7 @@ TEST(KvShardServiceTest, MalformedOneBitPushesAreRejectedNotFatal) {
     EXPECT_EQ(reply->iter, 0);
     EXPECT_EQ(ReplyFloats(*reply).size(), static_cast<size_t>(info.total_floats));
   }
-  Message shutdown;
-  shutdown.type = MessageType::kShutdown;
-  shutdown.to = coordinator.cluster().ShardAddress(0, 0);
-  ASSERT_TRUE(bus.Send(shutdown).ok());
-  server.Join();
+  server.Stop();
   for (int w = 0; w < workers; ++w) {
     EXPECT_FALSE(inbox[static_cast<size_t>(w)]->TryPop().has_value())
         << "a malformed push earned a reply";

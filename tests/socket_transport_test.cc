@@ -20,9 +20,14 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <condition_variable>
 #include <cstring>
+#include <memory>
+#include <mutex>
 #include <optional>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "src/poseidon/cluster_node.h"
@@ -301,6 +306,49 @@ TEST(SocketClusterConformanceTest, SocketWeatherNeverChangesTheTrajectory) {
         << "no weather was injected — the lossy run proved nothing";
     EXPECT_GE(run.shim.retransmits, run.shim.drops);
   }
+}
+
+// A member whose Run fails after its shards started must still return and
+// destruct: process 0 of 2 hosts worker 0 and server 0, and process 1's
+// port never listens, so ConnectAll fails with the local shard serving.
+TEST(ClusterNodeTest, FailedRunStillTearsDown) {
+  const ReservedTcpPort self_port;
+  const ReservedTcpPort silent_peer;  // bound, never listening
+  ClusterNodeConfig config;
+  config.trainer = SmallTrainerOptions(/*workers=*/2, /*servers=*/2, /*shards=*/1);
+  config.trainer.fc_policy = PlanPolicy::kDense;
+  config.transport.self = 0;
+  config.transport.processes.resize(2);
+  config.transport.processes[0].port = self_port.port();
+  config.transport.processes[1].port = silent_peer.port();
+  config.transport.node_owner = {0, 1};
+  config.transport.connect_timeout_ms = 200;
+
+  // On the heap and on a detached thread, so a member that never finishes
+  // tearing down fails this test instead of hanging the binary.
+  struct Outcome {
+    std::mutex mutex;
+    std::condition_variable cv;
+    bool done = false;
+    Status status;
+  };
+  const auto outcome = std::make_shared<Outcome>();
+  std::thread([config, outcome] {
+    Status status;
+    {
+      ClusterNode member(config);
+      status = member.Run();
+    }
+    std::lock_guard<std::mutex> lock(outcome->mutex);
+    outcome->status = status;
+    outcome->done = true;
+    outcome->cv.notify_all();
+  }).detach();
+  std::unique_lock<std::mutex> lock(outcome->mutex);
+  ASSERT_TRUE(outcome->cv.wait_for(lock, std::chrono::seconds(20),
+                                   [&] { return outcome->done; }))
+      << "the member never finished Run and its destructor";
+  EXPECT_EQ(outcome->status.code(), StatusCode::kUnavailable) << outcome->status.ToString();
 }
 
 // The wire format decodes no codec id past the sufficient-factor frame, so

@@ -31,6 +31,27 @@ ClusterInfo SmallClusterInfo(int workers, int servers, int batch, int64_t kv_byt
   return cluster;
 }
 
+std::vector<int64_t> RawPsShardLoadFloats(const Coordinator& coordinator) {
+  const ClusterInfo& cluster = coordinator.cluster();
+  CommPlan plan;
+  for (int l = 0; l < coordinator.num_layers(); ++l) {
+    plan.layers.push_back({coordinator.layer(l).name, PlannedScheme::kPS});
+  }
+  std::vector<int64_t> load(
+      static_cast<size_t>(cluster.num_servers * cluster.shards_per_server), 0);
+  for (int l = 0; l < coordinator.num_layers(); ++l) {
+    for (int s = 0; s < cluster.num_servers; ++s) {
+      for (int h = 0; h < cluster.shards_per_server; ++h) {
+        for (const KvPairInfo& pair :
+             coordinator.PairsOnShard(l, plan.layers[static_cast<size_t>(l)], s, h)) {
+          load[static_cast<size_t>(s * cluster.shards_per_server + h)] += pair.length;
+        }
+      }
+    }
+  }
+  return load;
+}
+
 std::vector<float> AllParams(Network& net) {
   std::vector<float> out;
   for (auto& layer_params : net.LayerParams()) {

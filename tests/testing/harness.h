@@ -53,6 +53,11 @@ TrainerOptions SmallTrainerOptions(int workers = 4, int servers = 2, int shards 
 ClusterInfo SmallClusterInfo(int workers, int servers, int batch,
                              int64_t kv_bytes = 1024);
 
+/// Floats each shard endpoint serves under an explicit all-raw-PS plan
+/// (every layer kPS, uncompressed), indexed server * shards_per_server +
+/// shard: Coordinator::PairsOnShard's pair lengths, summed.
+std::vector<int64_t> RawPsShardLoadFloats(const Coordinator& coordinator);
+
 /// Every parameter of every layer, flattened in (layer, block) order —
 /// the unit of bitwise trajectory comparison.
 std::vector<float> AllParams(Network& net);

@@ -8,13 +8,18 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
+#include <sstream>
 #include <string>
+#include <vector>
 
 #include "src/cluster/protocol_sim.h"
 #include "src/cluster/system_config.h"
 #include "src/models/zoo.h"
 #include "src/poseidon/trainer.h"
 #include "tests/testing/harness.h"
+#include "tests/testing/socket_cluster.h"
 
 namespace poseidon {
 namespace {
@@ -26,6 +31,35 @@ int CountOccurrences(const std::string& haystack, const std::string& needle) {
     ++count;
   }
   return count;
+}
+
+// The worker step's span begins, counted per recording thread and keyed by
+// "<name> <arg>" (the iteration for iteration/forward/wait_all, the layer for
+// backward), one map per thread, sorted.
+std::vector<std::map<std::string, int>> WorkerStepSpansPerThread(const std::string& json) {
+  std::map<int, std::map<std::string, int>> by_thread;
+  std::istringstream lines(json);
+  for (std::string line; std::getline(lines, line);) {
+    const size_t name_at = line.find("{\"name\": \"");
+    if (name_at == std::string::npos ||
+        line.find("\"cat\": \"trainer\", \"ph\": \"B\"") == std::string::npos) {
+      continue;
+    }
+    const size_t name_begin = name_at + 10;
+    const std::string name = line.substr(name_begin, line.find('"', name_begin) - name_begin);
+    if (name != "iteration" && name != "forward" && name != "backward" && name != "wait_all") {
+      continue;
+    }
+    const int tid = std::stoi(line.substr(line.find("\"tid\": ") + 7));
+    const std::string arg = line.substr(line.find("\"v\": ") + 5);
+    ++by_thread[tid][name + " " + arg.substr(0, arg.find('}'))];
+  }
+  std::vector<std::map<std::string, int>> threads;
+  for (auto& [tid, counts] : by_thread) {
+    threads.push_back(std::move(counts));
+  }
+  std::sort(threads.begin(), threads.end());
+  return threads;
 }
 
 // Every tracer test starts from a clean, disabled tracer. The tracer is
@@ -136,6 +170,47 @@ TEST(TraceSchemaTest, ShardedSspRunEmitsWfbpSpans) {
   EXPECT_EQ(CountOccurrences(json, "\"ph\": \"B\""),
             CountOccurrences(json, "\"ph\": \"E\""));
   ResetTracer();
+}
+
+// A socket cluster's workers run the trainer's step: each local worker's
+// thread records the same worker spans, iteration by iteration, as a worker
+// thread of an in-process trainer on the same options.
+TEST(TraceSchemaTest, SocketClusterWorkersRecordTheTrainersSpans) {
+  const testing::SocketClusterOptions cluster;  // 2 workers, 2 servers x 2 shards
+  TrainerOptions options = testing::SmallTrainerOptions(
+      cluster.workers, cluster.servers, cluster.shards, cluster.staleness, cluster.policy);
+  options.server_node_base = cluster.workers;
+
+  ResetTracer();
+  Tracer::Enable();
+  {
+    PoseidonTrainer trainer(testing::TinyMlpFactory(cluster.hidden_layers), options);
+    trainer.Train(testing::TinyDataset(), cluster.iterations);
+  }
+  Tracer::Disable();
+  const auto in_process = WorkerStepSpansPerThread(Tracer::ExportChromeJson());
+
+  ResetTracer();
+  Tracer::Enable();
+  testing::RunSocketCluster(cluster);
+  Tracer::Disable();
+  const auto in_cluster = WorkerStepSpansPerThread(Tracer::ExportChromeJson());
+  ResetTracer();
+
+  std::map<std::string, int> per_worker;
+  for (int iter = 0; iter < cluster.iterations; ++iter) {
+    for (const char* name : {"iteration", "forward", "wait_all"}) {
+      per_worker[std::string(name) + " " + std::to_string(iter)] = 1;
+    }
+  }
+  const int layers = testing::TinyMlpFactory(cluster.hidden_layers)()->num_layers();
+  for (int l = 0; l < layers; ++l) {
+    per_worker["backward " + std::to_string(l)] = cluster.iterations;
+  }
+  const std::vector<std::map<std::string, int>> every_worker(
+      static_cast<size_t>(cluster.workers), per_worker);
+  EXPECT_EQ(in_process, every_worker);
+  EXPECT_EQ(in_cluster, in_process);
 }
 
 // Tracing is observation only: a traced run must follow bitwise the same
