@@ -18,6 +18,7 @@
 #include "src/stats/trace.h"
 #include "src/models/zoo.h"
 #include "src/nn/builders.h"
+#include "src/nn/layers.h"
 #include "src/planner/comm_planner.h"
 #include "src/poseidon/trainer.h"
 #include "src/sim/fabric.h"
@@ -335,8 +336,12 @@ double NsPerCall(Fn&& fn) {
 //   ring_reduce_floats_per_s_{scalar,simd}        collective accumulate loop
 //   gemm_trans_b_{conv,fc}_floats_per_s_{scalar,simd}
 //                                                 GemmTransB multiply-add terms
-//                                                 (m*k*n) per second on a conv
-//                                                 and an FC forward shape
+//                                                 (m*k*n) per second on a
+//                                                 column-lane and an FC
+//                                                 forward shape
+//   conv_layer_floats_per_s_{scalar,simd}         Conv2dLayer::Forward
+//                                                 multiply-add terms per second
+//                                                 on CIFAR conv2 at batch 16
 //   mem_bw_gbps                                   large-buffer copy bandwidth
 // When the host has no SIMD backend (meta simd_available = 0) the _simd
 // series repeat the scalar numbers so the required-series contract holds;
@@ -356,8 +361,11 @@ void RecordRoofline(BenchRecord* record) {
   std::vector<float> reduce_dst(static_cast<size_t>(reduce_n), 0.5f);
   std::vector<float> reduce_src(static_cast<size_t>(reduce_n), 0.25f);
 
-  // GemmTransB shapes as m x k x n: CIFAR conv2 forward (batch 16, column
-  // lanes) and a VGG fc forward at batch 8 (row lanes).
+  // GemmTransB shapes as m x k x n. "conv" is CIFAR conv2's im2col product
+  // at batch 16: the conv forward no longer runs GemmTransB (conv_layer
+  // below times it), but the shape still drives the column-lane path that SF
+  // reconstruction runs, and keeps the series' history comparable. "fc" is
+  // a VGG fc forward at batch 8 (row lanes).
   struct GemmShape {
     const char* name;
     int64_t m, k, n;
@@ -381,6 +389,22 @@ void RecordRoofline(BenchRecord* record) {
         record->Append(std::string("gemm_trans_b_") + shape.name + "_floats_per_s_" +
                            suffix,
                        1e9 * terms / gemm_ns);
+      }
+    }
+    {
+      // CIFAR conv2 at batch 16: 32 -> 32 channels, 5x5, pad 2, 16x16 pixels.
+      Rng conv_rng(29);
+      Conv2dLayer conv("conv2", 32, 32, 5, 1, 2, conv_rng);
+      const Tensor in = Tensor::RandomUniform({16, 32, 16, 16}, -1.0f, 1.0f, rng);
+      Tensor out;
+      const double terms = 16.0 * 16 * 16 * 32 * (32 * 5 * 5);
+      for (int rep = 0; rep < 3; ++rep) {
+        const double conv_ns = NsPerCall([&] {
+          conv.Forward(in, &out);
+          benchmark::DoNotOptimize(out.data());
+          benchmark::ClobberMemory();
+        });
+        record->Append(std::string("conv_layer_floats_per_s_") + suffix, 1e9 * terms / conv_ns);
       }
     }
     OneBitQuantizer quantizer;
@@ -430,6 +454,10 @@ void RecordRoofline(BenchRecord* record) {
                 shape.name, simd::LevelName(best), gemm_vec / 1e6, gemm_scalar / 1e6,
                 gemm_vec / gemm_scalar);
   }
+  const double conv_scalar = record->Series("conv_layer_floats_per_s_scalar").front();
+  const double conv_vec = record->Series("conv_layer_floats_per_s_simd").front();
+  std::printf("roofline: conv_layer %s %.0fM terms/s vs scalar %.0fM (%.1fx)\n",
+              simd::LevelName(best), conv_vec / 1e6, conv_scalar / 1e6, conv_vec / conv_scalar);
 }
 
 void RecordWirePath(const char* prefix, PlanPolicy policy, int hidden_layers,

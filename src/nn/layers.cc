@@ -1,7 +1,9 @@
 #include "src/nn/layers.h"
 
 #include <algorithm>
+#include <cstring>
 
+#include "src/simd/vec.h"
 #include "src/tensor/ops.h"
 
 namespace poseidon {
@@ -36,6 +38,24 @@ struct TapRange {
 TapRange InsideTaps(int64_t origin, int64_t kernel, int64_t extent) {
   const int64_t lo = std::clamp<int64_t>(-origin, 0, kernel);
   return {lo, std::clamp<int64_t>(extent - origin, lo, kernel)};
+}
+
+// Copies the in_c x kernel x kernel patch whose top-left tap is `tap` in a
+// padded [in_c, hp, wp] image into `dst`, laid out (c, ky, kx). A constant
+// kKernel makes each kernel row's memcpy a fixed size, which the compiler
+// inlines instead of calling memcpy for a handful of floats; kKernel = 0
+// takes the kernel at run time.
+template <int64_t kKernel>
+void CopyPatch(const float* tap, int64_t in_c, int64_t kernel, int64_t hp, int64_t wp,
+               float* dst) {
+  if (kKernel != 0) {
+    kernel = kKernel;
+  }
+  for (int64_t c = 0; c < in_c; ++c, tap += hp * wp) {
+    for (int64_t ky = 0; ky < kernel; ++ky, dst += kernel) {
+      std::memcpy(dst, tap + ky * wp, sizeof(float) * static_cast<size_t>(kernel));
+    }
+  }
 }
 
 }  // namespace
@@ -118,71 +138,57 @@ Conv2dLayer::Conv2dLayer(std::string name, int64_t in_c, int64_t out_c, int64_t 
   CHECK_GE(pad_, 0);
 }
 
-// Row (img, y, x) of `cols` holds the patch under output pixel (y, x), laid
-// out (c, ky, kx) with zeros for taps in the padding. Each kernel row is one
-// contiguous run of the input row.
-void Conv2dLayer::Im2Col(const Tensor& in, Tensor* cols) const {
+// Pads every image of `in` into padded_ [K, C, H + 2 pad, W + 2 pad]. The
+// buffer is zeroed only when its shape changes and only its interior is
+// written here, so the border stays +0.0: padding taps then multiply +0.0,
+// exactly as im2col's zeros did, and inf/NaN weights meet them the same way.
+void Conv2dLayer::PadInput(const Tensor& in) {
   const int64_t k = in.dim(0);
   const int64_t h = in.dim(2);
   const int64_t w = in.dim(3);
-  const int64_t oh = OutDim(h);
-  const int64_t ow = OutDim(w);
-  EnsureShape(cols, {k * oh * ow, in_c_ * kernel_ * kernel_});
-  const float* image = in.data();
-  float* dst = cols->data();
-  for (int64_t img = 0; img < k; ++img, image += in_c_ * h * w) {
-    for (int64_t y = 0; y < oh; ++y) {
-      const int64_t y0 = y * stride_ - pad_;
-      const TapRange rows = InsideTaps(y0, kernel_, h);
-      for (int64_t x = 0; x < ow; ++x) {
-        const int64_t x0 = x * stride_ - pad_;
-        const TapRange taps = InsideTaps(x0, kernel_, w);
-        for (int64_t c = 0; c < in_c_; ++c) {
-          const float* plane = image + c * h * w;
-          for (int64_t ky = 0; ky < kernel_; ++ky, dst += kernel_) {
-            if (ky < rows.lo || ky >= rows.hi) {
-              std::fill(dst, dst + kernel_, 0.0f);
-              continue;
-            }
-            const int64_t offset = (y0 + ky) * w + x0;
-            std::fill(dst, dst + taps.lo, 0.0f);
-            for (int64_t kx = taps.lo; kx < taps.hi; ++kx) {
-              dst[kx] = plane[offset + kx];
-            }
-            std::fill(dst + taps.hi, dst + kernel_, 0.0f);
-          }
-        }
-      }
+  const int64_t hp = h + 2 * pad_;
+  const int64_t wp = w + 2 * pad_;
+  const std::vector<int64_t> shape = {k, in_c_, hp, wp};
+  if (padded_.shape() != shape) {
+    padded_ = Tensor(shape);
+  }
+  const float* src = in.data();
+  float* plane = padded_.data();
+  for (int64_t p = 0; p < k * in_c_; ++p, plane += hp * wp) {
+    for (int64_t y = 0; y < h; ++y, src += w) {
+      std::copy(src, src + w, plane + (y + pad_) * wp + pad_);
     }
   }
 }
 
-// The adjoint of Im2Col. Every input pixel sums its contributions in
-// (img, y, x, c, ky, kx) order, the order the float sums are pinned to.
-void Conv2dLayer::Col2Im(const Tensor& cols, Tensor* grad_in) const {
-  const int64_t k = last_in_shape_[0];
-  const int64_t h = last_in_shape_[2];
-  const int64_t w = last_in_shape_[3];
-  const int64_t oh = OutDim(h);
-  const int64_t ow = OutDim(w);
-  *grad_in = Tensor(last_in_shape_);
-  const float* src = cols.data();
-  float* image = grad_in->data();
-  for (int64_t img = 0; img < k; ++img, image += in_c_ * h * w) {
-    for (int64_t y = 0; y < oh; ++y) {
-      const int64_t y0 = y * stride_ - pad_;
-      const TapRange rows = InsideTaps(y0, kernel_, h);
-      for (int64_t x = 0; x < ow; ++x) {
-        const int64_t x0 = x * stride_ - pad_;
-        const TapRange taps = InsideTaps(x0, kernel_, w);
-        for (int64_t c = 0; c < in_c_; ++c, src += kernel_ * kernel_) {
-          float* plane = image + c * h * w;
-          for (int64_t ky = rows.lo; ky < rows.hi; ++ky) {
-            const int64_t offset = (y0 + ky) * w + x0;
-            const float* row = src + ky * kernel_;
-            for (int64_t kx = taps.lo; kx < taps.hi; ++kx) {
-              plane[offset + kx] += row[kx];
-            }
+// Packs pixels [pix0, pix0 + width) of one padded image as a [patch, width]
+// panel: row (c, ky, kx) holds that tap of each pixel, read at the pixel's
+// origin y*stride*wp + x*stride plus the tap's offset. A full panel whose
+// origins are consecutive (one output row at stride 1) copies each tap as
+// one constant-size 16-float run, which the compiler inlines; any other
+// panel is gathered.
+void Conv2dLayer::PackPanel(const float* image, int64_t ow, int64_t pix0, int64_t width,
+                            float* panel) const {
+  const int64_t hp = padded_.dim(2);
+  const int64_t wp = padded_.dim(3);
+  int64_t origin[kPanelWidth];
+  for (int64_t j = 0; j < width; ++j) {
+    const int64_t y = (pix0 + j) / ow;
+    const int64_t x = (pix0 + j) % ow;
+    origin[j] = y * stride_ * wp + x * stride_;
+  }
+  // Origins strictly increase, so a span of width - 1 means every step is 1.
+  const bool contiguous =
+      width == kPanelWidth && origin[width - 1] - origin[0] == width - 1;
+  for (int64_t c = 0; c < in_c_; ++c) {
+    for (int64_t ky = 0; ky < kernel_; ++ky) {
+      for (int64_t kx = 0; kx < kernel_; ++kx, panel += width) {
+        const float* tap = image + (c * hp + ky) * wp + kx;
+        if (contiguous) {
+          std::copy(tap + origin[0], tap + origin[0] + kPanelWidth, panel);
+        } else {
+          for (int64_t j = 0; j < width; ++j) {
+            panel[j] = tap[origin[j]];
           }
         }
       }
@@ -200,34 +206,43 @@ void Conv2dLayer::Forward(const Tensor& in, Tensor* out) {
   CHECK_GT(oh, 0);
   CHECK_GT(ow, 0);
   const int64_t pixels = oh * ow;
+  const int64_t patch = in_c_ * kernel_ * kernel_;
 
-  Im2Col(in, &last_cols_);
-  // [K*OH*OW, patch] x [patch, out_c] -> [K*OH*OW, out_c]
-  EnsureShape(&result_, {k * pixels, out_c_});
-  GemmTransB(last_cols_, weight_, &result_);
-
-  // Transpose each image's [pixel, out_c] block to NCHW and add the bias.
+  PadInput(in);
+  // out[img][o][pix0 + j] = (W x panel)[o, j] + bias[o], straight into NCHW,
+  // each dot summed in the (c, ky, kx) order im2col + GemmTransB used.
   *out = Tensor({k, out_c_, oh, ow});
-  const float* bias = bias_.data();
-  float* dst = out->data();
+  std::vector<float> panel(static_cast<size_t>(patch * kPanelWidth));
+  const int64_t image_floats = padded_.size() / k;
   for (int64_t img = 0; img < k; ++img) {
-    const float* block = result_.data() + img * pixels * out_c_;
-    for (int64_t c = 0; c < out_c_; ++c, dst += pixels) {
-      for (int64_t pix = 0; pix < pixels; ++pix) {
-        dst[pix] = block[pix * out_c_ + c] + bias[c];
-      }
+    const float* image = padded_.data() + img * image_floats;
+    float* dst = out->data() + img * out_c_ * pixels;
+    for (int64_t pix0 = 0; pix0 < pixels; pix0 += kPanelWidth) {
+      const int64_t width = std::min(kPanelWidth, pixels - pix0);
+      PackPanel(image, ow, pix0, width, panel.data());
+      simd::GemmPackedPanel(weight_.data(), panel.data(), out_c_, width, patch, bias_.data(),
+                            dst + pix0, pixels);
     }
   }
 }
 
+// Fused per output pixel in (img, y, x) order, which keeps each sum in the
+// order of the batch-wide GEMMs it replaces: dW += dY[pix, o] * patch row
+// per nonzero dY, as GemmTransA(dY, cols) did; the dCols row is the sum of
+// nonzero dY[pix, o] * W row o in ascending o, as Gemm(dY, W) did; and its
+// scatter into grad_in is Col2Im's (c, ky, kx) order. A pixel whose dY row
+// is all zero adds nothing: its dCols row would be all +0.0, and no partial
+// sum here can be -0.0 (each starts at +0.0), so adding it changes no bit.
 void Conv2dLayer::Backward(const Tensor& grad_out, Tensor* grad_in) {
   CHECK_EQ(grad_out.ndim(), 4);
   CHECK_EQ(grad_out.dim(1), out_c_);
   const int64_t k = grad_out.dim(0);
-  const int64_t pixels = grad_out.dim(2) * grad_out.dim(3);
+  const int64_t oh = grad_out.dim(2);
+  const int64_t ow = grad_out.dim(3);
+  const int64_t pixels = oh * ow;
 
-  // Rearrange dY to [K*OH*OW, out_c] to match the im2col layout. Each bias
-  // gradient sums image-major, then pixel-major.
+  // Rearrange dY to [K*OH*OW, out_c], one contiguous row per pixel. Each
+  // bias gradient sums image-major, then pixel-major.
   EnsureShape(&dy_, {k * pixels, out_c_});
   bias_grad_.SetZero();
   float* bias_grad = bias_grad_.data();
@@ -243,15 +258,65 @@ void Conv2dLayer::Backward(const Tensor& grad_out, Tensor* grad_in) {
       bias_grad[c] = sum;
     }
   }
-  // dW[out_c, patch] = dY^T x cols
-  GemmTransA(dy_, last_cols_, &weight_grad_);
-  if (grad_in == nullptr) {
-    return;
+
+  const int64_t h = last_in_shape_[2];
+  const int64_t w = last_in_shape_[3];
+  const int64_t hp = padded_.dim(2);
+  const int64_t wp = padded_.dim(3);
+  const int64_t patch = in_c_ * kernel_ * kernel_;
+  weight_grad_.SetZero();
+  if (grad_in != nullptr) {
+    *grad_in = Tensor(last_in_shape_);
   }
-  // dCols = dY x W
-  EnsureShape(&dcols_, {k * pixels, in_c_ * kernel_ * kernel_});
-  Gemm(dy_, weight_, &dcols_);
-  Col2Im(dcols_, grad_in);
+  std::vector<float> patch_row(static_cast<size_t>(patch));
+  std::vector<float> dcols_row(static_cast<size_t>(patch));
+  const float* dy = dy_.data();
+  for (int64_t img = 0; img < k; ++img) {
+    const float* image = padded_.data() + img * in_c_ * hp * wp;
+    for (int64_t y = 0; y < oh; ++y) {
+      const int64_t y0 = y * stride_ - pad_;
+      const TapRange rows = InsideTaps(y0, kernel_, h);
+      for (int64_t x = 0; x < ow; ++x, dy += out_c_) {
+        if (std::all_of(dy, dy + out_c_, [](float v) { return v == 0.0f; })) {
+          continue;
+        }
+        const float* tap = image + y * stride_ * wp + x * stride_;
+        if (kernel_ == 3) {
+          CopyPatch<3>(tap, in_c_, kernel_, hp, wp, patch_row.data());
+        } else if (kernel_ == 5) {
+          CopyPatch<5>(tap, in_c_, kernel_, hp, wp, patch_row.data());
+        } else {
+          CopyPatch<0>(tap, in_c_, kernel_, hp, wp, patch_row.data());
+        }
+        for (int64_t o = 0; o < out_c_; ++o) {
+          if (dy[o] != 0.0f) {
+            simd::Axpy(weight_grad_.data() + o * patch, dy[o], patch_row.data(), patch);
+          }
+        }
+        if (grad_in == nullptr) {
+          continue;
+        }
+        std::fill(dcols_row.begin(), dcols_row.end(), 0.0f);
+        for (int64_t o = 0; o < out_c_; ++o) {
+          if (dy[o] != 0.0f) {
+            simd::Axpy(dcols_row.data(), dy[o], weight_.data() + o * patch, patch);
+          }
+        }
+        const int64_t x0 = x * stride_ - pad_;
+        const TapRange taps = InsideTaps(x0, kernel_, w);
+        const float* row = dcols_row.data();
+        float* plane = grad_in->data() + img * in_c_ * h * w;
+        for (int64_t c = 0; c < in_c_; ++c, row += kernel_ * kernel_, plane += h * w) {
+          for (int64_t ky = rows.lo; ky < rows.hi; ++ky) {
+            const int64_t offset = (y0 + ky) * w + x0;
+            for (int64_t kx = taps.lo; kx < taps.hi; ++kx) {
+              plane[offset + kx] += row[ky * kernel_ + kx];
+            }
+          }
+        }
+      }
+    }
+  }
 }
 
 std::vector<ParamBlock> Conv2dLayer::Params() {

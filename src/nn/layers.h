@@ -1,5 +1,6 @@
-// Concrete layers: fully connected, 2-D convolution (im2col + GEMM), ReLU,
-// 2x2 max pooling, and a residual block composite for small ResNets.
+// Concrete layers: fully connected, 2-D convolution (packed-panel forward,
+// backward fused per output pixel), ReLU, 2x2 max pooling, and a residual
+// block composite for small ResNets.
 #ifndef POSEIDON_SRC_NN_LAYERS_H_
 #define POSEIDON_SRC_NN_LAYERS_H_
 
@@ -53,9 +54,12 @@ class FullyConnectedLayer : public Layer {
   std::vector<int64_t> last_in_shape_;  // original (possibly 4-D) input shape
 };
 
-// Direct 2-D convolution in NCHW via im2col + GEMM. Square kernels, square
-// stride, symmetric zero padding. The im2col, GEMM-result and gradient
-// scratch buffers persist across calls and regrow only when the batch shape
+// Direct 2-D convolution in NCHW. Square kernels, square stride, symmetric
+// zero padding. The forward pads each image once and runs, per block of 16
+// output pixels, the packed-panel tile (simd::GemmPackedPanel) over every
+// output channel, writing NCHW directly; the backward is fused per output
+// pixel. No im2col matrix is built. The padded input is kept for the
+// backward and, with the dY scratch, reallocated only when the batch shape
 // changes.
 class Conv2dLayer : public Layer {
  public:
@@ -67,9 +71,12 @@ class Conv2dLayer : public Layer {
   std::vector<ParamBlock> Params() override;
 
  private:
+  static constexpr int64_t kPanelWidth = 16;  // output pixels per forward panel
+
   int64_t OutDim(int64_t in_hw) const { return (in_hw + 2 * pad_ - kernel_) / stride_ + 1; }
-  void Im2Col(const Tensor& in, Tensor* cols) const;
-  void Col2Im(const Tensor& cols, Tensor* grad_in) const;
+  void PadInput(const Tensor& in);
+  void PackPanel(const float* image, int64_t ow, int64_t pix0, int64_t width,
+                 float* panel) const;
 
   int64_t in_c_;
   int64_t out_c_;
@@ -80,10 +87,8 @@ class Conv2dLayer : public Layer {
   Tensor bias_;         // [out_c]
   Tensor weight_grad_;
   Tensor bias_grad_;
-  Tensor last_cols_;    // [K * OH * OW, in_c * k * k]
-  Tensor result_;       // [K * OH * OW, out_c], forward GEMM output
-  Tensor dy_;           // [K * OH * OW, out_c], dY in the im2col layout
-  Tensor dcols_;        // [K * OH * OW, in_c * k * k], dY x W
+  Tensor padded_;       // [K, in_c, H + 2 pad, W + 2 pad], zero border
+  Tensor dy_;           // [K * OH * OW, out_c], dY with one row per pixel
   std::vector<int64_t> last_in_shape_;
 };
 

@@ -176,5 +176,10 @@ void GemmTransB(const float* a, const float* b, int64_t m, int64_t n, int64_t k,
   Active()->gemm_trans_b(a, b, m, n, k, accumulate, out);
 }
 
+void GemmPackedPanel(const float* a, const float* panel, int64_t m, int64_t width,
+                     int64_t k, const float* bias, float* out, int64_t out_stride) {
+  Active()->gemm_packed_panel(a, panel, m, width, k, bias, out, out_stride);
+}
+
 }  // namespace simd
 }  // namespace poseidon

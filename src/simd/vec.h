@@ -9,8 +9,8 @@
 ///   * Every kernel processes elements in fixed 8-wide blocks with a scalar
 ///     tail, and every operation inside a block is elementwise (or, for the
 ///     1-bit column statistics, strictly sequential down the rows of each
-///     column, or for GemmTransB strictly sequential along each output's
-///     dot product). No kernel ever reassociates a floating-point reduction,
+///     column, or for GemmTransB and GemmPackedPanel strictly sequential
+///     along each output's dot product). No kernel ever reassociates a floating-point reduction,
 ///     so the lane width never changes a result.
 ///   * Backends never emit fused multiply-adds: vector code uses explicit
 ///     mul-then-add intrinsics, and the whole project is compiled with
@@ -168,8 +168,8 @@ float MaxAbs(const float* src, int64_t n);
 /// counts). The top-k codec's threshold-selection pass.
 int64_t CountAbsGreater(const float* src, int64_t n, float threshold);
 
-/// Matrix product against a transposed right operand, the conv/FC forward
-/// and sufficient-factor reconstruction kernel: a is [m, k], b is [n, k] and
+/// Matrix product against a transposed right operand, the FC forward and
+/// sufficient-factor reconstruction kernel: a is [m, k], b is [n, k] and
 /// out is [m, n], all row-major, and for every (i, j)
 ///   dot = +0.0f;  for p in 0..k-1: dot = dot + a[i,p] * b[j,p]
 ///   out[i,j] = accumulate ? out[i,j] + dot : dot
@@ -178,6 +178,17 @@ int64_t CountAbsGreater(const float* src, int64_t n, float threshold);
 /// lanes (columns j, or rows i when m is 8 or 16), never split one sum.
 void GemmTransB(const float* a, const float* b, int64_t m, int64_t n, int64_t k,
                 bool accumulate, float* out);
+
+/// The packed-panel tile behind the conv forward (and, in the AVX2
+/// backend, GemmTransB's column lanes): a is [m, k] row-major, `bias` has
+/// m entries, and `panel` holds `width` columns packed as [k, width]
+/// (column j of tap p at panel[p * width + j]). For every i < m, j < width
+///   dot = +0.0f;  for p in 0..k-1: dot = dot + a[i,p] * panel[p,j]
+///   out[i * out_stride + j] = dot + bias[i]
+/// with a separate mul and add per term, each dot serial in p. Vector
+/// backends put the columns j in the lanes.
+void GemmPackedPanel(const float* a, const float* panel, int64_t m, int64_t width,
+                     int64_t k, const float* bias, float* out, int64_t out_stride);
 
 // ---------------------------------------------------------- backend table ---
 
@@ -203,6 +214,8 @@ struct Kernels {
   int64_t (*count_abs_greater)(const float*, int64_t, float);
   void (*gemm_trans_b)(const float*, const float*, int64_t, int64_t, int64_t, bool,
                        float*);
+  void (*gemm_packed_panel)(const float*, const float*, int64_t, int64_t, int64_t,
+                            const float*, float*, int64_t);
 };
 
 /// The scalar reference backend (always available).

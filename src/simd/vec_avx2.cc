@@ -384,15 +384,16 @@ POSEIDON_AVX2 int64_t Avx2CountAbsGreater(const float* src, int64_t n,
   return count;
 }
 
-// GemmTransB. Every output element keeps the scalar reference's serial sum
-// (+0.0, then acc + a*b for p = 0..k-1, mul and add separate); speed comes
-// from giving each lane its own output element, so the lane axis is chosen
-// by shape: rows i when m is 8 or 16 (FC forward at small batch, where
-// transposing the [m, k] operand is cheap), else columns j (conv forward and
-// SF reconstruction, large m). Each lays its transposed operand out in a
-// per-thread panel that is grown once and reused, so steady-state calls do
-// not allocate.
-float* GemmPanel(int64_t floats) {
+// GemmTransB and GemmPackedPanel. Every output element keeps the scalar
+// reference's serial sum (+0.0, then acc + a*b for p = 0..k-1, mul and add
+// separate); speed comes from giving each lane its own output element, so
+// the lane axis is chosen by shape: rows i when m is 8 or 16 (FC forward at
+// small batch, where transposing the [m, k] operand is cheap), else columns
+// j through the one packed-panel tile below (SF reconstruction, large m, and
+// the conv forward, which packs its own panels). GemmTransB lays its
+// transposed operand out in a per-thread scratch that is grown once and
+// reused, so steady-state calls do not allocate.
+float* PanelScratch(int64_t floats) {
   thread_local std::vector<float> panel;
   if (panel.size() < static_cast<size_t>(floats)) {
     panel.resize(static_cast<size_t>(floats));
@@ -400,14 +401,14 @@ float* GemmPanel(int64_t floats) {
   return panel.data();
 }
 
-// Column lanes: one kRows x 8*kVecs output tile at `out`, rows of `a`
-// starting at `a`. `panel` holds the tile's b rows as [k, 8*kVecs]; with
-// kRows = 4 the rows share each panel load, and the 4*kVecs independent
-// accumulators hide the add latency.
+// The register tile: kRows x 8*kVecs outputs at `out` (row stride
+// out_stride), rows of `a` starting at `a`, from columns of a [k, width]
+// panel starting at `panel`. The kRows rows share each panel load, and the
+// 4*kVecs independent accumulators hide the add latency.
 template <int kRows, int kVecs>
-POSEIDON_AVX2 void Avx2GemmColumnTile(const float* a, const float* panel, int64_t n,
-                                      int64_t k, bool accumulate, float* out) {
-  constexpr int64_t kWidth = 8 * kVecs;
+POSEIDON_AVX2 void Avx2PanelTile(const float* a, const float* panel, int64_t width,
+                                 int64_t k, const float* bias, bool accumulate,
+                                 float* out, int64_t out_stride) {
   __m256 acc[kRows][kVecs];
 #pragma GCC unroll 4
   for (int r = 0; r < kRows; ++r) {
@@ -420,7 +421,7 @@ POSEIDON_AVX2 void Avx2GemmColumnTile(const float* a, const float* panel, int64_
     __m256 bv[kVecs];
 #pragma GCC unroll 2
     for (int v = 0; v < kVecs; ++v) {
-      bv[v] = _mm256_loadu_ps(panel + p * kWidth + 8 * v);
+      bv[v] = _mm256_loadu_ps(panel + p * width + 8 * v);
     }
 #pragma GCC unroll 4
     for (int r = 0; r < kRows; ++r) {
@@ -435,26 +436,54 @@ POSEIDON_AVX2 void Avx2GemmColumnTile(const float* a, const float* panel, int64_
   for (int r = 0; r < kRows; ++r) {
 #pragma GCC unroll 2
     for (int v = 0; v < kVecs; ++v) {
-      float* o = out + r * n + 8 * v;
-      _mm256_storeu_ps(o, accumulate ? _mm256_add_ps(_mm256_loadu_ps(o), acc[r][v])
-                                     : acc[r][v]);
+      __m256 value = acc[r][v];
+      if (bias != nullptr) {
+        value = _mm256_add_ps(value, _mm256_set1_ps(bias[r]));
+      }
+      float* o = out + r * out_stride + 8 * v;
+      _mm256_storeu_ps(o, accumulate ? _mm256_add_ps(_mm256_loadu_ps(o), value) : value);
     }
   }
 }
 
-// Output columns [g0, g1) of kRows rows, from a panel packed as 16-column
-// blocks (the last may be 8 wide), block j0 at panel + (j0 - g0) * k.
+// Every column of a [k, width] panel for kRows rows: 16-wide tiles, one
+// 8-wide tile, then the scalar reference's loop for the last width % 8.
 template <int kRows>
-POSEIDON_AVX2 void Avx2GemmColumnTiles(const float* a, const float* panel, int64_t g0,
-                                       int64_t g1, int64_t n, int64_t k,
-                                       bool accumulate, float* out) {
-  for (int64_t j0 = g0; j0 < g1; j0 += 16) {
-    const float* block = panel + (j0 - g0) * k;
-    if (j0 + 16 <= g1) {
-      Avx2GemmColumnTile<kRows, 2>(a, block, n, k, accumulate, out + j0);
-    } else {
-      Avx2GemmColumnTile<kRows, 1>(a, block, n, k, accumulate, out + j0);
+POSEIDON_AVX2 void Avx2PanelRows(const float* a, const float* panel, int64_t width,
+                                 int64_t k, const float* bias, bool accumulate,
+                                 float* out, int64_t out_stride) {
+  int64_t j = 0;
+  for (; j + 16 <= width; j += 16) {
+    Avx2PanelTile<kRows, 2>(a, panel + j, width, k, bias, accumulate, out + j, out_stride);
+  }
+  if (j + 8 <= width) {
+    Avx2PanelTile<kRows, 1>(a, panel + j, width, k, bias, accumulate, out + j, out_stride);
+    j += 8;
+  }
+  for (; j < width; ++j) {
+    for (int r = 0; r < kRows; ++r) {
+      float acc = 0.0f;
+      for (int64_t p = 0; p < k; ++p) {
+        acc += a[r * k + p] * panel[p * width + j];
+      }
+      const float value = bias != nullptr ? acc + bias[r] : acc;
+      float* o = out + r * out_stride + j;
+      *o = accumulate ? *o + value : value;
     }
+  }
+}
+
+POSEIDON_AVX2 void Avx2GemmPackedPanel(const float* a, const float* panel, int64_t m,
+                                       int64_t width, int64_t k, const float* bias,
+                                       float* out, int64_t out_stride) {
+  int64_t i = 0;
+  for (; i + 4 <= m; i += 4) {
+    Avx2PanelRows<4>(a + i * k, panel, width, k, bias + i, /*accumulate=*/false,
+                     out + i * out_stride, out_stride);
+  }
+  for (; i < m; ++i) {
+    Avx2PanelRows<1>(a + i * k, panel, width, k, bias + i, /*accumulate=*/false,
+                     out + i * out_stride, out_stride);
   }
 }
 
@@ -480,7 +509,7 @@ POSEIDON_AVX2 void Avx2GemmRowLanes(const float* a, const float* b, int64_t n,
                                     int64_t k, bool accumulate, float* out) {
   constexpr int64_t kM = 8 * kVecs;
   constexpr int kCols = 8 / kVecs;
-  float* panel = GemmPanel(kM * k);
+  float* panel = PanelScratch(kM * k);
   for (int64_t i = 0; i < kM; ++i) {
     for (int64_t p = 0; p < k; ++p) {
       panel[p * kM + i] = a[i * k + p];
@@ -546,15 +575,15 @@ POSEIDON_AVX2 void Avx2GemmTransB(const float* a, const float* b, int64_t m, int
     Avx2GemmRowLanes<2>(a, b, n, k, accumulate, out);
     return;
   }
-  // Column lanes over the 8-aligned columns, in groups whose packed b panel
-  // fits in ~256 KB of L2. Each group sweeps the rows four at a time, so a
-  // row of `a` and of `out` is read and written contiguously.
+  // Column lanes: b is packed as [k, width] panels of 16 columns (the last
+  // may be narrower), in groups whose panels fit in ~256 KB of L2. Each
+  // group sweeps the rows four at a time through the packed-panel tile, so
+  // a row of `a` and of `out` is read and written contiguously.
   constexpr int64_t kPanelFloats = 64 * 1024;
-  const int64_t n_vec = n / 8 * 8;
   const int64_t group = std::max<int64_t>(16, kPanelFloats / std::max<int64_t>(k, 1) / 16 * 16);
-  float* panel = GemmPanel(std::min(group, n_vec) * k);
-  for (int64_t g0 = 0; g0 < n_vec; g0 += group) {
-    const int64_t g1 = std::min(n_vec, g0 + group);
+  float* panel = PanelScratch(std::min(group, n) * k);
+  for (int64_t g0 = 0; g0 < n; g0 += group) {
+    const int64_t g1 = std::min(n, g0 + group);
     for (int64_t j0 = g0; j0 < g1; j0 += 16) {
       const int64_t width = std::min<int64_t>(16, g1 - j0);
       float* block = panel + (j0 - g0) * k;
@@ -567,18 +596,16 @@ POSEIDON_AVX2 void Avx2GemmTransB(const float* a, const float* b, int64_t m, int
     }
     int64_t i = 0;
     for (; i + 4 <= m; i += 4) {
-      Avx2GemmColumnTiles<4>(a + i * k, panel, g0, g1, n, k, accumulate, out + i * n);
+      for (int64_t j0 = g0; j0 < g1; j0 += 16) {
+        Avx2PanelRows<4>(a + i * k, panel + (j0 - g0) * k, std::min<int64_t>(16, g1 - j0), k,
+                         nullptr, accumulate, out + i * n + j0, n);
+      }
     }
     for (; i < m; ++i) {
-      Avx2GemmColumnTiles<1>(a + i * k, panel, g0, g1, n, k, accumulate, out + i * n);
-    }
-  }
-  // Columns past the last 8-block: the scalar reference, one row at a time
-  // (with m = 1 its output row stride never matters).
-  if (n_vec < n) {
-    for (int64_t i = 0; i < m; ++i) {
-      ScalarKernels()->gemm_trans_b(a + i * k, b + n_vec * k, 1, n - n_vec, k, accumulate,
-                                    out + i * n + n_vec);
+      for (int64_t j0 = g0; j0 < g1; j0 += 16) {
+        Avx2PanelRows<1>(a + i * k, panel + (j0 - g0) * k, std::min<int64_t>(16, g1 - j0), k,
+                         nullptr, accumulate, out + i * n + j0, n);
+      }
     }
   }
 }
@@ -593,7 +620,7 @@ const Kernels kAvx2Kernels = {
     Avx2Fp16EncodeRn,       Avx2Fp16Decode,
     Avx2Int8EncodeSr,       Avx2Int8Decode,
     Avx2MaxAbs,             Avx2CountAbsGreater,
-    Avx2GemmTransB,
+    Avx2GemmTransB,         Avx2GemmPackedPanel,
 };
 
 }  // namespace

@@ -375,6 +375,12 @@ void NeonGemmTransB(const float* a, const float* b, int64_t m, int64_t n, int64_
   ScalarKernels()->gemm_trans_b(a, b, m, n, k, accumulate, out);
 }
 
+// Nor a NEON packed-panel tile, for the same reason.
+void NeonGemmPackedPanel(const float* a, const float* panel, int64_t m, int64_t width,
+                         int64_t k, const float* bias, float* out, int64_t out_stride) {
+  ScalarKernels()->gemm_packed_panel(a, panel, m, width, k, bias, out, out_stride);
+}
+
 const Kernels kNeonKernels = {
     Level::kNeon,           NeonReduceAdd,
     NeonScale,              NeonAxpy,
@@ -383,7 +389,7 @@ const Kernels kNeonKernels = {
     NeonFp16EncodeRn,       NeonFp16Decode,
     NeonInt8EncodeSr,       NeonInt8Decode,
     NeonMaxAbs,             NeonCountAbsGreater,
-    NeonGemmTransB,
+    NeonGemmTransB,         NeonGemmPackedPanel,
 };
 
 }  // namespace

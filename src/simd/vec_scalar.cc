@@ -162,6 +162,21 @@ void ScalarGemmTransB(const float* a, const float* b, int64_t m, int64_t n, int6
   }
 }
 
+void ScalarGemmPackedPanel(const float* a, const float* panel, int64_t m, int64_t width,
+                           int64_t k, const float* bias, float* out, int64_t out_stride) {
+  for (int64_t i = 0; i < m; ++i) {
+    const float* a_row = a + i * k;
+    float* o_row = out + i * out_stride;
+    for (int64_t j = 0; j < width; ++j) {
+      float acc = 0.0f;
+      for (int64_t p = 0; p < k; ++p) {
+        acc += a_row[p] * panel[p * width + j];
+      }
+      o_row[j] = acc + bias[i];
+    }
+  }
+}
+
 const Kernels kScalarKernels = {
     Level::kScalar,          ScalarReduceAdd,
     ScalarScale,             ScalarAxpy,
@@ -170,7 +185,7 @@ const Kernels kScalarKernels = {
     ScalarFp16EncodeRn,      ScalarFp16Decode,
     ScalarInt8EncodeSr,      ScalarInt8Decode,
     ScalarMaxAbs,            ScalarCountAbsGreater,
-    ScalarGemmTransB,
+    ScalarGemmTransB,        ScalarGemmPackedPanel,
 };
 
 }  // namespace

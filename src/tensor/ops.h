@@ -20,7 +20,7 @@ void Gemm(const Tensor& a, const Tensor& b, Tensor* out);
 void GemmTransA(const Tensor& a, const Tensor& b, Tensor* out);
 
 // out = a * b^T. a is [m,k], b is [n,k], out is [m,n] (overwritten). Runs the
-// dispatched simd::GemmTransB kernel (conv/FC forward, SF reconstruction).
+// dispatched simd::GemmTransB kernel (FC forward, SF reconstruction).
 void GemmTransB(const Tensor& a, const Tensor& b, Tensor* out);
 
 // y += alpha * x (element-wise, shapes must match).

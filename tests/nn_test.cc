@@ -376,6 +376,54 @@ TEST(LayerBitwiseTest, ConvMatchesPerElementReference) {
   }
 }
 
+// The conv shapes the end-to-end workloads train, at their batch sizes:
+// CIFAR-quick's three 5x5 pad-2 convs at batch 16 and the VGG stand-in's
+// three 3x3 pad-1 convs at batch 8, which cover whole 16-pixel panels, the
+// 8-wide rows that span two output rows, and up to 128 output channels; plus
+// one layer with out_c = 6 (not a multiple of the 4-row tile) and 63 output
+// pixels, whose last panel is a 15-wide tail.
+TEST(LayerBitwiseTest, ConvWorkloadGeometriesMatchPerElementReference) {
+  struct Case {
+    ConvGeometry g;
+    int64_t batch;
+    int64_t hw_h;
+    int64_t hw_w;
+  };
+  const Case cases[] = {
+      {{3, 32, 5, 1, 2}, 16, 32, 32},  {{32, 32, 5, 1, 2}, 16, 16, 16},
+      {{32, 64, 5, 1, 2}, 16, 8, 8},   {{3, 32, 3, 1, 1}, 8, 16, 16},
+      {{32, 64, 3, 1, 1}, 8, 8, 8},    {{64, 128, 3, 1, 1}, 8, 4, 4},
+      {{3, 6, 3, 1, 1}, 4, 7, 9},
+  };
+  uint64_t seed = 500;
+  for (const Case& c : cases) {
+    const ConvGeometry& g = c.g;
+    Rng rng(++seed);
+    Conv2dLayer conv("conv", g.in_c, g.out_c, g.kernel, g.stride, g.pad, rng);
+    Tensor& weight = *conv.Params()[0].value;
+    Tensor& bias = *conv.Params()[1].value;
+    bias = FuzzTensor({g.out_c}, 0.0, false, rng);
+    for (bool specials : {false, true}) {
+      SCOPED_TRACE("in_c=" + std::to_string(g.in_c) + " out_c=" + std::to_string(g.out_c) +
+                   " kernel=" + std::to_string(g.kernel) + " " + std::to_string(c.hw_h) +
+                   "x" + std::to_string(c.hw_w) + " batch=" + std::to_string(c.batch) +
+                   (specials ? " specials" : ""));
+      const Tensor in = FuzzTensor({c.batch, g.in_c, c.hw_h, c.hw_w}, 0.1, specials, rng);
+      Tensor out;
+      conv.Forward(in, &out);
+      EXPECT_TRUE(SameBits(out, ReferenceConvForward(g, in, weight, bias)));
+
+      const Tensor grad_out = FuzzTensor(out.shape(), 0.75, specials, rng);
+      Tensor grad_in;
+      conv.Backward(grad_out, &grad_in);
+      const Gradients want = ReferenceConvBackward(g, in, weight, grad_out);
+      EXPECT_TRUE(SameBits(*conv.Params()[0].grad, want.weight));
+      EXPECT_TRUE(SameBits(*conv.Params()[1].grad, want.bias));
+      EXPECT_TRUE(SameBits(grad_in, want.input));
+    }
+  }
+}
+
 // Values from a five-element set, so windows tie (including +0 against -0),
 // plus NaN taps and windows of -inf, which pool to -3.4e38 and route their
 // gradient to flat index 0.

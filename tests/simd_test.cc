@@ -1,8 +1,9 @@
 // Cross-ISA property suite for the SIMD kernel layer (src/simd): every
 // backend the host can run must produce bitwise-identical results to the
 // scalar reference — on every length (vector blocks plus 0..15-element
-// tails), on every GemmTransB shape class, on unaligned inputs, through the
-// backward GEMMs that run on simd::Axpy, and through a full training run.
+// tails), on every GemmTransB shape class and packed-panel tile width, on
+// unaligned inputs, through the backward GEMMs that run on simd::Axpy, and
+// through a full training run.
 // This is the determinism contract of docs/PERFORMANCE.md, enforced rather
 // than assumed.
 #include <gtest/gtest.h>
@@ -382,6 +383,99 @@ TEST(SimdGemmTransBTest, BenchmarkShapesMatchLegacyLoopBitwise) {
   for (const Shape& s : {Shape{16384, 75, 32}, Shape{4096, 800, 32},
                          Shape{8, 1024, 2048}, Shape{2048, 8, 1024}, Shape{6, 64, 20}}) {
     CheckGemmTransB(&gen, s.m, s.n, s.k, /*offset=*/0, /*special_values=*/false);
+  }
+}
+
+// ------------------------------------------------------- GemmPackedPanel --
+
+// The conv forward's float graph as im2col + GemmTransB + the NCHW bias add
+// wrote it, verbatim, over a packed [k, width] panel: each output is the dot
+// of a row of `a` with a panel column, summed serially from +0.0, then
+// `+ bias[i]`.
+void LegacyPackedPanel(const float* a, const float* panel, int64_t m, int64_t width,
+                       int64_t k, const float* bias, float* out, int64_t out_stride) {
+  for (int64_t i = 0; i < m; ++i) {
+    for (int64_t j = 0; j < width; ++j) {
+      float acc = 0.0f;
+      for (int64_t p = 0; p < k; ++p) {
+        acc += a[i * k + p] * panel[p * width + j];
+      }
+      out[i * out_stride + j] = acc + bias[i];
+    }
+  }
+}
+
+// One packed-panel shape on every backend against the legacy loop
+// (memcmp). Output rows are strided past the panel width, as the conv's
+// NCHW planes are, and the gaps between them must stay untouched; `offset`
+// shifts every operand off any vector alignment. With `special_values` the
+// operands, bias included, also carry +-inf and the default NaN (inf - inf
+// at run time).
+void CheckPackedPanel(std::mt19937* gen, int64_t m, int64_t width, int64_t k,
+                      int64_t offset, bool special_values) {
+  SCOPED_TRACE("m=" + std::to_string(m) + " width=" + std::to_string(width) + " k=" +
+               std::to_string(k) + " offset=" + std::to_string(offset) +
+               (special_values ? " with inf/nan" : ""));
+  const size_t off = static_cast<size_t>(offset);
+  volatile float inf = std::numeric_limits<float>::infinity();
+  const float nan = inf - inf;
+  std::uniform_int_distribution<int> kind(0, 63);
+  auto fill = [&](int64_t count) {
+    const size_t total = static_cast<size_t>(count) + off;
+    if (!special_values) {
+      return FuzzFloats(gen, total);
+    }
+    std::vector<float> values = FuzzGemmFloats(gen, total);
+    for (float& x : values) {
+      if (kind(*gen) == 0) {
+        x = nan;
+      }
+    }
+    return values;
+  };
+  const int64_t out_stride = width + 3;
+  const std::vector<float> a = fill(m * k);
+  const std::vector<float> panel = fill(k * width);
+  const std::vector<float> bias = fill(m);
+  const std::vector<float> base = FuzzFloats(gen, static_cast<size_t>(m * out_stride) + off);
+
+  std::vector<float> want = base;
+  LegacyPackedPanel(a.data() + off, panel.data() + off, m, width, k, bias.data() + off,
+                    want.data() + off, out_stride);
+  for (simd::Level level : simd::SupportedLevels()) {
+    const simd::Kernels* kernels = simd::KernelsFor(level);
+    ASSERT_NE(kernels, nullptr);
+    std::vector<float> got = base;
+    kernels->gemm_packed_panel(a.data() + off, panel.data() + off, m, width, k,
+                               bias.data() + off, got.data() + off, out_stride);
+    EXPECT_TRUE(BitwiseEqual(got, want)) << simd::LevelName(level);
+  }
+}
+
+// Full 16-wide and 8-wide tiles and an odd scalar tail, on every row count
+// class (the 4-row tiles plus 1..3 leftover rows) and the conv patch sizes
+// (CIFAR conv1 75, conv2/conv3 800, the VGG stand-in's first conv 27).
+TEST(SimdGemmPackedPanelTest, ShapesMatchLegacyLoopBitwise) {
+  std::mt19937 gen(20261019);
+  for (int64_t width : {16, 8, 13}) {
+    for (int64_t m : {1, 2, 3, 5, 32, 64}) {
+      for (int64_t k : {1, 27, 75, 800}) {
+        CheckPackedPanel(&gen, m, width, k, /*offset=*/0, /*special_values=*/false);
+      }
+    }
+  }
+}
+
+TEST(SimdGemmPackedPanelTest, SpecialValuesAndUnalignedOperandsMatchBitwise) {
+  std::mt19937 gen(37);
+  for (int64_t offset : {1, 3, 5, 7}) {
+    for (int64_t width : {16, 8, 5, 1}) {
+      for (int64_t m : {1, 2, 3, 5, 32, 64}) {
+        for (int64_t k : {1, 27, 75}) {
+          CheckPackedPanel(&gen, m, width, k, offset, /*special_values=*/true);
+        }
+      }
+    }
   }
 }
 

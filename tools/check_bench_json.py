@@ -44,6 +44,8 @@ MICRO_REQUIRED = {
     "gemm_trans_b_conv_floats_per_s_simd": 0.0,
     "gemm_trans_b_fc_floats_per_s_scalar": 0.0,
     "gemm_trans_b_fc_floats_per_s_simd": 0.0,
+    "conv_layer_floats_per_s_scalar": 0.0,
+    "conv_layer_floats_per_s_simd": 0.0,
     "mem_bw_gbps": 0.0,
     # Compressed-PS bytes-vs-loss trajectory (docs/COMPRESSION.md): measured
     # bus egress per codec on a seeded training run, plus the headline
@@ -83,13 +85,19 @@ PLANNER_MIN_BYTES_RATIO = 1.0
 # de-vectorized kernel) even if every series is still present.
 ONEBIT_SIMD_MIN_RATIO = 4.0
 
-# The same floor for GemmTransB (conv and FC forward, SF reconstruction) on
-# each recorded shape: the conv shape runs the column-lane path, the FC shape
-# the row-lane path, so each gate catches one of them falling back to the
-# serial scalar dot product. Both ratios come from one process, so host
-# drift cancels out.
+# The same floor for GemmTransB (FC forward, SF reconstruction) on each
+# recorded shape: the "conv" shape (CIFAR conv2's old im2col product; the
+# conv forward no longer calls GemmTransB, but SF reconstruction still runs
+# this column-lane path) and the FC shape the row-lane path, so each gate
+# catches one of them falling back to the serial scalar dot product. Both
+# ratios come from one process, so host drift cancels out.
 GEMM_TRANS_B_SHAPES = ("conv", "fc")
 GEMM_TRANS_B_SIMD_MIN_RATIO = 4.0
+
+# And for the conv forward itself (Conv2dLayer::Forward on CIFAR conv2 at
+# batch 16, through the packed-panel tile): catches the layer's forward
+# falling back to the scalar tile or to a de-vectorized one.
+CONV_LAYER_SIMD_MIN_RATIO = 4.0
 
 # Each series holds several repeats. The higher-is-better floors below gate
 # on the median of those repeats, so one lucky repeat cannot carry a gate.
@@ -189,6 +197,13 @@ def check_file(path):
                                           gemm_scalar, GEMM_TRANS_B_SIMD_MIN_RATIO)
                 if message:
                     ok = fail(path, message)
+        conv_scalar = series.get("conv_layer_floats_per_s_scalar") or []
+        conv_simd = series.get("conv_layer_floats_per_s_simd") or []
+        if simd_available and conv_scalar and conv_simd:
+            message = speedup_failure("conv_layer", conv_simd, conv_scalar,
+                                      CONV_LAYER_SIMD_MIN_RATIO)
+            if message:
+                ok = fail(path, message)
 
     if ok:
         print(f"{path}: ok ({bench}: {len(series)} series)")
