@@ -16,9 +16,6 @@ ClusterNode::ClusterNode(ClusterNodeConfig config) : config_(std::move(config)) 
   CHECK_GE(t.shards_per_server, 1)
       << "multi-process clusters need an explicit shard count";
   CHECK_GE(t.server_node_base, 0);
-  CHECK(!t.enable_faults && !t.fault_plan.any())
-      << "bus-level fault injection is in-process only; use the transport's "
-         "loss shim (SocketTransportOptions::shim) for socket chaos";
   CHECK(!t.crash.active() && !t.failure_detection.enabled)
       << "crash/recovery plans are in-process-trainer features";
   CHECK(t.plan_mode == TrainerPlanMode::kPaper)
@@ -46,10 +43,7 @@ Status ClusterNode::Run() {
                                 std::to_string(cluster.NumNodes()) + " bus nodes");
   }
 
-  bus_ = std::make_unique<MessageBus>(cluster.NumNodes());
-  if (t.batch_egress) {
-    bus_->EnableBatching(t.batch_options);
-  }
+  bus_ = MakeTrainerBus(t, cluster.NumNodes());
   transport_ = std::make_shared<SocketTransport>(config_.transport);
   // Handler installation must precede Start(): control records may arrive
   // the moment the listener is up.
@@ -89,13 +83,12 @@ Status ClusterNode::Run() {
     server->Stop();
   }
   bus_->CloseAll();
-  shim_counters_ = transport_->ShimCounters();
-  wire_counters_ = bus_->WireCounters();
+  shim_counters_ = bus_->FaultCounts();
   transport_->Stop();
   if (!status.ok()) {
     return status;
   }
-  if (config_.transport.shim.any()) {
+  if (bus_->faults_enabled()) {
     LOG(Info) << "process " << config_.process << " shim: "
               << FormatFaultCounters(shim_counters_);
   }

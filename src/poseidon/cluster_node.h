@@ -37,9 +37,11 @@ namespace poseidon {
 /// same command line by tools/poseidon_launch); only `process` and
 /// `transport.self` differ.
 struct ClusterNodeConfig {
-  /// Cluster shape + hyperparameters. Fault injection, crash plans and
-  /// failure detection are in-process-trainer features and must be off;
-  /// `shards_per_server` must be explicit (>= 1) — auto-sharding would
+  /// Cluster shape + hyperparameters. A `fault_plan` weathers this member's
+  /// egress exactly as in PoseidonTrainer: the bus's fault fabric drops,
+  /// duplicates and delays in-process deliveries and socket frames alike.
+  /// Crash plans and failure detection are in-process-trainer features and
+  /// must be off; `shards_per_server` must be explicit (>= 1) — auto-sharding would
   /// require every process to agree on the resolved count. The plan must be
   /// paper mode without compression: the wire format carries no int8 or
   /// top-k pushes and no fp16 replies between processes.
@@ -76,11 +78,11 @@ class ClusterNode {
   /// member destructs.
   Status Run();
 
-  /// Post-Run() snapshots (all-zero before Run completes): what the lossy
-  /// shim injected on this process's egress, and what the bus's wire-ingress
-  /// sequencing layer observed (dedup / reorder / dropped replies).
+  /// Post-Run() snapshot of the bus's fault counters (all-zero before Run
+  /// completes): the socket weather the fault fabric injected on this
+  /// process's egress, and what the reorder buffer repaired on its ingress
+  /// (dedup / reorder / dropped replies).
   FaultCountersSnapshot shim_counters() const { return shim_counters_; }
-  FaultCountersSnapshot wire_counters() const { return wire_counters_; }
 
  private:
   /// Connects, passes the rendezvous, runs every local worker, then the
@@ -109,7 +111,6 @@ class ClusterNode {
   std::vector<std::vector<double>> accuracies_;
 
   FaultCountersSnapshot shim_counters_;
-  FaultCountersSnapshot wire_counters_;
 };
 
 }  // namespace poseidon

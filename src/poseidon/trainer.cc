@@ -81,6 +81,17 @@ ClusterInfo ClusterInfoFor(const TrainerOptions& options, const CommPlan& plan) 
   return cluster;
 }
 
+std::unique_ptr<MessageBus> MakeTrainerBus(const TrainerOptions& options, int num_nodes) {
+  auto bus = std::make_unique<MessageBus>(num_nodes);
+  if (options.batch_egress) {
+    bus->EnableBatching(options.batch_options);
+  }
+  if (options.enable_faults || options.fault_plan.any()) {
+    bus->EnableFaultInjection(options.fault_plan);
+  }
+  return bus;
+}
+
 WorkerStep RunWorkerStep(const SyntheticDataset& dataset, const TrainerOptions& options, int w,
                          int64_t iter, Network& net, ClientLibrary& client, const CommPlan& plan,
                          int crash_after) {
@@ -124,13 +135,7 @@ PoseidonTrainer::PoseidonTrainer(NetworkFactory factory, TrainerOptions options)
   CHECK_GE(options_.server_node_base, 0);
   const int num_nodes = std::max(options_.num_workers,
                                  options_.server_node_base + options_.num_servers);
-  bus_ = std::make_unique<MessageBus>(num_nodes);
-  if (options_.batch_egress) {
-    bus_->EnableBatching(options_.batch_options);
-  }
-  if (options_.enable_faults || options_.fault_plan.any()) {
-    bus_->EnableFaultInjection(options_.fault_plan);
-  }
+  bus_ = MakeTrainerBus(options_, num_nodes);
   if (options_.crash.active()) {
     CHECK(options_.failure_detection.enabled)
         << "a crash plan without failure detection deadlocks the cluster";
@@ -250,13 +255,7 @@ void PoseidonTrainer::AdoptPlan(std::shared_ptr<const CommPlan> new_plan) {
     }
   }
   const bool link_stats = bus_->link_stats_enabled();
-  bus_ = std::make_unique<MessageBus>(num_nodes);
-  if (options_.batch_egress) {
-    bus_->EnableBatching(options_.batch_options);
-  }
-  if (options_.enable_faults || options_.fault_plan.any()) {
-    bus_->EnableFaultInjection(options_.fault_plan);
-  }
+  bus_ = MakeTrainerBus(options_, num_nodes);
   for (int n = 0; n < num_nodes; ++n) {
     bus_->SetEgressLimit(n, egress_limits[static_cast<size_t>(n)]);
   }

@@ -127,9 +127,11 @@ struct TrainerOptions {
   /// this checkpoint before the KV shards are initialized.
   std::string restore_path;
   /// Seeded transport chaos (drop/duplicate/delay/partition); injected when
-  /// any probability is non-zero or `enable_faults` is set. Sequencing +
-  /// receiver-side dedup/reordering keep trajectories bitwise identical to
-  /// fault-free runs under BSP (tests/chaos_property_test.cc).
+  /// any probability is non-zero or `enable_faults` is set. The bus's one
+  /// fault fabric weathers in-process deliveries and, in a ClusterNode,
+  /// socket frames alike. Sequencing + receiver-side dedup/reordering keep
+  /// trajectories bitwise identical to fault-free runs under BSP
+  /// (tests/chaos_property_test.cc).
   FaultPlan fault_plan;
   /// Forces the fault fabric on even with all probabilities zero (partition
   /// experiments drive faults through bus().Partition at runtime).
@@ -169,6 +171,13 @@ std::shared_ptr<const CommPlan> ResolveTrainerPlan(const TrainerOptions& options
 /// The cluster shape a runtime builds its Coordinator from: the plan's shard
 /// count and staleness, everything else from `options`.
 ClusterInfo ClusterInfoFor(const TrainerOptions& options, const CommPlan& plan);
+
+/// The bus a runtime built from `options` runs on: `num_nodes` nodes, egress
+/// batching when options.batch_egress is set, and the fault fabric when
+/// options.fault_plan has weather or options.enable_faults is set.
+/// PoseidonTrainer (construction and every plan swap) and ClusterNode bring
+/// their bus up through this one helper.
+std::unique_ptr<MessageBus> MakeTrainerBus(const TrainerOptions& options, int num_nodes);
 
 /// What one worker step observed.
 struct WorkerStep {

@@ -7,8 +7,9 @@
 /// chaos tests assert on them both positively ("this run really did see
 /// duplicates") and negatively ("nothing was deduplicated in a clean run").
 ///
-/// Each FaultInjector owns one FaultCounters instance (per-bus isolation:
-/// two buses in one test never mix their weather). The counters are built
+/// Each MessageBus owns one FaultCounters instance, shared by its fault
+/// fabric and its reorder buffer (per-bus isolation: two buses in one test
+/// never mix their weather). The counters are built
 /// on the stats::Counter metrics primitive, and every increment is also
 /// mirrored into MetricsRegistry::Default() under "fault.*" so the process
 /// metrics JSON carries aggregate fault totals alongside everything else.
@@ -39,7 +40,7 @@ struct FaultCountersSnapshot {
   }
 };
 
-/// Monotonic counters owned by one FaultInjector (one per MessageBus).
+/// Monotonic counters, one set per MessageBus.
 /// Backed by the metrics registry primitives; see file comment.
 class FaultCounters {
  public:

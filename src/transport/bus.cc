@@ -16,6 +16,16 @@ int64_t SteadyNowNs() {
       .count();
 }
 
+// A transmission whose sender has moved on (a cut batch, a pumped copy or
+// retransmission) can only report its loss loudly: outside teardown it means
+// a receiver will wait forever.
+void WarnIfLost(const Status& status, int src, int dst) {
+  if (!status.ok()) {
+    LOG(Warning) << "transmission from node " << src << " to node " << dst
+                 << " lost: " << status.ToString();
+  }
+}
+
 }  // namespace
 
 MessageBus::MessageBus(int num_nodes)
@@ -75,62 +85,47 @@ void MessageBus::Bind(const Address& address, std::shared_ptr<Mailbox> mailbox) 
       << "node " << address.node << " port " << address.port << " is bound to another mailbox";
 }
 
-Status MessageBus::Route(const Message& message, std::shared_ptr<Mailbox>* mailbox,
-                         std::shared_ptr<RateLimiter>* limiter) const {
+Status MessageBus::Route(const Address& to, std::shared_ptr<Mailbox>* mailbox) const {
   std::lock_guard<std::mutex> lock(mutex_);
-  auto it = mailboxes_.find(message.to);
+  auto it = mailboxes_.find(to);
   if (it == mailboxes_.end()) {
-    return NotFoundError("no mailbox at node " + std::to_string(message.to.node) +
-                         " port " + std::to_string(message.to.port));
+    return NotFoundError("no mailbox at node " + std::to_string(to.node) + " port " +
+                         std::to_string(to.port));
   }
   *mailbox = it->second;
-  // shared_ptr copy: a concurrent SetEgressLimit cannot invalidate the
-  // limiter while a sender (or flusher) waits on it, and the wait itself
-  // runs with no bus lock held.
-  *limiter = limiters_[static_cast<size_t>(message.from.node)];
   return Status::Ok();
 }
 
-Status MessageBus::SendDirect(Message message, std::shared_ptr<Mailbox> mailbox,
-                              std::shared_ptr<RateLimiter> limiter) {
-  const int src = message.from.node;
-  const bool remote = message.from.node != message.to.node;
-  if (remote) {
-    const int64_t bytes = message.WireBytes();
-    if (limiter != nullptr) {
-      limiter->Acquire(bytes);  // local traffic bypasses the NIC
-    }
-    tx_bytes_[static_cast<size_t>(src)].fetch_add(bytes, std::memory_order_relaxed);
-    tx_messages_[static_cast<size_t>(src)].fetch_add(1, std::memory_order_relaxed);
-    tx_entries_[static_cast<size_t>(src)].fetch_add(1, std::memory_order_relaxed);
-    RecordLinkTx(src, message.to.node, bytes);
+void MessageBus::Charge(int src, int dst, int64_t bytes, int64_t entries) {
+  std::shared_ptr<RateLimiter> limiter;
+  {
+    // shared_ptr copy: a concurrent SetEgressLimit cannot invalidate the
+    // limiter while a sender (or flusher) waits on it, and the wait itself
+    // runs with no bus lock held.
+    std::lock_guard<std::mutex> lock(mutex_);
+    limiter = limiters_[static_cast<size_t>(src)];
   }
-  if (remote && injector_ != nullptr && message.type != MessageType::kShutdown) {
-    InjectOrCommit(std::move(mailbox), std::move(message), /*attempt=*/0);
-    return Status::Ok();  // the link layer retransmits; delivery is eventual
-  }
-  if (remote) {
-    RecordLinkDelivery(message);
-  }
-  if (!mailbox->Push(std::move(message))) {
-    return UnavailableError("mailbox closed");
-  }
-  return Status::Ok();
-}
-
-Status MessageBus::SendViaTransport(Message message,
-                                    std::shared_ptr<RateLimiter> limiter) {
-  const int src = message.from.node;
-  const int64_t bytes = message.WireBytes();
   if (limiter != nullptr) {
     limiter->Acquire(bytes);
   }
   tx_bytes_[static_cast<size_t>(src)].fetch_add(bytes, std::memory_order_relaxed);
   tx_messages_[static_cast<size_t>(src)].fetch_add(1, std::memory_order_relaxed);
-  tx_entries_[static_cast<size_t>(src)].fetch_add(1, std::memory_order_relaxed);
-  RecordLinkTx(src, message.to.node, bytes);
+  tx_entries_[static_cast<size_t>(src)].fetch_add(entries, std::memory_order_relaxed);
+  RecordLinkTx(src, dst, bytes);
+}
+
+Status MessageBus::SendDirect(Message message, std::shared_ptr<Mailbox> mailbox) {
   const int dst = message.to.node;
-  return transport_->SendFrame(src, dst, EncodeMessageFrame(message));
+  Charge(message.from.node, dst, message.WireBytes(), /*entries=*/1);
+  const bool exempt = message.type == MessageType::kShutdown;
+  Transmission transmission;
+  if (IsWireRemote(dst)) {
+    transmission.frame = EncodeMessageFrame(message);
+    message.chunks.clear();  // the routing header stays
+  }
+  transmission.mailbox = std::move(mailbox);
+  transmission.message = std::move(message);
+  return Carry(std::move(transmission), exempt);
 }
 
 Status MessageBus::Send(Message message) {
@@ -138,56 +133,46 @@ Status MessageBus::Send(Message message) {
   CHECK_GE(src, 0);
   CHECK_LT(src, num_nodes());
 
-  const bool wire_remote = IsWireRemote(message.to.node);
+  const int dst = message.to.node;
+  const bool wire_remote = IsWireRemote(dst);
   std::shared_ptr<Mailbox> mailbox;
-  std::shared_ptr<RateLimiter> limiter;
   if (wire_remote) {
     // The destination's mailboxes live in another process: no local routing,
     // the frame goes to the transport instead.
     CHECK(transport_->IsLocal(src))
         << "node " << src << " is not hosted by this process";
-    // Always sequence remote data traffic over a wire: real sockets (and
-    // the lossy shim especially) can duplicate and reorder records, and the
-    // receiving bus's reorder buffer needs the stream order fixed at send
-    // time. send_ns is NOT stamped — it would be meaningless on the
-    // receiver's clock; DeliverWire restamps at ingress.
-    if (message.type != MessageType::kShutdown) {
-      message.seq = sequencer_->NextSeq(message.from, message.to);
-    }
-    std::lock_guard<std::mutex> lock(mutex_);
-    limiter = limiters_[static_cast<size_t>(src)];
   } else {
-    const Status routed = Route(message, &mailbox, &limiter);
+    const Status routed = Route(message.to, &mailbox);
     if (!routed.ok()) {
       return routed;
     }
-
-    // Sequence every remote data message at send time: the stream order
-    // fixed here is the order the receiver's reorder buffer will restore,
-    // whatever the fault fabric does to the individual transmissions in
-    // between.
-    if (injector_ != nullptr && message.to.node != src &&
-        message.type != MessageType::kShutdown) {
-      message.seq = sequencer_->NextSeq(message.from, message.to);
+  }
+  if (dst == src) {
+    // Local traffic never touches the NIC: no charge, no sequence number, no
+    // weather, no batch.
+    if (!mailbox->Push(std::move(message))) {
+      return UnavailableError("mailbox closed");
     }
+    return Status::Ok();
+  }
 
-    // Stamp remote messages at bus accept so RecordLinkDelivery() can report
-    // end-to-end delivery latency including batching queue time and injected
-    // fault delays.
-    if (message.to.node != src && link_stats_enabled()) {
-      message.send_ns = SteadyNowNs();
-    }
+  // Every remote data message is stamped whenever the bus has a sequencer
+  // (fault fabric or transport): the stream order fixed here is the order
+  // the receiver's reorder buffer restores, whatever the fabric or the wire
+  // does to the individual transmissions in between.
+  if (sequencer_ != nullptr && message.type != MessageType::kShutdown) {
+    message.seq = sequencer_->NextSeq(message.from, message.to);
+  }
+  // Stamp at bus accept so RecordLinkDelivery() can report end-to-end
+  // delivery latency including batching queue time and injected fault
+  // delays. Not on the wire: a stamp would be meaningless on the receiver's
+  // clock, and DeliverWire restamps at ingress.
+  if (!wire_remote && link_stats_enabled()) {
+    message.send_ns = SteadyNowNs();
   }
 
   if (!batching_.load(std::memory_order_acquire)) {
-    if (wire_remote) {
-      return SendViaTransport(std::move(message), std::move(limiter));
-    }
-    return SendDirect(std::move(message), std::move(mailbox), std::move(limiter));
-  }
-  if (!wire_remote && message.to.node == src) {
-    // Local traffic never batches (it never leaves the process).
-    return SendDirect(std::move(message), std::move(mailbox), std::move(limiter));
+    return SendDirect(std::move(message), std::move(mailbox));
   }
 
   NodeEgress& egress = *egress_[static_cast<size_t>(src)];
@@ -198,7 +183,6 @@ Status MessageBus::Send(Message message) {
   bool wake_flusher = false;
   {
     std::lock_guard<std::mutex> lock(egress.mutex);
-    const int dst = message.to.node;
     Batch* batch = nullptr;
     for (Batch& open : egress.open) {
       if (open.dst_node == dst) {
@@ -258,55 +242,38 @@ void MessageBus::EnableBatching(const EgressBatchOptions& options) {
 void MessageBus::DeliverBatch(int src, Batch batch) {
   TraceSpan span("bus.deliver_batch", "transport",
                  static_cast<int64_t>(batch.entries.size()));
+  const int dst = batch.dst_node;
   const int64_t bytes = kWireFrameBytes + batch.payload_bytes;
-  std::shared_ptr<RateLimiter> limiter;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    limiter = limiters_[static_cast<size_t>(src)];
-  }
-  if (limiter != nullptr) {
-    limiter->Acquire(bytes);
-  }
-  tx_bytes_[static_cast<size_t>(src)].fetch_add(bytes, std::memory_order_relaxed);
-  tx_messages_[static_cast<size_t>(src)].fetch_add(1, std::memory_order_relaxed);
-  tx_entries_[static_cast<size_t>(src)].fetch_add(
-      static_cast<int64_t>(batch.entries.size()), std::memory_order_relaxed);
-  RecordLinkTx(src, batch.dst_node, bytes);
-  if (IsWireRemote(batch.dst_node)) {
+  Charge(src, dst, bytes, static_cast<int64_t>(batch.entries.size()));
+  if (IsWireRemote(dst)) {
     // The whole batch crosses the process boundary as one frame — the exact
-    // framing the accounting above just charged.
+    // framing the charge above accounted — and weather acts on that frame.
     std::vector<Message> entries;
     entries.reserve(batch.entries.size());
     for (auto& [mailbox, message] : batch.entries) {
       entries.push_back(std::move(message));
     }
-    std::vector<uint8_t> frame = EncodeBatchFrame(entries);
-    CHECK_EQ(static_cast<int64_t>(frame.size()), bytes);
-    const Status status =
-        transport_->SendFrame(src, batch.dst_node, std::move(frame));
-    if (!status.ok()) {
-      // Mirrors the closed-mailbox case below: the senders are long gone,
-      // so a dead peer connection can only be reported loudly.
-      LOG(Warning) << "egress batch from node " << src << " to node "
-                   << batch.dst_node << " lost: " << status.ToString();
-    }
+    Transmission transmission;
+    transmission.frame = EncodeBatchFrame(entries);
+    CHECK_EQ(static_cast<int64_t>(transmission.frame.size()), bytes);
+    // A kShutdown always closes its batch (Send cuts on it), so checking the
+    // last entry exempts every frame that carries one.
+    const bool exempt = entries.back().type == MessageType::kShutdown;
+    transmission.message = std::move(entries.front());
+    transmission.message.chunks.clear();  // the routing header stays
+    WarnIfLost(Carry(std::move(transmission), exempt), src, dst);
     return;
   }
   for (auto& [mailbox, message] : batch.entries) {
-    const MessageType type = message.type;
-    if (injector_ != nullptr && type != MessageType::kShutdown) {
-      // Chaos weather applies per logical message even inside a batched
-      // frame (accounting already happened above, once per frame).
-      InjectOrCommit(std::move(mailbox), std::move(message), /*attempt=*/0);
-      continue;
-    }
-    RecordLinkDelivery(message);
-    if (!mailbox->Push(std::move(message)) && type != MessageType::kShutdown) {
-      // The unbatched path surfaces this as UnavailableError to the
-      // sender; here the sender is long gone, so make the drop loud —
-      // outside teardown it means a receiver will wait forever.
-      LOG(Warning) << "egress batch from node " << src
-                   << " dropped a message for a closed mailbox";
+    // In process, weather applies per logical message even inside a batch
+    // (the charge above happened once, for the frame).
+    const bool exempt = message.type == MessageType::kShutdown;
+    Transmission transmission;
+    transmission.mailbox = std::move(mailbox);
+    transmission.message = std::move(message);
+    const Status status = Carry(std::move(transmission), exempt);
+    if (!exempt) {
+      WarnIfLost(status, src, dst);
     }
   }
 }
@@ -316,11 +283,7 @@ void MessageBus::DeliverBatch(int src, Batch batch) {
 void MessageBus::AttachTransport(std::shared_ptr<Transport> transport) {
   CHECK(transport != nullptr);
   CHECK(transport_ == nullptr) << "transport already attached";
-  CHECK(injector_ == nullptr)
-      << "in-process fault injection and a wire transport are mutually "
-         "exclusive (use the transport's lossy shim for cross-process chaos)";
-  wire_counters_ = std::make_unique<FaultCounters>();
-  EnableSequencing(wire_counters_.get());
+  EnableSequencing();
   transport_ = std::move(transport);
 }
 
@@ -365,93 +328,96 @@ Status MessageBus::DeliverWire(const uint8_t* data, int64_t size) {
   return Status::Ok();
 }
 
-FaultCountersSnapshot MessageBus::WireCounters() const {
-  if (wire_counters_ == nullptr) {
-    return FaultCountersSnapshot{};
-  }
-  return wire_counters_->Snapshot();
-}
-
 // ------------------------------------------------------------ fault fabric --
 
 void MessageBus::EnableFaultInjection(const FaultPlan& plan) {
   CHECK(injector_ == nullptr) << "fault injection already enabled";
-  CHECK(transport_ == nullptr)
-      << "in-process fault injection and a wire transport are mutually "
-         "exclusive (use the transport's lossy shim for cross-process chaos)";
   injector_ = std::make_unique<FaultInjector>(plan);
-  EnableSequencing(&injector_->counters());
+  EnableSequencing();
   pump_thread_ = std::thread([this] { PumpLoop(); });
 }
 
-void MessageBus::InjectOrCommit(std::shared_ptr<Mailbox> mailbox, Message message,
-                                int attempt) {
-  FaultCounters& counters = injector_->counters();
-  if (injector_->IsPartitioned(message.from.node, message.to.node)) {
-    counters.AddPartitionHold();
-    TimedDelivery held;
-    held.mailbox = std::move(mailbox);
-    held.message = std::move(message);
-    held.attempt = attempt;
+Status MessageBus::Carry(Transmission transmission, bool exempt) {
+  if (injector_ != nullptr && !exempt) {
+    InjectOrCommit(std::move(transmission));
+    return Status::Ok();  // the link layer retransmits; delivery is eventual
+  }
+  return Commit(std::move(transmission));
+}
+
+void MessageBus::InjectOrCommit(Transmission transmission) {
+  const Message& header = transmission.message;
+  if (injector_->IsPartitioned(header.from.node, header.to.node)) {
+    fault_counters_.AddPartitionHold();
     {
       std::lock_guard<std::mutex> lock(pump_mutex_);
-      partition_held_.push_back(std::move(held));
+      partition_held_.push_back(std::move(transmission));
     }
     pump_cv_.notify_all();  // arms the periodic partition recheck
     return;
   }
-  const FaultDecision decision = injector_->Decide(message, attempt);
+  // Every sequenced entry has a unique (stream, seq), so keying the dice on
+  // the message (in process) or the frame's first entry (on the wire) keeps
+  // them deterministic.
+  const FaultDecision decision = injector_->Decide(header, transmission.attempt);
   const auto now = std::chrono::steady_clock::now();
   if (decision.drop) {
     // Lost on the wire; the modeled reliable link layer retransmits the
-    // same sequence number after the RTO, rolling fresh dice.
-    counters.AddDrop();
-    TimedDelivery retx;
-    retx.due = now + std::chrono::microseconds(injector_->plan().retransmit_timeout_us);
-    retx.mailbox = std::move(mailbox);
-    retx.message = std::move(message);
-    retx.attempt = attempt + 1;
-    retx.commit_only = false;
-    SchedulePumped(std::move(retx));
+    // same bytes after the RTO, rolling fresh dice.
+    fault_counters_.AddDrop();
+    transmission.due = now + std::chrono::microseconds(injector_->plan().retransmit_timeout_us);
+    transmission.attempt += 1;
+    transmission.commit_only = false;
+    SchedulePumped(std::move(transmission));
     return;
   }
   if (decision.duplicate) {
-    counters.AddDuplicate();
-    TimedDelivery copy;
+    fault_counters_.AddDuplicate();
+    Transmission copy = transmission;  // same seq: the receiver will deduplicate
     copy.due = now + std::chrono::microseconds(injector_->plan().duplicate_lag_us);
-    copy.mailbox = mailbox;
-    copy.message = message;  // same seq: the receiver will deduplicate
-    copy.attempt = attempt;
     copy.commit_only = true;
     SchedulePumped(std::move(copy));
   }
   if (decision.delay_us > 0) {
-    counters.AddDelay();
-    TimedDelivery delayed;
-    delayed.due = now + std::chrono::microseconds(decision.delay_us);
-    delayed.mailbox = std::move(mailbox);
-    delayed.message = std::move(message);
-    delayed.attempt = attempt;
-    delayed.commit_only = true;
-    SchedulePumped(std::move(delayed));
+    // Held back while later transmissions go straight through: genuine
+    // reordering, in process and on the wire alike.
+    fault_counters_.AddDelay();
+    transmission.due = now + std::chrono::microseconds(decision.delay_us);
+    transmission.commit_only = true;
+    SchedulePumped(std::move(transmission));
     return;
   }
-  Commit(mailbox, std::move(message));
+  const int src = header.from.node;
+  const int dst = header.to.node;
+  WarnIfLost(Commit(std::move(transmission)), src, dst);
 }
 
-void MessageBus::Commit(const std::shared_ptr<Mailbox>& mailbox, Message message) {
-  // The in-process fabric retransmits every drop, so a gap wider than the
-  // holdback is a bug in the fabric itself.
-  const Status admitted = Release(std::move(message), mailbox);
-  CHECK(admitted.ok()) << admitted.ToString();
+Status MessageBus::Commit(Transmission transmission) {
+  Message& message = transmission.message;
+  if (!transmission.frame.empty()) {
+    return transport_->SendFrame(message.from.node, message.to.node,
+                                 std::move(transmission.frame));
+  }
+  if (message.seq >= 0) {
+    const Status admitted = Release(std::move(message), transmission.mailbox);
+    CHECK(admitted.ok()) << admitted.ToString();
+    return Status::Ok();
+  }
+  RecordLinkDelivery(message);
+  if (!transmission.mailbox->Push(std::move(message))) {
+    return UnavailableError("mailbox closed");
+  }
+  return Status::Ok();
 }
 
 // ---------------------------------------------------------------- sequencing --
 
-void MessageBus::EnableSequencing(FaultCounters* counters) {
+void MessageBus::EnableSequencing() {
+  if (sequencer_ != nullptr) {
+    return;  // the fault fabric and the transport share one pair
+  }
   sequencer_ = std::make_unique<StreamSequencer>();
-  reorder_ = std::make_unique<ReorderBuffer>(counters);
-  sequencing_counters_ = counters;
+  reorder_ = std::make_unique<ReorderBuffer>(&fault_counters_);
 }
 
 Status MessageBus::Release(Message message, const std::shared_ptr<Mailbox>& fallback) {
@@ -480,7 +446,7 @@ Status MessageBus::Release(Message message, const std::shared_ptr<Mailbox>& fall
     const MessageType type = ready.type;
     if (target == nullptr) {
       if (type != MessageType::kShutdown) {
-        sequencing_counters_->AddDroppedReply();
+        fault_counters_.AddDroppedReply();
       }
       continue;
     }
@@ -489,17 +455,17 @@ Status MessageBus::Release(Message message, const std::shared_ptr<Mailbox>& fall
       // The endpoint died between send and delivery (crash window): the
       // message is lost, as it would be on a real dead socket. Recovery
       // re-pushes; the shard reconciles.
-      sequencing_counters_->AddDroppedReply();
+      fault_counters_.AddDroppedReply();
     }
   }
   return Status::Ok();
 }
 
-void MessageBus::SchedulePumped(TimedDelivery delivery) {
+void MessageBus::SchedulePumped(Transmission transmission) {
   {
     std::lock_guard<std::mutex> lock(pump_mutex_);
-    delivery.order = pump_order_++;
-    pump_queue_.push(std::move(delivery));
+    transmission.order = pump_order_++;
+    pump_queue_.push(std::move(transmission));
   }
   pump_cv_.notify_all();
 }
@@ -523,9 +489,9 @@ void MessageBus::PumpLoop() {
     const auto now = std::chrono::steady_clock::now();
     // Replay parked traffic whose partition healed (in park order; the
     // reorder buffer fixes any residual interleaving).
-    std::vector<TimedDelivery> replay;
+    std::vector<Transmission> replay;
     for (size_t i = 0; i < partition_held_.size();) {
-      TimedDelivery& held = partition_held_[i];
+      Transmission& held = partition_held_[i];
       if (!injector_->IsPartitioned(held.message.from.node, held.message.to.node)) {
         replay.push_back(std::move(held));
         partition_held_.erase(partition_held_.begin() + static_cast<long>(i));
@@ -534,7 +500,7 @@ void MessageBus::PumpLoop() {
       }
     }
     if (!pump_queue_.empty() && pump_queue_.top().due <= now) {
-      TimedDelivery due = pump_queue_.top();
+      Transmission due = pump_queue_.top();
       pump_queue_.pop();
       replay.push_back(std::move(due));
     }
@@ -556,14 +522,16 @@ void MessageBus::PumpLoop() {
     }
     ++pump_busy_;
     lock.unlock();
-    for (TimedDelivery& item : replay) {
+    for (Transmission& item : replay) {
       if (item.commit_only) {
-        Commit(item.mailbox, std::move(item.message));
+        const int src = item.message.from.node;
+        const int dst = item.message.to.node;
+        WarnIfLost(Commit(std::move(item)), src, dst);
       } else {
         if (item.attempt > 0) {
-          injector_->counters().AddRetransmit();
+          fault_counters_.AddRetransmit();
         }
-        InjectOrCommit(std::move(item.mailbox), std::move(item.message), item.attempt);
+        InjectOrCommit(std::move(item));
       }
     }
     lock.lock();
@@ -587,7 +555,7 @@ void MessageBus::FlushFaults() {
     // Held traffic only blocks the flush while its partition has healed but
     // the pump has not replayed it yet; traffic behind a live partition is
     // excluded by contract.
-    for (const TimedDelivery& held : partition_held_) {
+    for (const Transmission& held : partition_held_) {
       if (!injector_->IsPartitioned(held.message.from.node, held.message.to.node)) {
         return false;
       }
@@ -615,7 +583,7 @@ bool MessageBus::AwaitPartitionHolds(int64_t n, int timeout_ms) {
   // InjectOrCommit bumps the counter before notifying the pump, so the
   // predicate observes every hold.
   return pump_cv_.wait_for(lock, std::chrono::milliseconds(timeout_ms), [&] {
-    return injector_->Counters().partition_holds >= n;
+    return fault_counters_.Snapshot().partition_holds >= n;
   });
 }
 
@@ -691,28 +659,27 @@ void MessageBus::FlusherLoop(int node) {
 }
 
 void MessageBus::FlushEgress() {
-  if (!batching_.load(std::memory_order_acquire)) {
-    if (transport_ != nullptr) {
-      transport_->Flush();
+  // Carrier order: batches hand their frames to the fault pump or the
+  // transport, the pump hands held frames to the transport, and only then
+  // does the transport drain, so nothing flushed here is still in flight
+  // behind this process's own egress.
+  if (batching_.load(std::memory_order_acquire)) {
+    for (auto& egress_ptr : egress_) {
+      NodeEgress& egress = *egress_ptr;
+      std::unique_lock<std::mutex> lock(egress.mutex);
+      if (egress.open.empty() && egress.ready.empty() && egress.delivering == 0) {
+        continue;
+      }
+      egress.flush_requested = true;
+      egress.cv.notify_all();
+      egress.idle_cv.wait(lock, [&] {
+        return !egress.flush_requested ||
+               (egress.open.empty() && egress.ready.empty() && egress.delivering == 0);
+      });
     }
-    return;
   }
-  for (auto& egress_ptr : egress_) {
-    NodeEgress& egress = *egress_ptr;
-    std::unique_lock<std::mutex> lock(egress.mutex);
-    if (egress.open.empty() && egress.ready.empty() && egress.delivering == 0) {
-      continue;
-    }
-    egress.flush_requested = true;
-    egress.cv.notify_all();
-    egress.idle_cv.wait(lock, [&] {
-      return !egress.flush_requested ||
-             (egress.open.empty() && egress.ready.empty() && egress.delivering == 0);
-    });
-  }
+  FlushFaults();
   if (transport_ != nullptr) {
-    // Batches are cut and encoded; now drain the transport's own egress
-    // queues so the bytes actually leave the process.
     transport_->Flush();
   }
 }
@@ -854,7 +821,6 @@ void MessageBus::ResetTraffic() {
 
 void MessageBus::CloseAll() {
   FlushEgress();
-  FlushFaults();
   std::lock_guard<std::mutex> lock(mutex_);
   for (auto& [address, mailbox] : mailboxes_) {
     mailbox->Close();

@@ -21,13 +21,15 @@
 /// docs/WIRE_FORMAT.md).
 ///
 /// Fault injection (EnableFaultInjection): a seeded FaultInjector sits on
-/// the remote delivery path and drops (with link-layer retransmit),
-/// duplicates, delays, or partitions traffic; every remote data message is
-/// stamped with a per-stream sequence number and passes through a
-/// receiver-side ReorderBuffer that deduplicates and restores per-stream
-/// FIFO order before the consumer sees it. Traffic counters keep reporting
-/// the fault-free logical traffic; the injected weather is accounted
-/// separately in FaultCounters (see docs/FAULT_TOLERANCE.md).
+/// the remote egress path and drops (with link-layer retransmit),
+/// duplicates, delays, or partitions what the carrier ships: each logical
+/// message in process, each encoded frame bound for an attached transport.
+/// Every remote data message is stamped with a per-stream sequence number
+/// and passes through a receiver-side ReorderBuffer that deduplicates and
+/// restores per-stream FIFO order before the consumer sees it. Traffic
+/// counters keep reporting the fault-free logical traffic; the injected
+/// weather is accounted separately in FaultCounts() (see
+/// docs/FAULT_TOLERANCE.md).
 #ifndef POSEIDON_SRC_TRANSPORT_BUS_H_
 #define POSEIDON_SRC_TRANSPORT_BUS_H_
 
@@ -122,13 +124,13 @@ class MessageBus {
   Status Send(Message message);
 
   /// Attaches the frame carrier for destinations outside this process (call
-  /// at most once, before traffic flows; mutually exclusive with
-  /// EnableFaultInjection — cross-process chaos lives in the socket
-  /// transport's lossy shim instead). Once attached, Send() serializes
-  /// messages for non-local nodes into docs/WIRE_FORMAT.md frames and hands
-  /// them to the transport; every remote data message is stamped from a
-  /// per-stream sequencer so the receiving bus can deduplicate and restore
-  /// FIFO order whatever the wire does (see DeliverWire).
+  /// at most once, before traffic flows; before or after
+  /// EnableFaultInjection). Once attached, Send() serializes messages for
+  /// non-local nodes into docs/WIRE_FORMAT.md frames and hands them to the
+  /// transport, through the fault fabric when it is on; every remote data
+  /// message is stamped from a per-stream sequencer so the receiving bus can
+  /// deduplicate and restore FIFO order whatever the wire does (see
+  /// DeliverWire).
   void AttachTransport(std::shared_ptr<Transport> transport);
   /// The attached backend; null means the historical in-process-only bus.
   Transport* transport() const { return transport_.get(); }
@@ -139,13 +141,14 @@ class MessageBus {
   /// release); `send_ns` is restamped here, on the receiver's clock, so
   /// delivery-latency stats never compare steady clocks of two processes.
   /// Returns InvalidArgument/OutOfRange on malformed bytes, and OutOfRange
-  /// (counted in WireCounters().overflows) for a message that would park
+  /// (counted in FaultCounts().overflows) for a message that would park
   /// beyond its stream's reorder holdback. Thread-safe.
   Status DeliverWire(const uint8_t* data, int64_t size);
 
-  /// Dedup/reorder counters of the wire ingress path (all zero until a
-  /// transport is attached and weather happens).
-  FaultCountersSnapshot WireCounters() const;
+  /// This bus's one set of fault counters: the weather its fabric injected
+  /// on egress and what its reorder buffer repaired on ingress (all zero
+  /// until weather happens).
+  FaultCountersSnapshot FaultCounts() const { return fault_counters_.Snapshot(); }
 
   /// Turns on per-destination egress batching (idempotent is not supported:
   /// call at most once, before traffic flows). Spawns one flusher thread per
@@ -153,29 +156,31 @@ class MessageBus {
   void EnableBatching(const EgressBatchOptions& options = {});
   bool batching_enabled() const { return batching_.load(std::memory_order_acquire); }
 
-  /// Blocks until every pending batch has been delivered (tests and
-  /// iteration barriers; no-op without batching).
+  /// Blocks until this process's egress is drained, in carrier order: every
+  /// pending batch is cut and delivered, then the fault pump has nothing
+  /// due (FlushFaults), then the transport has written every frame it took.
+  /// Tests, iteration barriers and a cluster member's workers-done signal
+  /// rely on it.
   void FlushEgress();
 
   /// Turns on the seeded fault-injection fabric (call at most once, before
-  /// traffic flows). Spawns the delivery-pump thread that serves delayed,
-  /// duplicated, retransmitted, and partition-held messages.
+  /// traffic flows; before or after AttachTransport). Spawns the pump thread
+  /// that serves delayed, duplicated, retransmitted, and partition-held
+  /// transmissions, in-process messages and wire frames alike.
   void EnableFaultInjection(const FaultPlan& plan);
   bool faults_enabled() const { return injector_ != nullptr; }
-  /// The injector (partition control, counters); null when disabled.
-  FaultInjector* fault_injector() { return injector_.get(); }
 
-  /// Blocks until no delayed/retransmit deliveries are pending. Messages
-  /// parked behind an active partition are excluded (they flow on heal).
-  /// No-op without fault injection.
+  /// Blocks until no delayed/retransmit transmissions are pending.
+  /// Transmissions parked behind an active partition are excluded (they
+  /// flow on heal). No-op without fault injection.
   void FlushFaults();
 
   /// Cuts both directions between `a` and `b` (requires fault injection).
   void Partition(int a, int b);
   /// Restores all cut links and immediately replays parked traffic.
   void HealPartitions();
-  /// Test hook: blocks until at least `n` messages (cumulative) have been
-  /// parked behind an active partition — a condition wait on the pump, so a
+  /// Test hook: blocks until at least `n` transmissions (cumulative) have
+  /// been parked behind an active partition — a condition wait on the pump, so a
   /// heal can be scheduled after the cut provably touched live traffic
   /// instead of after a wall-clock guess. False on timeout or when fault
   /// injection is off.
@@ -187,7 +192,7 @@ class MessageBus {
   /// receivers wake (Pop returns nullopt) and a restarted process can
   /// Register fresh mailboxes at the same addresses. In-flight messages to
   /// the closed endpoints are dropped and counted
-  /// (FaultCounters::dropped_replies). Callers bound the range so endpoints
+  /// (FaultCounts().dropped_replies). Callers bound the range so endpoints
   /// owned by *other* processes colocated on the node (the coordinator's
   /// monitor mailbox at kMonitorPort) survive a worker-process death.
   void CloseEndpoints(int node, int min_port, int max_port = INT_MAX);
@@ -253,21 +258,25 @@ class MessageBus {
     std::thread flusher;
   };
 
-  /// One message waiting on the fault pump: a delayed or duplicated
-  /// delivery, a scheduled retransmission, or partition-parked traffic.
-  struct TimedDelivery {
-    std::chrono::steady_clock::time_point due;
-    uint64_t order = 0;  // FIFO tie-break for equal due times
+  /// What the carrier ships once: one logical message bound for a local
+  /// mailbox, or one encoded frame bound for the transport (`frame`
+  /// non-empty; `message` is then the frame's first entry without its
+  /// chunks, the routing header that keys the fault dice and the partition
+  /// check). On the fault pump it waits until `due`.
+  struct Transmission {
     std::shared_ptr<Mailbox> mailbox;
     Message message;
+    std::vector<uint8_t> frame;
     int attempt = 0;
+    std::chrono::steady_clock::time_point due;
+    uint64_t order = 0;  // FIFO tie-break for equal due times
     /// True: just commit at `due` (the fault dice were already rolled);
     /// false: this is a fresh transmission attempt (retransmit) that rolls
     /// its own dice.
     bool commit_only = false;
   };
-  struct TimedDeliveryLater {
-    bool operator()(const TimedDelivery& a, const TimedDelivery& b) const {
+  struct TransmissionLater {
+    bool operator()(const Transmission& a, const Transmission& b) const {
       return a.due != b.due ? a.due > b.due : a.order > b.order;
     }
   };
@@ -285,39 +294,48 @@ class MessageBus {
   /// Records bus-accept-to-push latency for a stamped remote message.
   void RecordLinkDelivery(const Message& message);
 
-  /// Copies the routing state for `message` under the bus lock.
-  Status Route(const Message& message, std::shared_ptr<Mailbox>* mailbox,
-               std::shared_ptr<RateLimiter>* limiter) const;
+  /// Looks up the mailbox bound to `to` under the bus lock.
+  Status Route(const Address& to, std::shared_ptr<Mailbox>* mailbox) const;
   /// True when `node`'s mailboxes are hosted by another process.
   bool IsWireRemote(int node) const {
     return transport_ != nullptr && !transport_->IsLocal(node);
   }
-  /// Serializes one unbatched message and ships it via the transport
-  /// (accounting + rate limit identical to SendDirect's remote path).
-  Status SendViaTransport(Message message, std::shared_ptr<RateLimiter> limiter);
-  /// Inline delivery (no batching, or local traffic).
-  Status SendDirect(Message message, std::shared_ptr<Mailbox> mailbox,
-                    std::shared_ptr<RateLimiter> limiter);
-  /// Delivers one cut batch: one limiter acquire and one wire frame, then
-  /// the entries in order. Runs on the owning node's flusher thread.
+  /// The one egress charge for a wire message or batch frame leaving `src`
+  /// toward `dst`: the sender's rate limit (waited on with no bus lock
+  /// held), the tx counters and the link accounting.
+  void Charge(int src, int dst, int64_t bytes, int64_t entries);
+  /// Ships one unbatched remote message: charge, encode when the
+  /// destination is out of process, carry.
+  Status SendDirect(Message message, std::shared_ptr<Mailbox> mailbox);
+  /// Delivers one cut batch: one charge and, out of process, one wire
+  /// frame; in process, the entries in order. Runs on the owning node's
+  /// flusher thread.
   void DeliverBatch(int src, Batch batch);
   void FlusherLoop(int node);
 
-  /// Remote delivery behind the injector: parks partitioned traffic, rolls
-  /// the fault dice for this transmission attempt, and either schedules the
-  /// message on the pump or commits it now.
-  void InjectOrCommit(std::shared_ptr<Mailbox> mailbox, Message message, int attempt);
-  /// Final delivery behind the injector: Release, which must succeed.
-  void Commit(const std::shared_ptr<Mailbox>& mailbox, Message message);
-  /// Builds the sequencer and reorder buffer for whichever of the fault
-  /// fabric and the transport is enabled, counting into `counters`.
-  void EnableSequencing(FaultCounters* counters);
+  /// Hands one transmission to the carrier: through the fault fabric when it
+  /// is on and `exempt` is false (kShutdown traffic is exempt), otherwise
+  /// committed now. Returns the commit's status, or Ok once the fabric took
+  /// the transmission (the link layer retransmits; delivery is eventual).
+  Status Carry(Transmission transmission, bool exempt);
+  /// The fault fabric: parks partitioned traffic, rolls the dice for this
+  /// attempt, and either schedules the transmission on the pump or commits
+  /// it now.
+  void InjectOrCommit(Transmission transmission);
+  /// Final hand-off: a frame goes to the transport; a sequenced message
+  /// through Release, which must succeed (the fabric retransmits every
+  /// drop, so a gap wider than the holdback is a bug in the bus); an
+  /// unsequenced one straight to its mailbox.
+  Status Commit(Transmission transmission);
+  /// Builds the sequencer and reorder buffer unless the fault fabric or the
+  /// transport already did.
+  void EnableSequencing();
   /// Runs one arrival through the reorder buffer and pushes the run it
   /// releases to the destination's current mailbox, or to `fallback` when
   /// the address is unregistered (none: the run is counted as dropped).
   /// Returns Admit's status.
   Status Release(Message message, const std::shared_ptr<Mailbox>& fallback);
-  void SchedulePumped(TimedDelivery delivery);
+  void SchedulePumped(Transmission transmission);
   void PumpLoop();
 
   mutable std::mutex mutex_;
@@ -337,27 +355,26 @@ class MessageBus {
   std::chrono::steady_clock::time_point link_stats_since_;
 
   // Frame carrier for cross-process destinations (set once by
-  // AttachTransport, then immutable; wire_counters_ backs WireCounters()).
+  // AttachTransport, then immutable).
   std::shared_ptr<Transport> transport_;
-  std::unique_ptr<FaultCounters> wire_counters_;
 
   // Fault fabric (set once by EnableFaultInjection, then immutable pointers).
   std::unique_ptr<FaultInjector> injector_;
+  // What the fabric injected and the reorder buffer repaired.
+  FaultCounters fault_counters_;
 
   // Sequencing (set once by EnableSequencing, then immutable pointers): the
   // sequencer stamps every remote data message at send, and the reorder
   // buffer restores exactly-once FIFO per stream at delivery, whatever the
-  // fault fabric or a real socket (and the lossy shim especially) does to
-  // the individual transmissions. Counts go to the enabled mode's counters.
+  // fault fabric or a real socket does to the individual transmissions.
   std::unique_ptr<StreamSequencer> sequencer_;
   std::unique_ptr<ReorderBuffer> reorder_;
-  FaultCounters* sequencing_counters_ = nullptr;
   std::mutex pump_mutex_;
   std::condition_variable pump_cv_;   // wakes the pump
   std::condition_variable pump_idle_cv_;  // signals FlushFaults waiters
-  std::priority_queue<TimedDelivery, std::vector<TimedDelivery>, TimedDeliveryLater>
+  std::priority_queue<Transmission, std::vector<Transmission>, TransmissionLater>
       pump_queue_;
-  std::vector<TimedDelivery> partition_held_;
+  std::vector<Transmission> partition_held_;
   uint64_t pump_order_ = 0;
   int pump_busy_ = 0;
   bool pump_stop_ = false;

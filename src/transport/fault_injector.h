@@ -1,12 +1,15 @@
 /// \file
 /// Deterministic, seeded fault decisions for the live transport.
 ///
-/// The MessageBus stands in for a real Ethernet + socket layer; this class
-/// stands in for everything that can go wrong underneath it. For every wire
-/// transmission it decides — deterministically, from (seed, stream, seq,
-/// attempt) alone — whether the message is dropped, duplicated, or delayed,
-/// so a chaos run is bit-reproducible from its seed no matter how the sender
-/// threads interleave.
+/// This class stands in for everything that can go wrong underneath the
+/// MessageBus, whichever carrier ships its traffic. For every transmission
+/// the carrier makes — a logical message in process, an encoded frame bound
+/// for a socket transport — it decides, deterministically from (seed,
+/// stream, seq, attempt) alone, whether the transmission is dropped,
+/// duplicated, or delayed, so a chaos run is bit-reproducible from its seed
+/// no matter how the sender threads interleave. A wire frame is keyed by its
+/// first entry: every sequenced entry has a unique (stream, seq), so the key
+/// is unique per frame without a per-connection record counter.
 ///
 /// Failure model (docs/FAULT_TOLERANCE.md):
 ///   * drop       — the transmission is lost. The bus models a reliable link
@@ -25,8 +28,9 @@
 ///     partition heals.
 ///
 /// Faults apply to remote data-plane traffic only: node-local sends never
-/// touch the NIC, and kShutdown control messages are exempt so teardown
-/// stays orderly.
+/// touch the NIC, and kShutdown control messages (and any frame carrying
+/// one) are exempt so teardown stays orderly. The bus owns the fault pump
+/// that serves held transmissions and the counters (MessageBus::FaultCounts).
 #ifndef POSEIDON_SRC_TRANSPORT_FAULT_INJECTOR_H_
 #define POSEIDON_SRC_TRANSPORT_FAULT_INJECTOR_H_
 
@@ -35,7 +39,6 @@
 #include <set>
 #include <utility>
 
-#include "src/stats/fault_counters.h"
 #include "src/transport/message.h"
 
 namespace poseidon {
@@ -69,8 +72,7 @@ struct FaultDecision {
   int delay_us = 0;        ///< hold delivery back this long (0 = deliver now)
 };
 
-/// Pure decision function plus partition state; owns the fault counters.
-/// Thread-safe.
+/// Pure decision function plus partition state. Thread-safe.
 class FaultInjector {
  public:
   explicit FaultInjector(const FaultPlan& plan) : plan_(plan) {}
@@ -78,8 +80,8 @@ class FaultInjector {
   const FaultPlan& plan() const { return plan_; }
 
   /// Decides the fate of transmission attempt `attempt` (0 = first) of the
-  /// message. Deterministic in (plan.seed, from, to, seq, attempt). Does not
-  /// touch the counters — the bus counts when it commits the fault.
+  /// message. Deterministic in (plan.seed, from, to, seq, attempt). Counts
+  /// nothing: the bus counts when it commits the fault.
   FaultDecision Decide(const Message& message, int attempt) const;
 
   /// Cuts both directions between nodes `a` and `b`. Idempotent.
@@ -89,13 +91,8 @@ class FaultInjector {
   /// True while `src` -> `dst` traffic must be parked.
   bool IsPartitioned(int src, int dst) const;
 
-  FaultCounters& counters() { return counters_; }
-  FaultCountersSnapshot Counters() const { return counters_.Snapshot(); }
-
  private:
   const FaultPlan plan_;
-  FaultCounters counters_;
-
   mutable std::mutex mutex_;
   std::set<std::pair<int, int>> partitions_;  // normalized (min, max) pairs
 };

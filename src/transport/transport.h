@@ -13,12 +13,13 @@
 /// stream sockets.
 ///
 /// Contract: the bus calls SendFrame() with a fully encoded wire frame
-/// (src local, dst remote per IsLocal) after it has done its own accounting
-/// and sequencing; the transport delivers the same bytes to the destination
-/// process, which hands them to its bus via MessageBus::DeliverWire().
-/// Delivery is at-least-once in-order per connection (a lossy shim may
-/// duplicate or reorder records — the bus's wire reorder buffer restores
-/// exactly-once FIFO per stream). See docs/TRANSPORT.md.
+/// (src local, dst remote per IsLocal) after it has done its own accounting,
+/// sequencing and, when its fault fabric is on, weather; the transport
+/// delivers the same bytes, in the order it took them, to the destination
+/// process, which hands them to its bus via MessageBus::DeliverWire(). The
+/// fabric may hand over a frame twice, late, or behind later frames — the
+/// receiving bus's reorder buffer restores exactly-once FIFO per stream.
+/// See docs/TRANSPORT.md.
 #ifndef POSEIDON_SRC_TRANSPORT_TRANSPORT_H_
 #define POSEIDON_SRC_TRANSPORT_TRANSPORT_H_
 

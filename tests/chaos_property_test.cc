@@ -108,11 +108,11 @@ TEST(ChaosPropertyTest, DropsWithRetransmitConvergeToTheCleanParameters) {
 }
 
 // ------------------------------------------------------- socket backend ----
-// The same trajectory invariants with the weather injected by the *socket*
-// backend: cluster members run as threads but every remote byte crosses a
-// real loopback socket, and the lossy shim drops/duplicates/delays whole
-// records. The wire reorder buffer — not the in-process fault pump — is the
-// machinery under test.
+// The same trajectory invariants with the weather on the *socket* backend:
+// cluster members run as threads but every remote byte crosses a real
+// loopback socket, and each member's fault fabric drops/duplicates/delays
+// whole frames on their way to it. The receiving bus's wire reorder buffer
+// is the machinery under test.
 
 TEST(ChaosPropertyTest, SocketBackendBitwiseIdenticalUnderRecordWeather) {
   testing::SocketClusterOptions base;  // 2 workers / 2 servers / 2 shards, BSP
@@ -132,7 +132,7 @@ TEST(ChaosPropertyTest, SocketBackendBitwiseIdenticalUnderRecordWeather) {
     const testing::SocketClusterRun run = testing::RunSocketCluster(options);
     EXPECT_GT(run.shim.duplicates, 0) << "no duplicates injected; vacuous run";
     EXPECT_GT(run.shim.delays, 0) << "no delays injected; vacuous run";
-    EXPECT_GT(run.wire.deduped, 0)
+    EXPECT_GT(run.shim.deduped, 0)
         << "duplicates never reached the wire dedup layer";
     EXPECT_TRUE(run.trajectory == clean)
         << "record weather changed the socket-cluster trajectory; "
@@ -182,7 +182,7 @@ TEST(ChaosPropertyTest, PartitionStallsThenHealsWithoutDivergence) {
   trainer.Train(dataset, kIters);
   healer.join();
   trainer.bus().FlushFaults();
-  EXPECT_GT(trainer.bus().fault_injector()->Counters().partition_holds, 0)
+  EXPECT_GT(trainer.bus().FaultCounts().partition_holds, 0)
       << "the partition never touched live traffic; vacuous run";
   EXPECT_EQ(testing::AllParams(trainer.worker_net(0)), clean.final_params);
 }

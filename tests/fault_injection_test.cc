@@ -1,12 +1,13 @@
 // Unit tests for the transport fault fabric: deterministic fault decisions,
 // the sequencer/reorder correctness layer, and bus-level delivery under
 // drops, duplicates, delays, partitions and endpoint death — on both
-// backends. The in-process fabric (EnableFaultInjection) and the socket
-// transport's record-level shim inject the same weather through different
-// machinery; the SocketBackend tests at the bottom re-prove the dedup /
-// in-order / retransmit-on-drop properties over real loopback sockets.
+// carriers. One fabric (MessageBus::EnableFaultInjection) weathers each
+// in-process delivery and each frame bound for a socket transport; the
+// SocketBackend tests at the bottom re-prove the dedup / in-order /
+// retransmit-on-drop properties over real loopback sockets.
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <optional>
 #include <vector>
 
@@ -162,7 +163,7 @@ TEST(FaultyBusTest, DuplicatesAreInjectedAndDeduplicated) {
     EXPECT_TRUE(bus.Send(MakeMessage(0, 1, /*seq=*/-1, /*layer=*/i)).ok());
   }
   bus.FlushFaults();
-  const FaultCountersSnapshot snap = bus.fault_injector()->Counters();
+  const FaultCountersSnapshot snap = bus.FaultCounts();
   EXPECT_EQ(snap.duplicates, kMessages);
   EXPECT_EQ(snap.deduped, kMessages);
   // Exactly one copy of each, in send order.
@@ -189,7 +190,7 @@ TEST(FaultyBusTest, DropsAreRetransmittedUntilDelivered) {
     EXPECT_TRUE(bus.Send(MakeMessage(0, 1, /*seq=*/-1, /*layer=*/i)).ok());
   }
   bus.FlushFaults();
-  const FaultCountersSnapshot snap = bus.fault_injector()->Counters();
+  const FaultCountersSnapshot snap = bus.FaultCounts();
   EXPECT_GT(snap.drops, 0);
   EXPECT_EQ(snap.retransmits, snap.drops);  // every loss was retried
   for (int i = 0; i < kMessages; ++i) {
@@ -214,7 +215,7 @@ TEST(FaultyBusTest, DelayedStreamStillArrivesInOrder) {
     EXPECT_TRUE(bus.Send(MakeMessage(0, 1, /*seq=*/-1, /*layer=*/i)).ok());
   }
   bus.FlushFaults();
-  EXPECT_GT(bus.fault_injector()->Counters().delays, 0);
+  EXPECT_GT(bus.FaultCounts().delays, 0);
   for (int i = 0; i < kMessages; ++i) {
     auto received = mailbox->TryPop();
     ASSERT_TRUE(received.has_value());
@@ -233,7 +234,7 @@ TEST(FaultyBusTest, PartitionParksTrafficAndHealReplays) {
   EXPECT_TRUE(bus.Send(MakeMessage(0, 1)).ok());
   bus.FlushFaults();
   EXPECT_FALSE(mailbox->TryPop().has_value()) << "partitioned traffic leaked";
-  EXPECT_EQ(bus.fault_injector()->Counters().partition_holds, 2);
+  EXPECT_EQ(bus.FaultCounts().partition_holds, 2);
 
   bus.HealPartitions();
   bus.FlushFaults();
@@ -262,9 +263,9 @@ TEST(FaultyBusTest, ShutdownBypassesTheFaultFabric) {
 }
 
 // ------------------------------------------------------- socket backend ----
-// The same properties as the FaultyBusTest suite, but injected by the
-// socket transport's record-level shim and repaired by the receiving bus's
-// wire reorder buffer. Each test pops every message (blocking: delivery is
+// The same properties as the FaultyBusTest suite, but injected on the frames
+// the sending bus ships to its socket transport and repaired by the
+// receiving bus's wire reorder buffer. Each test pops every message (blocking: delivery is
 // eventual), then uses a stream barrier before reading counters so late
 // duplicates and retransmissions have definitely been processed.
 
@@ -286,9 +287,9 @@ TEST(SocketBackendFaultTest, DuplicatesAreInjectedAndDeduplicated) {
     EXPECT_EQ(received->seq, i);  // the bus sequenced the wire stream
   }
   pair.Barrier(0, 1);
-  const FaultCountersSnapshot shim_counters = pair.transport(0).ShimCounters();
+  const FaultCountersSnapshot shim_counters = pair.bus(0).FaultCounts();
   EXPECT_EQ(shim_counters.duplicates, kMessages);
-  EXPECT_EQ(pair.bus(1).WireCounters().deduped, kMessages);
+  EXPECT_EQ(pair.bus(1).FaultCounts().deduped, kMessages);
   EXPECT_FALSE(mailbox->TryPop().has_value()) << "a duplicate leaked through";
 }
 
@@ -310,7 +311,7 @@ TEST(SocketBackendFaultTest, DropsAreRetransmittedUntilDelivered) {
     EXPECT_EQ(received->layer, i) << "stream order broken";
   }
   pair.Barrier(0, 1);
-  const FaultCountersSnapshot shim_counters = pair.transport(0).ShimCounters();
+  const FaultCountersSnapshot shim_counters = pair.bus(0).FaultCounts();
   EXPECT_GT(shim_counters.drops, 0);
   EXPECT_GE(shim_counters.retransmits, shim_counters.drops);
 }
@@ -334,7 +335,32 @@ TEST(SocketBackendFaultTest, DelayedStreamStillArrivesInOrder) {
     EXPECT_EQ(received->layer, i) << "per-stream FIFO violated";
   }
   pair.Barrier(0, 1);
-  EXPECT_GT(pair.transport(0).ShimCounters().delays, 0);
+  EXPECT_GT(pair.bus(0).FaultCounts().delays, 0);
+}
+
+TEST(SocketBackendFaultTest, FlushEgressDrainsHeldFramesBeforeTheTransport) {
+  // Every duplicate lags far behind its original, so the copies still wait
+  // on the sending bus's fault pump when the consumer has the whole stream.
+  // FlushEgress (inside Barrier) must hand them to the transport before
+  // draining it: the barrier's control record then arrives behind them all.
+  FaultPlan shim;
+  shim.seed = 5;
+  shim.duplicate_prob = 1.0;
+  shim.duplicate_lag_us = 200000;
+  testing::SocketBusPair pair(/*unix_sockets=*/false, shim);
+  auto mailbox = pair.bus(1).Register(Address{1, kServerPort});
+
+  const int kMessages = 10;
+  for (int i = 0; i < kMessages; ++i) {
+    EXPECT_TRUE(pair.bus(0).Send(MakeMessage(0, 1, /*seq=*/-1, /*layer=*/i)).ok());
+  }
+  for (int i = 0; i < kMessages; ++i) {
+    ASSERT_TRUE(mailbox->PopFor(std::chrono::seconds(10)).has_value())
+        << "message " << i << " missing";
+  }
+  pair.Barrier(0, 1);
+  EXPECT_EQ(pair.bus(1).FaultCounts().deduped, kMessages)
+      << "the barrier overtook duplicates still held on the fault pump";
 }
 
 TEST(FaultyBusTest, CloseEndpointsWakesReceiversAndAllowsReRegistration) {

@@ -3,9 +3,10 @@
 //  1. Transport-level pairs (tests/testing/socket_pair.h): two MessageBus +
 //     SocketTransport instances over real loopback TCP / Unix sockets —
 //     control records, data-path field and payload fidelity, receiver-side
-//     send_ns restamping, record counters, Flush semantics, and the PR-4
-//     sequencer properties (dedup, in-order release, retransmit-on-drop)
-//     under the record-level lossy shim.
+//     send_ns restamping, record counters, Flush semantics, record
+//     reassembly against split and corrupt byte streams, and the sequencer
+//     properties (dedup, in-order release, retransmit-on-drop, partition
+//     parking) under the bus's fault fabric weathering socket frames.
 //
 //  2. Cluster-level conformance: a full worker/server/shard cluster whose
 //     members run as threads but talk exclusively over sockets
@@ -18,8 +19,14 @@
 // through tools/poseidon_launch.
 #include "src/transport/socket_transport.h"
 
+#include <arpa/inet.h>
 #include <gtest/gtest.h>
+#include <netinet/in.h>
+#include <poll.h>
+#include <sys/socket.h>
+#include <unistd.h>
 
+#include <algorithm>
 #include <chrono>
 #include <condition_variable>
 #include <cstring>
@@ -30,6 +37,7 @@
 #include <thread>
 #include <vector>
 
+#include "src/common/rng.h"
 #include "src/poseidon/cluster_node.h"
 #include "src/transport/bus.h"
 #include "src/transport/codec.h"
@@ -174,10 +182,10 @@ TEST(SocketTransportTest, ShutdownRidesUnsequenced) {
 }
 
 TEST(SocketTransportTest, LossyShimDeliversExactlyOnceInOrder) {
-  // Real socket chaos: the shim drops (with retransmit), duplicates and
-  // delays egress records. The receiving bus's reorder buffer must hand the
-  // consumer every message exactly once, in stream order — the PR-4
-  // sequencer properties over genuine socket weather.
+  // Real socket chaos: the sending bus's fault fabric drops (with
+  // retransmit), duplicates and delays the frames it ships. The receiving
+  // bus's reorder buffer must hand the consumer every message exactly once,
+  // in stream order — the sequencer properties over genuine socket weather.
   constexpr int kMessages = 300;
   FaultPlan shim;
   shim.seed = 7;
@@ -207,23 +215,215 @@ TEST(SocketTransportTest, LossyShimDeliversExactlyOnceInOrder) {
   // retransmitted copies must have been processed by the receiver first.
   pair.Barrier(0, 1);
 
-  const FaultCountersSnapshot shim_counters = pair.transport(0).ShimCounters();
+  const FaultCountersSnapshot shim_counters = pair.bus(0).FaultCounts();
   EXPECT_GT(shim_counters.drops, 0) << "shim never dropped — test is vacuous";
   EXPECT_GE(shim_counters.retransmits, shim_counters.drops)
       << "every dropped record must be retransmitted";
   EXPECT_GT(shim_counters.duplicates, 0);
   EXPECT_GT(shim_counters.delays, 0);
-  const FaultCountersSnapshot wire = pair.bus(1).WireCounters();
+  const FaultCountersSnapshot wire = pair.bus(1).FaultCounts();
   EXPECT_GT(wire.deduped, 0)
       << "duplicated records must be swallowed by the reorder buffer";
   EXPECT_FALSE(mailbox->TryPop().has_value()) << "a duplicate leaked through";
 }
 
+TEST(SocketTransportTest, PartitionParksSocketFramesUntilTheHeal) {
+  // The fault fabric composes with an attached transport (enabled after
+  // AttachTransport here; ClusterNode enables it before): a partition parks
+  // frames bound for the socket, and on heal the parked frames replay while
+  // fresh ones overtake them. The receiving bus must still hand the consumer
+  // every message exactly once and in per-stream order.
+  SocketBusPair pair(/*unix_sockets=*/false);
+  pair.bus(0).EnableFaultInjection(FaultPlan{});  // partitions only
+  auto mailbox = pair.bus(1).Register(Address{1, kServerPort});
+  pair.bus(0).Partition(0, 1);
+
+  constexpr int kPerStream = 60;
+  constexpr int kStreams = 2;
+  std::thread sender([&pair] {
+    for (int64_t iter = 0; iter < kPerStream; ++iter) {
+      for (int stream = 0; stream < kStreams; ++stream) {
+        Message m = MakeDataMessage(iter);
+        m.from.port = kSyncerPortBase + stream;
+        EXPECT_TRUE(pair.bus(0).Send(std::move(m)).ok());
+      }
+    }
+  });
+  ASSERT_TRUE(pair.bus(0).AwaitPartitionHolds(kPerStream / 2, /*timeout_ms=*/20000))
+      << "partitioned frames never reached the fabric";
+  EXPECT_FALSE(mailbox->TryPop().has_value()) << "a frame crossed the partition";
+  pair.bus(0).HealPartitions();
+  sender.join();
+
+  int64_t next[kStreams] = {0, 0};
+  for (int i = 0; i < kPerStream * kStreams; ++i) {
+    std::optional<Message> got = mailbox->PopFor(std::chrono::seconds(20));
+    ASSERT_TRUE(got.has_value()) << "lost message " << i;
+    const int stream = got->from.port - kSyncerPortBase;
+    ASSERT_GE(stream, 0);
+    ASSERT_LT(stream, kStreams);
+    EXPECT_EQ(got->iter, next[stream]) << "stream " << stream << " released out of order";
+    EXPECT_EQ(got->seq, next[stream]);
+    ++next[stream];
+  }
+  pair.Barrier(0, 1);
+  EXPECT_FALSE(mailbox->TryPop().has_value()) << "a message arrived twice";
+  EXPECT_GE(pair.bus(0).FaultCounts().partition_holds, kPerStream / 2);
+}
+
+// ------------------------------------------------ raw-stream reassembly ----
+// A raw TCP client stands in for a peer process, so the poll thread's record
+// reassembly sees exactly the bytes a test chooses: records split at any
+// byte, and headers a real peer would never write.
+
+// One stream record: [u32 body bytes][u8 version][u8 kind][u16 src] + body.
+std::vector<uint8_t> RawRecord(uint8_t kind, const std::vector<uint8_t>& body) {
+  std::vector<uint8_t> record(kSocketRecordHeaderBytes);
+  const uint32_t len = static_cast<uint32_t>(body.size());
+  for (int i = 0; i < 4; ++i) {
+    record[static_cast<size_t>(i)] = static_cast<uint8_t>(len >> (8 * i));
+  }
+  record[4] = kSocketRecordVersion;
+  record[5] = kind;
+  record[6] = 0;  // src process 0
+  record[7] = 0;
+  record.insert(record.end(), body.begin(), body.end());
+  return record;
+}
+
+// A kData record carrying MakeDataMessage(iter), stamped as the bus would:
+// one stream, seq == iter.
+std::vector<uint8_t> ValidDataRecord(int64_t iter) {
+  Message m = MakeDataMessage(iter);
+  m.seq = iter;
+  return RawRecord(static_cast<uint8_t>(SocketRecordKind::kData), EncodeMessageFrame(m));
+}
+
+int ConnectRaw(int port) {
+  const int fd = socket(AF_INET, SOCK_STREAM, 0);
+  CHECK_GE(fd, 0);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(static_cast<uint16_t>(port));
+  CHECK_EQ(inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr), 1);
+  CHECK_EQ(connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)), 0);
+  return fd;
+}
+
+// Writes `bytes` in seeded random pieces of 1..40 bytes, pausing between
+// pieces so the receiver's reads see the splits. Stops quietly once the
+// receiver has dropped the connection.
+void WriteSplit(int fd, const std::vector<uint8_t>& bytes, Rng& rng) {
+  size_t at = 0;
+  while (at < bytes.size()) {
+    const size_t piece = 1 + static_cast<size_t>(
+                                 rng.NextBounded(std::min<uint64_t>(bytes.size() - at, 40)));
+    if (send(fd, bytes.data() + at, piece, MSG_NOSIGNAL) != static_cast<ssize_t>(piece)) {
+      return;
+    }
+    at += piece;
+    std::this_thread::sleep_for(std::chrono::microseconds(50));
+  }
+}
+
+// True once the receiver has closed the connection (it never writes on an
+// accepted connection, so any readability is EOF or a reset).
+bool AwaitDropped(int fd, int timeout_ms) {
+  pollfd p{fd, POLLIN, 0};
+  if (poll(&p, 1, timeout_ms) <= 0) {
+    return false;
+  }
+  uint8_t byte = 0;
+  return recv(fd, &byte, 1, 0) <= 0;
+}
+
+TEST(SocketTransportTest, RecordReassemblySurvivesSplitAndCorruptStreams) {
+  SocketBusPair pair(/*unix_sockets=*/false);
+  auto mailbox = pair.bus(1).Register(Address{1, kServerPort});
+  const int port = pair.transport(1).listen_port();
+  int64_t next_iter = 0;  // the one stream's next sequence number
+  int64_t records = 0;    // records the receiver must have parsed
+  // Pops the next `count` records of the stream; false if one never comes.
+  auto delivered = [&](int count) {
+    for (int i = 0; i < count; ++i, ++next_iter) {
+      std::optional<Message> got = mailbox->PopFor(std::chrono::seconds(10));
+      if (!got.has_value()) {
+        ADD_FAILURE() << "lost record " << next_iter;
+        return false;
+      }
+      EXPECT_EQ(got->iter, next_iter) << "delivered out of order";
+      EXPECT_EQ(got->seq, next_iter);
+    }
+    return true;
+  };
+
+  for (uint64_t seed : testing::ChaosSeeds(2)) {
+    SCOPED_TRACE(SeedTrace(seed));
+    Rng rng(seed);
+    // Valid records split at random byte boundaries, with one data record
+    // whose body is not a frame among them: it is refused by DeliverWire and
+    // logged, and the connection carries on.
+    constexpr int kValid = 24;
+    std::vector<uint8_t> stream;
+    for (int i = 0; i < kValid; ++i) {
+      if (i == kValid / 2) {
+        const std::vector<uint8_t> garbage = RawRecord(
+            static_cast<uint8_t>(SocketRecordKind::kData), std::vector<uint8_t>(48, 0xEE));
+        stream.insert(stream.end(), garbage.begin(), garbage.end());
+      }
+      const std::vector<uint8_t> record = ValidDataRecord(next_iter + i);
+      stream.insert(stream.end(), record.begin(), record.end());
+    }
+    const int fd = ConnectRaw(port);
+    WriteSplit(fd, stream, rng);
+    ASSERT_TRUE(delivered(kValid));
+    records += kValid + 1;
+    close(fd);
+
+    // Each corruption: three valid records, the bad one, then a valid record
+    // the receiver must never reach because it drops the connection first.
+    const struct {
+      const char* what;
+      size_t byte;
+      uint8_t value;
+    } corruptions[] = {{"length", 3, 0xFF},  // u32 length over max_record_bytes
+                       {"version", 4, kSocketRecordVersion + 1},
+                       {"kind", 5, 0x7F}};
+    for (const auto& corruption : corruptions) {
+      SCOPED_TRACE(corruption.what);
+      std::vector<uint8_t> bytes;
+      for (int i = 0; i < 3; ++i) {
+        const std::vector<uint8_t> record = ValidDataRecord(next_iter + i);
+        bytes.insert(bytes.end(), record.begin(), record.end());
+      }
+      std::vector<uint8_t> bad = ValidDataRecord(next_iter + 3);
+      bad[corruption.byte] = corruption.value;
+      bytes.insert(bytes.end(), bad.begin(), bad.end());
+      const std::vector<uint8_t> after = ValidDataRecord(next_iter + 3);
+      bytes.insert(bytes.end(), after.begin(), after.end());
+
+      const int bad_fd = ConnectRaw(port);
+      WriteSplit(bad_fd, bytes, rng);
+      ASSERT_TRUE(delivered(3));
+      records += 3;
+      EXPECT_TRUE(AwaitDropped(bad_fd, /*timeout_ms=*/10000))
+          << "the connection survived a corrupt " << corruption.what;
+      // The poll thread delivers, then drops: nothing past the bad header.
+      EXPECT_FALSE(mailbox->TryPop().has_value())
+          << "a record behind the corrupt one was delivered";
+      close(bad_fd);
+    }
+  }
+  EXPECT_EQ(pair.transport(1).records_received(), records);
+  pair.transport(1).Stop();  // returns: the poll thread survived all of it
+}
+
 TEST(SocketTransportTest, MalformedDataRecordDoesNotCrashTheReceiver) {
   // A data record whose body is not a valid frame must surface as a Status
   // inside the poll thread (logged, connection preserved for the sender's
-  // next valid record), never a crash. We can't inject raw bytes through the
-  // public API, so exercise the bus half directly: DeliverWire on garbage.
+  // next valid record), never a crash. This drives the bus half directly;
+  // RecordReassemblySurvivesSplitAndCorruptStreams sends such a record
+  // through a live socket.
   SocketBusPair pair(/*unix_sockets=*/false);
   const std::vector<uint8_t> garbage(48, 0xEE);
   EXPECT_FALSE(
@@ -290,21 +490,25 @@ TEST(SocketClusterConformanceTest, BatchedEgressMatchesTrajectory) {
 
 TEST(SocketClusterConformanceTest, SocketWeatherNeverChangesTheTrajectory) {
   // The paper's determinism claim over a lossy wire: drops, duplicates and
-  // delays at the record layer must be invisible to training.
+  // delays of socket frames — single messages, and whole egress batches —
+  // must be invisible to training.
   SocketClusterOptions clean;
   const Trajectory oracle = Oracle(clean);
   for (uint64_t seed : testing::ChaosSeeds(2)) {
-    SCOPED_TRACE(SeedTrace(seed));
-    SocketClusterOptions lossy = clean;
-    lossy.shim.seed = seed;
-    lossy.shim.drop_prob = 0.05;
-    lossy.shim.duplicate_prob = 0.05;
-    lossy.shim.delay_prob = 0.10;
-    const SocketClusterRun run = RunSocketCluster(lossy);
-    ExpectSameTrajectory(run.trajectory, oracle);
-    EXPECT_GT(run.shim.drops + run.shim.duplicates + run.shim.delays, 0)
-        << "no weather was injected — the lossy run proved nothing";
-    EXPECT_GE(run.shim.retransmits, run.shim.drops);
+    for (bool batch_egress : {false, true}) {
+      SCOPED_TRACE(SeedTrace(seed) + (batch_egress ? " batched" : " unbatched"));
+      SocketClusterOptions lossy = clean;
+      lossy.batch_egress = batch_egress;
+      lossy.shim.seed = seed;
+      lossy.shim.drop_prob = 0.05;
+      lossy.shim.duplicate_prob = 0.05;
+      lossy.shim.delay_prob = 0.10;
+      const SocketClusterRun run = RunSocketCluster(lossy);
+      ExpectSameTrajectory(run.trajectory, oracle);
+      EXPECT_GT(run.shim.drops + run.shim.duplicates + run.shim.delays, 0)
+          << "no weather was injected — the lossy run proved nothing";
+      EXPECT_GE(run.shim.retransmits, run.shim.drops);
+    }
   }
 }
 

@@ -70,12 +70,9 @@ Trajectory CaptureTrajectory(const TrainerOptions& options, int iterations,
   for (const IterationStats& stats : trainer.Train(dataset, iterations)) {
     trajectory.mean_losses.push_back(stats.mean_loss);
   }
-  trainer.bus().FlushEgress();
-  trainer.bus().FlushFaults();
+  trainer.bus().FlushEgress();  // batches, then the fault pump
   trajectory.final_params = AllParams(trainer.worker_net(0));
-  if (trainer.bus().fault_injector() != nullptr) {
-    trajectory.faults = trainer.bus().fault_injector()->Counters();
-  }
+  trajectory.faults = trainer.bus().FaultCounts();
   return trajectory;
 }
 

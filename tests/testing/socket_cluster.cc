@@ -68,7 +68,7 @@ SocketClusterRun RunSocketCluster(const SocketClusterOptions& options) {
     config.transport.self = p;
     config.transport.processes = endpoints;
     config.transport.node_owner = node_owner;
-    config.transport.shim = options.shim;
+    config.trainer.fault_plan = options.shim;
     members.push_back(std::make_unique<ClusterNode>(std::move(config)));
   }
 
@@ -97,7 +97,6 @@ SocketClusterRun RunSocketCluster(const SocketClusterOptions& options) {
       FinalParamsFromRun(dir, /*worker=*/0, options.hidden_layers);
   for (const auto& member : members) {
     Accumulate(member->shim_counters(), &run.shim);
-    Accumulate(member->wire_counters(), &run.wire);
   }
   return run;
 }

@@ -30,7 +30,8 @@ struct SocketClusterOptions {
   /// instead of giving every role its own node/process.
   bool colocate = false;
   bool batch_egress = false;
-  /// Record-level socket weather, applied on every member's egress.
+  /// Socket weather: every member's TrainerOptions::fault_plan, so its
+  /// bus's fault fabric weathers the frames it ships.
   FaultPlan shim;
 };
 
@@ -38,8 +39,9 @@ struct SocketClusterOptions {
 /// in-process CaptureTrajectory oracle.
 struct SocketClusterRun {
   Trajectory trajectory;           ///< mean losses + worker 0 final params
-  FaultCountersSnapshot shim;      ///< weather injected, summed over members
-  FaultCountersSnapshot wire;      ///< ingress sequencing stats, summed
+  /// The members' bus fault counters, summed: weather injected on egress
+  /// and what the reorder buffers repaired on ingress.
+  FaultCountersSnapshot shim;
 };
 
 /// Runs the full cluster (controller + node members as threads), captures

@@ -37,8 +37,10 @@ SocketBusPair::SocketBusPair(bool unix_sockets, const FaultPlan& shim) {
     options.self = p;
     options.processes = endpoints;
     options.node_owner = {0, 1};
-    options.shim = shim;
     bus_[p] = std::make_unique<MessageBus>(2);
+    if (shim.any()) {
+      bus_[p]->EnableFaultInjection(shim);
+    }
     transport_[p] = std::make_shared<SocketTransport>(options);
     transport_[p]->SetControlHandler(
         [this, p](int src, uint16_t opcode, const std::vector<uint8_t>& body) {
@@ -75,7 +77,7 @@ std::vector<ControlEvent> SocketBusPair::control(int p) {
 }
 
 void SocketBusPair::Barrier(int src, int dst) {
-  transport_[src]->Flush();
+  bus_[src]->FlushEgress();
   size_t target = 0;
   {
     std::lock_guard<std::mutex> lock(mutex_);

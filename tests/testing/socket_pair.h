@@ -32,7 +32,9 @@ struct ControlEvent {
 class SocketBusPair {
  public:
   /// Binds both listeners, attaches transports to fresh 2-node buses, and
-  /// dials the mesh. CHECK-fails on any setup error.
+  /// dials the mesh. When `shim` has weather, both buses run their fault
+  /// fabric with it, so frames are weathered on the way to the socket.
+  /// CHECK-fails on any setup error.
   explicit SocketBusPair(bool unix_sockets, const FaultPlan& shim = {});
   ~SocketBusPair();
 
@@ -46,7 +48,7 @@ class SocketBusPair {
   bool AwaitControl(int p, size_t count, int timeout_ms = 10000);
   std::vector<ControlEvent> control(int p);
 
-  /// Flushes `src`'s egress (including shim holdback) and round-trips one
+  /// Flushes `src`'s egress (fault pump holdback included) and round-trips one
   /// control record src -> dst: on return, every data record `src` sent
   /// before the barrier has been processed by `dst`'s bus.
   void Barrier(int src, int dst);

@@ -469,8 +469,8 @@ TEST(WireIngressTest, ReorderOverflowIsRefusedAndCounted) {
       EXPECT_EQ(status.code(), StatusCode::kOutOfRange) << status.ToString();
     }
   }
-  EXPECT_EQ(ingress.bus.WireCounters().overflows, 1);
-  EXPECT_EQ(ingress.bus.WireCounters().reordered, 4096);
+  EXPECT_EQ(ingress.bus.FaultCounts().overflows, 1);
+  EXPECT_EQ(ingress.bus.FaultCounts().reordered, 4096);
   EXPECT_EQ(ingress.mailboxes[0]->size(), 0u);
 
   // The missing seq 0 still releases the parked run in order.

@@ -50,12 +50,10 @@ struct LaunchArgs {
   std::string out;
   int timeout_s = 180;
 
-  // Record-level socket weather (SocketTransportOptions::shim): seeded
-  // drop/duplicate/delay dice rolled per egress record on every process.
-  uint64_t shim_seed = 1;
-  double shim_drop = 0.0;
-  double shim_dup = 0.0;
-  double shim_delay = 0.0;
+  // Socket weather for the bus's fault fabric (TrainerOptions::fault_plan):
+  // seeded drop/duplicate/delay dice rolled per egress frame on every
+  // process.
+  FaultPlan weather;
 
   // --role=node internals (set by the launcher, not by humans).
   bool node_role = false;
@@ -128,13 +126,13 @@ LaunchArgs Parse(int argc, char** argv) {
     } else if (FlagValue(a, "--timeout-s", &v)) {
       args.timeout_s = std::atoi(v.c_str());
     } else if (FlagValue(a, "--shim-seed", &v)) {
-      args.shim_seed = std::strtoull(v.c_str(), nullptr, 10);
+      args.weather.seed = std::strtoull(v.c_str(), nullptr, 10);
     } else if (FlagValue(a, "--shim-drop", &v)) {
-      args.shim_drop = std::atof(v.c_str());
+      args.weather.drop_prob = std::atof(v.c_str());
     } else if (FlagValue(a, "--shim-dup", &v)) {
-      args.shim_dup = std::atof(v.c_str());
+      args.weather.duplicate_prob = std::atof(v.c_str());
     } else if (FlagValue(a, "--shim-delay", &v)) {
-      args.shim_delay = std::atof(v.c_str());
+      args.weather.delay_prob = std::atof(v.c_str());
     } else if (FlagValue(a, "--role", &v)) {
       if (v != "node") Usage(argv[0]);
       args.node_role = true;
@@ -198,10 +196,7 @@ ClusterNodeConfig MakeNodeConfig(const LaunchArgs& args) {
     config.transport.processes.push_back(ParseEndpoint(spec));
   }
   config.transport.node_owner = args.node_owner;
-  config.transport.shim.seed = args.shim_seed;
-  config.transport.shim.drop_prob = args.shim_drop;
-  config.transport.shim.duplicate_prob = args.shim_dup;
-  config.transport.shim.delay_prob = args.shim_delay;
+  config.trainer.fault_plan = args.weather;
   return config;
 }
 
