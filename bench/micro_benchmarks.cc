@@ -332,7 +332,6 @@ double NsPerCall(Fn&& fn) {
 // under pinned scalar dispatch and under the best available SIMD level, plus
 // a streaming memory-bandwidth measurement that bounds what any bandwidth-
 // limited kernel can reach. Emitted series:
-//   onebit_roundtrip_floats_per_s_{scalar,simd}   codec round trip
 //   ring_reduce_floats_per_s_{scalar,simd}        collective accumulate loop
 //   gemm_trans_b_{conv,fc}_floats_per_s_{scalar,simd}
 //                                                 GemmTransB multiply-add terms
@@ -345,7 +344,7 @@ double NsPerCall(Fn&& fn) {
 //   mem_bw_gbps                                   large-buffer copy bandwidth
 // When the host has no SIMD backend (meta simd_available = 0) the _simd
 // series repeat the scalar numbers so the required-series contract holds;
-// the CI ratio gate skips itself in that case (tools/check_bench_json.py).
+// the CI ratio gates skip themselves in that case (tools/check_bench_json.py).
 void RecordRoofline(BenchRecord* record) {
   const simd::Level best = simd::BestLevel();
   const bool simd_available = best != simd::Level::kScalar;
@@ -353,8 +352,6 @@ void RecordRoofline(BenchRecord* record) {
   record->SetMeta("simd_best_level", simd::LevelName(best));
 
   Rng rng(17);
-  Tensor onebit_grad = Tensor::RandomUniform({256, 256}, -1.0f, 1.0f, rng);
-  Tensor onebit_out;
   // Ring reduce working set: one collective chunk's worth of floats, sized
   // to live in cache so the scalar/simd contrast measures compute, not DRAM.
   const int64_t reduce_n = 64 * 1024;
@@ -407,14 +404,7 @@ void RecordRoofline(BenchRecord* record) {
         record->Append(std::string("conv_layer_floats_per_s_") + suffix, 1e9 * terms / conv_ns);
       }
     }
-    OneBitQuantizer quantizer;
     for (int rep = 0; rep < 3; ++rep) {
-      const double onebit_ns = NsPerCall([&] {
-        Payload frame = OneBitCodec::Encode(onebit_grad, &quantizer, nullptr, 0);
-        benchmark::DoNotOptimize(OneBitCodec::DecodeDense(frame.View(), &onebit_out));
-      });
-      record->Append(std::string("onebit_roundtrip_floats_per_s_") + suffix,
-                     1e9 * (256.0 * 256.0) / onebit_ns);
       const double reduce_ns = NsPerCall([&] {
         simd::ReduceAdd(reduce_dst.data(), reduce_src.data(), reduce_n);
         benchmark::DoNotOptimize(reduce_dst.data());
@@ -439,10 +429,9 @@ void RecordRoofline(BenchRecord* record) {
                    8.0 * 2.0 * static_cast<double>(bw_floats) * 4.0 / copy_ns);
   }
 
-  const double scalar =
-      record->Series("onebit_roundtrip_floats_per_s_scalar").front();
-  const double vec = record->Series("onebit_roundtrip_floats_per_s_simd").front();
-  std::printf("roofline: onebit %s %.0fM floats/s vs scalar %.0fM floats/s "
+  const double scalar = record->Series("ring_reduce_floats_per_s_scalar").front();
+  const double vec = record->Series("ring_reduce_floats_per_s_simd").front();
+  std::printf("roofline: ring_reduce %s %.0fM floats/s vs scalar %.0fM floats/s "
               "(%.1fx), mem_bw %.1f Gb/s\n",
               simd::LevelName(best), vec / 1e6, scalar / 1e6, vec / scalar,
               record->Series("mem_bw_gbps").front());

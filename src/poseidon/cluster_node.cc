@@ -43,7 +43,7 @@ Status ClusterNode::Run() {
                                 std::to_string(cluster.NumNodes()) + " bus nodes");
   }
 
-  bus_ = MakeTrainerBus(t, cluster.NumNodes());
+  bus_ = MakeTrainerBus(t, *plan_, cluster.NumNodes());
   transport_ = std::make_shared<SocketTransport>(config_.transport);
   // Handler installation must precede Start(): control records may arrive
   // the moment the listener is up.

@@ -81,9 +81,10 @@ ClusterInfo ClusterInfoFor(const TrainerOptions& options, const CommPlan& plan) 
   return cluster;
 }
 
-std::unique_ptr<MessageBus> MakeTrainerBus(const TrainerOptions& options, int num_nodes) {
+std::unique_ptr<MessageBus> MakeTrainerBus(const TrainerOptions& options, const CommPlan& plan,
+                                           int num_nodes) {
   auto bus = std::make_unique<MessageBus>(num_nodes);
-  if (options.batch_egress) {
+  if (plan.batch_egress) {
     bus->EnableBatching(options.batch_options);
   }
   if (options.enable_faults || options.fault_plan.any()) {
@@ -133,9 +134,6 @@ PoseidonTrainer::PoseidonTrainer(NetworkFactory factory, TrainerOptions options)
   CHECK_GT(options_.num_workers, 0);
   CHECK_GT(options_.num_servers, 0);
   CHECK_GE(options_.server_node_base, 0);
-  const int num_nodes = std::max(options_.num_workers,
-                                 options_.server_node_base + options_.num_servers);
-  bus_ = MakeTrainerBus(options_, num_nodes);
   if (options_.crash.active()) {
     CHECK(options_.failure_detection.enabled)
         << "a crash plan without failure detection deadlocks the cluster";
@@ -165,6 +163,9 @@ PoseidonTrainer::PoseidonTrainer(NetworkFactory factory, TrainerOptions options)
   CHECK_GE(options_.shards_per_server, 0);
   CHECK_GE(options_.staleness, 0);
   std::shared_ptr<const CommPlan> plan = ResolveTrainerPlan(options_, *init_net_);
+  const int num_nodes = std::max(options_.num_workers,
+                                 options_.server_node_base + options_.num_servers);
+  bus_ = MakeTrainerBus(options_, *plan, num_nodes);
   if (options_.failure_detection.enabled) {
     // Recovery replays the in-flight clock through the KV shards, which
     // reconcile duplicate pushes. Peer-to-peer layers (SFB, ring, tree) have
@@ -202,9 +203,6 @@ void PoseidonTrainer::InstallPlan(std::shared_ptr<const CommPlan> plan) {
         << init_net_->layer(l).name() << "'";
   }
   coordinator_ = std::make_unique<Coordinator>(*init_net_, ClusterInfoFor(options_, *plan_));
-  if (plan_->batch_egress && !options_.batch_egress) {
-    bus_->EnableBatching(options_.batch_options);
-  }
   for (int s = 0; s < options_.num_servers; ++s) {
     servers_.push_back(std::make_unique<KvServer>(s, next_iter_, *coordinator_, *plan_,
                                                   *init_net_, bus_.get(), options_.sgd));
@@ -255,7 +253,7 @@ void PoseidonTrainer::AdoptPlan(std::shared_ptr<const CommPlan> new_plan) {
     }
   }
   const bool link_stats = bus_->link_stats_enabled();
-  bus_ = MakeTrainerBus(options_, num_nodes);
+  bus_ = MakeTrainerBus(options_, *new_plan, num_nodes);
   for (int n = 0; n < num_nodes; ++n) {
     bus_->SetEgressLimit(n, egress_limits[static_cast<size_t>(n)]);
   }

@@ -116,12 +116,14 @@ struct TrainerOptions {
   /// decode and apply in parallel (codec parallelism), not the in-flight
   /// depth.
   int syncer_threads = 2;
-  /// When true, the bus coalesces same-destination wire messages from
-  /// different layer syncers into batched frames (MessageBus egress
-  /// batching). Grouping is timing-dependent but content-deterministic:
-  /// training trajectories are bitwise identical with or without it.
+  /// Paper mode's batching choice: when true, the plan (and so the bus)
+  /// coalesces same-destination wire messages from different layer syncers
+  /// into batched frames (MessageBus egress batching). Auto and fixed plans
+  /// carry their own choice, and the bus follows the plan in force. Grouping
+  /// is timing-dependent but content-deterministic: training trajectories
+  /// are bitwise identical with or without it.
   bool batch_egress = false;
-  /// Batching knobs, used when `batch_egress` is set.
+  /// Batching knobs, used when the plan in force batches egress.
   EgressBatchOptions batch_options;
   /// When non-empty, parameters and the iteration cursor are restored from
   /// this checkpoint before the KV shards are initialized.
@@ -172,12 +174,14 @@ std::shared_ptr<const CommPlan> ResolveTrainerPlan(const TrainerOptions& options
 /// count and staleness, everything else from `options`.
 ClusterInfo ClusterInfoFor(const TrainerOptions& options, const CommPlan& plan);
 
-/// The bus a runtime built from `options` runs on: `num_nodes` nodes, egress
-/// batching when options.batch_egress is set, and the fault fabric when
-/// options.fault_plan has weather or options.enable_faults is set.
-/// PoseidonTrainer (construction and every plan swap) and ClusterNode bring
-/// their bus up through this one helper.
-std::unique_ptr<MessageBus> MakeTrainerBus(const TrainerOptions& options, int num_nodes);
+/// The bus a runtime built from `options` runs `plan` on: `num_nodes` nodes,
+/// egress batching exactly when plan.batch_egress is set (with
+/// options.batch_options), and the fault fabric when options.fault_plan has
+/// weather or options.enable_faults is set. PoseidonTrainer (construction and
+/// every plan swap) and ClusterNode bring their bus up through this one
+/// helper.
+std::unique_ptr<MessageBus> MakeTrainerBus(const TrainerOptions& options, const CommPlan& plan,
+                                           int num_nodes);
 
 /// What one worker step observed.
 struct WorkerStep {

@@ -1,8 +1,7 @@
 /// \file
-/// Internal per-element quantization primitives shared by the simd backends
-/// and the codec layer: a vectorizable integer hash for deterministic
-/// stochastic rounding, and the exact fp16 pack/unpack formulas every
-/// backend must reproduce bit-for-bit (docs/COMPRESSION.md).
+/// Internal fp16 pack/unpack formulas shared by the simd backends: the exact
+/// arithmetic every backend's Fp16EncodeRn / Fp16Decode must reproduce
+/// bit-for-bit (docs/COMPRESSION.md), plus the int8 codec's chunk size.
 ///
 /// Everything here is pure integer arithmetic (or a single exact float
 /// subtract in the subnormal-decode path), so scalar, AVX2 and NEON
@@ -22,22 +21,6 @@ namespace simd {
 constexpr int64_t kInt8ChunkSize = 256;
 
 namespace internal {
-
-/// 32-bit finalizer-style mixer (xor-shift + odd-constant multiplies, the
-/// lowbias32 recipe). Only uses ops with exact vector equivalents
-/// (mullo/srli/xor), so the vector backends hash 8 indices per block and get
-/// the same bits as the scalar reference. The (seed, index) pair fully
-/// determines the rounding noise: seeding per (layer, clock) makes every
-/// replica's stochastic rounding identical (docs/COMPRESSION.md).
-inline uint32_t MixBits(uint32_t seed, uint32_t index) {
-  uint32_t h = index ^ seed;
-  h ^= h >> 16;
-  h *= 0x21f0aaadu;
-  h ^= h >> 15;
-  h *= 0x735a2d97u;
-  h ^= h >> 15;
-  return h;
-}
 
 inline uint32_t FloatBits(float f) {
   uint32_t u;

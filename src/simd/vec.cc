@@ -129,25 +129,6 @@ void SgdStep(float* v, float* value, const float* grad, float lr, float mu,
   Active()->sgd_step(v, value, grad, lr, mu, wd, n);
 }
 
-void OneBitEncodeStats(const float* grad, const float* residual, int64_t rows,
-                       int64_t cols, uint32_t* bits, double* pos_sum,
-                       double* neg_sum, int32_t* pos_count, int32_t* neg_count) {
-  Active()->onebit_encode_stats(grad, residual, rows, cols, bits, pos_sum, neg_sum,
-                                pos_count, neg_count);
-}
-
-void OneBitResidualUpdate(const float* grad, int64_t rows, int64_t cols,
-                          const uint32_t* bits, const float* pos_level,
-                          const float* neg_level, float* residual) {
-  Active()->onebit_residual_update(grad, rows, cols, bits, pos_level, neg_level,
-                                   residual);
-}
-
-void OneBitDecode(const uint32_t* bits, const float* pos_level,
-                  const float* neg_level, int64_t rows, int64_t cols, float* out) {
-  Active()->onebit_decode(bits, pos_level, neg_level, rows, cols, out);
-}
-
 void Fp16EncodeRn(const float* src, int64_t n, uint16_t* out) {
   Active()->fp16_encode_rn(src, n, out);
 }
@@ -155,17 +136,6 @@ void Fp16EncodeRn(const float* src, int64_t n, uint16_t* out) {
 void Fp16Decode(const uint16_t* src, int64_t n, float* out) {
   Active()->fp16_decode(src, n, out);
 }
-
-void Int8EncodeSr(const float* src, int64_t n, float inv_scale, uint32_t seed,
-                  int64_t base_index, int8_t* out) {
-  Active()->int8_encode_sr(src, n, inv_scale, seed, base_index, out);
-}
-
-void Int8Decode(const int8_t* src, int64_t n, float scale, float* out) {
-  Active()->int8_decode(src, n, scale, out);
-}
-
-float MaxAbs(const float* src, int64_t n) { return Active()->max_abs(src, n); }
 
 int64_t CountAbsGreater(const float* src, int64_t n, float threshold) {
   return Active()->count_abs_greater(src, n, threshold);

@@ -1,26 +1,24 @@
 /// \file
-/// Portable 8-lane vector kernels for the wire-path hot loops, with runtime
-/// ISA dispatch (scalar reference, AVX2, NEON) that is **bitwise pinned**:
-/// every backend produces bit-identical floats for every input, so the
+/// Portable 8-lane vector kernels for the hot loops the end-to-end benchmark
+/// workloads run (collective accumulate, gradient averaging, SGD apply, the
+/// fp16 and top-k codecs, the FC and conv forward GEMMs), with runtime ISA
+/// dispatch (scalar reference, AVX2, NEON) that is **bitwise pinned**: every
+/// backend produces bit-identical floats for every input, so the
 /// golden-trajectory, chaos and multiprocess suites keep pinning correctness
-/// regardless of which backend executes.
+/// regardless of which backend executes. A loop no benchmark workload runs
+/// (the 1-bit and int8 codecs) keeps one scalar body next to its caller
+/// instead of a kernel entry here.
 ///
 /// The determinism contract (see docs/PERFORMANCE.md):
 ///   * Every kernel processes elements in fixed 8-wide blocks with a scalar
-///     tail, and every operation inside a block is elementwise (or, for the
-///     1-bit column statistics, strictly sequential down the rows of each
-///     column, or for GemmTransB and GemmPackedPanel strictly sequential
-///     along each output's dot product). No kernel ever reassociates a floating-point reduction,
-///     so the lane width never changes a result.
+///     tail, and every operation inside a block is elementwise (or, for
+///     GemmTransB and GemmPackedPanel, strictly sequential along each
+///     output's dot product). No kernel ever reassociates a floating-point
+///     reduction, so the lane width never changes a result.
 ///   * Backends never emit fused multiply-adds: vector code uses explicit
 ///     mul-then-add intrinsics, and the whole project is compiled with
 ///     -ffp-contract=off (see CMakeLists.txt), so AVX2/NEON and scalar round
 ///     identically.
-///   * The 1-bit encoder's per-column sums use blended accumulation
-///     (`sum += pos ? q : 0.0`) in *every* backend, including the scalar
-///     reference. Adding a (+0.0) no-op term to a running sum that can never
-///     be -0.0 is bit-exact, so the blended form equals the historical
-///     branchy loop — proven by tests/simd_test.cc.
 ///
 /// Dispatch: the first kernel call resolves the backend from the CPU
 /// (AVX2 via CPUID on x86, NEON on AArch64, else scalar), overridable with
@@ -109,36 +107,8 @@ void Axpy(float* y, float alpha, const float* x, int64_t n);
 void SgdStep(float* v, float* value, const float* grad, float lr, float mu,
              float wd, int64_t n);
 
-/// 1-bit encode pass 1 over a row-major [rows, cols] gradient with carried
-/// residual: for each element q = grad + residual, records the sign bit
-/// (q >= 0, row-major packed 32 per word — `bits` must be zeroed, and have
-/// ceil(rows*cols/32) words) and accumulates per-column statistics:
-///   pos_sum[c] += q >= 0 ? (double)q : 0.0;   pos_count[c] += q >= 0;
-///   neg_sum[c] += q >= 0 ? 0.0 : (double)q;   neg_count[c] += q < 0;
-/// Columns accumulate strictly in row order, so lane width never changes a
-/// sum. Sum/count arrays must be zeroed by the caller and hold `cols`
-/// entries each.
-void OneBitEncodeStats(const float* grad, const float* residual, int64_t rows,
-                       int64_t cols, uint32_t* bits, double* pos_sum,
-                       double* neg_sum, int32_t* pos_count, int32_t* neg_count);
-
-/// 1-bit encode pass 2: residual[i] = (grad[i] + residual[i]) - level, where
-/// level is pos_level[c] or neg_level[c] by the element's sign bit. In-place
-/// on `residual`.
-void OneBitResidualUpdate(const float* grad, int64_t rows, int64_t cols,
-                          const uint32_t* bits, const float* pos_level,
-                          const float* neg_level, float* residual);
-
-/// 1-bit decode: out[i] = bit ? pos_level[c] : neg_level[c] over the
-/// row-major [rows, cols] target.
-void OneBitDecode(const uint32_t* bits, const float* pos_level,
-                  const float* neg_level, int64_t rows, int64_t cols, float* out);
-
-// Quantized-codec kernels (docs/COMPRESSION.md). The rounding noise for the
-// stochastic variants comes from a per-element integer hash of
-// (seed, base_index + i) — src/simd/quant.h — so the encodings are a pure
-// function of (data, seed, flat element index): independent of lane width,
-// of how a layer is sliced across shards, and of which backend runs.
+// Codec kernels (docs/COMPRESSION.md): the fp16 parameter-reply codec and
+// the top-k push codec's threshold count.
 
 /// fp32 -> fp16 with round-to-nearest-even, for the parameter-reply
 /// direction. Magnitudes below the smallest normal half flush to signed
@@ -147,22 +117,6 @@ void Fp16EncodeRn(const float* src, int64_t n, uint16_t* out);
 
 /// Exact fp16 -> fp32 for every 16-bit pattern (hostile frames included).
 void Fp16Decode(const uint16_t* src, int64_t n, float* out);
-
-/// fp32 -> int8 with deterministic stochastic rounding:
-///   t = src[i] * inv_scale; q = floor(t) + (frac(t) > r ? 1 : 0)
-/// with r a 24-bit uniform from the (seed, base_index + i) hash, clamped to
-/// [-127, 127] (NaN squashes to 0 so the cast is always defined).
-void Int8EncodeSr(const float* src, int64_t n, float inv_scale, uint32_t seed,
-                  int64_t base_index, int8_t* out);
-
-/// out[i] = src[i] * scale (int8 -> fp32 is exact; one correctly-rounded
-/// multiply).
-void Int8Decode(const int8_t* src, int64_t n, float scale, float* out);
-
-/// max_i |src[i]|, ignoring NaNs, 0 for n == 0. |x| > m ? |x| : m is
-/// associative over the non-negative magnitudes, so lane order cannot change
-/// the result.
-float MaxAbs(const float* src, int64_t n);
 
 /// Number of elements with |src[i]| > threshold (ordered compare: NaN never
 /// counts). The top-k codec's threshold-selection pass.
@@ -200,17 +154,8 @@ struct Kernels {
   void (*scale)(float*, float, int64_t);
   void (*axpy)(float*, float, const float*, int64_t);
   void (*sgd_step)(float*, float*, const float*, float, float, float, int64_t);
-  void (*onebit_encode_stats)(const float*, const float*, int64_t, int64_t,
-                              uint32_t*, double*, double*, int32_t*, int32_t*);
-  void (*onebit_residual_update)(const float*, int64_t, int64_t, const uint32_t*,
-                                 const float*, const float*, float*);
-  void (*onebit_decode)(const uint32_t*, const float*, const float*, int64_t,
-                        int64_t, float*);
   void (*fp16_encode_rn)(const float*, int64_t, uint16_t*);
   void (*fp16_decode)(const uint16_t*, int64_t, float*);
-  void (*int8_encode_sr)(const float*, int64_t, float, uint32_t, int64_t, int8_t*);
-  void (*int8_decode)(const int8_t*, int64_t, float, float*);
-  float (*max_abs)(const float*, int64_t);
   int64_t (*count_abs_greater)(const float*, int64_t, float);
   void (*gemm_trans_b)(const float*, const float*, int64_t, int64_t, int64_t, bool,
                        float*);

@@ -17,7 +17,6 @@
 #include <cmath>
 #include <vector>
 
-#include "src/simd/bitpack.h"
 #include "src/simd/quant.h"
 
 namespace poseidon {
@@ -72,149 +71,6 @@ POSEIDON_AVX2 void Avx2SgdStep(float* v, float* value, const float* grad, float 
     _mm256_storeu_ps(value + i, _mm256_sub_ps(val, _mm256_mul_ps(vlr, nv)));
   }
   ScalarKernels()->sgd_step(v + i, value + i, grad + i, lr, mu, wd, n - i);
-}
-
-// Widens the low/high 4 float lanes of `mask` (all-ones or all-zeros per
-// lane) to 4 all-ones/all-zeros double lanes.
-POSEIDON_AVX2 inline __m256d MaskLoPd(__m256 mask) {
-  return _mm256_castsi256_pd(
-      _mm256_cvtepi32_epi64(_mm_castps_si128(_mm256_castps256_ps128(mask))));
-}
-POSEIDON_AVX2 inline __m256d MaskHiPd(__m256 mask) {
-  return _mm256_castsi256_pd(
-      _mm256_cvtepi32_epi64(_mm_castps_si128(_mm256_extractf128_ps(mask, 1))));
-}
-
-POSEIDON_AVX2 void Avx2OneBitEncodeStats(const float* grad, const float* residual,
-                                         int64_t rows, int64_t cols, uint32_t* bits,
-                                         double* pos_sum, double* neg_sum,
-                                         int32_t* pos_count, int32_t* neg_count) {
-  const __m256 zero = _mm256_setzero_ps();
-  const __m256i ones = _mm256_set1_epi32(-1);
-  for (int64_t r = 0; r < rows; ++r) {
-    const int64_t base = r * cols;
-    int64_t c = 0;
-    for (; c + 8 <= cols; c += 8) {
-      const int64_t flat = base + c;
-      const __m256 q = _mm256_add_ps(_mm256_loadu_ps(grad + flat),
-                                     _mm256_loadu_ps(residual + flat));
-      // Movemask-style sign extraction: lane compare q >= 0 (ordered, so a
-      // NaN classifies negative exactly like the scalar `q >= 0.0f`).
-      const __m256 mask = _mm256_cmp_ps(q, zero, _CMP_GE_OQ);
-      const uint32_t m8 = static_cast<uint32_t>(_mm256_movemask_ps(mask));
-      internal::OrBits8(bits, flat, m8);
-
-      // Per-column double accumulation: masked lanes contribute +0.0, which
-      // is bit-exact on these sums (see the scalar reference).
-      const __m256d qlo = _mm256_cvtps_pd(_mm256_castps256_ps128(q));
-      const __m256d qhi = _mm256_cvtps_pd(_mm256_extractf128_ps(q, 1));
-      const __m256d mlo = MaskLoPd(mask);
-      const __m256d mhi = MaskHiPd(mask);
-      _mm256_storeu_pd(pos_sum + c,
-                       _mm256_add_pd(_mm256_loadu_pd(pos_sum + c),
-                                     _mm256_and_pd(qlo, mlo)));
-      _mm256_storeu_pd(pos_sum + c + 4,
-                       _mm256_add_pd(_mm256_loadu_pd(pos_sum + c + 4),
-                                     _mm256_and_pd(qhi, mhi)));
-      _mm256_storeu_pd(neg_sum + c,
-                       _mm256_add_pd(_mm256_loadu_pd(neg_sum + c),
-                                     _mm256_andnot_pd(mlo, qlo)));
-      _mm256_storeu_pd(neg_sum + c + 4,
-                       _mm256_add_pd(_mm256_loadu_pd(neg_sum + c + 4),
-                                     _mm256_andnot_pd(mhi, qhi)));
-
-      // Counts: a set mask lane is integer -1, so subtracting the mask
-      // increments; the complement increments the negative count.
-      const __m256i maski = _mm256_castps_si256(mask);
-      __m256i* pc = reinterpret_cast<__m256i*>(pos_count + c);
-      __m256i* nc = reinterpret_cast<__m256i*>(neg_count + c);
-      _mm256_storeu_si256(
-          pc, _mm256_sub_epi32(_mm256_loadu_si256(pc), maski));
-      _mm256_storeu_si256(
-          nc, _mm256_sub_epi32(_mm256_loadu_si256(nc),
-                               _mm256_andnot_si256(maski, ones)));
-    }
-    // Scalar tail for the row's trailing columns (same expressions as the
-    // scalar reference; no multiplies, so contraction cannot differ).
-    for (; c < cols; ++c) {
-      const int64_t flat = base + c;
-      const float q = grad[flat] + residual[flat];
-      const bool positive = q >= 0.0f;
-      if (positive) {
-        bits[flat >> 5] |= 1u << (flat & 31);
-      }
-      pos_sum[c] += positive ? static_cast<double>(q) : 0.0;
-      neg_sum[c] += positive ? 0.0 : static_cast<double>(q);
-      pos_count[c] += positive ? 1 : 0;
-      neg_count[c] += positive ? 0 : 1;
-    }
-  }
-}
-
-// Expands the low 8 bits of m8 into an 8-lane all-ones/all-zeros mask.
-POSEIDON_AVX2 inline __m256 Mask8ToLanes(uint32_t m8) {
-  const __m256i lane_bit = _mm256_setr_epi32(1, 2, 4, 8, 16, 32, 64, 128);
-  const __m256i v = _mm256_set1_epi32(static_cast<int>(m8));
-  return _mm256_castsi256_ps(
-      _mm256_cmpeq_epi32(_mm256_and_si256(v, lane_bit), lane_bit));
-}
-
-POSEIDON_AVX2 void Avx2OneBitResidualUpdate(const float* grad, int64_t rows,
-                                            int64_t cols, const uint32_t* bits,
-                                            const float* pos_level,
-                                            const float* neg_level, float* residual) {
-  for (int64_t r = 0; r < rows; ++r) {
-    const int64_t base = r * cols;
-    int64_t c = 0;
-    for (; c + 8 <= cols; c += 8) {
-      const int64_t flat = base + c;
-      const __m256 q = _mm256_add_ps(_mm256_loadu_ps(grad + flat),
-                                     _mm256_loadu_ps(residual + flat));
-      const __m256 mask = Mask8ToLanes(internal::LoadBits8(bits, flat));
-      const __m256 level = _mm256_blendv_ps(_mm256_loadu_ps(neg_level + c),
-                                            _mm256_loadu_ps(pos_level + c), mask);
-      _mm256_storeu_ps(residual + flat, _mm256_sub_ps(q, level));
-    }
-    for (; c < cols; ++c) {
-      const int64_t flat = base + c;
-      const float q = grad[flat] + residual[flat];
-      const bool positive = (bits[flat >> 5] >> (flat & 31)) & 1u;
-      residual[flat] = q - (positive ? pos_level[c] : neg_level[c]);
-    }
-  }
-}
-
-POSEIDON_AVX2 void Avx2OneBitDecode(const uint32_t* bits, const float* pos_level,
-                                    const float* neg_level, int64_t rows,
-                                    int64_t cols, float* out) {
-  for (int64_t r = 0; r < rows; ++r) {
-    const int64_t base = r * cols;
-    int64_t c = 0;
-    for (; c + 8 <= cols; c += 8) {
-      const int64_t flat = base + c;
-      const __m256 mask = Mask8ToLanes(internal::LoadBits8(bits, flat));
-      _mm256_storeu_ps(out + flat,
-                       _mm256_blendv_ps(_mm256_loadu_ps(neg_level + c),
-                                        _mm256_loadu_ps(pos_level + c), mask));
-    }
-    for (; c < cols; ++c) {
-      const int64_t flat = base + c;
-      const bool positive = (bits[flat >> 5] >> (flat & 31)) & 1u;
-      out[flat] = positive ? pos_level[c] : neg_level[c];
-    }
-  }
-}
-
-// 8 lanes of the integer hash in src/simd/quant.h — xor/shift/mullo only,
-// so the lanes equal eight scalar MixBits calls bit-for-bit.
-POSEIDON_AVX2 inline __m256i MixBits8(__m256i idx, __m256i seed) {
-  __m256i h = _mm256_xor_si256(idx, seed);
-  h = _mm256_xor_si256(h, _mm256_srli_epi32(h, 16));
-  h = _mm256_mullo_epi32(h, _mm256_set1_epi32(static_cast<int>(0x21f0aaadu)));
-  h = _mm256_xor_si256(h, _mm256_srli_epi32(h, 15));
-  h = _mm256_mullo_epi32(h, _mm256_set1_epi32(static_cast<int>(0x735a2d97u)));
-  h = _mm256_xor_si256(h, _mm256_srli_epi32(h, 15));
-  return h;
 }
 
 // 8 lanes of internal::Fp16Pack: clamp-after-round via unsigned min, then
@@ -284,81 +140,6 @@ POSEIDON_AVX2 void Avx2Fp16Decode(const uint16_t* src, int64_t n, float* out) {
     _mm256_storeu_ps(out + i, _mm256_castsi256_ps(_mm256_or_si256(sign, o)));
   }
   ScalarKernels()->fp16_decode(src + i, n - i, out + i);
-}
-
-POSEIDON_AVX2 void Avx2Int8EncodeSr(const float* src, int64_t n, float inv_scale,
-                                    uint32_t seed, int64_t base_index,
-                                    int8_t* out) {
-  const __m256 vinv = _mm256_set1_ps(inv_scale);
-  const __m256 vone = _mm256_set1_ps(1.0f);
-  const __m256 vhi = _mm256_set1_ps(127.0f);
-  const __m256 vlo = _mm256_set1_ps(-127.0f);
-  const __m256 v2p24 = _mm256_set1_ps(0x1p-24f);
-  const __m256i vseed = _mm256_set1_epi32(static_cast<int>(seed));
-  const __m256i step = _mm256_set1_epi32(8);
-  __m256i idx = _mm256_add_epi32(
-      _mm256_set1_epi32(static_cast<int>(static_cast<uint32_t>(base_index))),
-      _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7));
-  int64_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    const __m256 t = _mm256_mul_ps(_mm256_loadu_ps(src + i), vinv);
-    const __m256 fl = _mm256_floor_ps(t);
-    const __m256 frac = _mm256_sub_ps(t, fl);
-    const __m256i h = MixBits8(idx, vseed);
-    // (h >> 8) is < 2^24, so the signed int -> float conversion is exact.
-    const __m256 r =
-        _mm256_mul_ps(_mm256_cvtepi32_ps(_mm256_srli_epi32(h, 8)), v2p24);
-    const __m256 inc = _mm256_and_ps(_mm256_cmp_ps(frac, r, _CMP_GT_OQ), vone);
-    __m256 q = _mm256_add_ps(fl, inc);
-    q = _mm256_blendv_ps(q, vhi, _mm256_cmp_ps(q, vhi, _CMP_GT_OQ));
-    q = _mm256_blendv_ps(q, vlo, _mm256_cmp_ps(q, vlo, _CMP_LT_OQ));
-    q = _mm256_and_ps(q, _mm256_cmp_ps(q, q, _CMP_ORD_Q));  // NaN squash
-    const __m256i qi = _mm256_cvttps_epi32(q);
-    const __m256i p16 = _mm256_packs_epi32(qi, qi);
-    const __m256i p8 = _mm256_packs_epi16(p16, p16);
-    const __m256i perm = _mm256_permutevar8x32_epi32(
-        p8, _mm256_setr_epi32(0, 4, 0, 0, 0, 0, 0, 0));
-    _mm_storel_epi64(reinterpret_cast<__m128i*>(out + i),
-                     _mm256_castsi256_si128(perm));
-    idx = _mm256_add_epi32(idx, step);
-  }
-  ScalarKernels()->int8_encode_sr(src + i, n - i, inv_scale, seed, base_index + i,
-                                  out + i);
-}
-
-POSEIDON_AVX2 void Avx2Int8Decode(const int8_t* src, int64_t n, float scale,
-                                  float* out) {
-  const __m256 vscale = _mm256_set1_ps(scale);
-  int64_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    const __m256i qi = _mm256_cvtepi8_epi32(
-        _mm_loadl_epi64(reinterpret_cast<const __m128i*>(src + i)));
-    _mm256_storeu_ps(out + i, _mm256_mul_ps(_mm256_cvtepi32_ps(qi), vscale));
-  }
-  ScalarKernels()->int8_decode(src + i, n - i, scale, out + i);
-}
-
-POSEIDON_AVX2 float Avx2MaxAbs(const float* src, int64_t n) {
-  const __m256 absmask = _mm256_castsi256_ps(_mm256_set1_epi32(0x7FFFFFFF));
-  __m256 vm = _mm256_setzero_ps();
-  int64_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    const __m256 a = _mm256_and_ps(_mm256_loadu_ps(src + i), absmask);
-    vm = _mm256_blendv_ps(vm, a, _mm256_cmp_ps(a, vm, _CMP_GT_OQ));
-  }
-  // max over non-negative magnitudes (NaNs ignored by the ordered compare)
-  // is associative, so the lane fold equals the scalar sequential max.
-  float lanes[8];
-  _mm256_storeu_ps(lanes, vm);
-  float m = 0.0f;
-  for (int l = 0; l < 8; ++l) {
-    m = lanes[l] > m ? lanes[l] : m;
-  }
-  for (; i < n; ++i) {
-    const float a = std::fabs(src[i]);
-    m = a > m ? a : m;
-  }
-  return m;
 }
 
 POSEIDON_AVX2 int64_t Avx2CountAbsGreater(const float* src, int64_t n,
@@ -613,14 +394,10 @@ POSEIDON_AVX2 void Avx2GemmTransB(const float* a, const float* b, int64_t m, int
 #undef POSEIDON_AVX2
 
 const Kernels kAvx2Kernels = {
-    Level::kAvx2,           Avx2ReduceAdd,
-    Avx2Scale,              Avx2Axpy,
-    Avx2SgdStep,            Avx2OneBitEncodeStats,
-    Avx2OneBitResidualUpdate, Avx2OneBitDecode,
-    Avx2Fp16EncodeRn,       Avx2Fp16Decode,
-    Avx2Int8EncodeSr,       Avx2Int8Decode,
-    Avx2MaxAbs,             Avx2CountAbsGreater,
-    Avx2GemmTransB,         Avx2GemmPackedPanel,
+    Level::kAvx2,     Avx2ReduceAdd,       Avx2Scale,
+    Avx2Axpy,         Avx2SgdStep,         Avx2Fp16EncodeRn,
+    Avx2Fp16Decode,   Avx2CountAbsGreater, Avx2GemmTransB,
+    Avx2GemmPackedPanel,
 };
 
 }  // namespace

@@ -53,6 +53,12 @@ class OneBitQuantizer {
   Tensor residual_;
 };
 
+// The decode loop: out[i] = bit ? pos_level[c] : neg_level[c] over the
+// row-major [rows, cols] target, `bits` packed as in OneBitEncoded.
+// OneBitQuantizer::Decode and OneBitCodec::DecodeDense both run it.
+void OneBitDecode(const uint32_t* bits, const float* pos_level, const float* neg_level,
+                  int64_t rows, int64_t cols, float* out);
+
 }  // namespace poseidon
 
 #endif  // POSEIDON_SRC_TENSOR_ONEBIT_H_

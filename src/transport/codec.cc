@@ -217,8 +217,8 @@ Status OneBitCodec::DecodeDense(const PayloadView& frame, Tensor* out) {
     WireCopyStats::Add(f.words.size());
   }
   *out = Tensor({f.rows, f.cols});
-  simd::OneBitDecode(bits.data(), f.positive_level.data(), f.negative_level.data(),
-                     f.rows, f.cols, out->data());
+  OneBitDecode(bits.data(), f.positive_level.data(), f.negative_level.data(), f.rows,
+               f.cols, out->data());
   return Status::Ok();
 }
 
@@ -515,6 +515,62 @@ int64_t Int8Chunks(int64_t n) { return (n + simd::kInt8ChunkSize - 1) / simd::kI
 
 int64_t Int8PackedWords(int64_t n) { return (n + 3) / 4; }
 
+// 32-bit finalizer-style mixer (xor-shift + odd-constant multiplies, the
+// lowbias32 recipe). The (seed, index) pair fully determines the rounding
+// noise: seeding per (layer, clock) makes every replica's stochastic
+// rounding identical (docs/COMPRESSION.md).
+uint32_t MixBits(uint32_t seed, uint32_t index) {
+  uint32_t h = index ^ seed;
+  h ^= h >> 16;
+  h *= 0x21f0aaadu;
+  h ^= h >> 15;
+  h *= 0x735a2d97u;
+  h ^= h >> 15;
+  return h;
+}
+
+// fp32 -> int8 with deterministic stochastic rounding:
+//   t = src[i] * inv_scale; q = floor(t) + (frac(t) > r ? 1 : 0)
+// with r a 24-bit uniform from the (seed, base_index + i) hash, clamped to
+// [-127, 127] (NaN squashes to 0 so the cast is always defined). The noise
+// is a pure function of the flat element index, so the encoding does not
+// depend on how a layer is sliced across shards.
+void Int8EncodeSr(const float* src, int64_t n, float inv_scale, uint32_t seed,
+                  int64_t base_index, int8_t* out) {
+  for (int64_t i = 0; i < n; ++i) {
+    const float t = src[i] * inv_scale;
+    const float fl = std::floor(t);
+    const float frac = t - fl;
+    const uint32_t h = MixBits(seed, static_cast<uint32_t>(base_index + i));
+    // 24-bit uniform in [0, 1): the int -> float conversion and the
+    // power-of-two multiply are both exact.
+    const float r = static_cast<float>(h >> 8) * 0x1p-24f;
+    float q = fl + (frac > r ? 1.0f : 0.0f);
+    q = q > 127.0f ? 127.0f : q;
+    q = q < -127.0f ? -127.0f : q;
+    q = q == q ? q : 0.0f;  // NaN squash: the cast below must be defined
+    out[i] = static_cast<int8_t>(static_cast<int32_t>(q));
+  }
+}
+
+// out[i] = src[i] * scale (int8 -> fp32 is exact; one correctly-rounded
+// multiply).
+void Int8Decode(const int8_t* src, int64_t n, float scale, float* out) {
+  for (int64_t i = 0; i < n; ++i) {
+    out[i] = static_cast<float>(src[i]) * scale;
+  }
+}
+
+// max_i |src[i]|, ignoring NaNs, 0 for n == 0.
+float MaxAbs(const float* src, int64_t n) {
+  float m = 0.0f;
+  for (int64_t i = 0; i < n; ++i) {
+    const float a = std::fabs(src[i]);
+    m = a > m ? a : m;  // ordered compare: NaNs never enter the max
+  }
+  return m;
+}
+
 // residual = quant - decode(frame), computed as quant + (-approx): Scale by
 // -1 is an exact sign flip and a + (-b) rounds identically to a - b, so the
 // residual is the bitwise error-feedback carry. `residual` holds the decoded
@@ -576,8 +632,7 @@ Status Int8Codec::DecodeDense(const PayloadView& frame, Tensor* out) {
   *out = Tensor({f.n});
   for (int64_t off = 0, chunk = 0; off < f.n; off += simd::kInt8ChunkSize, ++chunk) {
     const int64_t len = std::min(simd::kInt8ChunkSize, f.n - off);
-    simd::Int8Decode(packed.data() + off, len, f.scales.data()[chunk],
-                     out->data() + off);
+    Int8Decode(packed.data() + off, len, f.scales.data()[chunk], out->data() + off);
   }
   return Status::Ok();
 }
@@ -612,7 +667,7 @@ Payload Int8Codec::EncodeSr(const float* quant, int64_t n, uint32_t seed,
   std::vector<int8_t> packed(static_cast<size_t>(n));
   for (int64_t off = 0, chunk = 0; off < n; off += simd::kInt8ChunkSize, ++chunk) {
     const int64_t len = std::min(simd::kInt8ChunkSize, n - off);
-    const float max_abs = simd::MaxAbs(quant + off, len);
+    const float max_abs = MaxAbs(quant + off, len);
     // Good-guard: a chunk whose magnitude is zero or non-finite cannot be
     // scaled meaningfully; send scale 0 (decodes to exact zeros) and let the
     // residual carry the content forward.
@@ -623,10 +678,9 @@ Payload Int8Codec::EncodeSr(const float* quant, int64_t n, uint32_t seed,
       inv_scale = 1.0f / scale;
     }
     scales[static_cast<size_t>(chunk)] = scale;
-    simd::Int8EncodeSr(quant + off, len, inv_scale, seed, base_index + off,
-                       packed.data() + off);
+    Int8EncodeSr(quant + off, len, inv_scale, seed, base_index + off, packed.data() + off);
     if (residual != nullptr) {
-      simd::Int8Decode(packed.data() + off, len, scale, residual + off);
+      Int8Decode(packed.data() + off, len, scale, residual + off);
     }
   }
   if (residual != nullptr) {

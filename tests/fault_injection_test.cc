@@ -20,6 +20,10 @@
 namespace poseidon {
 namespace {
 
+// How long a socket test waits for one expected message: a lost message
+// fails the test instead of hanging the binary.
+constexpr std::chrono::seconds kPopDeadline(5);
+
 Message MakeMessage(int src, int dst, int64_t seq = -1, int layer = 0) {
   Message m;
   m.type = MessageType::kGradPush;
@@ -281,7 +285,7 @@ TEST(SocketBackendFaultTest, DuplicatesAreInjectedAndDeduplicated) {
     EXPECT_TRUE(pair.bus(0).Send(MakeMessage(0, 1, /*seq=*/-1, /*layer=*/i)).ok());
   }
   for (int i = 0; i < kMessages; ++i) {
-    std::optional<Message> received = mailbox->Pop();
+    std::optional<Message> received = mailbox->PopFor(kPopDeadline);
     ASSERT_TRUE(received.has_value()) << "message " << i << " missing";
     EXPECT_EQ(received->layer, i);
     EXPECT_EQ(received->seq, i);  // the bus sequenced the wire stream
@@ -306,7 +310,7 @@ TEST(SocketBackendFaultTest, DropsAreRetransmittedUntilDelivered) {
     EXPECT_TRUE(pair.bus(0).Send(MakeMessage(0, 1, /*seq=*/-1, /*layer=*/i)).ok());
   }
   for (int i = 0; i < kMessages; ++i) {
-    std::optional<Message> received = mailbox->Pop();
+    std::optional<Message> received = mailbox->PopFor(kPopDeadline);
     ASSERT_TRUE(received.has_value()) << "message " << i << " lost for good";
     EXPECT_EQ(received->layer, i) << "stream order broken";
   }
@@ -330,8 +334,8 @@ TEST(SocketBackendFaultTest, DelayedStreamStillArrivesInOrder) {
     EXPECT_TRUE(pair.bus(0).Send(MakeMessage(0, 1, /*seq=*/-1, /*layer=*/i)).ok());
   }
   for (int i = 0; i < kMessages; ++i) {
-    std::optional<Message> received = mailbox->Pop();
-    ASSERT_TRUE(received.has_value());
+    std::optional<Message> received = mailbox->PopFor(kPopDeadline);
+    ASSERT_TRUE(received.has_value()) << "message " << i << " never arrived";
     EXPECT_EQ(received->layer, i) << "per-stream FIFO violated";
   }
   pair.Barrier(0, 1);
@@ -355,7 +359,7 @@ TEST(SocketBackendFaultTest, FlushEgressDrainsHeldFramesBeforeTheTransport) {
     EXPECT_TRUE(pair.bus(0).Send(MakeMessage(0, 1, /*seq=*/-1, /*layer=*/i)).ok());
   }
   for (int i = 0; i < kMessages; ++i) {
-    ASSERT_TRUE(mailbox->PopFor(std::chrono::seconds(10)).has_value())
+    ASSERT_TRUE(mailbox->PopFor(kPopDeadline).has_value())
         << "message " << i << " missing";
   }
   pair.Barrier(0, 1);

@@ -108,6 +108,22 @@ TEST(MultiprocessTrajectoryTest, BatchedEgressClusterMatchesInProcess) {
                         /*staleness=*/0, PlanPolicy::kDense);
 }
 
+TEST(MultiprocessTrajectoryTest, OneBitClusterMatchesInProcess) {
+  // Every FC layer pushes 1-bit frames (sign bits plus per-column levels)
+  // across the sockets, and the shards reply with the quantized aggregate.
+  LaunchAndExpectOracle({"--transport=tcp", "--policy=onebit"},
+                        /*workers=*/2, /*servers=*/2, /*shards=*/2,
+                        /*staleness=*/0, PlanPolicy::kOneBit);
+}
+
+TEST(MultiprocessTrajectoryTest, HybridClusterMatchesInProcess) {
+  // The paper's HybComm: layers the cost model routes to SFB broadcast
+  // sufficient-factor frames peer to peer, the rest go through the shards.
+  LaunchAndExpectOracle({"--transport=tcp", "--policy=hybrid"},
+                        /*workers=*/2, /*servers=*/2, /*shards=*/2,
+                        /*staleness=*/0, PlanPolicy::kHybrid);
+}
+
 TEST(MultiprocessTrajectoryTest, LossySocketsPreserveTheTrajectory) {
   // Record-level weather on every process's egress: the cluster must train
   // to the exact clean trajectory, and the run must prove weather actually

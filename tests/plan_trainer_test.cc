@@ -5,8 +5,9 @@
 //   * kPaper trains bitwise identically to a kFixed run adopting the very
 //     plan paper mode resolved — the plan object is a faithful encoding of
 //     the legacy configuration, not an approximation of it;
-//   * a kFixed run takes the plan's global knobs (top-k density, staleness)
-//     over the options it was handed;
+//   * a kFixed run takes the plan's global knobs (top-k density, staleness,
+//     egress batching) over the options it was handed, and so does the bus
+//     an AdoptPlan swap builds;
 //   * AdoptPlan between Train() windows changes how gradients move, never
 //     their values, so a fixed swap schedule reproduces bitwise;
 //   * AdoptPlan rebuilds the bus but keeps the fabric settings the caller
@@ -99,6 +100,53 @@ TEST(PlanTrainerTest, FixedPlanGlobalKnobsAreInForce) {
   PoseidonTrainer adopted_ssp(TinyMlpFactory(), fixed);
   EXPECT_EQ(adopted_ssp.coordinator().cluster().staleness, 1)
       << "the fixed plan's staleness bound is not the one in force";
+}
+
+// The bus batches egress exactly when the plan in force does, whatever
+// TrainerOptions::batch_egress says: at construction under kFixed, and on the
+// bus each AdoptPlan builds.
+TEST(PlanTrainerTest, BusBatchesExactlyWhenThePlanInForceDoes) {
+  const SyntheticDataset dataset = TinyDataset();
+  TrainerOptions paper = SmallTrainerOptions();
+  paper.batch_egress = true;
+  std::shared_ptr<const CommPlan> batched;
+  {
+    PoseidonTrainer trainer(TinyMlpFactory(), paper);
+    batched = trainer.plan();
+    EXPECT_TRUE(trainer.bus().batching_enabled());
+  }
+  paper.batch_egress = false;
+  std::shared_ptr<const CommPlan> unbatched;
+  {
+    PoseidonTrainer trainer(TinyMlpFactory(), paper);
+    unbatched = trainer.plan();
+    EXPECT_FALSE(trainer.bus().batching_enabled());
+  }
+  ASSERT_TRUE(batched->batch_egress);
+  ASSERT_FALSE(unbatched->batch_egress);
+
+  TrainerOptions fixed = SmallTrainerOptions();
+  fixed.plan_mode = TrainerPlanMode::kFixed;
+  for (const bool option : {false, true}) {
+    fixed.batch_egress = option;
+    fixed.fixed_plan = unbatched;
+    EXPECT_FALSE(PoseidonTrainer(TinyMlpFactory(), fixed).bus().batching_enabled())
+        << "an unbatched fixed plan runs on a batching bus (batch_egress=" << option << ")";
+    fixed.fixed_plan = batched;
+    EXPECT_TRUE(PoseidonTrainer(TinyMlpFactory(), fixed).bus().batching_enabled())
+        << "a batched fixed plan runs on an unbatched bus (batch_egress=" << option << ")";
+  }
+
+  paper.batch_egress = true;
+  PoseidonTrainer trainer(TinyMlpFactory(), paper);
+  trainer.Train(dataset, 2);
+  trainer.AdoptPlan(unbatched);
+  EXPECT_FALSE(trainer.bus().batching_enabled()) << "the swap kept batching on";
+  trainer.Train(dataset, 2);
+  trainer.AdoptPlan(batched);
+  EXPECT_TRUE(trainer.bus().batching_enabled()) << "the swap left batching off";
+  trainer.Train(dataset, 2);
+  EXPECT_EQ(trainer.next_iter(), 6);
 }
 
 TEST(PlanTrainerTest, AutoPlanIsDeterministicAndTrains) {

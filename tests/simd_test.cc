@@ -17,7 +17,6 @@
 #include <vector>
 
 #include "src/simd/vec.h"
-#include "src/tensor/onebit.h"
 #include "src/tensor/ops.h"
 #include "tests/testing/harness.h"
 
@@ -149,73 +148,6 @@ TEST(SimdKernelTest, ElementwiseKernelsMatchScalarBitwise) {
   }
 }
 
-TEST(SimdKernelTest, OneBitKernelsMatchScalarBitwise) {
-  std::mt19937 gen(7);
-  const simd::Kernels* scalar = simd::KernelsFor(simd::Level::kScalar);
-  for (simd::Level level : VectorLevels()) {
-    const simd::Kernels* vec = simd::KernelsFor(level);
-    ASSERT_NE(vec, nullptr);
-    // Column counts sweep every 8-wide tail (1..16 plus wider), rows keep
-    // the bit cursor landing at arbitrary non-word-aligned offsets.
-    for (int64_t cols = 1; cols <= 40; cols += (cols < 18 ? 1 : 5)) {
-      for (int64_t rows : {1, 3, 5}) {
-        SCOPED_TRACE(std::string(simd::LevelName(level)) + " " +
-                     std::to_string(rows) + "x" + std::to_string(cols));
-        const size_t elems = static_cast<size_t>(rows * cols);
-        const std::vector<float> grad = FuzzFloats(&gen, elems);
-        const std::vector<float> residual = FuzzFloats(&gen, elems);
-        const size_t words = (elems + 31) / 32;
-
-        std::vector<uint32_t> bits_a(words, 0u), bits_b(words, 0u);
-        std::vector<double> pos_a(static_cast<size_t>(cols), 0.0), neg_a = pos_a;
-        std::vector<double> pos_b = pos_a, neg_b = pos_a;
-        std::vector<int32_t> pc_a(static_cast<size_t>(cols), 0), nc_a = pc_a;
-        std::vector<int32_t> pc_b = pc_a, nc_b = pc_a;
-        scalar->onebit_encode_stats(grad.data(), residual.data(), rows, cols,
-                                    bits_a.data(), pos_a.data(), neg_a.data(),
-                                    pc_a.data(), nc_a.data());
-        vec->onebit_encode_stats(grad.data(), residual.data(), rows, cols,
-                                 bits_b.data(), pos_b.data(), neg_b.data(),
-                                 pc_b.data(), nc_b.data());
-        EXPECT_EQ(bits_a, bits_b);
-        EXPECT_EQ(pc_a, pc_b);
-        EXPECT_EQ(nc_a, nc_b);
-        // Double sums must match to the bit, not approximately.
-        ASSERT_EQ(pos_a.size(), pos_b.size());
-        EXPECT_EQ(std::memcmp(pos_a.data(), pos_b.data(),
-                              pos_a.size() * sizeof(double)), 0);
-        EXPECT_EQ(std::memcmp(neg_a.data(), neg_b.data(),
-                              neg_a.size() * sizeof(double)), 0);
-
-        // Levels derived the same way the quantizer derives them.
-        std::vector<float> pos_level(static_cast<size_t>(cols), 0.0f);
-        std::vector<float> neg_level(static_cast<size_t>(cols), 0.0f);
-        for (int64_t c = 0; c < cols; ++c) {
-          const size_t ci = static_cast<size_t>(c);
-          if (pc_a[ci] > 0) pos_level[ci] = static_cast<float>(pos_a[ci] / pc_a[ci]);
-          if (nc_a[ci] > 0) neg_level[ci] = static_cast<float>(neg_a[ci] / nc_a[ci]);
-        }
-
-        std::vector<float> res_a = residual, res_b = residual;
-        scalar->onebit_residual_update(grad.data(), rows, cols, bits_a.data(),
-                                       pos_level.data(), neg_level.data(),
-                                       res_a.data());
-        vec->onebit_residual_update(grad.data(), rows, cols, bits_a.data(),
-                                    pos_level.data(), neg_level.data(),
-                                    res_b.data());
-        EXPECT_TRUE(BitwiseEqual(res_a, res_b)) << "residual update";
-
-        std::vector<float> out_a(elems), out_b(elems);
-        scalar->onebit_decode(bits_a.data(), pos_level.data(), neg_level.data(),
-                              rows, cols, out_a.data());
-        vec->onebit_decode(bits_a.data(), pos_level.data(), neg_level.data(),
-                           rows, cols, out_b.data());
-        EXPECT_TRUE(BitwiseEqual(out_a, out_b)) << "decode";
-      }
-    }
-  }
-}
-
 TEST(SimdKernelTest, QuantKernelsMatchScalarBitwise) {
   std::mt19937 gen(20260808);
   const simd::Kernels* scalar = simd::KernelsFor(simd::Level::kScalar);
@@ -225,8 +157,6 @@ TEST(SimdKernelTest, QuantKernelsMatchScalarBitwise) {
     for (int64_t n : FuzzLengths()) {
       SCOPED_TRACE(std::string(simd::LevelName(level)) + " n=" + std::to_string(n));
       const std::vector<float> x = FuzzFloats(&gen, static_cast<size_t>(n));
-      const uint32_t seed = gen();
-      const int64_t base = static_cast<int64_t>(gen() % 4096);
 
       std::vector<uint16_t> ha(static_cast<size_t>(n), 0), hb = ha;
       scalar->fp16_encode_rn(x.data(), n, ha.data());
@@ -243,23 +173,6 @@ TEST(SimdKernelTest, QuantKernelsMatchScalarBitwise) {
       scalar->fp16_decode(halves.data(), n, fa.data());
       vec->fp16_decode(halves.data(), n, fb.data());
       EXPECT_TRUE(BitwiseEqual(fa, fb)) << "fp16_decode";
-
-      const float max_abs_a = scalar->max_abs(x.data(), n);
-      const float max_abs_b = vec->max_abs(x.data(), n);
-      EXPECT_EQ(std::memcmp(&max_abs_a, &max_abs_b, sizeof(float)), 0) << "max_abs";
-
-      const float inv_scale = max_abs_a > 0.0f ? 127.0f / max_abs_a : 0.0f;
-      std::vector<int8_t> qa(static_cast<size_t>(n), 0), qb = qa;
-      scalar->int8_encode_sr(x.data(), n, inv_scale, seed, base, qa.data());
-      vec->int8_encode_sr(x.data(), n, inv_scale, seed, base, qb.data());
-      EXPECT_EQ(qa, qb) << "int8_encode_sr";
-
-      const float scale = max_abs_a / 127.0f;
-      std::fill(fa.begin(), fa.end(), 0.0f);
-      std::fill(fb.begin(), fb.end(), 0.0f);
-      scalar->int8_decode(qa.data(), n, scale, fa.data());
-      vec->int8_decode(qa.data(), n, scale, fb.data());
-      EXPECT_TRUE(BitwiseEqual(fa, fb)) << "int8_decode";
 
       EXPECT_EQ(scalar->count_abs_greater(x.data(), n, 0.5f),
                 vec->count_abs_greater(x.data(), n, 0.5f))

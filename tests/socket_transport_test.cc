@@ -59,6 +59,10 @@ using testing::SocketClusterOptions;
 using testing::SocketClusterRun;
 using testing::Trajectory;
 
+// How long a test waits for one expected message: a lost message fails the
+// test instead of hanging the binary.
+constexpr std::chrono::seconds kPopDeadline(5);
+
 // A deterministic raw-float data message, node 0 -> node 1.
 Message MakeDataMessage(int64_t iter) {
   Message m;
@@ -114,8 +118,8 @@ TEST(SocketTransportTest, DataPathPreservesEveryFieldAndPayloadBit) {
   const Message sent = MakeDataMessage(3);
   ASSERT_TRUE(pair.bus(0).Send(sent).ok());
 
-  std::optional<Message> got = mailbox->Pop();
-  ASSERT_TRUE(got.has_value());
+  std::optional<Message> got = mailbox->PopFor(kPopDeadline);
+  ASSERT_TRUE(got.has_value()) << "the message never arrived";
   EXPECT_EQ(static_cast<int>(got->type), static_cast<int>(sent.type));
   EXPECT_EQ(static_cast<int>(got->codec), static_cast<int>(sent.codec));
   EXPECT_TRUE(got->from == sent.from);
@@ -147,8 +151,8 @@ TEST(SocketTransportTest, SendNsIsRestampedOnTheReceiversClock) {
   pair.bus(1).EnableLinkStats();
   auto mailbox = pair.bus(1).Register(Address{1, kServerPort});
   ASSERT_TRUE(pair.bus(0).Send(MakeDataMessage(0)).ok());
-  std::optional<Message> got = mailbox->Pop();
-  ASSERT_TRUE(got.has_value());
+  std::optional<Message> got = mailbox->PopFor(kPopDeadline);
+  ASSERT_TRUE(got.has_value()) << "the message never arrived";
   EXPECT_GT(got->send_ns, 0)
       << "ingress must restamp so latency is measured on one clock";
 }
@@ -160,8 +164,8 @@ TEST(SocketTransportTest, UnixSocketsCarryTheSameFrames) {
     ASSERT_TRUE(pair.bus(0).Send(MakeDataMessage(iter)).ok());
   }
   for (int64_t iter = 0; iter < 4; ++iter) {
-    std::optional<Message> got = mailbox->Pop();
-    ASSERT_TRUE(got.has_value());
+    std::optional<Message> got = mailbox->PopFor(kPopDeadline);
+    ASSERT_TRUE(got.has_value()) << "message " << iter << " never arrived";
     EXPECT_EQ(got->iter, iter) << "per-stream FIFO over AF_UNIX";
     EXPECT_EQ(got->seq, iter);
   }
@@ -174,8 +178,8 @@ TEST(SocketTransportTest, ShutdownRidesUnsequenced) {
   m.type = MessageType::kShutdown;
   m.chunks.clear();
   ASSERT_TRUE(pair.bus(0).Send(m).ok());
-  std::optional<Message> got = mailbox->Pop();
-  ASSERT_TRUE(got.has_value());
+  std::optional<Message> got = mailbox->PopFor(kPopDeadline);
+  ASSERT_TRUE(got.has_value()) << "the shutdown never arrived";
   EXPECT_EQ(static_cast<int>(got->type),
             static_cast<int>(MessageType::kShutdown));
   EXPECT_EQ(got->seq, -1) << "kShutdown is exempt from wire sequencing";
@@ -199,7 +203,7 @@ TEST(SocketTransportTest, LossyShimDeliversExactlyOnceInOrder) {
     ASSERT_TRUE(pair.bus(0).Send(MakeDataMessage(iter)).ok());
   }
   for (int64_t iter = 0; iter < kMessages; ++iter) {
-    std::optional<Message> got = mailbox->Pop();
+    std::optional<Message> got = mailbox->PopFor(kPopDeadline);
     ASSERT_TRUE(got.has_value()) << "lost message " << iter;
     EXPECT_EQ(got->iter, iter) << "released out of order";
     EXPECT_EQ(got->seq, iter);

@@ -36,8 +36,6 @@ MICRO_REQUIRED = {
     "telemetry_overhead_frac": -1.0,
     # Roofline section (docs/PERFORMANCE.md): scalar-vs-dispatched kernel
     # throughput plus the streaming-bandwidth ceiling.
-    "onebit_roundtrip_floats_per_s_scalar": 0.0,
-    "onebit_roundtrip_floats_per_s_simd": 0.0,
     "ring_reduce_floats_per_s_scalar": 0.0,
     "ring_reduce_floats_per_s_simd": 0.0,
     "gemm_trans_b_conv_floats_per_s_scalar": 0.0,
@@ -78,15 +76,12 @@ OVERHEAD_BUDGET = 0.02
 # paper default it replaces (ratio = default / planned).
 PLANNER_MIN_BYTES_RATIO = 1.0
 
-# Minimum speedup of the dispatched 1-bit round trip over the pinned-scalar
-# run, enforced only when the host actually has a SIMD backend (meta
-# simd_available). The kernels' headline case: anything under this means the
-# vector path quietly fell off (dispatch regression, scalar fallback, a
-# de-vectorized kernel) even if every series is still present.
-ONEBIT_SIMD_MIN_RATIO = 4.0
-
-# The same floor for GemmTransB (FC forward, SF reconstruction) on each
-# recorded shape: the "conv" shape (CIFAR conv2's old im2col product; the
+# Minimum speedup of dispatched GemmTransB (FC forward, SF reconstruction)
+# over the pinned-scalar run, enforced only when the host actually has a SIMD
+# backend (meta simd_available): anything under this means the vector path
+# quietly fell off (dispatch regression, scalar fallback, a de-vectorized
+# kernel) even if every series is still present. Gated on each recorded
+# shape: the "conv" shape (CIFAR conv2's old im2col product; the
 # conv forward no longer calls GemmTransB, but SF reconstruction still runs
 # this column-lane path) and the FC shape the row-lane path, so each gate
 # catches one of them falling back to the serial scalar dot product. Both
@@ -180,15 +175,9 @@ def check_file(path):
                             f">= budget {OVERHEAD_BUDGET}")
         meta = record.get("meta", {})
         simd_available = meta.get("simd_available", 0)
-        scalar = series.get("onebit_roundtrip_floats_per_s_scalar") or []
-        simd = series.get("onebit_roundtrip_floats_per_s_simd") or []
-        if simd_available and scalar and simd:
-            message = speedup_failure("onebit", simd, scalar, ONEBIT_SIMD_MIN_RATIO)
-            if message:
-                ok = fail(path, message)
-        elif not simd_available:
+        if not simd_available:
             print(f"{path}: note: no SIMD backend on this host; "
-                  f"skipping the onebit speedup gate")
+                  f"skipping the speedup gates")
         for shape in GEMM_TRANS_B_SHAPES:
             gemm_scalar = series.get(f"gemm_trans_b_{shape}_floats_per_s_scalar") or []
             gemm_simd = series.get(f"gemm_trans_b_{shape}_floats_per_s_simd") or []
