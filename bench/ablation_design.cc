@@ -27,9 +27,8 @@ void OverlapAblation(const BenchArgs& args) {
     ClusterSpec cluster;
     cluster.num_nodes = nodes;
     cluster.nic_gbps = gbps;
-    SystemConfig none = CaffePlusPs();
-    none.blocking_memcpy = false;  // isolate scheduling, not memcpy
-    const SimResult seq = RunProtocolSimulation(model, none, cluster, Engine::kCaffe);
+    const SimResult seq =
+        RunProtocolSimulation(model, CaffePlusPs(), cluster, Engine::kCaffe);
     const SimResult wfbp =
         RunProtocolSimulation(model, CaffePlusWfbp(), cluster, Engine::kCaffe);
     table.AddRow({TextTable::Num(gbps, 0), TextTable::Num(seq.images_per_sec, 0),

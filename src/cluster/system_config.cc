@@ -17,9 +17,7 @@ SystemConfig MakeSystem(std::string name, OverlapMode overlap, PlanPolicy policy
 }  // namespace
 
 SystemConfig CaffePlusPs() {
-  SystemConfig config = MakeSystem("Caffe+PS", OverlapMode::kNone, PlanPolicy::kDense);
-  config.blocking_memcpy = true;
-  return config;
+  return MakeSystem("Caffe+PS", OverlapMode::kNone, PlanPolicy::kDense);
 }
 
 SystemConfig CaffePlusWfbp() {

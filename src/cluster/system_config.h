@@ -40,10 +40,6 @@ struct SystemConfig {
   // sufficient factors to the layer's owning server instead, which
   // reconstructs the update and sends dense matrices back ("SF->PS").
   bool adam = false;
-  // Vanilla-PS behaviour: DRAM<->GPU staging copies block the GPU instead of
-  // running on the async copy engine (explains Caffe+PS's single-node
-  // overhead, §5.1).
-  bool blocking_memcpy = false;
   // Fraction of wire bandwidth the system's transport sustains. Default 0.6:
   // sustained bidirectional TCP goodput on 40 GbE NICs (kernel stack + PCIe
   // contention) is well below line rate even for an efficient socket layer

@@ -1,7 +1,8 @@
 #include "src/poseidon/cluster_node.h"
 
+#include <algorithm>
 #include <cstdio>
-#include <thread>
+#include <set>
 
 #include "src/common/logging.h"
 #include "src/poseidon/checkpoint.h"
@@ -31,71 +32,46 @@ ClusterNode::~ClusterNode() = default;
 
 Status ClusterNode::Run() {
   const TrainerOptions& t = config_.trainer;
-  // Every process resolves the same plan and builds the same coordinator
-  // from it; replicas and the server master copies come from one
-  // deterministic factory.
-  init_net_ = workloads::TinyMlpFactory(config_.hidden_layers)();
-  plan_ = ResolveTrainerPlan(t, *init_net_);
-  coordinator_ = std::make_unique<Coordinator>(*init_net_, ClusterInfoFor(t, *plan_));
-  const ClusterInfo& cluster = coordinator_->cluster();
-  if (static_cast<int>(config_.transport.node_owner.size()) != cluster.NumNodes()) {
-    return InvalidArgumentError("node_owner must map all " +
-                                std::to_string(cluster.NumNodes()) + " bus nodes");
+  const int num_nodes = std::max(t.num_workers, t.server_node_base + t.num_servers);
+  if (static_cast<int>(config_.transport.node_owner.size()) != num_nodes) {
+    return InvalidArgumentError("node_owner must map all " + std::to_string(num_nodes) +
+                                " bus nodes");
   }
-
-  bus_ = MakeTrainerBus(t, *plan_, cluster.NumNodes());
   transport_ = std::make_shared<SocketTransport>(config_.transport);
   // Handler installation must precede Start(): control records may arrive
   // the moment the listener is up.
   control_ = std::make_unique<ClusterControl>(
       transport_.get(), static_cast<int>(config_.transport.processes.size()));
-  bus_->AttachTransport(transport_);
-  Status status = transport_->Start(bus_.get());
+  // The trainer registers every local mailbox before the listener is up, and
+  // no data frame flows until every process passed the rendezvous barrier.
+  trainer_ = std::make_unique<PoseidonTrainer>(workloads::TinyMlpFactory(config_.hidden_layers),
+                                               t, transport_);
+  Status status = transport_->Start(&trainer_->bus());
   if (status.ok()) {
-    // This process's slice of the node space. Every local mailbox is
-    // registered before Train announces readiness: no data frame flows until
-    // every process passed the rendezvous barrier, so no frame can beat its
-    // destination mailbox.
-    for (int s = 0; s < t.num_servers; ++s) {
-      if (transport_->IsLocal(cluster.ServerNode(s))) {
-        servers_.push_back(std::make_unique<KvServer>(
-            s, /*first_iter=*/0, *coordinator_, *plan_, *init_net_, bus_.get(), t.sgd));
-      }
-    }
-    for (int w = 0; w < t.num_workers; ++w) {
-      if (transport_->IsLocal(w)) {
-        local_workers_.push_back(w);
-        worker_nets_.push_back(workloads::TinyMlpFactory(config_.hidden_layers)());
-        clients_.push_back(std::make_unique<ClientLibrary>(
-            w, *coordinator_, *plan_, worker_nets_.back().get(), bus_.get(), t.sgd,
-            t.syncer_threads));
-      }
-    }
-    for (auto& server : servers_) {
-      server->Start();
-    }
     status = Train();
   }
 
-  // The one teardown, whatever Train returned: stop the local shards, close
-  // the mailboxes, stop I/O.
-  for (auto& server : servers_) {
-    server->Stop();
-  }
-  bus_->CloseAll();
-  shim_counters_ = bus_->FaultCounts();
+  // The one teardown, whatever Train returned: stop the hosted shards and
+  // close the mailboxes, then stop I/O. The trainer lives on: the
+  // transport's reader threads deliver into its bus until Stop returns.
+  trainer_->Shutdown();
   transport_->Stop();
   if (!status.ok()) {
     return status;
   }
-  if (bus_->faults_enabled()) {
+  if (trainer_->bus().faults_enabled()) {
     LOG(Info) << "process " << config_.process << " shim: "
-              << FormatFaultCounters(shim_counters_);
+              << FormatFaultCounters(trainer_->bus().FaultCounts());
   }
   LOG(Info) << "process " << config_.process << " clean exit; "
             << "tx records=" << transport_->records_sent()
             << " rx records=" << transport_->records_received();
   return Status::Ok();
+}
+
+const PoseidonTrainer& ClusterNode::trainer() const {
+  CHECK(trainer_ != nullptr) << "ClusterNode::trainer() before Run()";
+  return *trainer_;
 }
 
 Status ClusterNode::Train() {
@@ -104,32 +80,25 @@ Status ClusterNode::Train() {
   if (!status.ok()) return status;
   status = control_->Rendezvous(config_.rendezvous_timeout_ms);
   if (!status.ok()) return status;
-  LOG(Info) << "process " << config_.process << " joined: "
-            << local_workers_.size() << " worker(s), " << servers_.size()
-            << " server(s) over " << transport_->name();
+  const std::vector<int>& workers = trainer_->hosted_workers();
+  int servers = 0;
+  for (int s = 0; s < t.num_servers; ++s) {
+    servers += trainer_->hosts(trainer_->coordinator().cluster().ServerNode(s)) ? 1 : 0;
+  }
+  LOG(Info) << "process " << config_.process << " joined: " << workers.size() << " worker(s), "
+            << servers << " server(s) over " << transport_->name();
 
-  losses_.assign(local_workers_.size(),
-                 std::vector<double>(static_cast<size_t>(config_.iterations), 0.0));
-  accuracies_ = losses_;
-
-  std::vector<std::thread> threads;
-  std::vector<Status> worker_status(local_workers_.size());
-  for (size_t i = 0; i < local_workers_.size(); ++i) {
-    threads.emplace_back([this, i, &worker_status] {
-      worker_status[i] = RunWorker(static_cast<int>(i));
-    });
-  }
-  for (auto& thread : threads) {
-    thread.join();
-  }
-  for (const Status& ws : worker_status) {
-    if (!ws.ok()) return ws;
-  }
-  // Drain this process's egress (bus batches + socket queues) before
-  // declaring completion, so process 0's shutdown decision never races
-  // bytes still in our send path.
-  bus_->FlushEgress();
-  if (!local_workers_.empty()) {
+  if (!workers.empty()) {
+    const std::vector<IterationStats> stats =
+        trainer_->Train(workloads::TinyDataset(), config_.iterations);
+    for (size_t i = 0; i < workers.size(); ++i) {
+      status = WriteWorkerResults(workers[i], i, stats);
+      if (!status.ok()) return status;
+    }
+    // Drain this process's egress (bus batches + socket queues) before
+    // declaring completion, so process 0's shutdown decision never races
+    // bytes still in our send path.
+    trainer_->bus().FlushEgress();
     status = control_->SignalWorkersDone();
     if (!status.ok()) return status;
   }
@@ -146,24 +115,11 @@ Status ClusterNode::Train() {
   return control_->AwaitShutdown(config_.shutdown_timeout_ms);
 }
 
-Status ClusterNode::RunWorker(int local) {
-  const int w = local_workers_[static_cast<size_t>(local)];
-  const SyntheticDataset dataset = workloads::TinyDataset();
-  for (int64_t iter = 0; iter < config_.iterations; ++iter) {
-    const WorkerStep step =
-        RunWorkerStep(dataset, config_.trainer, w, iter, *worker_nets_[static_cast<size_t>(local)],
-                      *clients_[static_cast<size_t>(local)], *plan_);
-    losses_[static_cast<size_t>(local)][static_cast<size_t>(iter)] = step.result.loss;
-    accuracies_[static_cast<size_t>(local)][static_cast<size_t>(iter)] = step.result.accuracy;
-  }
-  return WriteWorkerResults(local);
-}
-
-Status ClusterNode::WriteWorkerResults(int local) {
+Status ClusterNode::WriteWorkerResults(int w, size_t index,
+                                       const std::vector<IterationStats>& stats) {
   if (config_.out_dir.empty()) {
     return Status::Ok();
   }
-  const int w = local_workers_[static_cast<size_t>(local)];
   const std::string base = config_.out_dir + "/worker_" + std::to_string(w);
   // Created fresh, like the checkpoint below: rewriting a previous run's
   // file in place forces a flush on close (see CreateFreshFile).
@@ -171,15 +127,13 @@ Status ClusterNode::WriteWorkerResults(int local) {
   if (f == nullptr) {
     return InternalError("cannot write " + base + "_losses.txt");
   }
-  for (int64_t i = 0; i < config_.iterations; ++i) {
+  for (const IterationStats& s : stats) {
     // %a round-trips doubles exactly — the trajectory oracle compares bits.
-    std::fprintf(f, "%lld %a %a\n", static_cast<long long>(i),
-                 losses_[static_cast<size_t>(local)][static_cast<size_t>(i)],
-                 accuracies_[static_cast<size_t>(local)][static_cast<size_t>(i)]);
+    std::fprintf(f, "%lld %a %a\n", static_cast<long long>(s.iter), s.workers[index].loss,
+                 s.workers[index].accuracy);
   }
   std::fclose(f);
-  return SaveCheckpoint(*worker_nets_[static_cast<size_t>(local)],
-                        config_.iterations, base + ".ckpt");
+  return SaveCheckpoint(trainer_->worker_net(w), trainer_->next_iter(), base + ".ckpt");
 }
 
 }  // namespace poseidon

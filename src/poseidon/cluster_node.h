@@ -1,19 +1,17 @@
 /// \file
-/// The per-process runtime of a multi-process Poseidon cluster: one
-/// ClusterNode hosts this process's slice of the bus node space — any subset
-/// of worker replicas and KV servers — over a SocketTransport. Each local
-/// worker runs the trainer's own step (RunWorkerStep, trainer.h) once per
-/// iteration, so the cluster and PoseidonTrainer share one WFBP iteration,
-/// spans included; the local KV servers stop through KvServer::Stop, as the
-/// trainer's do.
+/// One member of a multi-process Poseidon cluster: a socket shell around
+/// PoseidonTrainer. The member owns the SocketTransport, the ClusterControl
+/// rendezvous/shutdown protocol and the result files; the runtime is one
+/// PoseidonTrainer built on that transport, which hosts this process's slice
+/// of the bus node space — any subset of worker replicas and KV servers —
+/// and nothing else (trainer.h).
 ///
-/// Every process constructs the full deterministic workload (dataset +
-/// replica factory, src/poseidon/workloads.h), resolves the same plan and
-/// builds the full Coordinator from it (ClusterInfoFor), then instantiates
-/// only the roles whose bus node it owns. Training math never sees the
-/// placement: the trajectory of a spawned N-process cluster is bitwise
-/// identical to the in-process trainer (tests/multiprocess_trajectory_test.cc
-/// holds this as an oracle).
+/// Every process builds the trainer from the same deterministic workload
+/// (dataset + replica factory, src/poseidon/workloads.h) and options, so
+/// each resolves the same plan and the same Coordinator. Training math never
+/// sees the placement: the trajectory of a spawned N-process cluster is
+/// bitwise identical to the in-process trainer
+/// (tests/multiprocess_trajectory_test.cc holds this as an oracle).
 ///
 /// Worker results are written to `out_dir`:
 ///   worker_<w>_losses.txt — one line per iteration, `<iter> <loss> <acc>`
@@ -78,39 +76,26 @@ class ClusterNode {
   /// member destructs.
   Status Run();
 
-  /// Post-Run() snapshot of the bus's fault counters (all-zero before Run
-  /// completes): the socket weather the fault fabric injected on this
-  /// process's egress, and what the reorder buffer repaired on its ingress
-  /// (dedup / reorder / dropped replies).
-  FaultCountersSnapshot shim_counters() const { return shim_counters_; }
+  /// This member's runtime, alive from Run() until destruction (CHECKs that
+  /// Run was called). After Run its bus counters are final: traffic
+  /// (TxBytes, TxMessages) and FaultCounts — the socket weather injected on
+  /// this process's egress and what the reorder buffer repaired on its
+  /// ingress — and so are its hosted shards' (server(s) where hosts(...)).
+  const PoseidonTrainer& trainer() const;
 
  private:
-  /// Connects, passes the rendezvous, runs every local worker, then the
+  /// Connects, passes the rendezvous, trains the hosted workers, then the
   /// shutdown protocol; Run's bring-up precedes it and its teardown follows.
   Status Train();
-  /// Local worker `w`'s iterations, one RunWorkerStep each, then its results.
-  Status RunWorker(int w);
-  Status WriteWorkerResults(int w);
+  /// Hosted worker `w`'s loss log (from its `index`-th entry of each
+  /// iteration's stats) and final checkpoint.
+  Status WriteWorkerResults(int w, size_t index, const std::vector<IterationStats>& stats);
 
   const ClusterNodeConfig config_;
 
-  std::unique_ptr<Network> init_net_;
-  std::unique_ptr<MessageBus> bus_;
   std::shared_ptr<SocketTransport> transport_;
   std::unique_ptr<ClusterControl> control_;
-  std::unique_ptr<Coordinator> coordinator_;
-  std::shared_ptr<const CommPlan> plan_;
-
-  std::vector<int> local_workers_;               // worker ids hosted here
-  std::vector<std::unique_ptr<Network>> worker_nets_;     // by local index
-  std::vector<std::unique_ptr<ClientLibrary>> clients_;   // by local index
-  std::vector<std::unique_ptr<KvServer>> servers_;        // by local index
-
-  // Per local worker, per iteration.
-  std::vector<std::vector<double>> losses_;
-  std::vector<std::vector<double>> accuracies_;
-
-  FaultCountersSnapshot shim_counters_;
+  std::unique_ptr<PoseidonTrainer> trainer_;
 };
 
 }  // namespace poseidon

@@ -69,6 +69,10 @@ std::shared_ptr<const CommPlan> ResolveTrainerPlan(const TrainerOptions& options
   return std::make_shared<const CommPlan>(PlanComm(PlanRequestFor(options, net)));
 }
 
+namespace {
+
+/// The cluster shape the Coordinator is built from: the plan's shard count
+/// and staleness, everything else from `options`.
 ClusterInfo ClusterInfoFor(const TrainerOptions& options, const CommPlan& plan) {
   ClusterInfo cluster;
   cluster.num_workers = options.num_workers;
@@ -81,6 +85,10 @@ ClusterInfo ClusterInfoFor(const TrainerOptions& options, const CommPlan& plan) 
   return cluster;
 }
 
+/// The bus `plan` runs on: `num_nodes` nodes, egress batching exactly when
+/// plan.batch_egress is set (with options.batch_options), and the fault
+/// fabric when options.fault_plan has weather or options.enable_faults is
+/// set. Construction and every plan swap bring their bus up through it.
 std::unique_ptr<MessageBus> MakeTrainerBus(const TrainerOptions& options, const CommPlan& plan,
                                            int num_nodes) {
   auto bus = std::make_unique<MessageBus>(num_nodes);
@@ -93,6 +101,20 @@ std::unique_ptr<MessageBus> MakeTrainerBus(const TrainerOptions& options, const 
   return bus;
 }
 
+/// What one worker step observed.
+struct WorkerStep {
+  LossResult result;       ///< the forward pass's loss and batch accuracy
+  int64_t compute_ns = 0;  ///< forward + backward wall time
+  int64_t wait_ns = 0;     ///< wall time blocked in WaitAll
+};
+
+/// One worker iteration of paper Algorithm 2: worker `w`'s batch of `iter`,
+/// forward, then backward layer by layer, scheduling each layer's sync as
+/// its gradient lands (wait-free backpropagation), then the BSP barrier.
+/// Records the "iteration", "forward", "backward" and "wait_all" spans.
+/// `crash_after` >= 0 simulates the worker dying after that many backward
+/// steps: the step returns with its syncs in flight and never reaches
+/// WaitAll (wait_ns 0).
 WorkerStep RunWorkerStep(const SyntheticDataset& dataset, const TrainerOptions& options, int w,
                          int64_t iter, Network& net, ClientLibrary& client, const CommPlan& plan,
                          int crash_after) {
@@ -129,11 +151,17 @@ WorkerStep RunWorkerStep(const SyntheticDataset& dataset, const TrainerOptions& 
   return step;
 }
 
-PoseidonTrainer::PoseidonTrainer(NetworkFactory factory, TrainerOptions options)
+}  // namespace
+
+PoseidonTrainer::PoseidonTrainer(NetworkFactory factory, TrainerOptions options,
+                                 std::shared_ptr<Transport> transport)
     : options_(options), factory_(std::move(factory)) {
   CHECK_GT(options_.num_workers, 0);
   CHECK_GT(options_.num_servers, 0);
   CHECK_GE(options_.server_node_base, 0);
+  CHECK(transport == nullptr ||
+        (!options_.crash.active() && !options_.failure_detection.enabled))
+      << "crash recovery needs every role in this process";
   if (options_.crash.active()) {
     CHECK(options_.failure_detection.enabled)
         << "a crash plan without failure detection deadlocks the cluster";
@@ -142,12 +170,18 @@ PoseidonTrainer::PoseidonTrainer(NetworkFactory factory, TrainerOptions options)
     CHECK(!options_.checkpoint_dir.empty()) << "recovery requires a checkpoint dir";
   }
 
-  // Identical replicas: the factory must be deterministic.
+  // Identical replicas: the factory must be deterministic. Every process
+  // builds the init net (the plan and the KV masters come from it), and a
+  // replica only for each worker it hosts.
   init_net_ = factory_();
+  worker_nets_.resize(static_cast<size_t>(options_.num_workers));
   for (int w = 0; w < options_.num_workers; ++w) {
-    worker_nets_.push_back(factory_());
-    CHECK_EQ(worker_nets_.back()->num_layers(), init_net_->num_layers());
     crashed_.push_back(std::make_unique<std::atomic<bool>>(false));
+    if (transport == nullptr || transport->IsLocal(w)) {
+      hosted_workers_.push_back(w);
+      worker_nets_[static_cast<size_t>(w)] = factory_();
+      CHECK_EQ(worker_net(w).num_layers(), init_net_->num_layers());
+    }
   }
   if (!options_.restore_path.empty()) {
     // Restore parameters into every replica (and into the init net the KV
@@ -155,8 +189,8 @@ PoseidonTrainer::PoseidonTrainer(NetworkFactory factory, TrainerOptions options)
     StatusOr<int64_t> restored = LoadCheckpoint(options_.restore_path, init_net_.get());
     CHECK(restored.ok()) << restored.status().ToString();
     next_iter_ = *restored;
-    for (auto& net : worker_nets_) {
-      CHECK(LoadCheckpoint(options_.restore_path, net.get()).ok());
+    for (const int w : hosted_workers_) {
+      CHECK(LoadCheckpoint(options_.restore_path, &worker_net(w)).ok());
     }
   }
 
@@ -166,6 +200,10 @@ PoseidonTrainer::PoseidonTrainer(NetworkFactory factory, TrainerOptions options)
   const int num_nodes = std::max(options_.num_workers,
                                  options_.server_node_base + options_.num_servers);
   bus_ = MakeTrainerBus(options_, *plan, num_nodes);
+  if (transport != nullptr) {
+    // Before InstallPlan registers the first mailbox.
+    bus_->AttachTransport(std::move(transport));
+  }
   if (options_.failure_detection.enabled) {
     // Recovery replays the in-flight clock through the KV shards, which
     // reconcile duplicate pushes. Peer-to-peer layers (SFB, ring, tree) have
@@ -203,22 +241,25 @@ void PoseidonTrainer::InstallPlan(std::shared_ptr<const CommPlan> plan) {
         << init_net_->layer(l).name() << "'";
   }
   coordinator_ = std::make_unique<Coordinator>(*init_net_, ClusterInfoFor(options_, *plan_));
+  servers_.resize(static_cast<size_t>(options_.num_servers));
   for (int s = 0; s < options_.num_servers; ++s) {
-    servers_.push_back(std::make_unique<KvServer>(s, next_iter_, *coordinator_, *plan_,
-                                                  *init_net_, bus_.get(), options_.sgd));
+    if (hosts(coordinator_->cluster().ServerNode(s))) {
+      servers_[static_cast<size_t>(s)] = std::make_unique<KvServer>(
+          s, next_iter_, *coordinator_, *plan_, *init_net_, bus_.get(), options_.sgd);
+    }
   }
-  for (int w = 0; w < options_.num_workers; ++w) {
-    clients_.push_back(MakeClient(w));
+  clients_.resize(static_cast<size_t>(options_.num_workers));
+  for (const int w : hosted_workers_) {
+    clients_[static_cast<size_t>(w)] = MakeClient(w);
   }
   for (auto& server : servers_) {
-    server->Start();
+    if (server != nullptr) server->Start();
   }
 }
 
 std::unique_ptr<ClientLibrary> PoseidonTrainer::MakeClient(int w) {
-  return std::make_unique<ClientLibrary>(w, *coordinator_, *plan_,
-                                         worker_nets_[static_cast<size_t>(w)].get(),
-                                         bus_.get(), options_.sgd, options_.syncer_threads);
+  return std::make_unique<ClientLibrary>(w, *coordinator_, *plan_, &worker_net(w), bus_.get(),
+                                         options_.sgd, options_.syncer_threads);
 }
 
 void PoseidonTrainer::AdoptPlan(std::shared_ptr<const CommPlan> new_plan) {
@@ -232,6 +273,7 @@ void PoseidonTrainer::AdoptPlan(std::shared_ptr<const CommPlan> new_plan) {
   CHECK_EQ(new_plan->staleness, 0);
   CHECK(!options_.crash.active() && detector_ == nullptr)
       << "plan swaps and failure recovery cannot compose";
+  CHECK(bus_->transport() == nullptr) << "plan swaps need every role in this process";
 
   // Quiesce the old communication stack. Workers are parked between Train()
   // windows, so nothing is in flight beyond the shards' run loops.
@@ -293,7 +335,7 @@ void PoseidonTrainer::Shutdown() {
     detector_->Shutdown();
   }
   for (auto& server : servers_) {
-    server->Stop();
+    if (server != nullptr) server->Stop();
   }
   bus_->CloseAll();
 }
@@ -408,9 +450,10 @@ std::vector<IterationStats> PoseidonTrainer::Train(const SyntheticDataset& datas
                                                    int iterations) {
   CHECK(!shut_down_);
   CHECK_GT(iterations, 0);
-  const int num_workers = options_.num_workers;
+  CHECK(!hosted_workers_.empty()) << "this trainer hosts no worker";
+  // Indexed by worker id; only the hosted workers' rows are filled.
   std::vector<std::vector<double>> losses(
-      static_cast<size_t>(num_workers),
+      static_cast<size_t>(options_.num_workers),
       std::vector<double>(static_cast<size_t>(iterations), 0.0));
   std::vector<std::vector<double>> accuracies = losses;
   std::vector<std::vector<double>> compute_ms = losses;
@@ -422,13 +465,13 @@ std::vector<IterationStats> PoseidonTrainer::Train(const SyntheticDataset& datas
   if (options_.checkpoint_every > 0 && !options_.checkpoint_dir.empty()) {
     // Baseline checkpoint so a crash in the very first window iteration can
     // restart (replicas are quiescent and identical here).
-    for (int w = 0; w < num_workers; ++w) {
+    for (const int w : hosted_workers_) {
       MaybeCheckpoint(w, first_iter);
     }
   }
   std::vector<std::thread> threads;
-  threads.reserve(static_cast<size_t>(num_workers));
-  for (int w = 0; w < num_workers; ++w) {
+  threads.reserve(hosted_workers_.size());
+  for (const int w : hosted_workers_) {
     threads.emplace_back([this, w, first_iter] { RunWorkerLoop(w, first_iter); });
   }
   for (auto& thread : threads) {
@@ -455,20 +498,24 @@ std::vector<IterationStats> PoseidonTrainer::Train(const SyntheticDataset& datas
   }
   next_iter_ += iterations;
 
+  const int hosted = static_cast<int>(hosted_workers_.size());
   std::vector<IterationStats> stats(static_cast<size_t>(iterations));
   for (int i = 0; i < iterations; ++i) {
     IterationStats& s = stats[static_cast<size_t>(i)];
     s.iter = first_iter + i;
-    for (int w = 0; w < num_workers; ++w) {
-      s.mean_loss += losses[static_cast<size_t>(w)][static_cast<size_t>(i)];
-      s.mean_accuracy += accuracies[static_cast<size_t>(w)][static_cast<size_t>(i)];
+    for (const int w : hosted_workers_) {
+      const double loss = losses[static_cast<size_t>(w)][static_cast<size_t>(i)];
+      const double accuracy = accuracies[static_cast<size_t>(w)][static_cast<size_t>(i)];
+      s.workers.push_back(LossResult{loss, accuracy});
+      s.mean_loss += loss;
+      s.mean_accuracy += accuracy;
       s.compute_ms += compute_ms[static_cast<size_t>(w)][static_cast<size_t>(i)];
       s.comm_wait_ms += comm_wait_ms[static_cast<size_t>(w)][static_cast<size_t>(i)];
     }
-    s.mean_loss /= num_workers;
-    s.mean_accuracy /= num_workers;
-    s.compute_ms /= num_workers;
-    s.comm_wait_ms /= num_workers;
+    s.mean_loss /= hosted;
+    s.mean_accuracy /= hosted;
+    s.compute_ms /= hosted;
+    s.comm_wait_ms /= hosted;
   }
   return stats;
 }
@@ -481,7 +528,7 @@ StallBreakdown PoseidonTrainer::stall_breakdown() const {
       static_cast<double>(comm_wait_ns_total_.load(std::memory_order_relaxed)) * 1e-9;
   int64_t ssp_ns = 0;
   for (const auto& server : servers_) {
-    ssp_ns += server->SspStallNs();
+    if (server != nullptr) ssp_ns += server->SspStallNs();
   }
   breakdown.ssp_stall_s = static_cast<double>(ssp_ns) * 1e-9;
   return breakdown;
@@ -500,10 +547,23 @@ int PoseidonTrainer::shards_per_server() const {
   return coordinator_->cluster().shards_per_server;
 }
 
+bool PoseidonTrainer::hosts(int node) const {
+  return bus_->transport() == nullptr || bus_->transport()->IsLocal(node);
+}
+
 Network& PoseidonTrainer::worker_net(int w) {
   CHECK_GE(w, 0);
   CHECK_LT(w, options_.num_workers);
+  CHECK(worker_nets_[static_cast<size_t>(w)] != nullptr)
+      << "worker " << w << " is not hosted here";
   return *worker_nets_[static_cast<size_t>(w)];
+}
+
+const KvServer& PoseidonTrainer::server(int s) const {
+  CHECK_GE(s, 0);
+  CHECK_LT(s, options_.num_servers);
+  CHECK(servers_[static_cast<size_t>(s)] != nullptr) << "server " << s << " is not hosted here";
+  return *servers_[static_cast<size_t>(s)];
 }
 
 }  // namespace poseidon

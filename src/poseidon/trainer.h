@@ -1,8 +1,14 @@
 /// \file
-/// PoseidonTrainer: end-to-end distributed data-parallel training inside one
-/// process — W worker threads each driving an identical network replica
-/// through paper Algorithm 2, S KV-store shard threads, and a coordinator —
-/// wired together by the in-process message bus.
+/// PoseidonTrainer: the one Poseidon runtime — W worker threads each driving
+/// an identical network replica through paper Algorithm 2, S KV-store shard
+/// threads, and a coordinator — wired together by the message bus.
+///
+/// With no transport the trainer hosts every role in this process. Given a
+/// transport (a SocketTransport, which ClusterNode drives), its bus attaches
+/// it and the trainer hosts only the roles whose bus node the transport
+/// calls local: replicas, clients and worker threads for those workers, KV
+/// servers for those server nodes. Every process still resolves the same
+/// plan and builds the same coordinator, so placement never enters the math.
 ///
 /// This is the executable counterpart of the paper's §4: it runs real
 /// gradients through the real protocols (dense PS, SFB, HybComm, 1-bit), so
@@ -32,6 +38,7 @@
 #include "src/planner/comm_plan.h"
 #include "src/planner/comm_planner.h"
 #include "src/transport/bus.h"
+#include "src/transport/transport.h"
 
 namespace poseidon {
 
@@ -164,47 +171,19 @@ struct TrainerOptions {
 inline constexpr int kMaxAutoShards = 8;
 
 /// The plan `options` ask for on `net`'s layers: options.fixed_plan under
-/// kFixed, otherwise one PlanComm call. PoseidonTrainer and ClusterNode both
-/// run off this, so an in-process run and a multi-process cluster built from
-/// the same options execute the same plan.
+/// kFixed, otherwise one PlanComm call. Every process of a cluster resolves
+/// it from the same options, so each runs the same plan.
 std::shared_ptr<const CommPlan> ResolveTrainerPlan(const TrainerOptions& options,
                                                    Network& net);
 
-/// The cluster shape a runtime builds its Coordinator from: the plan's shard
-/// count and staleness, everything else from `options`.
-ClusterInfo ClusterInfoFor(const TrainerOptions& options, const CommPlan& plan);
-
-/// The bus a runtime built from `options` runs `plan` on: `num_nodes` nodes,
-/// egress batching exactly when plan.batch_egress is set (with
-/// options.batch_options), and the fault fabric when options.fault_plan has
-/// weather or options.enable_faults is set. PoseidonTrainer (construction and
-/// every plan swap) and ClusterNode bring their bus up through this one
-/// helper.
-std::unique_ptr<MessageBus> MakeTrainerBus(const TrainerOptions& options, const CommPlan& plan,
-                                           int num_nodes);
-
-/// What one worker step observed.
-struct WorkerStep {
-  LossResult result;       ///< the forward pass's loss and batch accuracy
-  int64_t compute_ns = 0;  ///< forward + backward wall time
-  int64_t wait_ns = 0;     ///< wall time blocked in WaitAll
-};
-
-/// One worker iteration of paper Algorithm 2, the step PoseidonTrainer and
-/// ClusterNode both run: worker `w`'s batch of `iter`, forward, then backward
-/// layer by layer, scheduling each layer's sync as its gradient lands
-/// (wait-free backpropagation), then the BSP barrier. Records the
-/// "iteration", "forward", "backward" and "wait_all" spans. `crash_after` >=
-/// 0 simulates the worker dying after that many backward steps: the step
-/// returns with its syncs in flight and never reaches WaitAll (wait_ns 0).
-WorkerStep RunWorkerStep(const SyntheticDataset& dataset, const TrainerOptions& options, int w,
-                         int64_t iter, Network& net, ClientLibrary& client, const CommPlan& plan,
-                         int crash_after = -1);
-
 struct IterationStats {
   int64_t iter = 0;
-  double mean_loss = 0.0;      // across workers
+  /// Means over the hosted workers, summed in worker order.
+  double mean_loss = 0.0;
   double mean_accuracy = 0.0;  // train batch top-1
+  /// Each hosted worker's forward-pass loss and batch accuracy, in
+  /// hosted_workers() order.
+  std::vector<LossResult> workers;
   /// Mean wall time per worker spent in forward + backward compute.
   double compute_ms = 0.0;
   /// Mean wall time per worker blocked in WaitAll (communication + any SSP
@@ -229,15 +208,26 @@ struct StallBreakdown {
 
 class PoseidonTrainer {
  public:
-  PoseidonTrainer(NetworkFactory factory, TrainerOptions options);
+  /// With `transport`, the bus attaches it before any mailbox is registered
+  /// and the trainer hosts only the roles on nodes it calls local; the
+  /// caller starts it on bus() and stops it after Shutdown(). Crash plans,
+  /// failure detection and AdoptPlan need every role here, so no transport.
+  PoseidonTrainer(NetworkFactory factory, TrainerOptions options,
+                  std::shared_ptr<Transport> transport = nullptr);
   ~PoseidonTrainer();
 
   PoseidonTrainer(const PoseidonTrainer&) = delete;
   PoseidonTrainer& operator=(const PoseidonTrainer&) = delete;
 
-  /// Runs `iterations` BSP iterations over `dataset`; returns per-iteration
-  /// training stats. May be called repeatedly (training continues).
+  /// Runs `iterations` BSP iterations of the hosted workers (at least one)
+  /// over `dataset`; returns per-iteration training stats. May be called
+  /// repeatedly (training continues).
   std::vector<IterationStats> Train(const SyntheticDataset& dataset, int iterations);
+
+  /// Stops the liveness machinery and the hosted shards, then closes every
+  /// mailbox. Idempotent; the destructor calls it. The bus stays alive until
+  /// the trainer is destroyed, so an attached transport can stop in between.
+  void Shutdown();
 
   /// Evaluates worker 0's replica (replicas are identical under BSP; under
   /// SSP staleness > 0 this is one of several legitimate snapshots).
@@ -252,9 +242,16 @@ class PoseidonTrainer {
 
   int64_t next_iter() const { return next_iter_; }
 
+  /// True when bus node `node`'s roles run in this trainer.
+  bool hosts(int node) const;
+  /// The workers this trainer runs, ascending.
+  const std::vector<int>& hosted_workers() const { return hosted_workers_; }
+
+  /// Worker `w`'s replica; CHECKs that `w` is hosted.
   Network& worker_net(int w);
   const Coordinator& coordinator() const { return *coordinator_; }
   MessageBus& bus() { return *bus_; }
+  const MessageBus& bus() const { return *bus_; }
   /// The failure detector (null unless failure_detection.enabled).
   const FailureDetector* failure_detector() const { return detector_.get(); }
   /// Completed recovery episodes (a crashed worker restarted and replayed).
@@ -263,7 +260,8 @@ class PoseidonTrainer {
   StallBreakdown stall_breakdown() const;
   /// The shard count actually in use (resolved when shards_per_server = 0).
   int shards_per_server() const;
-  const KvServer& server(int s) const { return *servers_[static_cast<size_t>(s)]; }
+  /// Server `s`; CHECKs that its node is hosted.
+  const KvServer& server(int s) const;
 
   /// The communication plan in force (never null): per-layer schemes and
   /// codecs, shard count, staleness, batching and top-k density.
@@ -278,9 +276,8 @@ class PoseidonTrainer {
   void AdoptPlan(std::shared_ptr<const CommPlan> new_plan);
 
  private:
-  void Shutdown();
   /// One worker's training loop from `from_iter` through the end of the
-  /// Train() window (also the recovery replay path): RunWorkerStep per
+  /// Train() window (also the recovery replay path): one WFBP step per
   /// iteration, with the crash hook and recovery checkpoints around it.
   void RunWorkerLoop(int w, int64_t from_iter);
   /// Detector callback; spawns the recovery thread for a crashed worker.
@@ -292,8 +289,8 @@ class PoseidonTrainer {
   std::string CheckpointPath(int w) const;
 
   /// Makes `plan` the plan in force: checks it against the model, rebuilds
-  /// the coordinator at its shard count and staleness, turns on batching if
-  /// it asks for it, and builds + starts the KV servers and client libraries.
+  /// the coordinator at its shard count and staleness, and builds + starts
+  /// the hosted KV servers and client libraries.
   void InstallPlan(std::shared_ptr<const CommPlan> plan);
   /// A fresh client library for worker `w` running *plan_.
   std::unique_ptr<ClientLibrary> MakeClient(int w);
@@ -301,6 +298,8 @@ class PoseidonTrainer {
   TrainerOptions options_;
   NetworkFactory factory_;
   std::unique_ptr<MessageBus> bus_;
+  std::vector<int> hosted_workers_;
+  // By worker / server id; null for a role another process hosts.
   std::vector<std::unique_ptr<Network>> worker_nets_;
   std::unique_ptr<Network> init_net_;
   std::unique_ptr<Coordinator> coordinator_;

@@ -75,6 +75,23 @@ void AssignBias(const PayloadView& view, std::vector<float>* bias) {
   }
 }
 
+// The tail of every compressed codec's Decode and DecodeDense: one Parse
+// result, its dense gradient through `decode`, and its bias trailer when
+// `bias` is non-null. The frame is parsed once per decode.
+template <typename Frame>
+Status DecodeParsed(const StatusOr<Frame>& parsed, void (*decode)(const Frame&, Tensor*),
+                    Tensor* dense, std::vector<float>* bias) {
+  CHECK_NOTNULL(dense);
+  if (!parsed.ok()) {
+    return parsed.status();
+  }
+  decode(*parsed, dense);
+  if (bias != nullptr) {
+    AssignBias(parsed->bias, bias);
+  }
+  return Status::Ok();
+}
+
 }  // namespace
 
 const char* WireCodecName(WireCodec id) {
@@ -201,14 +218,9 @@ StatusOr<int64_t> OneBitCodec::Validate(const PayloadView& frame) const {
   return parsed->rows * parsed->cols + parsed->bias_len;
 }
 
-Status OneBitCodec::DecodeDense(const PayloadView& frame, Tensor* out) {
+namespace {
+void DecodeOneBit(const OneBitCodec::Frame& f, Tensor* out) {
   TraceSpan span("codec.decode.onebit", "codec");
-  CHECK_NOTNULL(out);
-  StatusOr<Frame> parsed = Parse(frame);
-  if (!parsed.ok()) {
-    return parsed.status();
-  }
-  const Frame& f = *parsed;
   // Stage the packed sign words out of the slab once (compressed size, 1/32
   // of dense), then reconstruct exactly as OneBitQuantizer::Decode does.
   std::vector<uint32_t> bits(static_cast<size_t>(f.words.size()));
@@ -219,24 +231,16 @@ Status OneBitCodec::DecodeDense(const PayloadView& frame, Tensor* out) {
   *out = Tensor({f.rows, f.cols});
   OneBitDecode(bits.data(), f.positive_level.data(), f.negative_level.data(), f.rows,
                f.cols, out->data());
-  return Status::Ok();
+}
+}  // namespace
+
+Status OneBitCodec::DecodeDense(const PayloadView& frame, Tensor* out) {
+  return DecodeParsed(Parse(frame), &DecodeOneBit, out, nullptr);
 }
 
 Status OneBitCodec::Decode(const PayloadView& frame, Tensor* dense,
                            std::vector<float>* bias) const {
-  CHECK_NOTNULL(dense);
-  StatusOr<Frame> parsed = Parse(frame);
-  if (!parsed.ok()) {
-    return parsed.status();
-  }
-  const Status status = DecodeDense(frame, dense);
-  if (!status.ok()) {
-    return status;
-  }
-  if (bias != nullptr) {
-    AssignBias(parsed->bias, bias);
-  }
-  return Status::Ok();
+  return DecodeParsed(Parse(frame), &DecodeOneBit, dense, bias);
 }
 
 Payload OneBitCodec::Encode(const Tensor& gradient, OneBitQuantizer* quantizer,
@@ -449,14 +453,9 @@ StatusOr<int64_t> Fp16Codec::Validate(const PayloadView& frame) const {
   return parsed->n + parsed->bias_len;
 }
 
-Status Fp16Codec::DecodeDense(const PayloadView& frame, Tensor* out) {
+namespace {
+void DecodeFp16(const Fp16Codec::Frame& f, Tensor* out) {
   TraceSpan span("codec.decode.fp16", "codec");
-  CHECK_NOTNULL(out);
-  StatusOr<Frame> parsed = Parse(frame);
-  if (!parsed.ok()) {
-    return parsed.status();
-  }
-  const Frame& f = *parsed;
   // Stage the packed halves out of the slab once (compressed size, half of
   // dense), then unpack with the exact formula.
   std::vector<uint16_t> halves(static_cast<size_t>(f.n));
@@ -464,24 +463,16 @@ Status Fp16Codec::DecodeDense(const PayloadView& frame, Tensor* out) {
   WireCopyStats::Add(f.halves.size());
   *out = Tensor({f.n});
   simd::Fp16Decode(halves.data(), f.n, out->data());
-  return Status::Ok();
+}
+}  // namespace
+
+Status Fp16Codec::DecodeDense(const PayloadView& frame, Tensor* out) {
+  return DecodeParsed(Parse(frame), &DecodeFp16, out, nullptr);
 }
 
 Status Fp16Codec::Decode(const PayloadView& frame, Tensor* dense,
                          std::vector<float>* bias) const {
-  CHECK_NOTNULL(dense);
-  StatusOr<Frame> parsed = Parse(frame);
-  if (!parsed.ok()) {
-    return parsed.status();
-  }
-  const Status status = DecodeDense(frame, dense);
-  if (!status.ok()) {
-    return status;
-  }
-  if (bias != nullptr) {
-    AssignBias(parsed->bias, bias);
-  }
-  return Status::Ok();
+  return DecodeParsed(Parse(frame), &DecodeFp16, dense, bias);
 }
 
 Payload Fp16Codec::EncodeRn(const float* src, int64_t n) {
@@ -616,14 +607,9 @@ StatusOr<int64_t> Int8Codec::Validate(const PayloadView& frame) const {
   return parsed->n + parsed->bias_len;
 }
 
-Status Int8Codec::DecodeDense(const PayloadView& frame, Tensor* out) {
+namespace {
+void DecodeInt8(const Int8Codec::Frame& f, Tensor* out) {
   TraceSpan span("codec.decode.int8", "codec");
-  CHECK_NOTNULL(out);
-  StatusOr<Frame> parsed = Parse(frame);
-  if (!parsed.ok()) {
-    return parsed.status();
-  }
-  const Frame& f = *parsed;
   // Stage the packed bytes out of the slab once (compressed size, a quarter
   // of dense), then dequantize chunk by chunk with that chunk's scale.
   std::vector<int8_t> packed(static_cast<size_t>(f.n));
@@ -634,24 +620,16 @@ Status Int8Codec::DecodeDense(const PayloadView& frame, Tensor* out) {
     const int64_t len = std::min(simd::kInt8ChunkSize, f.n - off);
     Int8Decode(packed.data() + off, len, f.scales.data()[chunk], out->data() + off);
   }
-  return Status::Ok();
+}
+}  // namespace
+
+Status Int8Codec::DecodeDense(const PayloadView& frame, Tensor* out) {
+  return DecodeParsed(Parse(frame), &DecodeInt8, out, nullptr);
 }
 
 Status Int8Codec::Decode(const PayloadView& frame, Tensor* dense,
                          std::vector<float>* bias) const {
-  CHECK_NOTNULL(dense);
-  StatusOr<Frame> parsed = Parse(frame);
-  if (!parsed.ok()) {
-    return parsed.status();
-  }
-  const Status status = DecodeDense(frame, dense);
-  if (!status.ok()) {
-    return status;
-  }
-  if (bias != nullptr) {
-    AssignBias(parsed->bias, bias);
-  }
-  return Status::Ok();
+  return DecodeParsed(Parse(frame), &DecodeInt8, dense, bias);
 }
 
 Payload Int8Codec::EncodeSr(const float* quant, int64_t n, uint32_t seed,
@@ -771,14 +749,9 @@ StatusOr<int64_t> TopKCodec::Validate(const PayloadView& frame) const {
   return parsed->n + parsed->bias_len;
 }
 
-Status TopKCodec::DecodeDense(const PayloadView& frame, Tensor* out) {
+namespace {
+void DecodeTopK(const TopKCodec::Frame& f, Tensor* out) {
   TraceSpan span("codec.decode.topk", "codec");
-  CHECK_NOTNULL(out);
-  StatusOr<Frame> parsed = Parse(frame);
-  if (!parsed.ok()) {
-    return parsed.status();
-  }
-  const Frame& f = *parsed;
   *out = Tensor({f.n});
   std::fill(out->data(), out->data() + f.n, 0.0f);
   float* od = out->data();
@@ -787,24 +760,16 @@ Status TopKCodec::DecodeDense(const PayloadView& frame, Tensor* out) {
     od[static_cast<int64_t>(LoadWord(f.indices.data() + i))] = values[i];
   }
   WireCopyStats::Add(2 * f.k);
-  return Status::Ok();
+}
+}  // namespace
+
+Status TopKCodec::DecodeDense(const PayloadView& frame, Tensor* out) {
+  return DecodeParsed(Parse(frame), &DecodeTopK, out, nullptr);
 }
 
 Status TopKCodec::Decode(const PayloadView& frame, Tensor* dense,
                          std::vector<float>* bias) const {
-  CHECK_NOTNULL(dense);
-  StatusOr<Frame> parsed = Parse(frame);
-  if (!parsed.ok()) {
-    return parsed.status();
-  }
-  const Status status = DecodeDense(frame, dense);
-  if (!status.ok()) {
-    return status;
-  }
-  if (bias != nullptr) {
-    AssignBias(parsed->bias, bias);
-  }
-  return Status::Ok();
+  return DecodeParsed(Parse(frame), &DecodeTopK, dense, bias);
 }
 
 Payload TopKCodec::Encode(const float* quant, int64_t n, int64_t k, float* residual,

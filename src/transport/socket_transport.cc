@@ -174,9 +174,10 @@ Status SocketTransport::DialPeer(int peer_index) {
   const int family = FillSockaddr(ep, &addr, &addr_len);
   const auto deadline = std::chrono::steady_clock::now() +
                         std::chrono::milliseconds(options_.connect_timeout_ms);
-  // A peer that has not bound yet is usually up within a millisecond or
-  // two: start the retry there and back off to 20 ms.
-  std::chrono::milliseconds backoff(1);
+  // A peer that has not bound yet is usually building its runtime, which
+  // takes well under a millisecond: start the retry at 50 us and back off
+  // to 20 ms.
+  std::chrono::microseconds backoff(50);
   while (true) {
     const int fd = socket(family, SOCK_STREAM, 0);
     if (fd < 0) {
@@ -200,7 +201,7 @@ Status SocketTransport::DialPeer(int peer_index) {
       return ErrnoStatus("connect to process " + std::to_string(peer_index));
     }
     std::this_thread::sleep_for(backoff);
-    backoff = std::min(2 * backoff, std::chrono::milliseconds(20));
+    backoff = std::min<std::chrono::microseconds>(2 * backoff, std::chrono::milliseconds(20));
   }
 }
 

@@ -516,6 +516,34 @@ TEST(SocketClusterConformanceTest, SocketWeatherNeverChangesTheTrajectory) {
   }
 }
 
+// Each member's runtime outlives its Run, so the cluster's shard counters are
+// observable: summed over members they match the in-process trainer's on the
+// same options — every push reaches exactly one hosted shard, once.
+TEST(SocketClusterConformanceTest, MembersShardCountersSumToTheInProcessTrainers) {
+  for (PlanPolicy policy : {PlanPolicy::kDense, PlanPolicy::kHybrid}) {
+    SCOPED_TRACE(PlanPolicyName(policy));
+    SocketClusterOptions options;
+    options.policy = policy;
+    const SocketClusterRun run = RunSocketCluster(options);
+
+    PoseidonTrainer trainer(testing::TinyMlpFactory(options.hidden_layers),
+                            SmallTrainerOptions(options.workers, options.servers,
+                                                options.shards, options.staleness, policy));
+    trainer.Train(testing::TinyDataset(), options.iterations);
+    int64_t pushes = 0;
+    int64_t applies = 0;
+    for (int s = 0; s < options.servers; ++s) {
+      pushes += trainer.server(s).pushes_processed();
+      applies += trainer.server(s).applies();
+    }
+    EXPECT_GT(pushes, 0);
+    EXPECT_EQ(run.pushes_processed, pushes);
+    EXPECT_EQ(run.applies, applies);
+    EXPECT_EQ(run.rejected_pushes, 0);
+    EXPECT_GT(run.tx_messages, 0);
+  }
+}
+
 // A member whose Run fails after its shards started must still return and
 // destruct: process 0 of 2 hosts worker 0 and server 0, and process 1's
 // port never listens, so ConnectAll fails with the local shard serving.

@@ -96,7 +96,18 @@ SocketClusterRun RunSocketCluster(const SocketClusterOptions& options) {
   run.trajectory.final_params =
       FinalParamsFromRun(dir, /*worker=*/0, options.hidden_layers);
   for (const auto& member : members) {
-    Accumulate(member->shim_counters(), &run.shim);
+    const PoseidonTrainer& trainer = member->trainer();
+    Accumulate(trainer.bus().FaultCounts(), &run.shim);
+    for (int s = 0; s < options.servers; ++s) {
+      if (trainer.hosts(trainer.coordinator().cluster().ServerNode(s))) {
+        run.pushes_processed += trainer.server(s).pushes_processed();
+        run.applies += trainer.server(s).applies();
+        run.rejected_pushes += trainer.server(s).rejected_pushes();
+      }
+    }
+    for (const int64_t messages : trainer.bus().TxMessages()) {
+      run.tx_messages += messages;
+    }
   }
   return run;
 }

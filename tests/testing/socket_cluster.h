@@ -42,10 +42,17 @@ struct SocketClusterRun {
   /// The members' bus fault counters, summed: weather injected on egress
   /// and what the reorder buffers repaired on ingress.
   FaultCountersSnapshot shim;
+  /// The members' hosted KV servers' counters, summed over servers.
+  int64_t pushes_processed = 0;
+  int64_t applies = 0;
+  int64_t rejected_pushes = 0;
+  /// The members' bus egress wire messages, summed over nodes.
+  int64_t tx_messages = 0;
 };
 
 /// Runs the full cluster (controller + node members as threads), captures
-/// the trajectory from the run directory, and aggregates the counters.
+/// the trajectory from the run directory, and aggregates the counters each
+/// member's trainer holds after Run.
 /// CHECK-fails if any member fails — these tests want a stack, not a skip.
 SocketClusterRun RunSocketCluster(const SocketClusterOptions& options);
 
