@@ -622,7 +622,7 @@ bool SelfCheckAndRecord(BenchRecord* record) {
   // Real-network datapoint: payload Gb/s through the socket transport on
   // loopback TCP and a Unix-domain socket (the multi-process cluster's data
   // path, wire frames and all). A regression here is a socket-path
-  // serialization or flusher problem, not a codec one.
+  // serialization or egress-carrier problem, not a codec one.
   for (const bool unix_sockets : {false, true}) {
     SocketBandwidthOptions options;
     options.unix_sockets = unix_sockets;

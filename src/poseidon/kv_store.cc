@@ -340,8 +340,10 @@ void KvServer::Stop() {
   for (const auto& shard : shards_) {
     Message shutdown;
     shutdown.type = MessageType::kShutdown;
-    shutdown.from = Address{0, kSyncerPortBase};
+    // From the server's own node: a stop never crosses the NIC, so it is
+    // delivered inline and never queues behind another node's egress.
     shutdown.to = coordinator_.cluster().ShardAddress(id_, shard->shard());
+    shutdown.from = Address{shutdown.to.node, kSyncerPortBase};
     const Status status = bus_->Send(std::move(shutdown));
     CHECK(status.ok()) << status.ToString();
   }

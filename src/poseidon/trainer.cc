@@ -290,9 +290,7 @@ void PoseidonTrainer::AdoptPlan(std::shared_ptr<const CommPlan> new_plan) {
   const int num_nodes = bus_->num_nodes();
   std::vector<double> egress_limits(static_cast<size_t>(num_nodes), 0.0);
   for (int n = 0; n < num_nodes; ++n) {
-    if (const auto limiter = bus_->egress_limiter(n); limiter != nullptr) {
-      egress_limits[static_cast<size_t>(n)] = limiter->bytes_per_sec();
-    }
+    egress_limits[static_cast<size_t>(n)] = bus_->egress_limit(n);
   }
   const bool link_stats = bus_->link_stats_enabled();
   bus_ = MakeTrainerBus(options_, *new_plan, num_nodes);

@@ -2,7 +2,7 @@
 /// Process-visible counters for the transport's fault-injection fabric.
 ///
 /// Every injected fault increments exactly one counter at the moment the
-/// fault is committed (not when it is decided), so after FlushFaults() the
+/// fault is committed (not when it is decided), so after FlushEgress() the
 /// counters describe what the network actually did to the byte stream. The
 /// chaos tests assert on them both positively ("this run really did see
 /// duplicates") and negatively ("nothing was deduplicated in a clean run").

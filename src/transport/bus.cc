@@ -1,6 +1,7 @@
 #include "src/transport/bus.h"
 
 #include <algorithm>
+#include <optional>
 #include <string>
 #include <utility>
 
@@ -16,9 +17,14 @@ int64_t SteadyNowNs() {
       .count();
 }
 
-// A transmission whose sender has moved on (a cut batch, a pumped copy or
-// retransmission) can only report its loss loudly: outside teardown it means
-// a receiver will wait forever.
+// Frames a carrier admits together go to the transport in one write of at
+// most this many bytes (a larger frame is written alone), so a deep queue of
+// bulk frames is not encoded all at once.
+constexpr int64_t kMaxWriteBytes = 1 << 20;
+
+// A frame whose sender has moved on (everything the carrier or the fault
+// pump writes) can only report its loss loudly: outside teardown it means a
+// receiver will wait forever.
 void WarnIfLost(const Status& status, int src, int dst) {
   if (!status.ok()) {
     LOG(Warning) << "transmission from node " << src << " to node " << dst
@@ -34,14 +40,29 @@ MessageBus::MessageBus(int num_nodes)
       tx_messages_(static_cast<size_t>(num_nodes)),
       tx_entries_(static_cast<size_t>(num_nodes)) {
   CHECK_GT(num_nodes, 0);
+  egress_.resize(static_cast<size_t>(num_nodes));
   for (size_t n = 0; n < tx_bytes_.size(); ++n) {
     tx_bytes_[n].store(0);
     tx_messages_[n].store(0);
     tx_entries_[n].store(0);
+    egress_[n] = std::make_unique<NodeEgress>();
   }
 }
 
 MessageBus::~MessageBus() {
+  // Carriers first: what they still hold may go to the pump, which drops it.
+  for (auto& egress : egress_) {
+    {
+      std::lock_guard<std::mutex> lock(egress->mutex);
+      egress->stop = true;
+    }
+    egress->cv.notify_all();
+  }
+  for (auto& egress : egress_) {
+    if (egress->carrier.joinable()) {
+      egress->carrier.join();
+    }
+  }
   if (injector_ != nullptr) {
     {
       std::lock_guard<std::mutex> lock(pump_mutex_);
@@ -50,20 +71,6 @@ MessageBus::~MessageBus() {
     pump_cv_.notify_all();
     if (pump_thread_.joinable()) {
       pump_thread_.join();
-    }
-  }
-  if (batching_.load(std::memory_order_acquire)) {
-    for (auto& egress : egress_) {
-      {
-        std::lock_guard<std::mutex> lock(egress->mutex);
-        egress->stop = true;
-      }
-      egress->cv.notify_all();
-    }
-    for (auto& egress : egress_) {
-      if (egress->flusher.joinable()) {
-        egress->flusher.join();
-      }
     }
   }
 }
@@ -97,35 +104,10 @@ Status MessageBus::Route(const Address& to, std::shared_ptr<Mailbox>* mailbox) c
 }
 
 void MessageBus::Charge(int src, int dst, int64_t bytes, int64_t entries) {
-  std::shared_ptr<RateLimiter> limiter;
-  {
-    // shared_ptr copy: a concurrent SetEgressLimit cannot invalidate the
-    // limiter while a sender (or flusher) waits on it, and the wait itself
-    // runs with no bus lock held.
-    std::lock_guard<std::mutex> lock(mutex_);
-    limiter = limiters_[static_cast<size_t>(src)];
-  }
-  if (limiter != nullptr) {
-    limiter->Acquire(bytes);
-  }
   tx_bytes_[static_cast<size_t>(src)].fetch_add(bytes, std::memory_order_relaxed);
   tx_messages_[static_cast<size_t>(src)].fetch_add(1, std::memory_order_relaxed);
   tx_entries_[static_cast<size_t>(src)].fetch_add(entries, std::memory_order_relaxed);
   RecordLinkTx(src, dst, bytes);
-}
-
-Status MessageBus::SendDirect(Message message, std::shared_ptr<Mailbox> mailbox) {
-  const int dst = message.to.node;
-  Charge(message.from.node, dst, message.WireBytes(), /*entries=*/1);
-  const bool exempt = message.type == MessageType::kShutdown;
-  Transmission transmission;
-  if (IsWireRemote(dst)) {
-    transmission.frame = EncodeMessageFrame(message);
-    message.chunks.clear();  // the routing header stays
-  }
-  transmission.mailbox = std::move(mailbox);
-  transmission.message = std::move(message);
-  return Carry(std::move(transmission), exempt);
 }
 
 Status MessageBus::Send(Message message) {
@@ -171,18 +153,24 @@ Status MessageBus::Send(Message message) {
     message.send_ns = SteadyNowNs();
   }
 
-  if (!batching_.load(std::memory_order_acquire)) {
-    return SendDirect(std::move(message), std::move(mailbox));
-  }
-
+  // Queue on the source node's egress. Without batching every message is
+  // cut alone into the FIFO; with it, the cut rule below coalesces by
+  // (destination node, iteration).
+  const bool batching = batching_.load(std::memory_order_acquire);
   NodeEgress& egress = *egress_[static_cast<size_t>(src)];
-  const bool force_flush = message.type == MessageType::kShutdown;
-  // Wake the flusher only when it has something new to react to: a batch
+  const bool force_cut = !batching || message.type == MessageType::kShutdown;
+  const int64_t entry_bytes =
+      (batching ? kBatchEntryHeaderBytes : 0) + message.PayloadBytes();
+  // Wake the carrier only when it has something new to react to: a batch
   // cut into the ready queue, or a fresh open batch whose aging timer it
   // must arm. Joining an existing open batch needs no wakeup.
-  bool wake_flusher = false;
+  bool wake_carrier = false;
   {
     std::lock_guard<std::mutex> lock(egress.mutex);
+    if (!egress.carrier.joinable()) {
+      egress.carrier = std::thread([this, src] { CarrierLoop(src); });
+    }
+    ++egress.depth;
     Batch* batch = nullptr;
     for (Batch& open : egress.open) {
       if (open.dst_node == dst) {
@@ -196,7 +184,6 @@ Status MessageBus::Send(Message message) {
       egress.ready.push_back(std::move(*batch));
       egress.open.erase(egress.open.begin() + (batch - egress.open.data()));
       batch = nullptr;
-      wake_flusher = true;
     }
     if (batch == nullptr) {
       Batch fresh;
@@ -205,19 +192,19 @@ Status MessageBus::Send(Message message) {
       fresh.opened = std::chrono::steady_clock::now();
       egress.open.push_back(std::move(fresh));
       batch = &egress.open.back();
-      wake_flusher = true;
+      wake_carrier = true;
     }
-    batch->payload_bytes += kBatchEntryHeaderBytes + message.PayloadBytes();
+    batch->payload_bytes += entry_bytes;
     batch->entries.emplace_back(std::move(mailbox), std::move(message));
-    if (force_flush ||
+    if (force_cut ||
         static_cast<int>(batch->entries.size()) >= batch_options_.max_batch_messages ||
         batch->payload_bytes >= batch_options_.max_batch_bytes) {
       egress.ready.push_back(std::move(*batch));
       egress.open.erase(egress.open.begin() + (batch - egress.open.data()));
-      wake_flusher = true;
+      wake_carrier = true;
     }
   }
-  if (wake_flusher) {
+  if (wake_carrier) {
     egress.cv.notify_all();
   }
   return Status::Ok();
@@ -229,53 +216,153 @@ void MessageBus::EnableBatching(const EgressBatchOptions& options) {
   CHECK_GT(options.max_batch_bytes, 0);
   CHECK_GT(options.flush_interval_us, 0);
   batch_options_ = options;
-  egress_.resize(static_cast<size_t>(num_nodes()));
-  for (int n = 0; n < num_nodes(); ++n) {
-    egress_[static_cast<size_t>(n)] = std::make_unique<NodeEgress>();
-  }
   batching_.store(true, std::memory_order_release);
-  for (int n = 0; n < num_nodes(); ++n) {
-    egress_[static_cast<size_t>(n)]->flusher = std::thread([this, n] { FlusherLoop(n); });
+}
+
+void MessageBus::CarrierLoop(int node) {
+  NodeEgress& egress = *egress_[static_cast<size_t>(node)];
+  const auto interval = std::chrono::microseconds(batch_options_.flush_interval_us);
+  std::unique_lock<std::mutex> lock(egress.mutex);
+  while (true) {
+    if (egress.ready.empty()) {
+      if (egress.open.empty()) {
+        if (egress.stop) {
+          break;
+        }
+        if (egress.flush_requested) {
+          egress.flush_requested = false;
+          egress.idle_cv.notify_all();
+        }
+        egress.cv.wait(lock, [&] {
+          return egress.stop || !egress.ready.empty() || !egress.open.empty();
+        });
+        continue;
+      }
+      // Let young open batches age up to the flush interval before cutting
+      // them (unless a flush/stop wants everything out now).
+      if (!egress.stop && !egress.flush_requested) {
+        auto earliest = egress.open.front().opened;
+        for (const Batch& open : egress.open) {
+          earliest = std::min(earliest, open.opened);
+        }
+        egress.cv.wait_until(lock, earliest + interval, [&] {
+          return egress.stop || egress.flush_requested || !egress.ready.empty();
+        });
+      }
+      const auto now = std::chrono::steady_clock::now();
+      for (size_t i = 0; i < egress.open.size();) {
+        if (egress.stop || egress.flush_requested || now - egress.open[i].opened >= interval) {
+          egress.ready.push_back(std::move(egress.open[i]));
+          egress.open.erase(egress.open.begin() + static_cast<long>(i));
+        } else {
+          ++i;
+        }
+      }
+      if (egress.ready.empty()) {
+        continue;
+      }
+    }
+    // Take everything cut so far as one run, with the limit that applies to
+    // it (bus lock under the egress lock; nothing nests them the other way).
+    std::deque<Batch> run;
+    run.swap(egress.ready);
+    for (const Batch& batch : run) {
+      egress.depth -= static_cast<int64_t>(batch.entries.size());
+    }
+    std::shared_ptr<RateLimiter> limiter;
+    {
+      std::lock_guard<std::mutex> bus_lock(mutex_);
+      limiter = limiters_[static_cast<size_t>(node)];
+    }
+    egress.carrying = true;
+    egress.idle_cv.notify_all();
+    lock.unlock();
+    CarryRun(node, std::move(run), limiter.get());
+    lock.lock();
+    egress.carrying = false;
+    egress.idle_cv.notify_all();
   }
 }
 
-void MessageBus::DeliverBatch(int src, Batch batch) {
-  TraceSpan span("bus.deliver_batch", "transport",
-                 static_cast<int64_t>(batch.entries.size()));
-  const int dst = batch.dst_node;
-  const int64_t bytes = kWireFrameBytes + batch.payload_bytes;
-  Charge(src, dst, bytes, static_cast<int64_t>(batch.entries.size()));
-  if (IsWireRemote(dst)) {
-    // The whole batch crosses the process boundary as one frame — the exact
-    // framing the charge above accounted — and weather acts on that frame.
-    std::vector<Message> entries;
-    entries.reserve(batch.entries.size());
-    for (auto& [mailbox, message] : batch.entries) {
-      entries.push_back(std::move(message));
+void MessageBus::CarryRun(int node, std::deque<Batch> run, RateLimiter* limiter) {
+  NodeEgress& egress = *egress_[static_cast<size_t>(node)];
+  const bool batching = batching_.load(std::memory_order_acquire);
+  // Frames for one destination that may leave now, written together.
+  int group_dst = -1;
+  int64_t group_bytes = 0;
+  std::vector<std::vector<uint8_t>> group;
+  auto write_group = [&] {
+    if (!group.empty()) {
+      WarnIfLost(transport_->SendFrames(node, group_dst, std::move(group)), node, group_dst);
+      group.clear();
+      group_bytes = 0;
     }
+  };
+  for (Batch& batch : run) {
+    const int dst = batch.dst_node;
+    const int64_t bytes = kWireFrameBytes + batch.payload_bytes;
+    if (limiter != nullptr) {
+      const auto due = limiter->Reserve(bytes);
+      if (due > std::chrono::steady_clock::now()) {
+        // What may already leave goes first; a stopping bus stops waiting.
+        write_group();
+        std::unique_lock<std::mutex> lock(egress.mutex);
+        egress.cv.wait_until(lock, due, [&] { return egress.stop; });
+      }
+    }
+    std::optional<TraceSpan> span;
+    if (batching) {
+      span.emplace("bus.deliver_batch", "transport", static_cast<int64_t>(batch.entries.size()));
+    }
+    Charge(node, dst, bytes, static_cast<int64_t>(batch.entries.size()));
+    if (!IsWireRemote(dst)) {
+      for (auto& [mailbox, message] : batch.entries) {
+        // In process, weather applies per logical message even inside a
+        // batch (the charge above happened once, for the frame).
+        const bool exempt = message.type == MessageType::kShutdown;
+        Transmission transmission;
+        transmission.mailbox = std::move(mailbox);
+        transmission.message = std::move(message);
+        Carry(std::move(transmission), exempt);
+      }
+      continue;
+    }
+    // Out of process the batch crosses as one frame (a message frame when
+    // batching is off) — the exact framing the charge above accounted — and
+    // weather acts on that frame.
+    // A kShutdown always closes its batch (Send cuts on it), so checking
+    // the last entry exempts every frame that carries one.
+    const bool exempt = batch.entries.back().second.type == MessageType::kShutdown;
     Transmission transmission;
-    transmission.frame = EncodeBatchFrame(entries);
+    if (batching) {
+      std::vector<Message> entries;
+      entries.reserve(batch.entries.size());
+      for (auto& [mailbox, message] : batch.entries) {
+        entries.push_back(std::move(message));
+      }
+      transmission.frame = EncodeBatchFrame(entries);
+      transmission.message = std::move(entries.front());
+    } else {
+      transmission.frame = EncodeMessageFrame(batch.entries.front().second);
+      transmission.message = std::move(batch.entries.front().second);
+    }
     CHECK_EQ(static_cast<int64_t>(transmission.frame.size()), bytes);
-    // A kShutdown always closes its batch (Send cuts on it), so checking the
-    // last entry exempts every frame that carries one.
-    const bool exempt = entries.back().type == MessageType::kShutdown;
-    transmission.message = std::move(entries.front());
-    transmission.message.chunks.clear();  // the routing header stays
-    WarnIfLost(Carry(std::move(transmission), exempt), src, dst);
-    return;
-  }
-  for (auto& [mailbox, message] : batch.entries) {
-    // In process, weather applies per logical message even inside a batch
-    // (the charge above happened once, for the frame).
-    const bool exempt = message.type == MessageType::kShutdown;
-    Transmission transmission;
-    transmission.mailbox = std::move(mailbox);
-    transmission.message = std::move(message);
-    const Status status = Carry(std::move(transmission), exempt);
-    if (!exempt) {
-      WarnIfLost(status, src, dst);
+    // The first entry without its chunks: the routing header that keys the
+    // fault dice and the partition check.
+    transmission.message.chunks.clear();
+    if (injector_ != nullptr && !exempt) {
+      write_group();  // submission order: the fabric may commit right away
+      InjectOrCommit(std::move(transmission));
+      continue;
     }
+    if (dst != group_dst || group_bytes + bytes > kMaxWriteBytes) {
+      write_group();
+      group_dst = dst;
+    }
+    group_bytes += bytes;
+    group.push_back(std::move(transmission.frame));
   }
+  write_group();
 }
 
 // ---------------------------------------------------------- transport seam --
@@ -337,12 +424,14 @@ void MessageBus::EnableFaultInjection(const FaultPlan& plan) {
   pump_thread_ = std::thread([this] { PumpLoop(); });
 }
 
-Status MessageBus::Carry(Transmission transmission, bool exempt) {
+void MessageBus::Carry(Transmission transmission, bool exempt) {
   if (injector_ != nullptr && !exempt) {
-    InjectOrCommit(std::move(transmission));
-    return Status::Ok();  // the link layer retransmits; delivery is eventual
+    InjectOrCommit(std::move(transmission));  // delivery is eventual
+    return;
   }
-  return Commit(std::move(transmission));
+  const int src = transmission.message.from.node;
+  const int dst = transmission.message.to.node;
+  WarnIfLost(Commit(std::move(transmission)), src, dst);
 }
 
 void MessageBus::InjectOrCommit(Transmission transmission) {
@@ -395,8 +484,9 @@ void MessageBus::InjectOrCommit(Transmission transmission) {
 Status MessageBus::Commit(Transmission transmission) {
   Message& message = transmission.message;
   if (!transmission.frame.empty()) {
-    return transport_->SendFrame(message.from.node, message.to.node,
-                                 std::move(transmission.frame));
+    std::vector<std::vector<uint8_t>> frames;
+    frames.push_back(std::move(transmission.frame));
+    return transport_->SendFrames(message.from.node, message.to.node, std::move(frames));
   }
   if (message.seq >= 0) {
     const Status admitted = Release(std::move(message), transmission.mailbox);
@@ -404,8 +494,10 @@ Status MessageBus::Commit(Transmission transmission) {
     return Status::Ok();
   }
   RecordLinkDelivery(message);
-  if (!transmission.mailbox->Push(std::move(message))) {
-    return UnavailableError("mailbox closed");
+  const MessageType type = message.type;
+  if (!transmission.mailbox->Push(std::move(message)) && type != MessageType::kShutdown) {
+    // The endpoint closed after Send routed to it: lost, as Release counts it.
+    fault_counters_.AddDroppedReply();
   }
   return Status::Ok();
 }
@@ -600,88 +692,32 @@ void MessageBus::CloseEndpoints(int node, int min_port, int max_port) {
   }
 }
 
-void MessageBus::FlusherLoop(int node) {
-  NodeEgress& egress = *egress_[static_cast<size_t>(node)];
-  const auto interval = std::chrono::microseconds(batch_options_.flush_interval_us);
-  std::unique_lock<std::mutex> lock(egress.mutex);
-  while (true) {
-    if (egress.stop && egress.ready.empty() && egress.open.empty()) {
-      break;
-    }
-    if (egress.ready.empty()) {
-      if (egress.open.empty()) {
-        if (egress.flush_requested && egress.delivering == 0) {
-          egress.flush_requested = false;
-          egress.idle_cv.notify_all();
-        }
-        egress.cv.wait(lock, [&] {
-          return egress.stop || egress.flush_requested || !egress.ready.empty() ||
-                 !egress.open.empty();
-        });
-        continue;
-      }
-      // Let young open batches age up to the flush interval before cutting
-      // them (unless a flush/stop wants everything out now).
-      if (!egress.stop && !egress.flush_requested) {
-        auto earliest = egress.open.front().opened;
-        for (const Batch& open : egress.open) {
-          earliest = std::min(earliest, open.opened);
-        }
-        egress.cv.wait_until(lock, earliest + interval, [&] {
-          return egress.stop || egress.flush_requested || !egress.ready.empty();
-        });
-      }
-      const auto now = std::chrono::steady_clock::now();
-      for (size_t i = 0; i < egress.open.size();) {
-        if (egress.stop || egress.flush_requested || now - egress.open[i].opened >= interval) {
-          egress.ready.push_back(std::move(egress.open[i]));
-          egress.open.erase(egress.open.begin() + static_cast<long>(i));
-        } else {
-          ++i;
-        }
-      }
-    }
-    while (!egress.ready.empty()) {
-      Batch batch = std::move(egress.ready.front());
-      egress.ready.pop_front();
-      ++egress.delivering;
-      lock.unlock();
-      DeliverBatch(node, std::move(batch));
-      lock.lock();
-      --egress.delivering;
-    }
-    if (egress.flush_requested && egress.open.empty() && egress.ready.empty() &&
-        egress.delivering == 0) {
-      egress.flush_requested = false;
-      egress.idle_cv.notify_all();
-    }
-  }
-}
-
 void MessageBus::FlushEgress() {
-  // Carrier order: batches hand their frames to the fault pump or the
-  // transport, the pump hands held frames to the transport, and only then
-  // does the transport drain, so nothing flushed here is still in flight
-  // behind this process's own egress.
-  if (batching_.load(std::memory_order_acquire)) {
-    for (auto& egress_ptr : egress_) {
-      NodeEgress& egress = *egress_ptr;
-      std::unique_lock<std::mutex> lock(egress.mutex);
-      if (egress.open.empty() && egress.ready.empty() && egress.delivering == 0) {
-        continue;
-      }
-      egress.flush_requested = true;
-      egress.cv.notify_all();
-      egress.idle_cv.wait(lock, [&] {
-        return !egress.flush_requested ||
-               (egress.open.empty() && egress.ready.empty() && egress.delivering == 0);
-      });
+  // Carrier order: the carriers hand their frames to the fault pump or write
+  // them to the transport, and the pump writes held frames, so nothing
+  // flushed here is still in flight behind this process's own egress.
+  for (auto& egress_ptr : egress_) {
+    NodeEgress& egress = *egress_ptr;
+    std::unique_lock<std::mutex> lock(egress.mutex);
+    if (egress.depth == 0 && !egress.carrying) {
+      continue;
     }
+    egress.flush_requested = true;
+    egress.cv.notify_all();
+    egress.idle_cv.wait(lock, [&] {
+      return !egress.flush_requested || (egress.depth == 0 && !egress.carrying);
+    });
   }
   FlushFaults();
-  if (transport_ != nullptr) {
-    transport_->Flush();
-  }
+}
+
+bool MessageBus::AwaitEgressDepth(int node, int64_t depth, int timeout_ms) {
+  CHECK_GE(node, 0);
+  CHECK_LT(node, num_nodes());
+  NodeEgress& egress = *egress_[static_cast<size_t>(node)];
+  std::unique_lock<std::mutex> lock(egress.mutex);
+  return egress.idle_cv.wait_for(lock, std::chrono::milliseconds(timeout_ms),
+                                 [&] { return egress.depth <= depth; });
 }
 
 void MessageBus::SetEgressLimit(int node, double bytes_per_sec) {
@@ -695,11 +731,12 @@ void MessageBus::SetEgressLimit(int node, double bytes_per_sec) {
   }
 }
 
-std::shared_ptr<RateLimiter> MessageBus::egress_limiter(int node) const {
+double MessageBus::egress_limit(int node) const {
   std::lock_guard<std::mutex> lock(mutex_);
   CHECK_GE(node, 0);
   CHECK_LT(node, num_nodes());
-  return limiters_[static_cast<size_t>(node)];
+  const auto& limiter = limiters_[static_cast<size_t>(node)];
+  return limiter == nullptr ? 0.0 : limiter->bytes_per_sec();
 }
 
 void MessageBus::EnableLinkStats() {

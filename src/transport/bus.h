@@ -1,24 +1,28 @@
 /// \file
-/// In-process message bus with per-endpoint mailboxes, optional egress rate
-/// limiting, and an optional per-destination egress batcher.
+/// In-process message bus with per-endpoint mailboxes, one egress queue per
+/// node, optional egress rate limiting and optional per-destination egress
+/// batching.
 ///
 /// This stands in for the paper's Ethernet + ZMQ layer: every endpoint
 /// (server service loop, worker syncer mailbox) registers a blocking queue;
-/// Send() routes by address. A token-bucket rate limiter can be attached per
-/// node to emulate a bounded-egress NIC in wall-clock time (used by examples;
-/// the quantitative bandwidth experiments use the virtual-time fabric in
-/// src/sim instead). Traffic is accounted per node for the load-balance
-/// experiments.
+/// Send() routes by address and returns. Remote traffic then leaves through
+/// its source node's egress: one FIFO queue drained by one carrier thread,
+/// like a NIC that drains on its own while the syncers and KV shards keep
+/// working. A token-bucket rate limit can be attached per node to emulate a
+/// bounded-egress NIC in wall-clock time (the e2e benchmark harness sets
+/// one; the quantitative bandwidth experiments use the virtual-time fabric
+/// in src/sim instead). The carrier alone waits on it, never a sender.
+/// Traffic is accounted per node for the load-balance experiments.
 ///
-/// Batching (EnableBatching): outgoing messages from one node to the same
-/// destination node and iteration coalesce into one framed wire message, so
-/// a many-layer model's per-layer pushes to a shard endpoint cost one frame
-/// instead of one per layer. Each node owns an egress queue and a flusher
-/// thread; a batch is cut when it reaches the configured message/byte
-/// thresholds, when the iteration changes, on shutdown messages, or when the
-/// flush interval elapses — so a blocked or throttled destination can only
-/// ever stall its own node's egress, never another node's (see
-/// docs/WIRE_FORMAT.md).
+/// Batching (EnableBatching) is only how the carrier cuts the queue: outgoing
+/// messages from one node to the same destination node and iteration
+/// coalesce into one framed wire message, so a many-layer model's per-layer
+/// pushes to a shard endpoint cost one frame instead of one per layer. A
+/// batch is cut when it reaches the configured message/byte thresholds, when
+/// the iteration changes, on shutdown messages, or when the flush interval
+/// elapses. Without batching every message is its own frame. Either way a
+/// blocked or throttled destination can only ever stall its own node's
+/// egress, never another node's (see docs/WIRE_FORMAT.md).
 ///
 /// Fault injection (EnableFaultInjection): a seeded FaultInjector sits on
 /// the remote egress path and drops (with link-layer retransmit),
@@ -115,22 +119,23 @@ class MessageBus {
   /// is already bound to another mailbox. Thread-safe.
   void Bind(const Address& address, std::shared_ptr<Mailbox> mailbox);
 
-  /// Routes `message` to its destination mailbox. Returns NotFound if the
-  /// destination was never registered. Applies the sender's rate limit, if
-  /// any, based on the message's wire size; the limiter wait never holds the
-  /// bus lock, so one node's throttled egress cannot stall another node's
-  /// sends. With batching enabled, remote messages are queued on the
-  /// sender's egress batcher instead of being delivered inline.
+  /// Routes `message` and queues it on its source node's egress; returns
+  /// without waiting for the wire. Returns NotFound if the destination was
+  /// never registered. Traffic between two endpoints of one node never
+  /// touches the NIC: it is delivered inline (Unavailable when that mailbox
+  /// has closed). A remote message whose mailbox has closed by the time the
+  /// carrier delivers it is lost and counted in FaultCounts().dropped_replies;
+  /// a frame the transport could not write is logged.
   Status Send(Message message);
 
-  /// Attaches the frame carrier for destinations outside this process (call
+  /// Attaches the frame writer for destinations outside this process (call
   /// at most once, before traffic flows; before or after
-  /// EnableFaultInjection). Once attached, Send() serializes messages for
-  /// non-local nodes into docs/WIRE_FORMAT.md frames and hands them to the
-  /// transport, through the fault fabric when it is on; every remote data
-  /// message is stamped from a per-stream sequencer so the receiving bus can
-  /// deduplicate and restore FIFO order whatever the wire does (see
-  /// DeliverWire).
+  /// EnableFaultInjection). Once attached, the carriers serialize messages
+  /// for non-local nodes into docs/WIRE_FORMAT.md frames and write them
+  /// through the transport, through the fault fabric when it is on; every
+  /// remote data message is stamped from a per-stream sequencer so the
+  /// receiving bus can deduplicate and restore FIFO order whatever the wire
+  /// does (see DeliverWire).
   void AttachTransport(std::shared_ptr<Transport> transport);
   /// The attached backend; null means the historical in-process-only bus.
   Transport* transport() const { return transport_.get(); }
@@ -151,16 +156,15 @@ class MessageBus {
   FaultCountersSnapshot FaultCounts() const { return fault_counters_.Snapshot(); }
 
   /// Turns on per-destination egress batching (idempotent is not supported:
-  /// call at most once, before traffic flows). Spawns one flusher thread per
-  /// node.
+  /// call at most once, before traffic flows).
   void EnableBatching(const EgressBatchOptions& options = {});
   bool batching_enabled() const { return batching_.load(std::memory_order_acquire); }
 
   /// Blocks until this process's egress is drained, in carrier order: every
-  /// pending batch is cut and delivered, then the fault pump has nothing
-  /// due (FlushFaults), then the transport has written every frame it took.
-  /// Tests, iteration barriers and a cluster member's workers-done signal
-  /// rely on it.
+  /// node's queue is cut and carried (delivered in process, written to the
+  /// transport), then the fault pump has nothing due (FlushFaults). Tests,
+  /// iteration barriers and a cluster member's workers-done signal rely on
+  /// it.
   void FlushEgress();
 
   /// Turns on the seeded fault-injection fabric (call at most once, before
@@ -198,10 +202,16 @@ class MessageBus {
   void CloseEndpoints(int node, int min_port, int max_port = INT_MAX);
 
   /// Attaches a wall-clock egress limit (bytes/s) to `node`; 0 removes it.
+  /// The node's carrier picks it up on its next pass over the queue.
   void SetEgressLimit(int node, double bytes_per_sec);
-  /// The node's current limiter (tests synchronize on its waiter count);
-  /// null when no limit is set.
-  std::shared_ptr<RateLimiter> egress_limiter(int node) const;
+  /// The node's egress limit in bytes/s; 0 when none is set.
+  double egress_limit(int node) const;
+
+  /// Test hook: blocks until at most `depth` messages wait in `node`'s
+  /// egress queue — the carrier has taken the rest, so it is carrying them
+  /// or waiting on the node's limit to let them leave. A condition wait on
+  /// the carrier, shaped like AwaitPartitionHolds. False on timeout.
+  bool AwaitEgressDepth(int node, int64_t depth, int timeout_ms);
 
   /// Turns on per-(src,dst) link accounting: bytes, wire messages, and
   /// delivery-latency histograms per directed node pair. Remote messages are
@@ -245,17 +255,21 @@ class MessageBus {
     std::vector<std::pair<std::shared_ptr<Mailbox>, Message>> entries;
   };
 
-  /// Per-node egress queue + flusher thread (only with batching enabled).
+  /// One node's egress: the FIFO of cut batches (single messages when
+  /// batching is off) that one carrier thread drains at the node's limit,
+  /// plus the open batches the cut rule is still filling. The carrier
+  /// starts on the node's first remote send.
   struct NodeEgress {
     std::mutex mutex;
-    std::condition_variable cv;       // wakes the flusher
-    std::condition_variable idle_cv;  // signals FlushEgress waiters
+    std::condition_variable cv;       // wakes the carrier
+    std::condition_variable idle_cv;  // the carrier took or carried a run
     std::vector<Batch> open;          // at most one per destination node
     std::deque<Batch> ready;
-    int delivering = 0;
+    int64_t depth = 0;  // messages in `open` and `ready`
+    bool carrying = false;
     bool flush_requested = false;
     bool stop = false;
-    std::thread flusher;
+    std::thread carrier;
   };
 
   /// What the carrier ships once: one logical message bound for a local
@@ -301,23 +315,21 @@ class MessageBus {
     return transport_ != nullptr && !transport_->IsLocal(node);
   }
   /// The one egress charge for a wire message or batch frame leaving `src`
-  /// toward `dst`: the sender's rate limit (waited on with no bus lock
-  /// held), the tx counters and the link accounting.
+  /// toward `dst`: the tx counters and the link accounting.
   void Charge(int src, int dst, int64_t bytes, int64_t entries);
-  /// Ships one unbatched remote message: charge, encode when the
-  /// destination is out of process, carry.
-  Status SendDirect(Message message, std::shared_ptr<Mailbox> mailbox);
-  /// Delivers one cut batch: one charge and, out of process, one wire
-  /// frame; in process, the entries in order. Runs on the owning node's
-  /// flusher thread.
-  void DeliverBatch(int src, Batch batch);
-  void FlusherLoop(int node);
+  /// Takes cut runs off `node`'s queue and carries them until the bus stops.
+  void CarrierLoop(int node);
+  /// Carries one run of cut batches in queue order, each once `limiter`
+  /// (null: unlimited) lets its frame leave: one charge per batch and, out
+  /// of process, one wire frame; in process, the entries in order. Frames
+  /// bound for one destination that may leave together are written with one
+  /// SendFrames call.
+  void CarryRun(int node, std::deque<Batch> run, RateLimiter* limiter);
 
-  /// Hands one transmission to the carrier: through the fault fabric when it
-  /// is on and `exempt` is false (kShutdown traffic is exempt), otherwise
-  /// committed now. Returns the commit's status, or Ok once the fabric took
-  /// the transmission (the link layer retransmits; delivery is eventual).
-  Status Carry(Transmission transmission, bool exempt);
+  /// Ships one transmission: through the fault fabric when it is on and
+  /// `exempt` is false (kShutdown traffic is exempt; the link layer
+  /// retransmits, so delivery is eventual), otherwise committed now.
+  void Carry(Transmission transmission, bool exempt);
   /// The fault fabric: parks partitioned traffic, rolls the dice for this
   /// attempt, and either schedules the transmission on the pump or commits
   /// it now.
@@ -325,7 +337,8 @@ class MessageBus {
   /// Final hand-off: a frame goes to the transport; a sequenced message
   /// through Release, which must succeed (the fabric retransmits every
   /// drop, so a gap wider than the holdback is a bug in the bus); an
-  /// unsequenced one straight to its mailbox.
+  /// unsequenced one straight to its mailbox, or counted as a dropped reply
+  /// when that has closed. Only a transport write can fail.
   Status Commit(Transmission transmission);
   /// Builds the sequencer and reorder buffer unless the fault fabric or the
   /// transport already did.

@@ -1,7 +1,6 @@
 #include "src/transport/rate_limiter.h"
 
 #include <algorithm>
-#include <thread>
 
 #include "src/common/logging.h"
 
@@ -11,50 +10,23 @@ RateLimiter::RateLimiter(double bytes_per_sec, double burst_bytes)
     : bytes_per_sec_(bytes_per_sec),
       burst_bytes_(burst_bytes),
       tokens_(burst_bytes),
-      last_refill_(std::chrono::steady_clock::now()) {
+      last_refill_(Clock::now()) {
   CHECK_GT(bytes_per_sec, 0.0);
   CHECK_GT(burst_bytes, 0.0);
 }
 
-void RateLimiter::Refill() {
-  const auto now = std::chrono::steady_clock::now();
+RateLimiter::Clock::time_point RateLimiter::Reserve(int64_t bytes) {
+  CHECK_GE(bytes, 0);
+  const auto now = Clock::now();
   const double elapsed = std::chrono::duration<double>(now - last_refill_).count();
   last_refill_ = now;
   tokens_ = std::min(burst_bytes_, tokens_ + elapsed * bytes_per_sec_);
-}
-
-void RateLimiter::Acquire(int64_t bytes) {
-  CHECK_GE(bytes, 0);
-  std::unique_lock<std::mutex> lock(mutex_);
-  double needed = static_cast<double>(bytes);
-  while (true) {
-    Refill();
-    // Large messages drain the bucket in burst-sized installments so that
-    // concurrent senders interleave rather than convoy.
-    const double take = std::min(needed, std::max(tokens_, 0.0));
-    tokens_ -= take;
-    needed -= take;
-    if (needed <= 0.0) {
-      return;
-    }
-    const double wait_s = std::min(needed, burst_bytes_) / bytes_per_sec_;
-    ++waiters_;
-    waiter_cv_.notify_all();
-    lock.unlock();
-    std::this_thread::sleep_for(std::chrono::duration<double>(wait_s));
-    lock.lock();
-    --waiters_;
+  tokens_ -= static_cast<double>(bytes);
+  if (tokens_ >= 0.0) {
+    return now;
   }
-}
-
-int RateLimiter::current_waiters() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return waiters_;
-}
-
-bool RateLimiter::WaitUntilBlocked(int waiters, std::chrono::milliseconds timeout) {
-  std::unique_lock<std::mutex> lock(mutex_);
-  return waiter_cv_.wait_for(lock, timeout, [&] { return waiters_ >= waiters; });
+  return now + std::chrono::duration_cast<Clock::duration>(
+                   std::chrono::duration<double>(-tokens_ / bytes_per_sec_));
 }
 
 }  // namespace poseidon

@@ -1,47 +1,37 @@
 /// \file
-/// Token-bucket egress limiter (wall-clock). Acquire(bytes) blocks the caller
-/// until the bucket holds enough tokens, emulating a NIC that serializes a
-/// node's outgoing traffic at a fixed rate.
+/// Token-bucket egress limiter (wall-clock) that never blocks. Reserve(bytes)
+/// charges a frame to the bucket and says when it may leave, so the one
+/// carrier thread that drains a node's egress queue can wait for it while
+/// every sender goes on: a NIC that serializes a node's outgoing traffic at a
+/// fixed rate.
 #ifndef POSEIDON_SRC_TRANSPORT_RATE_LIMITER_H_
 #define POSEIDON_SRC_TRANSPORT_RATE_LIMITER_H_
 
 #include <chrono>
-#include <condition_variable>
 #include <cstdint>
-#include <mutex>
 
 namespace poseidon {
 
+/// Not thread-safe: a node's limiter is charged by its carrier alone.
 class RateLimiter {
  public:
-  // bytes_per_sec > 0; burst_bytes bounds how much can be sent back-to-back.
+  using Clock = std::chrono::steady_clock;
+
+  // bytes_per_sec > 0; burst_bytes bounds how much can leave back-to-back.
   RateLimiter(double bytes_per_sec, double burst_bytes = 256 * 1024.0);
 
-  // Blocks until `bytes` tokens are available, then consumes them.
-  void Acquire(int64_t bytes);
+  // Consumes `bytes` tokens, borrowing against future refill when the bucket
+  // runs short, and returns the time at which the frame may leave: now when
+  // the bucket covered it, otherwise when the refill has repaid the debt.
+  Clock::time_point Reserve(int64_t bytes);
 
   double bytes_per_sec() const { return bytes_per_sec_; }
 
-  // Callers currently blocked inside Acquire waiting for tokens.
-  int current_waiters() const;
-
-  // Blocks until at least `waiters` callers are waiting inside Acquire, or
-  // `timeout` elapses; returns whether the condition was met. Lets tests
-  // synchronize on "the sender is throttled now" with a condition variable
-  // instead of a sleep (delay injection makes sleep-based timing flaky).
-  bool WaitUntilBlocked(int waiters,
-                        std::chrono::milliseconds timeout = std::chrono::milliseconds(5000));
-
  private:
-  void Refill();
-
   const double bytes_per_sec_;
   const double burst_bytes_;
-  mutable std::mutex mutex_;
-  std::condition_variable waiter_cv_;
-  int waiters_ = 0;
-  double tokens_;
-  std::chrono::steady_clock::time_point last_refill_;
+  double tokens_;  // negative: debt the refill repays before the next frame
+  Clock::time_point last_refill_;
 };
 
 }  // namespace poseidon

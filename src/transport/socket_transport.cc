@@ -36,8 +36,9 @@ void SetNonBlocking(int fd) {
 }
 
 void SetNoDelay(int fd) {
-  // Latency over Nagle: the egress flusher already coalesces records into
-  // one writev, so there is nothing left for the kernel to batch.
+  // Latency over Nagle: a carrier already coalesces the frames it admits
+  // together into one write, so there is nothing left for the kernel to
+  // batch.
   int one = 1;
   setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
 }
@@ -65,14 +66,17 @@ int FillSockaddr(const SocketEndpoint& ep, sockaddr_storage* storage,
   return AF_INET;
 }
 
-// Blocking write of the full iovec array (the flusher thread owns the fd and
-// may block; everything else runs on other threads). Returns false on a
-// connection error.
+// Blocking write of the full iovec array, as one gathered sendmsg per
+// IOV_MAX pieces (writev with MSG_NOSIGNAL: a dead or shut-down connection
+// reports EPIPE instead of raising SIGPIPE). Returns false on a connection
+// error.
 bool WriteAll(int fd, std::vector<iovec> iov) {
   size_t at = 0;
   while (at < iov.size()) {
-    const ssize_t n = writev(fd, iov.data() + at,
-                             static_cast<int>(std::min<size_t>(iov.size() - at, IOV_MAX)));
+    msghdr msg{};
+    msg.msg_iov = iov.data() + at;
+    msg.msg_iovlen = std::min<size_t>(iov.size() - at, IOV_MAX);
+    const ssize_t n = sendmsg(fd, &msg, MSG_NOSIGNAL);
     if (n < 0) {
       if (errno == EINTR) {
         continue;
@@ -187,7 +191,9 @@ Status SocketTransport::DialPeer(int peer_index) {
       if (family == AF_INET) {
         SetNoDelay(fd);
       }
-      peers_[static_cast<size_t>(peer_index)]->fd = fd;
+      Peer& peer = *peers_[static_cast<size_t>(peer_index)];
+      std::lock_guard<std::mutex> lock(peer.mutex);
+      peer.fd = fd;
       return Status::Ok();
     }
     const int err = errno;
@@ -215,123 +221,93 @@ Status SocketTransport::ConnectAll() {
     if (!status.ok()) {
       return status;
     }
-    Peer& peer = *peers_[static_cast<size_t>(p)];
-    peer.flusher = std::thread([this, p] { FlusherLoop(p); });
   }
   return Status::Ok();
 }
 
-std::vector<uint8_t> SocketTransport::BuildRecord(
-    SocketRecordKind kind, const std::vector<uint8_t>& body) const {
-  std::vector<uint8_t> record(kSocketRecordHeaderBytes + body.size());
-  const uint32_t len = static_cast<uint32_t>(body.size());
+std::array<uint8_t, kSocketRecordHeaderBytes> SocketTransport::RecordHeader(
+    SocketRecordKind kind, size_t body_bytes) const {
+  std::array<uint8_t, kSocketRecordHeaderBytes> header;
+  const uint32_t len = static_cast<uint32_t>(body_bytes);
   for (int i = 0; i < 4; ++i) {
-    record[static_cast<size_t>(i)] = static_cast<uint8_t>((len >> (8 * i)) & 0xFF);
+    header[static_cast<size_t>(i)] = static_cast<uint8_t>((len >> (8 * i)) & 0xFF);
   }
-  record[4] = kSocketRecordVersion;
-  record[5] = static_cast<uint8_t>(kind);
-  record[6] = static_cast<uint8_t>(options_.self & 0xFF);
-  record[7] = static_cast<uint8_t>((options_.self >> 8) & 0xFF);
-  if (!body.empty()) {
-    std::memcpy(record.data() + kSocketRecordHeaderBytes, body.data(), body.size());
-  }
-  return record;
+  header[4] = kSocketRecordVersion;
+  header[5] = static_cast<uint8_t>(kind);
+  header[6] = static_cast<uint8_t>(options_.self & 0xFF);
+  header[7] = static_cast<uint8_t>((options_.self >> 8) & 0xFF);
+  return header;
 }
 
-Status SocketTransport::SendFrame(int src_node, int dst_node,
-                                  std::vector<uint8_t> frame) {
+Status SocketTransport::SendFrames(int src_node, int dst_node,
+                                   std::vector<std::vector<uint8_t>> frames) {
   CHECK(IsLocal(src_node)) << "frame source node " << src_node
                            << " is not hosted by process " << options_.self;
   const int dst_process = options_.node_owner[static_cast<size_t>(dst_node)];
   CHECK_NE(dst_process, options_.self)
-      << "SendFrame for a local destination node " << dst_node;
-  return Enqueue(dst_process, BuildRecord(SocketRecordKind::kData, frame));
+      << "SendFrames for a local destination node " << dst_node;
+  // Headers in one array (stable addresses for the iovecs); each frame body
+  // is written from where the carrier encoded it, with no copy.
+  std::vector<std::array<uint8_t, kSocketRecordHeaderBytes>> headers;
+  headers.reserve(frames.size());
+  std::vector<iovec> iov;
+  iov.reserve(2 * frames.size());
+  for (std::vector<uint8_t>& frame : frames) {
+    headers.push_back(RecordHeader(SocketRecordKind::kData, frame.size()));
+    iov.push_back({headers.back().data(), headers.back().size()});
+    iov.push_back({frame.data(), frame.size()});
+  }
+  return Write(dst_process, std::move(iov), static_cast<int64_t>(frames.size()));
 }
 
 Status SocketTransport::SendControl(int dst_process, uint16_t opcode,
                                     std::vector<uint8_t> body) {
-  std::vector<uint8_t> payload(2 + body.size());
-  payload[0] = static_cast<uint8_t>(opcode & 0xFF);
-  payload[1] = static_cast<uint8_t>((opcode >> 8) & 0xFF);
-  if (!body.empty()) {
-    std::memcpy(payload.data() + 2, body.data(), body.size());
-  }
   if (dst_process == options_.self) {
     // Self-delivery stays in process (the launcher's proc-0 controller
     // counts itself in barriers).
     if (control_handler_) {
-      control_handler_(options_.self, opcode,
-                       std::vector<uint8_t>(body.begin(), body.end()));
+      control_handler_(options_.self, opcode, body);
     }
     return Status::Ok();
   }
-  return Enqueue(dst_process, BuildRecord(SocketRecordKind::kControl, payload));
+  uint8_t op[2] = {static_cast<uint8_t>(opcode & 0xFF),
+                   static_cast<uint8_t>((opcode >> 8) & 0xFF)};
+  std::array<uint8_t, kSocketRecordHeaderBytes> header =
+      RecordHeader(SocketRecordKind::kControl, sizeof(op) + body.size());
+  std::vector<iovec> iov = {{header.data(), header.size()}, {op, sizeof(op)}};
+  if (!body.empty()) {
+    iov.push_back({body.data(), body.size()});
+  }
+  return Write(dst_process, std::move(iov), /*records=*/1);
 }
 
-Status SocketTransport::Enqueue(int dst_process, std::vector<uint8_t> record) {
+Status SocketTransport::Write(int dst_process, std::vector<iovec> iov, int64_t records) {
   Peer& peer = *peers_[static_cast<size_t>(dst_process)];
-  {
-    std::lock_guard<std::mutex> lock(peer.mutex);
-    if (peer.stop || peer.dead) {
-      return UnavailableError("connection to process " +
-                              std::to_string(dst_process) + " is down");
-    }
-    peer.queue.push_back(std::move(record));
+  int64_t bytes = 0;
+  for (const iovec& piece : iov) {
+    bytes += static_cast<int64_t>(piece.iov_len);
   }
-  peer.cv.notify_all();
+  std::lock_guard<std::mutex> lock(peer.mutex);
+  if (stopped_.load(std::memory_order_acquire) || peer.dead || peer.fd < 0) {
+    return UnavailableError("connection to process " + std::to_string(dst_process) +
+                            " is down");
+  }
+  // Count before writing: the receiver may deliver a record (and its reader
+  // look at these counters) before WriteAll returns.
+  records_sent_.fetch_add(records, std::memory_order_relaxed);
+  bytes_sent_.fetch_add(bytes, std::memory_order_relaxed);
+  if (!WriteAll(peer.fd, std::move(iov))) {
+    records_sent_.fetch_sub(records, std::memory_order_relaxed);
+    bytes_sent_.fetch_sub(bytes, std::memory_order_relaxed);
+    if (!stopped_.load(std::memory_order_acquire)) {
+      LOG(Warning) << "transport: write to process " << dst_process << " failed ("
+                   << std::strerror(errno) << "); egress to it is dead";
+    }
+    peer.dead = true;
+    return UnavailableError("write to process " + std::to_string(dst_process) +
+                            " failed");
+  }
   return Status::Ok();
-}
-
-void SocketTransport::FlusherLoop(int peer_index) {
-  Peer& peer = *peers_[static_cast<size_t>(peer_index)];
-  std::unique_lock<std::mutex> lock(peer.mutex);
-  while (true) {
-    if (peer.queue.empty()) {
-      if (peer.writing == 0) {
-        peer.idle_cv.notify_all();
-      }
-      if (peer.stop) {
-        break;
-      }
-      peer.cv.wait(lock, [&] { return peer.stop || !peer.queue.empty(); });
-      continue;
-    }
-    // Cut up to max_writev_records into one writev: many records, one
-    // syscall.
-    std::vector<std::vector<uint8_t>> out;
-    while (!peer.queue.empty() &&
-           static_cast<int>(out.size()) < options_.max_writev_records) {
-      out.push_back(std::move(peer.queue.front()));
-      peer.queue.pop_front();
-    }
-    const bool dead = peer.dead;
-    ++peer.writing;
-    lock.unlock();
-    if (!dead) {
-      std::vector<iovec> iov;
-      iov.reserve(out.size());
-      int64_t batch_bytes = 0;
-      for (std::vector<uint8_t>& record : out) {
-        iov.push_back({record.data(), record.size()});
-        batch_bytes += static_cast<int64_t>(record.size());
-      }
-      // Count before writing: the receiver may deliver a record (and its
-      // reader look at these counters) before WriteAll returns.
-      records_sent_.fetch_add(static_cast<int64_t>(out.size()), std::memory_order_relaxed);
-      bytes_sent_.fetch_add(batch_bytes, std::memory_order_relaxed);
-      if (!WriteAll(peer.fd, std::move(iov))) {
-        records_sent_.fetch_sub(static_cast<int64_t>(out.size()), std::memory_order_relaxed);
-        bytes_sent_.fetch_sub(batch_bytes, std::memory_order_relaxed);
-        LOG(Warning) << "transport: write to process " << peer_index
-                     << " failed (" << std::strerror(errno) << "); egress to it is dead";
-        lock.lock();
-        peer.dead = true;
-        lock.unlock();
-      }
-    }
-    lock.lock();
-    --peer.writing;
-  }
 }
 
 void SocketTransport::PollLoop() {
@@ -475,44 +451,25 @@ void SocketTransport::HandleRecord(SocketRecordKind kind, uint16_t src_process,
   }
 }
 
-void SocketTransport::Flush() {
-  for (int p = 0; p < num_processes(); ++p) {
-    if (p == options_.self) {
-      continue;
-    }
-    Peer& peer = *peers_[static_cast<size_t>(p)];
-    std::unique_lock<std::mutex> lock(peer.mutex);
-    if (!peer.flusher.joinable()) {
-      continue;
-    }
-    peer.cv.notify_all();
-    peer.idle_cv.wait(lock, [&] {
-      return peer.stop || peer.dead ||
-             (peer.queue.empty() && peer.writing == 0);
-    });
-  }
-}
-
 void SocketTransport::Stop() {
   if (!started_.load() || stopped_.exchange(true)) {
     return;  // never started, or another caller already ran the teardown
   }
+  // A writer blocked on a full socket holds its peer's mutex: shutting the
+  // write side down first makes that write fail, so the lock below is
+  // reachable and no fd is closed under a writer. Only ConnectAll, before,
+  // and the close below ever set an fd.
   for (auto& peer_ptr : peers_) {
-    Peer& peer = *peer_ptr;
-    {
-      std::lock_guard<std::mutex> lock(peer.mutex);
-      peer.stop = true;
+    if (peer_ptr->fd >= 0) {
+      shutdown(peer_ptr->fd, SHUT_WR);
     }
-    peer.cv.notify_all();
-    peer.idle_cv.notify_all();
   }
   for (auto& peer_ptr : peers_) {
-    if (peer_ptr->flusher.joinable()) {
-      peer_ptr->flusher.join();
-    }
-    if (peer_ptr->fd >= 0) {
-      close(peer_ptr->fd);
-      peer_ptr->fd = -1;
+    Peer& peer = *peer_ptr;
+    std::lock_guard<std::mutex> lock(peer.mutex);
+    if (peer.fd >= 0) {
+      close(peer.fd);
+      peer.fd = -1;
     }
   }
   WakeOnSelfPipe();

@@ -7,10 +7,11 @@
 /// (`node_owner[node]` = process index). Every process listens on one
 /// endpoint (TCP loopback/host port, or a Unix socket path) and dials one
 /// egress connection to every other process — a full mesh where, per peer,
-///   * the dialed connection carries this process's egress only, fed by a
-///     dedicated flusher thread that drains a deque with batched writev
-///     (many records per syscall, never one write per message — the
-///     userspace-networking idiom from SNIPPETS.md), and
+///   * the dialed connection carries this process's egress only. It has
+///     no thread of its own: the bus's node carriers (and its fault pump)
+///     write to it synchronously, one writev-style sendmsg per group of
+///     frames a carrier admitted together (many records per syscall, never
+///     one write per message), under a per-peer write mutex, and
 ///   * accepted connections carry ingress only, served by a single poll
 ///     thread (nonblocking accept + level-triggered poll, incremental
 ///     record reassembly) that hands complete data records to
@@ -27,16 +28,17 @@
 /// The transport injects no weather of its own: it writes what it is given,
 /// in order. Seeded socket chaos is the bus's fault fabric
 /// (MessageBus::EnableFaultInjection), which drops, duplicates, delays and
-/// partitions frames before they reach SendFrame, so the sequencer
+/// partitions frames before they reach SendFrames, so the sequencer
 /// properties are exercised against genuinely reordered, duplicated and
 /// retransmitted socket traffic (docs/TRANSPORT.md).
 #ifndef POSEIDON_SRC_TRANSPORT_SOCKET_TRANSPORT_H_
 #define POSEIDON_SRC_TRANSPORT_SOCKET_TRANSPORT_H_
 
+#include <sys/uio.h>
+
+#include <array>
 #include <atomic>
-#include <condition_variable>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <memory>
 #include <mutex>
@@ -83,8 +85,6 @@ struct SocketTransportOptions {
   /// How long ConnectAll keeps retrying a refused peer before giving up
   /// (peers start in arbitrary order; refusal just means "not up yet").
   int connect_timeout_ms = 20000;
-  /// Egress records per writev batch.
-  int max_writev_records = 16;
   /// Upper bound on one record body; larger ingress records are a protocol
   /// error (guards the reassembly buffer against corrupt length prefixes).
   int64_t max_record_bytes = 256ll << 20;
@@ -112,33 +112,33 @@ class SocketTransport : public Transport {
   /// has port 0 (TCP), the kernel picks one — see listen_port().
   Status Start(MessageBus* bus);
 
-  /// Dials every other process, retrying refusals until connect_timeout_ms,
-  /// and starts one egress flusher per peer. Call after every process has
-  /// had Start() invoked (the launcher guarantees this by publishing the
-  /// endpoint table only after binding all listeners).
+  /// Dials every other process, retrying refusals until connect_timeout_ms.
+  /// Call after every process has had Start() invoked (the launcher
+  /// guarantees this by publishing the endpoint table only after binding all
+  /// listeners).
   Status ConnectAll();
 
   /// The port we actually listen on (after Start; = endpoint port unless it
   /// was 0). Unix endpoints return 0.
   int listen_port() const { return listen_port_; }
 
-  /// Stops flushers and the poll thread, closes every socket, unlinks our
-  /// Unix path. Idempotent; called by the destructor.
+  /// Shuts down every egress socket for writing (a writer blocked on a full
+  /// socket returns), stops the poll thread, closes every socket, unlinks
+  /// our Unix path. Later writes return Unavailable. Idempotent; called by
+  /// the destructor.
   void Stop();
 
-  /// Enqueues a control record to `dst_process` (reliable: the bus's fault
-  /// fabric never sees it). To self is delivered inline on the caller's
-  /// thread.
+  /// Writes a control record to `dst_process` on the caller's thread
+  /// (reliable: the bus's fault fabric never sees it). To self is delivered
+  /// inline.
   Status SendControl(int dst_process, uint16_t opcode,
                      std::vector<uint8_t> body = {});
 
   // Transport interface -----------------------------------------------------
   const char* name() const override;
   bool IsLocal(int node) const override;
-  Status SendFrame(int src_node, int dst_node,
-                   std::vector<uint8_t> frame) override;
-  /// Drains every peer's egress deque to the socket.
-  void Flush() override;
+  Status SendFrames(int src_node, int dst_node,
+                    std::vector<std::vector<uint8_t>> frames) override;
 
   // Introspection -----------------------------------------------------------
   int self() const { return options_.self; }
@@ -149,17 +149,12 @@ class SocketTransport : public Transport {
   int64_t bytes_received() const;
 
  private:
-  /// Egress state toward one peer process.
+  /// Egress connection toward one peer process. Writers hold `mutex` for a
+  /// whole write so records never interleave on the stream.
   struct Peer {
-    int fd = -1;
     std::mutex mutex;
-    std::condition_variable cv;       // wakes the flusher
-    std::condition_variable idle_cv;  // signals Flush waiters
-    std::deque<std::vector<uint8_t>> queue;  // records ready to write
-    bool stop = false;
+    int fd = -1;
     bool dead = false;  // write error: peer is gone
-    int writing = 0;
-    std::thread flusher;
   };
 
   /// Ingress reassembly state for one accepted connection.
@@ -168,12 +163,13 @@ class SocketTransport : public Transport {
     std::vector<uint8_t> buffer;
   };
 
-  std::vector<uint8_t> BuildRecord(SocketRecordKind kind,
-                                   const std::vector<uint8_t>& body) const;
-  /// Queues one record on `dst_process`'s egress flusher; Unavailable once
-  /// that connection is down or the transport stopped.
-  Status Enqueue(int dst_process, std::vector<uint8_t> record);
-  void FlusherLoop(int peer_index);
+  /// The record header announcing `body_bytes` of `kind`.
+  std::array<uint8_t, kSocketRecordHeaderBytes> RecordHeader(SocketRecordKind kind,
+                                                            size_t body_bytes) const;
+  /// Writes `records` (each a run of iovecs: header, then body pieces) to
+  /// `dst_process` in one gathered write; Unavailable once that connection
+  /// is down or the transport stopped.
+  Status Write(int dst_process, std::vector<iovec> iov, int64_t records);
   void PollLoop();
   /// Parses complete records out of `in.buffer`; returns false on a protocol
   /// error — unknown version or kind, or a length over max_record_bytes —

@@ -12,13 +12,15 @@
 /// from docs/WIRE_FORMAT.md travel length-prefixed over TCP or Unix-domain
 /// stream sockets.
 ///
-/// Contract: the bus calls SendFrame() with a fully encoded wire frame
-/// (src local, dst remote per IsLocal) after it has done its own accounting,
-/// sequencing and, when its fault fabric is on, weather; the transport
-/// delivers the same bytes, in the order it took them, to the destination
-/// process, which hands them to its bus via MessageBus::DeliverWire(). The
-/// fabric may hand over a frame twice, late, or behind later frames — the
-/// receiving bus's reorder buffer restores exactly-once FIFO per stream.
+/// Contract: a node's egress carrier (the one thread that drains the node's
+/// queue at its egress limit) calls SendFrames() with the fully encoded wire
+/// frames it admitted together for one destination node (src local, dst
+/// remote per IsLocal), after it has done its own accounting, sequencing
+/// and, when its fault fabric is on, weather. The transport writes them
+/// before returning, in order, and the destination process hands the same
+/// bytes to its bus via MessageBus::DeliverWire(). The fabric may hand over
+/// a frame twice, late, or behind later frames — the receiving bus's reorder
+/// buffer restores exactly-once FIFO per stream.
 /// See docs/TRANSPORT.md.
 #ifndef POSEIDON_SRC_TRANSPORT_TRANSPORT_H_
 #define POSEIDON_SRC_TRANSPORT_TRANSPORT_H_
@@ -30,9 +32,8 @@
 
 namespace poseidon {
 
-/// Abstract frame carrier under the bus. Implementations must be
-/// thread-safe: the bus calls SendFrame concurrently from sender threads and
-/// batch flushers.
+/// Abstract frame writer under the bus. Implementations must be thread-safe:
+/// every node's carrier and the fault pump call SendFrames concurrently.
 class Transport {
  public:
   virtual ~Transport() = default;
@@ -47,17 +48,14 @@ class Transport {
   /// construction).
   virtual bool IsLocal(int node) const = 0;
 
-  /// Ships one encoded wire frame (message or batch) toward the process
-  /// hosting `dst_node`. Enqueue-and-return: actual socket writes happen on
-  /// the destination's egress flusher. Returns Unavailable once the peer
-  /// connection is down or the transport stopped.
-  virtual Status SendFrame(int src_node, int dst_node,
-                           std::vector<uint8_t> frame) = 0;
-
-  /// Blocks until every frame accepted so far has left this process (written
-  /// to the socket). Cross-process *delivery* is not awaited — only the
-  /// local egress is drained.
-  virtual void Flush() {}
+  /// Writes `frames` (each one encoded wire frame, message or batch, from
+  /// `src_node` to `dst_node`) toward the process hosting `dst_node`, in
+  /// order and in one write where the backend can, and returns once they
+  /// have left this process. Cross-process *delivery* is not awaited.
+  /// Returns Unavailable once the peer connection is down or the transport
+  /// stopped.
+  virtual Status SendFrames(int src_node, int dst_node,
+                            std::vector<std::vector<uint8_t>> frames) = 0;
 };
 
 }  // namespace poseidon

@@ -166,7 +166,7 @@ TEST(FaultyBusTest, DuplicatesAreInjectedAndDeduplicated) {
   for (int i = 0; i < kMessages; ++i) {
     EXPECT_TRUE(bus.Send(MakeMessage(0, 1, /*seq=*/-1, /*layer=*/i)).ok());
   }
-  bus.FlushFaults();
+  bus.FlushEgress();
   const FaultCountersSnapshot snap = bus.FaultCounts();
   EXPECT_EQ(snap.duplicates, kMessages);
   EXPECT_EQ(snap.deduped, kMessages);
@@ -193,7 +193,7 @@ TEST(FaultyBusTest, DropsAreRetransmittedUntilDelivered) {
   for (int i = 0; i < kMessages; ++i) {
     EXPECT_TRUE(bus.Send(MakeMessage(0, 1, /*seq=*/-1, /*layer=*/i)).ok());
   }
-  bus.FlushFaults();
+  bus.FlushEgress();
   const FaultCountersSnapshot snap = bus.FaultCounts();
   EXPECT_GT(snap.drops, 0);
   EXPECT_EQ(snap.retransmits, snap.drops);  // every loss was retried
@@ -218,7 +218,7 @@ TEST(FaultyBusTest, DelayedStreamStillArrivesInOrder) {
   for (int i = 0; i < kMessages; ++i) {
     EXPECT_TRUE(bus.Send(MakeMessage(0, 1, /*seq=*/-1, /*layer=*/i)).ok());
   }
-  bus.FlushFaults();
+  bus.FlushEgress();
   EXPECT_GT(bus.FaultCounts().delays, 0);
   for (int i = 0; i < kMessages; ++i) {
     auto received = mailbox->TryPop();
@@ -236,12 +236,12 @@ TEST(FaultyBusTest, PartitionParksTrafficAndHealReplays) {
   bus.Partition(0, 1);
   EXPECT_TRUE(bus.Send(MakeMessage(0, 1)).ok());
   EXPECT_TRUE(bus.Send(MakeMessage(0, 1)).ok());
-  bus.FlushFaults();
+  bus.FlushEgress();
   EXPECT_FALSE(mailbox->TryPop().has_value()) << "partitioned traffic leaked";
   EXPECT_EQ(bus.FaultCounts().partition_holds, 2);
 
   bus.HealPartitions();
-  bus.FlushFaults();
+  bus.FlushEgress();
   EXPECT_TRUE(mailbox->TryPop().has_value());
   EXPECT_TRUE(mailbox->TryPop().has_value());
 }
@@ -260,10 +260,13 @@ TEST(FaultyBusTest, ShutdownBypassesTheFaultFabric) {
   shutdown.from = Address{0, kSyncerPortBase};
   shutdown.to = Address{1, kServerPort};
   EXPECT_TRUE(bus.Send(std::move(shutdown)).ok());
-  // Inline delivery: no flush needed, no weather applied.
+  // The carrier commits it directly: no weather applied.
+  bus.FlushEgress();
   auto received = mailbox->TryPop();
   ASSERT_TRUE(received.has_value());
   EXPECT_EQ(received->type, MessageType::kShutdown);
+  EXPECT_EQ(bus.FaultCounts().drops, 0);
+  EXPECT_EQ(bus.FaultCounts().delays, 0);
 }
 
 // ------------------------------------------------------- socket backend ----

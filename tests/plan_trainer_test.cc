@@ -248,10 +248,9 @@ TEST(PlanTrainerTest, AdoptPlanKeepsEgressLimitsAndLinkStats) {
 
   trainer.AdoptPlan(joint_plan);
   ASSERT_EQ(trainer.plan()->hash, joint_plan->hash);
-  const std::shared_ptr<RateLimiter> limiter = trainer.bus().egress_limiter(0);
-  ASSERT_NE(limiter, nullptr) << "the plan swap lifted node 0's egress limit";
-  EXPECT_EQ(limiter->bytes_per_sec(), kRate);
-  EXPECT_EQ(trainer.bus().egress_limiter(1), nullptr);
+  EXPECT_EQ(trainer.bus().egress_limit(0), kRate)
+      << "the plan swap lost node 0's egress limit";
+  EXPECT_EQ(trainer.bus().egress_limit(1), 0.0);
   EXPECT_TRUE(trainer.bus().link_stats_enabled());
 
   trainer.Train(dataset, 2);

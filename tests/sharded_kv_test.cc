@@ -420,6 +420,63 @@ std::vector<float> ReplyFloats(const Message& reply) {
   return out;
 }
 
+// The emulated NIC drains on its own carrier, as a real one does: a shard
+// on a throttled node queues its large layer-A reply and goes on to apply
+// layer B. Worker 1 shares the server's node, so its replies skip the NIC
+// and time the shard's progress; worker 0's cross it.
+TEST(KvShardServiceTest, AppliesTheNextLayerWhileALargeReplyIsQueued) {
+  Rng rng(29);
+  auto net = BuildMlp(/*input_dim=*/256, /*hidden_dim=*/512, /*hidden_layers=*/1,
+                      /*classes=*/3, rng);
+  ClusterInfo cluster = ShardedCluster(/*workers=*/2, /*servers=*/1, /*shards=*/1,
+                                       /*kv_bytes=*/1 << 16);
+  cluster.server_node_base = 1;  // server 0 shares node 1 with worker 1
+  Coordinator coordinator(*net, cluster);
+  const CommPlan plan = DenseAndOneBitPlan(coordinator);
+  MessageBus bus(cluster.NumNodes());
+  std::shared_ptr<MessageBus::Mailbox> replies[2][kOneBitLayer + 1];  // [worker][layer]
+  for (int w : {0, 1}) {
+    for (int layer : {kDenseLayer, kOneBitLayer}) {
+      replies[w][layer] = bus.Register(Address{w, kSyncerPortBase + layer});
+    }
+  }
+  // Worker 0's ~526 KB fc1 reply needs ~0.27 s past the 256 KB burst.
+  bus.SetEgressLimit(1, 1e6);
+  KvShard shard(0, 0, /*first_iter=*/0, coordinator, plan, *net, &bus,
+                SgdConfig{.learning_rate = 0.05f, .momentum = 0.9f});
+  shard.Start();
+
+  // No ASSERT until the shard has its shutdown: a running shard thread would
+  // hang the test on failure.
+  std::vector<OneBitQuantizer> quantizers(2);
+  for (int layer : {kDenseLayer, kOneBitLayer}) {
+    for (int w : {0, 1}) {
+      EXPECT_TRUE(bus.Send(StepPush(coordinator, layer, w, /*clock=*/0,
+                                    &quantizers[static_cast<size_t>(w)]))
+                      .ok());
+    }
+  }
+  constexpr std::chrono::seconds kDeadline(5);
+  const bool applied_b = replies[1][kOneBitLayer]->PopFor(kDeadline).has_value();
+  EXPECT_TRUE(applied_b) << "the shard never applied layer B";
+  if (applied_b) {
+    EXPECT_EQ(replies[0][kDenseLayer]->size(), 0u)
+        << "the shard waited for its NIC to drain layer A's reply before applying layer B";
+  }
+  EXPECT_TRUE(replies[0][kDenseLayer]->PopFor(kDeadline).has_value());
+  EXPECT_TRUE(replies[0][kOneBitLayer]->PopFor(kDeadline).has_value());
+  EXPECT_TRUE(replies[1][kDenseLayer]->TryPop().has_value());
+
+  Message shutdown;
+  shutdown.type = MessageType::kShutdown;
+  shutdown.from = Address{1, kSyncerPortBase};
+  shutdown.to = cluster.ShardAddress(0, 0);
+  EXPECT_TRUE(bus.Send(std::move(shutdown)).ok());
+  shard.Join();
+  EXPECT_EQ(shard.applies(), 2);
+  EXPECT_EQ(shard.replies_dropped(), 0);
+}
+
 TEST(KvShardStepTest, EveryArrivalOrderAppliesOnceAndRepliesUnderTheGate) {
   // KvShard::Handle with no thread and no mailbox: W = 2 workers, clocks
   // 0-1, s in {0, 1}, every arrival order of the four pushes, plus one

@@ -1,7 +1,8 @@
-// Thread-free tests of the per-layer syncer step (Syncer::Handle): three
-// workers' syncers for one layer are driven from a single thread over an
-// in-process bus (no batching, no faults, no ClientLibrary loop), the test
-// choosing the delivery order with TryPop. Every order must leave the
+// Tests of the per-layer syncer step (Syncer::Handle): three
+// workers' syncers for one layer are stepped by the test thread over an
+// in-process bus (no batching, no faults, no ClientLibrary loop), each step
+// flushing the bus's egress so what it sent has arrived, the test choosing
+// the delivery order with TryPop. Every order must leave the
 // layer's parameters bitwise equal across ranks, across orders, and to a
 // threaded ClientLibrary run of the same iterations.
 #include <gtest/gtest.h>
@@ -123,9 +124,9 @@ class StepCluster {
   Syncer& syncer(int w) { return *syncers_[static_cast<size_t>(w)]; }
   MessageBus::Mailbox& mailbox(int w) { return *mailboxes_[static_cast<size_t>(w)]; }
 
-  /// Worker w's compute for `iter`, then MoveOut and the non-blocking Send.
-  /// Returns Send's verdict: true when messages deferred before it already
-  /// completed the iteration.
+  /// Worker w's compute for `iter`, then MoveOut and the non-blocking Send,
+  /// flushed to the peers' mailboxes. Returns Send's verdict: true when
+  /// messages deferred before it already completed the iteration.
   bool Send(int w, int64_t iter) {
     Network& net = *nets_[static_cast<size_t>(w)];
     Forward(net, data_, w, iter);
@@ -133,7 +134,17 @@ class StepCluster {
       net.BackwardThrough(l);
     }
     syncer(w).MoveOut();
-    return syncer(w).Send(iter);
+    const bool done = syncer(w).Send(iter);
+    bus_.FlushEgress();
+    return done;
+  }
+
+  /// Worker w's syncer handles `message`; whatever that sends is flushed to
+  /// the peers' mailboxes. Returns Handle's verdict.
+  bool Handle(int w, const Message& message) {
+    const bool done = syncer(w).Handle(message);
+    bus_.FlushEgress();
+    return done;
   }
 
   /// Everything waiting in worker w's mailbox, in arrival order.
@@ -194,8 +205,8 @@ TEST(SyncerStepTest, SfbAnyArrivalOrderWithAPeerAhead) {
     if (order[0] > order[1]) {
       std::swap(at2[0], at2[1]);
     }
-    EXPECT_FALSE(cluster.syncer(2).Handle(at2[0]));
-    EXPECT_TRUE(cluster.syncer(2).Handle(at2[1]));
+    EXPECT_FALSE(cluster.Handle(2, at2[0]));
+    EXPECT_TRUE(cluster.Handle(2, at2[1]));
     EXPECT_FALSE(cluster.Send(2, 1));
 
     for (int w : {0, 1}) {
@@ -214,7 +225,7 @@ TEST(SyncerStepTest, SfbAnyArrivalOrderWithAPeerAhead) {
         iter0_handled += message.iter == 0 ? 1 : 0;
         // Only the second iteration-0 SF completes the iteration; an early
         // iteration-1 SF is deferred.
-        EXPECT_EQ(cluster.syncer(w).Handle(message), iter0_handled == 2);
+        EXPECT_EQ(cluster.Handle(w, message), iter0_handled == 2);
       }
     }
 
@@ -228,7 +239,7 @@ TEST(SyncerStepTest, SfbAnyArrivalOrderWithAPeerAhead) {
       while (!done) {
         std::optional<Message> message = cluster.mailbox(w).TryPop();
         ASSERT_TRUE(message.has_value()) << "worker " << w << " is missing an SF";
-        done = cluster.syncer(w).Handle(*message);
+        done = cluster.Handle(w, *message);
       }
       EXPECT_EQ(cluster.mailbox(w).size(), 0u);
     }
@@ -265,7 +276,7 @@ TEST_P(CollectiveStepTest, AnyRankStepOrder) {
             continue;
           }
           stepped = true;
-          if (cluster.syncer(r).Handle(*hop)) {
+          if (cluster.Handle(r, *hop)) {
             ASSERT_FALSE(done[static_cast<size_t>(r)]) << "rank " << r << " completed twice";
             done[static_cast<size_t>(r)] = true;
             ++finished;

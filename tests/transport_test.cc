@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <optional>
 #include <thread>
 
 #include "src/transport/bus.h"
@@ -74,6 +75,7 @@ TEST(BusTest, TrafficAccountingSkipsLocal) {
   bus.Register(Address{1, kServerPort});
   EXPECT_TRUE(bus.Send(MakeChunkMessage(0, 0, kServerPort, 100)).ok());  // local
   EXPECT_TRUE(bus.Send(MakeChunkMessage(0, 1, kServerPort, 100)).ok());  // remote
+  bus.FlushEgress();
   EXPECT_EQ(bus.TxBytes(1), 0);
   const int64_t remote = bus.TxBytes(0);
   EXPECT_GT(remote, 400);  // 100 floats + headers
@@ -121,74 +123,97 @@ TEST(MessageTest, WireBytesCountsPayloads) {
   EXPECT_EQ(m.WireBytes(), kWireFrameBytes + m.PayloadBytes());
 }
 
+double SecondsUntil(RateLimiter::Clock::time_point when) {
+  return std::chrono::duration<double>(when - RateLimiter::Clock::now()).count();
+}
+
 TEST(RateLimiterTest, ThrottlesToConfiguredRate) {
   RateLimiter limiter(1e6, /*burst_bytes=*/1e4);  // 1 MB/s
-  const auto start = std::chrono::steady_clock::now();
-  limiter.Acquire(50000);  // ~50 ms at 1 MB/s (minus the initial burst)
-  const double elapsed =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
-  EXPECT_GT(elapsed, 0.025);
-  EXPECT_LT(elapsed, 0.5);
+  const auto start = RateLimiter::Clock::now();
+  // ~50 ms at 1 MB/s (minus the initial burst); Reserve itself returns at once.
+  const auto due = limiter.Reserve(50000);
+  EXPECT_LT(std::chrono::duration<double>(RateLimiter::Clock::now() - start).count(), 0.01);
+  const double wait = std::chrono::duration<double>(due - start).count();
+  EXPECT_GT(wait, 0.025);
+  EXPECT_LT(wait, 0.5);
+  // The debt carries over: the next frame leaves after the first one's.
+  EXPECT_GE(limiter.Reserve(1000), due);
 }
 
 TEST(RateLimiterTest, SmallSendsWithinBurstAreFree) {
   RateLimiter limiter(1e6, /*burst_bytes=*/1e5);
-  const auto start = std::chrono::steady_clock::now();
-  limiter.Acquire(1000);
-  const double elapsed =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
-  EXPECT_LT(elapsed, 0.01);
+  EXPECT_LE(SecondsUntil(limiter.Reserve(1000)), 0.0);
 }
 
 TEST(BusTest, EgressLimitSlowsRemoteSends) {
   MessageBus bus(2);
-  bus.Register(Address{1, kServerPort});
+  auto mailbox = bus.Register(Address{1, kServerPort});
   bus.SetEgressLimit(0, 1e6);  // 1 MB/s
   const auto start = std::chrono::steady_clock::now();
   EXPECT_TRUE(bus.Send(MakeChunkMessage(0, 1, kServerPort, 100000)).ok());  // ~400 KB
+  ASSERT_TRUE(mailbox->Pop().has_value());
   const double elapsed =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
-  EXPECT_GT(elapsed, 0.1);
+  EXPECT_GT(elapsed, 0.1) << "delivery outran the node's egress limit";
 }
 
-// Regression: one node's blocked egress (rate limiter wait) must not stall
-// sends from other nodes — the limiter wait may not hold the bus-wide lock.
+// The emulated NIC drains on its own carrier: a send that takes the wire
+// 0.14 s at the limit returns long before it is delivered.
+TEST(BusTest, ThrottledSendReturnsBeforeTheNicDrains) {
+  MessageBus bus(2);
+  auto mailbox = bus.Register(Address{1, kServerPort});
+  bus.SetEgressLimit(0, 1e6);  // 1 MB/s
+  // A first small send starts node 0's carrier thread outside the timing.
+  EXPECT_TRUE(bus.Send(MakeChunkMessage(0, 1, kServerPort, 4)).ok());
+  ASSERT_TRUE(mailbox->Pop().has_value());
+  Message big = MakeChunkMessage(0, 1, kServerPort, 100000);  // ~400 KB
+  const auto start = std::chrono::steady_clock::now();
+  EXPECT_TRUE(bus.Send(std::move(big)).ok());
+  const double send_s =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
+  ASSERT_TRUE(mailbox->Pop().has_value());
+  const double deliver_s =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
+  EXPECT_LT(send_s, 0.02) << "Send waited on the emulated NIC";
+  EXPECT_GE(deliver_s, 0.1) << "delivery outran the node's egress limit";
+}
+
+// Regression: one node's throttled egress must not stall sends or delivery
+// from other nodes — each node has its own queue and carrier.
 TEST(BusTest, ThrottledSenderDoesNotBlockOtherNodes) {
   MessageBus bus(3);
-  bus.Register(Address{2, kServerPort});
-  bus.SetEgressLimit(0, 1e6);  // ~0.8 s for the big message below
+  auto mailbox = bus.Register(Address{2, kServerPort});
+  bus.SetEgressLimit(0, 1e6);  // ~0.5 s for the big message below
 
-  std::thread throttled([&] {
-    // ~800 KB through a 1 MB/s limiter: blocks well past the probe below.
-    EXPECT_TRUE(bus.Send(MakeChunkMessage(0, 2, kServerPort, 200000)).ok());
-  });
-  // Wait (condition variable, not a sleep) until the throttled sender is
-  // actually inside its limiter wait.
-  ASSERT_TRUE(bus.egress_limiter(0)->WaitUntilBlocked(1));
+  // ~800 KB through a 1 MB/s limit: in flight well past the probe below.
+  EXPECT_TRUE(bus.Send(MakeChunkMessage(0, 2, kServerPort, 200000)).ok());
+  // Wait (condition variable, not a sleep) until node 0's carrier has taken
+  // the message off its queue and waits on the limit.
+  ASSERT_TRUE(bus.AwaitEgressDepth(0, 0, /*timeout_ms=*/5000));
 
   const auto start = std::chrono::steady_clock::now();
   EXPECT_TRUE(bus.Send(MakeChunkMessage(1, 2, kServerPort, 100)).ok());
+  std::optional<Message> received = mailbox->Pop();
+  ASSERT_TRUE(received.has_value());
+  EXPECT_EQ(received->from.node, 1) << "node 0's throttled frame arrived first";
   const double elapsed =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
   EXPECT_LT(elapsed, 0.5) << "node 1's send stalled behind node 0's throttled egress";
-  throttled.join();
+  ASSERT_TRUE(mailbox->Pop().has_value());
 }
 
-// SetEgressLimit while a send is waiting on the old limiter must be safe
-// (limiters are shared_ptr snapshots, not raw pointers into the bus).
+// SetEgressLimit while the carrier waits on the old limit must be safe (the
+// carrier holds a shared_ptr snapshot, not a raw pointer into the bus), and
+// the waiting message still arrives.
 TEST(BusTest, ResetLimitDuringBlockedSendIsSafe) {
   MessageBus bus(2);
-  bus.Register(Address{1, kServerPort});
+  auto mailbox = bus.Register(Address{1, kServerPort});
   bus.SetEgressLimit(0, 2e5);
-  // Snapshot the limiter before dropping it so the wait below has something
-  // to observe (the bus forgets it on reset, by design).
-  auto limiter = bus.egress_limiter(0);
-  std::thread sender([&] {
-    EXPECT_TRUE(bus.Send(MakeChunkMessage(0, 1, kServerPort, 100000)).ok());
-  });
-  ASSERT_TRUE(limiter->WaitUntilBlocked(1));
-  bus.SetEgressLimit(0, 0.0);  // drop the limiter under the blocked sender
-  sender.join();
+  EXPECT_TRUE(bus.Send(MakeChunkMessage(0, 1, kServerPort, 100000)).ok());
+  // The carrier took the ~400 KB message with the 200 KB/s limit (~0.7 s).
+  ASSERT_TRUE(bus.AwaitEgressDepth(0, 0, /*timeout_ms=*/5000));
+  bus.SetEgressLimit(0, 0.0);  // drop the limiter under the waiting carrier
+  ASSERT_TRUE(mailbox->Pop().has_value());
 }
 
 // ------------------------------------------------------------- batching ----
@@ -225,6 +250,7 @@ TEST(BatchingTest, BatchedFrameIsCheaperThanUnbatched) {
   for (int i = 0; i < 8; ++i) {
     EXPECT_TRUE(unbatched.Send(MakeChunkMessage(0, 1, kServerPort, 16)).ok());
   }
+  unbatched.FlushEgress();
 
   MessageBus batched(2);
   batched.Register(Address{1, kServerPort});
@@ -269,7 +295,7 @@ TEST(BatchingTest, TimerFlushGuaranteesProgress) {
   bus.EnableBatching(options);
 
   EXPECT_TRUE(bus.Send(MakeChunkMessage(0, 1, kServerPort, 4)).ok());
-  // No explicit flush: the flusher must deliver within the interval.
+  // No explicit flush: the carrier must deliver within the interval.
   auto received = mailbox->Pop();
   ASSERT_TRUE(received.has_value());
 }
@@ -311,8 +337,38 @@ TEST(BatchingTest, LocalTrafficBypassesBatcher) {
   EXPECT_EQ(bus.TxBytes(0), 0);
 }
 
+// A message whose mailbox closed after Send routed to it (CloseAll leaves
+// the address registered) is lost when the carrier delivers it, batched or
+// not: every such loss counts as a dropped reply, a shutdown excepted.
+TEST(BatchingTest, ClosedMailboxLossesAreCounted) {
+  for (const bool batching : {false, true}) {
+    SCOPED_TRACE(batching ? "batched" : "unbatched");
+    MessageBus bus(2);
+    auto mailbox = bus.Register(Address{1, kServerPort});
+    if (batching) {
+      EgressBatchOptions options;
+      options.max_batch_messages = 1000;
+      options.flush_interval_us = 60000000;  // the shutdown below cuts the batch
+      bus.EnableBatching(options);
+    }
+    mailbox->Close();
+    for (int i = 0; i < 3; ++i) {
+      EXPECT_TRUE(bus.Send(MakeChunkMessage(0, 1, kServerPort, 4, /*iter=*/5)).ok());
+    }
+    Message shutdown;
+    shutdown.type = MessageType::kShutdown;
+    shutdown.from = Address{0, kSyncerPortBase};
+    shutdown.to = Address{1, kServerPort};
+    shutdown.iter = 5;
+    EXPECT_TRUE(bus.Send(std::move(shutdown)).ok());
+    bus.FlushEgress();
+    EXPECT_EQ(bus.TxEntries(0), 4);
+    EXPECT_EQ(bus.FaultCounts().dropped_replies, 3);
+  }
+}
+
 // One node's throttled egress must not delay another node's batched sends:
-// each node has its own flusher.
+// each node has its own carrier.
 TEST(BatchingTest, ThrottledNodeDoesNotStallOtherNodesBatches) {
   MessageBus bus(3);
   auto mailbox = bus.Register(Address{2, kServerPort});
@@ -324,8 +380,8 @@ TEST(BatchingTest, ThrottledNodeDoesNotStallOtherNodesBatches) {
   for (int i = 0; i < 2; ++i) {
     EXPECT_TRUE(bus.Send(MakeChunkMessage(0, 2, kServerPort, 50000)).ok());  // slow batch
   }
-  // Flusher 0 is blocked once it enters the limiter wait for its batch.
-  ASSERT_TRUE(bus.egress_limiter(0)->WaitUntilBlocked(1));
+  // Carrier 0 has taken its batch and waits on the limit.
+  ASSERT_TRUE(bus.AwaitEgressDepth(0, 0, /*timeout_ms=*/5000));
 
   const auto start = std::chrono::steady_clock::now();
   for (int i = 0; i < 2; ++i) {
@@ -342,7 +398,7 @@ TEST(BatchingTest, ThrottledNodeDoesNotStallOtherNodesBatches) {
   }
   const double elapsed =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
-  EXPECT_LT(elapsed, 0.5) << "node 1's batch stalled behind node 0's throttled flusher";
+  EXPECT_LT(elapsed, 0.5) << "node 1's batch stalled behind node 0's throttled carrier";
 }
 
 }  // namespace

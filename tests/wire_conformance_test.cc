@@ -418,8 +418,8 @@ class IngressOnlyTransport : public Transport {
  public:
   const char* name() const override { return "fuzz"; }
   bool IsLocal(int /*node*/) const override { return true; }
-  Status SendFrame(int /*src_node*/, int /*dst_node*/,
-                   std::vector<uint8_t> /*frame*/) override {
+  Status SendFrames(int /*src_node*/, int /*dst_node*/,
+                    std::vector<std::vector<uint8_t>> /*frames*/) override {
     return InternalError("ingress-only transport");
   }
 };
